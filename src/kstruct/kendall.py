@@ -11,9 +11,13 @@ leave-one-out averages
 
     tau_hat^{(i)} = 1/(n-1) * sum_{s != i} h(X_i, X_s)
 
-drive the jackknife covariance estimators.  Everything here is exact
-integer arithmetic until the final division, so brute-force comparisons
-can demand bitwise equality.
+drive the jackknife covariance estimators.  For observation r the kernel
+sums over s are the off-diagonal entries of the Gram matrix S_r' S_r,
+where S_r = sign(X_r - X) is n x d, so the pass is one batched BLAS
+product per block of rows.  The +/-1 products are accumulated in
+float64, which represents every partial sum exactly while n < 2**53;
+the row sums are therefore exact integers until the final division, and
+brute-force comparisons can demand bitwise equality.
 
 Tied values make the kernel 0 and break the +/-1 contract; by default
 that is a hard error.  An opt-in, seeded jitter of relative size 1e-9
@@ -35,8 +39,11 @@ __all__ = [
     "jitter_ties",
 ]
 
-# soft cap on the entries of the blocked sign tensor, ~256 MB of int8
-_BLOCK_BUDGET = 2.7e8
+# soft cap, in bytes, on the working buffers of one block of rows.  Kept
+# small: larger blocks are no faster, and freeing buffers of tens of MB
+# raised the later peak RSS of a run_test (glibc then serves allocations
+# of that size from its heap instead of returning them to the system)
+_BLOCK_BUDGET = 2.0**22
 
 
 class TieError(ValueError):
@@ -115,19 +122,30 @@ def kendall_kernel(x, y):
 def _pair_row_sums(X):
     """Row sums sum_{s != r} h(X_r, X_s) as an (n, p) integer array.
 
-    Computed in blocks of rows so the sign tensor stays within a fixed
-    memory budget; O(n^2 p) work overall.
+    Row r holds the upper-triangle entries of S_r' S_r, from one batched
+    matmul per block of rows; the block buffers are allocated once and
+    kept within _BLOCK_BUDGET bytes.  O(n^2 d^2) work overall.
     """
     n, d = X.shape
     ii0, jj0 = _pairs0(d)
     p = len(ii0)
     out = np.empty((n, p), dtype=np.int64)
-    blk = int(max(1, min(n, _BLOCK_BUDGET // (n * (d + p)))))
+    # per row of a block: float64 signs and their bool half (n x d), the
+    # float64 Gram matrix (d x d) and its gathered pairs (p)
+    row_bytes = 9 * n * d + 8 * (d * d + p)
+    blk = int(max(1, min(n, _BLOCK_BUDGET // row_bytes)))
+    S = np.empty((blk, n, d))
+    below = np.empty((blk, n, d), dtype=bool)
+    G = np.empty((blk, d, d))
     for start in range(0, n, blk):
         stop = min(start + blk, n)
-        S = np.sign(X[start:stop, None, :] - X[None, :, :]).astype(np.int8)
-        H = S[:, :, ii0] * S[:, :, jj0]
-        out[start:stop] = H.sum(axis=1)  # diagonal terms are zero
+        b = stop - start
+        Xr = X[start:stop, None, :]
+        # sign(X_r - X_s) as (X_r > X_s) - (X_r < X_s); the s = r term is 0
+        Sb = np.greater(Xr, X, out=S[:b])
+        np.subtract(Sb, np.less(Xr, X, out=below[:b]), out=Sb)
+        Gb = np.matmul(Sb.transpose(0, 2, 1), Sb, out=G[:b])
+        out[start:stop] = Gb[:, ii0, jj0]
     return out
 
 

@@ -67,6 +67,11 @@ __all__ = [
 
 _MERGE_RTOL = 1e-8
 _DROP_RTOL = 1e-10
+# entries of one row block of Monte Carlo null draws (2 MB of float64):
+# a block and its temporaries stay cache-sized and below the 4 MB at
+# which NumPy asks for huge pages, so a test does not fault in fresh
+# memory for its draws
+_DRAW_BLOCK_ENTRIES = 2**18
 
 _DISTORTION_NOTE = (
     "covariance weighting with the unstructured jackknife is known to "
@@ -89,6 +94,9 @@ class TestOptions:
     ties: "error" or "jitter".
     null_draws: "auto", "gaussian", or "bootstrap" -- how Monte Carlo
         null replicates are produced when more than one scheme applies.
+        Routes with a single scheme reject a choice they would ignore:
+        euclidean/sigma (chi-square) takes only "auto", and max/sigma
+        (Gaussian draws) does not take "bootstrap".
     """
 
     statistic: str = "euclidean"
@@ -116,6 +124,14 @@ class TestOptions:
             raise ValueError("ties must be 'error' or 'jitter'")
         if self.null_draws not in ("auto", "gaussian", "bootstrap"):
             raise ValueError("null_draws must be 'auto', 'gaussian' or 'bootstrap'")
+        if self.weighting == "sigma" and self.null_draws != "auto":
+            fixed = "chi-square" if self.statistic == "euclidean" else "gaussian"
+            if self.null_draws != fixed:
+                raise ValueError(
+                    "null_draws=%r does not apply to statistic=%r, "
+                    "weighting='sigma', whose null law is always %s"
+                    % (self.null_draws, self.statistic, fixed)
+                )
 
     def to_dict(self):
         return {
@@ -334,6 +350,65 @@ def _additive_eligible(s):
     return s1 >= s0 >= 0.0 and s2 - 2.0 * s1 + s0 >= 0.0
 
 
+def _row_blocks(N, p):
+    """(start, stop) bounds of the row blocks of an (N, p) array of draws."""
+    step = max(1, _DRAW_BLOCK_ENTRIES // max(int(p), 1))
+    return [(lo, min(lo + step, N)) for lo in range(0, N, step)]
+
+
+def _null_gaussian_blocks(spec, N, rng, method="auto"):
+    """The draws of ``sample_null_gaussian`` as consecutive row blocks.
+
+    Draws that color iid normals row by row (identity and coloured
+    S-block targets) are formed one block at a time, so no (N, p) array
+    or temporary is allocated.  The random stream is consumed as by one
+    (N, p) draw; a coloured block can differ from unblocked coloring in
+    the last bit, by the rounding of its matrix product.  The dense and
+    projector targets, and the additive S-block construction (which
+    draws its per-variable and global normals after all per-pair ones),
+    come as one block.
+    """
+    N = int(N)
+    kind = spec[0]
+    if kind == "identity":
+        p = int(spec[1])
+        for lo, hi in _row_blocks(N, p):
+            yield rng.standard_normal((hi - lo, p))
+        return
+    if kind == "projector":
+        P = np.asarray(spec[1], dtype=float)
+        yield rng.standard_normal((N, P.shape[0])) @ P
+        return
+    if kind == "dense":
+        A = np.asarray(spec[1], dtype=float)
+        yield rng.standard_normal((N, A.shape[0])) @ psd_power(A, 0.5)
+        return
+    if kind != "sblock":
+        raise ValueError("unknown sampler spec %r" % (spec[0],))
+
+    _, s, d = spec
+    s = np.asarray(s, dtype=float)
+    p = pair_count(d)
+    if method not in ("auto", "additive", "projection", "dense"):
+        raise ValueError("method must be auto, additive, projection or dense")
+    if method == "dense":
+        from .sblock import materialize
+
+        yield rng.standard_normal((N, p)) @ psd_power(materialize(s, d), 0.5)
+        return
+    if method in ("auto", "additive") and _additive_eligible(s):
+        s0, s1, s2 = s
+        ii0, jj0 = _pairs0(d)
+        Z = np.sqrt(s2 - 2.0 * s1 + s0) * rng.standard_normal((N, p))
+        V = rng.standard_normal((N, d))
+        Z += np.sqrt(s1 - s0) * (V[:, ii0] + V[:, jj0])
+        Z += np.sqrt(s0) * rng.standard_normal((N, 1))
+        yield Z
+        return
+    for lo, hi in _row_blocks(N, p):
+        yield _sblock_colored(s, d, rng.standard_normal((hi - lo, p)))
+
+
 def sample_null_gaussian(spec, N, rng, method="auto"):
     """N Gaussian p-vectors with a prescribed null covariance.
 
@@ -350,37 +425,20 @@ def sample_null_gaussian(spec, N, rng, method="auto"):
       handles the singular projected triples.  ``method`` can force
       "additive", "projection" (component coloring) or "dense".
     """
-    N = int(N)
-    kind = spec[0]
-    if kind == "identity":
-        return rng.standard_normal((N, int(spec[1])))
-    if kind == "projector":
-        P = np.asarray(spec[1], dtype=float)
-        return rng.standard_normal((N, P.shape[0])) @ P
-    if kind == "dense":
-        A = np.asarray(spec[1], dtype=float)
-        return rng.standard_normal((N, A.shape[0])) @ psd_power(A, 0.5)
-    if kind != "sblock":
-        raise ValueError("unknown sampler spec %r" % (spec[0],))
+    blocks = list(_null_gaussian_blocks(spec, N, rng, method))
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
-    _, s, d = spec
-    s = np.asarray(s, dtype=float)
-    p = pair_count(d)
-    if method not in ("auto", "additive", "projection", "dense"):
-        raise ValueError("method must be auto, additive, projection or dense")
-    if method == "dense":
-        from .sblock import materialize
 
-        return rng.standard_normal((N, p)) @ psd_power(materialize(s, d), 0.5)
-    if method in ("auto", "additive") and _additive_eligible(s):
-        s0, s1, s2 = s
-        ii0, jj0 = _pairs0(d)
-        Z = np.sqrt(s2 - 2.0 * s1 + s0) * rng.standard_normal((N, p))
-        V = rng.standard_normal((N, d))
-        Z += np.sqrt(s1 - s0) * (V[:, ii0] + V[:, jj0])
-        Z += np.sqrt(s0) * rng.standard_normal((N, 1))
-        return Z
-    return _sblock_colored(s, d, rng.standard_normal((N, p)))
+def _residual_blocks(gamma, N, p, rng):
+    """Row blocks of G - gamma.apply(G) for N iid standard normal p-vectors G."""
+    for lo, hi in _row_blocks(N, p):
+        G = rng.standard_normal((hi - lo, p))
+        yield G - gamma.apply(G)
+
+
+def _max_exceedances(blocks, M):
+    """Number of rows, over row blocks of draws, whose max-norm exceeds M."""
+    return sum(int((np.abs(b).max(axis=1) > M).sum()) for b in blocks)
 
 
 def pvalue_max_mc(M, spec, N, rng, plus_one=False, draws=None, method="auto"):
@@ -391,11 +449,13 @@ def pvalue_max_mc(M, spec, N, rng, plus_one=False, draws=None, method="auto"):
     passed directly.
     """
     if draws is None:
-        if int(N) < 100:
+        N = int(N)
+        if N < 100:
             raise ValueError("need at least 100 Monte Carlo replicates")
-        draws = sample_null_gaussian(spec, N, rng, method=method)
-    stat = np.abs(draws).max(axis=1)
-    return _mc_pvalue(int((stat > M).sum()), stat.shape[0], plus_one)
+        blocks = _null_gaussian_blocks(spec, N, rng, method)
+    else:
+        N, blocks = draws.shape[0], [draws]
+    return _mc_pvalue(_max_exceedances(blocks, M), N, plus_one)
 
 
 def multiplier_bootstrap_replicates(
@@ -593,33 +653,31 @@ def run_test(data, hypothesis, options):
             method = "max-mc"
             if isinstance(hypothesis, Partition):
                 # null covariance of the whitened residual is I - B B^+
-                G = rng.standard_normal((N, p))
-                draws = G - gamma.apply(G)
+                blocks = _residual_blocks(gamma, N, p, rng)
             else:
                 C = psd_power(est.matrix, -0.5) @ design.matrix
                 Adag = np.eye(p) - C @ np.linalg.pinv(C.T @ C, rcond=1e-10) @ C.T
-                draws = sample_null_gaussian(("projector", Adag), N, rng)
+                blocks = _null_gaussian_blocks(("projector", Adag), N, rng)
         else:
             use_boot = opts.null_draws == "bootstrap" or (
                 opts.null_draws == "auto" and isinstance(hypothesis, DesignMatrix)
             )
             if use_boot:
                 method = "bootstrap-mc"
-                draws = multiplier_bootstrap_replicates(
+                blocks = [multiplier_bootstrap_replicates(
                     X, design, N, rng, precomputed=(tau, loo)
-                )
+                )]
             else:
                 method = "max-mc"
                 if exch:
                     vals = np.asarray(eigenvalues(est.s, d).values, dtype=float)
                     t = n * (est.s - vals[0] / p)
-                    draws = sample_null_gaussian(("sblock", t, d), N, rng)
+                    blocks = _null_gaussian_blocks(("sblock", t, d), N, rng)
                 else:
                     P = np.eye(p) - gamma.dense()
                     target = n * (P @ est.dense() @ P)
-                    draws = sample_null_gaussian(("dense", target), N, rng)
-        hits = int((np.abs(draws).max(axis=1) > value).sum())
-        p_value = _mc_pvalue(hits, N, opts.plus_one)
+                    blocks = _null_gaussian_blocks(("dense", target), N, rng)
+        p_value = _mc_pvalue(_max_exceedances(blocks, value), N, opts.plus_one)
 
     if value == 0.0:
         # the statistic is at its minimum; no evidence against the null

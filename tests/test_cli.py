@@ -358,6 +358,27 @@ def test_cmd_test_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cmd_test_rejects_ignored_null_draws(tmp_path, capsys):
+    data = _write_csv(tmp_path / "x.csv", _gaussian_data(n=20, seed=1))
+    code = main(
+        [
+            "test",
+            "--data",
+            data,
+            "--hypothesis",
+            "exchangeable",
+            "--seed",
+            "1",
+            "--null-draws",
+            "bootstrap",
+        ]
+    )
+    assert code != 0
+    err = capsys.readouterr().err
+    assert "null_draws='bootstrap' does not apply" in err
+    assert "always chi-square" in err
+
+
 # ---------------------------------------------------------------------------
 # simulate subcommand
 

@@ -1,6 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -75,6 +77,75 @@ def test_blocked_path_equals_single_block(monkeypatch):
     expect = kendall_tau_vector(X)
     monkeypatch.setattr(kd, "_BLOCK_BUDGET", 1.0)  # force 1-row blocks
     assert np.array_equal(kendall_tau_vector(X), expect)
+
+
+def brute_force_row_sums(X):
+    """O(n^2 d^2) reference for the kernel pass: explicit loops over s != r."""
+    n = X.shape[0]
+    return np.array(
+        [sum(kendall_kernel(X[r], X[s]) for s in range(n) if s != r) for r in range(n)]
+    )
+
+
+def _block_row_bytes(n, d):
+    # bytes one row of a block claims against _BLOCK_BUDGET in _pair_row_sums
+    return 9 * n * d + 8 * (d * d + pair_count(d))
+
+
+_huge = st.floats(min_value=-1e300, max_value=1e300)
+
+
+@st.composite
+def tie_free_columns(draw):
+    """(n, d) data without ties: arbitrary, +/-1e300-wide or 1-ulp columns."""
+    n = draw(st.integers(2, 11))
+    d = draw(st.integers(2, 5))
+    cols = []
+    for _ in range(d):
+        kind = draw(st.sampled_from(["any", "wide", "ulp"]))
+        if kind == "ulp":
+            col = [draw(_huge)]
+            for _ in range(n - 1):
+                col.append(float(np.nextafter(col[-1], np.inf)))
+        else:
+            ends = [-1e300, 1e300] if kind == "wide" else []
+            rest = st.lists(
+                _huge.filter(lambda v: v not in ends),
+                min_size=n - len(ends),
+                max_size=n - len(ends),
+                unique=True,
+            )
+            col = ends + draw(rest)
+        cols.append(draw(st.permutations(col)))
+    return np.array(cols, dtype=float).T
+
+
+@settings(max_examples=60, deadline=None)
+@given(X=tie_free_columns(), rows=st.integers(1, 3))
+@example(X=np.array([[0.0, 1.0], [1.0, 0.0]]), rows=1)
+@example(X=np.random.default_rng(12).normal(size=(7, 3)), rows=2)
+@example(X=np.random.default_rng(13).normal(size=(8, 4)), rows=3)
+def test_kernel_equals_brute_force_in_any_block_size(X, rows):
+    n, d = X.shape
+    expect = brute_force_row_sums(X)
+    assert np.array_equal(kd._pair_row_sums(X), expect)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kd, "_BLOCK_BUDGET", rows * _block_row_bytes(n, d))
+        assert np.array_equal(kd._pair_row_sums(X), expect)
+
+
+@pytest.mark.parametrize("n, d", [(200, 100), (1000, 50)])
+def test_kernel_memory_stays_within_budget(n, d):
+    X = np.random.default_rng(n).normal(size=(n, d))
+    out_bytes = n * pair_count(d) * 8
+    tracemalloc.start()
+    try:
+        kd._pair_row_sums(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the block buffers fit the budget; 10 % covers the small temporaries
+    assert peak <= 1.1 * kd._BLOCK_BUDGET + out_bytes
 
 
 def test_leave_one_out_row_mean_is_tau():

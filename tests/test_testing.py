@@ -1,10 +1,12 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 from scipy import stats
 
+import kstruct.testing as kt
 from kstruct.covariance import jackknife_cov, psd_power
 from kstruct.indexing import (
     DesignMatrix,
@@ -259,6 +261,21 @@ def test_sample_dense_and_projector_paths():
         sample_null_gaussian(("what", 3), 100, rng)
 
 
+def test_row_blocked_draws_follow_one_random_stream(monkeypatch):
+    # 3-row blocks, N not a multiple of 3: identity draws are the rows of
+    # one (N, p) draw, and coloured S-block draws match one block up to
+    # the rounding of the per-block matrix product
+    d, N = 5, 301
+    p = pair_count(d)
+    t = np.array([0.4, 0.2, 1.0])  # s1 < s0: coloured, not additive
+    one = sample_null_gaussian(("sblock", t, d), N, np.random.default_rng(59))
+    monkeypatch.setattr(kt, "_DRAW_BLOCK_ENTRIES", 3 * p)
+    Z = sample_null_gaussian(("identity", p), N, np.random.default_rng(59))
+    assert np.array_equal(Z, np.random.default_rng(59).standard_normal((N, p)))
+    blocked = sample_null_gaussian(("sblock", t, d), N, np.random.default_rng(59))
+    np.testing.assert_allclose(blocked, one, rtol=0, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # multiplier bootstrap
 
@@ -380,6 +397,35 @@ def test_run_test_seed_reproducibility():
     assert a.input_digest == b.input_digest
 
 
+def test_run_test_max_routes_independent_of_draw_blocks(monkeypatch):
+    X = exchangeable_normal(np.random.default_rng(83), 40, 6)
+    reports = []
+    for entries in (kt._DRAW_BLOCK_ENTRIES, 2 * pair_count(6)):
+        monkeypatch.setattr(kt, "_DRAW_BLOCK_ENTRIES", entries)
+        for weight in ("sigma", "identity"):
+            opts = TestOptions(statistic="max", weighting=weight, replicates=501, seed=3)
+            rep = run_test(X, Partition.exchangeable(6), opts)
+            reports.append((rep.value, rep.p_value))
+    assert reports[:2] == reports[2:]
+
+
+def test_run_test_max_null_memory_is_bounded():
+    # the exchangeable max routes never form the (N, p) draws (70 MB here):
+    # the traced peak stays within a dozen 2 MB row blocks
+    d, N = 30, 20000
+    X = exchangeable_normal(np.random.default_rng(89), 50, d)
+    block_bytes = 8 * kt._DRAW_BLOCK_ENTRIES
+    for weight in ("sigma", "identity"):
+        opts = TestOptions(statistic="max", weighting=weight, replicates=N, seed=7)
+        tracemalloc.start()
+        try:
+            run_test(X, Partition.exchangeable(d), opts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * block_bytes < 8 * N * pair_count(d) / 2, weight
+
+
 def test_run_test_validation_errors():
     rng = np.random.default_rng(83)
     X = exchangeable_normal(rng, 20, 4)
@@ -401,6 +447,18 @@ def test_run_test_validation_errors():
         TestOptions(replicates=10, seed=1).validate()
     with pytest.raises(ValueError, match="null_draws"):
         TestOptions(null_draws="mc", seed=1).validate()
+    # single-law routes refuse a null_draws choice they would ignore
+    for draws in ("gaussian", "bootstrap"):
+        with pytest.raises(ValueError, match="always chi-square"):
+            TestOptions(null_draws=draws, seed=1).validate()
+    with pytest.raises(ValueError, match="always gaussian"):
+        TestOptions(statistic="max", null_draws="bootstrap", seed=1).validate()
+    TestOptions(statistic="max", null_draws="gaussian", seed=1).validate()
+    for draws in ("gaussian", "bootstrap"):
+        for statistic in ("euclidean", "max"):
+            TestOptions(
+                statistic=statistic, weighting="identity", null_draws=draws, seed=1
+            ).validate()
 
 
 def test_run_test_distortion_warning_routing():
