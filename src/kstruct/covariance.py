@@ -8,11 +8,13 @@ leave-one-out kernel averages,
 which is positive semidefinite by construction and consistent (times n)
 for the asymptotic covariance.  Under partial exchangeability the
 population covariance is constant on the orbits of group-respecting
-variable permutations, so averaging the dense estimate over those orbits
-gives a structured estimator with the same block pattern; for the
-one-group (fully exchangeable) case the orbit classes collapse to the
-overlap classes and the whole estimator reduces to three numbers
-computable in O(n p) from per-row means -- no dense matrix needed.
+variable permutations, and the structured estimator is the orbit
+average of the jackknife.  It is never formed densely: the average lies
+in the commutant of the groups' permutations, so it is held as the
+small isotypic quotients of ``sblock`` (one entry per orbit class),
+computed in O(n p) from per-variable, per-partner-group sums of the
+centred leave-one-out matrix.  For the one-group (fully exchangeable)
+case the orbit classes collapse to the three overlap classes.
 
 Also here: eigenvalue clipping for indefinite estimates, pseudo-inverse
 helpers used by the test statistics, and a Monte Carlo evaluator for the
@@ -21,12 +23,13 @@ population covariance coefficients of an exchangeable copula.
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .indexing import _incidence, _pairs0
+from .indexing import _incidence
 from .kendall import tau_and_leave_one_out
+from .sblock import materialize, partition_materialize, partition_quotients
 
 __all__ = [
     "CovarianceEstimate",
@@ -46,27 +49,34 @@ __all__ = [
 _PINV_RTOL = 1e-10
 
 
-@dataclass
 class CovarianceEstimate:
     """A covariance estimate for tau_hat.
 
-    kind is "dense" (matrix set), "exchangeable" (three coefficients set)
-    or "partition" (matrix set, constant on partition orbits).  The
-    estimate is on the scale of cov(tau_hat); multiply by n for the
-    asymptotic matrix.
+    kind is "dense" (``matrix`` set), "exchangeable" (three coefficients
+    ``s`` set) or "partition" (``quotients`` set: the isotypic quotients
+    of a matrix constant on the orbits of ``partition``; ``matrix`` is
+    materialized on first read).  The estimate is on the scale of
+    cov(tau_hat); multiply by n for the asymptotic matrix.
     """
 
-    kind: str
-    d: int
-    n: int
-    matrix: np.ndarray = None
-    s: np.ndarray = None
-    partition: object = None
-    messages: list = field(default_factory=list)
+    def __init__(self, kind, d, n, matrix=None, s=None, partition=None,
+                 quotients=None, messages=None):
+        self.kind = kind
+        self.d = d
+        self.n = n
+        self._matrix = matrix
+        self.s = s
+        self.partition = partition
+        self.quotients = quotients
+        self.messages = [] if messages is None else messages
+
+    @property
+    def matrix(self):
+        if self._matrix is None and self.quotients is not None:
+            self._matrix = partition_materialize(self.quotients)
+        return self._matrix
 
     def dense(self):
-        from .sblock import materialize
-
         if self.matrix is not None:
             return self.matrix
         return materialize(self.s, self.d)
@@ -128,63 +138,33 @@ def structured_jackknife_exchangeable(data, ties="error", tie_seed=0, precompute
     )
 
 
-def _orbit_keys(partition):
-    """Canonical orbit key of every entry (k, l) of pair-space matrices.
-
-    Two entries get the same key exactly when some variable permutation
-    preserving the partition groups maps one pair-of-pairs onto the
-    other.  The key combines the group multisets of both pairs (order-
-    canonicalized) with the group multiset of their shared variables.
-    """
-    d = partition.d
-    g = partition.group_of
-    K = partition.n_groups
-    ii0, jj0 = _pairs0(d)
-    ga, gb = g[ii0], g[jj0]
-    q = np.minimum(ga, gb) * K + np.maximum(ga, gb)
-
-    a_col, b_col = ii0[:, None], jj0[:, None]
-    sh_a = (a_col == a_col.T) | (a_col == b_col.T)
-    sh_b = (b_col == a_col.T) | (b_col == b_col.T)
-    e = np.where(sh_a, 1 + ga[:, None], 0)
-    f = np.where(sh_b, 1 + gb[:, None], 0)
-    s_lo = np.minimum(e, f)
-    s_hi = np.maximum(e, f)
-
-    q1, q2 = q[:, None], q[None, :]
-    q_lo = np.minimum(q1, q2)
-    q_hi = np.maximum(q1, q2)
-    base = K * K
-    key = ((q_lo * base + q_hi) * (K + 1) + s_lo) * (K + 1) + s_hi
-    return key
-
-
 def structured_jackknife_partition(
     data, partition, ties="error", tie_seed=0, precomputed=None
 ):
     """Jackknife estimate averaged over the orbit classes of a partition.
 
-    With a single group this reproduces the exchangeable estimator in
-    dense form; with all-singleton groups every entry is its own class
-    and the dense estimate is returned unchanged.
+    Returns the isotypic quotients of the average (``sblock``), computed
+    in O(n p) without the dense jackknife.  With a single group this is
+    the exchangeable estimator; with all-singleton groups every entry is
+    its own class and the dense estimate is reproduced.
     """
-    if precomputed is None and np.asarray(data).shape[0] < 3:
+    if precomputed is None:
+        if np.asarray(data).shape[0] < 3:
+            raise ValueError("partition-structured jackknife needs n >= 3")
+        tau, loo = tau_and_leave_one_out(data, ties=ties, tie_seed=tie_seed)
+    else:
+        tau, loo = precomputed
+    n, p = loo.shape
+    if n < 3:
         raise ValueError("partition-structured jackknife needs n >= 3")
-    est = jackknife_cov(data, ties=ties, tie_seed=tie_seed, precomputed=precomputed)
-    if est.n < 3:
-        raise ValueError("partition-structured jackknife needs n >= 3")
-    if partition.d != est.d:
+    d = int(round((1 + np.sqrt(1 + 8 * p)) / 2))
+    if partition.d != d:
         raise ValueError(
-            "partition is over d=%d variables, data has d=%d" % (partition.d, est.d)
+            "partition is over d=%d variables, data has d=%d" % (partition.d, d)
         )
-    key = _orbit_keys(partition)
-    flat = key.ravel()
-    uniq, inv = np.unique(flat, return_inverse=True)
-    sums = np.bincount(inv, weights=est.matrix.ravel())
-    counts = np.bincount(inv)
-    avg = (sums / counts)[inv].reshape(key.shape)
+    quotients = partition_quotients(loo - tau, partition, 4.0 / n**2)
     return CovarianceEstimate(
-        kind="partition", d=est.d, n=est.n, matrix=avg, partition=partition
+        kind="partition", d=d, n=n, partition=partition, quotients=quotients
     )
 
 

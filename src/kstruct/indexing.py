@@ -223,12 +223,10 @@ def _class_of_pairs(partition):
     ii0, jj0 = _pairs0(d)
     K = partition.n_groups
     classes = [(a, b) for a in range(K) for b in range(a, K)]
-    lookup = {c: i for i, c in enumerate(classes)}
+    lookup = np.zeros((K, K), dtype=np.intp)
+    lookup[tuple(np.array(classes).T)] = np.arange(len(classes))
     ga, gb = g[ii0], g[jj0]
-    lo = np.minimum(ga, gb)
-    hi = np.maximum(ga, gb)
-    ids = np.array([lookup[(a, b)] for a, b in zip(lo, hi)], dtype=np.intp)
-    return ids, classes
+    return lookup[np.minimum(ga, gb), np.maximum(ga, gb)], classes
 
 
 def block_membership_matrix(partition, d=None):
@@ -258,9 +256,10 @@ def block_membership_matrix(partition, d=None):
             "membership design with L=%d blocks for p=%d pairs leaves no "
             "constraint to test" % (L, p)
         )
-    col = {ci: c for c, ci in enumerate(kept)}
+    col = np.zeros(len(classes), dtype=np.intp)
+    col[kept] = np.arange(L)
     B = np.zeros((p, L))
-    B[np.arange(p), [col[ci] for ci in ids]] = 1.0
+    B[np.arange(p), col[ids]] = 1.0
     return DesignMatrix(B, kind="membership", partition=partition)
 
 

@@ -49,7 +49,16 @@ from .indexing import (
 )
 from .kendall import _tied_columns, tau_and_leave_one_out
 from .projection import gamma_projection, pseudoinverse_design
-from .sblock import SingularError, eigenvalues, gamma_apply, gamma_star_apply
+from .sblock import (
+    SingularError,
+    eigenvalues,
+    gamma_apply,
+    gamma_star_apply,
+    partition_apply,
+    partition_projected,
+    partition_pseudo_power,
+    partition_spectrum,
+)
 
 __all__ = [
     "TestOptions",
@@ -73,6 +82,7 @@ _DROP_RTOL = 1e-10
 # memory for its draws
 _DRAW_BLOCK_ENTRIES = 2**18
 
+_ZERO_NULL_NOTE = "projected covariance estimate is zero"
 _DISTORTION_NOTE = (
     "covariance weighting with the unstructured jackknife is known to "
     "distort the level of design-matrix tests; rejection rates can far "
@@ -241,6 +251,14 @@ def _dense_whiten(A, r, exponent):
     return (Vk * w[keep] ** exponent) @ (Vk.T @ r)
 
 
+def _partition_whiten(q, r, exponent):
+    # the dense rule on the quotients' spectrum: drop eigenvalues at or
+    # below 1e-10 times the largest
+    if float(partition_spectrum(q).values.max()) <= 0.0:
+        raise SingularError("weighting matrix has zero rank")
+    return partition_apply(partition_pseudo_power(q, exponent, _DROP_RTOL), r)
+
+
 def _whitened_residual(tau, theta, weighting, exponent):
     r = np.asarray(tau, dtype=float) - np.asarray(theta, dtype=float)
     if weighting is None:
@@ -253,6 +271,8 @@ def _whitened_residual(tau, theta, weighting, exponent):
     if isinstance(weighting, tuple) and weighting[0] == "sblock":
         _, s, d = weighting
         return _structured_whiten(np.asarray(s, dtype=float), d, r, exponent)
+    if isinstance(weighting, tuple) and weighting[0] == "partition":
+        return _partition_whiten(weighting[1], r, exponent)
     return _dense_whiten(weighting, r, exponent)
 
 
@@ -261,8 +281,9 @@ def statistic_euclidean(tau, theta, weighting=None):
 
     ``weighting`` is the matrix A: a positive scalar a means a*I (so
     1/n gives E = n||tau-theta||^2), a dense symmetric matrix is
-    pseudo-inverted on its positive eigenspace, and ("sblock", s, d)
-    uses the O(p) structured inverse.
+    pseudo-inverted on its positive eigenspace, ("sblock", s, d) uses
+    the O(p) structured inverse and ("partition", q) the inverse of a
+    partition-invariant matrix given by its quotients q.
     """
     # the quadratic form needs A^{-1}, i.e. whitening applied once with
     # exponent -1 against the raw residual
@@ -294,30 +315,43 @@ def pvalue_chisq(E, p, L):
     return float(stats.chi2.sf(E, p - L))
 
 
-def mixture_spectrum(matrix, merge_rtol=_MERGE_RTOL, drop_rtol=_DROP_RTOL):
-    """Distinct positive eigenvalues of a symmetric matrix with their
-    multiplicities.
+def _merged_spectrum(
+    values, multiplicities, merge_rtol=_MERGE_RTOL, drop_rtol=_DROP_RTOL
+):
+    """Distinct positive eigenvalues with their multiplicities.
 
-    Eigenvalues within relative distance ``merge_rtol`` of each other are
-    merged (multiplicities summed, value averaged); eigenvalues below
-    ``drop_rtol`` times the largest are dropped.  Returns a list of
-    (value, multiplicity) pairs sorted decreasing; empty if the matrix
-    has no positive eigenvalue.
+    Eigenvalues are taken in decreasing order; one within relative
+    distance ``merge_rtol`` of the previous kept value is merged into it
+    (multiplicities summed, value averaged by multiplicity), and those
+    at or below ``drop_rtol`` times the largest are dropped.  Returns a
+    list of (value, multiplicity) pairs sorted decreasing; empty if no
+    eigenvalue is positive.
     """
-    matrix = np.asarray(matrix, dtype=float)
-    w = np.linalg.eigvalsh((matrix + matrix.T) / 2.0)
-    top = float(w.max()) if w.size else 0.0
+    values = np.asarray(values, dtype=float)
+    mults = np.asarray(multiplicities, dtype=int)
+    values, mults = values[mults > 0], mults[mults > 0]
+    top = float(values.max()) if values.size else 0.0
     if top <= 0.0:
         return []
-    w = np.sort(w[w > drop_rtol * top])[::-1]
+    order = np.argsort(-values, kind="stable")
     out = []
-    for lam in w:
+    for lam, m in zip(values[order], mults[order]):
+        if lam <= drop_rtol * top:
+            break
         if out and (out[-1][0] - lam) <= merge_rtol * out[-1][0]:
             val, mult = out[-1]
-            out[-1] = ((val * mult + lam) / (mult + 1), mult + 1)
+            out[-1] = ((val * mult + lam * m) / (mult + m), mult + m)
         else:
-            out.append((float(lam), 1))
+            out.append((float(lam), int(m)))
     return [(float(v), int(m)) for v, m in out]
+
+
+def mixture_spectrum(matrix, merge_rtol=_MERGE_RTOL, drop_rtol=_DROP_RTOL):
+    """Distinct positive eigenvalues of a symmetric matrix with their
+    multiplicities, by the rule of ``_merged_spectrum``."""
+    matrix = np.asarray(matrix, dtype=float)
+    w = np.linalg.eigvalsh((matrix + matrix.T) / 2.0)
+    return _merged_spectrum(w, np.ones(w.size, dtype=int), merge_rtol, drop_rtol)
 
 
 def pvalue_mixture_mc(E, spectrum, N, rng, plus_one=False):
@@ -359,9 +393,9 @@ def _row_blocks(N, p):
 def _null_gaussian_blocks(spec, N, rng, method="auto"):
     """The draws of ``sample_null_gaussian`` as consecutive row blocks.
 
-    Draws that color iid normals row by row (identity and coloured
-    S-block targets) are formed one block at a time, so no (N, p) array
-    or temporary is allocated.  The random stream is consumed as by one
+    Draws that color iid normals row by row (identity, partition and
+    coloured S-block targets) are formed one block at a time, so no
+    (N, p) array or temporary is allocated.  The random stream is consumed as by one
     (N, p) draw; a coloured block can differ from unblocked coloring in
     the last bit, by the rounding of its matrix product.  The dense and
     projector targets, and the additive S-block construction (which
@@ -382,6 +416,12 @@ def _null_gaussian_blocks(spec, N, rng, method="auto"):
     if kind == "dense":
         A = np.asarray(spec[1], dtype=float)
         yield rng.standard_normal((N, A.shape[0])) @ psd_power(A, 0.5)
+        return
+    if kind == "partition":
+        root = partition_pseudo_power(spec[1], 0.5, _DROP_RTOL)
+        p = pair_count(root.partition.d)
+        for lo, hi in _row_blocks(N, p):
+            yield partition_apply(root, rng.standard_normal((hi - lo, p)))
         return
     if kind != "sblock":
         raise ValueError("unknown sampler spec %r" % (spec[0],))
@@ -418,6 +458,8 @@ def sample_null_gaussian(spec, N, rng, method="auto"):
     - ("projector", P): covariance equal to the symmetric idempotent P
       (draws are G @ P, no factorization);
     - ("dense", A): covariance A via its principal square root;
+    - ("partition", q): the partition-invariant covariance with quotients
+      q, via its principal square root in O(p K) per draw;
     - ("sblock", s, d): covariance S(s), O(p) per draw.  The additive
       construction (one global, d per-variable and p per-pair normals)
       is used when s1 >= s0 >= 0 and s2 - 2 s1 + s0 >= 0; otherwise the
@@ -504,6 +546,14 @@ def _hypothesis_info(hypothesis, design):
         "p": design.p,
         "L": design.L,
     }
+
+
+def _exchangeable_null_spectrum(s, d, n):
+    # n (I - J/p) S (I - J/p) has the S-block's two non-constant
+    # eigenvalues; negative ones are treated as zero
+    vals = _clipped_values(s, d)
+    spectrum = [(n * float(vals[1]), d - 1), (n * float(vals[2]), pair_count(d) - d)]
+    return [(l, m) for l, m in spectrum if l > 0.0 and m > 0]
 
 
 def _degenerate_fit(tau, theta):
@@ -598,10 +648,18 @@ def run_test(data, hypothesis, options):
     spectrum = None
     method = None
 
-    if opts.weighting == "sigma":
-        weight = ("sblock", est.s, d) if exch else est.matrix
-    else:
+    if opts.weighting == "identity":
         weight = 1.0 / n
+    elif exch:
+        weight = ("sblock", est.s, d)
+    elif est.kind == "partition":
+        weight = ("partition", est.quotients)
+    else:
+        weight = est.matrix
+    if est.kind == "partition":
+        # n (I - Gamma) Sigma (I - Gamma): Gamma = B B^+ removes the
+        # trivial component
+        null_q = partition_projected(est.quotients, n)
 
     # -- statistic, with a guard for degenerate covariance + exact fit ------
     stat_fn = statistic_euclidean if opts.statistic == "euclidean" else statistic_max
@@ -634,18 +692,15 @@ def run_test(data, hypothesis, options):
         else:
             method = "mixture-mc"
             if exch:
-                vals = _clipped_values(est.s, d)
-                spectrum = [
-                    (n * float(vals[1]), d - 1),
-                    (n * float(vals[2]), p - d),
-                ]
-                spectrum = [(l, m) for l, m in spectrum if l > 0.0 and m > 0]
+                spectrum = _exchangeable_null_spectrum(est.s, d, n)
+            elif est.kind == "partition":
+                spectrum = _merged_spectrum(*partition_spectrum(null_q))
             else:
                 P = np.eye(p) - gamma.dense()
                 spectrum = mixture_spectrum(n * (P @ est.dense() @ P))
             if not spectrum:
                 p_value = 1.0 if value <= 0.0 else 0.0
-                msgs.append("projected covariance estimate is zero")
+                msgs.append(_ZERO_NULL_NOTE)
             else:
                 p_value = pvalue_mixture_mc(value, spectrum, N, rng, opts.plus_one)
     else:  # max statistic
@@ -672,11 +727,18 @@ def run_test(data, hypothesis, options):
                 if exch:
                     vals = np.asarray(eigenvalues(est.s, d).values, dtype=float)
                     t = n * (est.s - vals[0] / p)
+                    zero = not _exchangeable_null_spectrum(est.s, d, n)
                     blocks = _null_gaussian_blocks(("sblock", t, d), N, rng)
+                elif est.kind == "partition":
+                    zero = not _merged_spectrum(*partition_spectrum(null_q))
+                    blocks = _null_gaussian_blocks(("partition", null_q), N, rng)
                 else:
                     P = np.eye(p) - gamma.dense()
                     target = n * (P @ est.dense() @ P)
+                    zero = False
                     blocks = _null_gaussian_blocks(("dense", target), N, rng)
+                if zero:
+                    msgs.append(_ZERO_NULL_NOTE)
         p_value = _mc_pvalue(_max_exceedances(blocks, value), N, opts.plus_one)
 
     if value == 0.0:

@@ -387,6 +387,31 @@ def test_run_test_comonotone_gives_p_one():
                 assert rep.p_value == 1.0, (stat, weight, est)
 
 
+def test_run_test_zero_projected_covariance_contract():
+    # anti-comonotone columns: every jackknife residual vanishes, so the
+    # covariance estimate is zero while the fit is not exact
+    z = np.linspace(0.0, 1.0, 20)
+    anti = np.column_stack([z, -z, z, -z, z, -z])
+    como = np.column_stack([z, z**3, np.exp(z), 2 * z, z + 1, z**5])
+    block_anti = np.column_stack([z, z**3, np.exp(z), -z, -(z**3), -np.exp(z)])
+    zero_note = "projected covariance estimate is zero"
+    for part in (Partition(6, ((1, 2, 3), (4, 5, 6))), Partition.exchangeable(6)):
+        for stat in ("euclidean", "max"):
+            opts = TestOptions(statistic=stat, weighting="identity", replicates=200, seed=1)
+            rep = run_test(anti, part, opts)
+            assert rep.value > 0.0 and rep.p_value == 0.0, (part, stat)
+            assert rep.warnings == [zero_note], (part, stat)
+    part = Partition(6, ((1, 2, 3), (4, 5, 6)))
+    for stat in ("euclidean", "max"):
+        opts = TestOptions(statistic=stat, weighting="sigma", replicates=200, seed=1)
+        with pytest.raises(SingularError, match="weighting matrix has zero rank"):
+            run_test(anti, part, opts)
+        for X in (como, block_anti):
+            rep = run_test(X, part, opts)
+            assert rep.value == 0.0 and rep.p_value == 1.0, stat
+            assert any("fits exactly" in w for w in rep.warnings), stat
+
+
 def test_run_test_seed_reproducibility():
     rng = np.random.default_rng(79)
     X = exchangeable_normal(rng, 40, 4)
