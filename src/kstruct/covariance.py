@@ -16,9 +16,17 @@ computed in O(n p) from per-variable, per-partner-group sums of the
 centred leave-one-out matrix.  For the one-group (fully exchangeable)
 case the orbit classes collapse to the three overlap classes.
 
-Also here: eigenvalue clipping for indefinite estimates, pseudo-inverse
-helpers used by the test statistics, and a Monte Carlo evaluator for the
-population covariance coefficients of an exchangeable copula.
+The unstructured (dense) jackknife is (4/n^2) D'D with D the n x p
+centred leave-one-out matrix, so its rank is at most n - 1.  It is held
+as D and formed only if its matrix is read.  Its spectral factor comes
+from one thin SVD of D in O(n p min(n, p)), and every design-route
+consumer (weighted projection, whitening, null draws) works from that
+factor.
+
+Also here: the spectral factor (w, V, keep) of a PSD matrix with its
+pseudo-powers, eigenvalue clipping for indefinite estimates, and a
+Monte Carlo evaluator for the population covariance coefficients of an
+exchangeable copula.
 """
 
 import json
@@ -33,6 +41,8 @@ from .sblock import materialize, partition_materialize, partition_quotients
 
 __all__ = [
     "CovarianceEstimate",
+    "PSDFactor",
+    "psd_factor",
     "jackknife_cov",
     "structured_jackknife_exchangeable",
     "structured_jackknife_partition",
@@ -49,18 +59,65 @@ __all__ = [
 _PINV_RTOL = 1e-10
 
 
+class PSDFactor:
+    """Spectral factor of a symmetric PSD matrix A = V diag(w) V'.
+
+    ``V`` has orthonormal columns (p x r, r <= p) and ``keep`` marks the
+    eigenvalues above 1e-10 times the largest; pseudo-powers use only
+    those (the Moore-Penrose convention), so a factor with no kept
+    eigenvalue stands for the zero matrix.
+    """
+
+    def __init__(self, w, V):
+        self.w = np.asarray(w, dtype=float)
+        self.V = V
+        top = max(float(self.w.max(initial=0.0)), 0.0)
+        self.keep = self.w > _PINV_RTOL * top
+
+    @classmethod
+    def of_matrix(cls, matrix):
+        """Factor of a dense symmetric matrix, by ``eigh``."""
+        A = np.asarray(matrix, dtype=float)
+        return cls(*np.linalg.eigh((A + A.T) / 2.0))
+
+    @classmethod
+    def of_rows(cls, Y, scale):
+        """Factor of scale * Y'Y from one thin SVD of the n x p matrix Y,
+        without forming the p x p product."""
+        _, s, Vt = np.linalg.svd(Y, full_matrices=False)
+        return cls(scale * s**2, Vt.T)
+
+    def apply(self, v, exponent):
+        """A^exponent v for a length-p vector or an (N, p) stack of rows."""
+        Vk = self.V[:, self.keep]
+        return ((v @ Vk) * self.w[self.keep] ** exponent) @ Vk.T
+
+    def power(self, exponent):
+        """The p x p pseudo-power A^exponent."""
+        Vk = self.V[:, self.keep]
+        return (Vk * self.w[self.keep] ** exponent) @ Vk.T
+
+
+def psd_factor(A):
+    """A itself if it is a PSDFactor, else the factor of the matrix A."""
+    return A if isinstance(A, PSDFactor) else PSDFactor.of_matrix(A)
+
+
 class CovarianceEstimate:
     """A covariance estimate for tau_hat.
 
-    kind is "dense" (``matrix`` set), "exchangeable" (three coefficients
-    ``s`` set) or "partition" (``quotients`` set: the isotypic quotients
-    of a matrix constant on the orbits of ``partition``; ``matrix`` is
-    materialized on first read).  The estimate is on the scale of
-    cov(tau_hat); multiply by n for the asymptotic matrix.
+    kind is "dense" (``matrix`` set, or the centred leave-one-out matrix
+    ``rows`` D with matrix (4/n^2) D'D), "exchangeable" (three
+    coefficients ``s`` set) or "partition" (``quotients`` set: the
+    isotypic quotients of a matrix constant on the orbits of
+    ``partition``).  ``matrix`` is materialized on first read and
+    ``factor`` (a PSDFactor, from the thin SVD of D when D is held) on
+    first use.  The estimate is on the scale of cov(tau_hat); multiply
+    by n for the asymptotic matrix.
     """
 
     def __init__(self, kind, d, n, matrix=None, s=None, partition=None,
-                 quotients=None, messages=None):
+                 quotients=None, messages=None, rows=None):
         self.kind = kind
         self.d = d
         self.n = n
@@ -68,13 +125,26 @@ class CovarianceEstimate:
         self.s = s
         self.partition = partition
         self.quotients = quotients
+        self.rows = rows
+        self._factor = None
         self.messages = [] if messages is None else messages
 
     @property
     def matrix(self):
         if self._matrix is None and self.quotients is not None:
             self._matrix = partition_materialize(self.quotients)
+        elif self._matrix is None and self.rows is not None:
+            self._matrix = (4.0 / self.n**2) * (self.rows.T @ self.rows)
         return self._matrix
+
+    @property
+    def factor(self):
+        if self._factor is None:
+            if self.rows is not None:
+                self._factor = PSDFactor.of_rows(self.rows, 4.0 / self.n**2)
+            else:
+                self._factor = PSDFactor.of_matrix(self.dense())
+        return self._factor
 
     def dense(self):
         if self.matrix is not None:
@@ -83,7 +153,7 @@ class CovarianceEstimate:
 
 
 def jackknife_cov(data, ties="error", tie_seed=0, precomputed=None):
-    """Dense jackknife covariance estimate of tau_hat.
+    """Dense jackknife covariance estimate of tau_hat, held as its rows.
 
     ``precomputed`` may carry (tau, loo) from tau_and_leave_one_out to
     avoid recomputing the O(n^2 p) pass.
@@ -95,9 +165,8 @@ def jackknife_cov(data, ties="error", tie_seed=0, precomputed=None):
         tau, loo = precomputed
         n = loo.shape[0]
     D = loo - tau
-    cov = (4.0 / n**2) * (D.T @ D)
-    d = int(round((1 + np.sqrt(1 + 8 * cov.shape[0])) / 2))
-    return CovarianceEstimate(kind="dense", d=d, n=n, matrix=cov)
+    d = int(round((1 + np.sqrt(1 + 8 * D.shape[1])) / 2))
+    return CovarianceEstimate(kind="dense", d=d, n=n, rows=D)
 
 
 def structured_jackknife_exchangeable(data, ties="error", tie_seed=0, precomputed=None):
@@ -193,21 +262,9 @@ def pd_repair(matrix, warn_rtol=1e-10):
     return (V * w) @ V.T, messages
 
 
-def _psd_eig(matrix):
-    w, V = np.linalg.eigh((np.asarray(matrix, dtype=float)))
-    top = max(float(w.max()), 0.0)
-    cut = _PINV_RTOL * top
-    keep = w > cut
-    return w, V, keep
-
-
 def psd_pinv(matrix):
     """Moore-Penrose pseudo-inverse of a PSD matrix via its spectrum."""
-    w, V, keep = _psd_eig(matrix)
-    if not keep.any():
-        return np.zeros_like(np.asarray(matrix, dtype=float))
-    Vk = V[:, keep]
-    return (Vk / w[keep]) @ Vk.T
+    return PSDFactor.of_matrix(matrix).power(-1.0)
 
 
 def psd_power(matrix, exponent):
@@ -217,11 +274,7 @@ def psd_power(matrix, exponent):
     convention, so exponent -0.5 is the whitening root used by the test
     statistics.
     """
-    w, V, keep = _psd_eig(matrix)
-    if not keep.any():
-        return np.zeros_like(np.asarray(matrix, dtype=float))
-    Vk = V[:, keep]
-    return (Vk * w[keep] ** exponent) @ Vk.T
+    return PSDFactor.of_matrix(matrix).power(exponent)
 
 
 @dataclass

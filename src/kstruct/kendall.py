@@ -65,11 +65,9 @@ def _as_data(data):
 
 
 def _tied_columns(X):
-    cols = []
-    for j in range(X.shape[1]):
-        if np.unique(X[:, j]).size < X.shape[0]:
-            cols.append(j + 1)
-    return cols
+    """1-based indices of the columns holding a repeated value."""
+    S = np.sort(X, axis=0)
+    return [int(j) + 1 for j in np.flatnonzero((S[1:] == S[:-1]).any(axis=0))]
 
 
 def jitter_ties(data, seed=0):

@@ -17,11 +17,18 @@ for partition designs, and the column-mean recombination
 for the vertex-incidence design.  That coincidence is always *checked*
 numerically by the test suite rather than assumed for arbitrary
 structured weights.
+
+Every other projector is held as a rank-L product Gamma = B R with
+R = B^+ (orthogonal) or R = (B' W B)^{-1} B' W (weighted), R an L x p
+matrix, so applying it costs O(p L) per vector and no p x p matrix is
+formed.  The weight W = A^+ is applied through the covariance's
+spectral factor: for the dense jackknife, one thin SVD of its n x p
+centred leave-one-out matrix.
 """
 
 import numpy as np
 
-from .covariance import CovarianceEstimate, psd_pinv
+from .covariance import CovarianceEstimate, PSDFactor
 from .indexing import DesignMatrix
 from .sblock import SingularError, eigenvalues, gamma_apply, gamma_star_apply
 
@@ -47,16 +54,17 @@ class ProjectionOperator:
 
     kind is one of "grand-mean" (averaging, exchangeable hypothesis),
     "class-mean" (membership/diagonal-free designs), "vertex"
-    (column-mean recombination), "orthogonal" (dense B B^+) or "gls"
-    (covariance-weighted, generally non-symmetric).  apply() accepts a
+    (column-mean recombination), "orthogonal" (B B^+) or "gls"
+    (covariance-weighted, generally non-symmetric); the last two are
+    given as ``factors`` (B, R), the map being B R.  apply() accepts a
     length-p vector or an (N, p) stack of row vectors.
     """
 
-    def __init__(self, kind, p, matrix=None, design=None, d=None):
+    def __init__(self, kind, p, factors=None, design=None, d=None):
         self.kind = kind
         self.p = p
         self.d = d
-        self._matrix = matrix
+        self._factors = factors
         self._design = design
 
     def apply(self, v):
@@ -71,11 +79,10 @@ class ProjectionOperator:
             B = self._design.matrix
             counts = B.sum(axis=0)
             return (v @ B / counts) @ B.T
-        return v @ self._matrix.T
+        B, R = self._factors
+        return (v @ R.T) @ B.T
 
     def dense(self):
-        if self._matrix is not None:
-            return self._matrix
         return self.apply(np.eye(self.p)).T
 
 
@@ -117,7 +124,7 @@ def _orthogonal_operator(design):
     if design.kind == "vertex-incidence":
         return ProjectionOperator("vertex", p, d=design.d)
     return ProjectionOperator(
-        "orthogonal", p, matrix=design.matrix @ pseudoinverse_design(design)
+        "orthogonal", p, factors=(design.matrix, pseudoinverse_design(design))
     )
 
 
@@ -135,32 +142,37 @@ def _structured_weight_shortcut(design, A):
 def gamma_projection(design, A=None):
     """The projection onto col(B), optionally weighted by a covariance A.
 
-    A = None gives the orthogonal projector B B^+.  A dense covariance
+    A = None gives the orthogonal projector B B^+.  A covariance
     (estimate or plain matrix) gives the weighted projector
-    B (B' W B)^{-1} B' W with W the (pseudo-)inverse of A; a structured
-    covariance whose symmetry matches the design short-circuits back to
-    the orthogonal form.
+    B (B' W B)^{-1} B' W with W the (pseudo-)inverse of A, taken from
+    the covariance's spectral factor; a structured covariance whose
+    symmetry matches the design short-circuits back to the orthogonal
+    form.
     """
     if A is None:
         return _orthogonal_operator(design)
     if isinstance(A, CovarianceEstimate):
         if _structured_weight_shortcut(design, A):
             return _orthogonal_operator(design)
-        A = A.dense()
-    A = np.asarray(A, dtype=float)
-    if A.ndim == 0:  # scalar multiple of the identity
+        factor = A.factor
+    elif np.ndim(A) == 0:  # scalar multiple of the identity
         return _orthogonal_operator(design)
+    else:
+        factor = PSDFactor.of_matrix(A)
     B = design.matrix
-    W = psd_pinv(A)
-    M = B.T @ W @ B
+    WB = factor.apply(B.T, -1.0).T
+    M = B.T @ WB
     w = np.linalg.eigvalsh((M + M.T) / 2.0)
-    if w[-1] <= 0.0 or w[0] <= 1e-12 * w[-1]:
+    # with col(B) orthogonal to the weight's range, M is rounding noise
+    # of either sign
+    outside = np.linalg.norm(factor.apply(B.T, 0.0)) <= 1e-8 * np.linalg.norm(B)
+    if outside or w[-1] <= 0.0 or w[0] <= 1e-12 * w[-1]:
         raise SingularError(
             "weighted design normal matrix is singular; the covariance "
             "weight is degenerate on the design's column space"
         )
-    gamma = B @ np.linalg.solve(M, B.T @ W)
-    return ProjectionOperator("gls", design.p, matrix=gamma, d=design.d)
+    R = np.linalg.solve(M, WB.T)
+    return ProjectionOperator("gls", design.p, factors=(B, R), d=design.d)
 
 
 def constrained_estimate(tau, projector):

@@ -35,8 +35,9 @@ from scipy import stats
 
 from ._version import __version__
 from .covariance import (
+    PSDFactor,
     jackknife_cov,
-    psd_power,
+    psd_factor,
     structured_jackknife_exchangeable,
     structured_jackknife_partition,
 )
@@ -48,7 +49,7 @@ from .indexing import (
     pair_count,
 )
 from .kendall import _tied_columns, tau_and_leave_one_out
-from .projection import gamma_projection, pseudoinverse_design
+from .projection import ProjectionOperator, gamma_projection
 from .sblock import (
     SingularError,
     eigenvalues,
@@ -240,15 +241,12 @@ def _structured_whiten(s, d, r, exponent):
     return coef[0] * g + coef[1] * (gs - g) + coef[2] * (r - gs)
 
 
-def _dense_whiten(A, r, exponent):
-    A = np.asarray(A, dtype=float)
-    w, V = np.linalg.eigh((A + A.T) / 2.0)
-    top = max(float(w.max()), 0.0)
-    keep = w > _DROP_RTOL * top
-    if top <= 0.0 or not keep.any():
+def _factor_whiten(factor, r, exponent):
+    # pseudo-power on the factor's kept eigenvalues (above 1e-10 times
+    # the largest)
+    if not factor.keep.any():
         raise SingularError("weighting matrix has zero rank")
-    Vk = V[:, keep]
-    return (Vk * w[keep] ** exponent) @ (Vk.T @ r)
+    return factor.apply(r, exponent)
 
 
 def _partition_whiten(q, r, exponent):
@@ -273,15 +271,16 @@ def _whitened_residual(tau, theta, weighting, exponent):
         return _structured_whiten(np.asarray(s, dtype=float), d, r, exponent)
     if isinstance(weighting, tuple) and weighting[0] == "partition":
         return _partition_whiten(weighting[1], r, exponent)
-    return _dense_whiten(weighting, r, exponent)
+    return _factor_whiten(psd_factor(weighting), r, exponent)
 
 
 def statistic_euclidean(tau, theta, weighting=None):
     """E = squared Euclidean norm of the whitened residual.
 
     ``weighting`` is the matrix A: a positive scalar a means a*I (so
-    1/n gives E = n||tau-theta||^2), a dense symmetric matrix is
-    pseudo-inverted on its positive eigenspace, ("sblock", s, d) uses
+    1/n gives E = n||tau-theta||^2), a dense symmetric matrix or its
+    PSDFactor is pseudo-inverted on its positive eigenspace (a matrix is
+    factored by ``eigh``), ("sblock", s, d) uses
     the O(p) structured inverse and ("partition", q) the inverse of a
     partition-invariant matrix given by its quotients q.
     """
@@ -346,12 +345,15 @@ def _merged_spectrum(
     return [(float(v), int(m)) for v, m in out]
 
 
+def _factor_spectrum(factor, merge_rtol=_MERGE_RTOL, drop_rtol=_DROP_RTOL):
+    w = factor.w
+    return _merged_spectrum(w, np.ones(w.size, dtype=int), merge_rtol, drop_rtol)
+
+
 def mixture_spectrum(matrix, merge_rtol=_MERGE_RTOL, drop_rtol=_DROP_RTOL):
     """Distinct positive eigenvalues of a symmetric matrix with their
     multiplicities, by the rule of ``_merged_spectrum``."""
-    matrix = np.asarray(matrix, dtype=float)
-    w = np.linalg.eigvalsh((matrix + matrix.T) / 2.0)
-    return _merged_spectrum(w, np.ones(w.size, dtype=int), merge_rtol, drop_rtol)
+    return _factor_spectrum(PSDFactor.of_matrix(matrix), merge_rtol, drop_rtol)
 
 
 def pvalue_mixture_mc(E, spectrum, N, rng, plus_one=False):
@@ -393,14 +395,14 @@ def _row_blocks(N, p):
 def _null_gaussian_blocks(spec, N, rng, method="auto"):
     """The draws of ``sample_null_gaussian`` as consecutive row blocks.
 
-    Draws that color iid normals row by row (identity, partition and
-    coloured S-block targets) are formed one block at a time, so no
-    (N, p) array or temporary is allocated.  The random stream is consumed as by one
-    (N, p) draw; a coloured block can differ from unblocked coloring in
-    the last bit, by the rounding of its matrix product.  The dense and
-    projector targets, and the additive S-block construction (which
-    draws its per-variable and global normals after all per-pair ones),
-    come as one block.
+    Draws that color iid normals row by row (every target but the
+    additive S-block construction) are formed one block at a time, so no
+    (N, p) array or temporary is allocated.  The random stream is
+    consumed as by one (N, p) draw; a coloured block can differ from
+    unblocked coloring in the last bit, by the rounding of its matrix
+    product.  The additive S-block construction, which draws its
+    per-variable and global normals after all per-pair ones, comes as
+    one block.
     """
     N = int(N)
     kind = spec[0]
@@ -411,11 +413,14 @@ def _null_gaussian_blocks(spec, N, rng, method="auto"):
         return
     if kind == "projector":
         P = np.asarray(spec[1], dtype=float)
-        yield rng.standard_normal((N, P.shape[0])) @ P
+        for lo, hi in _row_blocks(N, P.shape[0]):
+            yield rng.standard_normal((hi - lo, P.shape[0])) @ P
         return
     if kind == "dense":
-        A = np.asarray(spec[1], dtype=float)
-        yield rng.standard_normal((N, A.shape[0])) @ psd_power(A, 0.5)
+        factor = psd_factor(spec[1])
+        p = factor.V.shape[0]
+        for lo, hi in _row_blocks(N, p):
+            yield factor.apply(rng.standard_normal((hi - lo, p)), 0.5)
         return
     if kind == "partition":
         root = partition_pseudo_power(spec[1], 0.5, _DROP_RTOL)
@@ -434,7 +439,7 @@ def _null_gaussian_blocks(spec, N, rng, method="auto"):
     if method == "dense":
         from .sblock import materialize
 
-        yield rng.standard_normal((N, p)) @ psd_power(materialize(s, d), 0.5)
+        yield from _null_gaussian_blocks(("dense", materialize(s, d)), N, rng)
         return
     if method in ("auto", "additive") and _additive_eligible(s):
         s0, s1, s2 = s
@@ -457,7 +462,8 @@ def sample_null_gaussian(spec, N, rng, method="auto"):
     - ("identity", p): standard normal draws;
     - ("projector", P): covariance equal to the symmetric idempotent P
       (draws are G @ P, no factorization);
-    - ("dense", A): covariance A via its principal square root;
+    - ("dense", A): covariance A via its principal square root, A a
+      matrix (factored by ``eigh``) or a PSDFactor;
     - ("partition", q): the partition-invariant covariance with quotients
       q, via its principal square root in O(p K) per draw;
     - ("sblock", s, d): covariance S(s), O(p) per draw.  The additive
@@ -478,9 +484,14 @@ def _residual_blocks(gamma, N, p, rng):
         yield G - gamma.apply(G)
 
 
-def _max_exceedances(blocks, M):
-    """Number of rows, over row blocks of draws, whose max-norm exceeds M."""
-    return sum(int((np.abs(b).max(axis=1) > M).sum()) for b in blocks)
+def _exceedances(blocks, value, statistic="max"):
+    """Number of rows, over row blocks of draws, whose statistic exceeds
+    value: the max-norm, or the squared norm for "euclidean"."""
+    if statistic == "euclidean":
+        norms = (np.einsum("ij,ij->i", b, b) for b in blocks)
+    else:
+        norms = (np.abs(b).max(axis=1) for b in blocks)
+    return sum(int((t > value).sum()) for t in norms)
 
 
 def pvalue_max_mc(M, spec, N, rng, plus_one=False, draws=None, method="auto"):
@@ -497,7 +508,18 @@ def pvalue_max_mc(M, spec, N, rng, plus_one=False, draws=None, method="auto"):
         blocks = _null_gaussian_blocks(spec, N, rng, method)
     else:
         N, blocks = draws.shape[0], [draws]
-    return _mc_pvalue(_max_exceedances(blocks, M), N, plus_one)
+    return _mc_pvalue(_exceedances(blocks, M), N, plus_one)
+
+
+def _bootstrap_blocks(Y, N, rng):
+    """Row blocks of the N multiplier replicates (2 / sqrt(n)) W Y, W an
+    (N, n) standard normal draw taken block by block in its row order and
+    Y the n x p centred leave-one-out matrix, already projected."""
+    n, p = Y.shape
+    if n < 3:
+        raise ValueError("multiplier bootstrap needs n >= 3")
+    for lo, hi in _row_blocks(N, p):
+        yield (2.0 / np.sqrt(n)) * (rng.standard_normal((hi - lo, n)) @ Y)
 
 
 def multiplier_bootstrap_replicates(
@@ -516,16 +538,11 @@ def multiplier_bootstrap_replicates(
         tau, loo = tau_and_leave_one_out(data, ties=ties, tie_seed=tie_seed)
     else:
         tau, loo = precomputed
-    n = loo.shape[0]
-    if n < 3:
-        raise ValueError("multiplier bootstrap needs n >= 3")
-    D = (n - 1.0) * (loo - tau)
-    W = rng.standard_normal((int(N), n))
-    Z = (2.0 / (np.sqrt(n) * (n - 1.0))) * (W @ D)
+    D = loo - tau
     if design is not None:
-        Bp = pseudoinverse_design(design)
-        Z = Z - (Z @ Bp.T) @ design.matrix.T
-    return Z
+        D = D - gamma_projection(design).apply(D)
+    blocks = list(_bootstrap_blocks(D, int(N), rng))
+    return np.concatenate(blocks) if blocks else np.empty((0, D.shape[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -554,6 +571,27 @@ def _exchangeable_null_spectrum(s, d, n):
     vals = _clipped_values(s, d)
     spectrum = [(n * float(vals[1]), d - 1), (n * float(vals[2]), pair_count(d) - d)]
     return [(l, m) for l, m in spectrum if l > 0.0 and m > 0]
+
+
+def _identity_null(est, gamma, n):
+    """Null law of sqrt(n) (I - Gamma)(tau_hat - tau) under the estimate:
+    the merged spectrum of its covariance n (I - Gamma) Sigma (I - Gamma)
+    and a Gaussian sampler spec for it.  Gamma is the orthogonal
+    projector, B B^+."""
+    if est.kind == "exchangeable":
+        d = est.d
+        vals = np.asarray(eigenvalues(est.s, d).values, dtype=float)
+        t = n * (est.s - vals[0] / pair_count(d))
+        return _exchangeable_null_spectrum(est.s, d, n), ("sblock", t, d)
+    if est.kind == "partition":
+        # Gamma removes the trivial component
+        null_q = partition_projected(est.quotients, n)
+        return _merged_spectrum(*partition_spectrum(null_q)), ("partition", null_q)
+    # with D the centred leave-one-out rows, the covariance is
+    # (4/n) (D (I - Gamma))' (D (I - Gamma)): one thin SVD of an n x p matrix
+    D = est.rows
+    factor = PSDFactor.of_rows(D - gamma.apply(D), 4.0 / n)
+    return _factor_spectrum(factor), ("dense", factor)
 
 
 def _degenerate_fit(tau, theta):
@@ -642,24 +680,18 @@ def run_test(data, hypothesis, options):
         raise TypeError("hypothesis must be a Partition or a DesignMatrix")
 
     theta = gamma.apply(tau)
-    exch = isinstance(hypothesis, Partition) and est.kind == "exchangeable"
     N = int(opts.replicates)
     df = None
     spectrum = None
-    method = None
 
     if opts.weighting == "identity":
         weight = 1.0 / n
-    elif exch:
+    elif est.kind == "exchangeable":
         weight = ("sblock", est.s, d)
     elif est.kind == "partition":
         weight = ("partition", est.quotients)
     else:
-        weight = est.matrix
-    if est.kind == "partition":
-        # n (I - Gamma) Sigma (I - Gamma): Gamma = B B^+ removes the
-        # trivial component
-        null_q = partition_projected(est.quotients, n)
+        weight = est.factor
 
     # -- statistic, with a guard for degenerate covariance + exact fit ------
     stat_fn = statistic_euclidean if opts.statistic == "euclidean" else statistic_max
@@ -676,70 +708,50 @@ def run_test(data, hypothesis, options):
             raise
 
     # -- p-value -------------------------------------------------------------
-    if opts.statistic == "euclidean" and opts.weighting == "sigma":
+    blocks = None  # Monte Carlo draws of the null law, in row blocks
+    if opts.weighting == "sigma" and opts.statistic == "euclidean":
         method = "chi-square"
         df = p - design.L
         p_value = pvalue_chisq(value, p, design.L)
         N = None
-    elif opts.statistic == "euclidean":
-        if opts.null_draws == "bootstrap":
-            method = "bootstrap-mc"
-            draws = multiplier_bootstrap_replicates(
-                X, design, N, rng, precomputed=(tau, loo)
-            )
-            hits = int((np.einsum("ij,ij->i", draws, draws) > value).sum())
-            p_value = _mc_pvalue(hits, N, opts.plus_one)
+    elif opts.weighting == "sigma":
+        method = "max-mc"
+        if isinstance(hypothesis, Partition):
+            # null covariance of the whitened residual is I - B B^+
+            residual = gamma
         else:
+            # ... and I - C (C'C)^+ C' with C = Sigma^{-1/2} B
+            C = est.factor.apply(design.matrix.T, -0.5).T
+            right = np.linalg.pinv(C.T @ C, rcond=1e-10) @ C.T
+            residual = ProjectionOperator("orthogonal", p, factors=(C, right))
+        blocks = _residual_blocks(residual, N, p, rng)
+    else:
+        null_spectrum, null_spec = _identity_null(est, gamma, n)
+        if not null_spectrum:
+            msgs.append(_ZERO_NULL_NOTE)
+        use_boot = opts.null_draws == "bootstrap" or (
+            opts.statistic == "max"
+            and opts.null_draws == "auto"
+            and isinstance(hypothesis, DesignMatrix)
+        )
+        if use_boot:
+            method = "bootstrap-mc"
+            # projecting the n rows once projects every replicate
+            D = loo - tau
+            blocks = _bootstrap_blocks(D - gamma.apply(D), N, rng)
+        elif opts.statistic == "euclidean":
             method = "mixture-mc"
-            if exch:
-                spectrum = _exchangeable_null_spectrum(est.s, d, n)
-            elif est.kind == "partition":
-                spectrum = _merged_spectrum(*partition_spectrum(null_q))
-            else:
-                P = np.eye(p) - gamma.dense()
-                spectrum = mixture_spectrum(n * (P @ est.dense() @ P))
+            spectrum = null_spectrum
             if not spectrum:
                 p_value = 1.0 if value <= 0.0 else 0.0
-                msgs.append(_ZERO_NULL_NOTE)
             else:
                 p_value = pvalue_mixture_mc(value, spectrum, N, rng, opts.plus_one)
-    else:  # max statistic
-        if opts.weighting == "sigma":
-            method = "max-mc"
-            if isinstance(hypothesis, Partition):
-                # null covariance of the whitened residual is I - B B^+
-                blocks = _residual_blocks(gamma, N, p, rng)
-            else:
-                C = psd_power(est.matrix, -0.5) @ design.matrix
-                Adag = np.eye(p) - C @ np.linalg.pinv(C.T @ C, rcond=1e-10) @ C.T
-                blocks = _null_gaussian_blocks(("projector", Adag), N, rng)
         else:
-            use_boot = opts.null_draws == "bootstrap" or (
-                opts.null_draws == "auto" and isinstance(hypothesis, DesignMatrix)
-            )
-            if use_boot:
-                method = "bootstrap-mc"
-                blocks = [multiplier_bootstrap_replicates(
-                    X, design, N, rng, precomputed=(tau, loo)
-                )]
-            else:
-                method = "max-mc"
-                if exch:
-                    vals = np.asarray(eigenvalues(est.s, d).values, dtype=float)
-                    t = n * (est.s - vals[0] / p)
-                    zero = not _exchangeable_null_spectrum(est.s, d, n)
-                    blocks = _null_gaussian_blocks(("sblock", t, d), N, rng)
-                elif est.kind == "partition":
-                    zero = not _merged_spectrum(*partition_spectrum(null_q))
-                    blocks = _null_gaussian_blocks(("partition", null_q), N, rng)
-                else:
-                    P = np.eye(p) - gamma.dense()
-                    target = n * (P @ est.dense() @ P)
-                    zero = False
-                    blocks = _null_gaussian_blocks(("dense", target), N, rng)
-                if zero:
-                    msgs.append(_ZERO_NULL_NOTE)
-        p_value = _mc_pvalue(_max_exceedances(blocks, value), N, opts.plus_one)
+            method = "max-mc"
+            blocks = _null_gaussian_blocks(null_spec, N, rng)
+    if blocks is not None:
+        hits = _exceedances(blocks, value, opts.statistic)
+        p_value = _mc_pvalue(hits, N, opts.plus_one)
 
     if value == 0.0:
         # the statistic is at its minimum; no evidence against the null

@@ -201,6 +201,27 @@ def test_tie_error_and_jitter():
     assert np.array_equal(J[:, 1], X[:, 1])
 
 
+def _tied_columns_oracle(X):
+    return [j + 1 for j in range(X.shape[1]) if np.unique(X[:, j]).size < X.shape[0]]
+
+
+@st.composite
+def tie_prone_data(draw):
+    """n from 2 to 12 rows of small integers: ties are common, and with
+    one level every column is all equal."""
+    n, d = draw(st.integers(2, 12)), draw(st.integers(1, 6))
+    level = st.integers(0, draw(st.integers(0, 4)))
+    rows = st.lists(level, min_size=d, max_size=d)
+    return np.array(draw(st.lists(rows, min_size=n, max_size=n)), dtype=float)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tie_prone_data())
+@example(np.array([[1.0, 0.0, -0.0], [1.0, 2.0, 0.0]]))  # n = 2; -0.0 == 0.0
+def test_tied_columns_match_per_column_unique(X):
+    assert kd._tied_columns(X) == _tied_columns_oracle(X)
+
+
 def test_data_validation():
     with pytest.raises(ValueError):
         kendall_tau_vector(np.ones((1, 3)))

@@ -15,11 +15,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dense_oracle import dense_power, dense_spectrum, dense_whiten
+
 import kstruct.testing as kt
 from kstruct.covariance import (
     CovarianceEstimate,
     jackknife_cov,
-    psd_power,
     structured_jackknife_partition,
 )
 from kstruct.indexing import Partition, _pairs0, pair_count
@@ -29,7 +30,7 @@ from kstruct.sblock import (
     partition_pseudo_power,
     partition_spectrum,
 )
-from kstruct.testing import TestOptions, mixture_spectrum, run_test
+from kstruct.testing import TestOptions, run_test
 
 ROUTES = (
     ("euclidean", "sigma"),
@@ -87,11 +88,12 @@ def class_indicators(partition):
 
 
 def dense_partition_estimate(data, partition, precomputed=None, **_):
-    """The dense route's estimate: the orbit-averaged jackknife."""
+    """The dense route's estimate: the orbit-averaged jackknife, given as
+    rows R with (4/n^2) R'R equal to it."""
     est = jackknife_cov(data, precomputed=precomputed)
-    return CovarianceEstimate(
-        kind="dense", d=est.d, n=est.n, matrix=orbit_average(est.matrix, partition)
-    )
+    w, V = np.linalg.eigh(orbit_average(est.matrix, partition))
+    rows = (est.n / 2.0) * (V * np.sqrt(np.maximum(w, 0.0))).T
+    return CovarianceEstimate(kind="dense", d=est.d, n=est.n, rows=rows)
 
 
 def test_orbit_key_counts_at_extremes():
@@ -140,12 +142,12 @@ def test_partition_algebra_matches_dense_oracle(part, n, seed):
     for exponent in (-1.0, -0.5):
         _close(
             kt._partition_whiten(q, r, exponent),
-            kt._dense_whiten(avg, r, exponent),
+            dense_whiten(avg, r, exponent),
             1e-10,
         )
     _close(
         partition_materialize(partition_pseudo_power(q, 0.5, kt._DROP_RTOL)),
-        psd_power(avg, 0.5),
+        dense_power(avg, 0.5),
         1e-10,
     )
 
@@ -154,7 +156,7 @@ def test_partition_algebra_matches_dense_oracle(part, n, seed):
     p = pair_count(part.d)
     B = class_indicators(part)
     P = np.eye(p) - B @ np.linalg.pinv(B)
-    want = mixture_spectrum(n * (P @ avg @ P))
+    want = dense_spectrum(n * (P @ avg @ P))
     null_q = partition_projected(q, n)
     got = kt._merged_spectrum(*partition_spectrum(null_q))
     assert [m for _, m in got] == [m for _, m in want]

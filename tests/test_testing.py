@@ -402,6 +402,15 @@ def test_run_test_zero_projected_covariance_contract():
             assert rep.value > 0.0 and rep.p_value == 0.0, (part, stat)
             assert rep.warnings == [zero_note], (part, stat)
     part = Partition(6, ((1, 2, 3), (4, 5, 6)))
+    # the design route, on the same partition's membership design and with
+    # either null law of the identity routes
+    for stat in ("euclidean", "max"):
+        for draws in ("auto", "gaussian", "bootstrap"):
+            opts = TestOptions(statistic=stat, weighting="identity", estimator="jackknife",
+                               null_draws=draws, replicates=200, seed=1)
+            rep = run_test(anti, block_membership_matrix(part), opts)
+            assert rep.value > 0.0 and rep.p_value == 0.0, (stat, draws)
+            assert rep.warnings == [zero_note], (stat, draws)
     for stat in ("euclidean", "max"):
         opts = TestOptions(statistic=stat, weighting="sigma", replicates=200, seed=1)
         with pytest.raises(SingularError, match="weighting matrix has zero rank"):
@@ -432,6 +441,33 @@ def test_run_test_max_routes_independent_of_draw_blocks(monkeypatch):
             rep = run_test(X, Partition.exchangeable(6), opts)
             reports.append((rep.value, rep.p_value))
     assert reports[:2] == reports[2:]
+
+
+def test_run_test_design_routes_independent_of_draw_blocks(monkeypatch):
+    # 2-row blocks against one block: the multiplier bootstrap (both
+    # statistics), max/sigma's projector draws and Gaussian max/identity
+    X = exchangeable_normal(np.random.default_rng(83), 40, 6)
+    design = block_membership_matrix(Partition(6, ((1, 2, 3), (4, 5, 6))))
+    routes = (
+        ("euclidean", "identity", "bootstrap"),
+        ("max", "identity", "bootstrap"),
+        ("max", "identity", "gaussian"),
+        ("max", "sigma", "auto"),
+    )
+    reports, boots = [], []
+    for entries in (kt._DRAW_BLOCK_ENTRIES, 2 * pair_count(6)):
+        monkeypatch.setattr(kt, "_DRAW_BLOCK_ENTRIES", entries)
+        for stat, weight, draws in routes:
+            opts = TestOptions(statistic=stat, weighting=weight, estimator="jackknife",
+                               null_draws=draws, replicates=501, seed=3)
+            rep = run_test(X, design, opts)
+            reports.append((rep.value, rep.p_value))
+        boots.append(
+            multiplier_bootstrap_replicates(X, design, 301, np.random.default_rng(5))
+        )
+    assert reports[: len(routes)] == reports[len(routes):]
+    # one random stream; a blocked product may round differently
+    np.testing.assert_allclose(boots[1], boots[0], rtol=0, atol=1e-12)
 
 
 def test_run_test_max_null_memory_is_bounded():
