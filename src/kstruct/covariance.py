@@ -29,7 +29,6 @@ Monte Carlo evaluator for the population covariance coefficients of an
 exchangeable copula.
 """
 
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -51,8 +50,6 @@ __all__ = [
     "psd_power",
     "population_sigma_mc",
     "PopulationSigma",
-    "save_sigma_json",
-    "load_sigma_json",
 ]
 
 # relative eigenvalue cutoff for Moore-Penrose pseudo-inverses
@@ -399,29 +396,3 @@ def population_sigma_mc(copula_sampler, mc_reps, rng, n=None, batches=20):
         out.sigma_n_se = sign_batches.std(axis=0, ddof=1) / np.sqrt(batches)
     return out
 
-
-def save_sigma_json(path, estimate):
-    """Write an exchangeable-structured estimate as JSON {s0, s1, s2, d}."""
-    if estimate.kind != "exchangeable":
-        raise ValueError("JSON export is for exchangeable-structured estimates")
-    obj = {
-        "s0": float(estimate.s[0]),
-        "s1": float(estimate.s[1]),
-        "s2": float(estimate.s[2]),
-        "d": estimate.d,
-        "n": estimate.n,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
-
-
-def load_sigma_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    return CovarianceEstimate(
-        kind="exchangeable",
-        d=int(obj["d"]),
-        n=int(obj.get("n") or 0),
-        s=np.array([obj["s0"], obj["s1"], obj["s2"]], dtype=float),
-    )

@@ -4,8 +4,8 @@ A symmetric p x p matrix whose (k, l) entry depends only on how many
 variables the pairs k and l share lives in a three-dimensional algebra:
 entry s2 on the diagonal (overlap 2), s1 where the pairs share one
 variable, s0 where they are disjoint.  Such matrices have at most three
-distinct eigenvalues with known eigenspaces, so matrix-vector products,
-inverses and arbitrary real powers cost O(p d) instead of O(p^3):
+distinct eigenvalues with known eigenspaces, so matrix-vector products
+and inverses cost O(p d) instead of O(p^3):
 
     delta_1 = s2 + 2(d-2) s1 + (p-2d+3) s0      on the constant vector,
     delta_2 = s2 + (d-4) s1 - (d-3) s0          multiplicity d-1,
@@ -39,7 +39,9 @@ Each copy is embedded by the equivariant map incidence-times-centring,
 scaled to an isometry, so the quotient entries are plain traces and the
 eigen-decomposition of a p x p matrix reduces to that of a few
 matrices of side at most max(L, K).  With one group this is the
-three-coefficient structure above.
+three-coefficient structure above: the three quotients are 1 x 1 and
+equal delta_1, delta_2 and delta_3, and its powers are taken through
+them.
 """
 
 from collections import namedtuple
@@ -57,7 +59,6 @@ __all__ = [
     "materialize",
     "matvec",
     "inverse",
-    "apply_power",
     "gamma_star_apply",
     "gamma_apply",
     "is_pd_all_d",
@@ -225,58 +226,6 @@ def gamma_star_apply(v, d):
     vbar = v.mean(axis=-1, keepdims=v.ndim > 1)
     out = (d - 1.0) / (d - 2.0) * (colmean[..., ii0] + colmean[..., jj0])
     return out - d / (d - 2.0) * vbar
-
-
-def apply_power(s, d, v, exponent, pseudo=False):
-    """Apply a real power of the structured matrix to v via its spectrum.
-
-    Decomposes v into the three eigencomponents and scales each by
-    delta^exponent.  With ``pseudo=True``, components whose eigenvalue is
-    within 1e-14 (relative) of zero are dropped instead of raising, which
-    implements Moore-Penrose pseudo-powers (used e.g. to draw from the
-    singular null covariance via exponent 0.5).
-
-    ``v`` may be (p,) or (..., p) with pair space on the last axis.
-    """
-    spec = eigenvalues(s, d)
-    v = np.asarray(v, dtype=float)
-    p = pair_count(d)
-    if v.shape[-1] != p:
-        raise ValueError("vector has length %d, expected p=%d" % (v.shape[-1], p))
-
-    active = _active(spec)
-    top = max(abs(val) for val in active)
-    scales = []
-    for val, mult in zip(spec.values, spec.multiplicities):
-        if mult <= 0:
-            scales.append(0.0)
-            continue
-        if top == 0.0 or abs(val) <= _SINGULAR_RTOL * top:
-            if exponent < 0 and not pseudo:
-                raise SingularError(
-                    "cannot apply power %g of a singular structured matrix; "
-                    "pass pseudo=True for the Moore-Penrose convention"
-                    % exponent
-                )
-            scales.append(0.0 if (pseudo or exponent > 0) else None)
-            if scales[-1] is None:
-                # exponent == 0 of an exact zero: keep the component
-                scales[-1] = 1.0
-            continue
-        if val < 0 and exponent != int(exponent):
-            raise SingularError(
-                "fractional power %g of a structured matrix with negative "
-                "eigenvalue %g" % (exponent, val)
-            )
-        scales.append(float(val) ** exponent)
-
-    c1, c2, c3 = scales
-    w1 = gamma_apply(v)
-    if d <= 3:
-        # two eigenspaces: constants and their complement
-        return c1 * w1 + c2 * (v - w1)
-    star = gamma_star_apply(v, d)
-    return c1 * w1 + c2 * (star - w1) + c3 * (v - star)
 
 
 def is_pd_all_d(s0, s1, s2):

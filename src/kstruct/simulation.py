@@ -282,6 +282,17 @@ def _rep_task(payload):
     return rows
 
 
+def _task_batches(tasks, nworkers):
+    """The row batches of the tasks, in task order: from a process pool
+    when there is more than one worker and one task, else in-process."""
+    if nworkers > 1 and len(tasks) > 1:
+        chunk = max(1, len(tasks) // (nworkers * 8))
+        with ProcessPoolExecutor(max_workers=nworkers) as pool:
+            yield from pool.map(_rep_task, tasks, chunksize=chunk)
+    else:
+        yield from map(_rep_task, tasks)
+
+
 def _worker_count(workers):
     cap = os.environ.get("KSTRUCT_THREADS")
     if workers is None:
@@ -461,33 +472,19 @@ def run_study(
                 ["scenario_index", "test_index", "rep", "p_value", "discard_reason"]
             )
 
-    def consume(batch):
-        for si, ti, rep, p, reason in batch:
-            rows.append((si, ti, rep, p, reason))
-            if writer is not None:
-                writer.writerow(
-                    [si, ti, rep, "" if p is None else "%.17g" % p, reason]
-                )
-
     try:
-        if nworkers > 1 and len(tasks) > 1:
-            chunk = max(1, len(tasks) // (nworkers * 8))
-            with ProcessPoolExecutor(max_workers=nworkers) as pool:
-                for i, batch in enumerate(pool.map(_rep_task, tasks, chunksize=chunk)):
-                    consume(batch)
-                    if progress and (i + 1) % max(1, len(tasks) // 20) == 0:
-                        print(
-                            "progress: %d/%d repetitions" % (i + 1, len(tasks)),
-                            file=sys.stderr,
-                        )
-        else:
-            for i, task in enumerate(tasks):
-                consume(_rep_task(task))
-                if progress and (i + 1) % max(1, len(tasks) // 20) == 0:
-                    print(
-                        "progress: %d/%d repetitions" % (i + 1, len(tasks)),
-                        file=sys.stderr,
-                    )
+        for i, batch in enumerate(_task_batches(tasks, nworkers)):
+            rows.extend(batch)
+            if writer is not None:
+                writer.writerows(
+                    [si, ti, rep, "" if p is None else "%.17g" % p, reason]
+                    for si, ti, rep, p, reason in batch
+                )
+            if progress and (i + 1) % max(1, len(tasks) // 20) == 0:
+                print(
+                    "progress: %d/%d repetitions" % (i + 1, len(tasks)),
+                    file=sys.stderr,
+                )
     finally:
         if fh is not None:
             fh.close()

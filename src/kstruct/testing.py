@@ -14,7 +14,8 @@ P-values come from four schemes:
   freedom),
 - Monte Carlo from a weighted chi-square mixture for E with identity
   weighting, the weights being the nonzero eigenvalues of the projected
-  covariance (two closed-form weights in the exchangeable case),
+  covariance (from the partition quotients for a Partition hypothesis,
+  from one thin SVD of the projected jackknife rows for a design),
 - Monte Carlo over Gaussian draws with the appropriate null covariance
   for M, and
 - a Gaussian multiplier bootstrap that replays the jackknife residuals,
@@ -38,23 +39,13 @@ from .covariance import (
     PSDFactor,
     jackknife_cov,
     psd_factor,
-    structured_jackknife_exchangeable,
     structured_jackknife_partition,
 )
-from .indexing import (
-    DesignMatrix,
-    Partition,
-    _pairs0,
-    block_membership_matrix,
-    pair_count,
-)
+from .indexing import DesignMatrix, Partition, block_membership_matrix, pair_count
 from .kendall import _tied_columns, tau_and_leave_one_out
 from .projection import ProjectionOperator, gamma_projection
 from .sblock import (
     SingularError,
-    eigenvalues,
-    gamma_apply,
-    gamma_star_apply,
     partition_apply,
     partition_projected,
     partition_pseudo_power,
@@ -220,27 +211,6 @@ class TestReport:
 # whitening
 
 
-def _clipped_values(s, d):
-    vals = np.asarray(eigenvalues(s, d).values, dtype=float)
-    return np.maximum(vals, 0.0)
-
-
-def _structured_whiten(s, d, r, exponent):
-    """(pseudo) S^exponent r for an S-block weighting, negative class
-    eigenvalues treated as zero."""
-    if d < 4:
-        raise ValueError("structured weighting needs d >= 4; use a dense matrix")
-    vals = _clipped_values(s, d)
-    top = vals.max()
-    if top <= 0.0:
-        raise SingularError("weighting matrix has zero rank")
-    coef = np.where(vals > _DROP_RTOL * top, vals, np.inf) ** exponent
-    coef[~np.isfinite(coef)] = 0.0
-    g = gamma_apply(r)
-    gs = gamma_star_apply(r, d)
-    return coef[0] * g + coef[1] * (gs - g) + coef[2] * (r - gs)
-
-
 def _factor_whiten(factor, r, exponent):
     # pseudo-power on the factor's kept eigenvalues (above 1e-10 times
     # the largest)
@@ -266,9 +236,6 @@ def _whitened_residual(tau, theta, weighting, exponent):
         if a <= 0.0:
             raise ValueError("scalar weighting must be positive")
         return a**exponent * r
-    if isinstance(weighting, tuple) and weighting[0] == "sblock":
-        _, s, d = weighting
-        return _structured_whiten(np.asarray(s, dtype=float), d, r, exponent)
     if isinstance(weighting, tuple) and weighting[0] == "partition":
         return _partition_whiten(weighting[1], r, exponent)
     return _factor_whiten(psd_factor(weighting), r, exponent)
@@ -280,8 +247,7 @@ def statistic_euclidean(tau, theta, weighting=None):
     ``weighting`` is the matrix A: a positive scalar a means a*I (so
     1/n gives E = n||tau-theta||^2), a dense symmetric matrix or its
     PSDFactor is pseudo-inverted on its positive eigenspace (a matrix is
-    factored by ``eigh``), ("sblock", s, d) uses
-    the O(p) structured inverse and ("partition", q) the inverse of a
+    factored by ``eigh``) and ("partition", q) uses the inverse of a
     partition-invariant matrix given by its quotients q.
     """
     # the quadratic form needs A^{-1}, i.e. whitening applied once with
@@ -371,38 +337,20 @@ def pvalue_mixture_mc(E, spectrum, N, rng, plus_one=False):
     return _mc_pvalue(int((total > E).sum()), N, plus_one)
 
 
-def _sblock_colored(s, d, G):
-    # color iid normals to covariance S(s); negative class eigenvalues of an
-    # estimated triple are treated as zero
-    vals = _clipped_values(s, d)
-    g = gamma_apply(G)
-    gs = gamma_star_apply(G, d)
-    root = np.sqrt(vals)
-    return root[0] * g + root[1] * (gs - g) + root[2] * (G - gs)
-
-
-def _additive_eligible(s):
-    s0, s1, s2 = (float(v) for v in s)
-    return s1 >= s0 >= 0.0 and s2 - 2.0 * s1 + s0 >= 0.0
-
-
 def _row_blocks(N, p):
-    """(start, stop) bounds of the row blocks of an (N, p) array of draws."""
+    """(start, stop) bounds of the row blocks of an (N, p) array of draws;
+    one empty block when N = 0, so the draws still have p columns."""
     step = max(1, _DRAW_BLOCK_ENTRIES // max(int(p), 1))
-    return [(lo, min(lo + step, N)) for lo in range(0, N, step)]
+    return [(lo, min(lo + step, N)) for lo in range(0, N, step)] or [(0, 0)]
 
 
-def _null_gaussian_blocks(spec, N, rng, method="auto"):
+def _null_gaussian_blocks(spec, N, rng):
     """The draws of ``sample_null_gaussian`` as consecutive row blocks.
 
-    Draws that color iid normals row by row (every target but the
-    additive S-block construction) are formed one block at a time, so no
-    (N, p) array or temporary is allocated.  The random stream is
-    consumed as by one (N, p) draw; a coloured block can differ from
-    unblocked coloring in the last bit, by the rounding of its matrix
-    product.  The additive S-block construction, which draws its
-    per-variable and global normals after all per-pair ones, comes as
-    one block.
+    Each block colors iid normals row by row, so no (N, p) array or
+    temporary is allocated.  The random stream is consumed as by one
+    (N, p) draw; a coloured block can differ from unblocked coloring in
+    the last bit, by the rounding of its matrix product.
     """
     N = int(N)
     kind = spec[0]
@@ -428,33 +376,10 @@ def _null_gaussian_blocks(spec, N, rng, method="auto"):
         for lo, hi in _row_blocks(N, p):
             yield partition_apply(root, rng.standard_normal((hi - lo, p)))
         return
-    if kind != "sblock":
-        raise ValueError("unknown sampler spec %r" % (spec[0],))
-
-    _, s, d = spec
-    s = np.asarray(s, dtype=float)
-    p = pair_count(d)
-    if method not in ("auto", "additive", "projection", "dense"):
-        raise ValueError("method must be auto, additive, projection or dense")
-    if method == "dense":
-        from .sblock import materialize
-
-        yield from _null_gaussian_blocks(("dense", materialize(s, d)), N, rng)
-        return
-    if method in ("auto", "additive") and _additive_eligible(s):
-        s0, s1, s2 = s
-        ii0, jj0 = _pairs0(d)
-        Z = np.sqrt(s2 - 2.0 * s1 + s0) * rng.standard_normal((N, p))
-        V = rng.standard_normal((N, d))
-        Z += np.sqrt(s1 - s0) * (V[:, ii0] + V[:, jj0])
-        Z += np.sqrt(s0) * rng.standard_normal((N, 1))
-        yield Z
-        return
-    for lo, hi in _row_blocks(N, p):
-        yield _sblock_colored(s, d, rng.standard_normal((hi - lo, p)))
+    raise ValueError("unknown sampler spec %r" % (spec[0],))
 
 
-def sample_null_gaussian(spec, N, rng, method="auto"):
+def sample_null_gaussian(spec, N, rng):
     """N Gaussian p-vectors with a prescribed null covariance.
 
     ``spec`` selects the target:
@@ -465,15 +390,14 @@ def sample_null_gaussian(spec, N, rng, method="auto"):
     - ("dense", A): covariance A via its principal square root, A a
       matrix (factored by ``eigh``) or a PSDFactor;
     - ("partition", q): the partition-invariant covariance with quotients
-      q, via its principal square root in O(p K) per draw;
-    - ("sblock", s, d): covariance S(s), O(p) per draw.  The additive
-      construction (one global, d per-variable and p per-pair normals)
-      is used when s1 >= s0 >= 0 and s2 - 2 s1 + s0 >= 0; otherwise the
-      draws fall back to coloring by eigenspace components, which also
-      handles the singular projected triples.  ``method`` can force
-      "additive", "projection" (component coloring) or "dense".
+      q, via its principal pseudo-square root in O(p K) per draw
+      (eigenvalues at or below 1e-10 times the largest, negative ones
+      included, are dropped).  Full exchangeability is the one-group
+      partition, whose three quotients are the S-block eigenvalues.
+
+    Returns an (N, p) array, (0, p) for N = 0.
     """
-    blocks = list(_null_gaussian_blocks(spec, N, rng, method))
+    blocks = list(_null_gaussian_blocks(spec, N, rng))
     return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
@@ -494,10 +418,10 @@ def _exceedances(blocks, value, statistic="max"):
     return sum(int((t > value).sum()) for t in norms)
 
 
-def pvalue_max_mc(M, spec, N, rng, plus_one=False, draws=None, method="auto"):
+def pvalue_max_mc(M, spec, N, rng, plus_one=False, draws=None):
     """Monte Carlo tail probability of the max statistic.
 
-    Draws come from ``sample_null_gaussian(spec, N, rng, method)`` unless
+    Draws come from ``sample_null_gaussian(spec, N, rng)`` unless
     pre-generated draws (an (N, p) array, e.g. bootstrap replicates) are
     passed directly.
     """
@@ -505,7 +429,7 @@ def pvalue_max_mc(M, spec, N, rng, plus_one=False, draws=None, method="auto"):
         N = int(N)
         if N < 100:
             raise ValueError("need at least 100 Monte Carlo replicates")
-        blocks = _null_gaussian_blocks(spec, N, rng, method)
+        blocks = _null_gaussian_blocks(spec, N, rng)
     else:
         N, blocks = draws.shape[0], [draws]
     return _mc_pvalue(_exceedances(blocks, M), N, plus_one)
@@ -541,8 +465,7 @@ def multiplier_bootstrap_replicates(
     D = loo - tau
     if design is not None:
         D = D - gamma_projection(design).apply(D)
-    blocks = list(_bootstrap_blocks(D, int(N), rng))
-    return np.concatenate(blocks) if blocks else np.empty((0, D.shape[1]))
+    return np.concatenate(list(_bootstrap_blocks(D, int(N), rng)))
 
 
 # ---------------------------------------------------------------------------
@@ -565,24 +488,11 @@ def _hypothesis_info(hypothesis, design):
     }
 
 
-def _exchangeable_null_spectrum(s, d, n):
-    # n (I - J/p) S (I - J/p) has the S-block's two non-constant
-    # eigenvalues; negative ones are treated as zero
-    vals = _clipped_values(s, d)
-    spectrum = [(n * float(vals[1]), d - 1), (n * float(vals[2]), pair_count(d) - d)]
-    return [(l, m) for l, m in spectrum if l > 0.0 and m > 0]
-
-
 def _identity_null(est, gamma, n):
     """Null law of sqrt(n) (I - Gamma)(tau_hat - tau) under the estimate:
     the merged spectrum of its covariance n (I - Gamma) Sigma (I - Gamma)
     and a Gaussian sampler spec for it.  Gamma is the orthogonal
     projector, B B^+."""
-    if est.kind == "exchangeable":
-        d = est.d
-        vals = np.asarray(eigenvalues(est.s, d).values, dtype=float)
-        t = n * (est.s - vals[0] / pair_count(d))
-        return _exchangeable_null_spectrum(est.s, d, n), ("sblock", t, d)
     if est.kind == "partition":
         # Gamma removes the trivial component
         null_q = partition_projected(est.quotients, n)
@@ -640,17 +550,7 @@ def run_test(data, hypothesis, options):
                 "the dense jackknife, pass the membership design matrix instead"
             )
         design = block_membership_matrix(part)
-        exchangeable = part.n_groups == 1 and d >= 4
-        if exchangeable:
-            est = structured_jackknife_exchangeable(X, precomputed=(tau, loo))
-            vals = np.asarray(eigenvalues(est.s, d).values)
-            if vals.min() < -1e-10 * max(float(vals.max()), 0.0):
-                msgs.append(
-                    "structured covariance estimate is indefinite; negative "
-                    "class eigenvalues were treated as zero"
-                )
-        else:
-            est = structured_jackknife_partition(X, part, precomputed=(tau, loo))
+        est = structured_jackknife_partition(X, part, precomputed=(tau, loo))
         gamma = gamma_projection(design)  # = Gamma(A) for any matching A
     elif isinstance(hypothesis, DesignMatrix):
         design = hypothesis
@@ -686,8 +586,6 @@ def run_test(data, hypothesis, options):
 
     if opts.weighting == "identity":
         weight = 1.0 / n
-    elif est.kind == "exchangeable":
-        weight = ("sblock", est.s, d)
     elif est.kind == "partition":
         weight = ("partition", est.quotients)
     else:

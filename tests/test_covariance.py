@@ -1,16 +1,12 @@
-import json
-
 import numpy as np
 import pytest
 
 from kstruct.covariance import (
     jackknife_cov,
-    load_sigma_json,
     pd_repair,
     population_sigma_mc,
     psd_pinv,
     psd_power,
-    save_sigma_json,
     structured_jackknife_exchangeable,
     structured_jackknife_partition,
 )
@@ -256,18 +252,3 @@ def test_population_sigma_validation():
     with pytest.raises(ValueError, match=r"\(size, 4\)"):
         population_sigma_mc(lambda r, m: r.random((m, 3)), 2000, rng)
 
-
-def test_sigma_json_round_trip(tmp_path):
-    rng = np.random.default_rng(73)
-    X = rng.standard_normal((12, 4))
-    est = structured_jackknife_exchangeable(X)
-    path = tmp_path / "sigma.json"
-    save_sigma_json(path, est)
-    back = load_sigma_json(path)
-    assert back.kind == "exchangeable"
-    assert back.d == 4 and back.n == 12
-    np.testing.assert_allclose(back.s, est.s, rtol=1e-15)
-    obj = json.loads(path.read_text())
-    assert set(obj) == {"s0", "s1", "s2", "d", "n"}
-    with pytest.raises(ValueError, match="exchangeable"):
-        save_sigma_json(path, jackknife_cov(X))

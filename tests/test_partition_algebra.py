@@ -107,7 +107,10 @@ def test_orbit_key_counts_at_extremes():
 @st.composite
 def partitions(draw):
     """Partitions of up to 12 variables into groups of 1 to 5, with the
-    variables assigned to groups in random order."""
+    variables assigned to groups in random order; one draw in four is a
+    single group of 4 to 12 (full exchangeability)."""
+    if draw(st.integers(0, 3)) == 0:
+        return Partition.exchangeable(draw(st.integers(4, 12)))
     sizes = draw(
         st.lists(st.integers(1, 5), min_size=1, max_size=6).filter(
             lambda s: 2 <= sum(s) <= 12
@@ -130,6 +133,8 @@ def _close(got, want, rtol):
 @example(Partition(3, ((1, 2, 3),)), 20, 2)
 @example(Partition(12, ((1, 2, 3, 4, 5), (6,), (7, 8), (9, 10, 11, 12))), 30, 3)
 @example(Partition(5, tuple((v,) for v in range(1, 6))), 15, 4)
+@example(Partition.exchangeable(4), 12, 5)
+@example(Partition.exchangeable(9), 20, 6)
 def test_partition_algebra_matches_dense_oracle(part, n, seed):
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, part.d)) + rng.standard_normal((n, 1))
@@ -137,7 +142,10 @@ def test_partition_algebra_matches_dense_oracle(part, n, seed):
     avg = orbit_average(jackknife_cov(X).matrix, part)
     _close(est.dense(), avg, 1e-12)
 
+    # an orbit average of the PSD jackknife: PSD up to rounding
     q = est.quotients
+    spectrum = partition_spectrum(q).values
+    assert spectrum.min() >= -1e-12 * spectrum.max()
     r = rng.standard_normal(pair_count(part.d))
     for exponent in (-1.0, -0.5):
         _close(
@@ -162,8 +170,6 @@ def test_partition_algebra_matches_dense_oracle(part, n, seed):
     assert [m for _, m in got] == [m for _, m in want]
     _close(np.array([v for v, _ in got]), np.array([v for v, _ in want]), 1e-10)
 
-    if part.n_groups == 1 and part.d >= 4:
-        return  # the exchangeable route, not this algebra
     if B.shape[1] >= p:
         return  # no constraint to test
     for stat, weight in ROUTES:

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from kstruct.indexing import _incidence, pair_count
+from kstruct.indexing import Partition, _incidence, pair_count
 from kstruct.sblock import (
+    PartitionQuotients,
     SingularError,
-    apply_power,
     eigenvalues,
     gamma_apply,
     gamma_star_apply,
@@ -12,6 +12,8 @@ from kstruct.sblock import (
     is_pd_all_d,
     materialize,
     matvec,
+    partition_apply,
+    partition_pseudo_power,
 )
 
 
@@ -162,42 +164,46 @@ def test_gamma_star_rejects_small_d():
         gamma_star_apply(np.zeros(3), 3)
 
 
-def test_apply_power_matches_dense():
+def one_group(s, d):
+    """S(s) as one-group partition quotients: delta_1, delta_2, delta_3."""
+    d1, d2, d3 = eigenvalues(s, d).values
+    return PartitionQuotients(
+        Partition.exchangeable(d), np.array([[d1]]), [np.array([[d2]])], np.array([d3])
+    )
+
+
+def test_one_group_quotient_powers_match_dense():
+    # real powers of S(s) are taken on its one-group partition quotients
     rng = np.random.default_rng(4)
     for d in (4, 5, 9):
         s = random_pd_triple(rng)
         S = materialize(s, d)
+        q = one_group(s, d)
+        np.testing.assert_allclose(
+            partition_apply(q, np.eye(pair_count(d))), S, rtol=0, atol=2e-16 * d
+        )
         v = rng.normal(size=pair_count(d))
         for a in (-1.0, -0.5, 0.5, 1.0, 2.0):
-            assert np.allclose(
-                apply_power(s, d, v, a), dense_power(S, a) @ v, atol=1e-10
-            )
-        assert np.allclose(apply_power(s, d, v, 0.0), v, atol=1e-14)
-        assert np.allclose(apply_power(s, d, v, 1.0), matvec(s, d, v), atol=1e-12)
+            got = partition_apply(partition_pseudo_power(q, a, 1e-10), v)
+            assert np.allclose(got, dense_power(S, a) @ v, atol=1e-10)
+        root0 = partition_pseudo_power(q, 0.0, 1e-10)
+        assert np.allclose(partition_apply(root0, v), v, atol=1e-14)
+        assert np.allclose(partition_apply(q, v), matvec(s, d, v), atol=1e-12)
 
-
-def test_apply_power_rows_layout():
-    rng = np.random.default_rng(5)
+    # (..., p) stacks of rows
     d = 5
-    s = random_pd_triple(rng)
+    root = partition_pseudo_power(one_group(random_pd_triple(rng), d), -0.5, 1e-10)
     V = rng.normal(size=(7, pair_count(d)))
-    out = apply_power(s, d, V, -0.5)
+    out = partition_apply(root, V)
     for r in range(7):
-        assert np.allclose(out[r], apply_power(s, d, V[r], -0.5), atol=1e-12)
+        assert np.allclose(out[r], partition_apply(root, V[r]), atol=1e-12)
 
-
-def test_apply_power_pseudo_on_singular():
-    rng = np.random.default_rng(6)
-    d = 5
+    # pseudo-powers drop the zero eigenvalue of the grand-mean-projected triple
     s = random_pd_triple(rng)
-    spec = eigenvalues(s, d)
-    # shift so the constant-vector eigenvalue is exactly zero
-    t = s - spec.values[0] / pair_count(d) * np.ones(3)
+    t = s - eigenvalues(s, d).values[0] / pair_count(d) * np.ones(3)
     assert eigenvalues(t, d).values[0] == pytest.approx(0.0, abs=1e-12)
     v = rng.normal(size=pair_count(d))
-    with pytest.raises(SingularError):
-        apply_power(t, d, v, -0.5)
-    got = apply_power(t, d, v, -0.5, pseudo=True)
+    got = partition_apply(partition_pseudo_power(one_group(t, d), -0.5, 1e-10), v)
     expect = dense_power(materialize(t, d), -0.5, rtol=1e-10) @ v
     assert np.allclose(got, expect, atol=1e-9)
 

@@ -4,6 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import kstruct.testing as kt
@@ -15,7 +17,7 @@ from kstruct.indexing import (
     pair_count,
 )
 from kstruct.projection import gamma_projection
-from kstruct.sblock import SingularError, materialize
+from kstruct.sblock import PartitionQuotients, SingularError, eigenvalues, materialize
 from kstruct.testing import (
     TestOptions,
     mixture_spectrum,
@@ -35,6 +37,15 @@ def pd_triple(rng):
     s1 = s0 + rng.uniform(0.0, 0.5)
     s2 = 2 * s1 - s0 + rng.uniform(0.05, 1.0)
     return np.array([s0, s1, s2])
+
+
+def one_group(s, d):
+    """The S-block S(s) as one-group partition quotients: its eigenvalues
+    delta_1, delta_2, delta_3 on the trivial, standard and remainder parts."""
+    d1, d2, d3 = eigenvalues(s, d).values
+    return PartitionQuotients(
+        Partition.exchangeable(d), np.array([[d1]]), [np.array([[d2]])], np.array([d3])
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -66,13 +77,12 @@ def test_euclidean_structured_matches_dense_and_decomposition():
     s = pd_triple(rng)
     tau = rng.standard_normal(p)
     theta = np.full(p, tau.mean())
-    got = statistic_euclidean(tau, theta, ("sblock", s, d))
+    got = statistic_euclidean(tau, theta, ("partition", one_group(s, d)))
     want = statistic_euclidean(tau, theta, materialize(s, d))
     assert got == pytest.approx(want, rel=1e-10)
 
     # the two-residual split against the class eigenvalues
     from kstruct.projection import theta_star
-    from kstruct.sblock import eigenvalues
 
     ts = theta_star(tau, d)
     vals = eigenvalues(s, d).values
@@ -109,7 +119,7 @@ def test_max_structured_matches_dense():
     p = pair_count(d)
     s = pd_triple(rng)
     tau, theta = rng.standard_normal(p), rng.standard_normal(p)
-    got = statistic_max(tau, theta, ("sblock", s, d))
+    got = statistic_max(tau, theta, ("partition", one_group(s, d)))
     want = statistic_max(tau, theta, materialize(s, d))
     assert got == pytest.approx(want, rel=1e-10)
 
@@ -119,7 +129,7 @@ def test_statistics_zero_rank_weighting():
     with pytest.raises(SingularError):
         statistic_euclidean(tau, np.zeros(6), np.zeros((6, 6)))
     with pytest.raises(SingularError):
-        statistic_max(tau, np.zeros(6), ("sblock", np.zeros(3), 4))
+        statistic_max(tau, np.zeros(6), ("partition", one_group(np.zeros(3), 4)))
 
 
 def test_euclidean_scale_consistency():
@@ -215,19 +225,13 @@ def test_sample_identity_covariance():
     np.testing.assert_allclose(empirical_cov(Z), np.eye(3), atol=0.06)
 
 
-def test_sample_additive_hits_target():
-    rng = np.random.default_rng(41)
-    d = 4
-    s = np.array([0.1, 0.3, 0.9])  # eligible: s1 >= s0 >= 0, s2-2s1+s0 >= 0
-    Z = sample_null_gaussian(("sblock", s, d), 30000, rng, method="additive")
-    np.testing.assert_allclose(empirical_cov(Z), materialize(s, d), atol=0.06)
-
-
 def test_sample_fallback_when_ineligible():
+    # s1 < s0: no sum of global, per-variable and per-pair normals has this
+    # covariance; the quotients' square root colors it
     rng = np.random.default_rng(43)
     d = 4
-    s = np.array([0.4, 0.2, 1.0])  # s1 < s0: additive construction impossible
-    Z = sample_null_gaussian(("sblock", s, d), 30000, rng, method="auto")
+    s = np.array([0.4, 0.2, 1.0])
+    Z = sample_null_gaussian(("partition", one_group(s, d)), 30000, rng)
     np.testing.assert_allclose(empirical_cov(Z), materialize(s, d), atol=0.06)
 
 
@@ -235,14 +239,12 @@ def test_sample_projection_path_kills_grand_mean():
     rng = np.random.default_rng(47)
     d = 5
     s = pd_triple(rng)
-    from kstruct.sblock import eigenvalues
-
     t = s - eigenvalues(s, d).values[0] / pair_count(d)
-    Z = sample_null_gaussian(("sblock", t, d), 500, rng, method="projection")
+    Z = sample_null_gaussian(("partition", one_group(t, d)), 500, rng)
     assert np.abs(Z.mean(axis=1)).max() < 1e-12
     J = np.full((pair_count(d), pair_count(d)), 1.0 / pair_count(d))
     target = (np.eye(pair_count(d)) - J) @ materialize(s, d)
-    Z = sample_null_gaussian(("sblock", t, d), 30000, rng, method="projection")
+    Z = sample_null_gaussian(("partition", one_group(t, d)), 30000, rng)
     np.testing.assert_allclose(empirical_cov(Z), target, atol=0.06)
 
 
@@ -255,10 +257,21 @@ def test_sample_dense_and_projector_paths():
     P = np.eye(4) - np.full((4, 4), 0.25)
     Z = sample_null_gaussian(("projector", P), 30000, rng)
     np.testing.assert_allclose(empirical_cov(Z), P, atol=0.06)
-    with pytest.raises(ValueError, match="method"):
-        sample_null_gaussian(("sblock", np.ones(3), 4), 100, rng, method="nope")
     with pytest.raises(ValueError, match="spec"):
         sample_null_gaussian(("what", 3), 100, rng)
+
+
+def test_sample_zero_draws_has_p_columns():
+    A = np.eye(3) + 0.5
+    specs = (
+        ("identity", 5),
+        ("projector", np.eye(4) - 0.25),
+        ("dense", A),
+        ("partition", one_group(np.array([0.1, 0.3, 0.9]), 5)),
+    )
+    for spec, p in zip(specs, (5, 4, 3, 10)):
+        Z = sample_null_gaussian(spec, 0, np.random.default_rng(0))
+        assert Z.shape == (0, p), spec[0]
 
 
 def test_row_blocked_draws_follow_one_random_stream(monkeypatch):
@@ -267,12 +280,12 @@ def test_row_blocked_draws_follow_one_random_stream(monkeypatch):
     # the rounding of the per-block matrix product
     d, N = 5, 301
     p = pair_count(d)
-    t = np.array([0.4, 0.2, 1.0])  # s1 < s0: coloured, not additive
-    one = sample_null_gaussian(("sblock", t, d), N, np.random.default_rng(59))
+    spec = ("partition", one_group(np.array([0.4, 0.2, 1.0]), d))
+    one = sample_null_gaussian(spec, N, np.random.default_rng(59))
     monkeypatch.setattr(kt, "_DRAW_BLOCK_ENTRIES", 3 * p)
     Z = sample_null_gaussian(("identity", p), N, np.random.default_rng(59))
     assert np.array_equal(Z, np.random.default_rng(59).standard_normal((N, p)))
-    blocked = sample_null_gaussian(("sblock", t, d), N, np.random.default_rng(59))
+    blocked = sample_null_gaussian(spec, N, np.random.default_rng(59))
     np.testing.assert_allclose(blocked, one, rtol=0, atol=1e-12)
 
 
@@ -419,6 +432,80 @@ def test_run_test_zero_projected_covariance_contract():
             rep = run_test(X, part, opts)
             assert rep.value == 0.0 and rep.p_value == 1.0, stat
             assert any("fits exactly" in w for w in rep.warnings), stat
+
+
+ROUTES = (
+    ("euclidean", "sigma"),
+    ("euclidean", "identity"),
+    ("max", "sigma"),
+    ("max", "identity"),
+)
+
+
+def test_run_test_partition_needs_three_observations():
+    # one group or several, every route refuses n = 2 with the same error
+    X = np.array([[0.1, 0.5, 0.3, 0.9, 0.2, 0.4], [0.7, 0.2, 0.8, 0.1, 0.6, 0.3]])
+    for part in (Partition.exchangeable(4), Partition(6, ((1, 2, 3), (4, 5, 6)))):
+        for stat, weight in ROUTES:
+            opts = TestOptions(statistic=stat, weighting=weight, replicates=200, seed=1)
+            with pytest.raises(ValueError) as err:
+                run_test(X[:, : part.d], part, opts)
+            assert str(err.value) == "partition-structured jackknife needs n >= 3"
+
+
+def _report_or_error(X, part, opts):
+    try:
+        return run_test(X, part, opts)
+    except SingularError as exc:
+        return exc
+
+
+@st.composite
+def small_partitions(draw):
+    """One group of 3 to 7 variables, or 2 to 4 groups of 1 to 3 that
+    are not all singletons (those leave no constraint to test)."""
+    if draw(st.booleans()):
+        return Partition.exchangeable(draw(st.integers(3, 7)))
+    sizes = draw(
+        st.lists(st.integers(1, 3), min_size=2, max_size=4).filter(lambda s: max(s) > 1)
+    )
+    cuts = np.cumsum([0] + sizes)
+    return Partition(
+        int(cuts[-1]),
+        tuple(tuple(range(a + 1, b + 1)) for a, b in zip(cuts[:-1], cuts[1:])),
+    )
+
+
+_MONOTONE = (np.exp, np.arctan, lambda x: x**3, lambda x: 2.5 * x - 1.0, np.sinh)
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_partitions(), st.integers(4, 25), st.integers(0, 2**32 - 1))
+def test_run_test_invariant_to_monotone_transforms_and_row_order(part, n, seed):
+    # ranks are all the reports depend on: strictly increasing column
+    # transforms leave tau and the leave-one-out sums unchanged, and a row
+    # permutation only reorders the jackknife's terms
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, part.d)) + rng.standard_normal((n, 1))
+    transformed = np.column_stack(
+        [_MONOTONE[j % len(_MONOTONE)](X[:, j]) for j in range(part.d)]
+    )
+    shuffled = X[rng.permutation(n)]
+    for stat, weight in ROUTES:
+        opts = TestOptions(statistic=stat, weighting=weight, replicates=200, seed=seed)
+        base = _report_or_error(X, part, opts)
+        for other in (transformed, shuffled):
+            rep = _report_or_error(other, part, opts)
+            if isinstance(base, Exception):
+                assert type(rep) is type(base) and str(rep) == str(base)
+                continue
+            assert rep.method == base.method, (stat, weight)
+            assert rep.warnings == base.warnings, (stat, weight)
+            assert rep.value == pytest.approx(base.value, rel=1e-10, abs=1e-300)
+            if base.N is None:  # chi-square tail of a value equal to 1e-10
+                assert rep.p_value == pytest.approx(base.p_value, rel=1e-10)
+            else:  # the same Monte Carlo draws
+                assert rep.p_value == base.p_value, (stat, weight)
 
 
 def test_run_test_seed_reproducibility():
