@@ -172,7 +172,7 @@ def one_group(s, d):
     )
 
 
-def test_one_group_quotient_powers_match_dense():
+def test_apply_power_matches_dense():
     # real powers of S(s) are taken on its one-group partition quotients
     rng = np.random.default_rng(4)
     for d in (4, 5, 9):
@@ -190,7 +190,10 @@ def test_one_group_quotient_powers_match_dense():
         assert np.allclose(partition_apply(root0, v), v, atol=1e-14)
         assert np.allclose(partition_apply(q, v), matvec(s, d, v), atol=1e-12)
 
-    # (..., p) stacks of rows
+
+def test_apply_power_rows_layout():
+    # (..., p) stacks of rows through the one-group quotients
+    rng = np.random.default_rng(5)
     d = 5
     root = partition_pseudo_power(one_group(random_pd_triple(rng), d), -0.5, 1e-10)
     V = rng.normal(size=(7, pair_count(d)))
@@ -198,11 +201,20 @@ def test_one_group_quotient_powers_match_dense():
     for r in range(7):
         assert np.allclose(out[r], partition_apply(root, V[r]), atol=1e-12)
 
-    # pseudo-powers drop the zero eigenvalue of the grand-mean-projected triple
+
+def test_apply_power_pseudo_on_singular():
+    # pseudo-powers drop the zero eigenvalue of the grand-mean-projected
+    # triple, which the closed-form inverse refuses
+    rng = np.random.default_rng(6)
+    d = 5
     s = random_pd_triple(rng)
-    t = s - eigenvalues(s, d).values[0] / pair_count(d) * np.ones(3)
+    spec = eigenvalues(s, d)
+    # shift so the constant-vector eigenvalue is exactly zero
+    t = s - spec.values[0] / pair_count(d) * np.ones(3)
     assert eigenvalues(t, d).values[0] == pytest.approx(0.0, abs=1e-12)
     v = rng.normal(size=pair_count(d))
+    with pytest.raises(SingularError):
+        inverse(t, d)
     got = partition_apply(partition_pseudo_power(one_group(t, d), -0.5, 1e-10), v)
     expect = dense_power(materialize(t, d), -0.5, rtol=1e-10) @ v
     assert np.allclose(got, expect, atol=1e-9)
