@@ -35,20 +35,17 @@ from .kendall import (
     column_means,
     grand_mean,
 )
-from .sblock import SingularError, is_pd_all_d
+from .sblock import SingularError
 from .covariance import (
     jackknife_cov,
     structured_jackknife_exchangeable,
     structured_jackknife_partition,
-    pd_repair,
     population_sigma_mc,
 )
 from .projection import (
     RankDeficient,
     pseudoinverse_design,
     gamma_projection,
-    constrained_estimate,
-    theta_star,
     check_design_conditions,
 )
 from .testing import TestOptions, TestReport, run_test

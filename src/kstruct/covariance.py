@@ -13,8 +13,9 @@ average of the jackknife.  It is never formed densely: the average lies
 in the commutant of the groups' permutations, so it is held as the
 small isotypic quotients of ``sblock`` (one entry per orbit class),
 computed in O(n p) from per-variable, per-partner-group sums of the
-centred leave-one-out matrix.  For the one-group (fully exchangeable)
-case the orbit classes collapse to the three overlap classes.
+centred leave-one-out matrix.  Full exchangeability is the one-group
+partition, whose three 1 x 1 quotients are the eigenvalues of the
+overlap-class (S-block) form.
 
 The unstructured (dense) jackknife is (4/n^2) D'D with D the n x p
 centred leave-one-out matrix, so its rank is at most n - 1.  It is held
@@ -24,19 +25,17 @@ consumer (weighted projection, whitening, null draws) works from that
 factor.
 
 Also here: the spectral factor (w, V, keep) of a PSD matrix with its
-pseudo-powers, eigenvalue clipping for indefinite estimates, and a
-Monte Carlo evaluator for the population covariance coefficients of an
-exchangeable copula.
+pseudo-powers, and a Monte Carlo evaluator for the population covariance
+coefficients of an exchangeable copula.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .indexing import _incidence
+from .indexing import Partition
 from .kendall import tau_and_leave_one_out
-from .sblock import materialize, partition_materialize, partition_quotients
+from .sblock import _overlap_map, partition_materialize, partition_quotients
 
 __all__ = [
     "CovarianceEstimate",
@@ -45,9 +44,6 @@ __all__ = [
     "jackknife_cov",
     "structured_jackknife_exchangeable",
     "structured_jackknife_partition",
-    "pd_repair",
-    "psd_pinv",
-    "psd_power",
     "population_sigma_mc",
     "PopulationSigma",
 ]
@@ -89,11 +85,6 @@ class PSDFactor:
         Vk = self.V[:, self.keep]
         return ((v @ Vk) * self.w[self.keep] ** exponent) @ Vk.T
 
-    def power(self, exponent):
-        """The p x p pseudo-power A^exponent."""
-        Vk = self.V[:, self.keep]
-        return (Vk * self.w[self.keep] ** exponent) @ Vk.T
-
 
 def psd_factor(A):
     """A itself if it is a PSDFactor, else the factor of the matrix A."""
@@ -104,27 +95,27 @@ class CovarianceEstimate:
     """A covariance estimate for tau_hat.
 
     kind is "dense" (``matrix`` set, or the centred leave-one-out matrix
-    ``rows`` D with matrix (4/n^2) D'D), "exchangeable" (three
-    coefficients ``s`` set) or "partition" (``quotients`` set: the
-    isotypic quotients of a matrix constant on the orbits of
+    ``rows`` D with matrix (4/n^2) D'D) or "partition" (``quotients``
+    set: the isotypic quotients of a matrix constant on the orbits of
     ``partition``).  ``matrix`` is materialized on first read and
     ``factor`` (a PSDFactor, from the thin SVD of D when D is held) on
-    first use.  The estimate is on the scale of cov(tau_hat); multiply
-    by n for the asymptotic matrix.
+    first use.  ``s`` holds the overlap-class coefficients (s0, s1, s2)
+    of a fully exchangeable estimate and is None otherwise.  The
+    estimate is on the scale of cov(tau_hat); multiply by n for the
+    asymptotic matrix.
     """
 
-    def __init__(self, kind, d, n, matrix=None, s=None, partition=None,
-                 quotients=None, messages=None, rows=None):
+    def __init__(self, kind, d, n, matrix=None, partition=None,
+                 quotients=None, rows=None):
         self.kind = kind
         self.d = d
         self.n = n
         self._matrix = matrix
-        self.s = s
+        self.s = None
         self.partition = partition
         self.quotients = quotients
         self.rows = rows
         self._factor = None
-        self.messages = [] if messages is None else messages
 
     @property
     def matrix(self):
@@ -144,9 +135,7 @@ class CovarianceEstimate:
         return self._factor
 
     def dense(self):
-        if self.matrix is not None:
-            return self.matrix
-        return materialize(self.s, self.d)
+        return self.matrix
 
 
 def jackknife_cov(data, ties="error", tie_seed=0, precomputed=None):
@@ -167,41 +156,29 @@ def jackknife_cov(data, ties="error", tie_seed=0, precomputed=None):
 
 
 def structured_jackknife_exchangeable(data, ties="error", tie_seed=0, precomputed=None):
-    """Structured jackknife under full exchangeability, in O(n p).
+    """Structured jackknife under full exchangeability: the estimate of
+    ``structured_jackknife_partition`` over one group, in O(n p).
 
-    Averages of the dense jackknife over the three overlap classes,
-    computed without forming the dense matrix:
-
-        s2   = 4/(p n^2) ||D||_F^2,
-        eta1 = 4/(d n^2) sum_j sum_i (col-mean deviations)^2,
-        eta0 = 4/n^2     sum_i (grand-mean deviations)^2,
-        s1 = ((d-1) eta1 - s2) / (d-2),
-        s0 = (p eta0 - 2(d-1) eta1 + s2) / (p - 2d + 3).
-
-    Exactly equal (in exact arithmetic) to class-averaging the dense
-    estimate.  Requires d >= 4: below that some overlap class is empty.
+    Its three 1 x 1 quotients are the eigenvalues (delta_1, delta_2,
+    delta_3) of the class-averaged dense jackknife, and ``.s`` holds the
+    averages (s0, s1, s2) over the three overlap classes, solved from
+    them.  Requires d >= 4: below that some overlap class is empty.
     """
     if precomputed is None:
-        tau, loo = tau_and_leave_one_out(data, ties=ties, tie_seed=tie_seed)
-    else:
-        tau, loo = precomputed
-    n, p = loo.shape
+        precomputed = tau_and_leave_one_out(data, ties=ties, tie_seed=tie_seed)
+    p = precomputed[1].shape[1]
     d = int(round((1 + np.sqrt(1 + 8 * p)) / 2))
     if d < 4:
         raise ValueError(
             "exchangeable structured jackknife needs d >= 4, got d=%d" % d
         )
-    D = loo - tau
-    s2 = 4.0 / (p * n**2) * float(np.einsum("ij,ij->", D, D))
-    row_means = D.mean(axis=1)
-    eta0 = 4.0 / n**2 * float(row_means @ row_means)
-    G = D @ _incidence(d) / (d - 1.0)
-    eta1 = 4.0 / (d * n**2) * float(np.einsum("ij,ij->", G, G))
-    s1 = ((d - 1.0) * eta1 - s2) / (d - 2.0)
-    s0 = (p * eta0 - 2.0 * (d - 1.0) * eta1 + s2) / (p - 2.0 * d + 3.0)
-    return CovarianceEstimate(
-        kind="exchangeable", d=d, n=n, s=np.array([s0, s1, s2])
+    est = structured_jackknife_partition(
+        None, Partition.exchangeable(d), precomputed=precomputed
     )
+    q = est.quotients
+    deltas = [q.trivial[0, 0], q.standard[0][0, 0], q.remainder[0]]
+    est.s = np.linalg.solve(_overlap_map(d), deltas)
+    return est
 
 
 def structured_jackknife_partition(
@@ -232,46 +209,6 @@ def structured_jackknife_partition(
     return CovarianceEstimate(
         kind="partition", d=d, n=n, partition=partition, quotients=quotients
     )
-
-
-def pd_repair(matrix, warn_rtol=1e-10):
-    """Clip negative eigenvalues of a symmetric matrix to zero.
-
-    Returns (repaired matrix, messages).  Negative eigenvalues within
-    ``warn_rtol`` (relative to the largest eigenvalue) of zero are
-    silently clipped as numerical noise; anything more negative is
-    clipped too but reported in the messages list.
-    """
-    matrix = np.asarray(matrix, dtype=float)
-    w, V = np.linalg.eigh((matrix + matrix.T) / 2.0)
-    top = max(float(w.max()), 0.0)
-    messages = []
-    if w.min() < -warn_rtol * max(top, abs(float(w.min()))):
-        msg = (
-            "covariance estimate was not positive semidefinite; clipped "
-            "eigenvalues as low as %.3e (largest %.3e)" % (w.min(), top)
-        )
-        messages.append(msg)
-        warnings.warn(msg)
-    if w.min() >= 0.0:
-        return matrix, messages
-    w = np.maximum(w, 0.0)
-    return (V * w) @ V.T, messages
-
-
-def psd_pinv(matrix):
-    """Moore-Penrose pseudo-inverse of a PSD matrix via its spectrum."""
-    return PSDFactor.of_matrix(matrix).power(-1.0)
-
-
-def psd_power(matrix, exponent):
-    """Principal (symmetric) pseudo-power of a PSD matrix.
-
-    Small or negative eigenvalues are dropped under the Moore-Penrose
-    convention, so exponent -0.5 is the whitening root used by the test
-    statistics.
-    """
-    return PSDFactor.of_matrix(matrix).power(exponent)
 
 
 @dataclass

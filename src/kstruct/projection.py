@@ -29,7 +29,6 @@ centred leave-one-out matrix.
 import numpy as np
 
 from .covariance import CovarianceEstimate, PSDFactor
-from .indexing import DesignMatrix
 from .sblock import SingularError, eigenvalues, gamma_apply, gamma_star_apply
 
 __all__ = [
@@ -37,8 +36,6 @@ __all__ = [
     "ProjectionOperator",
     "pseudoinverse_design",
     "gamma_projection",
-    "constrained_estimate",
-    "theta_star",
     "check_design_conditions",
 ]
 
@@ -131,12 +128,13 @@ def _orthogonal_operator(design):
 def _structured_weight_shortcut(design, A):
     # a structured covariance shares the hypothesis' symmetry exactly when
     # the design's column space is an invariant subspace of it; then the
-    # weighted projection collapses to the orthogonal one
-    if A.kind == "exchangeable":
-        return design.kind in ("membership", "vertex-incidence")
-    if A.kind == "partition" and design.kind == "membership":
-        return design.partition is not None and design.partition == A.partition
-    return False
+    # weighted projection collapses to the orthogonal one; a one-group
+    # (fully exchangeable) covariance also commutes with the star projector
+    if A.kind != "partition":
+        return False
+    if design.kind == "vertex-incidence":
+        return A.partition.n_groups == 1
+    return design.kind == "membership" and design.partition == A.partition
 
 
 def gamma_projection(design, A=None):
@@ -173,23 +171,6 @@ def gamma_projection(design, A=None):
         )
     R = np.linalg.solve(M, WB.T)
     return ProjectionOperator("gls", design.p, factors=(B, R), d=design.d)
-
-
-def constrained_estimate(tau, projector):
-    """theta_hat = projection of tau_hat onto the hypothesized structure."""
-    return projector.apply(tau)
-
-
-def theta_star(tau, d=None):
-    """Projection of tau onto the additive (vertex-incidence) structure.
-
-    Needs d >= 4; below that the vertex-incidence design saturates pair
-    space and the projection is trivially the identity.
-    """
-    tau = np.asarray(tau, dtype=float)
-    if d is None:
-        d = int(round((1 + np.sqrt(1 + 8 * tau.shape[-1])) / 2))
-    return gamma_star_apply(tau, d)
 
 
 def check_design_conditions(design, sigma=None):

@@ -1,11 +1,10 @@
-"""Three-coefficient structured matrices on pair space.
+"""Structured matrices on pair space: the exchangeable S-block's spectrum,
+the grand-mean and star projectors, and the partition quotient algebra.
 
 A symmetric p x p matrix whose (k, l) entry depends only on how many
-variables the pairs k and l share lives in a three-dimensional algebra:
-entry s2 on the diagonal (overlap 2), s1 where the pairs share one
-variable, s0 where they are disjoint.  Such matrices have at most three
-distinct eigenvalues with known eigenspaces, so matrix-vector products
-and inverses cost O(p d) instead of O(p^3):
+variables the pairs k and l share (entry s2 on the diagonal, s1 where
+the pairs share one variable, s0 where they are disjoint) has at most
+three distinct eigenvalues,
 
     delta_1 = s2 + 2(d-2) s1 + (p-2d+3) s0      on the constant vector,
     delta_2 = s2 + (d-4) s1 - (d-3) s0          multiplicity d-1,
@@ -14,11 +13,9 @@ and inverses cost O(p d) instead of O(p^3):
 The eigenprojections are the grand-mean averager Gamma = J/p and the
 "star" projector Gamma* onto per-variable additive effects; delta_2
 lives on range(Gamma*) minus the constants and delta_3 on the
-complement of range(Gamma*).
-
-For d = 3 there are no disjoint pairs, so s0 is immaterial and the
-matrix has two eigenvalues (multiplicities 1 and 2); inverses adopt the
-convention t0 := t1.  For d = 2 everything is the scalar s2.
+complement of range(Gamma*).  For d = 3 there are no disjoint pairs and
+two eigenvalues (multiplicities 1 and 2); for d = 2 everything is the
+scalar s2.
 
 Partition structure.  A pair-space matrix invariant under permutations
 within the groups of a partition (sizes m_1, ..., m_K) lives in the
@@ -39,9 +36,9 @@ Each copy is embedded by the equivariant map incidence-times-centring,
 scaled to an isometry, so the quotient entries are plain traces and the
 eigen-decomposition of a p x p matrix reduces to that of a few
 matrices of side at most max(L, K).  With one group this is the
-three-coefficient structure above: the three quotients are 1 x 1 and
-equal delta_1, delta_2 and delta_3, and its powers are taken through
-them.
+S-block above: the three quotients are 1 x 1 and equal delta_1,
+delta_2 and delta_3, which is the only representation of an
+exchangeable covariance the package computes with.
 """
 
 from collections import namedtuple
@@ -56,12 +53,8 @@ __all__ = [
     "SingularError",
     "Spectrum",
     "eigenvalues",
-    "materialize",
-    "matvec",
-    "inverse",
     "gamma_star_apply",
     "gamma_apply",
-    "is_pd_all_d",
     "PartitionQuotients",
     "partition_quotients",
     "partition_spectrum",
@@ -71,9 +64,6 @@ __all__ = [
     "partition_materialize",
 ]
 
-# relative cutoff below which an eigenvalue counts as zero
-_SINGULAR_RTOL = 1e-14
-
 Spectrum = namedtuple("Spectrum", ["values", "multiplicities"])
 
 
@@ -81,115 +71,31 @@ class SingularError(ValueError):
     """A structured matrix has a (near-)zero eigenvalue where it may not."""
 
 
-def _coeffs(s):
-    s = np.asarray(s, dtype=float)
-    if s.shape != (3,):
-        raise ValueError("expected three coefficients (s0, s1, s2)")
-    return float(s[0]), float(s[1]), float(s[2])
-
-
-def eigenvalues(s, d):
-    """Closed-form spectrum of the structured matrix with coefficients s.
-
-    Returns a Spectrum(values=(delta_1, delta_2, delta_3),
-    multiplicities=(1, d-1, p-d)).  Multiplicity-zero slots (d = 2, 3)
-    still carry the formula value; it is ignored by every consumer.
-    """
-    s0, s1, s2 = _coeffs(s)
+def _overlap_map(d):
+    """The 3 x 3 matrix taking (s0, s1, s2) to (delta_1, delta_2, delta_3)."""
     p = pair_count(d)
-    if d == 2:
-        return Spectrum((s2, s2, s2), (1, 0, 0))
-    d1 = s2 + 2.0 * (d - 2) * s1 + (p - 2 * d + 3) * s0
-    d2 = s2 + (d - 4.0) * s1 - (d - 3.0) * s0
-    d3 = s2 - 2.0 * s1 + s0
-    return Spectrum((d1, d2, d3), (1, d - 1, p - d))
-
-
-def materialize(s, d, max_d=60):
-    """Dense p x p matrix with entry s_c at overlap count c.
-
-    Refuses d beyond ``max_d`` (p grows quadratically; the point of the
-    structured representation is to avoid dense work).
-    """
-    if d > max_d:
-        raise ValueError(
-            "refusing dense materialization for d=%d > max_d=%d" % (d, max_d)
-        )
-    s0, s1, s2 = _coeffs(s)
-    ii0, jj0 = _pairs0(d)
-    a, b = ii0[:, None], jj0[:, None]
-    overlap = (
-        (a == a.T).astype(np.int8)
-        + (a == b.T)
-        + (b == a.T)
-        + (b == b.T)
-    )
-    return np.choose(overlap, (s0, s1, s2))
-
-
-def matvec(s, d, v):
-    """Structured matrix times vector in O(p d).
-
-    ``v`` may be a (p,) vector or a (p, m) matrix of columns.
-    """
-    s0, s1, s2 = _coeffs(s)
-    v = np.asarray(v, dtype=float)
-    p = pair_count(d)
-    if v.shape[0] != p:
-        raise ValueError("vector has length %d, expected p=%d" % (v.shape[0], p))
-    ii0, jj0 = _pairs0(d)
-    if v.ndim == 1:
-        colsum = np.bincount(ii0, weights=v, minlength=d) + np.bincount(
-            jj0, weights=v, minlength=d
-        )
-    else:
-        colsum = _incidence(d).T @ v
-    total = v.sum(axis=0)
-    return (
-        (s2 - 2.0 * s1 + s0) * v
-        + (s1 - s0) * (colsum[ii0] + colsum[jj0])
-        + s0 * total
-    )
-
-
-def _active(spec):
-    """Eigenvalues with nonzero multiplicity."""
-    return [val for val, m in zip(spec.values, spec.multiplicities) if m > 0]
-
-
-def inverse(s, d):
-    """Coefficients of the inverse structured matrix.
-
-    Solves the 3 x 3 linear system mapping coefficients to eigenvalues.
-    Raises SingularError when an active eigenvalue is within 1e-14
-    (relative) of zero.  For d = 3 the undetermined s0 follows the
-    convention t0 := t1; for d = 2 the result is (0, 0, 1/s2).
-    """
-    s0, s1, s2 = _coeffs(s)
-    spec = eigenvalues(s, d)
-    active = _active(spec)
-    top = max(abs(v) for v in active)
-    if top == 0.0 or min(abs(v) for v in active) < _SINGULAR_RTOL * top:
-        raise SingularError(
-            "structured matrix is numerically singular (eigenvalues %r)"
-            % (spec.values,)
-        )
-    if d == 2:
-        return np.array([0.0, 0.0, 1.0 / s2])
-    d1, d2, d3 = spec.values
-    if d == 3:
-        a = 1.0 / d2
-        b = (1.0 / d1 - 1.0 / d2) / 3.0
-        return np.array([b, b, a + b])
-    p = pair_count(d)
-    M = np.array(
+    return np.array(
         [
             [p - 2.0 * d + 3.0, 2.0 * (d - 2.0), 1.0],
             [-(d - 3.0), d - 4.0, 1.0],
             [1.0, -2.0, 1.0],
         ]
     )
-    return np.linalg.solve(M, np.array([1.0 / d1, 1.0 / d2, 1.0 / d3]))
+
+
+def eigenvalues(s, d):
+    """Closed-form spectrum of the S-block with coefficients s = (s0, s1, s2).
+
+    Returns a Spectrum(values=(delta_1, delta_2, delta_3),
+    multiplicities=(1, d-1, p-d)).  Multiplicity-zero slots (d = 2, 3)
+    still carry the formula value; it is ignored by every consumer.
+    """
+    s = np.asarray(s, dtype=float)
+    if s.shape != (3,):
+        raise ValueError("expected three coefficients (s0, s1, s2)")
+    if d == 2:
+        return Spectrum((s[2],) * 3, (1, 0, 0))
+    return Spectrum(tuple(_overlap_map(d) @ s), (1, d - 1, pair_count(d) - d))
 
 
 def gamma_apply(v):
@@ -226,12 +132,6 @@ def gamma_star_apply(v, d):
     vbar = v.mean(axis=-1, keepdims=v.ndim > 1)
     out = (d - 1.0) / (d - 2.0) * (colmean[..., ii0] + colmean[..., jj0])
     return out - d / (d - 2.0) * vbar
-
-
-def is_pd_all_d(s0, s1, s2):
-    """True when the coefficients give a positive definite matrix for
-    every dimension d >= 4: s1 >= s0 >= 0 and s2 - s1 > s1 - s0."""
-    return bool(s1 >= s0 >= 0.0 and (s2 - s1) > (s1 - s0))
 
 
 # ---------------------------------------------------------------------------

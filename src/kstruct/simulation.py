@@ -23,7 +23,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .indexing import Partition, block_membership_matrix
 from .kendall import TieError
 from .projection import RankDeficient
 from .sblock import SingularError
-from .testing import TestOptions, run_test
+from .testing import run_test
 
 __all__ = [
     "NotPositiveDefinite",

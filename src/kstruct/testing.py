@@ -28,11 +28,10 @@ default.
 
 import hashlib
 import json
-import warnings as _warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from ._version import __version__
 from .covariance import (
@@ -59,8 +58,6 @@ __all__ = [
     "statistic_max",
     "pvalue_chisq",
     "pvalue_mixture_mc",
-    "pvalue_max_mc",
-    "mixture_spectrum",
     "sample_null_gaussian",
     "multiplier_bootstrap_replicates",
     "run_test",
@@ -277,18 +274,16 @@ def pvalue_chisq(E, p, L):
     """Upper chi-square tail with p - L degrees of freedom."""
     if p <= L:
         raise ValueError("need p > L for a chi-square reference, got p=%d L=%d" % (p, L))
-    return float(stats.chi2.sf(E, p - L))
+    return float(special.chdtrc(p - L, E))
 
 
-def _merged_spectrum(
-    values, multiplicities, merge_rtol=_MERGE_RTOL, drop_rtol=_DROP_RTOL
-):
+def _merged_spectrum(values, multiplicities):
     """Distinct positive eigenvalues with their multiplicities.
 
     Eigenvalues are taken in decreasing order; one within relative
-    distance ``merge_rtol`` of the previous kept value is merged into it
+    distance _MERGE_RTOL of the previous kept value is merged into it
     (multiplicities summed, value averaged by multiplicity), and those
-    at or below ``drop_rtol`` times the largest are dropped.  Returns a
+    at or below _DROP_RTOL times the largest are dropped.  Returns a
     list of (value, multiplicity) pairs sorted decreasing; empty if no
     eigenvalue is positive.
     """
@@ -301,25 +296,14 @@ def _merged_spectrum(
     order = np.argsort(-values, kind="stable")
     out = []
     for lam, m in zip(values[order], mults[order]):
-        if lam <= drop_rtol * top:
+        if lam <= _DROP_RTOL * top:
             break
-        if out and (out[-1][0] - lam) <= merge_rtol * out[-1][0]:
+        if out and (out[-1][0] - lam) <= _MERGE_RTOL * out[-1][0]:
             val, mult = out[-1]
             out[-1] = ((val * mult + lam * m) / (mult + m), mult + m)
         else:
             out.append((float(lam), int(m)))
     return [(float(v), int(m)) for v, m in out]
-
-
-def _factor_spectrum(factor, merge_rtol=_MERGE_RTOL, drop_rtol=_DROP_RTOL):
-    w = factor.w
-    return _merged_spectrum(w, np.ones(w.size, dtype=int), merge_rtol, drop_rtol)
-
-
-def mixture_spectrum(matrix, merge_rtol=_MERGE_RTOL, drop_rtol=_DROP_RTOL):
-    """Distinct positive eigenvalues of a symmetric matrix with their
-    multiplicities, by the rule of ``_merged_spectrum``."""
-    return _factor_spectrum(PSDFactor.of_matrix(matrix), merge_rtol, drop_rtol)
 
 
 def pvalue_mixture_mc(E, spectrum, N, rng, plus_one=False):
@@ -359,11 +343,6 @@ def _null_gaussian_blocks(spec, N, rng):
         for lo, hi in _row_blocks(N, p):
             yield rng.standard_normal((hi - lo, p))
         return
-    if kind == "projector":
-        P = np.asarray(spec[1], dtype=float)
-        for lo, hi in _row_blocks(N, P.shape[0]):
-            yield rng.standard_normal((hi - lo, P.shape[0])) @ P
-        return
     if kind == "dense":
         factor = psd_factor(spec[1])
         p = factor.V.shape[0]
@@ -385,8 +364,6 @@ def sample_null_gaussian(spec, N, rng):
     ``spec`` selects the target:
 
     - ("identity", p): standard normal draws;
-    - ("projector", P): covariance equal to the symmetric idempotent P
-      (draws are G @ P, no factorization);
     - ("dense", A): covariance A via its principal square root, A a
       matrix (factored by ``eigh``) or a PSDFactor;
     - ("partition", q): the partition-invariant covariance with quotients
@@ -416,23 +393,6 @@ def _exceedances(blocks, value, statistic="max"):
     else:
         norms = (np.abs(b).max(axis=1) for b in blocks)
     return sum(int((t > value).sum()) for t in norms)
-
-
-def pvalue_max_mc(M, spec, N, rng, plus_one=False, draws=None):
-    """Monte Carlo tail probability of the max statistic.
-
-    Draws come from ``sample_null_gaussian(spec, N, rng)`` unless
-    pre-generated draws (an (N, p) array, e.g. bootstrap replicates) are
-    passed directly.
-    """
-    if draws is None:
-        N = int(N)
-        if N < 100:
-            raise ValueError("need at least 100 Monte Carlo replicates")
-        blocks = _null_gaussian_blocks(spec, N, rng)
-    else:
-        N, blocks = draws.shape[0], [draws]
-    return _mc_pvalue(_exceedances(blocks, M), N, plus_one)
 
 
 def _bootstrap_blocks(Y, N, rng):
@@ -501,7 +461,8 @@ def _identity_null(est, gamma, n):
     # (4/n) (D (I - Gamma))' (D (I - Gamma)): one thin SVD of an n x p matrix
     D = est.rows
     factor = PSDFactor.of_rows(D - gamma.apply(D), 4.0 / n)
-    return _factor_spectrum(factor), ("dense", factor)
+    spectrum = _merged_spectrum(factor.w, np.ones(factor.w.size, dtype=int))
+    return spectrum, ("dense", factor)
 
 
 def _degenerate_fit(tau, theta):

@@ -9,16 +9,40 @@ max draws.  Monte Carlo draws are taken as one (N, p) or (N, n) block,
 in the order the fast route consumes the random stream row block by
 row block, so both give the same p-value.  Tests compare the fast
 route against it.
+
+It also holds the dense S-block S(s), the p x p matrix with entry s_c
+where two pairs share c variables, and the same matrix as one-group
+partition quotients, the only form the package computes with.
 """
 
 import numpy as np
 
 import kstruct.testing as kt
+from kstruct.indexing import Partition, _pairs0
 from kstruct.kendall import tau_and_leave_one_out
 from kstruct.projection import pseudoinverse_design
-from kstruct.sblock import SingularError
+from kstruct.sblock import PartitionQuotients, SingularError, eigenvalues
 
 DROP_RTOL = 1e-10
+
+
+def materialize(s, d):
+    """Dense p x p S-block with entry s_c at overlap count c, s = (s0, s1, s2)."""
+    ii0, jj0 = _pairs0(d)
+    a, b = ii0[:, None], jj0[:, None]
+    overlap = (a == a.T).astype(np.int8) + (a == b.T) + (b == a.T) + (b == b.T)
+    return np.choose(overlap, tuple(float(c) for c in s))
+
+
+def one_group(s, d):
+    """S(s) as one-group partition quotients: its eigenvalues delta_1,
+    delta_2 and delta_3 on the trivial, standard (none for d = 2) and
+    remainder parts."""
+    d1, d2, d3 = eigenvalues(s, d).values
+    standard = np.array([[d2]]) if d >= 3 else np.zeros((0, 0))
+    return PartitionQuotients(
+        Partition.exchangeable(d), np.array([[d1]]), [standard], np.array([d3])
+    )
 
 
 def _eig(A):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from dense_oracle import materialize, one_group
 from kstruct import (
     DesignMatrix,
     Partition,
@@ -31,13 +32,7 @@ from kstruct import (
     vertex_incidence_design,
 )
 from kstruct.indexing import _pairs0, overlap_count, pair_count
-from kstruct.sblock import (
-    PartitionQuotients,
-    eigenvalues,
-    gamma_apply,
-    gamma_star_apply,
-    materialize,
-)
+from kstruct.sblock import eigenvalues, gamma_apply, gamma_star_apply
 from kstruct.testing import multiplier_bootstrap_replicates, sample_null_gaussian
 
 
@@ -331,14 +326,6 @@ def test_criterion_08_chisq_null_distribution():
 # criterion 9: null samplers and bootstrap hit their target covariances
 
 
-def _one_group(s, d):
-    # S(s) as one-group partition quotients: delta_1, delta_2, delta_3
-    d1, d2, d3 = eigenvalues(s, d).values
-    return PartitionQuotients(
-        Partition.exchangeable(d), np.array([[d1]]), [np.array([[d2]])], np.array([d3])
-    )
-
-
 def test_criterion_09_sampler_covariances():
     TOL = 0.05
     DRAWS = 50_000
@@ -350,7 +337,7 @@ def test_criterion_09_sampler_covariances():
         # component coloring, first on a triple with s1 < s0 (no sum of
         # global, per-variable and per-pair normals), target S(s) itself ...
         s_hard = np.array([0.4, 0.2, 1.0])
-        Z = sample_null_gaussian(("partition", _one_group(s_hard, d)), DRAWS, rng)
+        Z = sample_null_gaussian(("partition", one_group(s_hard, d)), DRAWS, rng)
         err = np.abs(np.cov(Z, rowvar=False) - materialize(s_hard, d)).max()
         worst["projection"] = max(worst["projection"], err)
         assert err < TOL
@@ -360,7 +347,7 @@ def test_criterion_09_sampler_covariances():
         s_any = np.array([0.2, 0.35, 1.1])
         delta1 = eigenvalues(s_any, d).values[0]
         s_proj = s_any - delta1 / p
-        Z = sample_null_gaussian(("partition", _one_group(s_proj, d)), DRAWS, rng)
+        Z = sample_null_gaussian(("partition", one_group(s_proj, d)), DRAWS, rng)
         G = np.eye(p) - np.full((p, p), 1.0 / p)
         target = G @ materialize(s_any, d) @ G
         err = np.abs(np.cov(Z, rowvar=False) - target).max()

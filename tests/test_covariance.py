@@ -1,18 +1,16 @@
 import numpy as np
 import pytest
 
+from dense_oracle import materialize
 from kstruct.covariance import (
+    PSDFactor,
     jackknife_cov,
-    pd_repair,
     population_sigma_mc,
-    psd_pinv,
-    psd_power,
     structured_jackknife_exchangeable,
     structured_jackknife_partition,
 )
 from kstruct.indexing import Partition, all_pairs, index_of_pair, overlap_count, pair_count
 from kstruct.kendall import kendall_kernel, kendall_tau_vector, tau_and_leave_one_out
-from kstruct.sblock import materialize
 
 
 def brute_jackknife(X):
@@ -86,7 +84,7 @@ def test_exchangeable_equals_class_averaged_dense():
             dense = jackknife_cov(X).matrix
             want = class_average(dense, d)
             got = structured_jackknife_exchangeable(X)
-            assert got.kind == "exchangeable"
+            assert got.kind == "partition"
             np.testing.assert_allclose(got.s, want, rtol=1e-12, atol=1e-15)
 
 
@@ -158,50 +156,24 @@ def test_partition_rejects_small_n_and_mismatched_d():
         structured_jackknife_partition(X, Partition.exchangeable(5))
 
 
-def test_pd_repair_leaves_psd_alone():
-    rng = np.random.default_rng(41)
-    A = rng.standard_normal((5, 5))
-    M = A @ A.T
-    out, messages = pd_repair(M)
-    assert messages == []
-    np.testing.assert_array_equal(out, M)
-
-
-def test_pd_repair_clips_and_reports():
-    V, _ = np.linalg.qr(np.random.default_rng(43).standard_normal((4, 4)))
-    M = (V * np.array([2.0, 1.0, 0.5, -0.3])) @ V.T
-    with pytest.warns(UserWarning, match="not positive semidefinite"):
-        out, messages = pd_repair(M)
-    assert len(messages) == 1
-    w = np.linalg.eigvalsh(out)
-    assert w.min() >= -1e-14
-    np.testing.assert_allclose(sorted(w), [0.0, 0.5, 1.0, 2.0], atol=1e-12)
-
-
-def test_pd_repair_silent_on_roundoff():
-    V, _ = np.linalg.qr(np.random.default_rng(47).standard_normal((3, 3)))
-    M = (V * np.array([1.0, 0.5, -1e-13])) @ V.T
-    out, messages = pd_repair(M)
-    assert messages == []
-    assert np.linalg.eigvalsh(out).min() >= -1e-16
-
-
 def test_psd_pinv_matches_numpy():
     rng = np.random.default_rng(53)
     A = rng.standard_normal((6, 3))
     M = A @ A.T  # rank 3
-    np.testing.assert_allclose(psd_pinv(M), np.linalg.pinv(M), atol=1e-10)
-    assert np.array_equal(psd_pinv(np.zeros((4, 4))), np.zeros((4, 4)))
+    pinv = PSDFactor.of_matrix(M).apply(np.eye(6), -1.0)
+    np.testing.assert_allclose(pinv, np.linalg.pinv(M), atol=1e-10)
+    zero = PSDFactor.of_matrix(np.zeros((4, 4))).apply(np.eye(4), -1.0)
+    assert np.array_equal(zero, np.zeros((4, 4)))
 
 
 def test_psd_power_roots():
     rng = np.random.default_rng(59)
     A = rng.standard_normal((5, 2))
     M = A @ A.T  # rank 2, PSD
-    R = psd_power(M, 0.5)
+    R = PSDFactor.of_matrix(M).apply(np.eye(5), 0.5)
     np.testing.assert_allclose(R, R.T, atol=1e-12)
     np.testing.assert_allclose(R @ R, M, atol=1e-10)
-    W = psd_power(M, -0.5)
+    W = PSDFactor.of_matrix(M).apply(np.eye(5), -0.5)
     P = W @ M @ W  # projector onto the range
     np.testing.assert_allclose(P @ P, P, atol=1e-10)
     np.testing.assert_allclose(np.trace(P), 2.0, atol=1e-10)

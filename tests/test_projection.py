@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dense_oracle import materialize, one_group
 from kstruct.covariance import (
     CovarianceEstimate,
     structured_jackknife_partition,
@@ -16,12 +17,10 @@ from kstruct.indexing import (
 from kstruct.projection import (
     RankDeficient,
     check_design_conditions,
-    constrained_estimate,
     gamma_projection,
     pseudoinverse_design,
-    theta_star,
 )
-from kstruct.sblock import SingularError, inverse, materialize, matvec
+from kstruct.sblock import SingularError, gamma_star_apply
 
 
 def penrose_ok(B, Bp, tol=1e-10):
@@ -93,9 +92,7 @@ def test_ones_design_projects_to_grand_mean():
     np.testing.assert_allclose(gamma.dense(), np.full((6, 6), 1.0 / 6.0), atol=1e-15)
     e1 = np.zeros(6)
     e1[0] = 1.0
-    np.testing.assert_allclose(
-        constrained_estimate(e1, gamma), np.full(6, 1.0 / 6.0), atol=1e-15
-    )
+    np.testing.assert_allclose(gamma.apply(e1), np.full(6, 1.0 / 6.0), atol=1e-15)
 
 
 def test_membership_projection_gives_class_means():
@@ -181,7 +178,10 @@ def test_exchangeable_weight_with_vertex_design():
     rng = np.random.default_rng(29)
     d = 5
     s = random_sblock_pd(rng, d)
-    est = CovarianceEstimate(kind="exchangeable", d=d, n=50, s=s)
+    est = CovarianceEstimate(
+        kind="partition", d=d, n=50,
+        partition=Partition.exchangeable(d), quotients=one_group(s, d),
+    )
     design = vertex_incidence_design(d)
     shortcut = gamma_projection(design, est)
     assert shortcut.kind == "vertex"
@@ -201,7 +201,7 @@ def test_theta_star_matches_dense_and_orthogonality():
     for d in (4, 5, 7, 10):
         p = pair_count(d)
         tau = rng.standard_normal(p)
-        ts = theta_star(tau)
+        ts = gamma_star_apply(tau, d)
         design = vertex_incidence_design(d)
         B = design.matrix
         dense = B @ pseudoinverse_design(design) @ tau
@@ -212,7 +212,7 @@ def test_theta_star_matches_dense_and_orthogonality():
 
 def test_theta_star_rejects_small_d():
     with pytest.raises(ValueError):
-        theta_star(np.zeros(3))  # d = 3
+        gamma_star_apply(np.zeros(3), 3)
 
 
 def test_quadratic_form_decomposition():
@@ -223,9 +223,9 @@ def test_quadratic_form_decomposition():
         s = random_sblock_pd(rng, d)
         tau = rng.standard_normal(p)
         theta = np.full(p, tau.mean())
-        ts = theta_star(tau)
+        ts = gamma_star_apply(tau, d)
         resid = tau - theta
-        lhs = resid @ matvec(inverse(s, d), d, resid)
+        lhs = resid @ np.linalg.solve(materialize(s, d), resid)
         vals = np.array(
             [
                 s[2] + 2 * (d - 2) * s[1] + (p - 2 * d + 3) * s[0],

@@ -1,20 +1,18 @@
 import numpy as np
 import pytest
 
-from kstruct.indexing import Partition, _incidence, pair_count
+from dense_oracle import materialize, one_group
+from kstruct.indexing import _incidence, pair_count
 from kstruct.sblock import (
-    PartitionQuotients,
     SingularError,
     eigenvalues,
     gamma_apply,
     gamma_star_apply,
-    inverse,
-    is_pd_all_d,
-    materialize,
-    matvec,
     partition_apply,
+    partition_materialize,
     partition_pseudo_power,
 )
+from kstruct.testing import statistic_euclidean
 
 
 def random_pd_triple(rng):
@@ -32,6 +30,11 @@ def dense_power(S, a, rtol=1e-12):
     return (V[:, keep] * w[keep] ** a) @ V[:, keep].T
 
 
+def inverse_matrix(s, d):
+    """Dense inverse of S(s), taken on its one-group quotients."""
+    return partition_materialize(partition_pseudo_power(one_group(s, d), -1.0, 1e-10))
+
+
 def test_materialize_frozen_d4():
     S = materialize((0.5, 1.5, 7.0), 4)
     assert S.shape == (6, 6)
@@ -40,12 +43,6 @@ def test_materialize_frozen_d4():
     assert S[0, 5] == 0.5
     assert S[0, 1] == 1.5
     assert np.array_equal(S, S.T)
-
-
-def test_materialize_refuses_large_d():
-    with pytest.raises(ValueError):
-        materialize((0.0, 0.0, 1.0), 61)
-    materialize((0.0, 0.0, 1.0), 10, max_d=10)
 
 
 def test_eigenvalues_match_dense_solver():
@@ -88,47 +85,52 @@ def test_all_ones_coefficients_give_J():
 
 
 def test_matvec_matches_dense():
+    # S(s) applied through its one-group quotients, vectors and columns
     rng = np.random.default_rng(1)
     for d in (3, 4, 5, 8):
         s = rng.normal(size=3)
         S = materialize(s, d)
+        q = one_group(s, d)
         v = rng.normal(size=pair_count(d))
-        assert np.allclose(matvec(s, d, v), S @ v, rtol=0, atol=1e-12)
+        assert np.allclose(partition_apply(q, v), S @ v, rtol=0, atol=1e-12)
         V = rng.normal(size=(pair_count(d), 4))
-        assert np.allclose(matvec(s, d, V), S @ V, rtol=0, atol=1e-12)
+        assert np.allclose(partition_apply(q, V.T).T, S @ V, rtol=0, atol=1e-12)
 
 
 def test_matvec_rejects_wrong_length():
     with pytest.raises(ValueError):
-        matvec((0.0, 0.0, 1.0), 4, np.zeros(5))
+        partition_apply(one_group((0.0, 0.0, 1.0), 4), np.zeros(5))
 
 
 def test_inverse_round_trip():
     rng = np.random.default_rng(2)
     for d in (4, 5, 7, 10):
         s = random_pd_triple(rng)
-        t = inverse(s, d)
-        S, T = materialize(s, d), materialize(t, d)
+        S, T = materialize(s, d), inverse_matrix(s, d)
         assert np.allclose(S @ T, np.eye(pair_count(d)), atol=1e-10)
 
 
 def test_inverse_d3_convention():
-    t = inverse((0.0, 0.5, 2.0), 3)
-    assert t[0] == t[1]
-    S, T = materialize((0.0, 0.5, 2.0), 3), materialize(t, 3)
+    # at d = 3 every two pairs overlap, so the inverse is again an S-block
+    # with one off-diagonal value
+    S, T = materialize((0.0, 0.5, 2.0), 3), inverse_matrix((0.0, 0.5, 2.0), 3)
+    off = T[~np.eye(3, dtype=bool)]
+    assert np.allclose(off, off[0], rtol=0, atol=1e-15)
     assert np.allclose(S @ T, np.eye(3), atol=1e-12)
 
 
 def test_inverse_d2():
-    t = inverse((7.0, 7.0, 4.0), 2)
-    assert np.allclose(t, [0.0, 0.0, 0.25])
+    assert np.allclose(inverse_matrix((7.0, 7.0, 4.0), 2), [[0.25]])
 
 
 def test_inverse_singular_raises():
+    # the zero S-block has no weighting inverse; the all-ones matrix J is
+    # pseudo-inverted, J^+ = J / p^2, like every other singular weight
+    v = np.arange(1.0, 11.0)
     with pytest.raises(SingularError):
-        inverse((0.0, 0.0, 0.0), 5)
-    with pytest.raises(SingularError):
-        inverse((1.0, 1.0, 1.0), 5)  # the all-ones matrix
+        statistic_euclidean(v, 0.0 * v, ("partition", one_group((0.0, 0.0, 0.0), 5)))
+    got = statistic_euclidean(v, 0.0 * v, ("partition", one_group((1.0, 1.0, 1.0), 5)))
+    assert got == pytest.approx(v.sum() ** 2 / 100.0, rel=1e-12)
 
 
 def test_gamma_star_matches_incidence_projector():
@@ -164,14 +166,6 @@ def test_gamma_star_rejects_small_d():
         gamma_star_apply(np.zeros(3), 3)
 
 
-def one_group(s, d):
-    """S(s) as one-group partition quotients: delta_1, delta_2, delta_3."""
-    d1, d2, d3 = eigenvalues(s, d).values
-    return PartitionQuotients(
-        Partition.exchangeable(d), np.array([[d1]]), [np.array([[d2]])], np.array([d3])
-    )
-
-
 def test_apply_power_matches_dense():
     # real powers of S(s) are taken on its one-group partition quotients
     rng = np.random.default_rng(4)
@@ -188,7 +182,6 @@ def test_apply_power_matches_dense():
             assert np.allclose(got, dense_power(S, a) @ v, atol=1e-10)
         root0 = partition_pseudo_power(q, 0.0, 1e-10)
         assert np.allclose(partition_apply(root0, v), v, atol=1e-14)
-        assert np.allclose(partition_apply(q, v), matvec(s, d, v), atol=1e-12)
 
 
 def test_apply_power_rows_layout():
@@ -204,7 +197,7 @@ def test_apply_power_rows_layout():
 
 def test_apply_power_pseudo_on_singular():
     # pseudo-powers drop the zero eigenvalue of the grand-mean-projected
-    # triple, which the closed-form inverse refuses
+    # triple, which makes S(t) singular
     rng = np.random.default_rng(6)
     d = 5
     s = random_pd_triple(rng)
@@ -213,18 +206,20 @@ def test_apply_power_pseudo_on_singular():
     t = s - spec.values[0] / pair_count(d) * np.ones(3)
     assert eigenvalues(t, d).values[0] == pytest.approx(0.0, abs=1e-12)
     v = rng.normal(size=pair_count(d))
-    with pytest.raises(SingularError):
-        inverse(t, d)
+    assert np.linalg.matrix_rank(materialize(t, d)) == pair_count(d) - 1
     got = partition_apply(partition_pseudo_power(one_group(t, d), -0.5, 1e-10), v)
     expect = dense_power(materialize(t, d), -0.5, rtol=1e-10) @ v
     assert np.allclose(got, expect, atol=1e-9)
 
 
 def test_is_pd_all_d_frozen_and_checked():
-    assert is_pd_all_d(0.0, 0.0, 1.0)
-    assert is_pd_all_d(0.1, 0.2, 0.5)
-    assert not is_pd_all_d(0.2, 0.1, 1.0)  # fails only at larger d
-    assert not is_pd_all_d(0.0, 0.5, 0.6)
+    # s1 >= s0 >= 0 and s2 - s1 > s1 - s0 make S(s) positive definite at
+    # every d >= 4, and the closed-form spectrum shows it
+    for s in ((0.0, 0.0, 1.0), (0.1, 0.2, 0.5)):
+        assert all(min(eigenvalues(s, d).values) > 0 for d in range(4, 200))
+    assert min(eigenvalues((0.2, 0.1, 1.0), 4).values) > 0  # fails only at larger d
+    assert min(eigenvalues((0.2, 0.1, 1.0), 13).values) < 0
+    assert min(eigenvalues((0.0, 0.5, 0.6), 4).values) < 0
     for d in range(4, 21):
         w = np.linalg.eigvalsh(materialize((0.1, 0.2, 0.5), min(d, 20)))
         assert w.min() > 0

@@ -8,22 +8,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from dense_oracle import dense_spectrum, materialize, one_group
+
 import kstruct.testing as kt
-from kstruct.covariance import jackknife_cov, psd_power
+from kstruct.covariance import jackknife_cov
 from kstruct.indexing import (
     DesignMatrix,
     Partition,
     block_membership_matrix,
     pair_count,
+    vertex_incidence_design,
 )
-from kstruct.projection import gamma_projection
-from kstruct.sblock import PartitionQuotients, SingularError, eigenvalues, materialize
+from kstruct.kendall import TieError
+from kstruct.projection import RankDeficient, gamma_projection
+from kstruct.sblock import SingularError, eigenvalues, gamma_star_apply
 from kstruct.testing import (
     TestOptions,
-    mixture_spectrum,
     multiplier_bootstrap_replicates,
     pvalue_chisq,
-    pvalue_max_mc,
     pvalue_mixture_mc,
     run_test,
     sample_null_gaussian,
@@ -37,15 +39,6 @@ def pd_triple(rng):
     s1 = s0 + rng.uniform(0.0, 0.5)
     s2 = 2 * s1 - s0 + rng.uniform(0.05, 1.0)
     return np.array([s0, s1, s2])
-
-
-def one_group(s, d):
-    """The S-block S(s) as one-group partition quotients: its eigenvalues
-    delta_1, delta_2, delta_3 on the trivial, standard and remainder parts."""
-    d1, d2, d3 = eigenvalues(s, d).values
-    return PartitionQuotients(
-        Partition.exchangeable(d), np.array([[d1]]), [np.array([[d2]])], np.array([d3])
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -82,9 +75,7 @@ def test_euclidean_structured_matches_dense_and_decomposition():
     assert got == pytest.approx(want, rel=1e-10)
 
     # the two-residual split against the class eigenvalues
-    from kstruct.projection import theta_star
-
-    ts = theta_star(tau, d)
+    ts = gamma_star_apply(tau, d)
     vals = eigenvalues(s, d).values
     split = ((tau - ts) @ (tau - ts)) / vals[2] + ((ts - theta) @ (ts - theta)) / vals[1]
     assert got == pytest.approx(split, rel=1e-10)
@@ -196,19 +187,22 @@ def test_pvalue_monotone_in_statistic_for_fixed_seed():
     ]
     assert ps == sorted(ps, reverse=True)
     pm = [
-        pvalue_max_mc(m, ("identity", 5), 2000, np.random.default_rng(31))
+        kt._exceedances(
+            kt._null_gaussian_blocks(("identity", 5), 2000, np.random.default_rng(31)), m
+        )
+        / 2000
         for m in (0.0, 0.5, 1.5, 3.0)
     ]
     assert pm == sorted(pm, reverse=True)
 
 
 def test_mixture_spectrum_merging_and_dropping():
-    M = np.diag([2.0, 2.0, 1.0, 1e-14, -3.0])
-    got = mixture_spectrum(M)
+    got = kt._merged_spectrum([2.0, 2.0, 1.0, 1e-14, -3.0], [1, 1, 1, 1, 1])
     assert got == [(2.0, 2), (1.0, 1)]
-    got = mixture_spectrum(np.diag([1.0, 1.0 + 1e-9]))
+    got = kt._merged_spectrum([1.0, 1.0 + 1e-9], [1, 1])
     assert len(got) == 1 and got[0][1] == 2
-    assert mixture_spectrum(np.zeros((3, 3))) == []
+    assert kt._merged_spectrum(np.zeros(3), [1, 1, 1]) == []
+    assert dense_spectrum(np.diag([2.0, 2.0, 1.0, 1e-14, -3.0])) == [(2.0, 2), (1.0, 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +248,9 @@ def test_sample_dense_and_projector_paths():
     A = A @ A.T
     Z = sample_null_gaussian(("dense", A), 30000, rng)
     np.testing.assert_allclose(empirical_cov(Z), A, atol=0.08 * A.max())
-    P = np.eye(4) - np.full((4, 4), 0.25)
-    Z = sample_null_gaussian(("projector", P), 30000, rng)
+    # the projector I - J/p is the one-group matrix with eigenvalues (0, 1, 1)
+    P = np.eye(6) - np.full((6, 6), 1.0 / 6.0)
+    Z = sample_null_gaussian(("partition", one_group((-1 / 6, -1 / 6, 5 / 6), 4)), 30000, rng)
     np.testing.assert_allclose(empirical_cov(Z), P, atol=0.06)
     with pytest.raises(ValueError, match="spec"):
         sample_null_gaussian(("what", 3), 100, rng)
@@ -265,11 +260,10 @@ def test_sample_zero_draws_has_p_columns():
     A = np.eye(3) + 0.5
     specs = (
         ("identity", 5),
-        ("projector", np.eye(4) - 0.25),
         ("dense", A),
         ("partition", one_group(np.array([0.1, 0.3, 0.9]), 5)),
     )
-    for spec, p in zip(specs, (5, 4, 3, 10)):
+    for spec, p in zip(specs, (5, 3, 10)):
         Z = sample_null_gaussian(spec, 0, np.random.default_rng(0))
         assert Z.shape == (0, p), spec[0]
 
@@ -508,6 +502,66 @@ def test_run_test_invariant_to_monotone_transforms_and_row_order(part, n, seed):
                 assert rep.p_value == base.p_value, (stat, weight)
 
 
+def _accepted_options():
+    """Every (statistic, weighting, null_draws) that TestOptions accepts."""
+    out = []
+    for stat in ("euclidean", "max"):
+        for weight in ("sigma", "identity"):
+            for draws in ("auto", "gaussian", "bootstrap"):
+                try:
+                    TestOptions(statistic=stat, weighting=weight, null_draws=draws,
+                                seed=1).validate()
+                except ValueError:
+                    continue
+                out.append((stat, weight, draws))
+    return out
+
+
+@st.composite
+def route_cases(draw):
+    """(data, hypothesis, estimator): a one-group or several-group
+    Partition, or the membership or vertex-incidence design, at n in
+    3..25 and d in 3..8, with some columns the negation of others."""
+    kind = draw(st.sampled_from(("one-group", "several", "membership", "vertex")))
+    d, n = draw(st.integers(3, 8)), draw(st.integers(3, 25))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.standard_normal((n, d)) + rng.uniform(0.0, 2.0) * rng.standard_normal((n, 1))
+    for j in draw(st.sets(st.integers(1, d - 1), max_size=d - 1)):
+        X[:, j] = -X[:, draw(st.integers(0, j - 1))]
+    order = draw(st.permutations(range(1, d + 1)))
+    cuts = sorted(draw(st.sets(st.integers(1, d - 1), min_size=1, max_size=d - 1)))
+    bounds = [0] + cuts + [d]
+    several = Partition(d, tuple(tuple(order[a:b]) for a, b in zip(bounds, bounds[1:])))
+    if kind == "one-group":
+        return X, Partition.exchangeable(d), "structured"
+    if kind == "several":
+        return X, several, "structured"
+    if kind == "vertex":
+        return X, vertex_incidence_design(d), "jackknife"
+    part = draw(st.sampled_from((Partition.exchangeable(d), several)))
+    try:
+        return X, block_membership_matrix(part), "jackknife"
+    except ValueError:  # one pair per class leaves nothing to test
+        return X, block_membership_matrix(Partition.exchangeable(d)), "jackknife"
+
+
+@settings(max_examples=100, deadline=None)
+@given(route_cases())
+def test_every_route_reports_a_p_value_or_a_typed_error(case):
+    X, hypothesis, estimator = case
+    for stat, weight, draws in _accepted_options():
+        opts = TestOptions(statistic=stat, weighting=weight, estimator=estimator,
+                           null_draws=draws, replicates=100, seed=3)
+        try:
+            rep = run_test(X, hypothesis, opts)
+        except (SingularError, TieError, RankDeficient, ValueError) as exc:
+            # numpy's LinAlgError is a ValueError but not a kstruct error
+            assert not isinstance(exc, np.linalg.LinAlgError), (stat, weight, draws)
+            continue
+        assert np.isfinite(rep.value) and rep.value >= 0.0, (stat, weight, draws)
+        assert 0.0 <= rep.p_value <= 1.0, (stat, weight, draws)
+
+
 def test_run_test_seed_reproducibility():
     rng = np.random.default_rng(79)
     X = exchangeable_normal(rng, 40, 4)
@@ -658,7 +712,7 @@ def test_run_test_exchangeable_fast_spectrum_matches_dense():
 
     est = structured_jackknife_exchangeable(X)
     P = np.eye(p) - np.full((p, p), 1.0 / p)
-    dense = mixture_spectrum(n * (P @ materialize(est.s, 5) @ P))
+    dense = dense_spectrum(n * (P @ materialize(est.s, 5) @ P))
     got = sorted(rep.eigenvalues, reverse=True)
     want = sorted(dense, reverse=True)
     assert len(got) == len(want)
