@@ -251,7 +251,8 @@ def statistic_euclidean(tau, theta, weighting=None):
     # exponent -1 against the raw residual
     r = np.asarray(tau, dtype=float) - np.asarray(theta, dtype=float)
     z = _whitened_residual(tau, theta, weighting, -1.0)
-    return float(r @ z)
+    # a nonnegative form: a negative value is rounding around an exact zero
+    return max(float(r @ z), 0.0)
 
 
 def statistic_max(tau, theta, weighting=None):
@@ -274,7 +275,8 @@ def pvalue_chisq(E, p, L):
     """Upper chi-square tail with p - L degrees of freedom."""
     if p <= L:
         raise ValueError("need p > L for a chi-square reference, got p=%d L=%d" % (p, L))
-    return float(special.chdtrc(p - L, E))
+    # chdtrc is nan below 0, where the tail is 1
+    return float(special.chdtrc(p - L, max(E, 0.0)))
 
 
 def _merged_spectrum(values, multiplicities):

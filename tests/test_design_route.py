@@ -94,6 +94,12 @@ def _monotone_pair_data(n, d, seed):
 @example((_monotone_pair_data(25, 4, 3), DesignMatrix(np.ones((6, 1)))), 3)
 @example((_monotone_pair_data(9, 6, 4), block_membership_matrix(three_groups(6))), 4)
 @example((_anti_comonotone(20), block_membership_matrix(three_groups(6))), 5)  # D = 0
+@example((np.array([[-0.19528864, 0.24063241, -0.29634336],
+                    [-1.28407094, -0.0039993, -1.83642107],
+                    [-1.07809066, 0.03222629, -0.10072875],
+                    [-1.79580849, -2.83169078, -1.93047456]]),
+          DesignMatrix(np.array([[0.00123015], [0.29874554], [-0.27413786]]))),
+         0)  # the GLS quadratic form rounds to -5.7e-31
 def test_design_routes_match_dense_oracle(case, seed):
     X, design = case
     n = X.shape[0]

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -145,6 +145,7 @@ def test_euclidean_scale_consistency():
 
 def test_pvalue_chisq_basics():
     assert pvalue_chisq(0.0, 10, 1) == 1.0
+    assert pvalue_chisq(-1e-30, 10, 1) == 1.0  # rounding below an exact zero
     med = stats.chi2.ppf(0.5, 9)
     assert pvalue_chisq(med, 10, 1) == pytest.approx(0.5, abs=1e-12)
     vals = [pvalue_chisq(e, 10, 1) for e in (0.5, 1.0, 5.0, 20.0)]
@@ -545,8 +546,23 @@ def route_cases(draw):
         return X, block_membership_matrix(Partition.exchangeable(d)), "jackknife"
 
 
+# columns 2 and 4 negate column 1: euclidean/sigma's quadratic form rounds
+# to -3.1e-33
+_ANTI_PAIRS = np.array([
+    [0.27186292, -0.27186292, 0.78655535, -0.27186292],
+    [-0.47766998, 0.47766998, 1.36199944, 0.47766998],
+    [-0.60771601, 0.60771601, -0.52725524, 0.60771601],
+    [-2.50169069, 2.50169069, -1.42257087, 2.50169069],
+    [-0.57927968, 0.57927968, 0.37660984, 0.57927968],
+    [0.08329003, -0.08329003, -0.45336998, -0.08329003],
+    [1.30698484, -1.30698484, -0.33998459, -1.30698484],
+    [-0.79791653, 0.79791653, -1.34980889, 0.79791653],
+])
+
+
 @settings(max_examples=100, deadline=None)
 @given(route_cases())
+@example((_ANTI_PAIRS, block_membership_matrix(Partition.exchangeable(4)), "jackknife"))
 def test_every_route_reports_a_p_value_or_a_typed_error(case):
     X, hypothesis, estimator = case
     for stat, weight, draws in _accepted_options():
