@@ -177,7 +177,8 @@ class DesignMatrix:
     ``kind`` records how the matrix was built ("membership",
     "diagonal-free", "vertex-incidence" or "general"); membership kinds
     carry the originating partition so structured covariance estimation
-    stays available.
+    stays available.  Every kind needs L < p: a design with as many
+    columns as pairs leaves no constraint to test and is refused.
     """
 
     matrix: np.ndarray
@@ -195,6 +196,11 @@ class DesignMatrix:
         if pair_count(max(d, 2)) != p:
             raise ValueError(
                 "design has %d rows, which is not a pair count d(d-1)/2" % p
+            )
+        if B.shape[1] >= p:
+            raise ValueError(
+                "%s design with L=%d columns for p=%d pairs leaves no "
+                "constraint to test" % (self.kind, B.shape[1], p)
             )
         object.__setattr__(self, "matrix", B)
 
@@ -251,11 +257,6 @@ def block_membership_matrix(partition, d=None):
         if not (a == b and single[a])
     ]
     L = len(kept)
-    if L >= p:
-        raise ValueError(
-            "membership design with L=%d blocks for p=%d pairs leaves no "
-            "constraint to test" % (L, p)
-        )
     col = np.zeros(len(classes), dtype=np.intp)
     col[kept] = np.arange(L)
     B = np.zeros((p, L))
@@ -296,10 +297,9 @@ def vertex_incidence_design(d):
 
     Hypothesizes per-variable additive effects: tau_k = beta_{i_k} +
     beta_{j_k}.  Its column space is the range of the star projector used
-    by the exchangeable fast paths.
+    by the exchangeable fast paths.  It needs d >= 4: for smaller d there
+    are no more pairs than variables, so nothing is left to test.
     """
-    if d < 3:
-        raise ValueError("vertex-incidence design needs d >= 3, got d=%d" % d)
     return DesignMatrix(_incidence(d).copy(), kind="vertex-incidence")
 
 

@@ -99,10 +99,6 @@ def pseudoinverse_design(design):
     if design.kind == "vertex-incidence":
         d = design.d
         return B.T / (d - 2.0) - 1.0 / ((d - 1.0) * (d - 2.0))
-    if B.shape[1] > B.shape[0]:
-        raise RankDeficient(
-            "design matrix has more columns (%d) than rows (%d)" % B.shape[::-1]
-        )
     U, s, Vt = np.linalg.svd(B, full_matrices=False)
     if s[0] == 0.0 or (s <= _RANK_RTOL * s[0]).any():
         raise RankDeficient(

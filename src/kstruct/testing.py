@@ -24,10 +24,26 @@ P-values come from four schemes:
 Monte Carlo p-values use the plain exceedance proportion with a strict
 inequality; a plus-one correction is available as an option but off by
 default.
+
+The Gaussian draws of the simulated p-values are taken in row blocks
+from the one random stream of the test's seed.  When a test's draws
+span two or more blocks and the process may run on two or more CPUs
+(and KSTRUCT_THREADS, if set, allows more than one thread), a helper
+thread draws block b + 1 while the calling thread colours block b and
+counts its exceedances.  The helper only fills a ring of two block
+buffers from the generator, in stream order, so every draw, p-value and
+the generator's final state are the same as with inline draws, and the
+draws hold at most two blocks of memory.  Otherwise, and in
+``run_study``'s worker processes, which already fill every CPU, the
+draws are taken inline.
 """
 
 import hashlib
 import json
+import os
+import queue
+import threading
+from contextlib import closing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,7 +84,9 @@ _DROP_RTOL = 1e-10
 # entries of one row block of Monte Carlo null draws (2 MB of float64):
 # a block and its temporaries stay cache-sized and below the 4 MB at
 # which NumPy asks for huge pages, so a test does not fault in fresh
-# memory for its draws
+# memory for its draws.  The draw thread, when it runs, fills two such
+# buffers in turn, so drawing ahead costs one block more; the stream and
+# every draw stay as inline
 _DRAW_BLOCK_ENTRIES = 2**18
 
 _ZERO_NULL_NOTE = "projected covariance estimate is zero"
@@ -330,32 +348,91 @@ def _row_blocks(N, p):
     return [(lo, min(lo + step, N)) for lo in range(0, N, step)] or [(0, 0)]
 
 
+def _draw_ahead():
+    """Whether a helper thread may draw normals ahead of their use: the
+    process may run on at least two CPUs and KSTRUCT_THREADS, if set, is
+    above 1."""
+    cap = os.environ.get("KSTRUCT_THREADS")
+    if cap and int(cap) <= 1:
+        return False
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) >= 2
+    return (os.cpu_count() or 1) >= 2
+
+
+def _normal_blocks(N, p, rng, cols=None):
+    """Standard normal draws for the row blocks of ``_row_blocks(N, p)``,
+    each a (rows, cols) array (cols defaults to p), in stream order.
+
+    A block is a view of a reused buffer: it holds its values only until
+    the next block is requested, so a caller that keeps a block copies it.
+    With two or more blocks and ``_draw_ahead()``, a helper thread fills
+    a ring of two buffers one block ahead; the values and the generator's
+    state once every block is consumed are those of inline draws.  The
+    helper touches nothing but ``rng``, is stopped and joined when the
+    caller stops early or raises, and an exception it meets is raised
+    here.
+    """
+    bounds = _row_blocks(int(N), p)
+    cols = p if cols is None else cols
+    if len(bounds) < 2 or not _draw_ahead():
+        buf = np.empty((bounds[0][1], cols))
+        for lo, hi in bounds:
+            yield rng.standard_normal(out=buf[: hi - lo])
+        return
+    bufs = [np.empty((bounds[0][1], cols)) for _ in range(2)]
+    free, ready = queue.SimpleQueue(), queue.SimpleQueue()
+    free.put(0)
+    free.put(1)
+
+    def produce():
+        try:
+            for lo, hi in bounds:
+                slot = free.get()
+                if slot is None:  # the caller has stopped
+                    return
+                rng.standard_normal(out=bufs[slot][: hi - lo])
+                ready.put(slot)
+        except BaseException as exc:  # handed to the calling thread
+            ready.put(exc)
+
+    helper = threading.Thread(target=produce, name="kstruct-draws", daemon=True)
+    helper.start()
+    try:
+        for lo, hi in bounds:
+            slot = ready.get()
+            if isinstance(slot, BaseException):
+                raise slot
+            yield bufs[slot][: hi - lo]
+            free.put(slot)
+    finally:
+        free.put(None)
+        helper.join()
+
+
 def _null_gaussian_blocks(spec, N, rng):
     """The draws of ``sample_null_gaussian`` as consecutive row blocks.
 
     Each block colors iid normals row by row, so no (N, p) array or
     temporary is allocated.  The random stream is consumed as by one
     (N, p) draw; a coloured block can differ from unblocked coloring in
-    the last bit, by the rounding of its matrix product.
+    the last bit, by the rounding of its matrix product.  An identity
+    block is valid only until the next is requested (see
+    ``_normal_blocks``).
     """
-    N = int(N)
     kind = spec[0]
     if kind == "identity":
-        p = int(spec[1])
-        for lo, hi in _row_blocks(N, p):
-            yield rng.standard_normal((hi - lo, p))
+        yield from _normal_blocks(N, int(spec[1]), rng)
         return
     if kind == "dense":
         factor = psd_factor(spec[1])
-        p = factor.V.shape[0]
-        for lo, hi in _row_blocks(N, p):
-            yield factor.apply(rng.standard_normal((hi - lo, p)), 0.5)
+        for G in _normal_blocks(N, factor.V.shape[0], rng):
+            yield factor.apply(G, 0.5)
         return
     if kind == "partition":
         root = partition_pseudo_power(spec[1], 0.5, _DROP_RTOL)
-        p = pair_count(root.partition.d)
-        for lo, hi in _row_blocks(N, p):
-            yield partition_apply(root, rng.standard_normal((hi - lo, p)))
+        for G in _normal_blocks(N, pair_count(root.partition.d), rng):
+            yield partition_apply(root, G)
         return
     raise ValueError("unknown sampler spec %r" % (spec[0],))
 
@@ -376,25 +453,32 @@ def sample_null_gaussian(spec, N, rng):
 
     Returns an (N, p) array, (0, p) for N = 0.
     """
-    blocks = list(_null_gaussian_blocks(spec, N, rng))
-    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    # each block is copied out before the next is drawn over it
+    out, lo = None, 0
+    for block in _null_gaussian_blocks(spec, N, rng):
+        if out is None:
+            out = np.empty((int(N), block.shape[1]))
+        out[lo : lo + len(block)] = block
+        lo += len(block)
+    return out
 
 
 def _residual_blocks(gamma, N, p, rng):
     """Row blocks of G - gamma.apply(G) for N iid standard normal p-vectors G."""
-    for lo, hi in _row_blocks(N, p):
-        G = rng.standard_normal((hi - lo, p))
+    for G in _normal_blocks(N, p, rng):
         yield G - gamma.apply(G)
 
 
 def _exceedances(blocks, value, statistic="max"):
     """Number of rows, over row blocks of draws, whose statistic exceeds
-    value: the max-norm, or the squared norm for "euclidean"."""
-    if statistic == "euclidean":
-        norms = (np.einsum("ij,ij->i", b, b) for b in blocks)
-    else:
-        norms = (np.abs(b).max(axis=1) for b in blocks)
-    return sum(int((t > value).sum()) for t in norms)
+    value: the max-norm, or the squared norm for "euclidean".  The blocks
+    are closed however the count ends, which stops a draw thread."""
+    with closing(blocks):
+        if statistic == "euclidean":
+            norms = (np.einsum("ij,ij->i", b, b) for b in blocks)
+        else:
+            norms = (np.abs(b).max(axis=1) for b in blocks)
+        return sum(int((t > value).sum()) for t in norms)
 
 
 def _bootstrap_blocks(Y, N, rng):
@@ -404,8 +488,8 @@ def _bootstrap_blocks(Y, N, rng):
     n, p = Y.shape
     if n < 3:
         raise ValueError("multiplier bootstrap needs n >= 3")
-    for lo, hi in _row_blocks(N, p):
-        yield (2.0 / np.sqrt(n)) * (rng.standard_normal((hi - lo, n)) @ Y)
+    for W in _normal_blocks(N, p, rng, cols=n):
+        yield (2.0 / np.sqrt(n)) * (W @ Y)
 
 
 def multiplier_bootstrap_replicates(

@@ -262,6 +262,23 @@ def test_design_matrix_one_dim_becomes_column():
         DesignMatrix(np.ones((5, 2)))  # 5 is not a pair count
 
 
+def test_designs_with_as_many_columns_as_pairs_are_refused(tmp_path):
+    # nothing is left to test, whichever way the design was built
+    path = tmp_path / "square.csv"
+    np.savetxt(path, np.eye(3), delimiter=",")
+    builders = (
+        lambda: vertex_incidence_design(3),
+        lambda: vertex_incidence_design(2),
+        lambda: block_membership_matrix(Partition(3, ((1,), (2,), (3,)))),
+        lambda: diagonal_free_membership_matrix(Partition.exchangeable(4)),
+        lambda: DesignMatrix(np.ones((6, 7))),
+        lambda: load_design_csv(path),
+    )
+    for build in builders:
+        with pytest.raises(ValueError, match="leaves no constraint to test"):
+            build()
+
+
 def test_partition_json_round_trip(tmp_path):
     path = tmp_path / "part.json"
     path.write_text('{"d": 4, "groups": [[1, 2], [3, 4]]}')

@@ -1,4 +1,5 @@
 import json
+import threading
 import tracemalloc
 
 import numpy as np
@@ -537,12 +538,12 @@ def route_cases(draw):
         return X, Partition.exchangeable(d), "structured"
     if kind == "several":
         return X, several, "structured"
-    if kind == "vertex":
-        return X, vertex_incidence_design(d), "jackknife"
-    part = draw(st.sampled_from((Partition.exchangeable(d), several)))
     try:
+        if kind == "vertex":
+            return X, vertex_incidence_design(d), "jackknife"
+        part = draw(st.sampled_from((Partition.exchangeable(d), several)))
         return X, block_membership_matrix(part), "jackknife"
-    except ValueError:  # one pair per class leaves nothing to test
+    except ValueError:  # as many columns as pairs leaves nothing to test
         return X, block_membership_matrix(Partition.exchangeable(d)), "jackknife"
 
 
@@ -642,6 +643,141 @@ def test_run_test_max_null_memory_is_bounded():
         finally:
             tracemalloc.stop()
         assert peak <= 12 * block_bytes < 8 * N * pair_count(d) / 2, weight
+
+
+# ---------------------------------------------------------------------------
+# draws one block ahead on a helper thread
+
+
+class _RecordingRng:
+    """A generator's standard_normal that records the thread drawing it,
+    and raises on the draw numbered ``fail_at`` (from 0), if given."""
+
+    def __init__(self, seed, fail_at=None):
+        self.rng = np.random.default_rng(seed)
+        self.fail_at = fail_at
+        self.threads = []
+
+    def standard_normal(self, *args, **kwargs):
+        if len(self.threads) == self.fail_at:
+            raise FloatingPointError("draw %d failed" % self.fail_at)
+        self.threads.append(threading.current_thread())
+        return self.rng.standard_normal(*args, **kwargs)
+
+
+def _draw_ahead(monkeypatch, on):
+    # 3-row blocks at p = 15, so N = 301 draws span 101 of them
+    monkeypatch.setattr(kt, "_draw_ahead", lambda: on)
+    monkeypatch.setattr(kt, "_DRAW_BLOCK_ENTRIES", 3 * pair_count(6))
+
+
+def test_threaded_draws_equal_inline_draws(monkeypatch):
+    p, N = pair_count(6), 301
+    A = np.random.default_rng(97).standard_normal((p, p))
+    specs = (
+        ("identity", p),
+        ("dense", A @ A.T),
+        ("partition", one_group(np.array([0.4, 0.2, 1.0]), 6)),
+    )
+    X = exchangeable_normal(np.random.default_rng(101), 30, 6)
+    design = block_membership_matrix(Partition(6, ((1, 2, 3), (4, 5, 6))))
+    draws = {}
+    for on in (False, True):
+        _draw_ahead(monkeypatch, on)
+        for spec in specs:
+            rng = _RecordingRng(7)
+            draws[on, spec[0]] = sample_null_gaussian(spec, N, rng), rng
+        rng = _RecordingRng(7)
+        draws[on, "bootstrap"] = multiplier_bootstrap_replicates(X, design, N, rng), rng
+    for kind in ("identity", "dense", "partition", "bootstrap"):
+        (inline, r0), (ahead, r1) = draws[False, kind], draws[True, kind]
+        assert np.array_equal(inline, ahead), kind
+        assert r0.rng.bit_generator.state == r1.rng.bit_generator.state, kind
+        assert len(r0.threads) == len(r1.threads) > 1, kind
+        assert all(t is threading.main_thread() for t in r0.threads), kind
+        assert not any(t is threading.main_thread() for t in r1.threads), kind
+    # the identity draws are one (N, p) draw, however blocked
+    want = np.random.default_rng(7).standard_normal((N, p))
+    assert np.array_equal(draws[True, "identity"][0], want)
+
+
+@pytest.mark.parametrize("hypothesis", [
+    Partition.exchangeable(6),
+    Partition(6, ((1, 2), (3, 4), (5, 6))),
+    block_membership_matrix(Partition(6, ((1, 2, 3), (4, 5, 6)))),
+], ids=["one-group", "three-group", "membership"])
+def test_run_test_reports_equal_with_threaded_draws(monkeypatch, hypothesis):
+    X = exchangeable_normal(np.random.default_rng(103), 40, 6)
+    estimator = "jackknife" if isinstance(hypothesis, DesignMatrix) else "structured"
+    reports = {}
+    for on in (False, True):
+        _draw_ahead(monkeypatch, on)
+        for stat in ("euclidean", "max"):
+            for weight in ("sigma", "identity"):
+                opts = TestOptions(statistic=stat, weighting=weight, estimator=estimator,
+                                   replicates=301, seed=13)
+                reports[on, stat, weight] = run_test(X, hypothesis, opts).to_dict()
+    for stat in ("euclidean", "max"):
+        for weight in ("sigma", "identity"):
+            assert reports[False, stat, weight] == reports[True, stat, weight], (stat, weight)
+
+
+def test_draw_thread_stops_when_the_consumer_raises(monkeypatch):
+    _draw_ahead(monkeypatch, True)
+    before = threading.active_count()
+    seen = []
+    colour = kt.partition_apply
+
+    def failing_colour(q, G):
+        seen.append(threading.active_count())
+        if len(seen) == 3:
+            raise FloatingPointError("colouring failed")
+        return colour(q, G)
+
+    monkeypatch.setattr(kt, "partition_apply", failing_colour)
+    X = exchangeable_normal(np.random.default_rng(107), 40, 6)
+    opts = TestOptions(statistic="max", weighting="identity", replicates=301, seed=5)
+    with pytest.raises(FloatingPointError, match="colouring"):
+        run_test(X, Partition.exchangeable(6), opts)
+    assert max(seen) == before + 1  # the helper was drawing ahead
+    assert threading.active_count() == before
+    # a caller that stops reading early also stops the helper
+    blocks = kt._null_gaussian_blocks(("identity", 15), 301, np.random.default_rng(1))
+    next(blocks)
+    assert threading.active_count() == before + 1
+    blocks.close()
+    assert threading.active_count() == before
+
+
+def test_draw_thread_error_reaches_the_caller(monkeypatch):
+    _draw_ahead(monkeypatch, True)
+    before = threading.active_count()
+    rng = _RecordingRng(9, fail_at=4)
+    with pytest.raises(FloatingPointError, match="draw 4 failed"):
+        sample_null_gaussian(("identity", pair_count(6)), 301, rng)
+    assert len(rng.threads) == 4
+    assert not any(t is threading.main_thread() for t in rng.threads)
+    assert threading.active_count() == before
+
+
+def test_draw_ahead_needs_two_cpus_and_a_thread_cap_above_one(monkeypatch):
+    import kstruct.simulation as ks
+
+    monkeypatch.delenv("KSTRUCT_THREADS", raising=False)
+    monkeypatch.setattr(kt.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert kt._draw_ahead()
+    monkeypatch.setenv("KSTRUCT_THREADS", "2")
+    assert kt._draw_ahead()
+    monkeypatch.setenv("KSTRUCT_THREADS", "1")
+    assert not kt._draw_ahead()
+    monkeypatch.delenv("KSTRUCT_THREADS")
+    monkeypatch.setattr(kt.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert not kt._draw_ahead()
+    # run_study's pool workers draw inline however many CPUs they see
+    monkeypatch.setattr(kt.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setenv("KSTRUCT_THREADS", "8")
+    ks._one_thread_per_worker()
+    assert not kt._draw_ahead()
 
 
 def test_run_test_validation_errors():
