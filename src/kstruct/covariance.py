@@ -35,12 +35,17 @@ import numpy as np
 
 from .indexing import Partition
 from .kendall import tau_and_leave_one_out
-from .sblock import _overlap_map, partition_materialize, partition_quotients
+from .sblock import (
+    Spectrum,
+    _overlap_map,
+    partition_materialize,
+    partition_quotients,
+    rank_mask,
+)
 
 __all__ = [
     "CovarianceEstimate",
     "PSDFactor",
-    "psd_factor",
     "jackknife_cov",
     "structured_jackknife_exchangeable",
     "structured_jackknife_partition",
@@ -48,24 +53,21 @@ __all__ = [
     "PopulationSigma",
 ]
 
-# relative eigenvalue cutoff for Moore-Penrose pseudo-inverses
-_PINV_RTOL = 1e-10
-
-
 class PSDFactor:
     """Spectral factor of a symmetric PSD matrix A = V diag(w) V'.
 
     ``V`` has orthonormal columns (p x r, r <= p) and ``keep`` marks the
-    eigenvalues above 1e-10 times the largest; pseudo-powers use only
-    those (the Moore-Penrose convention), so a factor with no kept
-    eigenvalue stands for the zero matrix.
+    eigenvalues that ``sblock.rank_mask`` counts, given ``size`` and
+    ``norm`` (p and the largest eigenvalue by default); pseudo-powers
+    use only those (the Moore-Penrose convention), so a factor with no
+    kept eigenvalue stands for the zero matrix.
     """
 
-    def __init__(self, w, V):
+    def __init__(self, w, V, size=None, norm=None):
         self.w = np.asarray(w, dtype=float)
         self.V = V
-        top = max(float(self.w.max(initial=0.0)), 0.0)
-        self.keep = self.w > _PINV_RTOL * top
+        self.p = V.shape[0]
+        self.keep = rank_mask(self.w, self.p if size is None else size, norm)
 
     @classmethod
     def of_matrix(cls, matrix):
@@ -74,21 +76,20 @@ class PSDFactor:
         return cls(*np.linalg.eigh((A + A.T) / 2.0))
 
     @classmethod
-    def of_rows(cls, Y, scale):
+    def of_rows(cls, Y, scale, norm=None):
         """Factor of scale * Y'Y from one thin SVD of the n x p matrix Y,
-        without forming the p x p product."""
+        without forming the p x p product; ``norm`` as for the rank rule."""
         _, s, Vt = np.linalg.svd(Y, full_matrices=False)
-        return cls(scale * s**2, Vt.T)
+        return cls(scale * s**2, Vt.T, max(Y.shape), norm)
+
+    @property
+    def spectrum(self):
+        return Spectrum(self.w, np.ones(self.w.size, dtype=int))
 
     def apply(self, v, exponent):
         """A^exponent v for a length-p vector or an (N, p) stack of rows."""
         Vk = self.V[:, self.keep]
         return ((v @ Vk) * self.w[self.keep] ** exponent) @ Vk.T
-
-
-def psd_factor(A):
-    """A itself if it is a PSDFactor, else the factor of the matrix A."""
-    return A if isinstance(A, PSDFactor) else PSDFactor.of_matrix(A)
 
 
 class CovarianceEstimate:
@@ -97,12 +98,13 @@ class CovarianceEstimate:
     kind is "dense" (``matrix`` set, or the centred leave-one-out matrix
     ``rows`` D with matrix (4/n^2) D'D) or "partition" (``quotients``
     set: the isotypic quotients of a matrix constant on the orbits of
-    ``partition``).  ``matrix`` is materialized on first read and
-    ``factor`` (a PSDFactor, from the thin SVD of D when D is held) on
-    first use.  ``s`` holds the overlap-class coefficients (s0, s1, s2)
-    of a fully exchangeable estimate and is None otherwise.  The
-    estimate is on the scale of cov(tau_hat); multiply by n for the
-    asymptotic matrix.
+    ``partition``).  ``matrix`` is materialized on first read.
+    ``factor`` is the form that whitens, answering ``keep``, ``spectrum``
+    and ``apply``: the quotients, or a PSDFactor built on first use (from
+    the thin SVD of D when D is held).  ``s`` holds the overlap-class
+    coefficients (s0, s1, s2) of a fully exchangeable estimate and is
+    None otherwise.  The estimate is on the scale of cov(tau_hat);
+    multiply by n for the asymptotic matrix.
     """
 
     def __init__(self, kind, d, n, matrix=None, partition=None,
@@ -127,11 +129,13 @@ class CovarianceEstimate:
 
     @property
     def factor(self):
+        if self.quotients is not None:
+            return self.quotients
         if self._factor is None:
             if self.rows is not None:
                 self._factor = PSDFactor.of_rows(self.rows, 4.0 / self.n**2)
             else:
-                self._factor = PSDFactor.of_matrix(self.dense())
+                self._factor = PSDFactor.of_matrix(self.matrix)
         return self._factor
 
     def dense(self):
@@ -145,13 +149,11 @@ def jackknife_cov(data, ties="error", tie_seed=0, precomputed=None):
     avoid recomputing the O(n^2 p) pass.
     """
     if precomputed is None:
-        tau, loo = tau_and_leave_one_out(data, ties=ties, tie_seed=tie_seed)
-        n = np.asarray(data).shape[0]
-    else:
-        tau, loo = precomputed
-        n = loo.shape[0]
+        precomputed = tau_and_leave_one_out(data, ties=ties, tie_seed=tie_seed)
+    tau, loo = precomputed
     D = loo - tau
-    d = int(round((1 + np.sqrt(1 + 8 * D.shape[1])) / 2))
+    n, p = D.shape
+    d = int(round((1 + np.sqrt(1 + 8 * p)) / 2))
     return CovarianceEstimate(kind="dense", d=d, n=n, rows=D)
 
 

@@ -21,15 +21,16 @@ structured weights.
 Every other projector is held as a rank-L product Gamma = B R with
 R = B^+ (orthogonal) or R = (B' W B)^{-1} B' W (weighted), R an L x p
 matrix, so applying it costs O(p L) per vector and no p x p matrix is
-formed.  The weight W = A^+ is applied through the covariance's
-spectral factor: for the dense jackknife, one thin SVD of its n x p
-centred leave-one-out matrix.
+formed.  The weight W = A^+ is applied through the covariance's form:
+for the dense jackknife, the spectral factor from one thin SVD of its
+n x p centred leave-one-out matrix; for a partition estimate, its
+quotients.
 """
 
 import numpy as np
 
 from .covariance import CovarianceEstimate, PSDFactor
-from .sblock import SingularError, eigenvalues, gamma_apply, gamma_star_apply
+from .sblock import SingularError, eigenvalues, gamma_apply, gamma_star_apply, rank_mask
 
 __all__ = [
     "RankDeficient",
@@ -38,8 +39,6 @@ __all__ = [
     "gamma_projection",
     "check_design_conditions",
 ]
-
-_RANK_RTOL = 1e-10
 
 
 class RankDeficient(ValueError):
@@ -100,11 +99,9 @@ def pseudoinverse_design(design):
         d = design.d
         return B.T / (d - 2.0) - 1.0 / ((d - 1.0) * (d - 2.0))
     U, s, Vt = np.linalg.svd(B, full_matrices=False)
-    if s[0] == 0.0 or (s <= _RANK_RTOL * s[0]).any():
-        raise RankDeficient(
-            "design matrix has rank %d < %d columns"
-            % (int((s > _RANK_RTOL * max(s[0], 1.0)).sum()), B.shape[1])
-        )
+    rank = int(rank_mask(s, design.p).sum())
+    if rank < B.shape[1]:
+        raise RankDeficient("design matrix has rank %d < %d columns" % (rank, B.shape[1]))
     return (Vt.T / s) @ U.T
 
 
@@ -139,9 +136,9 @@ def gamma_projection(design, A=None):
     A = None gives the orthogonal projector B B^+.  A covariance
     (estimate or plain matrix) gives the weighted projector
     B (B' W B)^{-1} B' W with W the (pseudo-)inverse of A, taken from
-    the covariance's spectral factor; a structured covariance whose
-    symmetry matches the design short-circuits back to the orthogonal
-    form.
+    the covariance's form (``CovarianceEstimate.factor``); a structured
+    covariance whose symmetry matches the design short-circuits back to
+    the orthogonal form.
     """
     if A is None:
         return _orthogonal_operator(design)
@@ -158,15 +155,21 @@ def gamma_projection(design, A=None):
     M = B.T @ WB
     w = np.linalg.eigvalsh((M + M.T) / 2.0)
     # with col(B) orthogonal to the weight's range, M is rounding noise
-    # of either sign
-    outside = np.linalg.norm(factor.apply(B.T, 0.0)) <= 1e-8 * np.linalg.norm(B)
-    if outside or w[-1] <= 0.0 or w[0] <= 1e-12 * w[-1]:
+    # of either sign, far below the bound on its norm
+    if not rank_mask(w, design.p, _normal_norm(B, factor)).all():
         raise SingularError(
             "weighted design normal matrix is singular; the covariance "
             "weight is degenerate on the design's column space"
         )
     R = np.linalg.solve(M, WB.T)
     return ProjectionOperator("gls", design.p, factors=(B, R), d=design.d)
+
+
+def _normal_norm(B, factor):
+    """A bound on the norm of B' A^+ B, A the covariance form ``factor``:
+    ||B||_F^2 times the largest kept eigenvalue of A^+ (0 if none is)."""
+    kept = factor.spectrum.values[factor.keep]
+    return float(np.einsum("ij,ij->", B, B)) / float(kept.min(initial=np.inf))
 
 
 def check_design_conditions(design, sigma=None):

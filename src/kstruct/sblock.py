@@ -52,12 +52,12 @@ from .indexing import _incidence, _pairs0, pair_count
 __all__ = [
     "SingularError",
     "Spectrum",
+    "rank_mask",
     "eigenvalues",
     "gamma_star_apply",
     "gamma_apply",
     "PartitionQuotients",
     "partition_quotients",
-    "partition_spectrum",
     "partition_projected",
     "partition_pseudo_power",
     "partition_apply",
@@ -69,6 +69,28 @@ Spectrum = namedtuple("Spectrum", ["values", "multiplicities"])
 
 class SingularError(ValueError):
     """A structured matrix has a (near-)zero eigenvalue where it may not."""
+
+
+def rank_mask(values, size, norm=None):
+    """Which eigenvalues of a symmetric PSD matrix count toward its
+    numerical rank; every rank decision of the package is this rule.
+
+    lam is kept when lam > 1e-10 * lam_max and lam > c * eps * size * norm,
+    with lam_max the largest of ``values`` (nothing is kept when it is
+    not positive), eps the float64 machine epsilon and c = 10.  ``size``
+    is max(n, p) for a matrix computed from n x p rows (p for p x p), and
+    ``norm`` the largest eigenvalue of the *unprojected* matrix, or a
+    bound on it such as its trace (default lam_max: the matrix is its own
+    reference).  The second cut is NumPy's ``matrix_rank`` tolerance,
+    S.max() * max(M, N) * eps, with a margin c, taken against the
+    unprojected matrix: where a projection leaves only rounding noise,
+    lam_max is noise too and a relative cut has no scale.  Singular
+    values are ranked alike, and a vector as a p x 1 matrix.
+    """
+    values = np.asarray(values, dtype=float)
+    top = float(values.max(initial=0.0))
+    norm = top if norm is None else norm
+    return values > max(1e-10 * top, 10.0 * np.finfo(float).eps * size * norm)
 
 
 def _overlap_map(d):
@@ -146,20 +168,48 @@ class PartitionQuotients:
         its standard component (partner groups in increasing order, the
         within-g copy at g's own position); (0, 0) when m_g = 1.
     remainder: (L,) eigenvalue of each class's remainder (0 where empty).
+    size, norm: its eigenvalues' arguments of ``rank_mask``.
 
-    The quotients' eigendecomposition and the coordinate maps that apply
-    the matrix are each built once, on first use.
+    Like PSDFactor it has ``p``, ``spectrum``, ``keep`` and ``apply``.
+    The eigendecomposition, the coordinate maps that apply the matrix
+    and each pseudo-power are built once, on first use.
     """
 
-    __slots__ = ("partition", "trivial", "standard", "remainder", "_eig", "_maps")
+    __slots__ = ("partition", "trivial", "standard", "remainder", "p", "size", "norm",
+                 "_eig", "_maps", "_powers")
 
-    def __init__(self, partition, trivial, standard, remainder):
+    def __init__(self, partition, trivial, standard, remainder, size=None, norm=None):
         self.partition = partition
         self.trivial = trivial
         self.standard = tuple(standard)
         self.remainder = remainder
+        self.p = pair_count(partition.d)
+        self.size = self.p if size is None else size
+        self.norm = norm
         self._eig = None
         self._maps = None
+        self._powers = {}
+
+    @property
+    def spectrum(self):
+        """Spectrum(values, multiplicities): the quotients' eigenvalues,
+        each with its component's dimension."""
+        blocks = _eig_blocks(self)
+        return Spectrum(
+            np.concatenate([b[0] for b in blocks]),
+            np.concatenate([np.full(len(b[0]), b[2]) for b in blocks]),
+        )
+
+    @property
+    def keep(self):
+        return rank_mask(self.spectrum.values, self.size, self.norm)
+
+    def apply(self, v, exponent):
+        """The principal pseudo-power q**exponent applied to v, a length-p
+        vector or an (N, p) stack of rows."""
+        if exponent not in self._powers:
+            self._powers[exponent] = partition_pseudo_power(self, exponent)
+        return partition_apply(self._powers[exponent], v)
 
 
 _Layout = namedtuple(
@@ -273,28 +323,35 @@ def partition_quotients(D, partition, scale):
     remainder = np.where(
         lay.rem_dim > 0, (energy - explained) / np.maximum(lay.rem_dim, 1), 0.0
     )
-    return PartitionQuotients(partition, trivial, standard, remainder)
+    return PartitionQuotients(partition, trivial, standard, remainder, max(D.shape))
 
 
 def partition_projected(q, factor):
     """Quotients of factor * (I - Gamma) S (I - Gamma), Gamma the
     orthogonal projector onto the class indicators: the trivial
-    quotient is dropped, the rest scaled."""
+    quotient is dropped, the rest scaled.  Its rank is decided against
+    factor * trace(S), from the unprojected matrix."""
+    lay = _partition_layout(q.partition)
+    trace = np.trace(q.trivial) + float(lay.rem_dim @ q.remainder) + sum(
+        (m - 1.0) * np.trace(Q) for m, Q in zip(lay.sizes, q.standard)
+    )
     return PartitionQuotients(
         q.partition,
         np.zeros_like(q.trivial),
         [factor * Q for Q in q.standard],
         factor * q.remainder,
+        q.size,
+        factor * trace,
     )
 
 
 def _eig_blocks(q):
     """(eigenvalues, eigenvectors, multiplicity) of the trivial quotient,
-    then of each standard one (None where it is empty), then the remainders'
-    (eigenvectors None)."""
+    then of each standard one (empty for a single-variable group), then
+    the remainders' (eigenvectors None)."""
     if q._eig is None:
         lay = _partition_layout(q.partition)
-        std = [None] * len(q.standard)
+        std = [(np.zeros(0), np.zeros((0, 0)), 0)] * len(q.standard)
         # one LAPACK call for all standard quotients of one side
         for c in {len(Q) for Q in q.standard} - {0}:
             gs = [g for g, Q in enumerate(q.standard) if len(Q) == c]
@@ -310,36 +367,27 @@ def _eig_blocks(q):
     return q._eig
 
 
-def partition_spectrum(q):
-    """Spectrum(values, multiplicities) of a partition-invariant matrix:
-    the quotients' eigenvalues, each with its component's dimension."""
-    blocks = [b for b in _eig_blocks(q) if b is not None]
-    return Spectrum(
-        np.concatenate([w for w, _, _ in blocks]),
-        np.concatenate([np.full(len(w), m) for w, _, m in blocks]),
-    )
-
-
-def partition_pseudo_power(q, exponent, rtol):
+def partition_pseudo_power(q, exponent):
     """Quotients of the principal pseudo-power of a partition-invariant
-    matrix: eigenvalues at or below ``rtol`` times the largest (all of
-    them when none is positive) map to 0, the others w to w**exponent."""
+    matrix: the eigenvalues w that ``rank_mask`` keeps (``q.keep``) map
+    to w**exponent, the others to 0."""
     blocks = _eig_blocks(q)
-    cut = rtol * max(float(b[0].max(initial=0.0)) for b in blocks if b is not None)
+    kept = np.split(q.keep, np.cumsum([len(b[0]) for b in blocks])[:-1])
+    powers = [
+        np.power(b[0], exponent, out=np.zeros_like(b[0]), where=k)
+        for b, k in zip(blocks, kept)
+    ]
 
-    def f(w):
-        return np.power(w, exponent, out=np.zeros_like(w), where=w > cut)
-
-    def rebuild(block, Q):
-        return Q if block is None else (block[1] * f(block[0])) @ block[1].T
+    def rebuild(block, w):
+        return (block[1] * w) @ block[1].T
 
     lay = _partition_layout(q.partition)
     remainder = np.zeros_like(q.remainder)
-    remainder[lay.rem_dim > 0] = f(blocks[-1][0])
+    remainder[lay.rem_dim > 0] = powers[-1]
     return PartitionQuotients(
         q.partition,
-        rebuild(blocks[0], q.trivial),
-        [rebuild(b, Q) for b, Q in zip(blocks[1:-1], q.standard)],
+        rebuild(blocks[0], powers[0]),
+        [rebuild(b, w) for b, w in zip(blocks[1:-1], powers[1:-1])],
         remainder,
     )
 

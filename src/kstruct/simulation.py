@@ -237,7 +237,7 @@ def desk_scale(config):
     return dataclasses.replace(config, repetitions=DESK_REPETITIONS, tests=tests)
 
 
-def _test_label(options, index):
+def _test_label(options):
     return "%s-%s-%s" % (options.statistic, options.weighting, options.estimator)
 
 
@@ -353,7 +353,7 @@ def _summarize(rows, scenarios, alpha_of):
                 "departure": sc.departure or "",
                 "delta": sc.delta,
                 "test_index": ti,
-                "test": _test_label(sc.tests[ti], ti),
+                "test": _test_label(sc.tests[ti]),
                 "repetitions": cell["done"],
                 "discards": cell["discard"],
                 "rejection_rate": rate,
@@ -530,11 +530,7 @@ def run_study(
                 "shard": list(shard) if shard else None,
                 "version": __version__,
                 "scenarios": [sc.scenario_label() for sc in scenarios],
-                "tests": [
-                    _test_label(t, ti)
-                    for sc in scenarios
-                    for ti, t in enumerate(sc.tests)
-                ],
+                "tests": [_test_label(t) for sc in scenarios for t in sc.tests],
                 "repetitions_completed": len({(r[0], r[2]) for r in rows}),
                 "discards": discards,
                 "elapsed_seconds": round(time.time() - started, 3),

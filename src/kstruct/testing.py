@@ -6,16 +6,20 @@ theta_hat): its squared Euclidean norm E and its max-norm M.  The
 weighting A is either (1/n) I or an estimate of cov(tau_hat), and
 A^{-1/2} always means the principal (symmetric) square root of the
 pseudo-inverse -- the max statistic's entries depend on which root is
-taken, so this choice is part of the definition.
+taken, so this choice is part of the definition.  Which eigenvalues
+count, for every pseudo-inverse, root and null spectrum, is the one
+rule of ``sblock.rank_mask``; a residual that it ranks zero is an exact
+fit, with statistic 0 and p-value 1.
 
 P-values come from four schemes:
 
 - a chi-square tail for E with covariance weighting (p - L degrees of
   freedom),
 - Monte Carlo from a weighted chi-square mixture for E with identity
-  weighting, the weights being the nonzero eigenvalues of the projected
-  covariance (from the partition quotients for a Partition hypothesis,
-  from one thin SVD of the projected jackknife rows for a design),
+  weighting, the weights being the eigenvalues of the projected
+  covariance that ``sblock.rank_mask`` keeps (from the partition
+  quotients for a Partition hypothesis, from one thin SVD of the
+  projected jackknife rows for a design),
 - Monte Carlo over Gaussian draws with the appropriate null covariance
   for M, and
 - a Gaussian multiplier bootstrap that replays the jackknife residuals,
@@ -44,28 +48,17 @@ import os
 import queue
 import threading
 from contextlib import closing
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy import special
 
 from ._version import __version__
-from .covariance import (
-    PSDFactor,
-    jackknife_cov,
-    psd_factor,
-    structured_jackknife_partition,
-)
-from .indexing import DesignMatrix, Partition, block_membership_matrix, pair_count
+from .covariance import PSDFactor, jackknife_cov, structured_jackknife_partition
+from .indexing import DesignMatrix, Partition, block_membership_matrix
 from .kendall import _tied_columns, tau_and_leave_one_out
-from .projection import ProjectionOperator, gamma_projection
-from .sblock import (
-    SingularError,
-    partition_apply,
-    partition_projected,
-    partition_pseudo_power,
-    partition_spectrum,
-)
+from .projection import ProjectionOperator, _normal_norm, gamma_projection
+from .sblock import PartitionQuotients, SingularError, partition_projected, rank_mask
 
 __all__ = [
     "TestOptions",
@@ -80,7 +73,6 @@ __all__ = [
 ]
 
 _MERGE_RTOL = 1e-8
-_DROP_RTOL = 1e-10
 # entries of one row block of Monte Carlo null draws (2 MB of float64):
 # a block and its temporaries stay cache-sized and below the 4 MB at
 # which NumPy asks for huge pages, so a test does not fault in fresh
@@ -151,17 +143,13 @@ class TestOptions:
                 )
 
     def to_dict(self):
-        return {
-            "statistic": self.statistic,
-            "weighting": self.weighting,
-            "estimator": self.estimator,
-            "replicates": int(self.replicates),
-            "seed": int(self.seed) if self.seed is not None else None,
-            "plus_one": bool(self.plus_one),
-            "ties": self.ties,
-            "tie_seed": int(self.tie_seed),
-            "null_draws": self.null_draws,
-        }
+        return dict(
+            asdict(self),
+            replicates=int(self.replicates),
+            seed=int(self.seed) if self.seed is not None else None,
+            plus_one=bool(self.plus_one),
+            tie_seed=int(self.tie_seed),
+        )
 
 
 @dataclass
@@ -189,26 +177,12 @@ class TestReport:
     options: dict = None
 
     def to_dict(self):
-        out = {
-            "statistic": self.statistic,
-            "weighting": self.weighting,
-            "estimator": self.estimator,
-            "value": self.value,
-            "p_value": self.p_value,
-            "method": self.method,
-            "N": self.N,
-            "seed": self.seed,
-            "warnings": list(self.warnings),
-            "df": self.df,
-            "hypothesis": self.hypothesis,
-            "n": self.n,
-            "d": self.d,
-            "p": self.p,
-            "L": self.L,
-            "version": self.version,
-            "input_digest": self.input_digest,
-            "options": self.options,
-        }
+        # the fields in report order, the eigenvalues (when set) last
+        keys = ("statistic", "weighting", "estimator", "value", "p_value", "method",
+                "N", "seed", "warnings", "df", "hypothesis", "n", "d", "p", "L",
+                "version", "input_digest", "options")
+        out = {k: getattr(self, k) for k in keys}
+        out["warnings"] = list(self.warnings)
         if self.eigenvalues is not None:
             out["eigenvalues"] = [[float(l), int(m)] for l, m in self.eigenvalues]
         return out
@@ -226,24 +200,18 @@ class TestReport:
 # whitening
 
 
-def _factor_whiten(factor, r, exponent):
-    # pseudo-power on the factor's kept eigenvalues (above 1e-10 times
-    # the largest)
-    if not factor.keep.any():
-        raise SingularError("weighting matrix has zero rank")
-    return factor.apply(r, exponent)
+def _covariance_form(A):
+    """A weighting or sampler target as a PSDFactor or PartitionQuotients:
+    ("partition", q) is q, ("dense", A) or a matrix A its factor."""
+    if isinstance(A, tuple) and A[0] in ("dense", "partition"):
+        A = A[1]
+    if isinstance(A, (PSDFactor, PartitionQuotients)):
+        return A
+    return PSDFactor.of_matrix(A)
 
 
-def _partition_whiten(q, r, exponent):
-    # the dense rule on the quotients' spectrum: drop eigenvalues at or
-    # below 1e-10 times the largest
-    if float(partition_spectrum(q).values.max()) <= 0.0:
-        raise SingularError("weighting matrix has zero rank")
-    return partition_apply(partition_pseudo_power(q, exponent, _DROP_RTOL), r)
-
-
-def _whitened_residual(tau, theta, weighting, exponent):
-    r = np.asarray(tau, dtype=float) - np.asarray(theta, dtype=float)
+def _whiten(r, weighting, exponent):
+    """A^exponent r for the weighting A of ``statistic_euclidean``."""
     if weighting is None:
         return r
     if np.isscalar(weighting):
@@ -251,9 +219,10 @@ def _whitened_residual(tau, theta, weighting, exponent):
         if a <= 0.0:
             raise ValueError("scalar weighting must be positive")
         return a**exponent * r
-    if isinstance(weighting, tuple) and weighting[0] == "partition":
-        return _partition_whiten(weighting[1], r, exponent)
-    return _factor_whiten(psd_factor(weighting), r, exponent)
+    A = _covariance_form(weighting)
+    if not A.keep.any():
+        raise SingularError("weighting matrix has zero rank")
+    return A.apply(r, exponent)
 
 
 def statistic_euclidean(tau, theta, weighting=None):
@@ -261,22 +230,21 @@ def statistic_euclidean(tau, theta, weighting=None):
 
     ``weighting`` is the matrix A: a positive scalar a means a*I (so
     1/n gives E = n||tau-theta||^2), a dense symmetric matrix or its
-    PSDFactor is pseudo-inverted on its positive eigenspace (a matrix is
-    factored by ``eigh``) and ("partition", q) uses the inverse of a
-    partition-invariant matrix given by its quotients q.
+    PSDFactor is pseudo-inverted on the eigenvalues that
+    ``sblock.rank_mask`` keeps (a matrix is factored by ``eigh``), and
+    ("partition", q) or the PartitionQuotients q itself likewise for a
+    partition-invariant matrix.
     """
-    # the quadratic form needs A^{-1}, i.e. whitening applied once with
-    # exponent -1 against the raw residual
     r = np.asarray(tau, dtype=float) - np.asarray(theta, dtype=float)
-    z = _whitened_residual(tau, theta, weighting, -1.0)
-    # a nonnegative form: a negative value is rounding around an exact zero
-    return max(float(r @ z), 0.0)
+    # the quadratic form r' A^{-1} r, nonnegative: a negative value is
+    # rounding around an exact zero
+    return max(float(r @ _whiten(r, weighting, -1.0)), 0.0)
 
 
 def statistic_max(tau, theta, weighting=None):
     """M = max absolute entry of A^{-1/2}(tau - theta), principal root."""
-    z = _whitened_residual(tau, theta, weighting, -0.5)
-    return float(np.abs(z).max())
+    r = np.asarray(tau, dtype=float) - np.asarray(theta, dtype=float)
+    return float(np.abs(_whiten(r, weighting, -0.5)).max())
 
 
 # ---------------------------------------------------------------------------
@@ -298,26 +266,18 @@ def pvalue_chisq(E, p, L):
 
 
 def _merged_spectrum(values, multiplicities):
-    """Distinct positive eigenvalues with their multiplicities.
+    """Distinct eigenvalues with their multiplicities, from eigenvalues
+    that ``rank_mask`` kept.
 
     Eigenvalues are taken in decreasing order; one within relative
     distance _MERGE_RTOL of the previous kept value is merged into it
-    (multiplicities summed, value averaged by multiplicity), and those
-    at or below _DROP_RTOL times the largest are dropped.  Returns a
-    list of (value, multiplicity) pairs sorted decreasing; empty if no
-    eigenvalue is positive.
+    (multiplicities summed, value averaged by multiplicity).  Returns a
+    list of (value, multiplicity) pairs sorted decreasing.
     """
     values = np.asarray(values, dtype=float)
-    mults = np.asarray(multiplicities, dtype=int)
-    values, mults = values[mults > 0], mults[mults > 0]
-    top = float(values.max()) if values.size else 0.0
-    if top <= 0.0:
-        return []
     order = np.argsort(-values, kind="stable")
     out = []
-    for lam, m in zip(values[order], mults[order]):
-        if lam <= _DROP_RTOL * top:
-            break
+    for lam, m in zip(values[order], np.asarray(multiplicities)[order]):
         if out and (out[-1][0] - lam) <= _MERGE_RTOL * out[-1][0]:
             val, mult = out[-1]
             out[-1] = ((val * mult + lam * m) / (mult + m), mult + m)
@@ -410,31 +370,13 @@ def _normal_blocks(N, p, rng, cols=None):
         helper.join()
 
 
-def _null_gaussian_blocks(spec, N, rng):
-    """The draws of ``sample_null_gaussian`` as consecutive row blocks.
-
-    Each block colors iid normals row by row, so no (N, p) array or
-    temporary is allocated.  The random stream is consumed as by one
-    (N, p) draw; a coloured block can differ from unblocked coloring in
-    the last bit, by the rounding of its matrix product.  An identity
-    block is valid only until the next is requested (see
-    ``_normal_blocks``).
-    """
-    kind = spec[0]
-    if kind == "identity":
-        yield from _normal_blocks(N, int(spec[1]), rng)
-        return
-    if kind == "dense":
-        factor = psd_factor(spec[1])
-        for G in _normal_blocks(N, factor.V.shape[0], rng):
-            yield factor.apply(G, 0.5)
-        return
-    if kind == "partition":
-        root = partition_pseudo_power(spec[1], 0.5, _DROP_RTOL)
-        for G in _normal_blocks(N, pair_count(root.partition.d), rng):
-            yield partition_apply(root, G)
-        return
-    raise ValueError("unknown sampler spec %r" % (spec[0],))
+def _null_gaussian_blocks(A, N, rng):
+    """Row blocks of N Gaussian draws with covariance A, a PSDFactor or
+    PartitionQuotients, coloured by its principal pseudo-square root.
+    The random stream is consumed as by one (N, p) draw; a coloured
+    block can differ from unblocked colouring in the last bit."""
+    for G in _normal_blocks(N, A.p, rng):
+        yield A.apply(G, 0.5)
 
 
 def sample_null_gaussian(spec, N, rng):
@@ -446,18 +388,24 @@ def sample_null_gaussian(spec, N, rng):
     - ("dense", A): covariance A via its principal square root, A a
       matrix (factored by ``eigh``) or a PSDFactor;
     - ("partition", q): the partition-invariant covariance with quotients
-      q, via its principal pseudo-square root in O(p K) per draw
-      (eigenvalues at or below 1e-10 times the largest, negative ones
-      included, are dropped).  Full exchangeability is the one-group
-      partition, whose three quotients are the S-block eigenvalues.
+      q, via its principal pseudo-square root in O(p K) per draw.  Full
+      exchangeability is the one-group partition, whose three quotients
+      are the S-block eigenvalues.
 
-    Returns an (N, p) array, (0, p) for N = 0.
+    Either covariance is coloured on the eigenvalues that
+    ``sblock.rank_mask`` keeps.  Returns an (N, p) array, (0, p) for
+    N = 0.
     """
+    if spec[0] == "identity":
+        p, blocks = int(spec[1]), _normal_blocks(N, int(spec[1]), rng)
+    elif spec[0] in ("dense", "partition"):
+        A = _covariance_form(spec)
+        p, blocks = A.p, _null_gaussian_blocks(A, N, rng)
+    else:
+        raise ValueError("unknown sampler spec %r" % (spec[0],))
     # each block is copied out before the next is drawn over it
-    out, lo = None, 0
-    for block in _null_gaussian_blocks(spec, N, rng):
-        if out is None:
-            out = np.empty((int(N), block.shape[1]))
+    out, lo = np.empty((int(N), p)), 0
+    for block in blocks:
         out[lo : lo + len(block)] = block
         lo += len(block)
     return out
@@ -488,7 +436,8 @@ def _bootstrap_blocks(Y, N, rng):
     n, p = Y.shape
     if n < 3:
         raise ValueError("multiplier bootstrap needs n >= 3")
-    for W in _normal_blocks(N, p, rng, cols=n):
+    # a block draws n columns and yields p, so it is sized by the wider
+    for W in _normal_blocks(N, max(n, p), rng, cols=n):
         yield (2.0 / np.sqrt(n)) * (W @ Y)
 
 
@@ -505,9 +454,8 @@ def multiplier_bootstrap_replicates(
     projected residual.  ``design=None`` skips the projection.
     """
     if precomputed is None:
-        tau, loo = tau_and_leave_one_out(data, ties=ties, tie_seed=tie_seed)
-    else:
-        tau, loo = precomputed
+        precomputed = tau_and_leave_one_out(data, ties=ties, tie_seed=tie_seed)
+    tau, loo = precomputed
     D = loo - tau
     if design is not None:
         D = D - gamma_projection(design).apply(D)
@@ -537,24 +485,28 @@ def _hypothesis_info(hypothesis, design):
 def _identity_null(est, gamma, n):
     """Null law of sqrt(n) (I - Gamma)(tau_hat - tau) under the estimate:
     the merged spectrum of its covariance n (I - Gamma) Sigma (I - Gamma)
-    and a Gaussian sampler spec for it.  Gamma is the orthogonal
-    projector, B B^+."""
+    and that covariance, a PartitionQuotients or PSDFactor.  Gamma is
+    B B^+; the eigenvalues are ranked against n trace(Sigma), from the
+    unprojected estimate."""
     if est.kind == "partition":
         # Gamma removes the trivial component
-        null_q = partition_projected(est.quotients, n)
-        return _merged_spectrum(*partition_spectrum(null_q)), ("partition", null_q)
-    # with D the centred leave-one-out rows, the covariance is
-    # (4/n) (D (I - Gamma))' (D (I - Gamma)): one thin SVD of an n x p matrix
-    D = est.rows
-    factor = PSDFactor.of_rows(D - gamma.apply(D), 4.0 / n)
-    spectrum = _merged_spectrum(factor.w, np.ones(factor.w.size, dtype=int))
-    return spectrum, ("dense", factor)
+        null = partition_projected(est.quotients, n)
+    else:
+        # with Y the estimate's rows (D for the jackknife), the covariance
+        # is (4/n) (Y (I - Gamma))' (Y (I - Gamma)): one thin SVD, and
+        # n trace(Sigma) = (4/n) ||Y||_F^2
+        Y = est.rows
+        norm = (4.0 / n) * float(np.einsum("ij,ij->", Y, Y))
+        null = PSDFactor.of_rows(Y - gamma.apply(Y), 4.0 / n, norm)
+    values, multiplicities = null.spectrum
+    return _merged_spectrum(values[null.keep], multiplicities[null.keep]), null
 
 
 def _degenerate_fit(tau, theta):
-    r = tau - theta
-    scale = max(1.0, float(np.abs(tau).max()))
-    return float(np.abs(r).max()) <= 1e-12 * scale
+    """Whether tau - theta is zero up to rounding: as a p x 1 matrix it
+    has numerical rank 0 against the norm of tau."""
+    r = np.asarray(tau) - theta
+    return not rank_mask([np.sqrt(r @ r)], r.size, np.sqrt(tau @ tau)).any()
 
 
 def run_test(data, hypothesis, options):
@@ -616,10 +568,9 @@ def run_test(data, hypothesis, options):
             try:
                 gamma = gamma_projection(design, est)
             except SingularError:
-                fallback = gamma_projection(design)
-                if _degenerate_fit(tau, fallback.apply(tau)):
-                    gamma = fallback
-                else:
+                # GLS falls back to the orthogonal fit only when that is exact
+                gamma = gamma_projection(design)
+                if not _degenerate_fit(tau, gamma.apply(tau)):
                     raise
         else:
             gamma = gamma_projection(design)
@@ -631,26 +582,23 @@ def run_test(data, hypothesis, options):
     df = None
     spectrum = None
 
-    if opts.weighting == "identity":
-        weight = 1.0 / n
-    elif est.kind == "partition":
-        weight = ("partition", est.quotients)
-    else:
-        weight = est.factor
+    weight = 1.0 / n if opts.weighting == "identity" else est.factor
 
-    # -- statistic, with a guard for degenerate covariance + exact fit ------
+    # -- statistic: 0 for a residual that is rounding noise (an exact fit),
+    # which also excuses a degenerate covariance ---------------------------
     stat_fn = statistic_euclidean if opts.statistic == "euclidean" else statistic_max
+    exact = _degenerate_fit(tau, theta)
     try:
         value = stat_fn(tau, theta, weight)
     except SingularError:
-        if _degenerate_fit(tau, theta):
-            value = 0.0
-            msgs.append(
-                "covariance estimate is degenerate and the hypothesis fits "
-                "exactly; statistic treated as 0"
-            )
-        else:
+        if not exact:
             raise
+        msgs.append(
+            "covariance estimate is degenerate and the hypothesis fits "
+            "exactly; statistic treated as 0"
+        )
+    if exact:
+        value = 0.0
 
     # -- p-value -------------------------------------------------------------
     blocks = None  # Monte Carlo draws of the null law, in row blocks
@@ -665,13 +613,15 @@ def run_test(data, hypothesis, options):
             # null covariance of the whitened residual is I - B B^+
             residual = gamma
         else:
-            # ... and I - C (C'C)^+ C' with C = Sigma^{-1/2} B
+            # ... and I - U U', U the eigenvectors of C C', C = Sigma^{-1/2} B,
+            # whose eigenvalues (of C'C = B' Sigma^+ B) the GLS rule keeps
             C = est.factor.apply(design.matrix.T, -0.5).T
-            right = np.linalg.pinv(C.T @ C, rcond=1e-10) @ C.T
-            residual = ProjectionOperator("orthogonal", p, factors=(C, right))
+            CC = PSDFactor.of_rows(C.T, 1.0, _normal_norm(design.matrix, est.factor))
+            U = CC.V[:, CC.keep]
+            residual = ProjectionOperator("orthogonal", p, factors=(U, U.T))
         blocks = _residual_blocks(residual, N, p, rng)
     else:
-        null_spectrum, null_spec = _identity_null(est, gamma, n)
+        null_spectrum, null_cov = _identity_null(est, gamma, n)
         if not null_spectrum:
             msgs.append(_ZERO_NULL_NOTE)
         use_boot = opts.null_draws == "bootstrap" or (
@@ -687,13 +637,12 @@ def run_test(data, hypothesis, options):
         elif opts.statistic == "euclidean":
             method = "mixture-mc"
             spectrum = null_spectrum
-            if not spectrum:
-                p_value = 1.0 if value <= 0.0 else 0.0
-            else:
+            p_value = 0.0  # a positive statistic exceeds a zero null law
+            if spectrum:
                 p_value = pvalue_mixture_mc(value, spectrum, N, rng, opts.plus_one)
         else:
             method = "max-mc"
-            blocks = _null_gaussian_blocks(null_spec, N, rng)
+            blocks = _null_gaussian_blocks(null_cov, N, rng)
     if blocks is not None:
         hits = _exceedances(blocks, value, opts.statistic)
         p_value = _mc_pvalue(hits, N, opts.plus_one)

@@ -21,9 +21,7 @@ import kstruct.testing as kt
 from kstruct.indexing import Partition, _pairs0
 from kstruct.kendall import tau_and_leave_one_out
 from kstruct.projection import pseudoinverse_design
-from kstruct.sblock import PartitionQuotients, SingularError, eigenvalues
-
-DROP_RTOL = 1e-10
+from kstruct.sblock import PartitionQuotients, SingularError, eigenvalues, rank_mask
 
 
 def materialize(s, d):
@@ -45,16 +43,16 @@ def one_group(s, d):
     )
 
 
-def _eig(A):
+def _eig(A, size=None, norm=None):
+    """eigh of A and the eigenvalues the package's rank rule keeps."""
     A = np.asarray(A, dtype=float)
     w, V = np.linalg.eigh((A + A.T) / 2.0)
-    top = max(float(w.max()), 0.0)
-    return w, V, w > DROP_RTOL * top
+    return w, V, rank_mask(w, len(w) if size is None else size, norm)
 
 
-def dense_power(A, exponent):
-    """Principal pseudo-power on the eigenvalues above 1e-10 x the largest."""
-    w, V, keep = _eig(A)
+def dense_power(A, exponent, size=None, norm=None):
+    """Principal pseudo-power on the eigenvalues the rank rule keeps."""
+    w, V, keep = _eig(A, size, norm)
     Vk = V[:, keep]
     return (Vk * w[keep] ** exponent) @ Vk.T
 
@@ -68,25 +66,32 @@ def dense_whiten(A, r, exponent):
     return (Vk * w[keep] ** exponent) @ (Vk.T @ r)
 
 
-def dense_spectrum(matrix):
-    """Merged positive spectrum of a symmetric matrix, via ``eigvalsh``."""
+def dense_spectrum(matrix, size=None, norm=None):
+    """Merged kept spectrum of a symmetric matrix, via ``eigvalsh``."""
     matrix = np.asarray(matrix, dtype=float)
     w = np.linalg.eigvalsh((matrix + matrix.T) / 2.0)
+    w = w[rank_mask(w, len(w) if size is None else size, norm)]
     return kt._merged_spectrum(w, np.ones(w.size, dtype=int))
 
 
+def _normal_norm(B, A):
+    """||B||_F^2 ||A^+||: the bound on ||B' A^+ B|| that ranks it."""
+    w, _, keep = _eig(A)
+    return float((B * B).sum()) / float(w[keep].min(initial=np.inf))
+
+
 def dense_gls(B, A):
-    """B (B' W B)^{-1} B' W with W the pseudo-inverse of A, as p x p."""
+    """R = (B' W B)^{-1} B' W, W the pseudo-inverse of A: the GLS
+    projector is B R."""
     W = dense_power(A, -1.0)
     M = B.T @ W @ B
     w = np.linalg.eigvalsh((M + M.T) / 2.0)
-    outside = np.linalg.norm(dense_power(A, 0.0) @ B) <= 1e-8 * np.linalg.norm(B)
-    if outside or w[-1] <= 0.0 or w[0] <= 1e-12 * w[-1]:
+    if not rank_mask(w, B.shape[0], _normal_norm(B, A)).all():
         raise SingularError(
             "weighted design normal matrix is singular; the covariance "
             "weight is degenerate on the design's column space"
         )
-    return B @ np.linalg.solve(M, B.T @ W)
+    return np.linalg.solve(M, B.T @ W)
 
 
 def _bootstrap(D, P, N, rng):
@@ -99,10 +104,13 @@ def dense_design_report(X, design, opts):
     """(method, value, p_value, warnings, eigenvalues, scale) of the
     design route, every p x p matrix formed and eigendecomposed densely.
 
-    ``scale`` bounds the statistic of any residual no longer than tau_hat
-    (||tau_hat||^2 ||A^-1|| or ||tau_hat|| ||A^-1/2||): the size of the
-    terms whose cancellation gives the value, so a value that is zero in
-    exact arithmetic is rounding noise of about machine epsilon times it.
+    ``scale`` bounds the statistic of any residual no longer than the
+    terms whose cancellation gives it (t^2 ||A^-1|| or t ||A^-1/2||), so
+    a value that is zero in exact arithmetic is rounding noise of about
+    machine epsilon times it.  The residual is tau_hat - B x with x the
+    fitted coefficients, so t is the larger of ||tau_hat|| and
+    ||B|| ||x||, which exceeds ||tau_hat|| by up to the conditioning of
+    the GLS normal matrix.
     """
     opts.validate()
     rng = np.random.default_rng(opts.seed)
@@ -112,42 +120,44 @@ def dense_design_report(X, design, opts):
     B = design.matrix
     D = loo - tau
     sigma = (4.0 / n**2) * (D.T @ D)
-    ortho = B @ pseudoinverse_design(design)
+    R = pseudoinverse_design(design)  # Gamma = B R
     msgs = []
     if opts.weighting == "sigma":
         msgs.append(kt._DISTORTION_NOTE)
         try:
-            gamma = dense_gls(B, sigma)
+            R = dense_gls(B, sigma)
         except SingularError:
-            if not kt._degenerate_fit(tau, ortho @ tau):
+            if not kt._degenerate_fit(tau, B @ (R @ tau)):
                 raise
-            gamma = ortho
         weight = sigma
     else:
-        gamma = ortho
         weight = None
+    gamma = B @ R
     exponent = -1.0 if opts.statistic == "euclidean" else -0.5
 
     r = tau - gamma @ tau
+    exact = kt._degenerate_fit(tau, gamma @ tau)
     try:
         z = n ** -exponent * r if weight is None else dense_whiten(weight, r, exponent)
         value = float(r @ z) if opts.statistic == "euclidean" else float(np.abs(z).max())
     except SingularError:
-        if not kt._degenerate_fit(tau, gamma @ tau):
+        if not exact:
             raise
-        value = 0.0
         msgs.append(
             "covariance estimate is degenerate and the hypothesis fits "
             "exactly; statistic treated as 0"
         )
+    if exact:
+        value = 0.0
 
-    # the value's size bound ||A^exponent|| ||tau||^(-2 exponent)
+    # the value's size bound ||A^exponent|| t^(-2 exponent)
     if weight is None:
         norm = n ** -exponent
     else:
         w, _, keep = _eig(weight)
         norm = float(w[keep].min(initial=np.inf)) ** exponent
-    scale = norm * float(np.linalg.norm(tau)) ** (-2.0 * exponent)
+    terms = max(np.linalg.norm(tau), np.linalg.norm(B, 2) * np.linalg.norm(R @ tau))
+    scale = norm * float(terms) ** (-2.0 * exponent)
 
     N = int(opts.replicates)
     spectrum = None
@@ -157,12 +167,15 @@ def dense_design_report(X, design, opts):
     elif opts.weighting == "sigma":
         method = "max-mc"
         C = dense_power(sigma, -0.5) @ B
-        Adag = np.eye(p) - C @ np.linalg.pinv(C.T @ C, rcond=1e-10) @ C.T
+        CtC_pinv = dense_power(C.T @ C, -1.0, p, _normal_norm(B, sigma))
+        Adag = np.eye(p) - C @ CtC_pinv @ C.T
         G = rng.standard_normal((N, p)) @ Adag
         p_value = int((np.abs(G).max(axis=1) > value).sum()) / N
     else:
+        # ranked against n trace(Sigma), from the unprojected estimate
         target = n * (P @ sigma @ P)
-        null_spectrum = dense_spectrum(target)
+        rule = (max(n, p), n * np.trace(sigma))
+        null_spectrum = dense_spectrum(target, *rule)
         if not null_spectrum:
             msgs.append(kt._ZERO_NULL_NOTE)
         boot = opts.null_draws == "bootstrap" or (
@@ -184,7 +197,7 @@ def dense_design_report(X, design, opts):
                 p_value = kt.pvalue_mixture_mc(value, spectrum, N, rng)
         else:
             method = "max-mc"
-            G = rng.standard_normal((N, p)) @ dense_power(target, 0.5)
+            G = rng.standard_normal((N, p)) @ dense_power(target, 0.5, *rule)
             p_value = int((np.abs(G).max(axis=1) > value).sum()) / N
     if value == 0.0:
         p_value = 1.0

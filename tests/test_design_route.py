@@ -12,7 +12,13 @@ from hypothesis import strategies as st
 from dense_oracle import dense_design_report
 
 from kstruct.covariance import PSDFactor, jackknife_cov
-from kstruct.indexing import DesignMatrix, Partition, block_membership_matrix, pair_count
+from kstruct.indexing import (
+    DesignMatrix,
+    Partition,
+    block_membership_matrix,
+    pair_count,
+    vertex_incidence_design,
+)
 from kstruct.sblock import SingularError
 from kstruct.testing import TestOptions, run_test
 
@@ -79,6 +85,20 @@ def _anti_comonotone(n):
     return np.column_stack([z, -z, z, -z, z, -z])
 
 
+def _offset_normal(n, d, seed):
+    """The strategy's data: normals plus one shared normal per row."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((n, d)) + rng.standard_normal((n, 1))
+
+
+# every leave-one-out row fits these membership designs exactly, so the
+# projected rows D (I - Gamma) are rounding noise and the null is zero
+EXACT_FITS = (
+    (Partition(4, ((3,), (1, 2, 4))), 4, 57),
+    (Partition(7, ((6, 7), (4,), (5,), (3,), (2,), (1,))), 4, 4),
+)
+
+
 def _monotone_pair_data(n, d, seed):
     X = np.random.default_rng(seed).standard_normal((n, d))
     X[:, 1] = X[:, 0] ** 3
@@ -100,6 +120,21 @@ def _monotone_pair_data(n, d, seed):
                     [-1.79580849, -2.83169078, -1.93047456]]),
           DesignMatrix(np.array([[0.00123015], [0.29874554], [-0.27413786]]))),
          0)  # the GLS quadratic form rounds to -5.7e-31
+@example((np.array([[0.273610146, 0.0204831429, 0.27942693, -0.656767302],
+                    [0.533300134, 0.151675375, -2.75948183, 0.410309659],
+                    [-0.157745068, -0.00392525044, 0.249509177, 2.03375819],
+                    [-0.63853665, -0.260349944, 0.560120242, -1.95693609],
+                    [2.05200012, 8.64036618, 0.272934242, 0.928029002]]),
+          DesignMatrix(np.array([[1.1332274, 1.18731468, 1.39797576],
+                                 [-1.78605995, 0.38172051, -0.32142002],
+                                 [-0.44978131, 1.53207338, 3.60848347],
+                                 [-0.7631369, -1.2276507, -0.16268108],
+                                 [1.81043275, -0.08713141, -1.38043736],
+                                 [0.13895808, -1.85461266, -0.22585966]]))),
+         0)  # GLS normal matrix with condition number 5e7: max/sigma is noise
+@example((_offset_normal(4, 4, 57), block_membership_matrix(EXACT_FITS[0][0])), 0)
+@example((_offset_normal(4, 4, 8), vertex_incidence_design(4)), 0)  # residual is noise
+@example((_offset_normal(4, 7, 4), block_membership_matrix(EXACT_FITS[1][0])), 0)
 def test_design_routes_match_dense_oracle(case, seed):
     X, design = case
     n = X.shape[0]
@@ -138,6 +173,36 @@ def test_design_routes_match_dense_oracle(case, seed):
                 [v for v, _ in fast.eigenvalues], [v for v, _ in spectrum],
                 rtol=1e-10, atol=1e-12 * spectrum[0][0],
             )
+
+
+@pytest.mark.parametrize("part, n, seed", EXACT_FITS)
+def test_exact_fit_has_an_empty_null_on_both_routes(part, n, seed):
+    # the rank rule measures the projected spectrum against the
+    # unprojected estimate, so its rounding noise is no spectrum
+    X = _offset_normal(n, part.d, seed)
+    for hypothesis, estimator in ((part, "structured"),
+                                  (block_membership_matrix(part), "jackknife")):
+        for stat in ("euclidean", "max"):
+            opts = TestOptions(statistic=stat, weighting="identity", estimator=estimator,
+                               replicates=200, seed=0)
+            rep = run_test(X, hypothesis, opts)
+            assert "projected covariance estimate is zero" in rep.warnings, (estimator, stat)
+            assert rep.eigenvalues == ([] if stat == "euclidean" else None)
+
+
+@pytest.mark.parametrize("d, n, seed", [(4, 4, 8), (6, 3, 13)])
+def test_rounding_level_residual_is_an_exact_fit(d, n, seed):
+    # vertex-incidence designs at tiny n: tau_hat and every leave-one-out
+    # row are additive, so tau_hat - theta_hat and D (I - Gamma) are
+    # rounding noise; every route reports an exact fit, not a noise value
+    X = _offset_normal(n, d, seed)
+    for stat, weight, draws in ROUTES:
+        opts = TestOptions(statistic=stat, weighting=weight, estimator="jackknife",
+                           replicates=200, seed=0, null_draws=draws)
+        rep = run_test(X, vertex_incidence_design(d), opts)
+        assert rep.value == 0.0 and rep.p_value == 1.0, (stat, weight, draws)
+        if weight == "identity":
+            assert "projected covariance estimate is zero" in rep.warnings
 
 
 def test_design_routes_memory_and_factorization_sizes():

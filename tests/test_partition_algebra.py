@@ -26,9 +26,8 @@ from kstruct.covariance import (
 from kstruct.indexing import Partition, _pairs0, pair_count
 from kstruct.sblock import (
     partition_materialize,
-    partition_projected,
     partition_pseudo_power,
-    partition_spectrum,
+    rank_mask,
 )
 from kstruct.testing import TestOptions, run_test
 
@@ -135,6 +134,7 @@ def _close(got, want, rtol):
 @example(Partition(5, tuple((v,) for v in range(1, 6))), 15, 4)
 @example(Partition.exchangeable(4), 12, 5)
 @example(Partition.exchangeable(9), 20, 6)
+@example(Partition(11, ((1,), (2, 3, 4, 8, 10), (7,), (5,), (6, 9, 11))), 14, 11528)  # kappa 4.8e6
 def test_partition_algebra_matches_dense_oracle(part, n, seed):
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, part.d)) + rng.standard_normal((n, 1))
@@ -144,29 +144,40 @@ def test_partition_algebra_matches_dense_oracle(part, n, seed):
 
     # an orbit average of the PSD jackknife: PSD up to rounding
     q = est.quotients
-    spectrum = partition_spectrum(q).values
+    spectrum = q.spectrum.values
     assert spectrum.min() >= -1e-12 * spectrum.max()
-    r = rng.standard_normal(pair_count(part.d))
+
+    # Pseudo-powers A^a, a in {-1, -1/2, 1/2}, of two routes that
+    # decompose the same estimate A.  To first order in a perturbation E,
+    # A^a changes by the Frechet derivative, whose entries in A's
+    # eigenbasis are the divided differences (f(l_i) - f(l_j)) / (l_i - l_j)
+    # of f(l) = l^a (f = 0 on dropped eigenvalues) times E_ij (Daleckii-
+    # Krein).  For |a| <= 1 every divided difference is at most
+    # l_min^(a - 1), l_min the smallest kept eigenvalue, so
+    #     ||d(A^a)||_F <= l_min^(a - 1) ||E||_F,
+    # which for a = -1 is ||dA^-1|| / ||A^-1|| <= kappa ||E|| / ||A||.
+    # E is the two routes' difference of A, plus a backward error of
+    # p eps ||A|| for each eigendecomposition; twice the first-order term
+    # covers the second-order rest while kappa ||E|| / ||A|| <= 1/2.  A
+    # whitened vector A^a r moves by at most ||d(A^a)||_2 ||r||_2.
+    p = pair_count(part.d)
+    w = np.linalg.eigvalsh(avg)
+    lam_min = w[rank_mask(w, p)].min()
+    E = np.linalg.norm(est.dense() - avg) + 2 * p * np.finfo(float).eps * np.linalg.norm(avg)
+    r = rng.standard_normal(p)
     for exponent in (-1.0, -0.5):
-        _close(
-            kt._partition_whiten(q, r, exponent),
-            dense_whiten(avg, r, exponent),
-            1e-10,
-        )
-    _close(
-        partition_materialize(partition_pseudo_power(q, 0.5, kt._DROP_RTOL)),
-        dense_power(avg, 0.5),
-        1e-10,
-    )
+        err = np.abs(q.apply(r, exponent) - dense_whiten(avg, r, exponent)).max()
+        assert err <= 2 * lam_min ** (exponent - 1) * E * np.linalg.norm(r), exponent
+    root = partition_materialize(partition_pseudo_power(q, 0.5))
+    assert np.abs(root - dense_power(avg, 0.5)).max() <= 2 * lam_min**-0.5 * E
 
     # null spectrum: the trivial component (the span of the class
-    # indicators) is what I - B B^+ removes
-    p = pair_count(part.d)
+    # indicators) is what I - B B^+ removes; both ranked against
+    # n trace(A), from the unprojected estimate
     B = class_indicators(part)
     P = np.eye(p) - B @ np.linalg.pinv(B)
-    want = dense_spectrum(n * (P @ avg @ P))
-    null_q = partition_projected(q, n)
-    got = kt._merged_spectrum(*partition_spectrum(null_q))
+    want = dense_spectrum(n * (P @ avg @ P), max(n, p), n * np.trace(avg))
+    got, _ = kt._identity_null(est, None, n)
     assert [m for _, m in got] == [m for _, m in want]
     _close(np.array([v for v, _ in got]), np.array([v for v, _ in want]), 1e-10)
 

@@ -32,7 +32,7 @@ def dense_power(S, a, rtol=1e-12):
 
 def inverse_matrix(s, d):
     """Dense inverse of S(s), taken on its one-group quotients."""
-    return partition_materialize(partition_pseudo_power(one_group(s, d), -1.0, 1e-10))
+    return partition_materialize(partition_pseudo_power(one_group(s, d), -1.0))
 
 
 def test_materialize_frozen_d4():
@@ -178,9 +178,9 @@ def test_apply_power_matches_dense():
         )
         v = rng.normal(size=pair_count(d))
         for a in (-1.0, -0.5, 0.5, 1.0, 2.0):
-            got = partition_apply(partition_pseudo_power(q, a, 1e-10), v)
+            got = partition_apply(partition_pseudo_power(q, a), v)
             assert np.allclose(got, dense_power(S, a) @ v, atol=1e-10)
-        root0 = partition_pseudo_power(q, 0.0, 1e-10)
+        root0 = partition_pseudo_power(q, 0.0)
         assert np.allclose(partition_apply(root0, v), v, atol=1e-14)
 
 
@@ -188,7 +188,7 @@ def test_apply_power_rows_layout():
     # (..., p) stacks of rows through the one-group quotients
     rng = np.random.default_rng(5)
     d = 5
-    root = partition_pseudo_power(one_group(random_pd_triple(rng), d), -0.5, 1e-10)
+    root = partition_pseudo_power(one_group(random_pd_triple(rng), d), -0.5)
     V = rng.normal(size=(7, pair_count(d)))
     out = partition_apply(root, V)
     for r in range(7):
@@ -207,7 +207,7 @@ def test_apply_power_pseudo_on_singular():
     assert eigenvalues(t, d).values[0] == pytest.approx(0.0, abs=1e-12)
     v = rng.normal(size=pair_count(d))
     assert np.linalg.matrix_rank(materialize(t, d)) == pair_count(d) - 1
-    got = partition_apply(partition_pseudo_power(one_group(t, d), -0.5, 1e-10), v)
+    got = partition_apply(partition_pseudo_power(one_group(t, d), -0.5), v)
     expect = dense_power(materialize(t, d), -0.5, rtol=1e-10) @ v
     assert np.allclose(got, expect, atol=1e-9)
 

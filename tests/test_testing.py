@@ -20,9 +20,15 @@ from kstruct.indexing import (
     pair_count,
     vertex_incidence_design,
 )
-from kstruct.kendall import TieError
+from kstruct.kendall import TieError, tau_and_leave_one_out
 from kstruct.projection import RankDeficient, gamma_projection
-from kstruct.sblock import SingularError, eigenvalues, gamma_star_apply
+from kstruct.sblock import (
+    PartitionQuotients,
+    SingularError,
+    eigenvalues,
+    gamma_star_apply,
+    rank_mask,
+)
 from kstruct.testing import (
     TestOptions,
     multiplier_bootstrap_replicates,
@@ -190,7 +196,7 @@ def test_pvalue_monotone_in_statistic_for_fixed_seed():
     assert ps == sorted(ps, reverse=True)
     pm = [
         kt._exceedances(
-            kt._null_gaussian_blocks(("identity", 5), 2000, np.random.default_rng(31)), m
+            kt._normal_blocks(2000, 5, np.random.default_rng(31)), m
         )
         / 2000
         for m in (0.0, 0.5, 1.5, 3.0)
@@ -199,11 +205,14 @@ def test_pvalue_monotone_in_statistic_for_fixed_seed():
 
 
 def test_mixture_spectrum_merging_and_dropping():
-    got = kt._merged_spectrum([2.0, 2.0, 1.0, 1e-14, -3.0], [1, 1, 1, 1, 1])
+    values = np.array([2.0, 2.0, 1.0, 1e-14, -3.0])
+    keep = rank_mask(values, 5)
+    assert keep.tolist() == [True, True, True, False, False]
+    got = kt._merged_spectrum(values[keep], [1, 1, 1])
     assert got == [(2.0, 2), (1.0, 1)]
     got = kt._merged_spectrum([1.0, 1.0 + 1e-9], [1, 1])
     assert len(got) == 1 and got[0][1] == 2
-    assert kt._merged_spectrum(np.zeros(3), [1, 1, 1]) == []
+    assert not rank_mask(np.zeros(3), 3).any() and kt._merged_spectrum([], []) == []
     assert dense_spectrum(np.diag([2.0, 2.0, 1.0, 1e-14, -3.0])) == [(2.0, 2), (1.0, 1)]
 
 
@@ -315,6 +324,24 @@ def test_bootstrap_conditional_covariance():
     P = np.eye(6) - np.full((6, 6), 1.0 / 6.0)
     target = n * (P @ jackknife_cov(X).matrix @ P)
     np.testing.assert_allclose(empirical_cov(Z), target, atol=0.05)
+
+
+def test_bootstrap_memory_is_bounded_for_long_samples():
+    # n >> p: each row block draws n multipliers per replicate, so blocks
+    # are sized by max(n, p); one (N, n) draw would take 40 MB here
+    n, N = 1000, 5000
+    X = np.random.default_rng(71).standard_normal((n, 4))
+    tracemalloc.start()
+    try:
+        Z = multiplier_bootstrap_replicates(X, None, N, np.random.default_rng(73))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20, peak
+    # the multipliers are still the rows of one (N, n) draw
+    tau, loo = tau_and_leave_one_out(X)
+    W = np.random.default_rng(73).standard_normal((N, n))
+    np.testing.assert_allclose(Z, (2.0 / np.sqrt(n)) * (W @ (loo - tau)), rtol=0, atol=1e-12)
 
 
 def test_bootstrap_needs_three_observations():
@@ -726,15 +753,15 @@ def test_draw_thread_stops_when_the_consumer_raises(monkeypatch):
     _draw_ahead(monkeypatch, True)
     before = threading.active_count()
     seen = []
-    colour = kt.partition_apply
+    colour = PartitionQuotients.apply
 
-    def failing_colour(q, G):
+    def failing_colour(q, G, exponent):
         seen.append(threading.active_count())
         if len(seen) == 3:
             raise FloatingPointError("colouring failed")
-        return colour(q, G)
+        return colour(q, G, exponent)
 
-    monkeypatch.setattr(kt, "partition_apply", failing_colour)
+    monkeypatch.setattr(PartitionQuotients, "apply", failing_colour)
     X = exchangeable_normal(np.random.default_rng(107), 40, 6)
     opts = TestOptions(statistic="max", weighting="identity", replicates=301, seed=5)
     with pytest.raises(FloatingPointError, match="colouring"):
@@ -742,7 +769,7 @@ def test_draw_thread_stops_when_the_consumer_raises(monkeypatch):
     assert max(seen) == before + 1  # the helper was drawing ahead
     assert threading.active_count() == before
     # a caller that stops reading early also stops the helper
-    blocks = kt._null_gaussian_blocks(("identity", 15), 301, np.random.default_rng(1))
+    blocks = kt._normal_blocks(301, 15, np.random.default_rng(1))
     next(blocks)
     assert threading.active_count() == before + 1
     blocks.close()
