@@ -28,6 +28,7 @@ from .indexing import (
     vertex_incidence_design,
 )
 from .kendall import (
+    KendallSample,
     TieError,
     kendall_kernel,
     kendall_tau_vector,

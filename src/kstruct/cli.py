@@ -30,7 +30,7 @@ from .indexing import (
     pair_count,
     _pairs0,
 )
-from .kendall import kendall_tau_vector
+from .kendall import KendallSample
 from .projection import gamma_projection
 from .simulation import ScenarioConfig, desk_scale, run_study
 from .testing import TestOptions, run_test
@@ -206,7 +206,9 @@ def cmd_test(args):
     hypothesis = _build_hypothesis(
         args.hypothesis, args.hypothesis_file, d, args.estimator
     )
-    report = run_test(X, hypothesis, options)
+    options.validate()  # before ranking, as run_test would
+    sample = KendallSample(X, options.ties, options.tie_seed)
+    report = run_test(sample, hypothesis, options)
 
     for note in report.warnings:
         print("note: %s" % note, file=sys.stderr)
@@ -217,7 +219,7 @@ def cmd_test(args):
 
     report.save(args.out)
     stem, _ = os.path.splitext(args.out)
-    tau = kendall_tau_vector(X, ties=options.ties, tie_seed=options.tie_seed)
+    tau = sample.tau
     theta = gamma_projection(_theta_design(hypothesis)).apply(tau)
     tau_path = stem + "_tau.csv"
     theta_path = stem + "_theta.csv"

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .indexing import Partition
-from .kendall import tau_and_leave_one_out
+from .kendall import KendallSample
 from .sblock import (
     Spectrum,
     _overlap_map,
@@ -68,6 +68,8 @@ class PSDFactor:
         self.V = V
         self.p = V.shape[0]
         self.keep = rank_mask(self.w, self.p if size is None else size, norm)
+        self._Vk = None
+        self._powers = {}
 
     @classmethod
     def of_matrix(cls, matrix):
@@ -87,9 +89,15 @@ class PSDFactor:
         return Spectrum(self.w, np.ones(self.w.size, dtype=int))
 
     def apply(self, v, exponent):
-        """A^exponent v for a length-p vector or an (N, p) stack of rows."""
-        Vk = self.V[:, self.keep]
-        return ((v @ Vk) * self.w[self.keep] ** exponent) @ Vk.T
+        """A^exponent v for a length-p vector or an (N, p) stack of rows.
+        The kept columns of V and each power of their eigenvalues are
+        taken once, so colouring block by block does not copy V."""
+        if exponent not in self._powers:
+            if self._Vk is None:
+                self._Vk = self.V[:, self.keep]
+            self._powers[exponent] = self.w[self.keep] ** exponent
+        Vk = self._Vk
+        return ((v @ Vk) * self._powers[exponent]) @ Vk.T
 
 
 class CovarianceEstimate:
@@ -142,22 +150,18 @@ class CovarianceEstimate:
         return self.matrix
 
 
-def jackknife_cov(data, ties="error", tie_seed=0, precomputed=None):
+def jackknife_cov(data, ties=None, tie_seed=None):
     """Dense jackknife covariance estimate of tau_hat, held as its rows.
 
-    ``precomputed`` may carry (tau, loo) from tau_and_leave_one_out to
-    avoid recomputing the O(n^2 p) pass.
+    ``data`` is an (n, d) array or a KendallSample; ``ties`` and
+    ``tie_seed`` are as for ``KendallSample.of``.
     """
-    if precomputed is None:
-        precomputed = tau_and_leave_one_out(data, ties=ties, tie_seed=tie_seed)
-    tau, loo = precomputed
-    D = loo - tau
-    n, p = D.shape
-    d = int(round((1 + np.sqrt(1 + 8 * p)) / 2))
-    return CovarianceEstimate(kind="dense", d=d, n=n, rows=D)
+    sample = KendallSample.of(data, ties, tie_seed)
+    n, d = sample.shape
+    return CovarianceEstimate(kind="dense", d=d, n=n, rows=sample.loo - sample.tau)
 
 
-def structured_jackknife_exchangeable(data, ties="error", tie_seed=0, precomputed=None):
+def structured_jackknife_exchangeable(data, ties=None, tie_seed=None):
     """Structured jackknife under full exchangeability: the estimate of
     ``structured_jackknife_partition`` over one group, in O(n p).
 
@@ -166,48 +170,37 @@ def structured_jackknife_exchangeable(data, ties="error", tie_seed=0, precompute
     averages (s0, s1, s2) over the three overlap classes, solved from
     them.  Requires d >= 4: below that some overlap class is empty.
     """
-    if precomputed is None:
-        precomputed = tau_and_leave_one_out(data, ties=ties, tie_seed=tie_seed)
-    p = precomputed[1].shape[1]
-    d = int(round((1 + np.sqrt(1 + 8 * p)) / 2))
+    sample = KendallSample.of(data, ties, tie_seed)
+    d = sample.shape[1]
     if d < 4:
         raise ValueError(
             "exchangeable structured jackknife needs d >= 4, got d=%d" % d
         )
-    est = structured_jackknife_partition(
-        None, Partition.exchangeable(d), precomputed=precomputed
-    )
+    est = structured_jackknife_partition(sample, Partition.exchangeable(d))
     q = est.quotients
     deltas = [q.trivial[0, 0], q.standard[0][0, 0], q.remainder[0]]
     est.s = np.linalg.solve(_overlap_map(d), deltas)
     return est
 
 
-def structured_jackknife_partition(
-    data, partition, ties="error", tie_seed=0, precomputed=None
-):
+def structured_jackknife_partition(data, partition, ties=None, tie_seed=None):
     """Jackknife estimate averaged over the orbit classes of a partition.
 
     Returns the isotypic quotients of the average (``sblock``), computed
     in O(n p) without the dense jackknife.  With a single group this is
     the exchangeable estimator; with all-singleton groups every entry is
-    its own class and the dense estimate is reproduced.
+    its own class and the dense estimate is reproduced.  ``data`` is an
+    (n, d) array or a KendallSample, as for ``jackknife_cov``.
     """
-    if precomputed is None:
-        if np.asarray(data).shape[0] < 3:
-            raise ValueError("partition-structured jackknife needs n >= 3")
-        tau, loo = tau_and_leave_one_out(data, ties=ties, tie_seed=tie_seed)
-    else:
-        tau, loo = precomputed
-    n, p = loo.shape
-    if n < 3:
+    if np.shape(data)[0] < 3:
         raise ValueError("partition-structured jackknife needs n >= 3")
-    d = int(round((1 + np.sqrt(1 + 8 * p)) / 2))
+    sample = KendallSample.of(data, ties, tie_seed)
+    n, d = sample.shape
     if partition.d != d:
         raise ValueError(
             "partition is over d=%d variables, data has d=%d" % (partition.d, d)
         )
-    quotients = partition_quotients(loo - tau, partition, 4.0 / n**2)
+    quotients = partition_quotients(sample.loo - sample.tau, partition, 4.0 / n**2)
     return CovarianceEstimate(
         kind="partition", d=d, n=n, partition=partition, quotients=quotients
     )

@@ -21,14 +21,24 @@ brute-force comparisons can demand bitwise equality.
 
 Tied values make the kernel 0 and break the +/-1 contract; by default
 that is a hard error.  An opt-in, seeded jitter of relative size 1e-9
-per column is available for data with incidental ties.
+per column is available for data with incidental ties.  The pass finds
+a tie itself, from the diagonal of the Gram products, so only jittering
+scans the data for tied columns.
+
+A KendallSample is one dataset ranked once: tau, the leave-one-out
+rows, the input digest and the tied columns.  ``run_test`` and the
+covariance estimators take it in place of the raw array, so every test
+of a dataset shares one O(n^2 p) pass.
 """
+
+import hashlib
 
 import numpy as np
 
 from .indexing import _incidence, _pairs0, pair_count
 
 __all__ = [
+    "KendallSample",
     "TieError",
     "kendall_kernel",
     "kendall_tau_vector",
@@ -70,6 +80,21 @@ def _tied_columns(X):
     return [int(j) + 1 for j in np.flatnonzero((S[1:] == S[:-1]).any(axis=0))]
 
 
+def _jitter_columns(X, cols, seed):
+    """A copy of X with the listed 1-based columns jittered; only those
+    columns are checked again."""
+    X = X.copy()
+    rng = np.random.default_rng(seed)
+    for j in cols:
+        col = X[:, j - 1]
+        span = float(col.max() - col.min()) or 1.0
+        col += rng.uniform(-1e-9 * span, 1e-9 * span, size=col.shape)
+    still = [cols[k - 1] for k in _tied_columns(X[:, [j - 1 for j in cols]])]
+    if still:
+        raise TieError("jitter failed to break ties in columns %s" % still)
+    return X
+
+
 def jitter_ties(data, seed=0):
     """Break ties by adding tiny seeded uniform noise to tied columns.
 
@@ -77,29 +102,21 @@ def jitter_ties(data, seed=0):
     leaves distinct values' ranks intact unless they are closer than the
     jitter itself.  Deterministic for a fixed seed.
     """
-    X = _as_data(data).copy()
-    rng = np.random.default_rng(seed)
-    for j in _tied_columns(X):
-        col = X[:, j - 1]
-        span = float(col.max() - col.min()) or 1.0
-        col += rng.uniform(-1e-9 * span, 1e-9 * span, size=col.shape)
-    cols = _tied_columns(X)
-    if cols:
-        raise TieError("jitter failed to break ties in columns %s" % cols)
-    return X
+    X = _as_data(data)
+    return _jitter_columns(X, _tied_columns(X), seed)
 
 
 def _resolve_ties(X, ties, tie_seed):
+    """X as the kernel pass takes it, and its tied 1-based columns.
+
+    With ties="error" nothing is scanned (the pass raises on a tie);
+    with "jitter" the tied columns are found once and jittered.
+    """
     if ties == "error":
-        cols = _tied_columns(X)
-        if cols:
-            raise TieError(
-                "tied values in column(s) %s; pass ties='jitter' (seeded) or "
-                "pre-process the data" % cols
-            )
-        return X
+        return X, []
     if ties == "jitter":
-        return jitter_ties(X, seed=tie_seed)
+        tied = _tied_columns(X)
+        return (_jitter_columns(X, tied, tie_seed) if tied else X), tied
     raise ValueError("ties must be 'error' or 'jitter', got %r" % (ties,))
 
 
@@ -122,7 +139,9 @@ def _pair_row_sums(X):
 
     Row r holds the upper-triangle entries of S_r' S_r, from one batched
     matmul per block of rows; the block buffers are allocated once and
-    kept within _BLOCK_BUDGET bytes.  O(n^2 d^2) work overall.
+    kept within _BLOCK_BUDGET bytes.  O(n^2 d^2) work overall.  The
+    diagonal of S_r' S_r counts the observations that differ from X_r in
+    each variable, so an entry below n - 1 is a tie, raised as TieError.
     """
     n, d = X.shape
     ii0, jj0 = _pairs0(d)
@@ -143,6 +162,11 @@ def _pair_row_sums(X):
         Sb = np.greater(Xr, X, out=S[:b])
         np.subtract(Sb, np.less(Xr, X, out=below[:b]), out=Sb)
         Gb = np.matmul(Sb.transpose(0, 2, 1), Sb, out=G[:b])
+        if Gb.diagonal(0, 1, 2).min() < n - 1:
+            raise TieError(
+                "tied values in column(s) %s; pass ties='jitter' (seeded) or "
+                "pre-process the data" % _tied_columns(X)
+            )
         out[start:stop] = Gb[:, ii0, jj0]
     return out
 
@@ -154,7 +178,7 @@ def kendall_tau_vector(data, ties="error", tie_seed=0):
     observation pairs.  Raises TieError on tied values unless
     ties='jitter'.
     """
-    X = _resolve_ties(_as_data(data), ties, tie_seed)
+    X, _ = _resolve_ties(_as_data(data), ties, tie_seed)
     n = X.shape[0]
     sums = _pair_row_sums(X).sum(axis=0)
     return sums / float(n * (n - 1))
@@ -165,18 +189,59 @@ def leave_one_out(data, ties="error", tie_seed=0):
 
     Row i holds tau_hat^{(i)}; the row mean reproduces tau_hat exactly.
     """
-    X = _resolve_ties(_as_data(data), ties, tie_seed)
+    X, _ = _resolve_ties(_as_data(data), ties, tie_seed)
     n = X.shape[0]
     return _pair_row_sums(X) / float(n - 1)
 
 
 def tau_and_leave_one_out(data, ties="error", tie_seed=0):
     """Return (tau_hat, leave-one-out matrix) from one pass over the data."""
-    X = _resolve_ties(_as_data(data), ties, tie_seed)
+    X, _ = _resolve_ties(_as_data(data), ties, tie_seed)
     n = X.shape[0]
     sums = _pair_row_sums(X)
     tau = sums.sum(axis=0) / float(n * (n - 1))
     return tau, sums / float(n - 1)
+
+
+class KendallSample:
+    """One dataset ranked once, for every test and estimate made on it.
+
+    Built from ``(data, ties, tie_seed)``; holds the validated float64
+    array ``data`` (the caller's own array when it needed no conversion;
+    everything else is taken when the sample is built), its ``shape``
+    (n, d), tau_hat ``tau`` and the (n, p) leave-one-out matrix ``loo``
+    from one kernel pass, the input ``digest`` that reports echo, the
+    1-based ``tied`` columns that were jittered (none with ties="error",
+    which raises TieError here instead), and its ``ties`` and
+    ``tie_seed``.
+    """
+
+    def __init__(self, data, ties="error", tie_seed=0):
+        X = _as_data(data)
+        self.data = X
+        self.shape = X.shape
+        self.digest = hashlib.sha256(np.ascontiguousarray(X).tobytes()).hexdigest()[:16]
+        self.ties = ties
+        self.tie_seed = tie_seed
+        ranked, self.tied = _resolve_ties(X, ties, tie_seed)
+        self.tau, self.loo = tau_and_leave_one_out(ranked)
+
+    @classmethod
+    def of(cls, data, ties=None, tie_seed=None):
+        """``data`` as a sample: a KendallSample as it is, anything else
+        ranked with ``ties`` and ``tie_seed`` (default "error" and 0).  A
+        sample ranked otherwise than a given ``ties`` or ``tie_seed``
+        raises ValueError."""
+        if not isinstance(data, cls):
+            return cls(data, "error" if ties is None else ties,
+                       0 if tie_seed is None else tie_seed)
+        for name, want in (("ties", ties), ("tie_seed", tie_seed)):
+            if want is not None and want != getattr(data, name):
+                raise ValueError(
+                    "the sample was ranked with %s=%r, not %r"
+                    % (name, getattr(data, name), want)
+                )
+        return data
 
 
 def column_means(tau, d=None):

@@ -426,13 +426,15 @@ def partition_apply(q, v):
     v = np.asarray(v, dtype=float)
     if v.shape[-1] != lay.p:
         raise ValueError("vector has length %d, expected p=%d" % (v.shape[-1], lay.p))
-    VT = np.ascontiguousarray(v.reshape(-1, lay.p).T)
-    A = lay.agg_t @ VT
+    V = v.reshape(-1, lay.p)
+    A = lay.agg_t @ np.ascontiguousarray(V.T)
     for lo, hi, M in _coordinate_maps(q):
         A[lo:hi] = M @ A[lo:hi]
-    out = lay.agg @ A
-    out += q.remainder[lay.cls][:, None] * VT
-    return out.T.reshape(v.shape)
+    # the result is laid out like v, rows contiguous, which a row-wise
+    # reduction of coloured draws needs to be fast
+    out = q.remainder[lay.cls] * V
+    out += (lay.agg @ A).T
+    return out.reshape(v.shape)
 
 
 def partition_materialize(q):

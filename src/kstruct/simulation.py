@@ -29,7 +29,7 @@ import numpy as np
 
 from ._version import __version__
 from .indexing import Partition, block_membership_matrix
-from .kendall import TieError
+from .kendall import KendallSample, TieError
 from .projection import RankDeficient
 from .sblock import SingularError
 from .testing import run_test
@@ -250,7 +250,8 @@ _DISCARDABLE = (TieError, SingularError, NotPositiveDefinite, RankDeficient,
 
 
 def _rep_task(payload):
-    """Run every configured test on one freshly generated dataset."""
+    """Run every configured test on one freshly generated dataset, ranked
+    once per distinct (ties, tie_seed) among the tests."""
     si, rep, master_seed, scenario = payload
     seqs = np.random.SeedSequence(
         master_seed, spawn_key=(si, rep)
@@ -266,6 +267,7 @@ def _rep_task(payload):
         ]
     part = scenario.partition()
     design = None
+    samples = {}
     for ti, template in enumerate(scenario.tests):
         opts = dataclasses.replace(template, seed=_derived_seed(seqs[ti + 1]))
         if opts.estimator == "structured":
@@ -275,7 +277,10 @@ def _rep_task(payload):
                 design = block_membership_matrix(part)
             hyp = design
         try:
-            report = run_test(X, hyp, opts)
+            key = (opts.ties, opts.tie_seed)
+            if key not in samples:
+                samples[key] = KendallSample(X, *key)
+            report = run_test(samples[key], hyp, opts)
             rows.append((si, ti, rep, float(report.p_value), ""))
         except _DISCARDABLE as exc:
             rows.append((si, ti, rep, None, type(exc).__name__))

@@ -42,7 +42,6 @@ draws hold at most two blocks of memory.  Otherwise, and in
 draws are taken inline.
 """
 
-import hashlib
 import json
 import os
 import queue
@@ -56,7 +55,7 @@ from scipy import special
 from ._version import __version__
 from .covariance import PSDFactor, jackknife_cov, structured_jackknife_partition
 from .indexing import DesignMatrix, Partition, block_membership_matrix
-from .kendall import _tied_columns, tau_and_leave_one_out
+from .kendall import KendallSample
 from .projection import ProjectionOperator, _normal_norm, gamma_projection
 from .sblock import PartitionQuotients, SingularError, partition_projected, rank_mask
 
@@ -441,9 +440,7 @@ def _bootstrap_blocks(Y, N, rng):
         yield (2.0 / np.sqrt(n)) * (W @ Y)
 
 
-def multiplier_bootstrap_replicates(
-    data, design, N, rng, precomputed=None, ties="error", tie_seed=0
-):
+def multiplier_bootstrap_replicates(data, design, N, rng, ties=None, tie_seed=None):
     """Gaussian multiplier replicates of the projected, scaled tau residual.
 
     Each replicate is (2 / (sqrt(n) (n-1))) (I - B B^+) times the
@@ -451,12 +448,12 @@ def multiplier_bootstrap_replicates(
     Conditional on the data the draws are zero-mean Gaussian with
     covariance n (I - B B^+) SigmaJ (I - B B^+), SigmaJ the jackknife
     estimate, so they can stand in for the null law of sqrt(n) times the
-    projected residual.  ``design=None`` skips the projection.
+    projected residual.  ``design=None`` skips the projection.  ``data``
+    is an (n, d) array or a KendallSample; ``ties`` and ``tie_seed`` are
+    as for ``KendallSample.of``.
     """
-    if precomputed is None:
-        precomputed = tau_and_leave_one_out(data, ties=ties, tie_seed=tie_seed)
-    tau, loo = precomputed
-    D = loo - tau
+    sample = KendallSample.of(data, ties, tie_seed)
+    D = sample.loo - sample.tau
     if design is not None:
         D = D - gamma_projection(design).apply(D)
     return np.concatenate(list(_bootstrap_blocks(D, int(N), rng)))
@@ -512,29 +509,28 @@ def _degenerate_fit(tau, theta):
 def run_test(data, hypothesis, options):
     """Run one structure test and return a TestReport.
 
-    ``hypothesis`` is a Partition (the hypothesis that the Kendall
-    matrix is invariant to permutations within groups, tested with
-    structured covariance machinery) or a DesignMatrix (a general linear
-    hypothesis tau = B beta with the dense jackknife).  ``options``
-    selects the statistic, weighting, and p-value scheme; see
-    TestOptions.
+    ``data`` is an (n, d) array, ranked here, or a KendallSample ranked
+    with the options' ``ties`` and ``tie_seed`` (ValueError otherwise),
+    which lets several tests share one kernel pass.  ``hypothesis`` is a
+    Partition (the hypothesis that the Kendall matrix is invariant to
+    permutations within groups, tested with structured covariance
+    machinery) or a DesignMatrix (a general linear hypothesis
+    tau = B beta with the dense jackknife).  ``options`` selects the
+    statistic, weighting, and p-value scheme; see TestOptions.
     """
     opts = options
     opts.validate()
     rng = np.random.default_rng(opts.seed)
     msgs = []
 
-    X = np.asarray(data, dtype=float)
-    digest = hashlib.sha256(np.ascontiguousarray(X).tobytes()).hexdigest()[:16]
-    tau, loo = tau_and_leave_one_out(X, ties=opts.ties, tie_seed=opts.tie_seed)
-    n, d = X.shape
+    sample = KendallSample.of(data, opts.ties, opts.tie_seed)
+    tau = sample.tau
+    n, d = sample.shape
     p = tau.shape[0]
-    if opts.ties == "jitter":
-        tied = _tied_columns(X)
-        if tied:
-            msgs.append(
-                "tied values in column(s) %s were jittered before ranking" % tied
-            )
+    if sample.tied:
+        msgs.append(
+            "tied values in column(s) %s were jittered before ranking" % sample.tied
+        )
 
     # -- hypothesis, covariance estimate, projection ------------------------
     if isinstance(hypothesis, Partition):
@@ -549,7 +545,7 @@ def run_test(data, hypothesis, options):
                 "the dense jackknife, pass the membership design matrix instead"
             )
         design = block_membership_matrix(part)
-        est = structured_jackknife_partition(X, part, precomputed=(tau, loo))
+        est = structured_jackknife_partition(sample, part)
         gamma = gamma_projection(design)  # = Gamma(A) for any matching A
     elif isinstance(hypothesis, DesignMatrix):
         design = hypothesis
@@ -562,7 +558,7 @@ def run_test(data, hypothesis, options):
                 "design-matrix hypotheses use the dense jackknife estimator; "
                 "structured estimation needs a Partition hypothesis"
             )
-        est = jackknife_cov(X, precomputed=(tau, loo))
+        est = jackknife_cov(sample)
         if opts.weighting == "sigma":
             msgs.append(_DISTORTION_NOTE)
             try:
@@ -632,7 +628,7 @@ def run_test(data, hypothesis, options):
         if use_boot:
             method = "bootstrap-mc"
             # projecting the n rows once projects every replicate
-            D = loo - tau
+            D = sample.loo - tau
             blocks = _bootstrap_blocks(D - gamma.apply(D), N, rng)
         elif opts.statistic == "euclidean":
             method = "mixture-mc"
@@ -669,6 +665,6 @@ def run_test(data, hypothesis, options):
         p=p,
         L=design.L,
         version=__version__,
-        input_digest=digest,
+        input_digest=sample.digest,
         options=opts.to_dict(),
     )

@@ -430,11 +430,8 @@ def test_cmd_simulate_shards_match_whole(tmp_path, capsys):
         == 0
     )
     capsys.readouterr()
-    with open(whole / "summary.csv") as fh:
-        a = fh.read()
-    with open(shards / "summary.csv") as fh:
-        b = fh.read()
-    assert a == b
+    for name in ("summary.csv", "results.csv"):
+        assert (whole / name).read_bytes() == (shards / name).read_bytes()
     with open(whole / "manifest.json") as fh:
         manifest = json.load(fh)
     assert manifest["status"] == "complete"

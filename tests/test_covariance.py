@@ -10,7 +10,7 @@ from kstruct.covariance import (
     structured_jackknife_partition,
 )
 from kstruct.indexing import Partition, all_pairs, index_of_pair, overlap_count, pair_count
-from kstruct.kendall import kendall_kernel, kendall_tau_vector, tau_and_leave_one_out
+from kstruct.kendall import KendallSample, kendall_kernel, kendall_tau_vector
 
 
 def brute_jackknife(X):
@@ -66,12 +66,11 @@ def test_jackknife_is_psd_and_symmetric():
     assert w.min() >= -1e-14
 
 
-def test_jackknife_accepts_precomputed():
+def test_jackknife_accepts_sample():
     rng = np.random.default_rng(3)
     X = rng.standard_normal((12, 4))
-    pre = tau_and_leave_one_out(X)
     a = jackknife_cov(X).matrix
-    b = jackknife_cov(None, precomputed=pre).matrix
+    b = jackknife_cov(KendallSample(X)).matrix
     np.testing.assert_array_equal(a, b)
 
 

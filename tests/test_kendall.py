@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ from scipy import stats
 import kstruct.kendall as kd
 from kstruct.indexing import all_pairs, index_of_pair, pair_count
 from kstruct.kendall import (
+    KendallSample,
     TieError,
     column_means,
     grand_mean,
@@ -219,7 +221,20 @@ def tie_prone_data(draw):
 @given(tie_prone_data())
 @example(np.array([[1.0, 0.0, -0.0], [1.0, 2.0, 0.0]]))  # n = 2; -0.0 == 0.0
 def test_tied_columns_match_per_column_unique(X):
-    assert kd._tied_columns(X) == _tied_columns_oracle(X)
+    tied = _tied_columns_oracle(X)
+    assert kd._tied_columns(X) == tied
+    if X.shape[1] < 2:
+        return
+    # the kernel pass finds the same ties from its Gram diagonals, and
+    # jitter finds and breaks them
+    if tied:
+        with pytest.raises(TieError, match=re.escape("column(s) %s;" % tied)):
+            KendallSample(X)
+    else:
+        assert np.array_equal(KendallSample(X).tau, kendall_tau_vector(X))
+    jittered = KendallSample(X, "jitter", 5)
+    assert jittered.tied == tied
+    assert np.array_equal(jittered.tau, kendall_tau_vector(X, ties="jitter", tie_seed=5))
 
 
 def test_data_validation():

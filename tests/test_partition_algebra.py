@@ -86,10 +86,10 @@ def class_indicators(partition):
     return np.eye(cls.max() + 1)[cls]
 
 
-def dense_partition_estimate(data, partition, precomputed=None, **_):
+def dense_partition_estimate(data, partition, **_):
     """The dense route's estimate: the orbit-averaged jackknife, given as
     rows R with (4/n^2) R'R equal to it."""
-    est = jackknife_cov(data, precomputed=precomputed)
+    est = jackknife_cov(data)
     w, V = np.linalg.eigh(orbit_average(est.matrix, partition))
     rows = (est.n / 2.0) * (V * np.sqrt(np.maximum(w, 0.0))).T
     return CovarianceEstimate(kind="dense", d=est.d, n=est.n, rows=rows)

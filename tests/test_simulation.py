@@ -3,6 +3,7 @@ checks against the target Kendall/Pearson structure, and shard/resume
 bookkeeping of run_study."""
 
 import csv
+import dataclasses
 import json
 import os
 
@@ -13,12 +14,15 @@ from kstruct import (
     NotPositiveDefinite,
     ScenarioConfig,
     TestOptions,
+    block_membership_matrix,
     build_tau_matrix,
     kendall_tau_vector,
     run_study,
+    run_test,
     sample_gaussian_with_tau,
     tau_to_pearson,
 )
+from kstruct import kendall, simulation
 from kstruct.simulation import (
     DESK_REPETITIONS,
     DESK_REPLICATES,
@@ -283,10 +287,61 @@ def test_run_study_reproducible():
     )  # different seed may coincide; only a smoke check that it runs
 
 
-def test_run_study_worker_count_invariance():
-    a = run_study(_study_config(reps=12), seed=9, workers=1)
-    b = run_study(_study_config(reps=12), seed=9, workers=2)
+def test_run_study_worker_count_invariance(tmp_path):
+    a = run_study(_study_config(reps=12), seed=9, out_dir=str(tmp_path / "a"), workers=1)
+    b = run_study(_study_config(reps=12), seed=9, out_dir=str(tmp_path / "b"), workers=2)
     assert a == b
+    results = [(tmp_path / k / "results.csv").read_bytes() for k in "ab"]
+    assert results[0] == results[1]
+
+
+def test_rep_task_equals_run_test_on_each_raw_array(monkeypatch):
+    # a repetition ranks its dataset once per (ties, tie_seed) and gives
+    # the rows of one run_test per test on the raw array, discards included
+    tests = (
+        TestOptions(replicates=200),
+        TestOptions(statistic="max", weighting="identity", replicates=200,
+                    ties="jitter", tie_seed=3),
+        TestOptions(statistic="max", weighting="identity", estimator="jackknife",
+                    replicates=200),
+        TestOptions(replicates=200, ties="jitter", tie_seed=3),
+    )
+    scenario = ScenarioConfig(n=25, d=4, tau=0.3, repetitions=3, tests=tests)
+    part = scenario.partition()
+    design = block_membership_matrix(part)
+    passes = []
+    kernel = kendall.tau_and_leave_one_out
+    monkeypatch.setattr(kendall, "tau_and_leave_one_out",
+                        lambda *a, **k: passes.append(1) or kernel(*a, **k))
+    generate = simulation.sample_gaussian_with_tau
+    reasons = set()
+    for rounded in (False, True):
+        if rounded:  # a tenth's resolution makes ties all but certain
+            monkeypatch.setattr(simulation, "sample_gaussian_with_tau",
+                                lambda T, n, rng: np.round(generate(T, n, rng), 1))
+        for rep in range(scenario.repetitions):
+            del passes[:]
+            rows = simulation._rep_task((0, rep, 17, scenario))
+            if not rounded:  # a failed ranking is retried by the next test
+                assert len(passes) == 2
+            seqs = np.random.SeedSequence(17, spawn_key=(0, rep)).spawn(len(tests) + 1)
+            X = simulation.sample_gaussian_with_tau(
+                build_tau_matrix(scenario), scenario.n, np.random.default_rng(seqs[0])
+            )
+            want = []
+            for ti, template in enumerate(tests):
+                opts = dataclasses.replace(
+                    template, seed=simulation._derived_seed(seqs[ti + 1])
+                )
+                hyp = part if opts.estimator == "structured" else design
+                try:
+                    p = float(run_test(X, hyp, opts).p_value)
+                    want.append((0, ti, rep, p, ""))
+                except simulation._DISCARDABLE as exc:
+                    want.append((0, ti, rep, None, type(exc).__name__))
+            assert rows == want
+            reasons.update(r[4] for r in rows)
+    assert reasons == {"", "TieError"}
 
 
 def test_run_study_shards_merge_to_single_run(tmp_path):

@@ -12,7 +12,7 @@ from scipy import stats
 from dense_oracle import dense_spectrum, materialize, one_group
 
 import kstruct.testing as kt
-from kstruct.covariance import jackknife_cov
+from kstruct.covariance import jackknife_cov, structured_jackknife_partition
 from kstruct.indexing import (
     DesignMatrix,
     Partition,
@@ -20,7 +20,7 @@ from kstruct.indexing import (
     pair_count,
     vertex_incidence_design,
 )
-from kstruct.kendall import TieError, tau_and_leave_one_out
+from kstruct.kendall import KendallSample, TieError, tau_and_leave_one_out
 from kstruct.projection import RankDeficient, gamma_projection
 from kstruct.sblock import (
     PartitionQuotients,
@@ -604,6 +604,96 @@ def test_every_route_reports_a_p_value_or_a_typed_error(case):
             continue
         assert np.isfinite(rep.value) and rep.value >= 0.0, (stat, weight, draws)
         assert 0.0 <= rep.p_value <= 1.0, (stat, weight, draws)
+
+
+def _report_dict_or_error(data, hypothesis, opts):
+    try:
+        return run_test(data, hypothesis, opts).to_dict()
+    except (SingularError, TieError, RankDeficient, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(route_cases(), st.booleans(), st.integers(0, 3))
+def test_run_test_on_a_sample_equals_run_test_on_the_array(case, rounded, tie_seed):
+    # one ranking shared by many tests changes no report: every route and
+    # null-draw scheme, both tie modes, on data that often has ties
+    X, hypothesis, estimator = case
+    if rounded:
+        X = np.round(X, 1)
+    for ties in ("error", "jitter"):
+        try:
+            sample = KendallSample(X, ties, tie_seed)
+        except TieError:
+            assert ties == "error"
+            with pytest.raises(TieError):
+                run_test(X, hypothesis, TestOptions(estimator=estimator, seed=1))
+            continue
+        assert sample.shape == X.shape
+        for stat, weight, draws in _accepted_options():
+            opts = TestOptions(statistic=stat, weighting=weight, estimator=estimator,
+                               null_draws=draws, replicates=100, seed=5, ties=ties,
+                               tie_seed=tie_seed)
+            want = _report_dict_or_error(X, hypothesis, opts)
+            assert _report_dict_or_error(sample, hypothesis, opts) == want
+
+
+def test_a_sample_ranked_otherwise_is_refused():
+    rng = np.random.default_rng(113)
+    X = exchangeable_normal(rng, 20, 4)
+    part = Partition.exchangeable(4)
+    sample = KendallSample(X)
+    for other in (dict(ties="jitter"), dict(tie_seed=1)):
+        with pytest.raises(ValueError, match="ranked with"):
+            run_test(sample, part, TestOptions(seed=1, **other))
+        with pytest.raises(ValueError, match="ranked with"):
+            jackknife_cov(sample, **other)
+        with pytest.raises(ValueError, match="ranked with"):
+            structured_jackknife_partition(sample, part, **other)
+        with pytest.raises(ValueError, match="ranked with"):
+            multiplier_bootstrap_replicates(sample, None, 10, rng, **other)
+    # settings that match, or none, take the sample as it is
+    assert np.array_equal(
+        jackknife_cov(sample, ties="error", tie_seed=0).matrix, jackknife_cov(X).matrix
+    )
+    X[2, 1] = X[5, 1]
+    with pytest.raises(TieError, match=r"column\(s\) \[2\]"):
+        KendallSample(X)
+    jittered = KendallSample(X, "jitter", 4)
+    assert jittered.tied == [2]
+    assert np.array_equal(jittered.data, X)  # the raw array, as digested
+
+
+# a permutation within each group of these partitions: reversed groups
+_EQUIVARIANCE_CASES = (
+    (30, Partition(6, ((1, 2, 3), (4, 5, 6))), 171),
+    (20, Partition.exchangeable(5), 172),
+    (25, Partition(7, ((1, 4), (2, 3, 5), (6, 7))), 173),
+)
+
+
+@pytest.mark.parametrize("n, part, seed", _EQUIVARIANCE_CASES)
+def test_reports_equivariant_under_permutations_within_groups(n, part, seed):
+    # relabelling variables within a group maps the hypothesis to itself,
+    # so each route's statistic and chi-square tail are unchanged; Monte
+    # Carlo p-values see other draws and agree only within their error
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, part.d)) + 0.7 * rng.standard_normal((n, 1))
+    perm = np.arange(part.d)
+    for g in part.groups:
+        idx = [v - 1 for v in g]
+        perm[idx] = idx[::-1]
+    for hypothesis, estimator in ((part, "structured"),
+                                  (block_membership_matrix(part), "jackknife")):
+        for stat, weight in ROUTES:
+            opts = TestOptions(statistic=stat, weighting=weight, estimator=estimator,
+                               replicates=200, seed=seed)
+            base = run_test(X, hypothesis, opts)
+            rep = run_test(X[:, perm], hypothesis, opts)
+            assert rep.method == base.method
+            assert rep.value == pytest.approx(base.value, rel=1e-9, abs=1e-300)
+            if base.method == "chi-square":
+                assert rep.p_value == pytest.approx(base.p_value, rel=1e-9)
 
 
 def test_run_test_seed_reproducibility():
