@@ -32,7 +32,6 @@ from .kendall import (
     TieError,
     kendall_kernel,
     kendall_tau_vector,
-    leave_one_out,
     column_means,
     grand_mean,
 )

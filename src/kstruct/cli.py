@@ -14,6 +14,7 @@ external portmanteau test (e.g. Ljung-Box) before trusting p-values.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -31,9 +32,8 @@ from .indexing import (
     _pairs0,
 )
 from .kendall import KendallSample
-from .projection import gamma_projection
 from .simulation import ScenarioConfig, desk_scale, run_study
-from .testing import TestOptions, run_test
+from .testing import TestOptions, _fit, run_test
 
 __all__ = [
     "ConstantCovariate",
@@ -168,12 +168,6 @@ def _build_hypothesis(kind, path, d, estimator):
     return block_membership_matrix(part)
 
 
-def _theta_design(hypothesis):
-    if isinstance(hypothesis, Partition):
-        return block_membership_matrix(hypothesis)
-    return hypothesis
-
-
 def cmd_test(args):
     X = read_data_csv(args.data)
     if args.covariate_column is not None:
@@ -220,7 +214,8 @@ def cmd_test(args):
     report.save(args.out)
     stem, _ = os.path.splitext(args.out)
     tau = sample.tau
-    theta = gamma_projection(_theta_design(hypothesis)).apply(tau)
+    _, _, gamma = _fit(sample, hypothesis, options)  # the fit the report used
+    theta = gamma.apply(tau)
     tau_path = stem + "_tau.csv"
     theta_path = stem + "_theta.csv"
     np.savetxt(tau_path, _matrix_from_pairs(tau, d), delimiter=",", fmt="%.17g")
@@ -233,57 +228,60 @@ def cmd_test(args):
     return 0
 
 
-def _test_options_from_dict(obj):
-    return TestOptions(
-        statistic=obj.get("statistic", "euclidean"),
-        weighting=obj.get("weighting", "sigma"),
-        estimator=obj.get("estimator", "structured"),
-        replicates=int(obj.get("replicates", 5000)),
-        plus_one=bool(obj.get("plus_one", False)),
-        null_draws=obj.get("null_draws", "auto"),
-    )
+def _check_keys(obj, allowed, where):
+    unknown = sorted(k for k in obj if k not in allowed)
+    if unknown:
+        raise ValueError("%s: unknown key(s) %s" % (where, ", ".join(map(repr, unknown))))
 
 
-def _scenario_from_dict(obj):
-    tests = tuple(_test_options_from_dict(t) for t in obj.get("tests", []))
-    groups = obj.get("hypothesis_groups")
-    if groups is not None:
-        groups = tuple(tuple(g) for g in groups)
-    sizes = obj.get("sizes")
-    if sizes is not None:
-        sizes = tuple(int(s) for s in sizes)
-    return ScenarioConfig(
-        n=int(obj["n"]),
-        d=int(obj["d"]),
-        structure=obj.get("structure", "equicorrelated"),
-        tau=float(obj.get("tau", 0.0)),
-        sizes=sizes,
-        base=float(obj.get("base", 0.4)),
-        step=float(obj.get("step", 0.15)),
-        matrix=obj.get("matrix"),
-        departure=obj.get("departure"),
-        delta=float(obj.get("delta", 0.0)),
-        hypothesis_groups=groups,
-        repetitions=int(obj.get("repetitions", 2500)),
-        tests=tests,
-        alpha=float(obj.get("alpha", 0.05)),
-        label=obj.get("label"),
-    )
+def _from_dict(cls, obj, where):
+    """A ``cls`` dataclass from a config dict, its int, float and bool
+    fields converted; an unknown key is a ValueError that names it."""
+    types = {f.name: f.type for f in dataclasses.fields(cls)}
+    _check_keys(obj, types, where)
+    return cls(**{
+        k: types[k](v) if types[k] in (int, float, bool) and v is not None else v
+        for k, v in obj.items()
+    })
+
+
+def _scenario_from_dict(obj, where):
+    obj = dict(obj)
+    tests = []
+    for i, t in enumerate(obj.get("tests", [])):
+        if "seed" in t:
+            raise ValueError(
+                "%s, test %d: a test takes no \"seed\"; run_study derives "
+                "each test's seed from the study seed" % (where, i)
+            )
+        tests.append(_from_dict(TestOptions, t, "%s, test %d" % (where, i)))
+    obj["tests"] = tuple(tests)
+    if obj.get("hypothesis_groups") is not None:
+        obj["hypothesis_groups"] = tuple(tuple(g) for g in obj["hypothesis_groups"])
+    if obj.get("sizes") is not None:
+        obj["sizes"] = tuple(int(s) for s in obj["sizes"])
+    return _from_dict(ScenarioConfig, obj, where)
 
 
 def load_study_json(path):
-    """Read a study config: {"scenarios": [...], "seed": int} or one scenario."""
+    """Read a study config: {"scenarios": [...], "seed": int}, a list of
+    scenarios, or one scenario (which may hold the "seed").  A key that
+    no scenario or test field takes is a ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
+    seed = None
     if isinstance(obj, dict) and "scenarios" in obj:
-        scenarios = [_scenario_from_dict(s) for s in obj["scenarios"]]
-        seed = obj.get("seed")
+        _check_keys(obj, ("scenarios", "seed"), path)
+        items, seed = obj["scenarios"], obj.get("seed")
     elif isinstance(obj, list):
-        scenarios = [_scenario_from_dict(s) for s in obj]
-        seed = None
+        items = obj
     else:
-        scenarios = [_scenario_from_dict(obj)]
-        seed = obj.get("seed") if isinstance(obj, dict) else None
+        obj = dict(obj)
+        seed = obj.pop("seed", None)
+        items = [obj]
+    scenarios = [
+        _scenario_from_dict(s, "%s, scenario %d" % (path, i)) for i, s in enumerate(items)
+    ]
     if not scenarios:
         raise ValueError("%s: no scenarios found" % path)
     return scenarios, seed

@@ -26,9 +26,11 @@ a tie itself, from the diagonal of the Gram products, so only jittering
 scans the data for tied columns.
 
 A KendallSample is one dataset ranked once: tau, the leave-one-out
-rows, the input digest and the tied columns.  ``run_test`` and the
-covariance estimators take it in place of the raw array, so every test
-of a dataset shares one O(n^2 p) pass.
+rows, the input digest and the tied columns.  It is the one way to rank
+data: ``run_test`` and the covariance estimators take it in place of
+the raw array, so every test of a dataset shares one O(n^2 p) pass, and
+``kendall_tau_vector`` is its ``tau``.  ``tau_and_leave_one_out`` is the
+bare kernel pass on the array a sample hands it.
 """
 
 import hashlib
@@ -42,11 +44,9 @@ __all__ = [
     "TieError",
     "kendall_kernel",
     "kendall_tau_vector",
-    "leave_one_out",
     "tau_and_leave_one_out",
     "column_means",
     "grand_mean",
-    "jitter_ties",
 ]
 
 # soft cap, in bytes, on the working buffers of one block of rows.  Kept
@@ -82,7 +82,12 @@ def _tied_columns(X):
 
 def _jitter_columns(X, cols, seed):
     """A copy of X with the listed 1-based columns jittered; only those
-    columns are checked again."""
+    columns are checked again.
+
+    The noise is seeded uniform on +/- 1e-9 times the column range,
+    which leaves distinct values' ranks intact unless they are closer
+    than the jitter itself.
+    """
     X = X.copy()
     rng = np.random.default_rng(seed)
     for j in cols:
@@ -93,31 +98,6 @@ def _jitter_columns(X, cols, seed):
     if still:
         raise TieError("jitter failed to break ties in columns %s" % still)
     return X
-
-
-def jitter_ties(data, seed=0):
-    """Break ties by adding tiny seeded uniform noise to tied columns.
-
-    The perturbation is uniform on +/- 1e-9 times the column range, which
-    leaves distinct values' ranks intact unless they are closer than the
-    jitter itself.  Deterministic for a fixed seed.
-    """
-    X = _as_data(data)
-    return _jitter_columns(X, _tied_columns(X), seed)
-
-
-def _resolve_ties(X, ties, tie_seed):
-    """X as the kernel pass takes it, and its tied 1-based columns.
-
-    With ties="error" nothing is scanned (the pass raises on a tie);
-    with "jitter" the tied columns are found once and jittered.
-    """
-    if ties == "error":
-        return X, []
-    if ties == "jitter":
-        tied = _tied_columns(X)
-        return (_jitter_columns(X, tied, tie_seed) if tied else X), tied
-    raise ValueError("ties must be 'error' or 'jitter', got %r" % (ties,))
 
 
 def kendall_kernel(x, y):
@@ -175,32 +155,20 @@ def kendall_tau_vector(data, ties="error", tie_seed=0):
     """Sample Kendall correlations of all variable pairs, flat order.
 
     Exact U-statistic: the mean of the concordance kernel over all
-    observation pairs.  Raises TieError on tied values unless
+    observation pairs; the ``tau`` of ``KendallSample(data, ties,
+    tie_seed)``, so it raises TieError on tied values unless
     ties='jitter'.
     """
-    X, _ = _resolve_ties(_as_data(data), ties, tie_seed)
-    n = X.shape[0]
-    sums = _pair_row_sums(X).sum(axis=0)
-    return sums / float(n * (n - 1))
+    return KendallSample(data, ties, tie_seed).tau
 
 
-def leave_one_out(data, ties="error", tie_seed=0):
-    """The n leave-one-out kernel averages, as an (n, p) array.
-
-    Row i holds tau_hat^{(i)}; the row mean reproduces tau_hat exactly.
-    """
-    X, _ = _resolve_ties(_as_data(data), ties, tie_seed)
-    n = X.shape[0]
-    return _pair_row_sums(X) / float(n - 1)
-
-
-def tau_and_leave_one_out(data, ties="error", tie_seed=0):
-    """Return (tau_hat, leave-one-out matrix) from one pass over the data."""
-    X, _ = _resolve_ties(_as_data(data), ties, tie_seed)
+def tau_and_leave_one_out(X):
+    """(tau_hat, leave-one-out matrix) of a validated float64 array X
+    with no ties left, from one kernel pass; ``KendallSample`` hands it
+    the array it ranks."""
     n = X.shape[0]
     sums = _pair_row_sums(X)
-    tau = sums.sum(axis=0) / float(n * (n - 1))
-    return tau, sums / float(n - 1)
+    return sums.sum(axis=0) / float(n * (n - 1)), sums / float(n - 1)
 
 
 class KendallSample:
@@ -223,8 +191,15 @@ class KendallSample:
         self.digest = hashlib.sha256(np.ascontiguousarray(X).tobytes()).hexdigest()[:16]
         self.ties = ties
         self.tie_seed = tie_seed
-        ranked, self.tied = _resolve_ties(X, ties, tie_seed)
-        self.tau, self.loo = tau_and_leave_one_out(ranked)
+        # with ties="error" nothing is scanned: the pass raises on a tie
+        self.tied = []
+        if ties == "jitter":
+            self.tied = _tied_columns(X)
+            if self.tied:
+                X = _jitter_columns(X, self.tied, tie_seed)
+        elif ties != "error":
+            raise ValueError("ties must be 'error' or 'jitter', got %r" % (ties,))
+        self.tau, self.loo = tau_and_leave_one_out(X)
 
     @classmethod
     def of(cls, data, ties=None, tie_seed=None):

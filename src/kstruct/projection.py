@@ -8,15 +8,15 @@ projector
     Gamma(A) = B (B^T A^{-1} B)^{-1} B^T A^{-1}.
 
 For membership designs and covariances that share the hypothesis'
-symmetry the two coincide, and the orthogonal projector has O(p)
+symmetry the two coincide, which is why ``run_test`` takes the
+orthogonal projector for a Partition hypothesis (the test suite checks
+the coincidence numerically).  The orthogonal projector has O(p)
 closed forms: the grand mean for full exchangeability, per-class means
 for partition designs, and the column-mean recombination
 
     (Gamma* v)_k = (d-1)/(d-2) (vbar_{i_k} + vbar_{j_k}) - d/(d-2) vbar
 
-for the vertex-incidence design.  That coincidence is always *checked*
-numerically by the test suite rather than assumed for arbitrary
-structured weights.
+for the vertex-incidence design.
 
 Every other projector is held as a rank-L product Gamma = B R with
 R = B^+ (orthogonal) or R = (B' W B)^{-1} B' W (weighted), R an L x p
@@ -29,7 +29,7 @@ quotients.
 
 import numpy as np
 
-from .covariance import CovarianceEstimate, PSDFactor
+from .covariance import CovarianceEstimate
 from .sblock import SingularError, eigenvalues, gamma_apply, gamma_star_apply, rank_mask
 
 __all__ = [
@@ -118,45 +118,23 @@ def _orthogonal_operator(design):
     )
 
 
-def _structured_weight_shortcut(design, A):
-    # a structured covariance shares the hypothesis' symmetry exactly when
-    # the design's column space is an invariant subspace of it; then the
-    # weighted projection collapses to the orthogonal one; a one-group
-    # (fully exchangeable) covariance also commutes with the star projector
-    if A.kind != "partition":
-        return False
-    if design.kind == "vertex-incidence":
-        return A.partition.n_groups == 1
-    return design.kind == "membership" and design.partition == A.partition
+def gamma_projection(design, weight=None):
+    """The projection onto col(B), optionally weighted by a covariance.
 
-
-def gamma_projection(design, A=None):
-    """The projection onto col(B), optionally weighted by a covariance A.
-
-    A = None gives the orthogonal projector B B^+.  A covariance
-    (estimate or plain matrix) gives the weighted projector
-    B (B' W B)^{-1} B' W with W the (pseudo-)inverse of A, taken from
-    the covariance's form (``CovarianceEstimate.factor``); a structured
-    covariance whose symmetry matches the design short-circuits back to
-    the orthogonal form.
+    ``weight=None`` gives the orthogonal projector B B^+.  A covariance
+    form (the PSDFactor or PartitionQuotients of
+    ``CovarianceEstimate.factor``) gives the weighted projector
+    B (B' W B)^{-1} B' W with W its pseudo-inverse.
     """
-    if A is None:
+    if weight is None:
         return _orthogonal_operator(design)
-    if isinstance(A, CovarianceEstimate):
-        if _structured_weight_shortcut(design, A):
-            return _orthogonal_operator(design)
-        factor = A.factor
-    elif np.ndim(A) == 0:  # scalar multiple of the identity
-        return _orthogonal_operator(design)
-    else:
-        factor = PSDFactor.of_matrix(A)
     B = design.matrix
-    WB = factor.apply(B.T, -1.0).T
+    WB = weight.apply(B.T, -1.0).T
     M = B.T @ WB
     w = np.linalg.eigvalsh((M + M.T) / 2.0)
     # with col(B) orthogonal to the weight's range, M is rounding noise
     # of either sign, far below the bound on its norm
-    if not rank_mask(w, design.p, _normal_norm(B, factor)).all():
+    if not rank_mask(w, design.p, _normal_norm(B, weight)).all():
         raise SingularError(
             "weighted design normal matrix is singular; the covariance "
             "weight is degenerate on the design's column space"

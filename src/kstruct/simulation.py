@@ -39,8 +39,6 @@ __all__ = [
     "ScenarioConfig",
     "tau_to_pearson",
     "build_tau_matrix",
-    "balanced_block_sizes",
-    "unbalanced_block_sizes",
     "sample_gaussian_with_tau",
     "run_study",
     "desk_scale",
@@ -73,20 +71,6 @@ def tau_to_pearson(tau):
     if np.isscalar(tau) or arr.ndim == 0:
         return float(out)
     return out
-
-
-def balanced_block_sizes(d):
-    """Three equal groups: d1 = d2 = d3 = d/3."""
-    if d % 3 != 0:
-        raise ValueError("balanced blocks need d divisible by 3, got d=%d" % d)
-    return (d // 3, d // 3, d // 3)
-
-
-def unbalanced_block_sizes(d):
-    """Three groups in 1:2:3 ratio: d1 = d2/2 = d3/3 = d/6."""
-    if d % 6 != 0:
-        raise ValueError("unbalanced blocks need d divisible by 6, got d=%d" % d)
-    return (d // 6, 2 * d // 6, 3 * d // 6)
 
 
 @dataclass
@@ -249,9 +233,18 @@ _DISCARDABLE = (TieError, SingularError, NotPositiveDefinite, RankDeficient,
                 np.linalg.LinAlgError)
 
 
+def _ranked(X, ties, tie_seed):
+    """X as a KendallSample, or the TieError its ranking raised."""
+    try:
+        return KendallSample(X, ties, tie_seed)
+    except TieError as exc:
+        return exc
+
+
 def _rep_task(payload):
     """Run every configured test on one freshly generated dataset, ranked
-    once per distinct (ties, tie_seed) among the tests."""
+    once per distinct (ties, tie_seed) among the tests; a ranking that
+    fails discards every test that shares it."""
     si, rep, master_seed, scenario = payload
     seqs = np.random.SeedSequence(
         master_seed, spawn_key=(si, rep)
@@ -279,7 +272,9 @@ def _rep_task(payload):
         try:
             key = (opts.ties, opts.tie_seed)
             if key not in samples:
-                samples[key] = KendallSample(X, *key)
+                samples[key] = _ranked(X, *key)
+            if isinstance(samples[key], TieError):
+                raise samples[key]
             report = run_test(samples[key], hyp, opts)
             rows.append((si, ti, rep, float(report.p_value), ""))
         except _DISCARDABLE as exc:
@@ -287,31 +282,20 @@ def _rep_task(payload):
     return rows
 
 
-def _one_thread_per_worker():
-    # the pool's workers already fill the CPUs, so each draws its Monte
-    # Carlo normals inline rather than on a helper thread
-    os.environ["KSTRUCT_THREADS"] = "1"
-
-
 def _task_batches(tasks, nworkers):
     """The row batches of the tasks, in task order: from a process pool
     when there is more than one worker and one task, else in-process."""
     if nworkers > 1 and len(tasks) > 1:
         chunk = max(1, len(tasks) // (nworkers * 8))
-        with ProcessPoolExecutor(
-            max_workers=nworkers, initializer=_one_thread_per_worker
-        ) as pool:
+        with ProcessPoolExecutor(max_workers=nworkers) as pool:
             yield from pool.map(_rep_task, tasks, chunksize=chunk)
     else:
         yield from map(_rep_task, tasks)
 
 
 def _worker_count(workers):
-    cap = os.environ.get("KSTRUCT_THREADS")
     if workers is None:
         workers = os.cpu_count() or 1
-    if cap:
-        workers = min(int(workers), max(1, int(cap)))
     return max(1, int(workers))
 
 
@@ -432,9 +416,9 @@ def run_study(
     ``shard=(A, B)`` restricts each scenario to repetitions A..B-1 so
     disjoint shards can run separately; pointing them at the same
     ``out_dir`` accumulates one results file whose summary equals the
-    single-run one.  Worker processes are capped by the KSTRUCT_THREADS
-    environment variable; the result is identical for any worker count.
-    Each worker draws its Monte Carlo normals inline.
+    single-run one.  ``workers`` sets the number of worker processes
+    (default: the CPU count); the result is identical for any worker
+    count.  Each worker draws its Monte Carlo normals inline.
     """
     if isinstance(scenarios, ScenarioConfig):
         scenarios = [scenarios]

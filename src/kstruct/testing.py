@@ -30,19 +30,25 @@ inequality; a plus-one correction is available as an option but off by
 default.
 
 The Gaussian draws of the simulated p-values are taken in row blocks
-from the one random stream of the test's seed.  When a test's draws
-span two or more blocks and the process may run on two or more CPUs
-(and KSTRUCT_THREADS, if set, allows more than one thread), a helper
-thread draws block b + 1 while the calling thread colours block b and
-counts its exceedances.  The helper only fills a ring of two block
-buffers from the generator, in stream order, so every draw, p-value and
-the generator's final state are the same as with inline draws, and the
-draws hold at most two blocks of memory.  Otherwise, and in
-``run_study``'s worker processes, which already fill every CPU, the
-draws are taken inline.
+from the one random stream of the test's seed, by three generators:
+standard normals (``_normal_blocks``), draws coloured by a covariance
+form (``_null_gaussian_blocks``) and multiplier-bootstrap replicates
+(``_bootstrap_blocks``).  When a test's draws span two or more blocks
+and the process may run on two or more CPUs, a helper thread draws
+block b + 1 while the calling thread colours block b and counts its
+exceedances.  The helper only fills a ring of two block buffers from
+the generator, in stream order, so every draw, p-value and the
+generator's final state are the same as with inline draws, and the
+draws hold at most two blocks of memory.  Otherwise, and in child
+processes such as ``run_study``'s workers, which already fill every
+CPU, the draws are taken inline.
+
+A weighting or sampler target is a covariance form: the PSDFactor or
+PartitionQuotients that ``CovarianceEstimate.factor`` returns.
 """
 
 import json
+import multiprocessing
 import os
 import queue
 import threading
@@ -57,7 +63,7 @@ from .covariance import PSDFactor, jackknife_cov, structured_jackknife_partition
 from .indexing import DesignMatrix, Partition, block_membership_matrix
 from .kendall import KendallSample
 from .projection import ProjectionOperator, _normal_norm, gamma_projection
-from .sblock import PartitionQuotients, SingularError, partition_projected, rank_mask
+from .sblock import SingularError, partition_projected, rank_mask
 
 __all__ = [
     "TestOptions",
@@ -66,8 +72,6 @@ __all__ = [
     "statistic_max",
     "pvalue_chisq",
     "pvalue_mixture_mc",
-    "sample_null_gaussian",
-    "multiplier_bootstrap_replicates",
     "run_test",
 ]
 
@@ -199,40 +203,25 @@ class TestReport:
 # whitening
 
 
-def _covariance_form(A):
-    """A weighting or sampler target as a PSDFactor or PartitionQuotients:
-    ("partition", q) is q, ("dense", A) or a matrix A its factor."""
-    if isinstance(A, tuple) and A[0] in ("dense", "partition"):
-        A = A[1]
-    if isinstance(A, (PSDFactor, PartitionQuotients)):
-        return A
-    return PSDFactor.of_matrix(A)
-
-
 def _whiten(r, weighting, exponent):
     """A^exponent r for the weighting A of ``statistic_euclidean``."""
-    if weighting is None:
-        return r
     if np.isscalar(weighting):
         a = float(weighting)
         if a <= 0.0:
             raise ValueError("scalar weighting must be positive")
         return a**exponent * r
-    A = _covariance_form(weighting)
-    if not A.keep.any():
+    if not weighting.keep.any():
         raise SingularError("weighting matrix has zero rank")
-    return A.apply(r, exponent)
+    return weighting.apply(r, exponent)
 
 
-def statistic_euclidean(tau, theta, weighting=None):
+def statistic_euclidean(tau, theta, weighting):
     """E = squared Euclidean norm of the whitened residual.
 
     ``weighting`` is the matrix A: a positive scalar a means a*I (so
-    1/n gives E = n||tau-theta||^2), a dense symmetric matrix or its
-    PSDFactor is pseudo-inverted on the eigenvalues that
-    ``sblock.rank_mask`` keeps (a matrix is factored by ``eigh``), and
-    ("partition", q) or the PartitionQuotients q itself likewise for a
-    partition-invariant matrix.
+    1/n gives E = n||tau-theta||^2), and a covariance form (a PSDFactor
+    or PartitionQuotients) is pseudo-inverted on the eigenvalues that
+    ``sblock.rank_mask`` keeps.
     """
     r = np.asarray(tau, dtype=float) - np.asarray(theta, dtype=float)
     # the quadratic form r' A^{-1} r, nonnegative: a negative value is
@@ -240,7 +229,7 @@ def statistic_euclidean(tau, theta, weighting=None):
     return max(float(r @ _whiten(r, weighting, -1.0)), 0.0)
 
 
-def statistic_max(tau, theta, weighting=None):
+def statistic_max(tau, theta, weighting):
     """M = max absolute entry of A^{-1/2}(tau - theta), principal root."""
     r = np.asarray(tau, dtype=float) - np.asarray(theta, dtype=float)
     return float(np.abs(_whiten(r, weighting, -0.5)).max())
@@ -309,10 +298,10 @@ def _row_blocks(N, p):
 
 def _draw_ahead():
     """Whether a helper thread may draw normals ahead of their use: the
-    process may run on at least two CPUs and KSTRUCT_THREADS, if set, is
-    above 1."""
-    cap = os.environ.get("KSTRUCT_THREADS")
-    if cap and int(cap) <= 1:
+    process may run on at least two CPUs and is not a child process,
+    such as a worker of ``run_study``'s pool, whose siblings already
+    fill the CPUs."""
+    if multiprocessing.parent_process() is not None:
         return False
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0)) >= 2
@@ -378,38 +367,6 @@ def _null_gaussian_blocks(A, N, rng):
         yield A.apply(G, 0.5)
 
 
-def sample_null_gaussian(spec, N, rng):
-    """N Gaussian p-vectors with a prescribed null covariance.
-
-    ``spec`` selects the target:
-
-    - ("identity", p): standard normal draws;
-    - ("dense", A): covariance A via its principal square root, A a
-      matrix (factored by ``eigh``) or a PSDFactor;
-    - ("partition", q): the partition-invariant covariance with quotients
-      q, via its principal pseudo-square root in O(p K) per draw.  Full
-      exchangeability is the one-group partition, whose three quotients
-      are the S-block eigenvalues.
-
-    Either covariance is coloured on the eigenvalues that
-    ``sblock.rank_mask`` keeps.  Returns an (N, p) array, (0, p) for
-    N = 0.
-    """
-    if spec[0] == "identity":
-        p, blocks = int(spec[1]), _normal_blocks(N, int(spec[1]), rng)
-    elif spec[0] in ("dense", "partition"):
-        A = _covariance_form(spec)
-        p, blocks = A.p, _null_gaussian_blocks(A, N, rng)
-    else:
-        raise ValueError("unknown sampler spec %r" % (spec[0],))
-    # each block is copied out before the next is drawn over it
-    out, lo = np.empty((int(N), p)), 0
-    for block in blocks:
-        out[lo : lo + len(block)] = block
-        lo += len(block)
-    return out
-
-
 def _residual_blocks(gamma, N, p, rng):
     """Row blocks of G - gamma.apply(G) for N iid standard normal p-vectors G."""
     for G in _normal_blocks(N, p, rng):
@@ -431,32 +388,16 @@ def _exceedances(blocks, value, statistic="max"):
 def _bootstrap_blocks(Y, N, rng):
     """Row blocks of the N multiplier replicates (2 / sqrt(n)) W Y, W an
     (N, n) standard normal draw taken block by block in its row order and
-    Y the n x p centred leave-one-out matrix, already projected."""
+    Y the n x p centred leave-one-out matrix, already projected.  Given
+    the data a replicate is Gaussian with covariance n P SigmaJ P, P the
+    projection's complement and SigmaJ the jackknife estimate, so it
+    stands in for the null law of sqrt(n) times the projected residual."""
     n, p = Y.shape
     if n < 3:
         raise ValueError("multiplier bootstrap needs n >= 3")
     # a block draws n columns and yields p, so it is sized by the wider
     for W in _normal_blocks(N, max(n, p), rng, cols=n):
         yield (2.0 / np.sqrt(n)) * (W @ Y)
-
-
-def multiplier_bootstrap_replicates(data, design, N, rng, ties=None, tie_seed=None):
-    """Gaussian multiplier replicates of the projected, scaled tau residual.
-
-    Each replicate is (2 / (sqrt(n) (n-1))) (I - B B^+) times the
-    multiplier-weighted sum of centered leave-one-out kernel sums.
-    Conditional on the data the draws are zero-mean Gaussian with
-    covariance n (I - B B^+) SigmaJ (I - B B^+), SigmaJ the jackknife
-    estimate, so they can stand in for the null law of sqrt(n) times the
-    projected residual.  ``design=None`` skips the projection.  ``data``
-    is an (n, d) array or a KendallSample; ``ties`` and ``tie_seed`` are
-    as for ``KendallSample.of``.
-    """
-    sample = KendallSample.of(data, ties, tie_seed)
-    D = sample.loo - sample.tau
-    if design is not None:
-        D = D - gamma_projection(design).apply(D)
-    return np.concatenate(list(_bootstrap_blocks(D, int(N), rng)))
 
 
 # ---------------------------------------------------------------------------
@@ -506,6 +447,52 @@ def _degenerate_fit(tau, theta):
     return not rank_mask([np.sqrt(r @ r)], r.size, np.sqrt(tau @ tau)).any()
 
 
+def _fit(sample, hypothesis, opts):
+    """(design, covariance estimate, projection Gamma) of a test on a
+    KendallSample, theta_hat being Gamma tau_hat: the one place that
+    picks the fit.  A Partition takes the structured estimate and the
+    orthogonal projector; a design takes the dense jackknife and, with
+    sigma weighting, the GLS projector, or the orthogonal one where GLS
+    is singular and the orthogonal fit is exact."""
+    tau = sample.tau
+    d = sample.shape[1]
+    if isinstance(hypothesis, Partition):
+        if hypothesis.d != d:
+            raise ValueError(
+                "partition is over %d variables, data has %d" % (hypothesis.d, d)
+            )
+        if opts.estimator != "structured":
+            raise ValueError(
+                "partition hypotheses use the structured estimator; to force "
+                "the dense jackknife, pass the membership design matrix instead"
+            )
+        design = block_membership_matrix(hypothesis)
+        est = structured_jackknife_partition(sample, hypothesis)
+        return design, est, gamma_projection(design)  # = Gamma(A) for any matching A
+    if not isinstance(hypothesis, DesignMatrix):
+        raise TypeError("hypothesis must be a Partition or a DesignMatrix")
+    design = hypothesis
+    if design.p != tau.size:
+        raise ValueError(
+            "design has %d rows but the data has %d pairs" % (design.p, tau.size)
+        )
+    if opts.estimator != "jackknife":
+        raise ValueError(
+            "design-matrix hypotheses use the dense jackknife estimator; "
+            "structured estimation needs a Partition hypothesis"
+        )
+    est = jackknife_cov(sample)
+    if opts.weighting == "identity":
+        return design, est, gamma_projection(design)
+    try:
+        return design, est, gamma_projection(design, est.factor)
+    except SingularError:
+        gamma = gamma_projection(design)
+        if not _degenerate_fit(tau, gamma.apply(tau)):
+            raise
+        return design, est, gamma
+
+
 def run_test(data, hypothesis, options):
     """Run one structure test and return a TestReport.
 
@@ -532,46 +519,9 @@ def run_test(data, hypothesis, options):
             "tied values in column(s) %s were jittered before ranking" % sample.tied
         )
 
-    # -- hypothesis, covariance estimate, projection ------------------------
-    if isinstance(hypothesis, Partition):
-        part = hypothesis
-        if part.d != d:
-            raise ValueError(
-                "partition is over %d variables, data has %d" % (part.d, d)
-            )
-        if opts.estimator != "structured":
-            raise ValueError(
-                "partition hypotheses use the structured estimator; to force "
-                "the dense jackknife, pass the membership design matrix instead"
-            )
-        design = block_membership_matrix(part)
-        est = structured_jackknife_partition(sample, part)
-        gamma = gamma_projection(design)  # = Gamma(A) for any matching A
-    elif isinstance(hypothesis, DesignMatrix):
-        design = hypothesis
-        if design.p != p:
-            raise ValueError(
-                "design has %d rows but the data has %d pairs" % (design.p, p)
-            )
-        if opts.estimator != "jackknife":
-            raise ValueError(
-                "design-matrix hypotheses use the dense jackknife estimator; "
-                "structured estimation needs a Partition hypothesis"
-            )
-        est = jackknife_cov(sample)
-        if opts.weighting == "sigma":
-            msgs.append(_DISTORTION_NOTE)
-            try:
-                gamma = gamma_projection(design, est)
-            except SingularError:
-                # GLS falls back to the orthogonal fit only when that is exact
-                gamma = gamma_projection(design)
-                if not _degenerate_fit(tau, gamma.apply(tau)):
-                    raise
-        else:
-            gamma = gamma_projection(design)
-    else:
-        raise TypeError("hypothesis must be a Partition or a DesignMatrix")
+    design, est, gamma = _fit(sample, hypothesis, opts)
+    if isinstance(hypothesis, DesignMatrix) and opts.weighting == "sigma":
+        msgs.append(_DISTORTION_NOTE)
 
     theta = gamma.apply(tau)
     N = int(opts.replicates)

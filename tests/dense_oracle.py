@@ -19,7 +19,7 @@ import numpy as np
 
 import kstruct.testing as kt
 from kstruct.indexing import Partition, _pairs0
-from kstruct.kendall import tau_and_leave_one_out
+from kstruct.kendall import KendallSample
 from kstruct.projection import pseudoinverse_design
 from kstruct.sblock import PartitionQuotients, SingularError, eigenvalues, rank_mask
 
@@ -114,7 +114,8 @@ def dense_design_report(X, design, opts):
     """
     opts.validate()
     rng = np.random.default_rng(opts.seed)
-    tau, loo = tau_and_leave_one_out(X)
+    sample = KendallSample(X)
+    tau, loo = sample.tau, sample.loo
     n = X.shape[0]
     p = tau.shape[0]
     B = design.matrix

@@ -13,6 +13,7 @@ import pytest
 from scipy import stats
 
 from dense_oracle import materialize, one_group
+from draws import bootstrap_draws, drawn
 from kstruct import (
     DesignMatrix,
     Partition,
@@ -33,7 +34,7 @@ from kstruct import (
 )
 from kstruct.indexing import _pairs0, overlap_count, pair_count
 from kstruct.sblock import eigenvalues, gamma_apply, gamma_star_apply
-from kstruct.testing import multiplier_bootstrap_replicates, sample_null_gaussian
+from kstruct.testing import _null_gaussian_blocks
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +338,7 @@ def test_criterion_09_sampler_covariances():
         # component coloring, first on a triple with s1 < s0 (no sum of
         # global, per-variable and per-pair normals), target S(s) itself ...
         s_hard = np.array([0.4, 0.2, 1.0])
-        Z = sample_null_gaussian(("partition", one_group(s_hard, d)), DRAWS, rng)
+        Z = drawn(_null_gaussian_blocks(one_group(s_hard, d), DRAWS, rng))
         err = np.abs(np.cov(Z, rowvar=False) - materialize(s_hard, d)).max()
         worst["projection"] = max(worst["projection"], err)
         assert err < TOL
@@ -347,7 +348,7 @@ def test_criterion_09_sampler_covariances():
         s_any = np.array([0.2, 0.35, 1.1])
         delta1 = eigenvalues(s_any, d).values[0]
         s_proj = s_any - delta1 / p
-        Z = sample_null_gaussian(("partition", one_group(s_proj, d)), DRAWS, rng)
+        Z = drawn(_null_gaussian_blocks(one_group(s_proj, d), DRAWS, rng))
         G = np.eye(p) - np.full((p, p), 1.0 / p)
         target = G @ materialize(s_any, d) @ G
         err = np.abs(np.cov(Z, rowvar=False) - target).max()
@@ -358,7 +359,7 @@ def test_criterion_09_sampler_covariances():
         T = build_tau_matrix(ScenarioConfig(n=10, d=d, tau=0.3))
         X = sample_gaussian_with_tau(T, 80, rng)
         design = block_membership_matrix(Partition.exchangeable(d))
-        Z = multiplier_bootstrap_replicates(X, design, DRAWS, rng)
+        Z = bootstrap_draws(X, design, DRAWS, rng)
         P = np.eye(p) - design.matrix @ pseudoinverse_design(design)
         target = 80 * P @ jackknife_cov(X).matrix @ P
         err = np.abs(np.cov(Z, rowvar=False) - target).max()

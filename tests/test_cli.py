@@ -8,7 +8,9 @@ import os
 import numpy as np
 import pytest
 
-from kstruct import kendall_tau_vector
+from kstruct import DesignMatrix, KendallSample, jackknife_cov, kendall_tau_vector
+from kstruct.indexing import _pairs0
+from kstruct.projection import gamma_projection
 from kstruct.cli import (
     ConstantCovariate,
     detrend_linear,
@@ -174,6 +176,32 @@ def test_cmd_test_output_files(tmp_path, capsys):
     assert np.allclose(theta_matrix[off], tau.mean(), atol=1e-12)
     # the tau matrix embeds the estimated vector
     assert tau_matrix[0, 1] == pytest.approx(tau[0], abs=1e-15)
+
+
+def test_cmd_test_theta_is_the_fit_the_test_used(tmp_path, capsys):
+    # a general design with covariance weighting is fitted by GLS, and
+    # <stem>_theta.csv holds that fit; identity weighting fits orthogonally
+    X = _gaussian_data(d=6)
+    data = _write_csv(tmp_path / "x.csv", X)
+    design = DesignMatrix(np.random.default_rng(9).standard_normal((15, 3)), "general")
+    design_file = _write_csv(tmp_path / "B.csv", design.matrix)
+    sample = KendallSample(X)
+    fits = {
+        "sigma": gamma_projection(design, jackknife_cov(sample).factor).apply(sample.tau),
+        "identity": gamma_projection(design).apply(sample.tau),
+    }
+    assert np.abs(fits["sigma"] - fits["identity"]).max() > 1e-3
+    ii0, jj0 = _pairs0(6)
+    for weighting, fit in fits.items():
+        out = tmp_path / ("%s.json" % weighting)
+        code = main(["test", "--data", data, "--hypothesis", "design",
+                     "--hypothesis-file", design_file, "--estimator", "jackknife",
+                     "--weighting", weighting, "--seed", "3", "--replicates", "200",
+                     "--out", str(out)])
+        assert code == 0
+        theta = np.loadtxt(tmp_path / ("%s_theta.csv" % weighting), delimiter=",")
+        assert np.array_equal(theta[ii0, jj0], fit), weighting
+    capsys.readouterr()
 
 
 def test_cmd_test_comonotone_fits_exactly(tmp_path, capsys):
@@ -414,6 +442,49 @@ def test_load_study_json(tmp_path):
     assert len(scenarios) == 1
     assert scenarios[0].n == 30
     assert scenarios[0].tests[0].replicates == 200
+
+
+def _config_with(path, scenario=None, test=None, top=None):
+    cfg = json.loads(open(_study_config_file(path)).read())
+    cfg.update(top or {})
+    cfg["scenarios"][0].update(scenario or {})
+    cfg["scenarios"][0]["tests"][0].update(test or {})
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def test_load_study_json_takes_every_option_field(tmp_path):
+    cfg = _config_with(tmp_path / "s.json", scenario={"repetitions": 7, "alpha": 0.1},
+                       test={"ties": "jitter", "tie_seed": 9, "null_draws": "auto",
+                             "plus_one": True})
+    (scenario,), _ = load_study_json(cfg)
+    assert (scenario.repetitions, scenario.alpha) == (7, 0.1)
+    opts = scenario.tests[0]
+    assert (opts.ties, opts.tie_seed, opts.null_draws, opts.plus_one) == (
+        "jitter", 9, "auto", True)
+    # one scenario on its own may hold the study seed
+    single = dict(json.loads(open(cfg).read())["scenarios"][0], seed=5)
+    (tmp_path / "one.json").write_text(json.dumps(single))
+    (scenario,), seed = load_study_json(str(tmp_path / "one.json"))
+    assert seed == 5 and scenario.repetitions == 7
+
+
+@pytest.mark.parametrize("where, key", [
+    ("scenario", "repetitons"),
+    ("test", "nul_draws"),
+    ("test", "tie_sed"),
+    ("top", "sed"),
+])
+def test_load_study_json_refuses_unknown_keys(tmp_path, where, key):
+    cfg = _config_with(tmp_path / "s.json", **{where: {key: 1}})
+    with pytest.raises(ValueError, match="unknown key.*'%s'" % key):
+        load_study_json(cfg)
+
+
+def test_load_study_json_refuses_a_test_seed(tmp_path):
+    cfg = _config_with(tmp_path / "s.json", test={"seed": 4})
+    with pytest.raises(ValueError, match="takes no \"seed\""):
+        load_study_json(cfg)
 
 
 def test_cmd_simulate_shards_match_whole(tmp_path, capsys):

@@ -1,8 +1,14 @@
-"""Static check: no kstruct module imports a name it never uses.
+"""Static checks on the package source.
 
-``__init__.py`` is exempt, since its imports are the package's exports.
-A name counts as used when it is read anywhere in the module or listed
-in the module's ``__all__``.
+No kstruct module imports a name it never uses.  ``__init__.py`` is
+exempt, since its imports are the package's exports.  A name counts as
+used when it is read anywhere in the module or listed in the module's
+``__all__``.
+
+No public name exists only for tests: every name in a submodule's
+``__all__`` that the package does not export is read somewhere in the
+source outside its own definition, as a name imported from its module
+or as ``module.name``.
 """
 
 import ast
@@ -56,3 +62,86 @@ def test_unused_import_check_flags_a_dead_import(tmp_path):
         encoding="utf-8",
     )
     assert unused_imports(path) == ["mod.py:1 os"]
+
+
+def _all_names(tree):
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else []
+        if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+            return ast.literal_eval(node.value)
+    return []
+
+
+def _bindings(tree, modules):
+    """(name -> (module, name) imported from a sibling, alias -> sibling
+    module) for the import statements of one module."""
+    names, aliases = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module == "kstruct"):
+            source = (node.module or "").split(".")[-1]
+            for alias in node.names:
+                bound = alias.asname or alias.name
+                if source in modules:
+                    names[bound] = (source, alias.name)
+                elif alias.name in modules:
+                    aliases[bound] = alias.name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "kstruct" and len(parts) == 2 and alias.asname:
+                    aliases[alias.asname] = parts[1]
+    return names, aliases
+
+
+def unread_exports(src):
+    """``module.name`` for every name in a submodule's ``__all__`` that
+    ``__init__.py`` does not export and no source reads outside its own
+    definition."""
+    trees = {
+        p.stem: ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
+        for p in src.glob("*.py")
+    }
+    exported = {bound for bound, _ in _imported(trees.pop("__init__"))}
+    reads = set()
+    for mod, tree in trees.items():
+        names, aliases = _bindings(tree, trees)
+        for stmt in tree.body:
+            owner = (mod, getattr(stmt, "name", None))
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    target = names.get(node.id, (mod, node.id))
+                elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                      and node.value.id in aliases):
+                    target = (aliases[node.value.id], node.attr)
+                else:
+                    continue
+                if target != owner:
+                    reads.add(target)
+    return sorted(
+        "%s.%s" % (mod, name)
+        for mod, tree in trees.items()
+        for name in _all_names(tree)
+        if name not in exported and (mod, name) not in reads
+    )
+
+
+def test_every_unexported_public_name_is_read_by_the_source():
+    assert unread_exports(SRC) == []
+
+
+def test_unread_export_check_flags_test_only_names(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .a import exported\n", encoding="utf-8")
+    (tmp_path / "a.py").write_text(
+        "__all__ = ['exported', 'used', 'recursive', 'attr_only', 'by_module']\n\n"
+        "def exported():\n    return 0\n\n"
+        "def used():\n    return 1\n\n"
+        "def recursive(n):\n    return recursive(n - 1) if n else 0\n\n"
+        "def attr_only():\n    return 2\n\n"
+        "def by_module():\n    return 3\n\n"
+        "def caller(args):\n    return used() + args.attr_only\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "b.py").write_text(
+        "from . import a\n\ndef g():\n    return a.by_module()\n", encoding="utf-8"
+    )
+    assert unread_exports(tmp_path) == ["a.attr_only", "a.recursive"]

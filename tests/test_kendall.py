@@ -14,10 +14,8 @@ from kstruct.kendall import (
     TieError,
     column_means,
     grand_mean,
-    jitter_ties,
     kendall_kernel,
     kendall_tau_vector,
-    leave_one_out,
     tau_and_leave_one_out,
 )
 
@@ -153,11 +151,13 @@ def test_kernel_memory_stays_within_budget(n, d):
 def test_leave_one_out_row_mean_is_tau():
     rng = np.random.default_rng(5)
     X = rng.normal(size=(30, 4))
-    tau = kendall_tau_vector(X)
-    loo = leave_one_out(X)
+    sample = KendallSample(X)
+    tau, loo = sample.tau, sample.loo
     assert loo.shape == (30, pair_count(4))
     assert np.allclose(loo.mean(axis=0), tau, rtol=0, atol=5e-15)
-    tau2, loo2 = tau_and_leave_one_out(X)
+    assert np.array_equal(kendall_tau_vector(X), tau)
+    # the bare kernel pass on the validated array gives the sample's rows
+    tau2, loo2 = tau_and_leave_one_out(sample.data)
     assert np.array_equal(tau2, tau)
     assert np.array_equal(loo2, loo)
 
@@ -165,7 +165,7 @@ def test_leave_one_out_row_mean_is_tau():
 def test_leave_one_out_matches_definition():
     rng = np.random.default_rng(8)
     X = rng.normal(size=(9, 3))
-    loo = leave_one_out(X)
+    loo = KendallSample(X).loo
     n = X.shape[0]
     for i in range(n):
         acc = np.zeros(pair_count(3))
@@ -198,8 +198,9 @@ def test_tie_error_and_jitter():
     t2 = kendall_tau_vector(X, ties="jitter", tie_seed=123)
     assert np.array_equal(t1, t2)
     assert abs(t1[0]) <= 1.0
+    assert KendallSample(X, "jitter", 123).tied == [1]
     # jitter leaves untied columns untouched
-    J = jitter_ties(X, seed=123)
+    J = kd._jitter_columns(X, kd._tied_columns(X), 123)
     assert np.array_equal(J[:, 1], X[:, 1])
 
 

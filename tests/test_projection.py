@@ -2,10 +2,7 @@ import numpy as np
 import pytest
 
 from dense_oracle import materialize, one_group
-from kstruct.covariance import (
-    CovarianceEstimate,
-    structured_jackknife_partition,
-)
+from kstruct.covariance import PSDFactor, structured_jackknife_partition
 from kstruct.indexing import (
     DesignMatrix,
     Partition,
@@ -130,7 +127,7 @@ def test_gls_matches_weighted_least_squares():
     design = DesignMatrix(B, kind="general")
     A = rng.standard_normal((p, p))
     A = A @ A.T + 0.5 * np.eye(p)
-    gamma = gamma_projection(design, A)
+    gamma = gamma_projection(design, PSDFactor.of_matrix(A))
     assert gamma.kind == "gls"
     tau = rng.standard_normal(p)
     W = np.linalg.inv(A)
@@ -151,48 +148,49 @@ def test_gls_scale_invariance():
     A = rng.standard_normal((p, p))
     A = A @ A.T + np.eye(p)
     v = rng.standard_normal(p)
-    a = gamma_projection(design, A).apply(v)
-    b = gamma_projection(design, 7.3 * A).apply(v)
+    a = gamma_projection(design, PSDFactor.of_matrix(A)).apply(v)
+    b = gamma_projection(design, PSDFactor.of_matrix(7.3 * A)).apply(v)
     np.testing.assert_allclose(a, b, atol=1e-12)
 
 
 def test_structured_weight_collapses_to_orthogonal():
-    # dense weighted route vs the symmetry-based shortcut, both ways
+    # a partition estimate shares its membership design's symmetry, so
+    # GLS through its quotients or its dense matrix is the orthogonal
+    # class-mean projector that run_test takes for a Partition
     rng = np.random.default_rng(25)
     part = Partition(5, ((1, 2, 3), (4, 5)))
     design = block_membership_matrix(part)
     X = rng.standard_normal((40, 5))
     est = structured_jackknife_partition(X, part)
 
-    shortcut = gamma_projection(design, est)
-    assert shortcut.kind == "class-mean"
-    dense_route = gamma_projection(design, est.matrix)
+    orthogonal = gamma_projection(design)
+    assert orthogonal.kind == "class-mean"
     v = rng.standard_normal(design.p)
-    np.testing.assert_allclose(
-        dense_route.apply(v), shortcut.apply(v), atol=1e-9 * np.linalg.norm(v)
-    )
+    for weight in (est.factor, PSDFactor.of_matrix(est.matrix)):
+        np.testing.assert_allclose(
+            gamma_projection(design, weight).apply(v), orthogonal.apply(v),
+            atol=1e-9 * np.linalg.norm(v),
+        )
 
 
 def test_exchangeable_weight_with_vertex_design():
     rng = np.random.default_rng(29)
     d = 5
     s = random_sblock_pd(rng, d)
-    est = CovarianceEstimate(
-        kind="partition", d=d, n=50,
-        partition=Partition.exchangeable(d), quotients=one_group(s, d),
-    )
     design = vertex_incidence_design(d)
-    shortcut = gamma_projection(design, est)
-    assert shortcut.kind == "vertex"
-    dense_route = gamma_projection(design, materialize(s, d))
+    orthogonal = gamma_projection(design)
+    assert orthogonal.kind == "vertex"
     v = rng.standard_normal(design.p)
-    np.testing.assert_allclose(dense_route.apply(v), shortcut.apply(v), atol=1e-9)
+    for weight in (one_group(s, d), PSDFactor.of_matrix(materialize(s, d))):
+        np.testing.assert_allclose(
+            gamma_projection(design, weight).apply(v), orthogonal.apply(v), atol=1e-9
+        )
 
 
 def test_gls_singular_weight_raises():
     design = DesignMatrix(np.random.default_rng(1).standard_normal((6, 2)), "general")
     with pytest.raises(SingularError):
-        gamma_projection(design, np.zeros((6, 6)))
+        gamma_projection(design, PSDFactor.of_matrix(np.zeros((6, 6))))
 
 
 def test_theta_star_matches_dense_and_orthogonality():

@@ -128,8 +128,8 @@ def test_inverse_singular_raises():
     # pseudo-inverted, J^+ = J / p^2, like every other singular weight
     v = np.arange(1.0, 11.0)
     with pytest.raises(SingularError):
-        statistic_euclidean(v, 0.0 * v, ("partition", one_group((0.0, 0.0, 0.0), 5)))
-    got = statistic_euclidean(v, 0.0 * v, ("partition", one_group((1.0, 1.0, 1.0), 5)))
+        statistic_euclidean(v, 0.0 * v, one_group((0.0, 0.0, 0.0), 5))
+    got = statistic_euclidean(v, 0.0 * v, one_group((1.0, 1.0, 1.0), 5))
     assert got == pytest.approx(v.sum() ** 2 / 100.0, rel=1e-12)
 
 

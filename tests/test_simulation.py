@@ -23,13 +23,7 @@ from kstruct import (
     tau_to_pearson,
 )
 from kstruct import kendall, simulation
-from kstruct.simulation import (
-    DESK_REPETITIONS,
-    DESK_REPLICATES,
-    balanced_block_sizes,
-    desk_scale,
-    unbalanced_block_sizes,
-)
+from kstruct.simulation import DESK_REPETITIONS, DESK_REPLICATES, desk_scale
 
 # ---------------------------------------------------------------------------
 # tau -> pearson map
@@ -79,17 +73,6 @@ def test_block_matrix_frozen_entries():
     assert T[1, 5] == pytest.approx(0.10)
     assert np.all(np.diag(T) == 1.0)
     assert np.allclose(T, T.T)
-
-
-def test_block_size_presets():
-    assert balanced_block_sizes(6) == (2, 2, 2)
-    assert balanced_block_sizes(9) == (3, 3, 3)
-    assert unbalanced_block_sizes(6) == (1, 2, 3)
-    assert unbalanced_block_sizes(12) == (2, 4, 6)
-    with pytest.raises(ValueError):
-        balanced_block_sizes(7)
-    with pytest.raises(ValueError):
-        unbalanced_block_sizes(9)
 
 
 def test_single_departure_changes_exactly_one_pair():
@@ -322,8 +305,8 @@ def test_rep_task_equals_run_test_on_each_raw_array(monkeypatch):
         for rep in range(scenario.repetitions):
             del passes[:]
             rows = simulation._rep_task((0, rep, 17, scenario))
-            if not rounded:  # a failed ranking is retried by the next test
-                assert len(passes) == 2
+            # a failed ranking is kept, not retried by the next test
+            assert len(passes) == 2
             seqs = np.random.SeedSequence(17, spawn_key=(0, rep)).spawn(len(tests) + 1)
             X = simulation.sample_gaussian_with_tau(
                 build_tau_matrix(scenario), scenario.n, np.random.default_rng(seqs[0])

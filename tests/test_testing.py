@@ -1,6 +1,7 @@
 import json
 import threading
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -10,9 +11,10 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from dense_oracle import dense_spectrum, materialize, one_group
+from draws import bootstrap_draws, drawn
 
 import kstruct.testing as kt
-from kstruct.covariance import jackknife_cov, structured_jackknife_partition
+from kstruct.covariance import PSDFactor, jackknife_cov, structured_jackknife_partition
 from kstruct.indexing import (
     DesignMatrix,
     Partition,
@@ -20,7 +22,7 @@ from kstruct.indexing import (
     pair_count,
     vertex_incidence_design,
 )
-from kstruct.kendall import KendallSample, TieError, tau_and_leave_one_out
+from kstruct.kendall import KendallSample, TieError
 from kstruct.projection import RankDeficient, gamma_projection
 from kstruct.sblock import (
     PartitionQuotients,
@@ -31,11 +33,9 @@ from kstruct.sblock import (
 )
 from kstruct.testing import (
     TestOptions,
-    multiplier_bootstrap_replicates,
     pvalue_chisq,
     pvalue_mixture_mc,
     run_test,
-    sample_null_gaussian,
     statistic_euclidean,
     statistic_max,
 )
@@ -67,7 +67,9 @@ def test_euclidean_dense_matches_pinv_quadratic_form():
     tau, theta = rng.standard_normal(p), rng.standard_normal(p)
     r = tau - theta
     want = r @ np.linalg.pinv(A) @ r
-    assert statistic_euclidean(tau, theta, A) == pytest.approx(want, rel=1e-10)
+    assert statistic_euclidean(tau, theta, PSDFactor.of_matrix(A)) == pytest.approx(
+        want, rel=1e-10
+    )
 
 
 def test_euclidean_structured_matches_dense_and_decomposition():
@@ -77,8 +79,8 @@ def test_euclidean_structured_matches_dense_and_decomposition():
     s = pd_triple(rng)
     tau = rng.standard_normal(p)
     theta = np.full(p, tau.mean())
-    got = statistic_euclidean(tau, theta, ("partition", one_group(s, d)))
-    want = statistic_euclidean(tau, theta, materialize(s, d))
+    got = statistic_euclidean(tau, theta, one_group(s, d))
+    want = statistic_euclidean(tau, theta, PSDFactor.of_matrix(materialize(s, d)))
     assert got == pytest.approx(want, rel=1e-10)
 
     # the two-residual split against the class eigenvalues
@@ -100,7 +102,7 @@ def test_max_dense_uses_principal_root():
     theta = np.zeros(2)
     # principal root by hand: eigenvalues 3 and 1 on (1,1)/sqrt2, (1,-1)/sqrt2
     want = 0.5 / np.sqrt(3.0) + 0.5
-    got = statistic_max(tau, theta, A)
+    got = statistic_max(tau, theta, PSDFactor.of_matrix(A))
     assert got == pytest.approx(want, abs=1e-12)
     # a triangular (Cholesky) root would give a different answer
     L = np.linalg.cholesky(A)
@@ -117,17 +119,17 @@ def test_max_structured_matches_dense():
     p = pair_count(d)
     s = pd_triple(rng)
     tau, theta = rng.standard_normal(p), rng.standard_normal(p)
-    got = statistic_max(tau, theta, ("partition", one_group(s, d)))
-    want = statistic_max(tau, theta, materialize(s, d))
+    got = statistic_max(tau, theta, one_group(s, d))
+    want = statistic_max(tau, theta, PSDFactor.of_matrix(materialize(s, d)))
     assert got == pytest.approx(want, rel=1e-10)
 
 
 def test_statistics_zero_rank_weighting():
     tau = np.ones(6)
     with pytest.raises(SingularError):
-        statistic_euclidean(tau, np.zeros(6), np.zeros((6, 6)))
+        statistic_euclidean(tau, np.zeros(6), PSDFactor.of_matrix(np.zeros((6, 6))))
     with pytest.raises(SingularError):
-        statistic_max(tau, np.zeros(6), ("partition", one_group(np.zeros(3), 4)))
+        statistic_max(tau, np.zeros(6), one_group(np.zeros(3), 4))
 
 
 def test_euclidean_scale_consistency():
@@ -138,11 +140,12 @@ def test_euclidean_scale_consistency():
     A = A @ A.T + np.eye(p)
     tau = rng.standard_normal(p)
     c = 3.7
-    th1 = gamma_projection(B, A).apply(tau)
-    th2 = gamma_projection(B, c * A).apply(tau)
+    F1, F2 = PSDFactor.of_matrix(A), PSDFactor.of_matrix(c * A)
+    th1 = gamma_projection(B, F1).apply(tau)
+    th2 = gamma_projection(B, F2).apply(tau)
     np.testing.assert_allclose(th1, th2, atol=1e-12)
-    e1 = statistic_euclidean(tau, th1, A)
-    e2 = statistic_euclidean(tau, th2, c * A)
+    e1 = statistic_euclidean(tau, th1, F1)
+    e2 = statistic_euclidean(tau, th2, F2)
     assert c * e2 == pytest.approx(e1, rel=1e-10)
 
 
@@ -226,7 +229,7 @@ def empirical_cov(Z):
 
 def test_sample_identity_covariance():
     rng = np.random.default_rng(37)
-    Z = sample_null_gaussian(("identity", 3), 20000, rng)
+    Z = drawn(kt._normal_blocks(20000, 3, rng))
     np.testing.assert_allclose(empirical_cov(Z), np.eye(3), atol=0.06)
 
 
@@ -236,7 +239,7 @@ def test_sample_fallback_when_ineligible():
     rng = np.random.default_rng(43)
     d = 4
     s = np.array([0.4, 0.2, 1.0])
-    Z = sample_null_gaussian(("partition", one_group(s, d)), 30000, rng)
+    Z = drawn(kt._null_gaussian_blocks(one_group(s, d), 30000, rng))
     np.testing.assert_allclose(empirical_cov(Z), materialize(s, d), atol=0.06)
 
 
@@ -245,11 +248,11 @@ def test_sample_projection_path_kills_grand_mean():
     d = 5
     s = pd_triple(rng)
     t = s - eigenvalues(s, d).values[0] / pair_count(d)
-    Z = sample_null_gaussian(("partition", one_group(t, d)), 500, rng)
+    Z = drawn(kt._null_gaussian_blocks(one_group(t, d), 500, rng))
     assert np.abs(Z.mean(axis=1)).max() < 1e-12
     J = np.full((pair_count(d), pair_count(d)), 1.0 / pair_count(d))
     target = (np.eye(pair_count(d)) - J) @ materialize(s, d)
-    Z = sample_null_gaussian(("partition", one_group(t, d)), 30000, rng)
+    Z = drawn(kt._null_gaussian_blocks(one_group(t, d), 30000, rng))
     np.testing.assert_allclose(empirical_cov(Z), target, atol=0.06)
 
 
@@ -257,26 +260,21 @@ def test_sample_dense_and_projector_paths():
     rng = np.random.default_rng(53)
     A = rng.standard_normal((4, 4))
     A = A @ A.T
-    Z = sample_null_gaussian(("dense", A), 30000, rng)
+    Z = drawn(kt._null_gaussian_blocks(PSDFactor.of_matrix(A), 30000, rng))
     np.testing.assert_allclose(empirical_cov(Z), A, atol=0.08 * A.max())
     # the projector I - J/p is the one-group matrix with eigenvalues (0, 1, 1)
     P = np.eye(6) - np.full((6, 6), 1.0 / 6.0)
-    Z = sample_null_gaussian(("partition", one_group((-1 / 6, -1 / 6, 5 / 6), 4)), 30000, rng)
+    q = one_group((-1 / 6, -1 / 6, 5 / 6), 4)
+    Z = drawn(kt._null_gaussian_blocks(q, 30000, rng))
     np.testing.assert_allclose(empirical_cov(Z), P, atol=0.06)
-    with pytest.raises(ValueError, match="spec"):
-        sample_null_gaussian(("what", 3), 100, rng)
 
 
 def test_sample_zero_draws_has_p_columns():
-    A = np.eye(3) + 0.5
-    specs = (
-        ("identity", 5),
-        ("dense", A),
-        ("partition", one_group(np.array([0.1, 0.3, 0.9]), 5)),
-    )
-    for spec, p in zip(specs, (5, 3, 10)):
-        Z = sample_null_gaussian(spec, 0, np.random.default_rng(0))
-        assert Z.shape == (0, p), spec[0]
+    rng = np.random.default_rng(0)
+    forms = (PSDFactor.of_matrix(np.eye(3) + 0.5), one_group(np.array([0.1, 0.3, 0.9]), 5))
+    assert drawn(kt._normal_blocks(0, 5, rng)).shape == (0, 5)
+    for A, p in zip(forms, (3, 10)):
+        assert drawn(kt._null_gaussian_blocks(A, 0, rng)).shape == (0, p)
 
 
 def test_row_blocked_draws_follow_one_random_stream(monkeypatch):
@@ -285,12 +283,12 @@ def test_row_blocked_draws_follow_one_random_stream(monkeypatch):
     # the rounding of the per-block matrix product
     d, N = 5, 301
     p = pair_count(d)
-    spec = ("partition", one_group(np.array([0.4, 0.2, 1.0]), d))
-    one = sample_null_gaussian(spec, N, np.random.default_rng(59))
+    q = one_group(np.array([0.4, 0.2, 1.0]), d)
+    one = drawn(kt._null_gaussian_blocks(q, N, np.random.default_rng(59)))
     monkeypatch.setattr(kt, "_DRAW_BLOCK_ENTRIES", 3 * p)
-    Z = sample_null_gaussian(("identity", p), N, np.random.default_rng(59))
+    Z = drawn(kt._normal_blocks(N, p, np.random.default_rng(59)))
     assert np.array_equal(Z, np.random.default_rng(59).standard_normal((N, p)))
-    blocked = sample_null_gaussian(spec, N, np.random.default_rng(59))
+    blocked = drawn(kt._null_gaussian_blocks(q, N, np.random.default_rng(59)))
     np.testing.assert_allclose(blocked, one, rtol=0, atol=1e-12)
 
 
@@ -302,7 +300,7 @@ def test_bootstrap_comonotone_draws_vanish():
     x = np.linspace(0.0, 1.0, 12)
     X = np.column_stack([x, np.exp(x), x**3])
     design = block_membership_matrix(Partition.exchangeable(3))
-    Z = multiplier_bootstrap_replicates(X, design, 50, np.random.default_rng(59))
+    Z = bootstrap_draws(X, design, 50, np.random.default_rng(59))
     assert np.abs(Z).max() < 1e-12
 
 
@@ -310,7 +308,7 @@ def test_bootstrap_orthogonal_to_design():
     rng = np.random.default_rng(61)
     X = rng.standard_normal((25, 4))
     design = block_membership_matrix(Partition(4, ((1, 2), (3, 4))))
-    Z = multiplier_bootstrap_replicates(X, design, 200, rng)
+    Z = bootstrap_draws(X, design, 200, rng)
     resid = Z @ design.matrix
     assert np.abs(resid).max() < 1e-10
 
@@ -320,7 +318,7 @@ def test_bootstrap_conditional_covariance():
     n, d = 30, 4
     X = rng.standard_normal((n, d))
     design = block_membership_matrix(Partition.exchangeable(d))
-    Z = multiplier_bootstrap_replicates(X, design, 40000, rng)
+    Z = bootstrap_draws(X, design, 40000, rng)
     P = np.eye(6) - np.full((6, 6), 1.0 / 6.0)
     target = n * (P @ jackknife_cov(X).matrix @ P)
     np.testing.assert_allclose(empirical_cov(Z), target, atol=0.05)
@@ -333,22 +331,21 @@ def test_bootstrap_memory_is_bounded_for_long_samples():
     X = np.random.default_rng(71).standard_normal((n, 4))
     tracemalloc.start()
     try:
-        Z = multiplier_bootstrap_replicates(X, None, N, np.random.default_rng(73))
+        Z = bootstrap_draws(X, None, N, np.random.default_rng(73))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 10 * 2**20, peak
     # the multipliers are still the rows of one (N, n) draw
-    tau, loo = tau_and_leave_one_out(X)
+    sample = KendallSample(X)
     W = np.random.default_rng(73).standard_normal((N, n))
-    np.testing.assert_allclose(Z, (2.0 / np.sqrt(n)) * (W @ (loo - tau)), rtol=0, atol=1e-12)
+    D = sample.loo - sample.tau
+    np.testing.assert_allclose(Z, (2.0 / np.sqrt(n)) * (W @ D), rtol=0, atol=1e-12)
 
 
 def test_bootstrap_needs_three_observations():
     with pytest.raises(ValueError, match="n >= 3"):
-        multiplier_bootstrap_replicates(
-            np.array([[1.0, 2.0], [2.0, 1.0]]), None, 10, np.random.default_rng(0)
-        )
+        bootstrap_draws(np.array([[1.0, 2.0], [2.0, 1.0]]), None, 10, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -650,8 +647,6 @@ def test_a_sample_ranked_otherwise_is_refused():
             jackknife_cov(sample, **other)
         with pytest.raises(ValueError, match="ranked with"):
             structured_jackknife_partition(sample, part, **other)
-        with pytest.raises(ValueError, match="ranked with"):
-            multiplier_bootstrap_replicates(sample, None, 10, rng, **other)
     # settings that match, or none, take the sample as it is
     assert np.array_equal(
         jackknife_cov(sample, ties="error", tie_seed=0).matrix, jackknife_cov(X).matrix
@@ -737,9 +732,7 @@ def test_run_test_design_routes_independent_of_draw_blocks(monkeypatch):
                                null_draws=draws, replicates=501, seed=3)
             rep = run_test(X, design, opts)
             reports.append((rep.value, rep.p_value))
-        boots.append(
-            multiplier_bootstrap_replicates(X, design, 301, np.random.default_rng(5))
-        )
+        boots.append(bootstrap_draws(X, design, 301, np.random.default_rng(5)))
     assert reports[: len(routes)] == reports[len(routes):]
     # one random stream; a blocked product may round differently
     np.testing.assert_allclose(boots[1], boots[0], rtol=0, atol=1e-12)
@@ -791,21 +784,23 @@ def _draw_ahead(monkeypatch, on):
 def test_threaded_draws_equal_inline_draws(monkeypatch):
     p, N = pair_count(6), 301
     A = np.random.default_rng(97).standard_normal((p, p))
-    specs = (
-        ("identity", p),
-        ("dense", A @ A.T),
-        ("partition", one_group(np.array([0.4, 0.2, 1.0]), 6)),
-    )
     X = exchangeable_normal(np.random.default_rng(101), 30, 6)
     design = block_membership_matrix(Partition(6, ((1, 2, 3), (4, 5, 6))))
+    generators = {
+        "identity": lambda rng: kt._normal_blocks(N, p, rng),
+        "dense": lambda rng: kt._null_gaussian_blocks(PSDFactor.of_matrix(A @ A.T), N, rng),
+        "partition": lambda rng: kt._null_gaussian_blocks(
+            one_group(np.array([0.4, 0.2, 1.0]), 6), N, rng
+        ),
+    }
     draws = {}
     for on in (False, True):
         _draw_ahead(monkeypatch, on)
-        for spec in specs:
+        for kind, blocks in generators.items():
             rng = _RecordingRng(7)
-            draws[on, spec[0]] = sample_null_gaussian(spec, N, rng), rng
+            draws[on, kind] = drawn(blocks(rng)), rng
         rng = _RecordingRng(7)
-        draws[on, "bootstrap"] = multiplier_bootstrap_replicates(X, design, N, rng), rng
+        draws[on, "bootstrap"] = bootstrap_draws(X, design, N, rng), rng
     for kind in ("identity", "dense", "partition", "bootstrap"):
         (inline, r0), (ahead, r1) = draws[False, kind], draws[True, kind]
         assert np.array_equal(inline, ahead), kind
@@ -871,30 +866,21 @@ def test_draw_thread_error_reaches_the_caller(monkeypatch):
     before = threading.active_count()
     rng = _RecordingRng(9, fail_at=4)
     with pytest.raises(FloatingPointError, match="draw 4 failed"):
-        sample_null_gaussian(("identity", pair_count(6)), 301, rng)
+        drawn(kt._normal_blocks(301, pair_count(6), rng))
     assert len(rng.threads) == 4
     assert not any(t is threading.main_thread() for t in rng.threads)
     assert threading.active_count() == before
 
 
-def test_draw_ahead_needs_two_cpus_and_a_thread_cap_above_one(monkeypatch):
-    import kstruct.simulation as ks
-
-    monkeypatch.delenv("KSTRUCT_THREADS", raising=False)
+def test_draw_ahead_needs_two_cpus_outside_a_pool_worker(monkeypatch):
     monkeypatch.setattr(kt.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     assert kt._draw_ahead()
-    monkeypatch.setenv("KSTRUCT_THREADS", "2")
-    assert kt._draw_ahead()
-    monkeypatch.setenv("KSTRUCT_THREADS", "1")
-    assert not kt._draw_ahead()
-    monkeypatch.delenv("KSTRUCT_THREADS")
     monkeypatch.setattr(kt.os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert not kt._draw_ahead()
-    # run_study's pool workers draw inline however many CPUs they see
+    # a pool worker, like run_study's, draws inline however many CPUs it sees
     monkeypatch.setattr(kt.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setenv("KSTRUCT_THREADS", "8")
-    ks._one_thread_per_worker()
-    assert not kt._draw_ahead()
+    with ProcessPoolExecutor(max_workers=1) as pool:
+        assert pool.submit(kt._draw_ahead).result() is False
 
 
 def test_run_test_validation_errors():
