@@ -19,9 +19,6 @@ from .indexing import (
     Partition,
     DesignMatrix,
     pair_of_index,
-    index_of_pair,
-    all_pairs,
-    column_index_set,
     overlap_count,
     block_membership_matrix,
     diagonal_free_membership_matrix,
@@ -30,10 +27,7 @@ from .indexing import (
 from .kendall import (
     KendallSample,
     TieError,
-    kendall_kernel,
     kendall_tau_vector,
-    column_means,
-    grand_mean,
 )
 from .sblock import SingularError
 from .covariance import (

@@ -33,7 +33,7 @@ from .indexing import (
 )
 from .kendall import KendallSample
 from .simulation import ScenarioConfig, desk_scale, run_study
-from .testing import TestOptions, _fit, run_test
+from .testing import TestOptions, _run_test
 
 __all__ = [
     "ConstantCovariate",
@@ -168,16 +168,18 @@ def _build_hypothesis(kind, path, d, estimator):
     return block_membership_matrix(part)
 
 
+def _split_covariate(X, column):
+    """(data, covariate) with the 0-based ``column`` taken out of X as
+    the detrending covariate; (X, None) when ``column`` is None."""
+    if column is None:
+        return X, None
+    if not 0 <= column < X.shape[1]:
+        raise ValueError("covariate column %d out of range" % column)
+    return np.delete(X, column, axis=1), X[:, column]
+
+
 def cmd_test(args):
-    X = read_data_csv(args.data)
-    if args.covariate_column is not None:
-        c = args.covariate_column
-        if not 0 <= c < X.shape[1]:
-            raise ValueError("covariate column %d out of range" % c)
-        covariate = X[:, c]
-        X = np.delete(X, c, axis=1)
-    else:
-        covariate = None
+    X, covariate = _split_covariate(read_data_csv(args.data), args.covariate_column)
 
     if args.detrend:
         X, _, _ = detrend_linear(X, covariate)
@@ -202,7 +204,7 @@ def cmd_test(args):
     )
     options.validate()  # before ranking, as run_test would
     sample = KendallSample(X, options.ties, options.tie_seed)
-    report = run_test(sample, hypothesis, options)
+    report, theta = _run_test(sample, hypothesis, options)
 
     for note in report.warnings:
         print("note: %s" % note, file=sys.stderr)
@@ -214,8 +216,6 @@ def cmd_test(args):
     report.save(args.out)
     stem, _ = os.path.splitext(args.out)
     tau = sample.tau
-    _, _, gamma = _fit(sample, hypothesis, options)  # the fit the report used
-    theta = gamma.apply(tau)
     tau_path = stem + "_tau.csv"
     theta_path = stem + "_theta.csv"
     np.savetxt(tau_path, _matrix_from_pairs(tau, d), delimiter=",", fmt="%.17g")
@@ -331,15 +331,7 @@ def cmd_simulate(args):
 
 
 def cmd_detrend(args):
-    X = read_data_csv(args.data)
-    if args.covariate_column is not None:
-        c = args.covariate_column
-        if not 0 <= c < X.shape[1]:
-            raise ValueError("covariate column %d out of range" % c)
-        covariate = X[:, c]
-        X = np.delete(X, c, axis=1)
-    else:
-        covariate = None
+    X, covariate = _split_covariate(read_data_csv(args.data), args.covariate_column)
     residuals, slopes, intercepts = detrend_linear(X, covariate)
     np.savetxt(args.out, residuals, delimiter=",", fmt="%.17g")
     for j, (a, b) in enumerate(zip(intercepts, slopes)):

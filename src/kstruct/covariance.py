@@ -103,35 +103,32 @@ class PSDFactor:
 class CovarianceEstimate:
     """A covariance estimate for tau_hat.
 
-    kind is "dense" (``matrix`` set, or the centred leave-one-out matrix
-    ``rows`` D with matrix (4/n^2) D'D) or "partition" (``quotients``
-    set: the isotypic quotients of a matrix constant on the orbits of
-    ``partition``).  ``matrix`` is materialized on first read.
-    ``factor`` is the form that whitens, answering ``keep``, ``spectrum``
-    and ``apply``: the quotients, or a PSDFactor built on first use (from
-    the thin SVD of D when D is held).  ``s`` holds the overlap-class
-    coefficients (s0, s1, s2) of a fully exchangeable estimate and is
-    None otherwise.  The estimate is on the scale of cov(tau_hat);
-    multiply by n for the asymptotic matrix.
+    kind is "dense" (the centred leave-one-out matrix ``rows`` D, with
+    matrix (4/n^2) D'D) or "partition" (``quotients``: the isotypic
+    quotients of a matrix constant on the orbits of a partition).
+    ``matrix`` is materialized on first read.  ``factor`` is the form
+    that whitens, answering ``keep``, ``spectrum`` and ``apply``: the
+    quotients, or a PSDFactor from the thin SVD of D built on first use.
+    ``s`` holds the overlap-class coefficients (s0, s1, s2) of a fully
+    exchangeable estimate and is None otherwise.  The estimate is on the
+    scale of cov(tau_hat); multiply by n for the asymptotic matrix.
     """
 
-    def __init__(self, kind, d, n, matrix=None, partition=None,
-                 quotients=None, rows=None):
+    def __init__(self, kind, d, n, quotients=None, rows=None):
         self.kind = kind
         self.d = d
         self.n = n
-        self._matrix = matrix
         self.s = None
-        self.partition = partition
         self.quotients = quotients
         self.rows = rows
+        self._matrix = None
         self._factor = None
 
     @property
     def matrix(self):
         if self._matrix is None and self.quotients is not None:
             self._matrix = partition_materialize(self.quotients)
-        elif self._matrix is None and self.rows is not None:
+        elif self._matrix is None:
             self._matrix = (4.0 / self.n**2) * (self.rows.T @ self.rows)
         return self._matrix
 
@@ -140,28 +137,25 @@ class CovarianceEstimate:
         if self.quotients is not None:
             return self.quotients
         if self._factor is None:
-            if self.rows is not None:
-                self._factor = PSDFactor.of_rows(self.rows, 4.0 / self.n**2)
-            else:
-                self._factor = PSDFactor.of_matrix(self.matrix)
+            self._factor = PSDFactor.of_rows(self.rows, 4.0 / self.n**2)
         return self._factor
 
     def dense(self):
         return self.matrix
 
 
-def jackknife_cov(data, ties=None, tie_seed=None):
+def jackknife_cov(data):
     """Dense jackknife covariance estimate of tau_hat, held as its rows.
 
-    ``data`` is an (n, d) array or a KendallSample; ``ties`` and
-    ``tie_seed`` are as for ``KendallSample.of``.
+    ``data`` is an (n, d) array, ranked with ties="error", or a
+    KendallSample, which is how jittered data comes in.
     """
-    sample = KendallSample.of(data, ties, tie_seed)
+    sample = KendallSample.of(data)
     n, d = sample.shape
     return CovarianceEstimate(kind="dense", d=d, n=n, rows=sample.loo - sample.tau)
 
 
-def structured_jackknife_exchangeable(data, ties=None, tie_seed=None):
+def structured_jackknife_exchangeable(data):
     """Structured jackknife under full exchangeability: the estimate of
     ``structured_jackknife_partition`` over one group, in O(n p).
 
@@ -170,7 +164,7 @@ def structured_jackknife_exchangeable(data, ties=None, tie_seed=None):
     averages (s0, s1, s2) over the three overlap classes, solved from
     them.  Requires d >= 4: below that some overlap class is empty.
     """
-    sample = KendallSample.of(data, ties, tie_seed)
+    sample = KendallSample.of(data)
     d = sample.shape[1]
     if d < 4:
         raise ValueError(
@@ -183,7 +177,7 @@ def structured_jackknife_exchangeable(data, ties=None, tie_seed=None):
     return est
 
 
-def structured_jackknife_partition(data, partition, ties=None, tie_seed=None):
+def structured_jackknife_partition(data, partition):
     """Jackknife estimate averaged over the orbit classes of a partition.
 
     Returns the isotypic quotients of the average (``sblock``), computed
@@ -194,16 +188,14 @@ def structured_jackknife_partition(data, partition, ties=None, tie_seed=None):
     """
     if np.shape(data)[0] < 3:
         raise ValueError("partition-structured jackknife needs n >= 3")
-    sample = KendallSample.of(data, ties, tie_seed)
+    sample = KendallSample.of(data)
     n, d = sample.shape
     if partition.d != d:
         raise ValueError(
             "partition is over d=%d variables, data has d=%d" % (partition.d, d)
         )
     quotients = partition_quotients(sample.loo - sample.tau, partition, 4.0 / n**2)
-    return CovarianceEstimate(
-        kind="partition", d=d, n=n, partition=partition, quotients=quotients
-    )
+    return CovarianceEstimate(kind="partition", d=d, n=n, quotients=quotients)
 
 
 @dataclass

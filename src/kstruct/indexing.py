@@ -30,9 +30,6 @@ __all__ = [
     "DesignMatrix",
     "pair_count",
     "pair_of_index",
-    "index_of_pair",
-    "all_pairs",
-    "column_index_set",
     "overlap_count",
     "block_membership_matrix",
     "diagonal_free_membership_matrix",
@@ -63,14 +60,6 @@ def pair_of_index(k):
     return i, j
 
 
-def index_of_pair(i, j):
-    """Return the flat index k of the pair (i, j) with 1 <= i < j."""
-    i, j = int(i), int(j)
-    if not 1 <= i < j:
-        raise ValueError("need 1 <= i < j, got (%d, %d)" % (i, j))
-    return i + (j - 1) * (j - 2) // 2
-
-
 @lru_cache(maxsize=None)
 def _pairs0(d):
     """0-based (i, j) arrays for all p pairs, cached and read-only."""
@@ -93,25 +82,6 @@ def _incidence(d):
     M[np.arange(len(jj0)), jj0] = 1.0
     M.flags.writeable = False
     return M
-
-
-def all_pairs(d):
-    """Return the p x 2 array of 1-based pairs (i_k, j_k) in flat order."""
-    ii0, jj0 = _pairs0(d)
-    return np.column_stack([ii0 + 1, jj0 + 1])
-
-
-def column_index_set(j, d):
-    """Return the sorted flat indices of the d-1 pairs containing variable j.
-
-    These are the indices whose entries sit in column (and row) j of the
-    full correlation matrix.
-    """
-    if not 1 <= j <= d:
-        raise ValueError("variable index %d out of range 1..%d" % (j, d))
-    low = [index_of_pair(r, j) for r in range(1, j)]
-    high = [index_of_pair(j, s) for s in range(j + 1, d + 1)]
-    return np.array(low + high, dtype=int)
 
 
 def overlap_count(k, l):
@@ -166,24 +136,19 @@ class Partition:
     def singleton_flags(self):
         return [len(g) == 1 for g in self.groups]
 
-    def to_dict(self):
-        return {"d": self.d, "groups": [list(g) for g in self.groups]}
-
 
 @dataclass(frozen=True)
 class DesignMatrix:
     """A p x L design matrix for the hypothesis tau = B @ beta.
 
     ``kind`` records how the matrix was built ("membership",
-    "diagonal-free", "vertex-incidence" or "general"); membership kinds
-    carry the originating partition so structured covariance estimation
-    stays available.  Every kind needs L < p: a design with as many
-    columns as pairs leaves no constraint to test and is refused.
+    "diagonal-free", "vertex-incidence" or "general").  Every kind needs
+    L < p: a design with as many columns as pairs leaves no constraint
+    to test and is refused.
     """
 
     matrix: np.ndarray
     kind: str = "general"
-    partition: Partition = None
 
     def __post_init__(self):
         B = np.asarray(self.matrix, dtype=float)
@@ -235,7 +200,7 @@ def _class_of_pairs(partition):
     return lookup[np.minimum(ga, gb), np.maximum(ga, gb)], classes
 
 
-def block_membership_matrix(partition, d=None):
+def block_membership_matrix(partition):
     """Build the 0/1 block-membership design for a partition hypothesis.
 
     Each pair of variables is assigned to the class of its group pair;
@@ -245,10 +210,7 @@ def block_membership_matrix(partition, d=None):
     contain no pair.  The result has L = K(K+1)/2 - (number of singleton
     groups) columns for K groups.
     """
-    if d is not None and d != partition.d:
-        raise ValueError("d=%d does not match partition d=%d" % (d, partition.d))
-    d = partition.d
-    p = pair_count(d)
+    p = pair_count(partition.d)
     ids, classes = _class_of_pairs(partition)
     single = partition.singleton_flags()
     kept = [
@@ -261,10 +223,10 @@ def block_membership_matrix(partition, d=None):
     col[kept] = np.arange(L)
     B = np.zeros((p, L))
     B[np.arange(p), col[ids]] = 1.0
-    return DesignMatrix(B, kind="membership", partition=partition)
+    return DesignMatrix(B, kind="membership")
 
 
-def diagonal_free_membership_matrix(partition, d=None):
+def diagonal_free_membership_matrix(partition):
     """Membership design that leaves within-group entries unconstrained.
 
     Off-diagonal group classes (g < h) share one column each, ordered
@@ -272,10 +234,7 @@ def diagonal_free_membership_matrix(partition, d=None):
     column, ordered by flat pair index.  Useful when only the between-
     group structure is hypothesized.
     """
-    if d is not None and d != partition.d:
-        raise ValueError("d=%d does not match partition d=%d" % (d, partition.d))
-    d = partition.d
-    p = pair_count(d)
+    p = pair_count(partition.d)
     ids, classes = _class_of_pairs(partition)
     off = [ci for ci, (a, b) in enumerate(classes) if a != b]
     col = {ci: c for c, ci in enumerate(off)}
@@ -289,7 +248,7 @@ def diagonal_free_membership_matrix(partition, d=None):
             B[k, col[ids[k]]] = 1.0
     for c, k in enumerate(within_pairs):
         B[k, n_off + c] = 1.0
-    return DesignMatrix(B, kind="diagonal-free", partition=partition)
+    return DesignMatrix(B, kind="diagonal-free")
 
 
 def vertex_incidence_design(d):

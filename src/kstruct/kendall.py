@@ -37,16 +37,13 @@ import hashlib
 
 import numpy as np
 
-from .indexing import _incidence, _pairs0, pair_count
+from .indexing import _pairs0
 
 __all__ = [
     "KendallSample",
     "TieError",
-    "kendall_kernel",
     "kendall_tau_vector",
     "tau_and_leave_one_out",
-    "column_means",
-    "grand_mean",
 ]
 
 # soft cap, in bytes, on the working buffers of one block of rows.  Kept
@@ -100,20 +97,6 @@ def _jitter_columns(X, cols, seed):
     return X
 
 
-def kendall_kernel(x, y):
-    """Concordance kernel h(x, y) in {-1, +1}^p for two d-vectors."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError("x and y must be 1-d vectors of equal length")
-    s = np.sign(x - y)
-    if (s == 0).any():
-        coord = int(np.flatnonzero(s == 0)[0]) + 1
-        raise TieError("x and y are tied in coordinate %d" % coord)
-    ii0, jj0 = _pairs0(x.shape[0])
-    return s[ii0] * s[jj0]
-
-
 def _pair_row_sums(X):
     """Row sums sum_{s != r} h(X_r, X_s) as an (n, p) integer array.
 
@@ -151,15 +134,15 @@ def _pair_row_sums(X):
     return out
 
 
-def kendall_tau_vector(data, ties="error", tie_seed=0):
+def kendall_tau_vector(data):
     """Sample Kendall correlations of all variable pairs, flat order.
 
     Exact U-statistic: the mean of the concordance kernel over all
-    observation pairs; the ``tau`` of ``KendallSample(data, ties,
-    tie_seed)``, so it raises TieError on tied values unless
-    ties='jitter'.
+    observation pairs; the ``tau`` of ``KendallSample(data)``, so it
+    raises TieError on tied values (jittered data is ranked by
+    ``KendallSample(data, "jitter", tie_seed)``).
     """
-    return KendallSample(data, ties, tie_seed).tau
+    return KendallSample(data).tau
 
 
 def tau_and_leave_one_out(X):
@@ -217,23 +200,3 @@ class KendallSample:
                     % (name, getattr(data, name), want)
                 )
         return data
-
-
-def column_means(tau, d=None):
-    """Per-variable means T_bar_j of the entries involving variable j.
-
-    T_bar_j averages the d-1 flat entries whose pair contains j.
-    """
-    tau = np.asarray(tau, dtype=float)
-    p = tau.shape[-1]
-    if d is None:
-        d = int(round((1 + np.sqrt(1 + 8 * p)) / 2))
-    if pair_count(d) != p:
-        raise ValueError("vector length %d is not a pair count" % p)
-    return tau @ _incidence(d) / (d - 1)
-
-
-def grand_mean(tau):
-    """Mean of all entries of the Kendall vector."""
-    tau = np.asarray(tau, dtype=float)
-    return float(tau.mean(axis=-1)) if tau.ndim == 1 else tau.mean(axis=-1)

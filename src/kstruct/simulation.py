@@ -222,7 +222,10 @@ def desk_scale(config):
 
 
 def _test_label(options):
-    return "%s-%s-%s" % (options.statistic, options.weighting, options.estimator)
+    label = "%s-%s-%s" % (options.statistic, options.weighting, options.estimator)
+    if options.null_draws != "auto":
+        label += "-" + options.null_draws
+    return label
 
 
 def _derived_seed(seq):
@@ -366,34 +369,59 @@ def _write_summary(out_dir, summary):
             writer.writerow(row)
 
 
+# summary fields that tell panels apart, tried in this order
+_PANEL_FIELDS = ("tau", "structure", "departure", "delta", "alpha", "scenario",
+                 "test_index", "scenario_index")
+
+
+def _panels(rows):
+    """(title, rows) of the panels of one pivot file, in key order.
+
+    Panels are keyed by tau and then, while two rows would share a
+    (d, n) cell, by each further field of _PANEL_FIELDS that varies
+    among the rows, so every row lands in exactly one cell.
+    """
+    fields = []
+    for field in _PANEL_FIELDS:
+        if field == "tau" or len({r[field] for r in rows}) > 1:
+            fields.append(field)
+        keys = [tuple(r[f] for f in fields) for r in rows]
+        if len({k + (r["d"], r["n"]) for k, r in zip(keys, rows)}) == len(rows):
+            break
+    panels = {}
+    for key, row in zip(keys, rows):
+        panels.setdefault(key, []).append(row)
+    for key in sorted(panels):
+        yield ", ".join(map(_field_text, fields, key)), panels[key]
+
+
+def _field_text(field, value):
+    if field in ("tau", "delta", "alpha"):
+        return "%s=%g" % (field, value)
+    return "%s=%s" % (field, "none" if value == "" else value)
+
+
 def _write_pivots(out_dir, summary):
-    """One CSV per test label: rows d, columns n, one panel per tau value."""
+    """One CSV per test label: rows d, columns n, one panel per tau value
+    (split further where rows would share a cell, see ``_panels``)."""
     by_test = {}
     for row in summary:
         by_test.setdefault(row["test"], []).append(row)
     for test, rows in by_test.items():
         path = os.path.join(out_dir, "table_%s.csv" % test.replace("/", "-"))
-        panels = {}
-        for row in rows:
-            panels.setdefault(row["tau"], []).append(row)
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
-            for tau in sorted(panels):
-                prow = panels[tau]
+            for title, prow in _panels(rows):
+                cells = {(r["d"], r["n"]): r["rejection_rate"] for r in prow}
                 ds = sorted({r["d"] for r in prow})
                 ns = sorted({r["n"] for r in prow})
-                writer.writerow(["tau=%g" % tau])
+                writer.writerow([title])
                 writer.writerow(["d\\n"] + ns)
                 for dv in ds:
-                    line = [dv]
-                    for nv in ns:
-                        hit = [
-                            r for r in prow if r["d"] == dv and r["n"] == nv
-                        ]
-                        line.append(
-                            "%.1f" % (100.0 * hit[0]["rejection_rate"]) if hit else ""
-                        )
-                    writer.writerow(line)
+                    writer.writerow([dv] + [
+                        "%.1f" % (100.0 * cells[dv, nv]) if (dv, nv) in cells else ""
+                        for nv in ns
+                    ])
                 writer.writerow([])
 
 

@@ -102,7 +102,8 @@ class TestOptions:
         (design-matrix hypotheses).
     replicates: Monte Carlo draws for simulated p-values (>= 100).
     seed: required; every report echoes it.
-    plus_one: use the conservative (1+hits)/(1+N) Monte Carlo p-value.
+    plus_one: use the conservative (1+hits)/(1+N) Monte Carlo p-value;
+        refused on euclidean/sigma, whose p-value is a chi-square tail.
     ties: "error" or "jitter".
     null_draws: "auto", "gaussian", or "bootstrap" -- how Monte Carlo
         null replicates are produced when more than one scheme applies.
@@ -122,6 +123,9 @@ class TestOptions:
     null_draws: str = "auto"
 
     def validate(self):
+        """Check the options and return the method of the null law they
+        select, the one place that decides it; ``estimator`` stands for
+        the hypothesis kind, which ``run_test`` holds it to."""
         if self.statistic not in ("euclidean", "max"):
             raise ValueError("statistic must be 'euclidean' or 'max'")
         if self.weighting not in ("identity", "sigma"):
@@ -136,14 +140,25 @@ class TestOptions:
             raise ValueError("ties must be 'error' or 'jitter'")
         if self.null_draws not in ("auto", "gaussian", "bootstrap"):
             raise ValueError("null_draws must be 'auto', 'gaussian' or 'bootstrap'")
-        if self.weighting == "sigma" and self.null_draws != "auto":
-            fixed = "chi-square" if self.statistic == "euclidean" else "gaussian"
-            if self.null_draws != fixed:
+        if self.weighting == "sigma":
+            law = "chi-square" if self.statistic == "euclidean" else "gaussian"
+            if self.null_draws not in ("auto", law):
                 raise ValueError(
                     "null_draws=%r does not apply to statistic=%r, "
                     "weighting='sigma', whose null law is always %s"
-                    % (self.null_draws, self.statistic, fixed)
+                    % (self.null_draws, self.statistic, law)
                 )
+            if law == "chi-square" and self.plus_one:
+                raise ValueError(
+                    "plus_one does not apply to statistic='euclidean', "
+                    "weighting='sigma', whose p-value is a chi-square tail"
+                )
+            return "chi-square" if law == "chi-square" else "max-mc"
+        if self.null_draws == "bootstrap" or (
+            (self.statistic, self.null_draws, self.estimator) == ("max", "auto", "jackknife")
+        ):
+            return "bootstrap-mc"
+        return "mixture-mc" if self.statistic == "euclidean" else "max-mc"
 
     def to_dict(self):
         return dict(
@@ -505,8 +520,13 @@ def run_test(data, hypothesis, options):
     tau = B beta with the dense jackknife).  ``options`` selects the
     statistic, weighting, and p-value scheme; see TestOptions.
     """
+    return _run_test(data, hypothesis, options)[0]
+
+
+def _run_test(data, hypothesis, options):
+    """(report, theta_hat) of ``run_test``: the report and the fit it used."""
     opts = options
-    opts.validate()
+    method = opts.validate()
     rng = np.random.default_rng(opts.seed)
     msgs = []
 
@@ -546,15 +566,28 @@ def run_test(data, hypothesis, options):
     if exact:
         value = 0.0
 
-    # -- p-value -------------------------------------------------------------
+    # -- p-value, by the method validate() chose ------------------------------
     blocks = None  # Monte Carlo draws of the null law, in row blocks
-    if opts.weighting == "sigma" and opts.statistic == "euclidean":
-        method = "chi-square"
+    if opts.weighting == "identity":
+        null_spectrum, null_cov = _identity_null(est, gamma, n)
+        if not null_spectrum:
+            msgs.append(_ZERO_NULL_NOTE)
+    if method == "chi-square":
         df = p - design.L
         p_value = pvalue_chisq(value, p, design.L)
         N = None
-    elif opts.weighting == "sigma":
-        method = "max-mc"
+    elif method == "bootstrap-mc":
+        # projecting the n rows once projects every replicate
+        D = sample.loo - tau
+        blocks = _bootstrap_blocks(D - gamma.apply(D), N, rng)
+    elif method == "mixture-mc":
+        spectrum = null_spectrum
+        p_value = 0.0  # a positive statistic exceeds a zero null law
+        if spectrum:
+            p_value = pvalue_mixture_mc(value, spectrum, N, rng, opts.plus_one)
+    elif opts.weighting == "identity":
+        blocks = _null_gaussian_blocks(null_cov, N, rng)
+    else:
         if isinstance(hypothesis, Partition):
             # null covariance of the whitened residual is I - B B^+
             residual = gamma
@@ -566,29 +599,6 @@ def run_test(data, hypothesis, options):
             U = CC.V[:, CC.keep]
             residual = ProjectionOperator("orthogonal", p, factors=(U, U.T))
         blocks = _residual_blocks(residual, N, p, rng)
-    else:
-        null_spectrum, null_cov = _identity_null(est, gamma, n)
-        if not null_spectrum:
-            msgs.append(_ZERO_NULL_NOTE)
-        use_boot = opts.null_draws == "bootstrap" or (
-            opts.statistic == "max"
-            and opts.null_draws == "auto"
-            and isinstance(hypothesis, DesignMatrix)
-        )
-        if use_boot:
-            method = "bootstrap-mc"
-            # projecting the n rows once projects every replicate
-            D = sample.loo - tau
-            blocks = _bootstrap_blocks(D - gamma.apply(D), N, rng)
-        elif opts.statistic == "euclidean":
-            method = "mixture-mc"
-            spectrum = null_spectrum
-            p_value = 0.0  # a positive statistic exceeds a zero null law
-            if spectrum:
-                p_value = pvalue_mixture_mc(value, spectrum, N, rng, opts.plus_one)
-        else:
-            method = "max-mc"
-            blocks = _null_gaussian_blocks(null_cov, N, rng)
     if blocks is not None:
         hits = _exceedances(blocks, value, opts.statistic)
         p_value = _mc_pvalue(hits, N, opts.plus_one)
@@ -617,4 +627,4 @@ def run_test(data, hypothesis, options):
         version=__version__,
         input_digest=sample.digest,
         options=opts.to_dict(),
-    )
+    ), theta

@@ -12,16 +12,48 @@ route against it.
 
 It also holds the dense S-block S(s), the p x p matrix with entry s_c
 where two pairs share c variables, and the same matrix as one-group
-partition quotients, the only form the package computes with.
+partition quotients, the only form the package computes with; the
+brute-force concordance kernel of two observations, which the exact tau
+and leave-one-out tests sum pair by pair; and the 1-based pair indexing
+helpers ``index_of_pair`` (the inverse of ``indexing.pair_of_index``)
+and ``all_pairs``.
 """
 
 import numpy as np
 
 import kstruct.testing as kt
 from kstruct.indexing import Partition, _pairs0
-from kstruct.kendall import KendallSample
+from kstruct.kendall import KendallSample, TieError
 from kstruct.projection import pseudoinverse_design
 from kstruct.sblock import PartitionQuotients, SingularError, eigenvalues, rank_mask
+
+
+def kendall_kernel(x, y):
+    """Concordance kernel h(x, y) in {-1, +1}^p for two d-vectors."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape != y.shape or x.ndim != 1:
+        raise ValueError("x and y must be 1-d vectors of equal length")
+    s = np.sign(x - y)
+    if (s == 0).any():
+        coord = int(np.flatnonzero(s == 0)[0]) + 1
+        raise TieError("x and y are tied in coordinate %d" % coord)
+    ii0, jj0 = _pairs0(x.shape[0])
+    return s[ii0] * s[jj0]
+
+
+def index_of_pair(i, j):
+    """Return the flat index k of the pair (i, j) with 1 <= i < j."""
+    i, j = int(i), int(j)
+    if not 1 <= i < j:
+        raise ValueError("need 1 <= i < j, got (%d, %d)" % (i, j))
+    return i + (j - 1) * (j - 2) // 2
+
+
+def all_pairs(d):
+    """Return the p x 2 array of 1-based pairs (i_k, j_k) in flat order."""
+    ii0, jj0 = _pairs0(d)
+    return np.column_stack([ii0 + 1, jj0 + 1])
 
 
 def materialize(s, d):

@@ -407,6 +407,21 @@ def test_cmd_test_rejects_ignored_null_draws(tmp_path, capsys):
     assert "always chi-square" in err
 
 
+def test_cmd_test_plus_one_only_on_monte_carlo_routes(tmp_path, capsys):
+    # the default route's p-value is a chi-square tail, which --plus-one
+    # would leave unchanged; a Monte Carlo route takes it
+    data = _write_csv(tmp_path / "x.csv", _gaussian_data(n=20, seed=1))
+    args = ["test", "--data", data, "--hypothesis", "exchangeable", "--seed", "1",
+            "--replicates", "200", "--plus-one"]
+    assert main(args) != 0
+    assert "plus_one does not apply" in capsys.readouterr().err
+    assert main(args + ["--statistic", "max"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["method"] == "max-mc" and report["options"]["plus_one"] is True
+    hits = round(report["p_value"] * 201) - 1
+    assert hits >= 0 and report["p_value"] == (1.0 + hits) / 201  # (1 + hits) / (1 + N)
+
+
 # ---------------------------------------------------------------------------
 # simulate subcommand
 

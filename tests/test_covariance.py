@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dense_oracle import materialize
+from dense_oracle import all_pairs, index_of_pair, kendall_kernel, materialize
 from kstruct.covariance import (
     PSDFactor,
     jackknife_cov,
@@ -9,8 +9,8 @@ from kstruct.covariance import (
     structured_jackknife_exchangeable,
     structured_jackknife_partition,
 )
-from kstruct.indexing import Partition, all_pairs, index_of_pair, overlap_count, pair_count
-from kstruct.kendall import KendallSample, kendall_kernel, kendall_tau_vector
+from kstruct.indexing import Partition, overlap_count, pair_count
+from kstruct.kendall import KendallSample, kendall_tau_vector
 
 
 def brute_jackknife(X):

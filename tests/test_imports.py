@@ -6,9 +6,10 @@ used when it is read anywhere in the module or listed in the module's
 ``__all__``.
 
 No public name exists only for tests: every name in a submodule's
-``__all__`` that the package does not export is read somewhere in the
-source outside its own definition, as a name imported from its module
-or as ``module.name``.
+``__all__`` is read somewhere in the source outside its own definition,
+as a name imported from its module or as ``module.name``.  A name that
+the package exports may instead be read by a demo, which imports it
+from ``kstruct`` or from its module.
 """
 
 import ast
@@ -17,6 +18,7 @@ from pathlib import Path
 import kstruct
 
 SRC = Path(kstruct.__file__).resolve().parent
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
 def _imported(tree):
@@ -72,12 +74,15 @@ def _all_names(tree):
     return []
 
 
-def _bindings(tree, modules):
-    """(name -> (module, name) imported from a sibling, alias -> sibling
-    module) for the import statements of one module."""
+def _bindings(tree, modules, exports):
+    """(name -> (module, name) imported from a sibling or from the
+    package, alias -> sibling module) for the import statements of one
+    module or demo."""
     names, aliases = {}, {}
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and (node.level or node.module == "kstruct"):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").split(".")[0] == "kstruct"
+        ):
             source = (node.module or "").split(".")[-1]
             for alias in node.names:
                 bound = alias.asname or alias.name
@@ -85,6 +90,8 @@ def _bindings(tree, modules):
                     names[bound] = (source, alias.name)
                 elif alias.name in modules:
                     aliases[bound] = alias.name
+                elif alias.name in exports:
+                    names[bound] = exports[alias.name]
         elif isinstance(node, ast.Import):
             for alias in node.names:
                 parts = alias.name.split(".")
@@ -93,55 +100,91 @@ def _bindings(tree, modules):
     return names, aliases
 
 
-def unread_exports(src):
-    """``module.name`` for every name in a submodule's ``__all__`` that
-    ``__init__.py`` does not export and no source reads outside its own
-    definition."""
-    trees = {
-        p.stem: ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
-        for p in src.glob("*.py")
-    }
-    exported = {bound for bound, _ in _imported(trees.pop("__init__"))}
+def _reads(mod, tree, modules, exports):
+    """(module, name) of every package name that one module or demo
+    reads outside that name's own definition."""
+    names, aliases = _bindings(tree, modules, exports)
+    reads = set()
+    for stmt in tree.body:
+        owner = (mod, getattr(stmt, "name", None))
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                target = names.get(node.id, (mod, node.id))
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in aliases):
+                target = (aliases[node.value.id], node.attr)
+            else:
+                continue
+            if target != owner:
+                reads.add(target)
+    return reads
+
+
+def _parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def unread_exports(src, demos=None):
+    """``module.name`` for every public name that no source reads outside
+    its own definition: each name in a submodule's ``__all__`` and each
+    name ``__init__.py`` exports.  A read by a script in ``demos`` counts
+    for an exported name only."""
+    trees = {p.stem: _parse(p) for p in src.glob("*.py")}
+    exports = {}
+    for node in ast.walk(trees.pop("__init__")):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            for alias in node.names:
+                exports[alias.asname or alias.name] = (node.module, alias.name)
     reads = set()
     for mod, tree in trees.items():
-        names, aliases = _bindings(tree, trees)
-        for stmt in tree.body:
-            owner = (mod, getattr(stmt, "name", None))
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                    target = names.get(node.id, (mod, node.id))
-                elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                      and node.value.id in aliases):
-                    target = (aliases[node.value.id], node.attr)
-                else:
-                    continue
-                if target != owner:
-                    reads.add(target)
+        reads |= _reads(mod, tree, trees, exports)
+    shown = set()
+    for path in sorted(demos.glob("*.py")) if demos is not None else ():
+        shown |= _reads(path.stem, _parse(path), trees, exports)
+    exported = set(exports.values())
+    public = exported | {(mod, name) for mod, tree in trees.items() for name in _all_names(tree)}
     return sorted(
-        "%s.%s" % (mod, name)
-        for mod, tree in trees.items()
-        for name in _all_names(tree)
-        if name not in exported and (mod, name) not in reads
+        "%s.%s" % key
+        for key in public
+        if key not in reads and not (key in exported and key in shown)
     )
 
 
-def test_every_unexported_public_name_is_read_by_the_source():
-    assert unread_exports(SRC) == []
+def test_every_public_name_is_read_by_the_source_or_a_demo():
+    assert len(list(DEMOS.glob("*.py"))) >= 4
+    assert unread_exports(SRC, DEMOS) == []
 
 
 def test_unread_export_check_flags_test_only_names(tmp_path):
-    (tmp_path / "__init__.py").write_text("from .a import exported\n", encoding="utf-8")
-    (tmp_path / "a.py").write_text(
-        "__all__ = ['exported', 'used', 'recursive', 'attr_only', 'by_module']\n\n"
+    src, demos = tmp_path / "src", tmp_path / "demos"
+    src.mkdir()
+    demos.mkdir()
+    (src / "__init__.py").write_text(
+        "from .a import exported, shown, hidden\n", encoding="utf-8"
+    )
+    (src / "a.py").write_text(
+        "__all__ = ['exported', 'shown', 'hidden', 'used', 'recursive', "
+        "'attr_only', 'by_module', 'demo_only']\n\n"
         "def exported():\n    return 0\n\n"
+        "def shown():\n    return 0\n\n"
+        "def hidden():\n    return 0\n\n"
         "def used():\n    return 1\n\n"
         "def recursive(n):\n    return recursive(n - 1) if n else 0\n\n"
         "def attr_only():\n    return 2\n\n"
         "def by_module():\n    return 3\n\n"
-        "def caller(args):\n    return used() + args.attr_only\n",
+        "def demo_only():\n    return 4\n\n"
+        "def caller(args):\n    return used() + exported() + args.attr_only\n",
         encoding="utf-8",
     )
-    (tmp_path / "b.py").write_text(
+    (src / "b.py").write_text(
         "from . import a\n\ndef g():\n    return a.by_module()\n", encoding="utf-8"
     )
-    assert unread_exports(tmp_path) == ["a.attr_only", "a.recursive"]
+    (demos / "demo.py").write_text(
+        "from kstruct import shown\nfrom kstruct.a import demo_only\n\n"
+        "print(shown(), demo_only())\n",
+        encoding="utf-8",
+    )
+    assert unread_exports(src) == [
+        "a.attr_only", "a.demo_only", "a.hidden", "a.recursive", "a.shown"]
+    assert unread_exports(src, demos) == [
+        "a.attr_only", "a.demo_only", "a.hidden", "a.recursive"]

@@ -3,14 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_oracle import all_pairs, index_of_pair
 from kstruct.indexing import (
     DesignMatrix,
     Partition,
-    all_pairs,
     block_membership_matrix,
-    column_index_set,
     diagonal_free_membership_matrix,
-    index_of_pair,
     load_design_csv,
     load_partition_json,
     overlap_count,
@@ -78,29 +76,26 @@ def test_all_pairs_matches_scalar_map(d):
 
 
 def test_column_index_set_frozen():
-    assert column_index_set(1, 4).tolist() == [1, 2, 4]
-    assert column_index_set(4, 4).tolist() == [4, 5, 6]
-    assert column_index_set(2, 4).tolist() == [1, 3, 5]
+    # the column index set K_j, the flat indices of the pairs containing
+    # variable j, is the support of column j of the vertex-incidence design
+    B = vertex_incidence_design(4).matrix
+    supports = [(np.flatnonzero(B[:, j]) + 1).tolist() for j in range(4)]
+    assert supports == [[1, 2, 4], [1, 3, 5], [2, 3, 6], [4, 5, 6]]
 
 
 @settings(max_examples=25)
-@given(st.integers(min_value=2, max_value=25))
+@given(st.integers(min_value=4, max_value=25))
 def test_column_index_sets_partition_double_cover(d):
-    # every pair contains exactly two variables, so the K_j cover each
-    # flat index exactly twice and each set has d-1 members
+    # every pair contains exactly two variables, so the column index sets
+    # K_j cover each flat index exactly twice and each set has d-1 members
+    B = vertex_incidence_design(d).matrix
     counts = np.zeros(pair_count(d), dtype=int)
     for j in range(1, d + 1):
-        ks = column_index_set(j, d)
+        ks = np.flatnonzero(B[:, j - 1]) + 1
         assert len(ks) == d - 1
+        assert all(j in pair_of_index(k) for k in ks)
         counts[ks - 1] += 1
     assert (counts == 2).all()
-
-
-def test_column_index_set_range_check():
-    with pytest.raises(ValueError):
-        column_index_set(0, 4)
-    with pytest.raises(ValueError):
-        column_index_set(5, 4)
 
 
 def test_overlap_count_frozen():
@@ -248,10 +243,6 @@ def test_vertex_incidence_design():
         row = np.zeros(4)
         row[[i - 1, j - 1]] = 1.0
         assert np.array_equal(B.matrix[k], row)
-    # column supports are exactly the column index sets
-    for j in range(1, 5):
-        support = np.flatnonzero(B.matrix[:, j - 1]) + 1
-        assert support.tolist() == column_index_set(j, 4).tolist()
 
 
 def test_design_matrix_one_dim_becomes_column():

@@ -393,6 +393,61 @@ def test_run_study_pivot_table_layout(tmp_path):
     assert len(lines[2]) == 3
 
 
+def _pivot_cells(out_dir):
+    """{(file, panel title, d, n): cell text} over every pivot file of a
+    study; a cell that two rows would fill fails the read."""
+    cells = {}
+    for name in sorted(os.listdir(out_dir)):
+        if not name.startswith("table_"):
+            continue
+        with open(os.path.join(out_dir, name), newline="") as fh:
+            lines = list(csv.reader(fh))
+        i = 0
+        while i < len(lines):
+            (title,), (_, *ns) = lines[i], lines[i + 1]
+            i += 2
+            while lines[i]:
+                d, *texts = lines[i]
+                for n, text in zip(ns, texts):
+                    if text:
+                        assert (name, title, d, n) not in cells
+                        cells[name, title, d, n] = text
+                i += 1
+            i += 1
+    return cells
+
+
+def test_run_study_pivot_tables_keep_every_summary_row(tmp_path):
+    # the shape of demos/03_power_study.py: a null and a departure scenario
+    # at the same (d, n, tau), here with two tests that differ only in
+    # null_draws as well; every summary row lands in exactly one cell
+    identity = TestOptions(statistic="max", weighting="identity", estimator="jackknife",
+                           replicates=100)
+    tests = (
+        TestOptions(statistic="euclidean", weighting="sigma", estimator="structured",
+                    replicates=100),
+        identity,
+        dataclasses.replace(identity, null_draws="gaussian"),
+    )
+    scenarios = [
+        ScenarioConfig(n=40, d=5, tau=0.3, repetitions=5, tests=tests, label="null"),
+        ScenarioConfig(n=40, d=5, tau=0.3, departure="single", delta=0.5,
+                       repetitions=5, tests=tests, label="departure"),
+    ]
+    summary = run_study(scenarios, seed=314159, out_dir=str(tmp_path), workers=1)
+    assert [row["test"] for row in summary[:3]] == [
+        "euclidean-sigma-structured", "max-identity-jackknife",
+        "max-identity-jackknife-gaussian"]
+    want = {
+        ("table_%s.csv" % row["test"],
+         "tau=0.3, departure=%s" % (row["departure"] or "none"), "5", "40"):
+        "%.1f" % (100.0 * row["rejection_rate"])
+        for row in summary
+    }
+    assert len(want) == len(summary) == 6
+    assert _pivot_cells(tmp_path) == want
+
+
 def test_run_study_same_data_across_tests():
     # with identical statistic/weighting/estimator the two test slots must
     # produce identical p-value columns, because they see the same data and

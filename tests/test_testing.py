@@ -2,6 +2,7 @@ import json
 import threading
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from dense_oracle import dense_spectrum, materialize, one_group
 from draws import bootstrap_draws, drawn
 
 import kstruct.testing as kt
-from kstruct.covariance import PSDFactor, jackknife_cov, structured_jackknife_partition
+from kstruct.covariance import PSDFactor, jackknife_cov
 from kstruct.indexing import (
     DesignMatrix,
     Partition,
@@ -643,20 +644,16 @@ def test_a_sample_ranked_otherwise_is_refused():
     for other in (dict(ties="jitter"), dict(tie_seed=1)):
         with pytest.raises(ValueError, match="ranked with"):
             run_test(sample, part, TestOptions(seed=1, **other))
-        with pytest.raises(ValueError, match="ranked with"):
-            jackknife_cov(sample, **other)
-        with pytest.raises(ValueError, match="ranked with"):
-            structured_jackknife_partition(sample, part, **other)
-    # settings that match, or none, take the sample as it is
-    assert np.array_equal(
-        jackknife_cov(sample, ties="error", tie_seed=0).matrix, jackknife_cov(X).matrix
-    )
+    # the estimators take a sample as it is, however it was ranked
+    assert np.array_equal(jackknife_cov(sample).matrix, jackknife_cov(X).matrix)
     X[2, 1] = X[5, 1]
     with pytest.raises(TieError, match=r"column\(s\) \[2\]"):
         KendallSample(X)
     jittered = KendallSample(X, "jitter", 4)
     assert jittered.tied == [2]
     assert np.array_equal(jittered.data, X)  # the raw array, as digested
+    # jittered data reaches an estimator as its sample
+    assert np.array_equal(jackknife_cov(jittered).rows, jittered.loo - jittered.tau)
 
 
 # a permutation within each group of these partitions: reversed groups
@@ -916,6 +913,50 @@ def test_run_test_validation_errors():
             TestOptions(
                 statistic=statistic, weighting="identity", null_draws=draws, seed=1
             ).validate()
+    # validate() names the method from the options alone
+    assert TestOptions(seed=1).validate() == "chi-square"
+    for estimator, method in (("structured", "max-mc"), ("jackknife", "bootstrap-mc")):
+        assert TestOptions(statistic="max", weighting="identity", estimator=estimator,
+                           seed=1).validate() == method
+    # plus_one is refused where the p-value is a chi-square tail ...
+    with pytest.raises(ValueError, match="plus_one does not apply"):
+        TestOptions(plus_one=True, seed=1).validate()
+    with pytest.raises(ValueError, match="plus_one does not apply"):
+        run_test(X, part, TestOptions(plus_one=True, seed=1))
+    # ... and taken by every Monte Carlo route
+    for stat, weight, draws in _accepted_options():
+        if (stat, weight) != ("euclidean", "sigma"):
+            TestOptions(statistic=stat, weighting=weight, null_draws=draws,
+                        plus_one=True, seed=1).validate()
+
+
+def _readme_routes():
+    """The rows of the README's route table, as tuples of its cells."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    head = "| estimator | statistic | weighting | null_draws | method |"
+    lines = text[text.index(head):].splitlines()[2:]
+    rows = []
+    for line in lines:
+        if not line.startswith("|"):
+            break
+        rows.append(tuple(cell.strip() for cell in line.strip("|").split("|")))
+    return rows
+
+
+def test_readme_route_table_matches_validate():
+    want = []
+    for estimator in ("structured", "jackknife"):
+        for stat in ("euclidean", "max"):
+            for weight in ("sigma", "identity"):
+                for draws in ("auto", "gaussian", "bootstrap"):
+                    opts = TestOptions(statistic=stat, weighting=weight, estimator=estimator,
+                                       null_draws=draws, seed=1)
+                    try:
+                        want.append((estimator, stat, weight, draws, opts.validate()))
+                    except ValueError:
+                        continue
+    assert len(want) == 18
+    assert _readme_routes() == want
 
 
 def test_run_test_distortion_warning_routing():
