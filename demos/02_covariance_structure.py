@@ -4,8 +4,9 @@ The jackknife covariance of tau_hat is a p x p matrix, but under an
 exchangeable null its entries depend only on how many variables two
 pairs share (0, 1 or 2).  Averaging the dense estimate over those three
 classes is exactly what the O(n p) structured estimator computes; this
-script verifies the match, then checks the estimator against the known
-population value for independent data.
+script verifies the match, prints the projected diagonal against its
+lower bound, then checks the estimator against the known population
+value for independent data.
 
 Run:  python3 demos/02_covariance_structure.py
 """
@@ -13,6 +14,9 @@ Run:  python3 demos/02_covariance_structure.py
 import numpy as np
 
 from kstruct import (
+    Partition,
+    block_membership_matrix,
+    check_design_conditions,
     jackknife_cov,
     population_sigma_mc,
     structured_jackknife_exchangeable,
@@ -41,6 +45,17 @@ class_means = sums / counts
 print("dense jackknife averaged over overlap classes:", np.round(class_means, 6))
 print("structured estimator coefficients (s0,s1,s2):", np.round(est.s, 6))
 print("max difference: %.2e (identical up to rounding)" % np.abs(est.s - class_means).max())
+print()
+
+# --- the projected diagonal under full exchangeability ------------------
+
+# Projecting off the all-ones design leaves a covariance whose diagonal is
+# constant, s2 - delta_1/p, and bounded below by (2/3)(s2 - s1) for every
+# d: the Gaussian approximation of the max statistic needs it to stay
+# away from zero as d grows.
+cond = check_design_conditions(block_membership_matrix(Partition.exchangeable(d)), sigma=est)
+print("projected diagonal: %.6f, lower bound (2/3)(s2 - s1): %.6f"
+      % (cond["projected_diag_value"], cond["projected_diag_lower"]))
 print()
 
 # --- against the population value --------------------------------------

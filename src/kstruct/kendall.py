@@ -157,19 +157,16 @@ def tau_and_leave_one_out(X):
 class KendallSample:
     """One dataset ranked once, for every test and estimate made on it.
 
-    Built from ``(data, ties, tie_seed)``; holds the validated float64
-    array ``data`` (the caller's own array when it needed no conversion;
-    everything else is taken when the sample is built), its ``shape``
-    (n, d), tau_hat ``tau`` and the (n, p) leave-one-out matrix ``loo``
-    from one kernel pass, the input ``digest`` that reports echo, the
-    1-based ``tied`` columns that were jittered (none with ties="error",
-    which raises TieError here instead), and its ``ties`` and
-    ``tie_seed``.
+    Built from ``(data, ties, tie_seed)``, everything taken when it is
+    built; holds the ``shape`` (n, d) of the validated data, tau_hat
+    ``tau`` and the (n, p) leave-one-out matrix ``loo`` from one kernel
+    pass, the ``digest`` of the raw array that reports echo, the 1-based
+    ``tied`` columns that were jittered (none with ties="error", which
+    raises TieError here instead), and its ``ties`` and ``tie_seed``.
     """
 
     def __init__(self, data, ties="error", tie_seed=0):
         X = _as_data(data)
-        self.data = X
         self.shape = X.shape
         self.digest = hashlib.sha256(np.ascontiguousarray(X).tobytes()).hexdigest()[:16]
         self.ties = ties

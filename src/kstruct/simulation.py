@@ -319,14 +319,14 @@ def _load_done(path, n_tests):
     return done
 
 
-def _summarize(rows, scenarios, alpha_of):
+def _summarize(rows, scenarios):
     cells = {}
     for si, ti, rep, p, reason in rows:
         cell = cells.setdefault((si, ti), {"done": 0, "discard": 0, "reject": 0})
         cell["done"] += 1
         if p is None:
             cell["discard"] += 1
-        elif p < alpha_of(si):
+        elif p < scenarios[si].alpha:
             cell["reject"] += 1
     out = []
     for (si, ti), cell in sorted(cells.items()):
@@ -530,7 +530,7 @@ def run_study(
                     )
                 )
 
-    summary = _summarize(rows, scenarios, lambda si: scenarios[si].alpha)
+    summary = _summarize(rows, scenarios)
 
     if out_dir is not None:
         _write_summary(out_dir, summary)

@@ -11,19 +11,15 @@ count, for every pseudo-inverse, root and null spectrum, is the one
 rule of ``sblock.rank_mask``; a residual that it ranks zero is an exact
 fit, with statistic 0 and p-value 1.
 
-P-values come from four schemes:
-
-- a chi-square tail for E with covariance weighting (p - L degrees of
-  freedom),
-- Monte Carlo from a weighted chi-square mixture for E with identity
-  weighting, the weights being the eigenvalues of the projected
-  covariance that ``sblock.rank_mask`` keeps (from the partition
-  quotients for a Partition hypothesis, from one thin SVD of the
-  projected jackknife rows for a design),
-- Monte Carlo over Gaussian draws with the appropriate null covariance
-  for M, and
-- a Gaussian multiplier bootstrap that replays the jackknife residuals,
-  targeting the same law without sampling from an estimated matrix.
+P-values come from the sampler that a route's entry in ``_ROUTES``
+names: a chi-square tail for E with covariance weighting (p - L degrees
+of freedom); Monte Carlo from a chi-square mixture for E with identity
+weighting, weighted by the eigenvalues of the projected covariance that
+``sblock.rank_mask`` keeps; Monte Carlo over Gaussian draws for M,
+coloured by that covariance or whitened; and a Gaussian multiplier
+bootstrap that replays the jackknife residuals, targeting the same law
+without sampling from an estimated matrix.  A statistic of 0 gets
+p-value 1 without a draw.
 
 Monte Carlo p-values use the plain exceedance proportion with a strict
 inequality; a plus-one correction is available as an option but off by
@@ -52,6 +48,7 @@ import multiprocessing
 import os
 import queue
 import threading
+from collections import namedtuple
 from contextlib import closing
 from dataclasses import asdict, dataclass, field
 
@@ -91,6 +88,29 @@ _DISTORTION_NOTE = (
     "exceed the nominal level even under the null"
 )
 
+# (estimator, statistic, weighting, null_draws) -> (method, sampler of the
+# null law) for every accepted route; ``TestOptions.validate`` refuses the rest
+_ROUTES = {
+    ("structured", "euclidean", "sigma", "auto"): ("chi-square", "chi-square tail"),
+    ("structured", "euclidean", "identity", "auto"): ("mixture-mc", "chi-square mixture"),
+    ("structured", "euclidean", "identity", "gaussian"): ("mixture-mc", "chi-square mixture"),
+    ("structured", "euclidean", "identity", "bootstrap"): ("bootstrap-mc", "multiplier bootstrap"),
+    ("structured", "max", "sigma", "auto"): ("max-mc", "whitened-residual gaussian"),
+    ("structured", "max", "sigma", "gaussian"): ("max-mc", "whitened-residual gaussian"),
+    ("structured", "max", "identity", "auto"): ("max-mc", "coloured gaussian"),
+    ("structured", "max", "identity", "gaussian"): ("max-mc", "coloured gaussian"),
+    ("structured", "max", "identity", "bootstrap"): ("bootstrap-mc", "multiplier bootstrap"),
+    ("jackknife", "euclidean", "sigma", "auto"): ("chi-square", "chi-square tail"),
+    ("jackknife", "euclidean", "identity", "auto"): ("mixture-mc", "chi-square mixture"),
+    ("jackknife", "euclidean", "identity", "gaussian"): ("mixture-mc", "chi-square mixture"),
+    ("jackknife", "euclidean", "identity", "bootstrap"): ("bootstrap-mc", "multiplier bootstrap"),
+    ("jackknife", "max", "sigma", "auto"): ("max-mc", "whitened-residual gaussian"),
+    ("jackknife", "max", "sigma", "gaussian"): ("max-mc", "whitened-residual gaussian"),
+    ("jackknife", "max", "identity", "auto"): ("bootstrap-mc", "multiplier bootstrap"),
+    ("jackknife", "max", "identity", "gaussian"): ("max-mc", "coloured gaussian"),
+    ("jackknife", "max", "identity", "bootstrap"): ("bootstrap-mc", "multiplier bootstrap"),
+}
+
 
 @dataclass
 class TestOptions:
@@ -106,10 +126,8 @@ class TestOptions:
         refused on euclidean/sigma, whose p-value is a chi-square tail.
     ties: "error" or "jitter".
     null_draws: "auto", "gaussian", or "bootstrap" -- how Monte Carlo
-        null replicates are produced when more than one scheme applies.
-        Routes with a single scheme reject a choice they would ignore:
-        euclidean/sigma (chi-square) takes only "auto", and max/sigma
-        (Gaussian draws) does not take "bootstrap".
+        null replicates are produced when more than one scheme applies;
+        ``_ROUTES`` lists the combinations accepted.
     """
 
     statistic: str = "euclidean"
@@ -123,9 +141,9 @@ class TestOptions:
     null_draws: str = "auto"
 
     def validate(self):
-        """Check the options and return the method of the null law they
-        select, the one place that decides it; ``estimator`` stands for
-        the hypothesis kind, which ``run_test`` holds it to."""
+        """Check the options and return the method of their entry in
+        ``_ROUTES``, the one place that picks the null law; ``estimator``
+        stands for the hypothesis kind, which ``run_test`` holds it to."""
         if self.statistic not in ("euclidean", "max"):
             raise ValueError("statistic must be 'euclidean' or 'max'")
         if self.weighting not in ("identity", "sigma"):
@@ -140,25 +158,21 @@ class TestOptions:
             raise ValueError("ties must be 'error' or 'jitter'")
         if self.null_draws not in ("auto", "gaussian", "bootstrap"):
             raise ValueError("null_draws must be 'auto', 'gaussian' or 'bootstrap'")
-        if self.weighting == "sigma":
-            law = "chi-square" if self.statistic == "euclidean" else "gaussian"
-            if self.null_draws not in ("auto", law):
-                raise ValueError(
-                    "null_draws=%r does not apply to statistic=%r, "
-                    "weighting='sigma', whose null law is always %s"
-                    % (self.null_draws, self.statistic, law)
-                )
-            if law == "chi-square" and self.plus_one:
-                raise ValueError(
-                    "plus_one does not apply to statistic='euclidean', "
-                    "weighting='sigma', whose p-value is a chi-square tail"
-                )
-            return "chi-square" if law == "chi-square" else "max-mc"
-        if self.null_draws == "bootstrap" or (
-            (self.statistic, self.null_draws, self.estimator) == ("max", "auto", "jackknife")
-        ):
-            return "bootstrap-mc"
-        return "mixture-mc" if self.statistic == "euclidean" else "max-mc"
+        route = _ROUTES.get((self.estimator, self.statistic, self.weighting, self.null_draws))
+        if route is None:
+            # only sigma routes have a fixed law, so only they refuse a choice
+            raise ValueError(
+                "null_draws=%r does not apply to statistic=%r, weighting=%r, "
+                "whose null law is always %s"
+                % (self.null_draws, self.statistic, self.weighting,
+                   "chi-square" if self.statistic == "euclidean" else "gaussian")
+            )
+        if self.plus_one and route[1] == "chi-square tail":
+            raise ValueError(
+                "plus_one does not apply to statistic='euclidean', "
+                "weighting='sigma', whose p-value is a chi-square tail"
+            )
+        return route[0]
 
     def to_dict(self):
         return dict(
@@ -205,8 +219,8 @@ class TestReport:
             out["eigenvalues"] = [[float(l), int(m)] for l, m in self.eigenvalues]
         return out
 
-    def to_json(self, indent=2):
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self):
+        return json.dumps(self.to_dict(), indent=2)
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:
@@ -382,12 +396,6 @@ def _null_gaussian_blocks(A, N, rng):
         yield A.apply(G, 0.5)
 
 
-def _residual_blocks(gamma, N, p, rng):
-    """Row blocks of G - gamma.apply(G) for N iid standard normal p-vectors G."""
-    for G in _normal_blocks(N, p, rng):
-        yield G - gamma.apply(G)
-
-
 def _exceedances(blocks, value, statistic="max"):
     """Number of rows, over row blocks of draws, whose statistic exceeds
     value: the max-norm, or the squared norm for "euclidean".  The blocks
@@ -406,33 +414,17 @@ def _bootstrap_blocks(Y, N, rng):
     Y the n x p centred leave-one-out matrix, already projected.  Given
     the data a replicate is Gaussian with covariance n P SigmaJ P, P the
     projection's complement and SigmaJ the jackknife estimate, so it
-    stands in for the null law of sqrt(n) times the projected residual."""
+    stands in for the null law of sqrt(n) times the projected residual.
+    n < 3 is refused here, before any block is drawn."""
     n, p = Y.shape
     if n < 3:
         raise ValueError("multiplier bootstrap needs n >= 3")
     # a block draws n columns and yields p, so it is sized by the wider
-    for W in _normal_blocks(N, max(n, p), rng, cols=n):
-        yield (2.0 / np.sqrt(n)) * (W @ Y)
+    return ((2.0 / np.sqrt(n)) * (W @ Y) for W in _normal_blocks(N, max(n, p), rng, cols=n))
 
 
 # ---------------------------------------------------------------------------
 # orchestration
-
-
-def _hypothesis_info(hypothesis, design):
-    if isinstance(hypothesis, Partition):
-        return {
-            "type": "partition",
-            "d": hypothesis.d,
-            "groups": [list(g) for g in hypothesis.groups],
-            "L": design.L,
-        }
-    return {
-        "type": "design",
-        "kind": design.kind,
-        "p": design.p,
-        "L": design.L,
-    }
 
 
 def _identity_null(est, gamma, n):
@@ -462,15 +454,23 @@ def _degenerate_fit(tau, theta):
     return not rank_mask([np.sqrt(r @ r)], r.size, np.sqrt(tau @ tau)).any()
 
 
+_Fit = namedtuple("_Fit", "design est gamma theta weight exact notes info")
+
+
 def _fit(sample, hypothesis, opts):
-    """(design, covariance estimate, projection Gamma) of a test on a
-    KendallSample, theta_hat being Gamma tau_hat: the one place that
-    picks the fit.  A Partition takes the structured estimate and the
-    orthogonal projector; a design takes the dense jackknife and, with
-    sigma weighting, the GLS projector, or the orthogonal one where GLS
-    is singular and the orthogonal fit is exact."""
+    """The _Fit of a test on a KendallSample, the one place that branches
+    on the hypothesis type and the weighting: the design, the covariance
+    estimate ``est``, the projection ``gamma``, theta_hat = gamma tau_hat,
+    the statistic's ``weight`` (1/n or ``est.factor``), whether the
+    residual is rounding noise (``exact``), the report's ``notes`` (the
+    distortion note, if any) and its ``hypothesis`` entry ``info``.  A
+    Partition takes the structured estimate and the orthogonal projector;
+    a design takes the dense jackknife and, with sigma weighting, the GLS
+    projector, or the orthogonal one where GLS is singular and the
+    orthogonal fit is exact."""
     tau = sample.tau
-    d = sample.shape[1]
+    n, d = sample.shape
+    notes, singular = [], None
     if isinstance(hypothesis, Partition):
         if hypothesis.d != d:
             raise ValueError(
@@ -483,29 +483,48 @@ def _fit(sample, hypothesis, opts):
             )
         design = block_membership_matrix(hypothesis)
         est = structured_jackknife_partition(sample, hypothesis)
-        return design, est, gamma_projection(design)  # = Gamma(A) for any matching A
-    if not isinstance(hypothesis, DesignMatrix):
+        gamma = gamma_projection(design)  # = Gamma(A) for any matching A
+        info = {"type": "partition", "d": d, "groups": [list(g) for g in hypothesis.groups]}
+    elif isinstance(hypothesis, DesignMatrix):
+        design = hypothesis
+        if design.p != tau.size:
+            raise ValueError(
+                "design has %d rows but the data has %d pairs" % (design.p, tau.size)
+            )
+        if opts.estimator != "jackknife":
+            raise ValueError(
+                "design-matrix hypotheses use the dense jackknife estimator; "
+                "structured estimation needs a Partition hypothesis"
+            )
+        est = jackknife_cov(sample)
+        info = {"type": "design", "kind": design.kind, "p": design.p}
+        notes = [_DISTORTION_NOTE] if opts.weighting == "sigma" else []
+        try:
+            gamma = gamma_projection(design, est.factor if notes else None)
+        except SingularError as exc:
+            singular, gamma = exc, gamma_projection(design)
+    else:
         raise TypeError("hypothesis must be a Partition or a DesignMatrix")
-    design = hypothesis
-    if design.p != tau.size:
-        raise ValueError(
-            "design has %d rows but the data has %d pairs" % (design.p, tau.size)
-        )
-    if opts.estimator != "jackknife":
-        raise ValueError(
-            "design-matrix hypotheses use the dense jackknife estimator; "
-            "structured estimation needs a Partition hypothesis"
-        )
-    est = jackknife_cov(sample)
-    if opts.weighting == "identity":
-        return design, est, gamma_projection(design)
-    try:
-        return design, est, gamma_projection(design, est.factor)
-    except SingularError:
-        gamma = gamma_projection(design)
-        if not _degenerate_fit(tau, gamma.apply(tau)):
-            raise
-        return design, est, gamma
+    theta = gamma.apply(tau)
+    exact = _degenerate_fit(tau, theta)
+    if singular is not None and not exact:
+        raise singular
+    weight = 1.0 / n if opts.weighting == "identity" else est.factor
+    return _Fit(design, est, gamma, theta, weight, exact, notes, dict(info, L=design.L))
+
+
+def _whitened_residual(fit):
+    """The projector Gamma' with I - Gamma' the null covariance of the
+    whitened residual on max/sigma routes, by the hypothesis type, not the
+    estimate's form: for a Partition, the fit's own projector B B^+."""
+    if fit.info["type"] == "partition":
+        return fit.gamma
+    # I - U U', U the eigenvectors of C C', C = Sigma^{-1/2} B, whose
+    # eigenvalues (of C'C = B' Sigma^+ B) the GLS rule keeps
+    B, factor = fit.design.matrix, fit.est.factor
+    CC = PSDFactor.of_rows(factor.apply(B.T, -0.5), 1.0, _normal_norm(B, factor))
+    U = CC.V[:, CC.keep]
+    return ProjectionOperator("orthogonal", B.shape[0], factors=(U, U.T))
 
 
 def run_test(data, hypothesis, options):
@@ -523,10 +542,11 @@ def run_test(data, hypothesis, options):
     return _run_test(data, hypothesis, options)[0]
 
 
-def _run_test(data, hypothesis, options):
-    """(report, theta_hat) of ``run_test``: the report and the fit it used."""
-    opts = options
+def _run_test(data, hypothesis, opts):
+    """(report, theta_hat) of ``run_test``: the report and the fit it used.
+    A test runs in four stages: rank, fit, statistic and null law."""
     method = opts.validate()
+    sampler = _ROUTES[opts.estimator, opts.statistic, opts.weighting, opts.null_draws][1]
     rng = np.random.default_rng(opts.seed)
     msgs = []
 
@@ -539,73 +559,52 @@ def _run_test(data, hypothesis, options):
             "tied values in column(s) %s were jittered before ranking" % sample.tied
         )
 
-    design, est, gamma = _fit(sample, hypothesis, opts)
-    if isinstance(hypothesis, DesignMatrix) and opts.weighting == "sigma":
-        msgs.append(_DISTORTION_NOTE)
-
-    theta = gamma.apply(tau)
-    N = int(opts.replicates)
-    df = None
-    spectrum = None
-
-    weight = 1.0 / n if opts.weighting == "identity" else est.factor
+    fit = _fit(sample, hypothesis, opts)
+    msgs.extend(fit.notes)
 
     # -- statistic: 0 for a residual that is rounding noise (an exact fit),
     # which also excuses a degenerate covariance ---------------------------
     stat_fn = statistic_euclidean if opts.statistic == "euclidean" else statistic_max
-    exact = _degenerate_fit(tau, theta)
     try:
-        value = stat_fn(tau, theta, weight)
+        value = stat_fn(tau, fit.theta, fit.weight)
     except SingularError:
-        if not exact:
+        if not fit.exact:
             raise
         msgs.append(
             "covariance estimate is degenerate and the hypothesis fits "
             "exactly; statistic treated as 0"
         )
-    if exact:
+    if fit.exact:
         value = 0.0
 
-    # -- p-value, by the method validate() chose ------------------------------
-    blocks = None  # Monte Carlo draws of the null law, in row blocks
-    if opts.weighting == "identity":
-        null_spectrum, null_cov = _identity_null(est, gamma, n)
-        if not null_spectrum:
+    # -- null law, by the route's sampler; nothing is drawn for a statistic
+    # at its minimum, which is no evidence against the null ----------------
+    N, df, spectrum, blocks = int(opts.replicates), None, None, None
+    if sampler in ("chi-square mixture", "coloured gaussian", "multiplier bootstrap"):
+        spectrum, null_cov = _identity_null(fit.est, fit.gamma, n)
+        if not spectrum:
             msgs.append(_ZERO_NULL_NOTE)
-    if method == "chi-square":
-        df = p - design.L
-        p_value = pvalue_chisq(value, p, design.L)
-        N = None
-    elif method == "bootstrap-mc":
-        # projecting the n rows once projects every replicate
+    if sampler == "chi-square tail":
+        df, N = p - fit.design.L, None
+    elif sampler == "multiplier bootstrap":
+        # set up ahead of the shortcut below, so that n < 3 is refused on
+        # every fit; projecting the n rows once projects every replicate
         D = sample.loo - tau
-        blocks = _bootstrap_blocks(D - gamma.apply(D), N, rng)
-    elif method == "mixture-mc":
-        spectrum = null_spectrum
-        p_value = 0.0  # a positive statistic exceeds a zero null law
-        if spectrum:
-            p_value = pvalue_mixture_mc(value, spectrum, N, rng, opts.plus_one)
-    elif opts.weighting == "identity":
-        blocks = _null_gaussian_blocks(null_cov, N, rng)
-    else:
-        if isinstance(hypothesis, Partition):
-            # null covariance of the whitened residual is I - B B^+
-            residual = gamma
-        else:
-            # ... and I - U U', U the eigenvectors of C C', C = Sigma^{-1/2} B,
-            # whose eigenvalues (of C'C = B' Sigma^+ B) the GLS rule keeps
-            C = est.factor.apply(design.matrix.T, -0.5).T
-            CC = PSDFactor.of_rows(C.T, 1.0, _normal_norm(design.matrix, est.factor))
-            U = CC.V[:, CC.keep]
-            residual = ProjectionOperator("orthogonal", p, factors=(U, U.T))
-        blocks = _residual_blocks(residual, N, p, rng)
-    if blocks is not None:
-        hits = _exceedances(blocks, value, opts.statistic)
-        p_value = _mc_pvalue(hits, N, opts.plus_one)
-
+        blocks = _bootstrap_blocks(D - fit.gamma.apply(D), N, rng)
     if value == 0.0:
-        # the statistic is at its minimum; no evidence against the null
         p_value = 1.0
+    elif sampler == "chi-square tail":
+        p_value = pvalue_chisq(value, p, fit.design.L)
+    elif sampler == "chi-square mixture":
+        # a positive statistic exceeds a zero null law
+        p_value = pvalue_mixture_mc(value, spectrum, N, rng, opts.plus_one) if spectrum else 0.0
+    else:
+        if sampler == "coloured gaussian":
+            blocks = _null_gaussian_blocks(null_cov, N, rng)
+        elif sampler == "whitened-residual gaussian":
+            gamma = _whitened_residual(fit)
+            blocks = (G - gamma.apply(G) for G in _normal_blocks(N, p, rng))
+        p_value = _mc_pvalue(_exceedances(blocks, value, opts.statistic), N, opts.plus_one)
 
     return TestReport(
         statistic=opts.statistic,
@@ -617,14 +616,14 @@ def _run_test(data, hypothesis, options):
         N=N,
         seed=int(opts.seed),
         df=df,
-        eigenvalues=spectrum,
+        eigenvalues=spectrum if sampler == "chi-square mixture" else None,
         warnings=msgs,
-        hypothesis=_hypothesis_info(hypothesis, design),
+        hypothesis=fit.info,
         n=n,
         d=d,
         p=p,
-        L=design.L,
+        L=fit.design.L,
         version=__version__,
         input_digest=sample.digest,
         options=opts.to_dict(),
-    ), theta
+    ), fit.theta

@@ -155,7 +155,7 @@ def test_leave_one_out_row_mean_is_tau():
     assert np.allclose(loo.mean(axis=0), tau, rtol=0, atol=5e-15)
     assert np.array_equal(kendall_tau_vector(X), tau)
     # the bare kernel pass on the validated array gives the sample's rows
-    tau2, loo2 = tau_and_leave_one_out(sample.data)
+    tau2, loo2 = tau_and_leave_one_out(X)
     assert np.array_equal(tau2, tau)
     assert np.array_equal(loo2, loo)
 

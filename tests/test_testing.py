@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import json
 import threading
 import tracemalloc
@@ -400,25 +402,41 @@ def test_run_test_partition_hypothesis_multigroup():
     assert rep.eigenvalues is not None and len(rep.eigenvalues) >= 1
 
 
-def test_run_test_comonotone_gives_p_one():
-    x = np.linspace(0.0, 1.0, 20)
-    X = np.column_stack([x, x**3, np.exp(x), 2 * x - 1])
-    for hyp, est in (
-        (Partition.exchangeable(4), "structured"),
-        (block_membership_matrix(Partition.exchangeable(4)), "jackknife"),
-    ):
-        for stat in ("euclidean", "max"):
-            for weight in ("sigma", "identity"):
-                opts = TestOptions(
-                    statistic=stat,
-                    weighting=weight,
-                    estimator=est,
-                    replicates=200,
-                    seed=1,
-                )
-                rep = run_test(X, hyp, opts)
-                assert rep.value == 0.0, (stat, weight, est)
-                assert rep.p_value == 1.0, (stat, weight, est)
+def test_run_test_comonotone_gives_p_one(monkeypatch):
+    # an exact fit has statistic 0 and p-value 1 on every route, and no
+    # route draws for it; the report still gives N, df and the null law
+    def no_draws(*args, **kwargs):
+        raise AssertionError("Monte Carlo draws after an exact fit")
+        yield  # a generator, as is the function it replaces
+
+    def no_mixture(*args, **kwargs):
+        raise AssertionError("chi-square mixture drawn after an exact fit")
+
+    monkeypatch.setattr(kt, "_normal_blocks", no_draws)
+    monkeypatch.setattr(kt, "pvalue_mixture_mc", no_mixture)
+    z = np.random.default_rng(2).standard_normal(20)
+    X = np.column_stack([z, z**3, np.exp(z), z + 5, 2 * z])
+    part = Partition.exchangeable(5)
+    cases = [(X, part), (X, block_membership_matrix(part))]
+    # a fit that is exact while the projected covariance is not zero
+    Y = exchangeable_normal(np.random.default_rng(3), 20, 5)
+    tau = KendallSample(Y).tau
+    cases.append((Y, DesignMatrix(np.column_stack([tau, np.ones(tau.size)]))))
+    for data, hyp in cases:
+        estimator = "structured" if isinstance(hyp, Partition) else "jackknife"
+        for (est, stat, weight, draws), (method, sampler) in kt._ROUTES.items():
+            if est != estimator:
+                continue
+            opts = TestOptions(statistic=stat, weighting=weight, estimator=est,
+                               null_draws=draws, replicates=5000, seed=1)
+            rep = run_test(data, hyp, opts)
+            case = (hyp, stat, weight, draws)
+            assert rep.value == 0.0 and rep.p_value == 1.0, case
+            assert rep.method == method, case
+            assert rep.N == (None if method == "chi-square" else 5000), case
+            assert rep.df == (10 - rep.L if method == "chi-square" else None), case
+            if data is Y and method == "mixture-mc":
+                assert rep.eigenvalues, case
 
 
 def test_run_test_zero_projected_covariance_contract():
@@ -651,7 +669,8 @@ def test_a_sample_ranked_otherwise_is_refused():
         KendallSample(X)
     jittered = KendallSample(X, "jitter", 4)
     assert jittered.tied == [2]
-    assert np.array_equal(jittered.data, X)  # the raw array, as digested
+    # the digest is of the raw array, not the jittered one
+    assert jittered.digest == hashlib.sha256(X.tobytes()).hexdigest()[:16]
     # jittered data reaches an estimator as its sample
     assert np.array_equal(jackknife_cov(jittered).rows, jittered.loo - jittered.tau)
 
@@ -933,7 +952,7 @@ def test_run_test_validation_errors():
 def _readme_routes():
     """The rows of the README's route table, as tuples of its cells."""
     text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
-    head = "| estimator | statistic | weighting | null_draws | method |"
+    head = "| estimator | statistic | weighting | null_draws | method | sampler |"
     lines = text[text.index(head):].splitlines()[2:]
     rows = []
     for line in lines:
@@ -944,19 +963,19 @@ def _readme_routes():
 
 
 def test_readme_route_table_matches_validate():
-    want = []
-    for estimator in ("structured", "jackknife"):
-        for stat in ("euclidean", "max"):
-            for weight in ("sigma", "identity"):
-                for draws in ("auto", "gaussian", "bootstrap"):
-                    opts = TestOptions(statistic=stat, weighting=weight, estimator=estimator,
-                                       null_draws=draws, seed=1)
-                    try:
-                        want.append((estimator, stat, weight, draws, opts.validate()))
-                    except ValueError:
-                        continue
-    assert len(want) == 18
-    assert _readme_routes() == want
+    # the README's table is the route table, row for row ...
+    assert _readme_routes() == [key + route for key, route in kt._ROUTES.items()]
+    assert len(kt._ROUTES) == 18
+    # ... and validate() accepts exactly its keys, returning their methods
+    for key in itertools.product(("structured", "jackknife"), ("euclidean", "max"),
+                                 ("sigma", "identity"), ("auto", "gaussian", "bootstrap")):
+        opts = TestOptions(estimator=key[0], statistic=key[1], weighting=key[2],
+                           null_draws=key[3], seed=1)
+        if key in kt._ROUTES:
+            assert opts.validate() == kt._ROUTES[key][0], key
+        else:
+            with pytest.raises(ValueError, match="does not apply"):
+                opts.validate()
 
 
 def test_run_test_distortion_warning_routing():
