@@ -150,6 +150,8 @@ def jackknife_cov(data):
     ``data`` is an (n, d) array, ranked with ties="error", or a
     KendallSample, which is how jittered data comes in.
     """
+    if np.shape(data)[0] < 3:
+        raise ValueError("dense jackknife needs n >= 3")
     sample = KendallSample.of(data)
     n, d = sample.shape
     return CovarianceEstimate(kind="dense", d=d, n=n, rows=sample.loo - sample.tau)

@@ -14,10 +14,17 @@ leave-one-out averages
 drive the jackknife covariance estimators.  For observation r the kernel
 sums over s are the off-diagonal entries of the Gram matrix S_r' S_r,
 where S_r = sign(X_r - X) is n x d, so the pass is one batched BLAS
-product per block of rows.  The +/-1 products are accumulated in
-float64, which represents every partial sum exactly while n < 2**53;
-the row sums are therefore exact integers until the final division, and
-brute-force comparisons can demand bitwise equality.
+product per block of rows.  The signs and their products are held in
+float32: every partial sum a BLAS product forms, in any order and with
+or without fused multiply-adds, is an integer of magnitude at most
+n - 1, which float32 represents exactly while n - 1 <= 2**24 (a larger
+n is refused).  The row sums are therefore exact integers until the
+final division, and brute-force comparisons can demand bitwise
+equality.  When the pass spans two or more blocks of rows and the
+process may use a second CPU (``_second_cpu``, the rule the Monte Carlo
+draws of ``testing`` follow too), a helper thread takes half of the
+blocks; NumPy releases the interpreter lock in the comparisons and the
+products, and the sums are the same.
 
 Tied values make the kernel 0 and break the +/-1 contract; by default
 that is a hard error.  An opt-in, seeded jitter of relative size 1e-9
@@ -34,6 +41,9 @@ bare kernel pass on the array a sample hands it.
 """
 
 import hashlib
+import multiprocessing
+import os
+import threading
 
 import numpy as np
 
@@ -46,11 +56,15 @@ __all__ = [
     "tau_and_leave_one_out",
 ]
 
-# soft cap, in bytes, on the working buffers of one block of rows.  Kept
-# small: larger blocks are no faster, and freeing buffers of tens of MB
-# raised the later peak RSS of a run_test (glibc then serves allocations
-# of that size from its heap instead of returning them to the system)
+# soft cap, in bytes, on the working buffers of a pass's blocks of rows,
+# shared by the two threads when a helper runs.  Kept small: larger
+# blocks are no faster, and freeing buffers of tens of MB raised the
+# later peak RSS of a run_test (glibc then serves allocations of that
+# size from its heap instead of returning them to the system)
 _BLOCK_BUDGET = 2.0**22
+# the largest n - 1 the float32 pass counts exactly: float32 holds every
+# integer of magnitude up to 2**24
+_EXACT_COUNT = 2**24
 
 
 class TieError(ValueError):
@@ -97,40 +111,92 @@ def _jitter_columns(X, cols, seed):
     return X
 
 
+def _second_cpu():
+    """Whether work may run on a second CPU beside the calling thread:
+    the process may run on at least two CPUs and is not a child process,
+    such as a worker of ``run_study``'s pool, whose siblings already fill
+    the CPUs.  The kernel pass and the Monte Carlo draws of ``testing``
+    both follow this rule."""
+    if multiprocessing.parent_process() is not None:
+        return False
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) >= 2
+    return (os.cpu_count() or 1) >= 2
+
+
 def _pair_row_sums(X):
     """Row sums sum_{s != r} h(X_r, X_s) as an (n, p) integer array.
 
     Row r holds the upper-triangle entries of S_r' S_r, from one batched
-    matmul per block of rows; the block buffers are allocated once and
-    kept within _BLOCK_BUDGET bytes.  O(n^2 d^2) work overall.  The
-    diagonal of S_r' S_r counts the observations that differ from X_r in
-    each variable, so an entry below n - 1 is a tie, raised as TieError.
+    float32 matmul per block of rows; the block buffers are allocated
+    once, on the calling thread (allocations on a helper thread can raise
+    peak RSS through the C library's per-thread heaps), and kept within
+    _BLOCK_BUDGET bytes.
+    With two or more blocks and ``_second_cpu()``, a helper thread works
+    through the second half of the blocks, each thread in blocks of half
+    the budget; an exception on either half is raised here, once the
+    helper has stopped.  O(n^2 d^2) work overall.  The diagonal of
+    S_r' S_r counts the observations that differ from X_r in each
+    variable, so an entry below n - 1 is a tie, raised as TieError.
     """
     n, d = X.shape
+    if n - 1 > _EXACT_COUNT:
+        raise ValueError(
+            "the kernel pass counts exactly in float32 only while n - 1 <= %d, "
+            "got n=%d" % (_EXACT_COUNT, n)
+        )
     ii0, jj0 = _pairs0(d)
     p = len(ii0)
+    flat = ii0 * d + jj0
     out = np.empty((n, p), dtype=np.int64)
-    # per row of a block: float64 signs and their bool half (n x d), the
-    # float64 Gram matrix (d x d) and its gathered pairs (p)
-    row_bytes = 9 * n * d + 8 * (d * d + p)
-    blk = int(max(1, min(n, _BLOCK_BUDGET // row_bytes)))
-    S = np.empty((blk, n, d))
-    below = np.empty((blk, n, d), dtype=bool)
-    G = np.empty((blk, d, d))
-    for start in range(0, n, blk):
-        stop = min(start + blk, n)
-        b = stop - start
-        Xr = X[start:stop, None, :]
-        # sign(X_r - X_s) as (X_r > X_s) - (X_r < X_s); the s = r term is 0
-        Sb = np.greater(Xr, X, out=S[:b])
-        np.subtract(Sb, np.less(Xr, X, out=below[:b]), out=Sb)
-        Gb = np.matmul(Sb.transpose(0, 2, 1), Sb, out=G[:b])
-        if Gb.diagonal(0, 1, 2).min() < n - 1:
-            raise TieError(
-                "tied values in column(s) %s; pass ties='jitter' (seeded) or "
-                "pre-process the data" % _tied_columns(X)
-            )
-        out[start:stop] = Gb[:, ii0, jj0]
+    # per row of a block: float32 signs and their bool half (n x d), the
+    # float32 Gram matrix (d x d) and its gathered pairs (p)
+    row_bytes = 5 * n * d + 4 * (d * d + p)
+    threads = 2 if _BLOCK_BUDGET // row_bytes < n and _second_cpu() else 1
+    blk = int(max(1, min(n, _BLOCK_BUDGET // (threads * row_bytes))))
+    bufs = [
+        (np.empty((blk, n, d), dtype=np.float32), np.empty((blk, n, d), dtype=bool),
+         np.empty((blk, d, d), dtype=np.float32), np.empty((blk, p), dtype=np.float32))
+        for _ in range(threads)
+    ]
+    bounds = [(lo, min(lo + blk, n)) for lo in range(0, n, blk)]
+
+    def rows(blocks, S, below, G, pairs):
+        for start, stop in blocks:
+            b = stop - start
+            Xr = X[start:stop, None, :]
+            # sign(X_r - X_s) as (X_r > X_s) - (X_r < X_s); the s = r term is 0
+            Sb = np.greater(Xr, X, out=S[:b])
+            np.subtract(Sb, np.less(Xr, X, out=below[:b]), out=Sb)
+            Gb = np.matmul(Sb.transpose(0, 2, 1), Sb, out=G[:b])
+            if Gb.diagonal(0, 1, 2).min() < n - 1:
+                raise TieError(
+                    "tied values in column(s) %s; pass ties='jitter' (seeded) or "
+                    "pre-process the data" % _tied_columns(X)
+                )
+            out[start:stop] = np.take(Gb.reshape(b, d * d), flat, axis=1,
+                                      out=pairs[:b], mode="clip")
+
+    if threads == 1:
+        rows(bounds, *bufs[0])
+        return out
+    half = (len(bounds) + 1) // 2
+    failed = []
+
+    def helper():
+        try:
+            rows(bounds[half:], *bufs[1])
+        except BaseException as exc:  # raised by the calling thread
+            failed.append(exc)
+
+    worker = threading.Thread(target=helper, name="kstruct-kernel", daemon=True)
+    worker.start()
+    try:
+        rows(bounds[:half], *bufs[0])
+    finally:
+        worker.join()
+    if failed:
+        raise failed[0]
     return out
 
 

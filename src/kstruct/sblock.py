@@ -171,12 +171,12 @@ class PartitionQuotients:
     size, norm: its eigenvalues' arguments of ``rank_mask``.
 
     Like PSDFactor it has ``p``, ``spectrum``, ``keep`` and ``apply``.
-    The eigendecomposition, the coordinate maps that apply the matrix
-    and each pseudo-power are built once, on first use.
+    The eigendecomposition, ``keep``, the coordinate maps that apply the
+    matrix and each pseudo-power are built once, on first use.
     """
 
     __slots__ = ("partition", "trivial", "standard", "remainder", "p", "size", "norm",
-                 "_eig", "_maps", "_powers")
+                 "_eig", "_keep", "_maps", "_powers")
 
     def __init__(self, partition, trivial, standard, remainder, size=None, norm=None):
         self.partition = partition
@@ -187,6 +187,7 @@ class PartitionQuotients:
         self.size = self.p if size is None else size
         self.norm = norm
         self._eig = None
+        self._keep = None
         self._maps = None
         self._powers = {}
 
@@ -202,7 +203,10 @@ class PartitionQuotients:
 
     @property
     def keep(self):
-        return rank_mask(self.spectrum.values, self.size, self.norm)
+        if self._keep is None:
+            self._keep = rank_mask(self.spectrum.values, self.size, self.norm)
+            self._keep.flags.writeable = False  # every reader shares it
+        return self._keep
 
     def apply(self, v, exponent):
         """The principal pseudo-power q**exponent applied to v, a length-p

@@ -30,7 +30,8 @@ from the one random stream of the test's seed, by three generators:
 standard normals (``_normal_blocks``), draws coloured by a covariance
 form (``_null_gaussian_blocks``) and multiplier-bootstrap replicates
 (``_bootstrap_blocks``).  When a test's draws span two or more blocks
-and the process may run on two or more CPUs, a helper thread draws
+and the process may run on two or more CPUs (``kendall._second_cpu``,
+the rule the kernel pass follows too), a helper thread draws
 block b + 1 while the calling thread colours block b and counts its
 exceedances.  The helper only fills a ring of two block buffers from
 the generator, in stream order, so every draw, p-value and the
@@ -44,8 +45,6 @@ PartitionQuotients that ``CovarianceEstimate.factor`` returns.
 """
 
 import json
-import multiprocessing
-import os
 import queue
 import threading
 from collections import namedtuple
@@ -58,7 +57,7 @@ from scipy import special
 from ._version import __version__
 from .covariance import PSDFactor, jackknife_cov, structured_jackknife_partition
 from .indexing import DesignMatrix, Partition, block_membership_matrix
-from .kendall import KendallSample
+from .kendall import KendallSample, _second_cpu
 from .projection import ProjectionOperator, _normal_norm, gamma_projection
 from .sblock import SingularError, partition_projected, rank_mask
 
@@ -325,34 +324,22 @@ def _row_blocks(N, p):
     return [(lo, min(lo + step, N)) for lo in range(0, N, step)] or [(0, 0)]
 
 
-def _draw_ahead():
-    """Whether a helper thread may draw normals ahead of their use: the
-    process may run on at least two CPUs and is not a child process,
-    such as a worker of ``run_study``'s pool, whose siblings already
-    fill the CPUs."""
-    if multiprocessing.parent_process() is not None:
-        return False
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0)) >= 2
-    return (os.cpu_count() or 1) >= 2
-
-
 def _normal_blocks(N, p, rng, cols=None):
     """Standard normal draws for the row blocks of ``_row_blocks(N, p)``,
     each a (rows, cols) array (cols defaults to p), in stream order.
 
     A block is a view of a reused buffer: it holds its values only until
     the next block is requested, so a caller that keeps a block copies it.
-    With two or more blocks and ``_draw_ahead()``, a helper thread fills
-    a ring of two buffers one block ahead; the values and the generator's
-    state once every block is consumed are those of inline draws.  The
-    helper touches nothing but ``rng``, is stopped and joined when the
-    caller stops early or raises, and an exception it meets is raised
-    here.
+    With two or more blocks and ``kendall._second_cpu()``, a helper
+    thread fills a ring of two buffers one block ahead; the values and
+    the generator's state once every block is consumed are those of
+    inline draws.  The helper touches nothing but ``rng``, is stopped
+    and joined when the caller stops early or raises, and an exception
+    it meets is raised here.
     """
     bounds = _row_blocks(int(N), p)
     cols = p if cols is None else cols
-    if len(bounds) < 2 or not _draw_ahead():
+    if len(bounds) < 2 or not _second_cpu():
         buf = np.empty((bounds[0][1], cols))
         for lo, hi in bounds:
             yield rng.standard_normal(out=buf[: hi - lo])
@@ -445,6 +432,22 @@ def _identity_null(est, gamma, n):
         null = PSDFactor.of_rows(Y - gamma.apply(Y), 4.0 / n, norm)
     values, multiplicities = null.spectrum
     return _merged_spectrum(values[null.keep], multiplicities[null.keep]), null
+
+
+def _rows_null_is_zero(D, R, n):
+    """Whether ``_identity_null`` of a dense estimate with rows D keeps
+    no eigenvalue, given the projected rows R = D - Gamma D: whether the
+    largest eigenvalue (4/n) s_max^2 of (4/n) R'R falls to ``rank_mask``.
+    ||R||_F^2 / min(n, p) <= s_max^2 <= ||R||_F^2 decides it, each bound
+    widened by a factor 2 against rounding; the thin SVD runs only where
+    the two bounds fall on either side of the cut."""
+    size, norm = max(R.shape), (4.0 / n) * float(np.einsum("ij,ij->", D, D))
+    frob = (4.0 / n) * float(np.einsum("ij,ij->", R, R))
+    if not rank_mask([2.0 * frob], size, norm).any():
+        return True
+    if rank_mask([frob / (2.0 * min(R.shape))], size, norm).any():
+        return False
+    return not PSDFactor.of_rows(R, 4.0 / n, norm).keep.any()
 
 
 def _degenerate_fit(tau, theta):
@@ -579,18 +582,25 @@ def _run_test(data, hypothesis, opts):
 
     # -- null law, by the route's sampler; nothing is drawn for a statistic
     # at its minimum, which is no evidence against the null ----------------
-    N, df, spectrum, blocks = int(opts.replicates), None, None, None
-    if sampler in ("chi-square mixture", "coloured gaussian", "multiplier bootstrap"):
+    N, df, spectrum, blocks, zero_null = int(opts.replicates), None, None, None, False
+    if sampler in ("chi-square mixture", "coloured gaussian"):
         spectrum, null_cov = _identity_null(fit.est, fit.gamma, n)
-        if not spectrum:
-            msgs.append(_ZERO_NULL_NOTE)
+        zero_null = not spectrum
     if sampler == "chi-square tail":
         df, N = p - fit.design.L, None
     elif sampler == "multiplier bootstrap":
         # set up ahead of the shortcut below, so that n < 3 is refused on
-        # every fit; projecting the n rows once projects every replicate
+        # every fit; projecting the n rows once projects every replicate,
+        # and the same rows decide the zero-null note of a dense estimate
         D = sample.loo - tau
-        blocks = _bootstrap_blocks(D - fit.gamma.apply(D), N, rng)
+        R = D - fit.gamma.apply(D)
+        blocks = _bootstrap_blocks(R, N, rng)
+        if fit.est.kind == "dense":
+            zero_null = _rows_null_is_zero(D, R, n)
+        else:
+            zero_null = not _identity_null(fit.est, fit.gamma, n)[0]
+    if zero_null:
+        msgs.append(_ZERO_NULL_NOTE)
     if value == 0.0:
         p_value = 1.0
     elif sampler == "chi-square tail":

@@ -9,8 +9,9 @@ from kstruct.covariance import (
     structured_jackknife_exchangeable,
     structured_jackknife_partition,
 )
-from kstruct.indexing import Partition, overlap_count, pair_count
+from kstruct.indexing import Partition, block_membership_matrix, overlap_count, pair_count
 from kstruct.kendall import KendallSample, kendall_tau_vector
+from kstruct.testing import TestOptions, run_test
 
 
 def brute_jackknife(X):
@@ -153,6 +154,20 @@ def test_partition_rejects_small_n_and_mismatched_d():
     X = np.random.default_rng(0).standard_normal((10, 4))
     with pytest.raises(ValueError, match="partition"):
         structured_jackknife_partition(X, Partition.exchangeable(5))
+
+
+def test_dense_jackknife_rejects_small_n():
+    # as the partition route does; the design routes of run_test refuse it too
+    X = np.random.default_rng(0).standard_normal((2, 5))
+    for data in (X, KendallSample(X)):
+        with pytest.raises(ValueError, match="dense jackknife needs n >= 3"):
+            jackknife_cov(data)
+    design = block_membership_matrix(Partition.exchangeable(5))
+    for stat, weight in (("euclidean", "identity"), ("euclidean", "sigma"), ("max", "sigma")):
+        opts = TestOptions(statistic=stat, weighting=weight, estimator="jackknife", seed=0)
+        with pytest.raises(ValueError, match="n >= 3"):
+            run_test(X, design, opts)
+    assert jackknife_cov(np.random.default_rng(1).standard_normal((3, 5))).rows.shape == (3, 10)
 
 
 def test_psd_pinv_matches_numpy():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from dense_oracle import dense_design_report
 
+import kstruct.testing as kt
 from kstruct.covariance import PSDFactor, jackknife_cov
 from kstruct.indexing import (
     DesignMatrix,
@@ -19,6 +20,7 @@ from kstruct.indexing import (
     pair_count,
     vertex_incidence_design,
 )
+from kstruct.projection import gamma_projection
 from kstruct.sblock import SingularError
 from kstruct.testing import TestOptions, run_test
 
@@ -188,6 +190,54 @@ def test_exact_fit_has_an_empty_null_on_both_routes(part, n, seed):
             rep = run_test(X, hypothesis, opts)
             assert "projected covariance estimate is zero" in rep.warnings, (estimator, stat)
             assert rep.eigenvalues == ([] if stat == "euclidean" else None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(design_cases())
+@example((_offset_normal(4, 4, 57), block_membership_matrix(EXACT_FITS[0][0])))
+@example((_offset_normal(4, 7, 4), block_membership_matrix(EXACT_FITS[1][0])))
+@example((_offset_normal(4, 4, 8), vertex_incidence_design(4)))
+@example((_anti_comonotone(20), block_membership_matrix(three_groups(6))))  # D = 0
+def test_zero_null_note_from_frobenius_bounds_equals_the_svd(case):
+    # the bootstrap routes decide the "projected covariance estimate is
+    # zero" note from ||R||_F; it must agree with the SVD of R everywhere,
+    # also with R scaled across the rank cut, inside and outside the band
+    X, design = case
+    n = X.shape[0]
+    est = jackknife_cov(X)
+    gamma = gamma_projection(design)
+    D = est.rows
+    R = D - gamma.apply(D)
+    assert kt._rows_null_is_zero(D, R, n) == (not kt._identity_null(est, gamma, n)[0])
+    top = (4.0 / n) * np.linalg.norm(R, 2) ** 2
+    if top == 0.0:
+        return
+    norm = (4.0 / n) * float(np.einsum("ij,ij->", D, D))
+    cut = 10.0 * np.finfo(float).eps * max(R.shape) * norm
+    for f in (1e-3, 0.3, 0.99, 1.01, 3.0, 1e3 * min(R.shape)):
+        Rf = np.sqrt(f * cut / top) * R
+        want = not PSDFactor.of_rows(Rf, 4.0 / n, norm).keep.any()
+        assert kt._rows_null_is_zero(D, Rf, n) == want, f
+
+
+def test_bootstrap_route_decides_its_note_without_an_svd_of_the_rows():
+    n, d = 30, 6
+    X = _offset_normal(n, d, 3)
+    design = block_membership_matrix(three_groups(d))
+    svd = np.linalg.svd
+    shapes = []
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    for draws in ("auto", "bootstrap"):
+        opts = TestOptions(statistic="max", weighting="identity", estimator="jackknife",
+                           replicates=200, seed=0, null_draws=draws)
+        with mock.patch.object(np.linalg, "svd", recording):
+            rep = run_test(X, design, opts)
+        assert rep.method == "bootstrap-mc"
+    assert (n, pair_count(d)) not in shapes
 
 
 @pytest.mark.parametrize("d, n, seed", [(4, 4, 8), (6, 3, 13)])

@@ -1,5 +1,7 @@
 import re
+import threading
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -87,7 +89,7 @@ def brute_force_row_sums(X):
 
 def _block_row_bytes(n, d):
     # bytes one row of a block claims against _BLOCK_BUDGET in _pair_row_sums
-    return 9 * n * d + 8 * (d * d + pair_count(d))
+    return 5 * n * d + 4 * (d * d + pair_count(d))
 
 
 _huge = st.floats(min_value=-1e300, max_value=1e300)
@@ -119,17 +121,102 @@ def tie_free_columns(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(X=tie_free_columns(), rows=st.integers(1, 3))
-@example(X=np.array([[0.0, 1.0], [1.0, 0.0]]), rows=1)
-@example(X=np.random.default_rng(12).normal(size=(7, 3)), rows=2)
-@example(X=np.random.default_rng(13).normal(size=(8, 4)), rows=3)
-def test_kernel_equals_brute_force_in_any_block_size(X, rows):
+@given(X=tie_free_columns(), rows=st.integers(1, 3), second_cpu=st.booleans())
+@example(X=np.array([[0.0, 1.0], [1.0, 0.0]]), rows=1, second_cpu=True)
+@example(X=np.random.default_rng(12).normal(size=(7, 3)), rows=2, second_cpu=False)
+@example(X=np.random.default_rng(13).normal(size=(8, 4)), rows=3, second_cpu=True)
+@example(X=np.random.default_rng(14).normal(size=(11, 5)), rows=3, second_cpu=False)
+def test_kernel_equals_brute_force_in_any_block_size(X, rows, second_cpu):
+    # the float32 pass, inline or split with a helper thread, counts exactly
     n, d = X.shape
     expect = brute_force_row_sums(X)
-    assert np.array_equal(kd._pair_row_sums(X), expect)
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kd, "_second_cpu", lambda: second_cpu)
+        assert np.array_equal(kd._pair_row_sums(X), expect)
         mp.setattr(kd, "_BLOCK_BUDGET", rows * _block_row_bytes(n, d))
         assert np.array_equal(kd._pair_row_sums(X), expect)
+
+
+def _thread_of_each_block(monkeypatch):
+    """Record the thread that takes each block's matmul in the kernel pass."""
+    seen = []
+    matmul = np.matmul
+
+    def recording(a, b, out):
+        seen.append(threading.current_thread())
+        return matmul(a, b, out=out)
+
+    monkeypatch.setattr(kd.np, "matmul", recording)
+    return seen
+
+
+def test_kernel_splits_blocks_over_a_helper_thread(monkeypatch):
+    X = np.random.default_rng(21).normal(size=(40, 6))
+    expect = brute_force_row_sums(X)
+    before = threading.active_count()
+    for second_cpu in (False, True):
+        # a budget of four rows: ten blocks inline, or ten two-row blocks
+        # on each thread
+        monkeypatch.setattr(kd, "_BLOCK_BUDGET", 4 * _block_row_bytes(40, 6))
+        monkeypatch.setattr(kd, "_second_cpu", lambda: second_cpu)
+        seen = _thread_of_each_block(monkeypatch)
+        assert np.array_equal(kd._pair_row_sums(X), expect)
+        monkeypatch.undo()
+        on_main = sum(t is threading.main_thread() for t in seen)
+        assert (len(seen), on_main) == ((20, 10) if second_cpu else (10, 10))
+    assert threading.active_count() == before
+    # with the whole pass in one block there is nothing to split
+    monkeypatch.setattr(kd, "_second_cpu", lambda: True)
+    seen = _thread_of_each_block(monkeypatch)
+    kd._pair_row_sums(X)
+    assert seen == [threading.main_thread()]
+
+
+def test_tie_in_the_helper_half_is_raised_by_the_caller(monkeypatch):
+    X = np.random.default_rng(22).normal(size=(40, 6))
+    X[39, 4] = X[38, 4]  # only the last two rows see the tie
+    monkeypatch.setattr(kd, "_BLOCK_BUDGET", 4 * _block_row_bytes(40, 6))
+    monkeypatch.setattr(kd, "_second_cpu", lambda: True)
+    found_on = []
+    tied_columns = kd._tied_columns
+
+    def recording(X):
+        found_on.append(threading.current_thread())
+        return tied_columns(X)
+
+    monkeypatch.setattr(kd, "_tied_columns", recording)
+    unhandled = []
+    monkeypatch.setattr(threading, "excepthook", unhandled.append)
+    before = threading.active_count()
+    with pytest.raises(TieError) as info:
+        KendallSample(X)
+    assert str(info.value) == (
+        "tied values in column(s) [5]; pass ties='jitter' (seeded) or pre-process the data"
+    )
+    assert len(found_on) == 1 and found_on[0] is not threading.main_thread()
+    assert unhandled == []
+    assert threading.active_count() == before
+
+
+def test_kernel_refuses_n_beyond_exact_float32_counts(monkeypatch):
+    # the limit is 2**24; patched small, so no large array is built
+    assert kd._EXACT_COUNT == 2**24
+    monkeypatch.setattr(kd, "_EXACT_COUNT", 5)
+    X = np.random.default_rng(23).normal(size=(7, 3))
+    assert np.array_equal(kd._pair_row_sums(X[:6]), brute_force_row_sums(X[:6]))
+    with pytest.raises(ValueError, match=r"n - 1 <= 5, got n=7"):
+        KendallSample(X)
+
+
+def test_second_cpu_needs_two_cpus_outside_a_pool_worker(monkeypatch):
+    monkeypatch.setattr(kd.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert kd._second_cpu()
+    monkeypatch.setattr(kd.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert not kd._second_cpu()
+    # a pool worker, like run_study's, works inline however many CPUs it sees
+    monkeypatch.setattr(kd.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    with ProcessPoolExecutor(max_workers=1) as pool:
+        assert pool.submit(kd._second_cpu).result() is False
 
 
 @pytest.mark.parametrize("n, d", [(200, 100), (1000, 50)])

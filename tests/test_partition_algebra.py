@@ -146,6 +146,9 @@ def test_partition_algebra_matches_dense_oracle(part, n, seed):
     q = est.quotients
     spectrum = q.spectrum.values
     assert spectrum.min() >= -1e-12 * spectrum.max()
+    # the rank rule is applied once and its mask shared, read-only
+    assert q.keep is q.keep and not q.keep.flags.writeable
+    assert np.array_equal(q.keep, rank_mask(spectrum, q.size, q.norm))
 
     # Pseudo-powers A^a, a in {-1, -1/2, 1/2}, of two routes that
     # decompose the same estimate A.  To first order in a perturbation E,

@@ -3,7 +3,6 @@ import itertools
 import json
 import threading
 import tracemalloc
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -793,7 +792,7 @@ class _RecordingRng:
 
 def _draw_ahead(monkeypatch, on):
     # 3-row blocks at p = 15, so N = 301 draws span 101 of them
-    monkeypatch.setattr(kt, "_draw_ahead", lambda: on)
+    monkeypatch.setattr(kt, "_second_cpu", lambda: on)
     monkeypatch.setattr(kt, "_DRAW_BLOCK_ENTRIES", 3 * pair_count(6))
 
 
@@ -886,17 +885,6 @@ def test_draw_thread_error_reaches_the_caller(monkeypatch):
     assert len(rng.threads) == 4
     assert not any(t is threading.main_thread() for t in rng.threads)
     assert threading.active_count() == before
-
-
-def test_draw_ahead_needs_two_cpus_outside_a_pool_worker(monkeypatch):
-    monkeypatch.setattr(kt.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    assert kt._draw_ahead()
-    monkeypatch.setattr(kt.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert not kt._draw_ahead()
-    # a pool worker, like run_study's, draws inline however many CPUs it sees
-    monkeypatch.setattr(kt.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    with ProcessPoolExecutor(max_workers=1) as pool:
-        assert pool.submit(kt._draw_ahead).result() is False
 
 
 def test_run_test_validation_errors():
