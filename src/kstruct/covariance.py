@@ -24,6 +24,14 @@ from one thin SVD of D in O(n p min(n, p)), and every design-route
 consumer (weighted projection, whitening, null draws) works from that
 factor.
 
+An estimate is a value of its sample: the first estimate of a
+KendallSample (dense, or structured under a given Partition) is kept on
+the sample while it lives, and every later test or estimate of that
+sample shares it, with what the estimate builds on first use (the
+quotients' eigendecomposition and pseudo-powers, the thin SVD, the
+projected null law of ``testing``).  The shared arrays are read-only.
+A raw array is ranked into a fresh sample, so it shares nothing.
+
 Also here: the spectral factor (w, V, keep) of a PSD matrix with its
 pseudo-powers, and a Monte Carlo evaluator for the population covariance
 coefficients of an exchangeable copula.
@@ -103,15 +111,17 @@ class PSDFactor:
 class CovarianceEstimate:
     """A covariance estimate for tau_hat.
 
-    kind is "dense" (the centred leave-one-out matrix ``rows`` D, with
-    matrix (4/n^2) D'D) or "partition" (``quotients``: the isotypic
-    quotients of a matrix constant on the orbits of a partition).
-    ``matrix`` is materialized on first read.  ``factor`` is the form
-    that whitens, answering ``keep``, ``spectrum`` and ``apply``: the
-    quotients, or a PSDFactor from the thin SVD of D built on first use.
-    ``s`` holds the overlap-class coefficients (s0, s1, s2) of a fully
-    exchangeable estimate and is None otherwise.  The estimate is on the
-    scale of cov(tau_hat); multiply by n for the asymptotic matrix.
+    kind is "dense" (matrix (4/n^2) D'D) or "partition" (``quotients``:
+    the isotypic quotients of a matrix constant on the orbits of a
+    partition); ``rows`` is the centred leave-one-out matrix D the
+    estimate was made from.  ``matrix`` is materialized on first read.
+    ``factor`` is the form that whitens, answering ``keep``, ``spectrum``
+    and ``apply``: the quotients, or a PSDFactor from the thin SVD of D
+    built on first use.  ``s`` holds the overlap-class coefficients
+    (s0, s1, s2) of a fully exchangeable estimate and is None otherwise.
+    The estimate is on the scale of cov(tau_hat); multiply by n for the
+    asymptotic matrix.  ``_null`` is the null law of the identity routes
+    of a partition estimate, which ``testing`` builds on first use.
     """
 
     def __init__(self, kind, d, n, quotients=None, rows=None):
@@ -123,13 +133,17 @@ class CovarianceEstimate:
         self.rows = rows
         self._matrix = None
         self._factor = None
+        self._null = None
 
     @property
     def matrix(self):
-        if self._matrix is None and self.quotients is not None:
-            self._matrix = partition_materialize(self.quotients)
-        elif self._matrix is None:
-            self._matrix = (4.0 / self.n**2) * (self.rows.T @ self.rows)
+        if self._matrix is None:
+            if self.quotients is not None:
+                M = partition_materialize(self.quotients)
+            else:
+                M = (4.0 / self.n**2) * (self.rows.T @ self.rows)
+            M.flags.writeable = False  # every test of the sample shares it
+            self._matrix = M
         return self._matrix
 
     @property
@@ -144,17 +158,34 @@ class CovarianceEstimate:
         return self.matrix
 
 
+def _kept(sample, key, build):
+    """``build()``, made once per sample and ``key`` and kept on the
+    sample while it lives: the estimates of a KendallSample.  Threads
+    that race on a first call each build an equal value."""
+    kept = sample.__dict__.setdefault("_estimates", {})
+    if key not in kept:
+        kept[key] = build()
+    return kept[key]
+
+
 def jackknife_cov(data):
     """Dense jackknife covariance estimate of tau_hat, held as its rows.
 
     ``data`` is an (n, d) array, ranked with ties="error", or a
-    KendallSample, which is how jittered data comes in.
+    KendallSample, which is how jittered data comes in; a sample keeps
+    its estimate, so every call on it returns the same one.
     """
     if np.shape(data)[0] < 3:
         raise ValueError("dense jackknife needs n >= 3")
     sample = KendallSample.of(data)
     n, d = sample.shape
-    return CovarianceEstimate(kind="dense", d=d, n=n, rows=sample.loo - sample.tau)
+
+    def build():
+        D = sample.loo - sample.tau
+        D.flags.writeable = False  # the structured estimates share it too
+        return CovarianceEstimate(kind="dense", d=d, n=n, rows=D)
+
+    return _kept(sample, "dense", build)
 
 
 def structured_jackknife_exchangeable(data):
@@ -164,7 +195,9 @@ def structured_jackknife_exchangeable(data):
     Its three 1 x 1 quotients are the eigenvalues (delta_1, delta_2,
     delta_3) of the class-averaged dense jackknife, and ``.s`` holds the
     averages (s0, s1, s2) over the three overlap classes, solved from
-    them.  Requires d >= 4: below that some overlap class is empty.
+    them.  Requires d >= 4: below that some overlap class is empty.  The
+    result is a fresh estimate on the quotients that the sample keeps,
+    so ``.s`` is never set on the estimate that tests share.
     """
     sample = KendallSample.of(data)
     d = sample.shape[1]
@@ -172,8 +205,10 @@ def structured_jackknife_exchangeable(data):
         raise ValueError(
             "exchangeable structured jackknife needs d >= 4, got d=%d" % d
         )
-    est = structured_jackknife_partition(sample, Partition.exchangeable(d))
-    q = est.quotients
+    shared = structured_jackknife_partition(sample, Partition.exchangeable(d))
+    q = shared.quotients
+    est = CovarianceEstimate(kind="partition", d=d, n=shared.n, quotients=q,
+                             rows=shared.rows)
     deltas = [q.trivial[0, 0], q.standard[0][0, 0], q.remainder[0]]
     est.s = np.linalg.solve(_overlap_map(d), deltas)
     return est
@@ -186,7 +221,8 @@ def structured_jackknife_partition(data, partition):
     in O(n p) without the dense jackknife.  With a single group this is
     the exchangeable estimator; with all-singleton groups every entry is
     its own class and the dense estimate is reproduced.  ``data`` is an
-    (n, d) array or a KendallSample, as for ``jackknife_cov``.
+    (n, d) array or a KendallSample, as for ``jackknife_cov``; a sample
+    keeps one estimate per partition.
     """
     if np.shape(data)[0] < 3:
         raise ValueError("partition-structured jackknife needs n >= 3")
@@ -196,8 +232,13 @@ def structured_jackknife_partition(data, partition):
         raise ValueError(
             "partition is over d=%d variables, data has d=%d" % (partition.d, d)
         )
-    quotients = partition_quotients(sample.loo - sample.tau, partition, 4.0 / n**2)
-    return CovarianceEstimate(kind="partition", d=d, n=n, quotients=quotients)
+
+    def build():
+        D = jackknife_cov(sample).rows  # averaged over the orbits
+        quotients = partition_quotients(D, partition, 4.0 / n**2)
+        return CovarianceEstimate(kind="partition", d=d, n=n, quotients=quotients, rows=D)
+
+    return _kept(sample, partition, build)
 
 
 @dataclass

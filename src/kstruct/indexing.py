@@ -226,6 +226,15 @@ def block_membership_matrix(partition):
     return DesignMatrix(B, kind="membership")
 
 
+@lru_cache(maxsize=32)
+def _membership_design(partition):
+    """``block_membership_matrix(partition)``, built once per partition
+    and read-only, for the tests that share it."""
+    design = block_membership_matrix(partition)
+    design.matrix.flags.writeable = False
+    return design
+
+
 def diagonal_free_membership_matrix(partition):
     """Membership design that leaves within-group entries unconstrained.
 

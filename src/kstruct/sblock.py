@@ -172,7 +172,9 @@ class PartitionQuotients:
 
     Like PSDFactor it has ``p``, ``spectrum``, ``keep`` and ``apply``.
     The eigendecomposition, ``keep``, the coordinate maps that apply the
-    matrix and each pseudo-power are built once, on first use.
+    matrix and each pseudo-power are built once, on first use.  The
+    quotient arrays are made read-only: an estimate's quotients serve
+    every test of its sample.
     """
 
     __slots__ = ("partition", "trivial", "standard", "remainder", "p", "size", "norm",
@@ -183,6 +185,8 @@ class PartitionQuotients:
         self.trivial = trivial
         self.standard = tuple(standard)
         self.remainder = remainder
+        for arr in (trivial, *self.standard, remainder):
+            arr.flags.writeable = False
         self.p = pair_count(partition.d)
         self.size = self.p if size is None else size
         self.norm = norm

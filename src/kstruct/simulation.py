@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._version import __version__
-from .indexing import Partition, block_membership_matrix
+from .indexing import Partition, _membership_design
 from .kendall import KendallSample, TieError
 from .projection import RankDeficient
 from .sblock import SingularError
@@ -262,16 +262,10 @@ def _rep_task(payload):
             for ti in range(len(scenario.tests))
         ]
     part = scenario.partition()
-    design = None
     samples = {}
     for ti, template in enumerate(scenario.tests):
         opts = dataclasses.replace(template, seed=_derived_seed(seqs[ti + 1]))
-        if opts.estimator == "structured":
-            hyp = part
-        else:
-            if design is None:
-                design = block_membership_matrix(part)
-            hyp = design
+        hyp = part if opts.estimator == "structured" else _membership_design(part)
         try:
             key = (opts.ties, opts.tie_seed)
             if key not in samples:

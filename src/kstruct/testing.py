@@ -9,7 +9,9 @@ pseudo-inverse -- the max statistic's entries depend on which root is
 taken, so this choice is part of the definition.  Which eigenvalues
 count, for every pseudo-inverse, root and null spectrum, is the one
 rule of ``sblock.rank_mask``; a residual that it ranks zero is an exact
-fit, with statistic 0 and p-value 1.
+fit, with statistic 0 and p-value 1, and so is a GLS fit whose weight
+keeps no more than L eigenvalues, where the whitened residual is zero by
+construction.
 
 P-values come from the sampler that a route's entry in ``_ROUTES``
 names: a chi-square tail for E with covariance weighting (p - L degrees
@@ -41,7 +43,11 @@ processes such as ``run_study``'s workers, which already fill every
 CPU, the draws are taken inline.
 
 A weighting or sampler target is a covariance form: the PSDFactor or
-PartitionQuotients that ``CovarianceEstimate.factor`` returns.
+PartitionQuotients that ``CovarianceEstimate.factor`` returns.  The
+tests of one KendallSample share its estimates (see ``covariance``), so
+the estimate, its eigendecomposition and each pseudo-power, and a
+partition estimate's projected null law for the identity routes, are
+built once per sample rather than once per test.
 """
 
 import json
@@ -49,14 +55,14 @@ import queue
 import threading
 from collections import namedtuple
 from contextlib import closing
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy import special
 
 from ._version import __version__
 from .covariance import PSDFactor, jackknife_cov, structured_jackknife_partition
-from .indexing import DesignMatrix, Partition, block_membership_matrix
+from .indexing import DesignMatrix, Partition, _membership_design
 from .kendall import KendallSample, _second_cpu
 from .projection import ProjectionOperator, _normal_norm, gamma_projection
 from .sblock import SingularError, partition_projected, rank_mask
@@ -174,8 +180,9 @@ class TestOptions:
         return route[0]
 
     def to_dict(self):
+        # the fields in declaration order; no value needs asdict's deep copy
         return dict(
-            asdict(self),
+            {f.name: getattr(self, f.name) for f in fields(self)},
             replicates=int(self.replicates),
             seed=int(self.seed) if self.seed is not None else None,
             plus_one=bool(self.plus_one),
@@ -386,12 +393,15 @@ def _null_gaussian_blocks(A, N, rng):
 def _exceedances(blocks, value, statistic="max"):
     """Number of rows, over row blocks of draws, whose statistic exceeds
     value: the max-norm, or the squared norm for "euclidean".  The blocks
-    are closed however the count ends, which stops a draw thread."""
+    are closed however the count ends, which stops a draw thread.  The
+    max-norm takes the absolute value in place, so each block must be a
+    fresh array or a draw buffer that its consumer owns, as every
+    sampler's blocks are."""
     with closing(blocks):
         if statistic == "euclidean":
             norms = (np.einsum("ij,ij->i", b, b) for b in blocks)
         else:
-            norms = (np.abs(b).max(axis=1) for b in blocks)
+            norms = (np.abs(b, out=b).max(axis=1) for b in blocks)
         return sum(int((t > value).sum()) for t in norms)
 
 
@@ -416,22 +426,28 @@ def _bootstrap_blocks(Y, N, rng):
 
 def _identity_null(est, gamma, n):
     """Null law of sqrt(n) (I - Gamma)(tau_hat - tau) under the estimate:
-    the merged spectrum of its covariance n (I - Gamma) Sigma (I - Gamma)
-    and that covariance, a PartitionQuotients or PSDFactor.  Gamma is
-    B B^+; the eigenvalues are ranked against n trace(Sigma), from the
-    unprojected estimate."""
+    the merged spectrum of its covariance n (I - Gamma) Sigma (I - Gamma),
+    as a tuple, and that covariance, a PartitionQuotients or PSDFactor.
+    Gamma is B B^+; the eigenvalues are ranked against n trace(Sigma),
+    from the unprojected estimate.  A partition estimate keeps its law,
+    which depends on nothing else, for every test of its sample."""
     if est.kind == "partition":
         # Gamma removes the trivial component
-        null = partition_projected(est.quotients, n)
-    else:
-        # with Y the estimate's rows (D for the jackknife), the covariance
-        # is (4/n) (Y (I - Gamma))' (Y (I - Gamma)): one thin SVD, and
-        # n trace(Sigma) = (4/n) ||Y||_F^2
-        Y = est.rows
-        norm = (4.0 / n) * float(np.einsum("ij,ij->", Y, Y))
-        null = PSDFactor.of_rows(Y - gamma.apply(Y), 4.0 / n, norm)
+        if est._null is None:
+            est._null = _spectrum_and_law(partition_projected(est.quotients, n))
+        return est._null
+    # with Y the estimate's rows (D for the jackknife), the covariance
+    # is (4/n) (Y (I - Gamma))' (Y (I - Gamma)): one thin SVD, and
+    # n trace(Sigma) = (4/n) ||Y||_F^2
+    Y = est.rows
+    norm = (4.0 / n) * float(np.einsum("ij,ij->", Y, Y))
+    return _spectrum_and_law(PSDFactor.of_rows(Y - gamma.apply(Y), 4.0 / n, norm))
+
+
+def _spectrum_and_law(null):
+    """(merged kept spectrum as a tuple, the form) of a null covariance form."""
     values, multiplicities = null.spectrum
-    return _merged_spectrum(values[null.keep], multiplicities[null.keep]), null
+    return tuple(_merged_spectrum(values[null.keep], multiplicities[null.keep])), null
 
 
 def _rows_null_is_zero(D, R, n):
@@ -465,15 +481,17 @@ def _fit(sample, hypothesis, opts):
     on the hypothesis type and the weighting: the design, the covariance
     estimate ``est``, the projection ``gamma``, theta_hat = gamma tau_hat,
     the statistic's ``weight`` (1/n or ``est.factor``), whether the
-    residual is rounding noise (``exact``), the report's ``notes`` (the
-    distortion note, if any) and its ``hypothesis`` entry ``info``.  A
-    Partition takes the structured estimate and the orthogonal projector;
-    a design takes the dense jackknife and, with sigma weighting, the GLS
-    projector, or the orthogonal one where GLS is singular and the
-    orthogonal fit is exact."""
+    residual is rounding noise or, on a GLS route whose weight keeps no
+    more than L eigenvalues, zero once whitened (``exact``), the
+    report's ``notes`` (the distortion note, if any) and its
+    ``hypothesis`` entry ``info``.  A Partition takes the structured
+    estimate and the orthogonal projector; a design takes the dense
+    jackknife and, with sigma weighting, the GLS projector, or the
+    orthogonal one where GLS is singular and the orthogonal fit is
+    exact."""
     tau = sample.tau
     n, d = sample.shape
-    notes, singular = [], None
+    notes, singular, whitened_zero = [], None, False
     if isinstance(hypothesis, Partition):
         if hypothesis.d != d:
             raise ValueError(
@@ -484,7 +502,7 @@ def _fit(sample, hypothesis, opts):
                 "partition hypotheses use the structured estimator; to force "
                 "the dense jackknife, pass the membership design matrix instead"
             )
-        design = block_membership_matrix(hypothesis)
+        design = _membership_design(hypothesis)
         est = structured_jackknife_partition(sample, hypothesis)
         gamma = gamma_projection(design)  # = Gamma(A) for any matching A
         info = {"type": "partition", "d": d, "groups": [list(g) for g in hypothesis.groups]}
@@ -506,10 +524,15 @@ def _fit(sample, hypothesis, opts):
             gamma = gamma_projection(design, est.factor if notes else None)
         except SingularError as exc:
             singular, gamma = exc, gamma_projection(design)
+        else:
+            # the whitened residual lies in the weight's range, orthogonal
+            # to the L columns of the whitened design: it is zero when that
+            # range has dimension L
+            whitened_zero = bool(notes) and int(est.factor.keep.sum()) <= design.L
     else:
         raise TypeError("hypothesis must be a Partition or a DesignMatrix")
     theta = gamma.apply(tau)
-    exact = _degenerate_fit(tau, theta)
+    exact = whitened_zero or _degenerate_fit(tau, theta)
     if singular is not None and not exact:
         raise singular
     weight = 1.0 / n if opts.weighting == "identity" else est.factor
@@ -592,7 +615,7 @@ def _run_test(data, hypothesis, opts):
         # set up ahead of the shortcut below, so that n < 3 is refused on
         # every fit; projecting the n rows once projects every replicate,
         # and the same rows decide the zero-null note of a dense estimate
-        D = sample.loo - tau
+        D = fit.est.rows
         R = D - fit.gamma.apply(D)
         blocks = _bootstrap_blocks(R, N, rng)
         if fit.est.kind == "dense":
@@ -626,7 +649,7 @@ def _run_test(data, hypothesis, opts):
         N=N,
         seed=int(opts.seed),
         df=df,
-        eigenvalues=spectrum if sampler == "chi-square mixture" else None,
+        eigenvalues=list(spectrum) if sampler == "chi-square mixture" else None,
         warnings=msgs,
         hypothesis=fit.info,
         n=n,

@@ -155,6 +155,7 @@ def dense_design_report(X, design, opts):
     sigma = (4.0 / n**2) * (D.T @ D)
     R = pseudoinverse_design(design)  # Gamma = B R
     msgs = []
+    whitened_zero = False
     if opts.weighting == "sigma":
         msgs.append(kt._DISTORTION_NOTE)
         try:
@@ -162,6 +163,9 @@ def dense_design_report(X, design, opts):
         except SingularError:
             if not kt._degenerate_fit(tau, B @ (R @ tau)):
                 raise
+        else:
+            # a weight of rank <= L whitens the GLS residual to zero
+            whitened_zero = int(_eig(sigma)[2].sum()) <= design.L
         weight = sigma
     else:
         weight = None
@@ -169,7 +173,7 @@ def dense_design_report(X, design, opts):
     exponent = -1.0 if opts.statistic == "euclidean" else -0.5
 
     r = tau - gamma @ tau
-    exact = kt._degenerate_fit(tau, gamma @ tau)
+    exact = whitened_zero or kt._degenerate_fit(tau, gamma @ tau)
     try:
         z = n ** -exponent * r if weight is None else dense_whiten(weight, r, exponent)
         value = float(r @ z) if opts.statistic == "euclidean" else float(np.abs(z).max())

@@ -238,3 +238,30 @@ def test_population_sigma_validation():
     with pytest.raises(ValueError, match=r"\(size, 4\)"):
         population_sigma_mc(lambda r, m: r.random((m, 3)), 2000, rng)
 
+
+def test_a_sample_keeps_its_estimates_and_they_stay_immutable():
+    rng = np.random.default_rng(71)
+    X = rng.standard_normal((30, 5)) + rng.standard_normal((30, 1))
+    sample = KendallSample(X)
+    part = Partition.exchangeable(5)
+    shared = structured_jackknife_partition(sample, part)
+    # keyed by the partition's value; raw arrays share nothing
+    assert structured_jackknife_partition(sample, Partition(5, ((5, 4, 3, 2, 1),))) is shared
+    assert jackknife_cov(sample) is jackknife_cov(sample)
+    assert structured_jackknife_partition(X, part) is not structured_jackknife_partition(X, part)
+    # the exchangeable estimate's .s lives on its own estimate
+    exch = structured_jackknife_exchangeable(sample)
+    assert exch is not shared and exch.quotients is shared.quotients
+    assert exch.s is not None and shared.s is None
+    assert structured_jackknife_partition(sample, part).s is None
+    # every array the sample's tests share is read-only
+    q = shared.quotients
+    dense = jackknife_cov(sample)
+    assert dense.rows is shared.rows
+    for arr in (q.trivial, *q.standard, q.remainder, shared.rows, shared.matrix,
+                dense.matrix):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0.0
+    want = structured_jackknife_partition(X, part).quotients
+    assert np.array_equal(q.trivial, want.trivial)
+    assert np.array_equal(q.remainder, want.remainder)

@@ -101,6 +101,24 @@ EXACT_FITS = (
 )
 
 
+# 5 x 4 data whose jackknife estimate has rank 3 = L for this design, so
+# the whitened GLS residual is zero by construction; the conditioning of
+# B' Sigma^+ B (5e7) once made max/sigma report noise of 7.8e-10
+GLS_RANK_L = (
+    np.array([[0.273610146, 0.0204831429, 0.27942693, -0.656767302],
+              [0.533300134, 0.151675375, -2.75948183, 0.410309659],
+              [-0.157745068, -0.00392525044, 0.249509177, 2.03375819],
+              [-0.63853665, -0.260349944, 0.560120242, -1.95693609],
+              [2.05200012, 8.64036618, 0.272934242, 0.928029002]]),
+    DesignMatrix(np.array([[1.1332274, 1.18731468, 1.39797576],
+                           [-1.78605995, 0.38172051, -0.32142002],
+                           [-0.44978131, 1.53207338, 3.60848347],
+                           [-0.7631369, -1.2276507, -0.16268108],
+                           [1.81043275, -0.08713141, -1.38043736],
+                           [0.13895808, -1.85461266, -0.22585966]])),
+)
+
+
 def _monotone_pair_data(n, d, seed):
     X = np.random.default_rng(seed).standard_normal((n, d))
     X[:, 1] = X[:, 0] ** 3
@@ -122,18 +140,7 @@ def _monotone_pair_data(n, d, seed):
                     [-1.79580849, -2.83169078, -1.93047456]]),
           DesignMatrix(np.array([[0.00123015], [0.29874554], [-0.27413786]]))),
          0)  # the GLS quadratic form rounds to -5.7e-31
-@example((np.array([[0.273610146, 0.0204831429, 0.27942693, -0.656767302],
-                    [0.533300134, 0.151675375, -2.75948183, 0.410309659],
-                    [-0.157745068, -0.00392525044, 0.249509177, 2.03375819],
-                    [-0.63853665, -0.260349944, 0.560120242, -1.95693609],
-                    [2.05200012, 8.64036618, 0.272934242, 0.928029002]]),
-          DesignMatrix(np.array([[1.1332274, 1.18731468, 1.39797576],
-                                 [-1.78605995, 0.38172051, -0.32142002],
-                                 [-0.44978131, 1.53207338, 3.60848347],
-                                 [-0.7631369, -1.2276507, -0.16268108],
-                                 [1.81043275, -0.08713141, -1.38043736],
-                                 [0.13895808, -1.85461266, -0.22585966]]))),
-         0)  # GLS normal matrix with condition number 5e7: max/sigma is noise
+@example(GLS_RANK_L, 0)  # GLS normal matrix with condition number 5e7
 @example((_offset_normal(4, 4, 57), block_membership_matrix(EXACT_FITS[0][0])), 0)
 @example((_offset_normal(4, 4, 8), vertex_incidence_design(4)), 0)  # residual is noise
 @example((_offset_normal(4, 7, 4), block_membership_matrix(EXACT_FITS[1][0])), 0)
@@ -238,6 +245,17 @@ def test_bootstrap_route_decides_its_note_without_an_svd_of_the_rows():
             rep = run_test(X, design, opts)
         assert rep.method == "bootstrap-mc"
     assert (n, pair_count(d)) not in shapes
+
+
+def test_gls_fit_on_a_weight_of_rank_L_is_exact():
+    X, design = GLS_RANK_L
+    assert int(jackknife_cov(X).factor.keep.sum()) == design.L == 3
+    for stat in ("euclidean", "max"):
+        opts = TestOptions(statistic=stat, weighting="sigma", estimator="jackknife",
+                           replicates=200, seed=0)
+        rep = run_test(X, design, opts)
+        assert rep.value == 0.0 and rep.p_value == 1.0, stat
+        assert dense_design_report(X, design, opts)[1:3] == (0.0, 1.0), stat
 
 
 @pytest.mark.parametrize("d, n, seed", [(4, 4, 8), (6, 3, 13)])

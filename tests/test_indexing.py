@@ -7,6 +7,7 @@ from dense_oracle import all_pairs, index_of_pair
 from kstruct.indexing import (
     DesignMatrix,
     Partition,
+    _membership_design,
     block_membership_matrix,
     diagonal_free_membership_matrix,
     load_design_csv,
@@ -168,6 +169,21 @@ def test_membership_frozen_with_singletons():
         dtype=float,
     )
     assert np.array_equal(B.matrix, expect)
+
+
+def test_shared_membership_design_is_cached_and_read_only():
+    # the tests of a study share one design per partition; the public
+    # builder still hands out a fresh design that its caller may edit
+    part = Partition(6, ((1, 2), (3, 4), (5, 6)))
+    shared = _membership_design(part)
+    assert _membership_design(Partition(6, ((2, 1), (3, 4), (5, 6)))) is shared
+    assert np.array_equal(shared.matrix, block_membership_matrix(part).matrix)
+    with pytest.raises(ValueError, match="read-only"):
+        shared.matrix[0, 0] = 2.0
+    fresh = block_membership_matrix(part)
+    assert fresh.matrix is not block_membership_matrix(part).matrix
+    fresh.matrix[0, 0] = 2.0
+    assert shared.matrix[0, 0] == 1.0
 
 
 def test_membership_rejects_degenerate():

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -15,6 +16,8 @@ from scipy import stats
 from dense_oracle import dense_spectrum, materialize, one_group
 from draws import bootstrap_draws, drawn
 
+import kstruct.covariance as kc
+import kstruct.sblock as ks
 import kstruct.testing as kt
 from kstruct.covariance import PSDFactor, jackknife_cov
 from kstruct.indexing import (
@@ -672,6 +675,73 @@ def test_a_sample_ranked_otherwise_is_refused():
     assert jittered.digest == hashlib.sha256(X.tobytes()).hexdigest()[:16]
     # jittered data reaches an estimator as its sample
     assert np.array_equal(jackknife_cov(jittered).rows, jittered.loo - jittered.tau)
+
+
+def _route_cases(part):
+    """(route, hypothesis, options) for every entry of ``_ROUTES``: the
+    structured routes on the partition, the jackknife routes on its
+    membership design."""
+    design = block_membership_matrix(part)
+    for route in kt._ROUTES:
+        est, stat, weight, draws = route
+        opts = TestOptions(statistic=stat, weighting=weight, estimator=est,
+                           null_draws=draws, replicates=200, seed=41)
+        yield route, part if est == "structured" else design, opts
+
+
+@pytest.mark.parametrize("part", [Partition(6, ((1, 2), (3, 4), (5, 6))),
+                                  Partition.exchangeable(5)])
+def test_routes_sharing_one_sample_equal_fresh_raw_array_calls(part):
+    # a sample keeps its estimates and their spectral forms for every
+    # test; in either order, each route reports what a fresh raw-array
+    # call reports, byte for byte
+    rng = np.random.default_rng(43)
+    X = rng.standard_normal((40, part.d)) + 0.5 * rng.standard_normal((40, 1))
+    cases = list(_route_cases(part))
+    want = {route: run_test(X, hyp, opts).to_json() for route, hyp, opts in cases}
+    for order in (cases, cases[::-1]):
+        sample = KendallSample(X)
+        for route, hyp, opts in order:
+            assert run_test(sample, hyp, opts).to_json() == want[route], route
+
+
+def test_structured_routes_on_one_sample_estimate_once(monkeypatch):
+    # one estimate, one projected null law and one pseudo-power per
+    # exponent serve the four structured routes of a sample
+    counts = {"quotients": 0, "projected": 0, "power": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(kc, "partition_quotients",
+                        counting("quotients", ks.partition_quotients))
+    monkeypatch.setattr(kt, "partition_projected",
+                        counting("projected", ks.partition_projected))
+    monkeypatch.setattr(ks, "partition_pseudo_power",
+                        counting("power", ks.partition_pseudo_power))
+    part = Partition(6, ((1, 2), (3, 4), (5, 6)))
+    rng = np.random.default_rng(47)
+    sample = KendallSample(rng.standard_normal((30, 6)))
+    for stat, weight in ROUTES:
+        run_test(sample, part, TestOptions(statistic=stat, weighting=weight,
+                                           replicates=200, seed=3))
+    # powers -1 and -1/2 of the estimate whiten, 1/2 of its projection colours
+    assert counts == {"quotients": 1, "projected": 1, "power": 3}
+
+
+def test_options_json_is_unchanged_without_asdict():
+    # to_dict reads the fields directly; its JSON matches asdict's
+    for opts in (TestOptions(seed=np.int64(7), replicates=np.int32(300)),
+                 TestOptions(statistic="max", weighting="identity", seed=2,
+                             plus_one=np.bool_(True), ties="jitter",
+                             tie_seed=np.int64(4), null_draws="bootstrap")):
+        old = dict(dataclasses.asdict(opts), replicates=int(opts.replicates),
+                   seed=int(opts.seed), plus_one=bool(opts.plus_one),
+                   tie_seed=int(opts.tie_seed))
+        assert json.dumps(opts.to_dict()) == json.dumps(old)
 
 
 # a permutation within each group of these partitions: reversed groups
