@@ -15,7 +15,8 @@ small isotypic quotients of ``sblock`` (one entry per orbit class),
 computed in O(n p) from per-variable, per-partner-group sums of the
 centred leave-one-out matrix.  Full exchangeability is the one-group
 partition, whose three 1 x 1 quotients are the eigenvalues of the
-overlap-class (S-block) form.
+overlap-class (S-block) form; its coefficients (s0, s1, s2) are solved
+from them.
 
 The unstructured (dense) jackknife is (4/n^2) D'D with D the n x p
 centred leave-one-out matrix, so its rank is at most n - 1.  It is held
@@ -24,7 +25,8 @@ from one thin SVD of D in O(n p min(n, p)), and every design-route
 consumer (weighted projection, whitening, null draws) works from that
 factor.
 
-An estimate is a value of its sample: the first estimate of a
+An estimate holds D and any quotients, and derives every other form
+from them.  It is a value of its sample: the first estimate of a
 KendallSample (dense, or structured under a given Partition) is kept on
 the sample while it lives, and every later test or estimate of that
 sample shares it, with what the estimate builds on first use (the
@@ -38,6 +40,7 @@ coefficients of an exchangeable copula.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -76,14 +79,7 @@ class PSDFactor:
         self.V = V
         self.p = V.shape[0]
         self.keep = rank_mask(self.w, self.p if size is None else size, norm)
-        self._Vk = None
         self._powers = {}
-
-    @classmethod
-    def of_matrix(cls, matrix):
-        """Factor of a dense symmetric matrix, by ``eigh``."""
-        A = np.asarray(matrix, dtype=float)
-        return cls(*np.linalg.eigh((A + A.T) / 2.0))
 
     @classmethod
     def of_rows(cls, Y, scale, norm=None):
@@ -96,73 +92,81 @@ class PSDFactor:
     def spectrum(self):
         return Spectrum(self.w, np.ones(self.w.size, dtype=int))
 
+    @cached_property
+    def _kept_columns(self):
+        return self.V[:, self.keep]
+
     def apply(self, v, exponent):
         """A^exponent v for a length-p vector or an (N, p) stack of rows.
         The kept columns of V and each power of their eigenvalues are
         taken once, so colouring block by block does not copy V."""
         if exponent not in self._powers:
-            if self._Vk is None:
-                self._Vk = self.V[:, self.keep]
             self._powers[exponent] = self.w[self.keep] ** exponent
-        Vk = self._Vk
+        Vk = self._kept_columns
         return ((v @ Vk) * self._powers[exponent]) @ Vk.T
 
 
 class CovarianceEstimate:
-    """A covariance estimate for tau_hat.
-
-    kind is "dense" (matrix (4/n^2) D'D) or "partition" (``quotients``:
-    the isotypic quotients of a matrix constant on the orbits of a
-    partition); ``rows`` is the centred leave-one-out matrix D the
-    estimate was made from.  ``matrix`` is materialized on first read.
-    ``factor`` is the form that whitens, answering ``keep``, ``spectrum``
-    and ``apply``: the quotients, or a PSDFactor from the thin SVD of D
-    built on first use.  ``s`` holds the overlap-class coefficients
-    (s0, s1, s2) of a fully exchangeable estimate and is None otherwise.
-    The estimate is on the scale of cov(tau_hat); multiply by n for the
-    asymptotic matrix.  ``_null`` is the null law of the identity routes
-    of a partition estimate, which ``testing`` builds on first use.
+    """A covariance estimate for tau_hat, made from ``rows``, the n x p
+    centred leave-one-out matrix D: the dense jackknife (4/n^2) D'D
+    (kind "dense"), or with ``quotients`` its orbit average under a
+    partition (kind "partition").  ``n`` and ``kind`` are read from
+    these, and each other form is derived once, on first read, and
+    read-only: ``matrix``; ``factor``, the form that whitens (the
+    quotients, or a PSDFactor from the thin SVD of D); and ``s``, the
+    overlap-class coefficients (s0, s1, s2) of a one-group estimate
+    with d >= 4, None for any other.  The estimate is on the scale of
+    cov(tau_hat); multiply by n for the asymptotic matrix.
     """
 
-    def __init__(self, kind, d, n, quotients=None, rows=None):
-        self.kind = kind
-        self.d = d
-        self.n = n
-        self.s = None
-        self.quotients = quotients
+    def __init__(self, rows, quotients=None):
         self.rows = rows
-        self._matrix = None
-        self._factor = None
-        self._null = None
+        self.quotients = quotients
 
     @property
+    def n(self):
+        return self.rows.shape[0]
+
+    @property
+    def kind(self):
+        return "dense" if self.quotients is None else "partition"
+
+    @cached_property
     def matrix(self):
-        if self._matrix is None:
-            if self.quotients is not None:
-                M = partition_materialize(self.quotients)
-            else:
-                M = (4.0 / self.n**2) * (self.rows.T @ self.rows)
-            M.flags.writeable = False  # every test of the sample shares it
-            self._matrix = M
-        return self._matrix
+        if self.quotients is not None:
+            M = partition_materialize(self.quotients)
+        else:
+            M = (4.0 / self.n**2) * (self.rows.T @ self.rows)
+        M.flags.writeable = False
+        return M
 
-    @property
+    @cached_property
     def factor(self):
         if self.quotients is not None:
             return self.quotients
-        if self._factor is None:
-            self._factor = PSDFactor.of_rows(self.rows, 4.0 / self.n**2)
-        return self._factor
+        return PSDFactor.of_rows(self.rows, 4.0 / self.n**2)
+
+    @cached_property
+    def s(self):
+        # the three 1 x 1 quotients are (delta_1, delta_2, delta_3)
+        q = self.quotients
+        if q is None or q.partition.n_groups != 1 or q.partition.d < 4:
+            return None
+        deltas = [q.trivial[0, 0], q.standard[0][0, 0], q.remainder[0]]
+        s = np.linalg.solve(_overlap_map(q.partition.d), deltas)
+        s.flags.writeable = False
+        return s
 
     def dense(self):
         return self.matrix
 
 
-def _kept(sample, key, build):
-    """``build()``, made once per sample and ``key`` and kept on the
-    sample while it lives: the estimates of a KendallSample.  Threads
-    that race on a first call each build an equal value."""
-    kept = sample.__dict__.setdefault("_estimates", {})
+def _kept(owner, key, build):
+    """``build()``, made once per ``owner`` and ``key`` and kept on the
+    owner while it lives: the estimates of a KendallSample, and what
+    ``testing`` derives from an estimate.  Threads that race on a first
+    call each build an equal value."""
+    kept = owner.__dict__.setdefault("_kept", {})
     if key not in kept:
         kept[key] = build()
     return kept[key]
@@ -178,12 +182,11 @@ def jackknife_cov(data):
     if np.shape(data)[0] < 3:
         raise ValueError("dense jackknife needs n >= 3")
     sample = KendallSample.of(data)
-    n, d = sample.shape
 
     def build():
         D = sample.loo - sample.tau
         D.flags.writeable = False  # the structured estimates share it too
-        return CovarianceEstimate(kind="dense", d=d, n=n, rows=D)
+        return CovarianceEstimate(D)
 
     return _kept(sample, "dense", build)
 
@@ -195,9 +198,8 @@ def structured_jackknife_exchangeable(data):
     Its three 1 x 1 quotients are the eigenvalues (delta_1, delta_2,
     delta_3) of the class-averaged dense jackknife, and ``.s`` holds the
     averages (s0, s1, s2) over the three overlap classes, solved from
-    them.  Requires d >= 4: below that some overlap class is empty.  The
-    result is a fresh estimate on the quotients that the sample keeps,
-    so ``.s`` is never set on the estimate that tests share.
+    them.  Requires d >= 4: below that some overlap class is empty.  A
+    sample's call returns the one-group estimate that its tests share.
     """
     sample = KendallSample.of(data)
     d = sample.shape[1]
@@ -205,13 +207,7 @@ def structured_jackknife_exchangeable(data):
         raise ValueError(
             "exchangeable structured jackknife needs d >= 4, got d=%d" % d
         )
-    shared = structured_jackknife_partition(sample, Partition.exchangeable(d))
-    q = shared.quotients
-    est = CovarianceEstimate(kind="partition", d=d, n=shared.n, quotients=q,
-                             rows=shared.rows)
-    deltas = [q.trivial[0, 0], q.standard[0][0, 0], q.remainder[0]]
-    est.s = np.linalg.solve(_overlap_map(d), deltas)
-    return est
+    return structured_jackknife_partition(sample, Partition.exchangeable(d))
 
 
 def structured_jackknife_partition(data, partition):
@@ -235,8 +231,7 @@ def structured_jackknife_partition(data, partition):
 
     def build():
         D = jackknife_cov(sample).rows  # averaged over the orbits
-        quotients = partition_quotients(D, partition, 4.0 / n**2)
-        return CovarianceEstimate(kind="partition", d=d, n=n, quotients=quotients, rows=D)
+        return CovarianceEstimate(D, partition_quotients(D, partition, 4.0 / n**2))
 
     return _kept(sample, partition, build)
 

@@ -105,6 +105,9 @@ class Partition:
     def __post_init__(self):
         if self.d < 2:
             raise ValueError("partition needs d >= 2, got d=%d" % self.d)
+        for v in (v for g in self.groups for v in g):
+            if int(v) != v:  # outside input: int() would truncate 1.9 to 1
+                raise ValueError("partition member %r is not an integer" % (v,))
         groups = tuple(tuple(sorted(int(v) for v in g)) for g in self.groups)
         if not groups or any(len(g) == 0 for g in groups):
             raise ValueError("partition groups must be non-empty")
@@ -132,9 +135,6 @@ class Partition:
             for v in members:
                 g[v - 1] = gi
         return g
-
-    def singleton_flags(self):
-        return [len(g) == 1 for g in self.groups]
 
 
 @dataclass(frozen=True)
@@ -182,22 +182,29 @@ class DesignMatrix:
         return int(round((1 + math.isqrt(1 + 8 * self.p)) / 2))
 
 
-def _class_of_pairs(partition):
-    """For each pair k, the 0-based lexicographic id of its group class.
+@lru_cache(maxsize=32)
+def _pair_classes(partition):
+    """The orbit classes of a partition's pairs, read-only: (cls, block).
 
-    Classes are unordered group pairs (g, h), g <= h, enumerated in
-    lexicographic order over group positions; returns (class ids,
-    class list).
+    A class is an unordered group pair (g, h), g <= h, that holds a pair;
+    classes are numbered lexicographically over group positions, so a
+    singleton group's empty within-class (g, g) gets no number.  ``cls``
+    is the class of each pair and ``block`` the symmetric K x K class of
+    each group pair, -1 for the empty ones.  The membership designs'
+    columns and the quotients of ``sblock`` are numbered by it.
     """
-    d = partition.d
-    g = partition.group_of
-    ii0, jj0 = _pairs0(d)
     K = partition.n_groups
-    classes = [(a, b) for a in range(K) for b in range(a, K)]
-    lookup = np.zeros((K, K), dtype=np.intp)
-    lookup[tuple(np.array(classes).T)] = np.arange(len(classes))
-    ga, gb = g[ii0], g[jj0]
-    return lookup[np.minimum(ga, gb), np.maximum(ga, gb)], classes
+    group = partition.group_of
+    a, b = np.triu_indices(K)
+    live = (a != b) | (np.bincount(group, minlength=K)[a] >= 2)
+    block = np.full((K, K), -1)
+    block[a[live], b[live]] = np.arange(int(live.sum()))
+    block = np.maximum(block, block.T)
+    ii0, jj0 = _pairs0(partition.d)
+    cls = block[group[ii0], group[jj0]]
+    cls.flags.writeable = False
+    block.flags.writeable = False
+    return cls, block
 
 
 def block_membership_matrix(partition):
@@ -210,19 +217,9 @@ def block_membership_matrix(partition):
     contain no pair.  The result has L = K(K+1)/2 - (number of singleton
     groups) columns for K groups.
     """
-    p = pair_count(partition.d)
-    ids, classes = _class_of_pairs(partition)
-    single = partition.singleton_flags()
-    kept = [
-        ci
-        for ci, (a, b) in enumerate(classes)
-        if not (a == b and single[a])
-    ]
-    L = len(kept)
-    col = np.zeros(len(classes), dtype=np.intp)
-    col[kept] = np.arange(L)
-    B = np.zeros((p, L))
-    B[np.arange(p), col[ids]] = 1.0
+    cls, block = _pair_classes(partition)
+    B = np.zeros((cls.size, int(block.max()) + 1))
+    B[np.arange(cls.size), cls] = 1.0
     return DesignMatrix(B, kind="membership")
 
 
@@ -243,20 +240,17 @@ def diagonal_free_membership_matrix(partition):
     column, ordered by flat pair index.  Useful when only the between-
     group structure is hypothesized.
     """
-    p = pair_count(partition.d)
-    ids, classes = _class_of_pairs(partition)
-    off = [ci for ci, (a, b) in enumerate(classes) if a != b]
-    col = {ci: c for c, ci in enumerate(off)}
-    n_off = len(off)
-    within = np.array([ci not in col for ci in ids])
-    within_pairs = np.flatnonzero(within)
-    L = n_off + len(within_pairs)
-    B = np.zeros((p, L))
-    for k in range(p):
-        if not within[k]:
-            B[k, col[ids[k]]] = 1.0
-    for c, k in enumerate(within_pairs):
-        B[k, n_off + c] = 1.0
+    cls, block = _pair_classes(partition)
+    diagonal = block.diagonal()
+    within = np.zeros(int(block.max()) + 1, dtype=bool)
+    within[diagonal[diagonal >= 0]] = True
+    n_off = int((~within).sum())
+    own = within[cls]
+    # a between pair takes its class's rank among the between classes, a
+    # within pair the next identity column after them
+    col = np.where(own, n_off + np.cumsum(own) - 1, np.cumsum(~within)[cls] - 1)
+    B = np.zeros((cls.size, n_off + int(own.sum())))
+    B[np.arange(cls.size), col] = 1.0
     return DesignMatrix(B, kind="diagonal-free")
 
 

@@ -157,10 +157,12 @@ def check_design_conditions(design, sigma=None):
     Returns a dict.  When every row of B has exactly one nonzero entry
     the row-collinearity bound 1 + (c/a)^2 is reported (a, c the
     smallest/largest nonzero magnitudes); membership designs give 2.
-    When an exchangeable covariance triple is supplied and the design is
-    the all-ones column, the diagonal of the projected covariance
-    (I - Gamma) Sigma (I - Gamma) is constant and both its exact value
-    s2 - delta_1/p and the lower bound (2/3)(s2 - s1) are reported.
+    ``sigma``, if given, is a fully exchangeable estimate (its ``.s``) or
+    an exchangeable covariance triple (s0, s1, s2); anything else raises
+    ValueError.  When it is given and the design is the all-ones column,
+    the diagonal of the projected covariance (I - Gamma) Sigma
+    (I - Gamma) is constant and both its exact value s2 - delta_1/p and
+    the lower bound (2/3)(s2 - s1) are reported.
     """
     B = design.matrix
     out = {
@@ -178,7 +180,11 @@ def check_design_conditions(design, sigma=None):
         mags = np.abs(B[nz])
         out["design_row_bound"] = 1.0 + (mags.max() / mags.min()) ** 2
     if sigma is not None:
-        s = sigma.s if isinstance(sigma, CovarianceEstimate) else np.asarray(sigma)
+        s = sigma.s if isinstance(sigma, CovarianceEstimate) else np.asarray(sigma, dtype=float)
+        if s is None or s.shape != (3,):
+            raise ValueError(
+                "sigma must be a fully exchangeable estimate or an (s0, s1, s2) triple"
+            )
         is_ones = design.L == 1 and np.all(B == B[0, 0]) and B[0, 0] != 0.0
         if is_ones:
             d = design.d

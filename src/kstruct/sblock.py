@@ -42,12 +42,12 @@ exchangeable covariance the package computes with.
 """
 
 from collections import namedtuple
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import sparse
 
-from .indexing import _incidence, _pairs0, pair_count
+from .indexing import _incidence, _pair_classes, _pairs0, pair_count
 
 __all__ = [
     "SingularError",
@@ -171,14 +171,11 @@ class PartitionQuotients:
     size, norm: its eigenvalues' arguments of ``rank_mask``.
 
     Like PSDFactor it has ``p``, ``spectrum``, ``keep`` and ``apply``.
-    The eigendecomposition, ``keep``, the coordinate maps that apply the
-    matrix and each pseudo-power are built once, on first use.  The
-    quotient arrays are made read-only: an estimate's quotients serve
-    every test of its sample.
+    The eigendecomposition, ``spectrum``, ``keep``, the coordinate maps
+    that apply the matrix and each pseudo-power are built once, on first
+    use.  The quotient arrays are made read-only: an estimate's
+    quotients serve every test of its sample.
     """
-
-    __slots__ = ("partition", "trivial", "standard", "remainder", "p", "size", "norm",
-                 "_eig", "_keep", "_maps", "_powers")
 
     def __init__(self, partition, trivial, standard, remainder, size=None, norm=None):
         self.partition = partition
@@ -190,27 +187,63 @@ class PartitionQuotients:
         self.p = pair_count(partition.d)
         self.size = self.p if size is None else size
         self.norm = norm
-        self._eig = None
-        self._keep = None
-        self._maps = None
         self._powers = {}
 
-    @property
+    @cached_property
+    def _eig_blocks(self):
+        """(eigenvalues, eigenvectors, multiplicity) of the trivial
+        quotient, then of each standard one (empty for a single-variable
+        group), then the remainders' (eigenvectors None)."""
+        lay = _partition_layout(self.partition)
+        std = [(np.zeros(0), np.zeros((0, 0)), 0)] * len(self.standard)
+        # one LAPACK call for all standard quotients of one side
+        for c in {len(Q) for Q in self.standard} - {0}:
+            gs = [g for g, Q in enumerate(self.standard) if len(Q) == c]
+            w, U = np.linalg.eigh(np.stack([self.standard[g] for g in gs]))
+            for j, g in enumerate(gs):
+                std[g] = (w[j], U[j], lay.sizes[g] - 1)
+        live = lay.rem_dim > 0
+        return (
+            [tuple(np.linalg.eigh(self.trivial)) + (1,)]
+            + std
+            + [(self.remainder[live], None, lay.rem_dim[live])]
+        )
+
+    @cached_property
     def spectrum(self):
         """Spectrum(values, multiplicities): the quotients' eigenvalues,
         each with its component's dimension."""
-        blocks = _eig_blocks(self)
-        return Spectrum(
+        blocks = self._eig_blocks
+        spectrum = Spectrum(
             np.concatenate([b[0] for b in blocks]),
             np.concatenate([np.full(len(b[0]), b[2]) for b in blocks]),
         )
+        for arr in spectrum:
+            arr.flags.writeable = False  # every reader shares it
+        return spectrum
 
-    @property
+    @cached_property
     def keep(self):
-        if self._keep is None:
-            self._keep = rank_mask(self.spectrum.values, self.size, self.norm)
-            self._keep.flags.writeable = False  # every reader shares it
-        return self._keep
+        keep = rank_mask(self.spectrum.values, self.size, self.norm)
+        keep.flags.writeable = False  # every reader shares it
+        return keep
+
+    @cached_property
+    def _coordinate_maps(self):
+        """(lo, hi, M) for the coordinate rows [lo, hi) of each group, M
+        the centring (x) the scaled quotient less the remainder, then the
+        same for the class coordinates."""
+        lay = _partition_layout(self.partition)
+        rem = self.remainder
+        maps = []
+        for gc, Q in zip(lay.groups, self.standard):
+            if gc.hi > gc.lo:
+                W = Q - np.diag(rem[gc.classes])
+                M = (gc.centring * W[:, None, :]).reshape(gc.hi - gc.lo, -1)
+                maps.append((gc.lo, gc.hi, M))
+        J = lay.agg_t.shape[0]
+        maps.append((J - lay.L, J, self.trivial - np.diag(rem)))
+        return maps
 
     def apply(self, v, exponent):
         """The principal pseudo-power q**exponent applied to v, a length-p
@@ -249,14 +282,9 @@ def _partition_layout(partition):
     ii0, jj0 = _pairs0(d)
     p = len(ii0)
     ga, gb = group[ii0], group[jj0]
-    keys, cls = np.unique(
-        np.minimum(ga, gb) * K + np.maximum(ga, gb), return_inverse=True
-    )
-    L = len(keys)
+    cls, block_class = _pair_classes(partition)
+    L = int(block_class.max()) + 1
     csize = np.bincount(cls, minlength=L)
-    block_class = np.full((K, K), -1)
-    block_class[keys // K, keys % K] = np.arange(L)
-    block_class = np.maximum(block_class, block_class.T)
 
     row = np.full((d, K), -1)  # coordinate row of (variable, partner group)
     groups, rem_dim, lo = [], csize - 1, 0
@@ -289,7 +317,7 @@ def _partition_layout(partition):
     )
     # class of each diagonal entry of the trivial, then standard, quotients
     energy_class = np.concatenate([np.arange(L)] + [gc.classes for gc in groups])
-    for arr in (sizes, cls, rem_dim, energy_class):
+    for arr in (sizes, rem_dim, energy_class):
         arr.flags.writeable = False
     return _Layout(
         p, L, sizes, cls, agg_t.T.tocsr(), agg_t, tuple(groups), rem_dim, energy_class
@@ -353,33 +381,11 @@ def partition_projected(q, factor):
     )
 
 
-def _eig_blocks(q):
-    """(eigenvalues, eigenvectors, multiplicity) of the trivial quotient,
-    then of each standard one (empty for a single-variable group), then
-    the remainders' (eigenvectors None)."""
-    if q._eig is None:
-        lay = _partition_layout(q.partition)
-        std = [(np.zeros(0), np.zeros((0, 0)), 0)] * len(q.standard)
-        # one LAPACK call for all standard quotients of one side
-        for c in {len(Q) for Q in q.standard} - {0}:
-            gs = [g for g, Q in enumerate(q.standard) if len(Q) == c]
-            w, U = np.linalg.eigh(np.stack([q.standard[g] for g in gs]))
-            for j, g in enumerate(gs):
-                std[g] = (w[j], U[j], lay.sizes[g] - 1)
-        live = lay.rem_dim > 0
-        q._eig = (
-            [tuple(np.linalg.eigh(q.trivial)) + (1,)]
-            + std
-            + [(q.remainder[live], None, lay.rem_dim[live])]
-        )
-    return q._eig
-
-
 def partition_pseudo_power(q, exponent):
     """Quotients of the principal pseudo-power of a partition-invariant
     matrix: the eigenvalues w that ``rank_mask`` keeps (``q.keep``) map
     to w**exponent, the others to 0."""
-    blocks = _eig_blocks(q)
+    blocks = q._eig_blocks
     kept = np.split(q.keep, np.cumsum([len(b[0]) for b in blocks])[:-1])
     powers = [
         np.power(b[0], exponent, out=np.zeros_like(b[0]), where=k)
@@ -400,25 +406,6 @@ def partition_pseudo_power(q, exponent):
     )
 
 
-def _coordinate_maps(q):
-    """(lo, hi, M) for the coordinate rows [lo, hi) of each group, M the
-    centring (x) the scaled quotient less the remainder, then the same
-    for the class coordinates."""
-    if q._maps is None:
-        lay = _partition_layout(q.partition)
-        rem = q.remainder
-        maps = []
-        for gc, Q in zip(lay.groups, q.standard):
-            if gc.hi > gc.lo:
-                W = Q - np.diag(rem[gc.classes])
-                M = (gc.centring * W[:, None, :]).reshape(gc.hi - gc.lo, -1)
-                maps.append((gc.lo, gc.hi, M))
-        J = lay.agg_t.shape[0]
-        maps.append((J - lay.L, J, q.trivial - np.diag(rem)))
-        q._maps = maps
-    return q._maps
-
-
 def partition_apply(q, v):
     """The partition-invariant matrix q applied to v.
 
@@ -436,7 +423,7 @@ def partition_apply(q, v):
         raise ValueError("vector has length %d, expected p=%d" % (v.shape[-1], lay.p))
     V = v.reshape(-1, lay.p)
     A = lay.agg_t @ np.ascontiguousarray(V.T)
-    for lo, hi, M in _coordinate_maps(q):
+    for lo, hi, M in q._coordinate_maps:
         A[lo:hi] = M @ A[lo:hi]
     # the result is laid out like v, rows contiguous, which a row-wise
     # reduction of coloured draws needs to be fast

@@ -440,7 +440,9 @@ def run_study(
     ``out_dir`` accumulates one results file whose summary equals the
     single-run one.  ``workers`` sets the number of worker processes
     (default: the CPU count); the result is identical for any worker
-    count.  Each worker draws its Monte Carlo normals inline.
+    count.  Each worker draws its Monte Carlo normals inline.  An
+    ``out_dir`` whose manifest records another seed or other scenarios
+    is refused with ValueError, so the rows of two studies never mix.
     """
     if isinstance(scenarios, ScenarioConfig):
         scenarios = [scenarios]
@@ -453,8 +455,19 @@ def run_study(
 
     results_path = None
     done = set()
+    labels = [sc.scenario_label() for sc in scenarios]
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
+        manifest = os.path.join(out_dir, _MANIFEST_FILE)
+        if os.path.exists(manifest):  # rows already there would count as this study's
+            with open(manifest, "r", encoding="utf-8") as fh:
+                earlier = json.load(fh)
+            if (earlier.get("seed"), earlier.get("scenarios")) != (int(seed), labels):
+                raise ValueError(
+                    "%s holds the study of seed %r, scenarios %r; this run has seed %r, "
+                    "scenarios %r" % (out_dir, earlier.get("seed"), earlier.get("scenarios"),
+                                      int(seed), labels)
+                )
         results_path = os.path.join(out_dir, _RESULTS_FILE)
         done = _load_done(results_path, n_tests)
         _write_manifest(
@@ -464,7 +477,7 @@ def run_study(
                 "seed": int(seed),
                 "shard": list(shard) if shard else None,
                 "version": __version__,
-                "scenarios": [sc.scenario_label() for sc in scenarios],
+                "scenarios": labels,
             },
         )
 
@@ -540,7 +553,7 @@ def run_study(
                 "seed": int(seed),
                 "shard": list(shard) if shard else None,
                 "version": __version__,
-                "scenarios": [sc.scenario_label() for sc in scenarios],
+                "scenarios": labels,
                 "tests": [_test_label(t) for sc in scenarios for t in sc.tests],
                 "repetitions_completed": len({(r[0], r[2]) for r in rows}),
                 "discards": discards,

@@ -61,7 +61,7 @@ import numpy as np
 from scipy import special
 
 from ._version import __version__
-from .covariance import PSDFactor, jackknife_cov, structured_jackknife_partition
+from .covariance import PSDFactor, _kept, jackknife_cov, structured_jackknife_partition
 from .indexing import DesignMatrix, Partition, _membership_design
 from .kendall import KendallSample, _second_cpu
 from .projection import ProjectionOperator, _normal_norm, gamma_projection
@@ -433,9 +433,8 @@ def _identity_null(est, gamma, n):
     which depends on nothing else, for every test of its sample."""
     if est.kind == "partition":
         # Gamma removes the trivial component
-        if est._null is None:
-            est._null = _spectrum_and_law(partition_projected(est.quotients, n))
-        return est._null
+        return _kept(est, "identity null",
+                     lambda: _spectrum_and_law(partition_projected(est.quotients, n)))
     # with Y the estimate's rows (D for the jackknife), the covariance
     # is (4/n) (Y (I - Gamma))' (Y (I - Gamma)): one thin SVD, and
     # n trace(Sigma) = (4/n) ||Y||_F^2

@@ -13,6 +13,7 @@ route against it.
 It also holds the dense S-block S(s), the p x p matrix with entry s_c
 where two pairs share c variables, and the same matrix as one-group
 partition quotients, the only form the package computes with; the
+PSDFactor of a dense matrix by ``eigh`` (``factor_of_matrix``); the
 brute-force concordance kernel of two observations, which the exact tau
 and leave-one-out tests sum pair by pair; and the 1-based pair indexing
 helpers ``index_of_pair`` (the inverse of ``indexing.pair_of_index``)
@@ -22,6 +23,7 @@ and ``all_pairs``.
 import numpy as np
 
 import kstruct.testing as kt
+from kstruct.covariance import PSDFactor
 from kstruct.indexing import Partition, _pairs0
 from kstruct.kendall import KendallSample, TieError
 from kstruct.projection import pseudoinverse_design
@@ -73,6 +75,12 @@ def one_group(s, d):
     return PartitionQuotients(
         Partition.exchangeable(d), np.array([[d1]]), [standard], np.array([d3])
     )
+
+
+def factor_of_matrix(matrix):
+    """PSDFactor of a dense symmetric matrix, by ``eigh``."""
+    A = np.asarray(matrix, dtype=float)
+    return PSDFactor(*np.linalg.eigh((A + A.T) / 2.0))
 
 
 def _eig(A, size=None, norm=None):

@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
 
-from dense_oracle import all_pairs, index_of_pair, kendall_kernel, materialize
+from dense_oracle import (
+    all_pairs,
+    factor_of_matrix,
+    index_of_pair,
+    kendall_kernel,
+    materialize,
+)
 from kstruct.covariance import (
-    PSDFactor,
     jackknife_cov,
     population_sigma_mc,
     structured_jackknife_exchangeable,
@@ -54,7 +59,7 @@ def test_jackknife_matches_brute_force():
         X = rng.standard_normal((n, d))
         est = jackknife_cov(X)
         assert est.kind == "dense"
-        assert est.n == n and est.d == d
+        assert est.n == n and est.rows.shape == (n, pair_count(d))
         np.testing.assert_allclose(est.matrix, brute_jackknife(X), atol=1e-13)
 
 
@@ -174,9 +179,9 @@ def test_psd_pinv_matches_numpy():
     rng = np.random.default_rng(53)
     A = rng.standard_normal((6, 3))
     M = A @ A.T  # rank 3
-    pinv = PSDFactor.of_matrix(M).apply(np.eye(6), -1.0)
+    pinv = factor_of_matrix(M).apply(np.eye(6), -1.0)
     np.testing.assert_allclose(pinv, np.linalg.pinv(M), atol=1e-10)
-    zero = PSDFactor.of_matrix(np.zeros((4, 4))).apply(np.eye(4), -1.0)
+    zero = factor_of_matrix(np.zeros((4, 4))).apply(np.eye(4), -1.0)
     assert np.array_equal(zero, np.zeros((4, 4)))
 
 
@@ -184,10 +189,10 @@ def test_psd_power_roots():
     rng = np.random.default_rng(59)
     A = rng.standard_normal((5, 2))
     M = A @ A.T  # rank 2, PSD
-    R = PSDFactor.of_matrix(M).apply(np.eye(5), 0.5)
+    R = factor_of_matrix(M).apply(np.eye(5), 0.5)
     np.testing.assert_allclose(R, R.T, atol=1e-12)
     np.testing.assert_allclose(R @ R, M, atol=1e-10)
-    W = PSDFactor.of_matrix(M).apply(np.eye(5), -0.5)
+    W = factor_of_matrix(M).apply(np.eye(5), -0.5)
     P = W @ M @ W  # projector onto the range
     np.testing.assert_allclose(P @ P, P, atol=1e-10)
     np.testing.assert_allclose(np.trace(P), 2.0, atol=1e-10)
@@ -249,17 +254,18 @@ def test_a_sample_keeps_its_estimates_and_they_stay_immutable():
     assert structured_jackknife_partition(sample, Partition(5, ((5, 4, 3, 2, 1),))) is shared
     assert jackknife_cov(sample) is jackknife_cov(sample)
     assert structured_jackknife_partition(X, part) is not structured_jackknife_partition(X, part)
-    # the exchangeable estimate's .s lives on its own estimate
-    exch = structured_jackknife_exchangeable(sample)
-    assert exch is not shared and exch.quotients is shared.quotients
-    assert exch.s is not None and shared.s is None
-    assert structured_jackknife_partition(sample, part).s is None
+    # the exchangeable estimate is the shared one-group estimate, whose
+    # .s is derived once, read-only
+    assert structured_jackknife_exchangeable(sample) is shared
+    assert shared.s is shared.s
+    assert structured_jackknife_partition(sample, Partition(5, ((1, 2), (3, 4, 5)))).s is None
+    assert jackknife_cov(sample).s is None
     # every array the sample's tests share is read-only
     q = shared.quotients
     dense = jackknife_cov(sample)
     assert dense.rows is shared.rows
     for arr in (q.trivial, *q.standard, q.remainder, shared.rows, shared.matrix,
-                dense.matrix):
+                shared.s, dense.matrix):
         with pytest.raises(ValueError, match="read-only"):
             arr[...] = 0.0
     want = structured_jackknife_partition(X, part).quotients

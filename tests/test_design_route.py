@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from dense_oracle import dense_design_report
+from dense_oracle import dense_design_report, factor_of_matrix
 
 import kstruct.testing as kt
 from kstruct.covariance import PSDFactor, jackknife_cov
@@ -151,7 +151,7 @@ def test_design_routes_match_dense_oracle(case, seed):
 
     # the factor's kept spectrum is the dense estimate's
     est = jackknife_cov(X)
-    dense = PSDFactor.of_matrix(est.matrix)
+    dense = factor_of_matrix(est.matrix)
     got, want = np.sort(est.factor.w[est.factor.keep]), np.sort(dense.w[dense.keep])
     assert got.size == want.size <= min(n - 1, p)
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * want.max(initial=0))

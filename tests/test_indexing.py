@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dense_oracle import all_pairs, index_of_pair
@@ -17,6 +17,7 @@ from kstruct.indexing import (
     pair_of_index,
     vertex_incidence_design,
 )
+from kstruct.sblock import _partition_layout
 
 # Flat index <-> pair table for d = 4, worked out by hand from the
 # column-stacking order.
@@ -129,6 +130,19 @@ def test_partition_validation():
     assert part.group_of.tolist() == [0, 1, 0, 1]
 
 
+def test_partition_refuses_non_integer_members(tmp_path):
+    # a member is refused, not truncated to the variable below it
+    with pytest.raises(ValueError, match="partition member 1.9 is not an integer"):
+        Partition(4, ((1.9, 2), (3, 4)))
+    with pytest.raises(ValueError, match="'2' is not an integer"):
+        Partition(4, ((1, "2"), (3, 4)))
+    assert Partition(4, ((1.0, 2), (3, 4))) == Partition(4, ((1, 2), (3, 4)))
+    path = tmp_path / "part.json"
+    path.write_text('{"d": 4, "groups": [[1.9, 2], [3, 4]]}')
+    with pytest.raises(ValueError, match="1.9"):
+        load_partition_json(path)
+
+
 def test_exchangeable_membership_is_ones():
     B = block_membership_matrix(Partition.exchangeable(5))
     assert B.kind == "membership"
@@ -211,6 +225,60 @@ def test_membership_application_shape():
     counts = B.matrix.sum(axis=0)
     # within-group classes appear with C(size,2) pairs
     assert sorted(counts.tolist(), reverse=True)[:3] == [40.0, 28.0, 16.0]
+
+
+@st.composite
+def labelled_partitions(draw):
+    """Partitions of 2 to 10 variables, each variable given one of d
+    group labels, so singleton groups, K = 1 and K = d all occur."""
+    d = draw(st.integers(2, 10))
+    labels = draw(st.lists(st.integers(0, d - 1), min_size=d, max_size=d))
+    groups = {}
+    for v, label in enumerate(labels, start=1):
+        groups.setdefault(label, []).append(v)
+    return Partition(d, tuple(tuple(g) for g in groups.values()))
+
+
+def diagonal_free_reference(part):
+    """The diagonal-free design built pair by pair: one column per group
+    pair g < h, in lexicographic order, then one per within-group pair."""
+    group = {v: gi for gi, members in enumerate(part.groups) for v in members}
+    K, p = part.n_groups, pair_count(part.d)
+    col = {(a, b): c for c, (a, b) in enumerate(
+        (a, b) for a in range(K) for b in range(a + 1, K))}
+    within = []
+    B = np.zeros((p, len(col) + p))
+    for k in range(p):
+        i, j = pair_of_index(k + 1)
+        a, b = sorted((group[i], group[j]))
+        if a == b:
+            within.append(k)
+        else:
+            B[k, col[a, b]] = 1.0
+    B[within, len(col) + np.arange(len(within))] = 1.0
+    return B[:, : len(col) + len(within)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(labelled_partitions())
+@example(Partition.exchangeable(6))
+@example(Partition(5, tuple((v,) for v in range(1, 6))))
+@example(Partition(6, ((4,), (1, 2, 3), (6,), (5,))))
+def test_membership_designs_read_the_pair_classes(part):
+    p = pair_count(part.d)
+    cls = _partition_layout(part).cls
+    # the classes are the group pairs that hold a pair, in lexicographic order
+    group = part.group_of
+    keys = [tuple(sorted((group[i - 1], group[j - 1])))
+            for i, j in map(pair_of_index, range(1, p + 1))]
+    assert cls.tolist() == [sorted(set(keys)).index(key) for key in keys]
+    for build, want in ((block_membership_matrix, np.eye(cls.max() + 1)[cls]),
+                        (diagonal_free_membership_matrix, diagonal_free_reference(part))):
+        if want.shape[1] >= p:
+            with pytest.raises(ValueError, match="leaves no constraint"):
+                build(part)
+        else:
+            assert np.array_equal(build(part).matrix, want)
 
 
 def test_diagonal_free_frozen_small():

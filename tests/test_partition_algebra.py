@@ -20,6 +20,7 @@ from dense_oracle import dense_power, dense_spectrum, dense_whiten
 import kstruct.testing as kt
 from kstruct.covariance import (
     CovarianceEstimate,
+    PSDFactor,
     jackknife_cov,
     structured_jackknife_partition,
 )
@@ -88,11 +89,14 @@ def class_indicators(partition):
 
 def dense_partition_estimate(data, partition, **_):
     """The dense route's estimate: the orbit-averaged jackknife, given as
-    rows R with (4/n^2) R'R equal to it."""
+    p x p rows R with (4/n^2) R'R equal to it.  R has p rows, not n, so
+    its factor, the thin SVD of R at that scale, is given here."""
     est = jackknife_cov(data)
     w, V = np.linalg.eigh(orbit_average(est.matrix, partition))
     rows = (est.n / 2.0) * (V * np.sqrt(np.maximum(w, 0.0))).T
-    return CovarianceEstimate(kind="dense", d=est.d, n=est.n, rows=rows)
+    oracle = CovarianceEstimate(rows)
+    oracle.factor = PSDFactor.of_rows(rows, 4.0 / est.n**2)
+    return oracle
 
 
 def test_orbit_key_counts_at_extremes():

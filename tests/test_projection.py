@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from dense_oracle import materialize, one_group
-from kstruct.covariance import PSDFactor, structured_jackknife_partition
+from dense_oracle import factor_of_matrix, materialize, one_group
+from kstruct.covariance import jackknife_cov, structured_jackknife_partition
 from kstruct.indexing import (
     DesignMatrix,
     Partition,
@@ -127,7 +127,7 @@ def test_gls_matches_weighted_least_squares():
     design = DesignMatrix(B, kind="general")
     A = rng.standard_normal((p, p))
     A = A @ A.T + 0.5 * np.eye(p)
-    gamma = gamma_projection(design, PSDFactor.of_matrix(A))
+    gamma = gamma_projection(design, factor_of_matrix(A))
     assert gamma.kind == "gls"
     tau = rng.standard_normal(p)
     W = np.linalg.inv(A)
@@ -148,8 +148,8 @@ def test_gls_scale_invariance():
     A = rng.standard_normal((p, p))
     A = A @ A.T + np.eye(p)
     v = rng.standard_normal(p)
-    a = gamma_projection(design, PSDFactor.of_matrix(A)).apply(v)
-    b = gamma_projection(design, PSDFactor.of_matrix(7.3 * A)).apply(v)
+    a = gamma_projection(design, factor_of_matrix(A)).apply(v)
+    b = gamma_projection(design, factor_of_matrix(7.3 * A)).apply(v)
     np.testing.assert_allclose(a, b, atol=1e-12)
 
 
@@ -166,7 +166,7 @@ def test_structured_weight_collapses_to_orthogonal():
     orthogonal = gamma_projection(design)
     assert orthogonal.kind == "class-mean"
     v = rng.standard_normal(design.p)
-    for weight in (est.factor, PSDFactor.of_matrix(est.matrix)):
+    for weight in (est.factor, factor_of_matrix(est.matrix)):
         np.testing.assert_allclose(
             gamma_projection(design, weight).apply(v), orthogonal.apply(v),
             atol=1e-9 * np.linalg.norm(v),
@@ -181,7 +181,7 @@ def test_exchangeable_weight_with_vertex_design():
     orthogonal = gamma_projection(design)
     assert orthogonal.kind == "vertex"
     v = rng.standard_normal(design.p)
-    for weight in (one_group(s, d), PSDFactor.of_matrix(materialize(s, d))):
+    for weight in (one_group(s, d), factor_of_matrix(materialize(s, d))):
         np.testing.assert_allclose(
             gamma_projection(design, weight).apply(v), orthogonal.apply(v), atol=1e-9
         )
@@ -190,7 +190,7 @@ def test_exchangeable_weight_with_vertex_design():
 def test_gls_singular_weight_raises():
     design = DesignMatrix(np.random.default_rng(1).standard_normal((6, 2)), "general")
     with pytest.raises(SingularError):
-        gamma_projection(design, PSDFactor.of_matrix(np.zeros((6, 6))))
+        gamma_projection(design, factor_of_matrix(np.zeros((6, 6))))
 
 
 def test_theta_star_matches_dense_and_orthogonality():
@@ -253,6 +253,21 @@ def test_check_design_conditions_dense_rows_unavailable():
     out = check_design_conditions(design)
     assert out["one_nonzero_per_row"] is False
     assert out["design_row_bound"] is None
+
+
+def test_check_design_conditions_takes_the_estimate_run_test_uses():
+    X = np.random.default_rng(41).standard_normal((30, 5))
+    design = block_membership_matrix(Partition.exchangeable(5))
+    est = structured_jackknife_partition(X, Partition.exchangeable(5))
+    want = check_design_conditions(design, sigma=tuple(est.s))
+    assert check_design_conditions(design, sigma=est) == want
+    assert want["projected_diag_value"] is not None
+    for other in (jackknife_cov(X),
+                  structured_jackknife_partition(X, Partition(5, ((1, 2), (3, 4, 5)))),
+                  (1.0, 2.0)):
+        with pytest.raises(ValueError, match="sigma must be a fully exchangeable "
+                           r"estimate or an \(s0, s1, s2\) triple"):
+            check_design_conditions(design, sigma=other)
 
 
 def test_check_design_conditions_exchangeable_sigma():

@@ -357,6 +357,23 @@ def test_run_study_resume_skips_done_reps(tmp_path):
     assert len(rows) == 1 + 20
 
 
+def test_run_study_refuses_another_studys_directory(tmp_path):
+    out = tmp_path / "study"
+    run_study(_study_config(reps=4), seed=5, out_dir=str(out), workers=1)
+    before = (out / "results.csv").read_bytes()
+    with pytest.raises(ValueError, match=r"seed 5, .*this run has seed 6"):
+        run_study(_study_config(reps=4), seed=6, out_dir=str(out), workers=1)
+    other = ScenarioConfig(n=30, d=5, tau=0.3, repetitions=4, tests=_tiny_tests())
+    with pytest.raises(ValueError, match=r"d4-n30-.*this run has .*d5-n30-"):
+        run_study(other, seed=5, out_dir=str(out), workers=1)
+    assert (out / "results.csv").read_bytes() == before
+    with open(out / "manifest.json") as fh:
+        assert json.load(fh)["seed"] == 5
+    # the same study resumes as before
+    run_study(_study_config(reps=4), seed=5, out_dir=str(out), workers=1)
+    assert (out / "results.csv").read_bytes() == before
+
+
 def test_run_study_output_files(tmp_path):
     out = tmp_path / "files"
     run_study(_study_config(reps=6), seed=2, out_dir=str(out), workers=1)

@@ -13,13 +13,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from dense_oracle import dense_spectrum, materialize, one_group
+from dense_oracle import dense_spectrum, factor_of_matrix, materialize, one_group
 from draws import bootstrap_draws, drawn
 
 import kstruct.covariance as kc
 import kstruct.sblock as ks
 import kstruct.testing as kt
-from kstruct.covariance import PSDFactor, jackknife_cov
+from kstruct.covariance import jackknife_cov
 from kstruct.indexing import (
     DesignMatrix,
     Partition,
@@ -72,7 +72,7 @@ def test_euclidean_dense_matches_pinv_quadratic_form():
     tau, theta = rng.standard_normal(p), rng.standard_normal(p)
     r = tau - theta
     want = r @ np.linalg.pinv(A) @ r
-    assert statistic_euclidean(tau, theta, PSDFactor.of_matrix(A)) == pytest.approx(
+    assert statistic_euclidean(tau, theta, factor_of_matrix(A)) == pytest.approx(
         want, rel=1e-10
     )
 
@@ -85,7 +85,7 @@ def test_euclidean_structured_matches_dense_and_decomposition():
     tau = rng.standard_normal(p)
     theta = np.full(p, tau.mean())
     got = statistic_euclidean(tau, theta, one_group(s, d))
-    want = statistic_euclidean(tau, theta, PSDFactor.of_matrix(materialize(s, d)))
+    want = statistic_euclidean(tau, theta, factor_of_matrix(materialize(s, d)))
     assert got == pytest.approx(want, rel=1e-10)
 
     # the two-residual split against the class eigenvalues
@@ -107,7 +107,7 @@ def test_max_dense_uses_principal_root():
     theta = np.zeros(2)
     # principal root by hand: eigenvalues 3 and 1 on (1,1)/sqrt2, (1,-1)/sqrt2
     want = 0.5 / np.sqrt(3.0) + 0.5
-    got = statistic_max(tau, theta, PSDFactor.of_matrix(A))
+    got = statistic_max(tau, theta, factor_of_matrix(A))
     assert got == pytest.approx(want, abs=1e-12)
     # a triangular (Cholesky) root would give a different answer
     L = np.linalg.cholesky(A)
@@ -125,14 +125,14 @@ def test_max_structured_matches_dense():
     s = pd_triple(rng)
     tau, theta = rng.standard_normal(p), rng.standard_normal(p)
     got = statistic_max(tau, theta, one_group(s, d))
-    want = statistic_max(tau, theta, PSDFactor.of_matrix(materialize(s, d)))
+    want = statistic_max(tau, theta, factor_of_matrix(materialize(s, d)))
     assert got == pytest.approx(want, rel=1e-10)
 
 
 def test_statistics_zero_rank_weighting():
     tau = np.ones(6)
     with pytest.raises(SingularError):
-        statistic_euclidean(tau, np.zeros(6), PSDFactor.of_matrix(np.zeros((6, 6))))
+        statistic_euclidean(tau, np.zeros(6), factor_of_matrix(np.zeros((6, 6))))
     with pytest.raises(SingularError):
         statistic_max(tau, np.zeros(6), one_group(np.zeros(3), 4))
 
@@ -145,7 +145,7 @@ def test_euclidean_scale_consistency():
     A = A @ A.T + np.eye(p)
     tau = rng.standard_normal(p)
     c = 3.7
-    F1, F2 = PSDFactor.of_matrix(A), PSDFactor.of_matrix(c * A)
+    F1, F2 = factor_of_matrix(A), factor_of_matrix(c * A)
     th1 = gamma_projection(B, F1).apply(tau)
     th2 = gamma_projection(B, F2).apply(tau)
     np.testing.assert_allclose(th1, th2, atol=1e-12)
@@ -265,7 +265,7 @@ def test_sample_dense_and_projector_paths():
     rng = np.random.default_rng(53)
     A = rng.standard_normal((4, 4))
     A = A @ A.T
-    Z = drawn(kt._null_gaussian_blocks(PSDFactor.of_matrix(A), 30000, rng))
+    Z = drawn(kt._null_gaussian_blocks(factor_of_matrix(A), 30000, rng))
     np.testing.assert_allclose(empirical_cov(Z), A, atol=0.08 * A.max())
     # the projector I - J/p is the one-group matrix with eigenvalues (0, 1, 1)
     P = np.eye(6) - np.full((6, 6), 1.0 / 6.0)
@@ -276,7 +276,7 @@ def test_sample_dense_and_projector_paths():
 
 def test_sample_zero_draws_has_p_columns():
     rng = np.random.default_rng(0)
-    forms = (PSDFactor.of_matrix(np.eye(3) + 0.5), one_group(np.array([0.1, 0.3, 0.9]), 5))
+    forms = (factor_of_matrix(np.eye(3) + 0.5), one_group(np.array([0.1, 0.3, 0.9]), 5))
     assert drawn(kt._normal_blocks(0, 5, rng)).shape == (0, 5)
     for A, p in zip(forms, (3, 10)):
         assert drawn(kt._null_gaussian_blocks(A, 0, rng)).shape == (0, p)
@@ -873,7 +873,7 @@ def test_threaded_draws_equal_inline_draws(monkeypatch):
     design = block_membership_matrix(Partition(6, ((1, 2, 3), (4, 5, 6))))
     generators = {
         "identity": lambda rng: kt._normal_blocks(N, p, rng),
-        "dense": lambda rng: kt._null_gaussian_blocks(PSDFactor.of_matrix(A @ A.T), N, rng),
+        "dense": lambda rng: kt._null_gaussian_blocks(factor_of_matrix(A @ A.T), N, rng),
         "partition": lambda rng: kt._null_gaussian_blocks(
             one_group(np.array([0.4, 0.2, 1.0]), 6), N, rng
         ),
