@@ -39,6 +39,7 @@ pseudo-powers, and a Monte Carlo evaluator for the population covariance
 coefficients of an exchangeable copula.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -96,14 +97,27 @@ class PSDFactor:
     def _kept_columns(self):
         return self.V[:, self.keep]
 
-    def apply(self, v, exponent):
+    def apply(self, v, exponent, out=None, work=None):
         """A^exponent v for a length-p vector or an (N, p) stack of rows.
         The kept columns of V and each power of their eigenvalues are
-        taken once, so colouring block by block does not copy V."""
+        taken once, so colouring block by block does not copy V.  The
+        result is written to ``out`` (shaped like v, and v itself
+        allowed) or to a fresh array; ``work``, a flat float64 array of
+        at least ``_work_entries(N)`` entries, holds the coefficients on
+        the kept columns, which are otherwise allocated."""
         if exponent not in self._powers:
             self._powers[exponent] = self.w[self.keep] ** exponent
         Vk = self._kept_columns
-        return ((v @ Vk) * self._powers[exponent]) @ Vk.T
+        C = None
+        if work is not None:
+            shape = np.shape(v)[:-1] + Vk.shape[1:]
+            C = work[: math.prod(shape)].reshape(shape)
+        C = np.matmul(v, Vk, out=C)
+        C *= self._powers[exponent]
+        return np.matmul(C, Vk.T, out=out)
+
+    def _work_entries(self, rows):
+        return rows * self._kept_columns.shape[1]
 
 
 class CovarianceEstimate:

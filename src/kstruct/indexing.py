@@ -91,6 +91,18 @@ def overlap_count(k, l):
     return len(set(a) & set(b))
 
 
+def _integer(value, what):
+    """``value`` as an int, refusing a bool and any value that int()
+    would change, such as 1.9 or "2": outside input is never truncated."""
+    try:
+        whole = not isinstance(value, (bool, np.bool_)) and int(value) == value
+    except (TypeError, ValueError):
+        whole = False
+    if not whole:
+        raise ValueError("%s %r is not an integer" % (what, value))
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Partition:
     """A partition of the variables {1, ..., d} into disjoint groups.
@@ -103,12 +115,12 @@ class Partition:
     groups: tuple = field(default=())
 
     def __post_init__(self):
-        if self.d < 2:
-            raise ValueError("partition needs d >= 2, got d=%d" % self.d)
-        for v in (v for g in self.groups for v in g):
-            if int(v) != v:  # outside input: int() would truncate 1.9 to 1
-                raise ValueError("partition member %r is not an integer" % (v,))
-        groups = tuple(tuple(sorted(int(v) for v in g)) for g in self.groups)
+        d = _integer(self.d, "partition d")
+        if d < 2:
+            raise ValueError("partition needs d >= 2, got d=%d" % d)
+        object.__setattr__(self, "d", d)
+        groups = tuple(tuple(sorted(_integer(v, "partition member") for v in g))
+                       for g in self.groups)
         if not groups or any(len(g) == 0 for g in groups):
             raise ValueError("partition groups must be non-empty")
         flat = [v for g in groups for v in g]
@@ -270,8 +282,7 @@ def load_partition_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
     try:
-        d = int(obj["d"])
-        groups = obj["groups"]
+        d, groups = obj["d"], obj["groups"]
     except (KeyError, TypeError) as exc:
         raise ValueError(
             '%s: expected an object {"d": int, "groups": [[...], ...]}' % path

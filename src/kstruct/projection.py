@@ -71,12 +71,32 @@ class ProjectionOperator:
             return gamma_apply(v)
         if self.kind == "vertex":
             return gamma_star_apply(v, self.d)
+        C, B = self._coefficients(v)
+        return C @ B.T
+
+    def _coefficients(self, v):
+        """(R v, B) for a map B R; R v are the class means for "class-mean"."""
         if self.kind == "class-mean":
             B = self._design.matrix
-            counts = B.sum(axis=0)
-            return (v @ B / counts) @ B.T
+            return v @ B / B.sum(axis=0), B
         B, R = self._factors
-        return (v @ R.T) @ B.T
+        return v @ R.T, B
+
+    def _subtract(self, V, work):
+        """V - Gamma V written over V, an (N, p) stack of rows, and
+        returned, with the arithmetic of ``V - apply(V)``, for every kind
+        but "vertex"; ``work``, a flat array of ``_work_entries(N)``
+        entries, receives Gamma V unless it is the grand mean, which
+        broadcasts."""
+        if self.kind == "grand-mean":
+            V -= V.mean(axis=-1, keepdims=True)
+        else:
+            C, B = self._coefficients(V)
+            V -= np.matmul(C, B.T, out=work[: V.size].reshape(V.shape))
+        return V
+
+    def _work_entries(self, rows):
+        return 0 if self.kind == "grand-mean" else rows * self.p
 
     def dense(self):
         return self.apply(np.eye(self.p)).T
@@ -157,12 +177,13 @@ def check_design_conditions(design, sigma=None):
     Returns a dict.  When every row of B has exactly one nonzero entry
     the row-collinearity bound 1 + (c/a)^2 is reported (a, c the
     smallest/largest nonzero magnitudes); membership designs give 2.
-    ``sigma``, if given, is a fully exchangeable estimate (its ``.s``) or
-    an exchangeable covariance triple (s0, s1, s2); anything else raises
-    ValueError.  When it is given and the design is the all-ones column,
-    the diagonal of the projected covariance (I - Gamma) Sigma
-    (I - Gamma) is constant and both its exact value s2 - delta_1/p and
-    the lower bound (2/3)(s2 - s1) are reported.
+    ``sigma``, if given, is a fully exchangeable estimate over the
+    design's d variables (its ``.s``) or an exchangeable covariance
+    triple (s0, s1, s2); anything else raises ValueError.  When it is
+    given and the design is the all-ones column, the diagonal of the
+    projected covariance (I - Gamma) Sigma (I - Gamma) is constant and
+    both its exact value s2 - delta_1/p and the lower bound
+    (2/3)(s2 - s1) are reported.
     """
     B = design.matrix
     out = {
@@ -184,6 +205,11 @@ def check_design_conditions(design, sigma=None):
         if s is None or s.shape != (3,):
             raise ValueError(
                 "sigma must be a fully exchangeable estimate or an (s0, s1, s2) triple"
+            )
+        if isinstance(sigma, CovarianceEstimate) and sigma.quotients.partition.d != design.d:
+            raise ValueError(
+                "sigma is an estimate over d=%d variables, the design is over d=%d"
+                % (sigma.quotients.partition.d, design.d)
             )
         is_ones = design.L == 1 and np.all(B == B[0, 0]) and B[0, 0] != 0.0
         if is_ones:

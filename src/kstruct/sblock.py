@@ -46,6 +46,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import _sparsetools
 
 from .indexing import _incidence, _pair_classes, _pairs0, pair_count
 
@@ -245,12 +246,20 @@ class PartitionQuotients:
         maps.append((J - lay.L, J, self.trivial - np.diag(rem)))
         return maps
 
-    def apply(self, v, exponent):
+    def apply(self, v, exponent, out=None, work=None):
         """The principal pseudo-power q**exponent applied to v, a length-p
-        vector or an (N, p) stack of rows."""
+        vector or an (N, p) stack of rows; ``out`` and ``work`` as for
+        ``partition_apply``."""
         if exponent not in self._powers:
             self._powers[exponent] = partition_pseudo_power(self, exponent)
-        return partition_apply(self._powers[exponent], v)
+        return partition_apply(self._powers[exponent], v, out, work)
+
+    def _work_entries(self, rows):
+        """Entries of the ``work`` array of ``partition_apply`` for that
+        many rows: pair-major rows, then the coordinates before and after
+        mixing."""
+        lay = _partition_layout(self.partition)
+        return (lay.p + 2 * lay.agg_t.shape[0]) * rows
 
 
 _Layout = namedtuple(
@@ -406,7 +415,21 @@ def partition_pseudo_power(q, exponent):
     )
 
 
-def partition_apply(q, v):
+def _sparse_product(S, X, Y):
+    """Y += S X for a CSR matrix S and flat C-ordered X and Y holding
+    (S columns, k) and (S rows, k) arrays: SciPy's own kernel of
+    ``S @ X``, which sums each row's terms in stored order, writing into
+    Y instead of a fresh array."""
+    k = X.size // S.shape[1]
+    for arr in (X, Y):
+        if arr.dtype != np.float64 or arr.ndim != 1 or not arr.flags.c_contiguous:
+            raise ValueError("sparse product operands must be flat contiguous float64")
+    if X.size != S.shape[1] * k or Y.size != S.shape[0] * k:
+        raise ValueError("sparse product operands do not match the matrix")
+    _sparsetools.csr_matvecs(S.shape[0], S.shape[1], k, S.indptr, S.indices, S.data, X, Y)
+
+
+def partition_apply(q, v, out=None, work=None):
     """The partition-invariant matrix q applied to v.
 
     ``v`` may be (p,) or (..., p) with pair space on the last axis.  The
@@ -416,20 +439,45 @@ def partition_apply(q, v):
     embeddings), and the class coordinates likewise.  Each map is one
     dense block, so a vector costs O(p + sum_g (m_g c_g)^2), which is
     O(p K) for groups of equal size.
+
+    The result is shaped like v and pair-major in memory: the values of
+    each pair over v's rows are contiguous, as the sparse maps write
+    them and as a reduction over pairs reads them fastest.  It is
+    written into ``out``, a C-contiguous float64 array of v's size (v
+    itself allowed, since v is read first), or a fresh array.  ``work``,
+    a flat float64 array of at least ``q._work_entries(rows)`` entries,
+    holds the intermediates; without it they are allocated.  A caller
+    that applies q block by block passes the same two arrays every time,
+    so no block allocates an array its size.  Neither changes the
+    arithmetic.
     """
     lay = _partition_layout(q.partition)
     v = np.asarray(v, dtype=float)
     if v.shape[-1] != lay.p:
         raise ValueError("vector has length %d, expected p=%d" % (v.shape[-1], lay.p))
     V = v.reshape(-1, lay.p)
-    A = lay.agg_t @ np.ascontiguousarray(V.T)
+    p, J, N = lay.p, lay.agg_t.shape[0], V.shape[0]
+    if work is None:
+        work = np.empty(q._work_entries(N))
+    elif work.size < q._work_entries(N):
+        raise ValueError("work holds %d entries, need %d" % (work.size, q._work_entries(N)))
+    if out is None:
+        out = np.empty(v.shape)
+    elif out.size != v.size or not out.flags.c_contiguous:
+        raise ValueError("out must be a C-contiguous array of v's size")
+    # v pair-major, and the coordinates before (A) and after (W) mixing
+    X, A, W = (work[a * N:b * N] for a, b in ((0, p), (p, p + J), (p + J, p + 2 * J)))
+    np.copyto(X.reshape(p, N), V.T)
+    A.fill(0.0)
+    _sparse_product(lay.agg_t, X, A)
     for lo, hi, M in q._coordinate_maps:
-        A[lo:hi] = M @ A[lo:hi]
-    # the result is laid out like v, rows contiguous, which a row-wise
-    # reduction of coloured draws needs to be fast
-    out = q.remainder[lay.cls] * V
-    out += (lay.agg @ A).T
-    return out.reshape(v.shape)
+        np.matmul(M, A.reshape(J, N)[lo:hi], out=W.reshape(J, N)[lo:hi])
+    Y = out.reshape(-1)
+    Y.fill(0.0)
+    _sparse_product(lay.agg, W, Y)
+    X.reshape(p, N)[...] *= q.remainder[lay.cls][:, None]
+    Y += X  # the embedded part plus the remainder's: one addition per entry
+    return Y.reshape(p, N).T.reshape(v.shape)
 
 
 def partition_materialize(q):

@@ -194,6 +194,13 @@ def sample_gaussian_with_tau(T, n, rng):
     sqrt(rho) Z0 + sqrt(1-rho) Zj in O(nd); anything else goes through a
     symmetric factorization of the sin-transformed matrix.
     """
+    return _gaussian_rows(T)(n, rng)
+
+
+def _gaussian_rows(T):
+    """The sampler (n, rng) -> rows of ``sample_gaussian_with_tau(T, n,
+    rng)``, with the factorization of the sin-transformed matrix taken
+    here, once for every draw."""
     T = np.asarray(T, dtype=float)
     d = T.shape[0]
     R = tau_to_pearson(T)
@@ -202,15 +209,18 @@ def sample_gaussian_with_tau(T, n, rng):
     if off.size and np.allclose(off, off[0], atol=1e-14):
         rho = float(off[0])
         if 0.0 <= rho < 1.0 - 1e-12:
-            z0 = rng.standard_normal((n, 1))
-            return np.sqrt(rho) * z0 + np.sqrt(1.0 - rho) * rng.standard_normal((n, d))
+            def one_factor(n, rng):
+                z0 = rng.standard_normal((n, 1))
+                return np.sqrt(rho) * z0 + np.sqrt(1.0 - rho) * rng.standard_normal((n, d))
+            return one_factor
     w, V = np.linalg.eigh(R)
     if w.min() <= 1e-12:
         raise NotPositiveDefinite(
             "sin-transformed correlation matrix is not positive definite "
             "(smallest eigenvalue %.3e)" % w.min()
         )
-    return rng.standard_normal((n, d)) @ (V * np.sqrt(w)).T
+    F = (V * np.sqrt(w)).T
+    return lambda n, rng: rng.standard_normal((n, d)) @ F
 
 
 def desk_scale(config):
@@ -244,50 +254,81 @@ def _ranked(X, ties, tie_seed):
         return exc
 
 
-def _rep_task(payload):
-    """Run every configured test on one freshly generated dataset, ranked
-    once per distinct (ties, tie_seed) among the tests; a ranking that
-    fails discards every test that shares it."""
-    si, rep, master_seed, scenario = payload
+def _prepare(scenarios):
+    """What every repetition of each scenario shares: the scenario, the
+    sampler of its data (or the error that building it raised, which
+    discards every repetition) and the hypothesis of each estimator.
+    Each process that runs repetitions prepares them once: every pool
+    worker, or run_study itself when it runs them in-process."""
+    out = []
+    for sc in scenarios:
+        try:
+            make_rows = _gaussian_rows(build_tau_matrix(sc))
+        except _DISCARDABLE as exc:
+            make_rows = exc
+        part = sc.partition()
+        out.append((sc, make_rows, {"structured": part, "jackknife": _membership_design(part)}))
+    return out
+
+
+def _rep_task(study, task):
+    """Run every configured test of scenario ``si`` on the dataset of
+    repetition ``rep``, task = (si, rep, master seed) and ``study`` the
+    prepared scenarios; the dataset is ranked once per distinct (ties,
+    tie_seed) among the tests, and a ranking that fails discards every
+    test that shares it."""
+    si, rep, master_seed = task
+    scenario, make_rows, hypotheses = study[si]
+    if isinstance(make_rows, Exception):
+        return [
+            (si, ti, rep, None, type(make_rows).__name__)
+            for ti in range(len(scenario.tests))
+        ]
     seqs = np.random.SeedSequence(
         master_seed, spawn_key=(si, rep)
     ).spawn(len(scenario.tests) + 1)
-    T = build_tau_matrix(scenario)
+    X = make_rows(scenario.n, np.random.default_rng(seqs[0]))
     rows = []
-    try:
-        X = sample_gaussian_with_tau(T, scenario.n, np.random.default_rng(seqs[0]))
-    except _DISCARDABLE as exc:
-        return [
-            (si, ti, rep, None, type(exc).__name__)
-            for ti in range(len(scenario.tests))
-        ]
-    part = scenario.partition()
     samples = {}
     for ti, template in enumerate(scenario.tests):
         opts = dataclasses.replace(template, seed=_derived_seed(seqs[ti + 1]))
-        hyp = part if opts.estimator == "structured" else _membership_design(part)
         try:
             key = (opts.ties, opts.tie_seed)
             if key not in samples:
                 samples[key] = _ranked(X, *key)
             if isinstance(samples[key], TieError):
                 raise samples[key]
-            report = run_test(samples[key], hyp, opts)
+            report = run_test(samples[key], hypotheses[opts.estimator], opts)
             rows.append((si, ti, rep, float(report.p_value), ""))
         except _DISCARDABLE as exc:
             rows.append((si, ti, rep, None, type(exc).__name__))
     return rows
 
 
-def _task_batches(tasks, nworkers):
+# the prepared scenarios of the study that a pool worker runs
+_worker_study = None
+
+
+def _start_worker(scenarios):
+    global _worker_study
+    _worker_study = _prepare(scenarios)
+
+
+def _worker_task(task):
+    return _rep_task(_worker_study, task)
+
+
+def _task_batches(tasks, scenarios, nworkers):
     """The row batches of the tasks, in task order: from a process pool
     when there is more than one worker and one task, else in-process."""
     if nworkers > 1 and len(tasks) > 1:
         chunk = max(1, len(tasks) // (nworkers * 8))
-        with ProcessPoolExecutor(max_workers=nworkers) as pool:
-            yield from pool.map(_rep_task, tasks, chunksize=chunk)
+        with ProcessPoolExecutor(max_workers=nworkers, initializer=_start_worker,
+                                 initargs=(scenarios,)) as pool:
+            yield from pool.map(_worker_task, tasks, chunksize=chunk)
     else:
-        yield from map(_rep_task, tasks)
+        study = _prepare(scenarios)
+        yield from (_rep_task(study, task) for task in tasks)
 
 
 def _worker_count(workers):
@@ -488,7 +529,7 @@ def run_study(
             lo, hi = max(0, int(shard[0])), min(sc.repetitions, int(shard[1]))
         for rep in range(lo, hi):
             if (si, rep) not in done:
-                tasks.append((si, rep, int(seed), sc))
+                tasks.append((si, rep, int(seed)))
 
     started = time.time()
     rows = []
@@ -506,7 +547,7 @@ def run_study(
             )
 
     try:
-        for i, batch in enumerate(_task_batches(tasks, nworkers)):
+        for i, batch in enumerate(_task_batches(tasks, scenarios, nworkers)):
             rows.extend(batch)
             if writer is not None:
                 writer.writerows(

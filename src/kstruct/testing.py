@@ -28,19 +28,25 @@ inequality; a plus-one correction is available as an option but off by
 default.
 
 The Gaussian draws of the simulated p-values are taken in row blocks
-from the one random stream of the test's seed, by three generators:
-standard normals (``_normal_blocks``), draws coloured by a covariance
-form (``_null_gaussian_blocks``) and multiplier-bootstrap replicates
-(``_bootstrap_blocks``).  When a test's draws span two or more blocks
-and the process may run on two or more CPUs (``kendall._second_cpu``,
-the rule the kernel pass follows too), a helper thread draws
-block b + 1 while the calling thread colours block b and counts its
-exceedances.  The helper only fills a ring of two block buffers from
-the generator, in stream order, so every draw, p-value and the
-generator's final state are the same as with inline draws, and the
-draws hold at most two blocks of memory.  Otherwise, and in child
-processes such as ``run_study``'s workers, which already fill every
-CPU, the draws are taken inline.
+from the one random stream of the test's seed.  Standard normals
+(``_normal_blocks``) fill a draw buffer.  Colouring by a covariance form
+(``_null_gaussian_blocks``) and subtracting the whitened residual's
+projection (``_residual_blocks``) write over that buffer, and a
+multiplier-bootstrap replicate (``_bootstrap_blocks``) is a product
+written into a work array, so a test allocates its draw buffers and one
+work array, and no block allocates an array its size.  A block belongs
+to its consumer from when it is yielded until the consumer asks for the
+next one: the sampler may write over it, then ``_exceedances`` takes
+its absolute value in place, and then the buffer is filled again.
+When a test's draws span two or more blocks and the process may run on
+two or more CPUs (``kendall._second_cpu``, the rule the kernel pass
+follows too), a helper thread draws block b + 1 while the calling
+thread colours block b and counts its exceedances.  The helper only
+fills a ring of two draw buffers from the generator, in stream order,
+so every draw, p-value and the generator's final state are the same as
+with inline draws.  Otherwise, and in child processes such as
+``run_study``'s workers, which already fill every CPU, the draws are
+taken inline.
 
 A weighting or sampler target is a covariance form: the PSDFactor or
 PartitionQuotients that ``CovarianceEstimate.factor`` returns.  The
@@ -335,14 +341,16 @@ def _normal_blocks(N, p, rng, cols=None):
     """Standard normal draws for the row blocks of ``_row_blocks(N, p)``,
     each a (rows, cols) array (cols defaults to p), in stream order.
 
-    A block is a view of a reused buffer: it holds its values only until
-    the next block is requested, so a caller that keeps a block copies it.
+    A block is a view of a draw buffer, allocated once per call, that
+    belongs to the caller from when it is yielded until the caller asks
+    for the next block: the caller may write over it, and copies any
+    values it keeps longer, since the buffer is then filled again.
     With two or more blocks and ``kendall._second_cpu()``, a helper
     thread fills a ring of two buffers one block ahead; the values and
     the generator's state once every block is consumed are those of
-    inline draws.  The helper touches nothing but ``rng``, is stopped
-    and joined when the caller stops early or raises, and an exception
-    it meets is raised here.
+    inline draws.  The helper touches nothing but ``rng`` and the
+    buffers handed back to it, is stopped and joined when the caller
+    stops early or raises, and an exception it meets is raised here.
     """
     bounds = _row_blocks(int(N), p)
     cols = p if cols is None else cols
@@ -381,22 +389,45 @@ def _normal_blocks(N, p, rng, cols=None):
         helper.join()
 
 
+def _in_place(blocks, step, work_entries):
+    """``step(block, work)`` for each of the blocks, in order: ``step``
+    writes into the block or into ``work``, one flat array of
+    ``work_entries(rows)`` entries for the first (largest) block's rows,
+    allocated then and reused by every later block.  The blocks are
+    closed however the caller stops."""
+    work = None
+    with closing(blocks):
+        for block in blocks:
+            if work is None:
+                work = np.empty(work_entries(len(block)))
+            yield step(block, work)
+
+
 def _null_gaussian_blocks(A, N, rng):
     """Row blocks of N Gaussian draws with covariance A, a PSDFactor or
-    PartitionQuotients, coloured by its principal pseudo-square root.
-    The random stream is consumed as by one (N, p) draw; a coloured
-    block can differ from unblocked colouring in the last bit."""
-    for G in _normal_blocks(N, A.p, rng):
-        yield A.apply(G, 0.5)
+    PartitionQuotients, coloured by its principal pseudo-square root in
+    the draw buffer.  The random stream is consumed as by one (N, p)
+    draw; a coloured block can differ from unblocked colouring in the
+    last bit."""
+    return _in_place(_normal_blocks(N, A.p, rng),
+                     lambda G, work: A.apply(G, 0.5, out=G, work=work), A._work_entries)
+
+
+def _residual_blocks(gamma, N, p, rng):
+    """Row blocks of N draws of (I - Gamma) G, G a standard normal row:
+    the null law of the whitened residual on max/sigma routes.  Gamma G
+    is subtracted in the draw buffer, with the arithmetic of
+    ``G - gamma.apply(G)``."""
+    return _in_place(_normal_blocks(N, p, rng), gamma._subtract, gamma._work_entries)
 
 
 def _exceedances(blocks, value, statistic="max"):
     """Number of rows, over row blocks of draws, whose statistic exceeds
     value: the max-norm, or the squared norm for "euclidean".  The blocks
     are closed however the count ends, which stops a draw thread.  The
-    max-norm takes the absolute value in place, so each block must be a
-    fresh array or a draw buffer that its consumer owns, as every
-    sampler's blocks are."""
+    max-norm takes the absolute value in place: a block belongs to its
+    consumer until the next one is asked for (see ``_normal_blocks``),
+    and every sampler's blocks are its draw buffers or its work array."""
     with closing(blocks):
         if statistic == "euclidean":
             norms = (np.einsum("ij,ij->i", b, b) for b in blocks)
@@ -412,12 +443,21 @@ def _bootstrap_blocks(Y, N, rng):
     the data a replicate is Gaussian with covariance n P SigmaJ P, P the
     projection's complement and SigmaJ the jackknife estimate, so it
     stands in for the null law of sqrt(n) times the projected residual.
-    n < 3 is refused here, before any block is drawn."""
+    Each block is the product W Y written into the work array, then
+    scaled in place.  n < 3 is refused here, before any block is drawn."""
     n, p = Y.shape
     if n < 3:
         raise ValueError("multiplier bootstrap needs n >= 3")
+    scale = 2.0 / np.sqrt(n)
+
+    def replicates(W, work):
+        Z = np.matmul(W, Y, out=work[: len(W) * p].reshape(len(W), p))
+        Z *= scale
+        return Z
+
     # a block draws n columns and yields p, so it is sized by the wider
-    return ((2.0 / np.sqrt(n)) * (W @ Y) for W in _normal_blocks(N, max(n, p), rng, cols=n))
+    return _in_place(_normal_blocks(N, max(n, p), rng, cols=n), replicates,
+                     lambda rows: rows * p)
 
 
 # ---------------------------------------------------------------------------
@@ -634,8 +674,7 @@ def _run_test(data, hypothesis, opts):
         if sampler == "coloured gaussian":
             blocks = _null_gaussian_blocks(null_cov, N, rng)
         elif sampler == "whitened-residual gaussian":
-            gamma = _whitened_residual(fit)
-            blocks = (G - gamma.apply(G) for G in _normal_blocks(N, p, rng))
+            blocks = _residual_blocks(_whitened_residual(fit), N, p, rng)
         p_value = _mc_pvalue(_exceedances(blocks, value, opts.statistic), N, opts.plus_one)
 
     return TestReport(

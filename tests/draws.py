@@ -1,10 +1,15 @@
 """Whole arrays of the Monte Carlo draws that ``run_test`` takes block by
 block, for tests of their laws, memory and random stream.
 
-``run_test`` draws through three generators in ``kstruct.testing``:
+``run_test`` draws through the generators in ``kstruct.testing``:
 standard normals (``_normal_blocks``), draws coloured by a covariance
-form (``_null_gaussian_blocks``) and multiplier-bootstrap replicates
+form (``_null_gaussian_blocks``), whitened-residual draws
+(``_residual_blocks``) and multiplier-bootstrap replicates
 (``_bootstrap_blocks``).  ``drawn`` joins the row blocks of any of them.
+
+``sparse_product_apply`` is ``sblock.partition_apply`` as written before
+it took buffers, with a fresh array for every intermediate: the
+reference that the buffered row path must equal bit for bit.
 """
 
 import numpy as np
@@ -12,6 +17,7 @@ import numpy as np
 import kstruct.testing as kt
 from kstruct.kendall import KendallSample
 from kstruct.projection import gamma_projection
+from kstruct.sblock import _partition_layout
 
 
 def drawn(blocks):
@@ -29,3 +35,17 @@ def bootstrap_draws(data, design, N, rng):
     if design is not None:
         D = D - gamma_projection(design).apply(D)
     return drawn(kt._bootstrap_blocks(D, int(N), rng))
+
+
+def sparse_product_apply(q, v):
+    """The partition-invariant matrix q applied to v, a (p,) vector or
+    an (N, p) stack, through SciPy's sparse products."""
+    lay = _partition_layout(q.partition)
+    v = np.asarray(v, dtype=float)
+    V = v.reshape(-1, lay.p)
+    A = lay.agg_t @ np.ascontiguousarray(V.T)
+    for lo, hi, M in q._coordinate_maps:
+        A[lo:hi] = M @ A[lo:hi]
+    out = q.remainder[lay.cls] * V
+    out += (lay.agg @ A).T
+    return out.reshape(v.shape)

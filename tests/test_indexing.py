@@ -143,6 +143,19 @@ def test_partition_refuses_non_integer_members(tmp_path):
         load_partition_json(path)
 
 
+def test_partition_json_refuses_a_non_integer_d(tmp_path):
+    # d follows the members' rule: neither truncated nor read from a bool
+    path = tmp_path / "part.json"
+    for text, shown in (('{"d": 4.7, "groups": [[1, 2], [3, 4]]}', "4.7"),
+                        ('{"d": true, "groups": [[1, 2]]}', "True"),
+                        ('{"d": 4, "groups": [[true, 2], [3, 4]]}', "True")):
+        path.write_text(text)
+        with pytest.raises(ValueError, match="%s is not an integer" % shown):
+            load_partition_json(path)
+    path.write_text('{"d": 4.0, "groups": [[1, 2], [3, 4]]}')
+    assert load_partition_json(path) == Partition(4, ((1, 2), (3, 4)))
+
+
 def test_exchangeable_membership_is_ones():
     B = block_membership_matrix(Partition.exchangeable(5))
     assert B.kind == "membership"

@@ -234,6 +234,22 @@ def test_quadratic_form_decomposition():
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
+@pytest.mark.parametrize("design", [
+    block_membership_matrix(Partition.exchangeable(5)),
+    block_membership_matrix(Partition(5, ((1, 2), (3, 4, 5)))),
+    diagonal_free_membership_matrix(Partition(6, ((1, 2, 3), (4, 5), (6,)))),
+    DesignMatrix(np.random.default_rng(137).standard_normal((10, 3))),
+], ids=["grand-mean", "class-mean", "diagonal-free", "orthogonal"])
+def test_subtract_in_place_is_v_minus_apply(design):
+    # the whitened-residual draws subtract Gamma V in the draw buffer with
+    # the arithmetic of V - Gamma V; stale work entries do not leak
+    gamma = gamma_projection(design)
+    V = np.random.default_rng(139).standard_normal((9, design.p))
+    got, work = V.copy(), np.full(gamma._work_entries(9), np.nan)
+    assert gamma._subtract(got, work) is got
+    assert np.array_equal(got, V - gamma.apply(V))
+
+
 def test_check_design_conditions_membership():
     design = block_membership_matrix(Partition(4, ((1, 2), (3, 4))))
     out = check_design_conditions(design)
@@ -268,6 +284,14 @@ def test_check_design_conditions_takes_the_estimate_run_test_uses():
         with pytest.raises(ValueError, match="sigma must be a fully exchangeable "
                            r"estimate or an \(s0, s1, s2\) triple"):
             check_design_conditions(design, sigma=other)
+
+
+def test_check_design_conditions_refuses_an_estimate_of_another_d():
+    X = np.random.default_rng(43).standard_normal((30, 5))
+    est = structured_jackknife_partition(X, Partition.exchangeable(5))
+    design = block_membership_matrix(Partition.exchangeable(4))
+    with pytest.raises(ValueError, match="over d=5 variables, the design is over d=4"):
+        check_design_conditions(design, sigma=est)
 
 
 def test_check_design_conditions_exchangeable_sigma():

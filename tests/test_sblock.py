@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from dense_oracle import materialize, one_group
-from kstruct.indexing import _incidence, pair_count
+from draws import sparse_product_apply
+from kstruct.indexing import Partition, _incidence, pair_count
 from kstruct.sblock import (
     SingularError,
     eigenvalues,
@@ -11,6 +12,7 @@ from kstruct.sblock import (
     partition_apply,
     partition_materialize,
     partition_pseudo_power,
+    partition_quotients,
 )
 from kstruct.testing import statistic_euclidean
 
@@ -193,6 +195,34 @@ def test_apply_power_rows_layout():
     out = partition_apply(root, V)
     for r in range(7):
         assert np.allclose(out[r], partition_apply(root, V[r]), atol=1e-12)
+
+
+@pytest.mark.parametrize("part", [
+    Partition.exchangeable(6),
+    Partition(7, ((1, 4), (2, 5, 7), (3, 6))),
+    Partition(6, ((1, 2, 3), (4,), (5,), (6,))),
+    Partition(5, ((1,), (2,), (3,), (4,), (5,))),
+], ids=["one-group", "three-group", "singleton-groups", "all-singletons"])
+def test_apply_into_buffers_is_the_sparse_product(part):
+    # the one row path writes into its caller's buffers, pair-major, with
+    # the arithmetic of fresh sparse products, for a vector and for stacks
+    rng = np.random.default_rng(131)
+    p = pair_count(part.d)
+    q = partition_pseudo_power(partition_quotients(rng.standard_normal((12, p)), part, 0.1), 0.5)
+    v, V = rng.standard_normal(p), rng.standard_normal((11, p))
+    assert np.array_equal(partition_apply(q, v), sparse_product_apply(q, v))
+    want = sparse_product_apply(q, V)
+    assert np.array_equal(partition_apply(q, V), want)
+    work = np.full(q._work_entries(11), np.nan)  # no stale entry may leak
+    for rows in (11, 4, 0):  # one work array serves every smaller block
+        block = V[:rows].copy()
+        got = partition_apply(q, block, out=block, work=work)
+        assert np.array_equal(got, want[:rows])
+        assert rows == 0 or np.shares_memory(got, block)
+    with pytest.raises(ValueError, match="work holds 5 entries"):
+        partition_apply(q, V, work=np.empty(5))
+    with pytest.raises(ValueError, match="out must be a C-contiguous array"):
+        partition_apply(q, V, out=np.empty((p, 11)).T)
 
 
 def test_apply_power_pseudo_on_singular():

@@ -6,6 +6,7 @@ import csv
 import dataclasses
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +24,10 @@ from kstruct import (
     tau_to_pearson,
 )
 from kstruct import kendall, simulation
+from kstruct.cli import load_study_json
 from kstruct.simulation import DESK_REPETITIONS, DESK_REPLICATES, desk_scale
+
+DATA = Path(__file__).parent / "data"
 
 # ---------------------------------------------------------------------------
 # tau -> pearson map
@@ -296,15 +300,17 @@ def test_rep_task_equals_run_test_on_each_raw_array(monkeypatch):
     kernel = kendall.tau_and_leave_one_out
     monkeypatch.setattr(kendall, "tau_and_leave_one_out",
                         lambda *a, **k: passes.append(1) or kernel(*a, **k))
-    generate = simulation.sample_gaussian_with_tau
+    sampler = simulation._gaussian_rows
     reasons = set()
     for rounded in (False, True):
         if rounded:  # a tenth's resolution makes ties all but certain
-            monkeypatch.setattr(simulation, "sample_gaussian_with_tau",
-                                lambda T, n, rng: np.round(generate(T, n, rng), 1))
+            monkeypatch.setattr(
+                simulation, "_gaussian_rows",
+                lambda T: lambda n, rng: np.round(sampler(T)(n, rng), 1))
+        study = simulation._prepare([scenario])
         for rep in range(scenario.repetitions):
             del passes[:]
-            rows = simulation._rep_task((0, rep, 17, scenario))
+            rows = simulation._rep_task(study, (0, rep, 17))
             # a failed ranking is kept, not retried by the next test
             assert len(passes) == 2
             seqs = np.random.SeedSequence(17, spawn_key=(0, rep)).spawn(len(tests) + 1)
@@ -325,6 +331,21 @@ def test_rep_task_equals_run_test_on_each_raw_array(monkeypatch):
             assert rows == want
             reasons.update(r[4] for r in rows)
     assert reasons == {"", "TieError"}
+
+
+def test_rep_task_rows_are_unchanged_on_study_tiny():
+    # each process prepares a scenario's sampler and hypotheses once; the
+    # rows of every repetition stay those recorded before that change
+    scenarios, seed = load_study_json(DATA / "study_tiny.json")
+    study = simulation._prepare(scenarios)
+    got = [["scenario_index", "test_index", "rep", "p_value", "discard_reason"]]
+    for si, sc in enumerate(scenarios):
+        for rep in range(sc.repetitions):
+            for row in simulation._rep_task(study, (si, rep, seed)):
+                got.append([str(v) for v in row[:3]] + ["%.17g" % row[3], row[4]])
+    with open(DATA / "study_tiny_results.csv", encoding="utf-8", newline="") as fh:
+        want = list(csv.reader(fh))
+    assert len(want) == 49 and got == want
 
 
 def test_run_study_shards_merge_to_single_run(tmp_path):

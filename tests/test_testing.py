@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from dense_oracle import dense_spectrum, factor_of_matrix, materialize, one_group
-from draws import bootstrap_draws, drawn
+from draws import bootstrap_draws, drawn, sparse_product_apply
 
 import kstruct.covariance as kc
 import kstruct.sblock as ks
@@ -824,20 +824,84 @@ def test_run_test_design_routes_independent_of_draw_blocks(monkeypatch):
 
 
 def test_run_test_max_null_memory_is_bounded():
-    # the exchangeable max routes never form the (N, p) draws (70 MB here):
-    # the traced peak stays within a dozen 2 MB row blocks
+    # no max route forms the (N, p) draws (70 MB here): a test holds two
+    # draw buffers at most, one work array for colouring (1.44 blocks for
+    # three groups of ten), subtraction or the bootstrap product, and its
+    # data, so the traced peak stays within four 2 MB row blocks
     d, N = 30, 20000
     X = exchangeable_normal(np.random.default_rng(89), 50, d)
+    three = Partition(d, tuple(tuple(range(g, g + 10)) for g in (1, 11, 21)))
     block_bytes = 8 * kt._DRAW_BLOCK_ENTRIES
-    for weight in ("sigma", "identity"):
-        opts = TestOptions(statistic="max", weighting=weight, replicates=N, seed=7)
+    routes = [
+        (Partition.exchangeable(d), "sigma", "structured"),
+        (Partition.exchangeable(d), "identity", "structured"),
+        (three, "identity", "structured"),
+        (block_membership_matrix(three), "sigma", "jackknife"),
+        (block_membership_matrix(three), "identity", "jackknife"),  # bootstrap
+    ]
+    for hypothesis, weight, estimator in routes:
+        opts = TestOptions(statistic="max", weighting=weight, estimator=estimator,
+                           replicates=N, seed=7)
         tracemalloc.start()
         try:
-            run_test(X, Partition.exchangeable(d), opts)
+            run_test(X, hypothesis, opts)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 12 * block_bytes < 8 * N * pair_count(d) / 2, weight
+        assert peak <= 4 * block_bytes < 8 * N * pair_count(d) / 2, (weight, estimator)
+
+
+@pytest.mark.parametrize("part", [
+    Partition.exchangeable(6),
+    Partition(6, ((1, 2), (3, 4), (5, 6))),
+    Partition(6, ((1, 2, 3), (4,), (5,), (6,))),
+], ids=["one-group", "three-group", "singleton-groups"])
+def test_samplers_write_the_old_formulas_into_their_buffers(monkeypatch, part):
+    # 4-row blocks (2-row for the bootstrap, which draws n = 30 columns)
+    # and N = 23, so the last block is short: every sampler's block is
+    # what its old formula made in a fresh array, bit for bit, and every
+    # block is written into the one draw buffer or the one work array
+    monkeypatch.setattr(kt, "_second_cpu", lambda: False)
+    d, n, N = 6, 30, 23
+    p = pair_count(d)
+    monkeypatch.setattr(kt, "_DRAW_BLOCK_ENTRIES", 4 * p)
+    sample = KendallSample(exchangeable_normal(np.random.default_rng(149), n, d))
+    est = kc.structured_jackknife_partition(sample, part)
+    design = block_membership_matrix(part)
+    gamma = gamma_projection(design)
+    coloured = kt._identity_null(est, gamma, n)[1]
+    dense = kt._identity_null(jackknife_cov(sample), gamma, n)[1]
+    R = est.rows - gamma.apply(est.rows)
+    G = drawn(kt._normal_blocks(N, p, np.random.default_rng(5)))
+    W = drawn(kt._normal_blocks(N, n, np.random.default_rng(5)))
+    root = ks.partition_pseudo_power(coloured, 0.5)
+    Vk = dense.V[:, dense.keep]
+    orthogonal = gamma_projection(DesignMatrix(design.matrix))  # held as B B^+
+
+    def old(formula, Z, rows):
+        return np.concatenate([formula(Z[lo:lo + rows]) for lo in range(0, N, rows)])
+
+    rng = np.random.default_rng
+    samplers = {
+        "partition colouring": (kt._null_gaussian_blocks(coloured, N, rng(5)),
+                                old(lambda g: sparse_product_apply(root, g), G, 4)),
+        "dense colouring": (kt._null_gaussian_blocks(dense, N, rng(5)),
+                            old(lambda g: ((g @ Vk) * dense.w[dense.keep] ** 0.5) @ Vk.T, G, 4)),
+        "means": (kt._residual_blocks(gamma, N, p, rng(5)),
+                  old(lambda g: g - gamma.apply(g), G, 4)),
+        "orthogonal": (kt._residual_blocks(orthogonal, N, p, rng(5)),
+                       old(lambda g: g - orthogonal.apply(g), G, 4)),
+        "bootstrap": (kt._bootstrap_blocks(R, N, rng(5)),
+                      old(lambda w: (2.0 / np.sqrt(n)) * (w @ R), W, 2)),
+    }
+    for name, (blocks, want) in samplers.items():
+        got, buffers = [], set()
+        for b in blocks:
+            got.append(b.copy())
+            buffers.add(b.__array_interface__["data"][0])
+        assert [len(b) for b in got][-1] < len(got[0]), name
+        assert np.array_equal(np.concatenate(got), want), name
+        assert len(buffers) == 1, name
 
 
 # ---------------------------------------------------------------------------
@@ -925,11 +989,11 @@ def test_draw_thread_stops_when_the_consumer_raises(monkeypatch):
     seen = []
     colour = PartitionQuotients.apply
 
-    def failing_colour(q, G, exponent):
+    def failing_colour(q, G, exponent, **buffers):
         seen.append(threading.active_count())
         if len(seen) == 3:
             raise FloatingPointError("colouring failed")
-        return colour(q, G, exponent)
+        return colour(q, G, exponent, **buffers)
 
     monkeypatch.setattr(PartitionQuotients, "apply", failing_colour)
     X = exchangeable_normal(np.random.default_rng(107), 40, 6)
