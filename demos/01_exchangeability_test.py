@@ -12,11 +12,11 @@ Run:  python3 demos/01_exchangeability_test.py
 import numpy as np
 
 from kstruct import (
+    KendallSample,
     Partition,
     ScenarioConfig,
     TestOptions,
     build_tau_matrix,
-    kendall_tau_vector,
     run_test,
     sample_gaussian_with_tau,
 )
@@ -29,7 +29,7 @@ null_cfg = ScenarioConfig(n=200, d=5, tau=0.3)
 T = build_tau_matrix(null_cfg)
 X = sample_gaussian_with_tau(T, 200, rng)
 
-tau_hat = kendall_tau_vector(X)
+tau_hat = KendallSample(X).tau
 print("estimated Kendall correlations (all should be near 0.3):")
 print(np.round(tau_hat, 3))
 print()

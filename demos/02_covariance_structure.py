@@ -19,7 +19,7 @@ from kstruct import (
     check_design_conditions,
     jackknife_cov,
     population_sigma_mc,
-    structured_jackknife_exchangeable,
+    structured_jackknife_partition,
 )
 from kstruct.indexing import overlap_count, pair_count
 
@@ -31,7 +31,7 @@ X = rng.standard_normal((n, d))
 # --- dense vs structured -----------------------------------------------
 
 dense = jackknife_cov(X).matrix
-est = structured_jackknife_exchangeable(X)
+est = structured_jackknife_partition(X, Partition.exchangeable(d))
 
 sums = np.zeros(3)
 counts = np.zeros(3)

@@ -15,6 +15,7 @@ import tempfile
 import numpy as np
 
 from kstruct import (
+    KendallSample,
     Partition,
     ScenarioConfig,
     block_membership_matrix,
@@ -22,7 +23,6 @@ from kstruct import (
     check_design_conditions,
     diagonal_free_membership_matrix,
     gamma_projection,
-    kendall_tau_vector,
     sample_gaussian_with_tau,
     vertex_incidence_design,
 )
@@ -54,7 +54,7 @@ cfg = ScenarioConfig(
     n=300, d=6, structure="block", sizes=(3, 2, 1), hypothesis_groups=part.groups
 )
 X = sample_gaussian_with_tau(build_tau_matrix(cfg), 300, np.random.default_rng(12))
-tau = kendall_tau_vector(X)
+tau = KendallSample(X).tau
 theta = gamma_projection(membership).apply(tau)
 print("raw estimates   :", np.round(tau, 3))
 print("fitted by class :", np.round(theta, 3))

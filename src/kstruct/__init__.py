@@ -24,15 +24,10 @@ from .indexing import (
     diagonal_free_membership_matrix,
     vertex_incidence_design,
 )
-from .kendall import (
-    KendallSample,
-    TieError,
-    kendall_tau_vector,
-)
+from .kendall import KendallSample, TieError
 from .sblock import SingularError
 from .covariance import (
     jackknife_cov,
-    structured_jackknife_exchangeable,
     structured_jackknife_partition,
     population_sigma_mc,
 )

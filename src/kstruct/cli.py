@@ -29,6 +29,7 @@ from .indexing import (
     load_design_csv,
     load_partition_json,
     pair_count,
+    _integer,
     _pairs0,
 )
 from .kendall import KendallSample
@@ -234,15 +235,26 @@ def _check_keys(obj, allowed, where):
         raise ValueError("%s: unknown key(s) %s" % (where, ", ".join(map(repr, unknown))))
 
 
+def _field(kind, value, what):
+    """A config value as a field of type ``kind``: an int by the rule of
+    ``indexing._integer``, a bool only as a JSON boolean, a float only
+    as a JSON number.  Anything else is a ValueError naming ``what``."""
+    if value is None or kind not in (int, float, bool):
+        return value
+    if kind is int:
+        return _integer(value, what)
+    if isinstance(value, bool) == (kind is bool) and isinstance(value, (int, float)):
+        return kind(value)
+    raise ValueError("%s %r is not a %s" % (what, value, "boolean" if kind is bool else "number"))
+
+
 def _from_dict(cls, obj, where):
     """A ``cls`` dataclass from a config dict, its int, float and bool
-    fields converted; an unknown key is a ValueError that names it."""
+    fields checked by ``_field``; an unknown key is a ValueError that
+    names it."""
     types = {f.name: f.type for f in dataclasses.fields(cls)}
     _check_keys(obj, types, where)
-    return cls(**{
-        k: types[k](v) if types[k] in (int, float, bool) and v is not None else v
-        for k, v in obj.items()
-    })
+    return cls(**{k: _field(types[k], v, "%s: %s" % (where, k)) for k, v in obj.items()})
 
 
 def _scenario_from_dict(obj, where):
@@ -259,7 +271,7 @@ def _scenario_from_dict(obj, where):
     if obj.get("hypothesis_groups") is not None:
         obj["hypothesis_groups"] = tuple(tuple(g) for g in obj["hypothesis_groups"])
     if obj.get("sizes") is not None:
-        obj["sizes"] = tuple(int(s) for s in obj["sizes"])
+        obj["sizes"] = tuple(_integer(s, "%s: sizes" % where) for s in obj["sizes"])
     return _from_dict(ScenarioConfig, obj, where)
 
 
@@ -284,7 +296,7 @@ def load_study_json(path):
     ]
     if not scenarios:
         raise ValueError("%s: no scenarios found" % path)
-    return scenarios, seed
+    return scenarios, None if seed is None else _integer(seed, "%s: seed" % path)
 
 
 def _parse_shard(text):

@@ -45,12 +45,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .indexing import Partition
 from .kendall import KendallSample
 from .sblock import (
     Spectrum,
     _overlap_map,
-    partition_materialize,
+    partition_apply,
     partition_quotients,
     rank_mask,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "CovarianceEstimate",
     "PSDFactor",
     "jackknife_cov",
-    "structured_jackknife_exchangeable",
     "structured_jackknife_partition",
     "population_sigma_mc",
     "PopulationSigma",
@@ -148,7 +146,7 @@ class CovarianceEstimate:
     @cached_property
     def matrix(self):
         if self.quotients is not None:
-            M = partition_materialize(self.quotients)
+            M = partition_apply(self.quotients, np.eye(self.rows.shape[1]))
         else:
             M = (4.0 / self.n**2) * (self.rows.T @ self.rows)
         M.flags.writeable = False
@@ -205,34 +203,16 @@ def jackknife_cov(data):
     return _kept(sample, "dense", build)
 
 
-def structured_jackknife_exchangeable(data):
-    """Structured jackknife under full exchangeability: the estimate of
-    ``structured_jackknife_partition`` over one group, in O(n p).
-
-    Its three 1 x 1 quotients are the eigenvalues (delta_1, delta_2,
-    delta_3) of the class-averaged dense jackknife, and ``.s`` holds the
-    averages (s0, s1, s2) over the three overlap classes, solved from
-    them.  Requires d >= 4: below that some overlap class is empty.  A
-    sample's call returns the one-group estimate that its tests share.
-    """
-    sample = KendallSample.of(data)
-    d = sample.shape[1]
-    if d < 4:
-        raise ValueError(
-            "exchangeable structured jackknife needs d >= 4, got d=%d" % d
-        )
-    return structured_jackknife_partition(sample, Partition.exchangeable(d))
-
-
 def structured_jackknife_partition(data, partition):
     """Jackknife estimate averaged over the orbit classes of a partition.
 
     Returns the isotypic quotients of the average (``sblock``), computed
-    in O(n p) without the dense jackknife.  With a single group this is
-    the exchangeable estimator; with all-singleton groups every entry is
-    its own class and the dense estimate is reproduced.  ``data`` is an
-    (n, d) array or a KendallSample, as for ``jackknife_cov``; a sample
-    keeps one estimate per partition.
+    in O(n p) without the dense jackknife.  With a single group
+    (``Partition.exchangeable(d)``) this is the exchangeable estimator,
+    whose ``.s`` holds (s0, s1, s2) when d >= 4; with all-singleton
+    groups every entry is its own class and the dense estimate is
+    reproduced.  ``data`` is an (n, d) array or a KendallSample, as for
+    ``jackknife_cov``; a sample keeps one estimate per partition.
     """
     if np.shape(data)[0] < 3:
         raise ValueError("partition-structured jackknife needs n >= 3")

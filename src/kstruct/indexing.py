@@ -156,7 +156,7 @@ class DesignMatrix:
     ``kind`` records how the matrix was built ("membership",
     "diagonal-free", "vertex-incidence" or "general").  Every kind needs
     L < p: a design with as many columns as pairs leaves no constraint
-    to test and is refused.
+    to test and is refused, and so is a non-finite entry.
     """
 
     matrix: np.ndarray
@@ -168,6 +168,8 @@ class DesignMatrix:
             B = B.reshape(-1, 1)
         if B.ndim != 2:
             raise ValueError("design matrix must be 2-d")
+        if not np.isfinite(B).all():
+            raise ValueError("design matrix holds non-finite entries")
         p = B.shape[0]
         d = int(round((1 + math.isqrt(1 + 8 * p)) / 2))
         if pair_count(max(d, 2)) != p:

@@ -35,9 +35,9 @@ scans the data for tied columns.
 A KendallSample is one dataset ranked once: tau, the leave-one-out
 rows, the input digest and the tied columns.  It is the one way to rank
 data: ``run_test`` and the covariance estimators take it in place of
-the raw array, so every test of a dataset shares one O(n^2 p) pass, and
-``kendall_tau_vector`` is its ``tau``.  ``tau_and_leave_one_out`` is the
-bare kernel pass on the array a sample hands it.
+the raw array, so every test of a dataset shares one O(n^2 p) pass.
+``tau_and_leave_one_out`` is the bare kernel pass on the array a sample
+hands it.
 """
 
 import hashlib
@@ -52,7 +52,6 @@ from .indexing import _pairs0
 __all__ = [
     "KendallSample",
     "TieError",
-    "kendall_tau_vector",
     "tau_and_leave_one_out",
 ]
 
@@ -198,17 +197,6 @@ def _pair_row_sums(X):
     if failed:
         raise failed[0]
     return out
-
-
-def kendall_tau_vector(data):
-    """Sample Kendall correlations of all variable pairs, flat order.
-
-    Exact U-statistic: the mean of the concordance kernel over all
-    observation pairs; the ``tau`` of ``KendallSample(data)``, so it
-    raises TieError on tied values (jittered data is ranked by
-    ``KendallSample(data, "jitter", tie_seed)``).
-    """
-    return KendallSample(data).tau
 
 
 def tau_and_leave_one_out(X):

@@ -178,7 +178,7 @@ def check_design_conditions(design, sigma=None):
     the row-collinearity bound 1 + (c/a)^2 is reported (a, c the
     smallest/largest nonzero magnitudes); membership designs give 2.
     ``sigma``, if given, is a fully exchangeable estimate over the
-    design's d variables (its ``.s``) or an exchangeable covariance
+    design's d >= 4 variables (its ``.s``) or an exchangeable covariance
     triple (s0, s1, s2); anything else raises ValueError.  When it is
     given and the design is the all-ones column, the diagonal of the
     projected covariance (I - Gamma) Sigma (I - Gamma) is constant and
@@ -201,15 +201,22 @@ def check_design_conditions(design, sigma=None):
         mags = np.abs(B[nz])
         out["design_row_bound"] = 1.0 + (mags.max() / mags.min()) ** 2
     if sigma is not None:
-        s = sigma.s if isinstance(sigma, CovarianceEstimate) else np.asarray(sigma, dtype=float)
+        est = sigma if isinstance(sigma, CovarianceEstimate) else None
+        s = np.asarray(sigma, dtype=float) if est is None else est.s
+        part = None if est is None or est.quotients is None else est.quotients.partition
+        if s is None and part is not None and part.n_groups == 1:
+            raise ValueError(
+                "sigma is a fully exchangeable estimate over d=%d variables; its "
+                "(s0, s1, s2) need d >= 4" % part.d
+            )
         if s is None or s.shape != (3,):
             raise ValueError(
                 "sigma must be a fully exchangeable estimate or an (s0, s1, s2) triple"
             )
-        if isinstance(sigma, CovarianceEstimate) and sigma.quotients.partition.d != design.d:
+        if part is not None and part.d != design.d:
             raise ValueError(
                 "sigma is an estimate over d=%d variables, the design is over d=%d"
-                % (sigma.quotients.partition.d, design.d)
+                % (part.d, design.d)
             )
         is_ones = design.L == 1 and np.all(B == B[0, 0]) and B[0, 0] != 0.0
         if is_ones:

@@ -62,7 +62,6 @@ __all__ = [
     "partition_projected",
     "partition_pseudo_power",
     "partition_apply",
-    "partition_materialize",
 ]
 
 Spectrum = namedtuple("Spectrum", ["values", "multiplicities"])
@@ -478,8 +477,3 @@ def partition_apply(q, v, out=None, work=None):
     X.reshape(p, N)[...] *= q.remainder[lay.cls][:, None]
     Y += X  # the embedded part plus the remainder's: one addition per entry
     return Y.reshape(p, N).T.reshape(v.shape)
-
-
-def partition_materialize(q):
-    """Dense p x p form of a partition-invariant matrix."""
-    return partition_apply(q, np.eye(pair_count(q.partition.d)))

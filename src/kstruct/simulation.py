@@ -337,21 +337,17 @@ def _worker_count(workers):
     return max(1, int(workers))
 
 
-def _load_done(path, n_tests):
-    """(scenario, rep) pairs whose rows are all present in an earlier file."""
-    done = set()
+def _read_results(path):
+    """The (scenario, test, rep, p, reason) rows of a results file; none
+    before it exists."""
     if not os.path.exists(path):
-        return done
-    counts = {}
+        return []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            key = (int(row["scenario_index"]), int(row["rep"]))
-            counts[key] = counts.get(key, 0) + 1
-    for key, c in counts.items():
-        if c >= n_tests.get(key[0], 1):
-            done.add(key)
-    return done
+        return [
+            (int(row["scenario_index"]), int(row["test_index"]), int(row["rep"]),
+             float(row["p_value"]) if row["p_value"] != "" else None, row["discard_reason"])
+            for row in csv.DictReader(fh)
+        ]
 
 
 def _summarize(rows, scenarios):
@@ -492,7 +488,6 @@ def run_study(
         raise ValueError("no scenarios given")
     for sc in scenarios:
         sc.validate()
-    n_tests = {si: len(sc.tests) for si, sc in enumerate(scenarios)}
 
     results_path = None
     done = set()
@@ -510,7 +505,11 @@ def run_study(
                                       int(seed), labels)
                 )
         results_path = os.path.join(out_dir, _RESULTS_FILE)
-        done = _load_done(results_path, n_tests)
+        # a repetition is done when an earlier run wrote every test's row
+        counts = {}
+        for si, _, rep, _, _ in _read_results(results_path):
+            counts[si, rep] = counts.get((si, rep), 0) + 1
+        done = {key for key, c in counts.items() if c >= len(scenarios[key[0]].tests)}
         _write_manifest(
             out_dir,
             {
@@ -563,20 +562,10 @@ def run_study(
         if fh is not None:
             fh.close()
 
-    # fold in rows already on disk (earlier shards / resumed runs)
-    if results_path is not None and os.path.exists(results_path):
-        rows = []
-        with open(results_path, "r", encoding="utf-8", newline="") as rfh:
-            for row in csv.DictReader(rfh):
-                rows.append(
-                    (
-                        int(row["scenario_index"]),
-                        int(row["test_index"]),
-                        int(row["rep"]),
-                        float(row["p_value"]) if row["p_value"] != "" else None,
-                        row["discard_reason"],
-                    )
-                )
+    # fold in rows already on disk (earlier shards, resumed runs, and
+    # shards written beside this one)
+    if results_path is not None:
+        rows = _read_results(results_path)
 
     summary = _summarize(rows, scenarios)
 

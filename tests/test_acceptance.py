@@ -16,6 +16,7 @@ from dense_oracle import materialize, one_group
 from draws import bootstrap_draws, drawn
 from kstruct import (
     DesignMatrix,
+    KendallSample,
     Partition,
     ScenarioConfig,
     TestOptions,
@@ -23,12 +24,10 @@ from kstruct import (
     build_tau_matrix,
     diagonal_free_membership_matrix,
     jackknife_cov,
-    kendall_tau_vector,
     pseudoinverse_design,
     run_study,
     run_test,
     sample_gaussian_with_tau,
-    structured_jackknife_exchangeable,
     structured_jackknife_partition,
     vertex_incidence_design,
 )
@@ -170,7 +169,7 @@ def test_criterion_04_jackknife_equivalences():
         n = int(rng.integers(5, 31))
         X = rng.standard_normal((n, d))
         dense = jackknife_cov(X).matrix
-        est = structured_jackknife_exchangeable(X)
+        est = structured_jackknife_partition(X, Partition.exchangeable(d))
         p = pair_count(d)
         class_avg = np.empty(3)
         counts = np.zeros(3)
@@ -193,8 +192,7 @@ def test_criterion_04_jackknife_equivalences():
     assert np.abs(est_single.matrix - dense).max() < TOL
     whole = Partition.exchangeable(5)
     est_whole = structured_jackknife_partition(X, whole)
-    exch = structured_jackknife_exchangeable(X)
-    assert np.abs(est_whole.matrix - exch.dense()).max() < TOL
+    assert np.abs(est_whole.matrix - materialize(est_whole.s, 5)).max() < TOL
     print(
         "CRITERION 4 PASS: structured == class-averaged dense on 100 "
         "datasets (max err %.2e < %g); partition extremes reduce to dense "
@@ -400,5 +398,5 @@ def test_criterion_10_oracle_tau_exact():
         n = int(rng.integers(2, 13))
         d = int(rng.integers(2, 6))
         X = rng.standard_normal((n, d))
-        assert np.array_equal(kendall_tau_vector(X), _brute_tau(X))
+        assert np.array_equal(KendallSample(X).tau, _brute_tau(X))
     print("CRITERION 10 PASS: tau_hat equals brute force exactly on 500 instances")

@@ -4,11 +4,12 @@ subcommand runs through main()."""
 import csv
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
-from kstruct import DesignMatrix, KendallSample, jackknife_cov, kendall_tau_vector
+from kstruct import DesignMatrix, KendallSample, jackknife_cov
 from kstruct.indexing import _pairs0
 from kstruct.projection import gamma_projection
 from kstruct.cli import (
@@ -170,7 +171,7 @@ def test_cmd_test_output_files(tmp_path, capsys):
     assert tau_matrix.shape == (4, 4)
     assert np.allclose(tau_matrix, tau_matrix.T)
     assert np.all(np.diag(tau_matrix) == 1.0)
-    tau = kendall_tau_vector(X)
+    tau = KendallSample(X).tau
     off = ~np.eye(4, dtype=bool)
     # exchangeable fit: every off-diagonal fitted value is the grand mean
     assert np.allclose(theta_matrix[off], tau.mean(), atol=1e-12)
@@ -494,6 +495,34 @@ def test_load_study_json_refuses_unknown_keys(tmp_path, where, key):
     cfg = _config_with(tmp_path / "s.json", **{where: {key: 1}})
     with pytest.raises(ValueError, match="unknown key.*'%s'" % key):
         load_study_json(cfg)
+
+
+@pytest.mark.parametrize("where, key, value, message", [
+    ("scenario", "n", 30.9, "scenario 0: n 30.9 is not an integer"),
+    ("scenario", "repetitions", 2.5, "scenario 0: repetitions 2.5 is not an integer"),
+    ("scenario", "sizes", [2, 2.5], "scenario 0: sizes 2.5 is not an integer"),
+    ("scenario", "tau", "0.3", "scenario 0: tau '0.3' is not a number"),
+    ("scenario", "alpha", True, "scenario 0: alpha True is not a number"),
+    ("test", "replicates", 200.7, "test 0: replicates 200.7 is not an integer"),
+    ("test", "plus_one", "false", "test 0: plus_one 'false' is not a boolean"),
+    ("test", "plus_one", 1, "test 0: plus_one 1 is not a boolean"),
+    ("test", "tie_seed", True, "test 0: tie_seed True is not an integer"),
+    ("top", "seed", 7.5, "s.json: seed 7.5 is not an integer"),
+    ("top", "seed", "7", "s.json: seed '7' is not an integer"),
+])
+def test_load_study_json_refuses_what_it_would_change(tmp_path, where, key, value, message):
+    cfg = _config_with(tmp_path / "s.json", **{where: {key: value}})
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_study_json(cfg)
+
+
+def test_load_study_json_takes_whole_numbers_as_integers(tmp_path):
+    cfg = _config_with(tmp_path / "s.json", scenario={"n": 30.0, "tau": 0},
+                       test={"replicates": 200.0}, top={"seed": 99.0})
+    (scenario,), seed = load_study_json(cfg)
+    assert (scenario.n, scenario.tau, scenario.tests[0].replicates, seed) == (30, 0.0, 200, 99)
+    assert [type(v) for v in (scenario.n, scenario.tau, scenario.tests[0].replicates, seed)] == [
+        int, float, int, int]
 
 
 def test_load_study_json_refuses_a_test_seed(tmp_path):

@@ -11,11 +11,11 @@ from dense_oracle import (
 from kstruct.covariance import (
     jackknife_cov,
     population_sigma_mc,
-    structured_jackknife_exchangeable,
     structured_jackknife_partition,
 )
 from kstruct.indexing import Partition, block_membership_matrix, overlap_count, pair_count
-from kstruct.kendall import KendallSample, kendall_tau_vector
+from kstruct.kendall import KendallSample
+from kstruct.projection import check_design_conditions
 from kstruct.testing import TestOptions, run_test
 
 
@@ -23,7 +23,7 @@ def brute_jackknife(X):
     """Triple-checked reference: explicit kernel sums, no shared code path."""
     n, d = X.shape
     p = pair_count(d)
-    tau = kendall_tau_vector(X)
+    tau = KendallSample(X).tau
     loo = np.zeros((n, p))
     for i in range(n):
         for s in range(n):
@@ -88,21 +88,25 @@ def test_exchangeable_equals_class_averaged_dense():
             X = rng.standard_normal((n, d))
             dense = jackknife_cov(X).matrix
             want = class_average(dense, d)
-            got = structured_jackknife_exchangeable(X)
+            got = structured_jackknife_partition(X, Partition.exchangeable(d))
             assert got.kind == "partition"
             np.testing.assert_allclose(got.s, want, rtol=1e-12, atol=1e-15)
 
 
 def test_exchangeable_rejects_small_d():
+    # below d = 4 some overlap class is empty, so a one-group estimate
+    # has no (s0, s1, s2), and the diagnostics that read them say so
     X = np.random.default_rng(0).standard_normal((10, 3))
-    with pytest.raises(ValueError, match="d >= 4"):
-        structured_jackknife_exchangeable(X)
+    part = Partition.exchangeable(3)
+    est = structured_jackknife_partition(X, part)
+    with pytest.raises(ValueError, match=r"d=3 variables; its \(s0, s1, s2\) need d >= 4"):
+        check_design_conditions(block_membership_matrix(part), sigma=est)
 
 
 def test_exchangeable_dense_materialization():
     rng = np.random.default_rng(23)
     X = rng.standard_normal((15, 4))
-    est = structured_jackknife_exchangeable(X)
+    est = structured_jackknife_partition(X, Partition.exchangeable(4))
     dense = est.dense()
     pairs = all_pairs(4)
     for k in range(6):
@@ -115,9 +119,8 @@ def test_partition_single_group_matches_exchangeable():
     rng = np.random.default_rng(29)
     X = rng.standard_normal((14, 5))
     part = Partition.exchangeable(5)
-    dense = structured_jackknife_partition(X, part).matrix
-    s = structured_jackknife_exchangeable(X).s
-    np.testing.assert_allclose(dense, materialize(s, 5), rtol=1e-12, atol=1e-15)
+    est = structured_jackknife_partition(X, part)
+    np.testing.assert_allclose(est.matrix, materialize(est.s, 5), rtol=1e-12, atol=1e-15)
 
 
 def test_partition_all_singletons_is_identity_map():
@@ -254,10 +257,10 @@ def test_a_sample_keeps_its_estimates_and_they_stay_immutable():
     assert structured_jackknife_partition(sample, Partition(5, ((5, 4, 3, 2, 1),))) is shared
     assert jackknife_cov(sample) is jackknife_cov(sample)
     assert structured_jackknife_partition(X, part) is not structured_jackknife_partition(X, part)
-    # the exchangeable estimate is the shared one-group estimate, whose
-    # .s is derived once, read-only
-    assert structured_jackknife_exchangeable(sample) is shared
+    # the one-group estimate's .s is derived once, read-only, and only
+    # for d >= 4
     assert shared.s is shared.s
+    assert structured_jackknife_partition(X[:, :3], Partition.exchangeable(3)).s is None
     assert structured_jackknife_partition(sample, Partition(5, ((1, 2), (3, 4, 5)))).s is None
     assert jackknife_cov(sample).s is None
     # every array the sample's tests share is read-only

@@ -10,15 +10,20 @@ No public name exists only for tests: every name in a submodule's
 as a name imported from its module or as ``module.name``.  A name that
 the package exports may instead be read by a demo, which imports it
 from ``kstruct`` or from its module.
+
+The README's API section lists every name the package exports, one
+line each, and no other.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import kstruct
 
 SRC = Path(kstruct.__file__).resolve().parent
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def _imported(tree):
@@ -124,17 +129,23 @@ def _parse(path):
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
+def _exports(init_tree):
+    """name -> (module, name) for every name ``__init__.py`` imports."""
+    exports = {}
+    for node in ast.walk(init_tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            for alias in node.names:
+                exports[alias.asname or alias.name] = (node.module, alias.name)
+    return exports
+
+
 def unread_exports(src, demos=None):
     """``module.name`` for every public name that no source reads outside
     its own definition: each name in a submodule's ``__all__`` and each
     name ``__init__.py`` exports.  A read by a script in ``demos`` counts
     for an exported name only."""
     trees = {p.stem: _parse(p) for p in src.glob("*.py")}
-    exports = {}
-    for node in ast.walk(trees.pop("__init__")):
-        if isinstance(node, ast.ImportFrom) and node.level:
-            for alias in node.names:
-                exports[alias.asname or alias.name] = (node.module, alias.name)
+    exports = _exports(trees.pop("__init__"))
     reads = set()
     for mod, tree in trees.items():
         reads |= _reads(mod, tree, trees, exports)
@@ -188,3 +199,35 @@ def test_unread_export_check_flags_test_only_names(tmp_path):
         "a.attr_only", "a.demo_only", "a.hidden", "a.recursive", "a.shown"]
     assert unread_exports(src, demos) == [
         "a.attr_only", "a.demo_only", "a.hidden", "a.recursive"]
+
+
+def readme_api_drift(src, readme):
+    """(exported names the README's API section does not list, names it
+    lists that are not exported).  The section runs from "## API" to the
+    next heading; each of its "- `name`" lines lists one name."""
+    text = readme.read_text(encoding="utf-8")
+    section = text[text.index("\n## API\n"):]
+    section = section[:section.index("\n## ", 1)]
+    listed = re.findall(r"^- `(\w+)", section, re.MULTILINE)
+    exported = set(_exports(_parse(src / "__init__.py")))
+    assert len(set(listed)) == len(listed), "a name is listed twice"
+    return sorted(exported - set(listed)), sorted(set(listed) - exported)
+
+
+def test_readme_api_lists_every_export():
+    assert readme_api_drift(SRC, README) == ([], [])
+
+
+def test_readme_api_check_flags_a_missing_and_a_stale_name(tmp_path):
+    (tmp_path / "__init__.py").write_text(
+        "from ._version import __version__\nfrom .a import kept, dropped\n",
+        encoding="utf-8",
+    )
+    readme = tmp_path / "README.md"
+    readme.write_text(
+        "# pkg\n\n## API\n\nSee [MIGRATION.md](MIGRATION.md) for `dropped`.\n\n"
+        "- `kept(x)`: kept.\n- `gone`: deleted.\n- `__version__`: version.\n\n"
+        "## Next\n\n- `dropped`: outside the section.\n",
+        encoding="utf-8",
+    )
+    assert readme_api_drift(tmp_path, readme) == (["dropped"], ["gone"])

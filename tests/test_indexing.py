@@ -384,3 +384,14 @@ def test_design_csv_loader(tmp_path):
     B = load_design_csv(path)
     assert B.matrix.shape == (6, 2)
     assert B.kind == "general"
+
+
+def test_design_csv_with_a_non_finite_entry_is_refused(tmp_path):
+    # such a design would reach run_test, whose SVD does not converge
+    for bad in (np.nan, np.inf):
+        B = np.ones((6, 2))
+        B[3, 1] = bad
+        path = tmp_path / "design.csv"
+        np.savetxt(path, B, delimiter=",")
+        with pytest.raises(ValueError, match="non-finite"):
+            load_design_csv(path)

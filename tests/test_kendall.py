@@ -12,12 +12,7 @@ from scipy import stats
 import kstruct.kendall as kd
 from dense_oracle import all_pairs, kendall_kernel
 from kstruct.indexing import pair_count
-from kstruct.kendall import (
-    KendallSample,
-    TieError,
-    kendall_tau_vector,
-    tau_and_leave_one_out,
-)
+from kstruct.kendall import KendallSample, TieError, tau_and_leave_one_out
 
 
 def brute_force_tau(X):
@@ -55,7 +50,7 @@ def test_kernel_tie_error_names_coordinate():
 def test_tau_matches_scipy_per_pair():
     rng = np.random.default_rng(42)
     X = rng.normal(size=(40, 5))
-    tau = kendall_tau_vector(X)
+    tau = KendallSample(X).tau
     pairs = all_pairs(5)
     for k, (i, j) in enumerate(pairs):
         ref = stats.kendalltau(X[:, i - 1], X[:, j - 1]).statistic
@@ -68,15 +63,15 @@ def test_tau_matches_brute_force_exactly():
         n = int(rng.integers(3, 12))
         d = int(rng.integers(2, 6))
         X = rng.normal(size=(n, d))
-        assert np.array_equal(kendall_tau_vector(X), brute_force_tau(X))
+        assert np.array_equal(KendallSample(X).tau, brute_force_tau(X))
 
 
 def test_blocked_path_equals_single_block(monkeypatch):
     rng = np.random.default_rng(11)
     X = rng.normal(size=(23, 4))
-    expect = kendall_tau_vector(X)
+    expect = KendallSample(X).tau
     monkeypatch.setattr(kd, "_BLOCK_BUDGET", 1.0)  # force 1-row blocks
-    assert np.array_equal(kendall_tau_vector(X), expect)
+    assert np.array_equal(KendallSample(X).tau, expect)
 
 
 def brute_force_row_sums(X):
@@ -240,7 +235,6 @@ def test_leave_one_out_row_mean_is_tau():
     tau, loo = sample.tau, sample.loo
     assert loo.shape == (30, pair_count(4))
     assert np.allclose(loo.mean(axis=0), tau, rtol=0, atol=5e-15)
-    assert np.array_equal(kendall_tau_vector(X), tau)
     # the bare kernel pass on the validated array gives the sample's rows
     tau2, loo2 = tau_and_leave_one_out(X)
     assert np.array_equal(tau2, tau)
@@ -266,19 +260,19 @@ def test_tau_invariant_under_monotone_transforms(seed):
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(12, 3))
     Y = np.column_stack([np.exp(X[:, 0]), X[:, 1] ** 3, 2.0 * X[:, 2] - 7.0])
-    assert np.array_equal(kendall_tau_vector(X), kendall_tau_vector(Y))
+    assert np.array_equal(KendallSample(X).tau, KendallSample(Y).tau)
 
 
 def test_comonotone_columns_give_tau_one():
     t = np.linspace(0.0, 1.0, 15)
     X = np.column_stack([t, np.exp(t), t**3 + t])
-    assert np.array_equal(kendall_tau_vector(X), np.ones(3))
+    assert np.array_equal(KendallSample(X).tau, np.ones(3))
 
 
 def test_tie_error_and_jitter():
     X = np.array([[1.0, 2.0], [1.0, 3.0], [2.0, 4.0]])
     with pytest.raises(TieError, match=r"column\(s\) \[1\]"):
-        kendall_tau_vector(X)
+        KendallSample(X)
     t1 = KendallSample(X, "jitter", 123).tau
     t2 = KendallSample(X, "jitter", 123).tau
     assert np.array_equal(t1, t2)
@@ -317,7 +311,7 @@ def test_tied_columns_match_per_column_unique(X):
         with pytest.raises(TieError, match=re.escape("column(s) %s;" % tied)):
             KendallSample(X)
     else:
-        assert np.array_equal(KendallSample(X).tau, kendall_tau_vector(X))
+        assert np.array_equal(KendallSample(X).tau, tau_and_leave_one_out(X)[0])
     jittered = KendallSample(X, "jitter", 5)
     assert jittered.tied == tied
     J = kd._jitter_columns(X, tied, 5) if tied else X
@@ -326,9 +320,9 @@ def test_tied_columns_match_per_column_unique(X):
 
 def test_data_validation():
     with pytest.raises(ValueError):
-        kendall_tau_vector(np.ones((1, 3)))
+        KendallSample(np.ones((1, 3)))
     with pytest.raises(ValueError):
-        kendall_tau_vector(np.ones(5))
+        KendallSample(np.ones(5))
     with pytest.raises(ValueError):
-        kendall_tau_vector(np.array([[1.0, np.nan], [2.0, 3.0]]))
+        KendallSample(np.array([[1.0, np.nan], [2.0, 3.0]]))
 

@@ -26,7 +26,7 @@ from kstruct.covariance import (
 )
 from kstruct.indexing import Partition, _pairs0, pair_count
 from kstruct.sblock import (
-    partition_materialize,
+    partition_apply,
     partition_pseudo_power,
     rank_mask,
 )
@@ -175,7 +175,7 @@ def test_partition_algebra_matches_dense_oracle(part, n, seed):
     for exponent in (-1.0, -0.5):
         err = np.abs(q.apply(r, exponent) - dense_whiten(avg, r, exponent)).max()
         assert err <= 2 * lam_min ** (exponent - 1) * E * np.linalg.norm(r), exponent
-    root = partition_materialize(partition_pseudo_power(q, 0.5))
+    root = partition_apply(partition_pseudo_power(q, 0.5), np.eye(p))
     assert np.abs(root - dense_power(avg, 0.5)).max() <= 2 * lam_min**-0.5 * E
 
     # null spectrum: the trivial component (the span of the class

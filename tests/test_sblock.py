@@ -10,7 +10,6 @@ from kstruct.sblock import (
     gamma_apply,
     gamma_star_apply,
     partition_apply,
-    partition_materialize,
     partition_pseudo_power,
     partition_quotients,
 )
@@ -34,7 +33,7 @@ def dense_power(S, a, rtol=1e-12):
 
 def inverse_matrix(s, d):
     """Dense inverse of S(s), taken on its one-group quotients."""
-    return partition_materialize(partition_pseudo_power(one_group(s, d), -1.0))
+    return partition_apply(partition_pseudo_power(one_group(s, d), -1.0), np.eye(pair_count(d)))
 
 
 def test_materialize_frozen_d4():

@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 
 from kstruct import (
+    KendallSample,
     NotPositiveDefinite,
     ScenarioConfig,
     TestOptions,
     block_membership_matrix,
     build_tau_matrix,
-    kendall_tau_vector,
     run_study,
     run_test,
     sample_gaussian_with_tau,
@@ -154,7 +154,7 @@ def test_sampler_moments_one_factor():
 def test_sampler_kendall_consistency_equicorrelated():
     T = build_tau_matrix(ScenarioConfig(n=10, d=4, tau=0.6))
     X = sample_gaussian_with_tau(T, 5000, np.random.default_rng(11))
-    tau_hat = kendall_tau_vector(X)
+    tau_hat = KendallSample(X).tau
     assert abs(tau_hat.mean() - 0.6) < 0.02
 
 
@@ -162,7 +162,7 @@ def test_sampler_kendall_consistency_block():
     cfg = ScenarioConfig(n=10, d=6, structure="block", sizes=(2, 2, 2))
     T = build_tau_matrix(cfg)
     X = sample_gaussian_with_tau(T, 4000, np.random.default_rng(3))
-    tau_hat = kendall_tau_vector(X)
+    tau_hat = KendallSample(X).tau
     # compare class means; pairs are column-stacked (i < j, j fastest-growing)
     pairs = [(i, j) for j in range(1, 6) for i in range(j)]
     got = {0.40: [], 0.25: [], 0.10: []}
@@ -175,7 +175,7 @@ def test_sampler_kendall_consistency_block():
 def test_sampler_independence_under_null():
     T = build_tau_matrix(ScenarioConfig(n=10, d=4, tau=0.0))
     X = sample_gaussian_with_tau(T, 2000, np.random.default_rng(5))
-    tau_hat = kendall_tau_vector(X)
+    tau_hat = KendallSample(X).tau
     se = np.sqrt(2.0 * (2 * 2000 + 5) / (9.0 * 2000 * 1999))
     assert np.abs(tau_hat).max() < 4 * se
 

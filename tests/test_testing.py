@@ -1145,9 +1145,7 @@ def test_run_test_exchangeable_fast_spectrum_matches_dense():
     )
     rep = run_test(X, Partition.exchangeable(5), opts)
     # reconstruct the spectrum densely and compare as multisets
-    from kstruct.covariance import structured_jackknife_exchangeable
-
-    est = structured_jackknife_exchangeable(X)
+    est = kc.structured_jackknife_partition(X, Partition.exchangeable(5))
     P = np.eye(p) - np.full((p, p), 1.0 / p)
     dense = dense_spectrum(n * (P @ materialize(est.s, 5) @ P))
     got = sorted(rep.eigenvalues, reverse=True)
