@@ -62,33 +62,34 @@ print()
 
 # --- the same test through the CLI ------------------------------------------
 
-workdir = tempfile.mkdtemp(prefix="kstruct-demo-")
-data_file = os.path.join(workdir, "data.csv")
-part_file = os.path.join(workdir, "partition.json")
-report_file = os.path.join(workdir, "report.json")
+# the directory and its files are removed when the demo ends
+with tempfile.TemporaryDirectory(prefix="kstruct-demo-") as workdir:
+    data_file = os.path.join(workdir, "data.csv")
+    part_file = os.path.join(workdir, "partition.json")
+    report_file = os.path.join(workdir, "report.json")
 
-np.savetxt(data_file, X, delimiter=",", fmt="%.17g")
-with open(part_file, "w") as fh:
-    json.dump({"d": 6, "groups": [list(g) for g in part.groups]}, fh)
+    np.savetxt(data_file, X, delimiter=",", fmt="%.17g")
+    with open(part_file, "w") as fh:
+        json.dump({"d": 6, "groups": [list(g) for g in part.groups]}, fh)
 
-code = main(
-    [
-        "test",
-        "--data", data_file,
-        "--hypothesis", "partition",
-        "--hypothesis-file", part_file,
-        "--statistic", "euclidean",
-        "--weighting", "sigma",
-        "--estimator", "structured",
-        "--seed", "99",
-        "--out", report_file,
-    ]
-)
-print("CLI exit code:", code)
-with open(report_file) as fh:
-    report = json.load(fh)
-print("p-value from the JSON report: %.3f" % report["p_value"])
-print("fitted matrix written next to it:", os.path.basename(report_file).replace(
-    ".json", "_theta.csv"))
-print()
-print("files for this demo live in", workdir)
+    code = main(
+        [
+            "test",
+            "--data", data_file,
+            "--hypothesis", "partition",
+            "--hypothesis-file", part_file,
+            "--statistic", "euclidean",
+            "--weighting", "sigma",
+            "--estimator", "structured",
+            "--seed", "99",
+            "--out", report_file,
+        ]
+    )
+    print("CLI exit code:", code)
+    with open(report_file) as fh:
+        report = json.load(fh)
+    print("p-value from the JSON report: %.3f" % report["p_value"])
+    print("fitted matrix written next to it:", os.path.basename(report_file).replace(
+        ".json", "_theta.csv"))
+    print()
+    print("files for this demo live in", workdir)

@@ -26,7 +26,9 @@ consumer (weighted projection, whitening, null draws) works from that
 factor.
 
 An estimate holds D and any quotients, and derives every other form
-from them.  It is a value of its sample: the first estimate of a
+from them.  D is the sample's own read-only ``rows``, the one copy the
+kernel pass made, which every estimate of the sample holds and none
+copies.  An estimate is a value of its sample: the first estimate of a
 KendallSample (dense, or structured under a given Partition) is kept on
 the sample while it lives, and every later test or estimate of that
 sample shares it, with what the estimate builds on first use (the
@@ -189,18 +191,13 @@ def jackknife_cov(data):
 
     ``data`` is an (n, d) array, ranked with ties="error", or a
     KendallSample, which is how jittered data comes in; a sample keeps
-    its estimate, so every call on it returns the same one.
+    its estimate, so every call on it returns the same one.  Its rows
+    are the sample's ``rows``, not a copy of them.
     """
     if np.shape(data)[0] < 3:
         raise ValueError("dense jackknife needs n >= 3")
     sample = KendallSample.of(data)
-
-    def build():
-        D = sample.loo - sample.tau
-        D.flags.writeable = False  # the structured estimates share it too
-        return CovarianceEstimate(D)
-
-    return _kept(sample, "dense", build)
+    return _kept(sample, "dense", lambda: CovarianceEstimate(sample.rows))
 
 
 def structured_jackknife_partition(data, partition):
@@ -224,7 +221,7 @@ def structured_jackknife_partition(data, partition):
         )
 
     def build():
-        D = jackknife_cov(sample).rows  # averaged over the orbits
+        D = sample.rows  # averaged over the orbits
         return CovarianceEstimate(D, partition_quotients(D, partition, 4.0 / n**2))
 
     return _kept(sample, partition, build)

@@ -18,13 +18,13 @@ product per block of rows.  The signs and their products are held in
 float32: every partial sum a BLAS product forms, in any order and with
 or without fused multiply-adds, is an integer of magnitude at most
 n - 1, which float32 represents exactly while n - 1 <= 2**24 (a larger
-n is refused).  The row sums are therefore exact integers until the
-final division, and brute-force comparisons can demand bitwise
-equality.  When the pass spans two or more blocks of rows and the
-process may use a second CPU (``_second_cpu``, the rule the Monte Carlo
-draws of ``testing`` follow too), a helper thread takes half of the
-blocks; NumPy releases the interpreter lock in the comparisons and the
-products, and the sums are the same.
+n is refused).  The row sums are therefore exact integers, written as
+float64, until the final division, and brute-force comparisons can
+demand bitwise equality.  When the pass spans two or more blocks of
+rows and the process may use a second CPU (``_second_cpu``, the rule
+the Monte Carlo draws of ``testing`` follow too), a helper thread takes
+half of the blocks; NumPy releases the interpreter lock in the
+comparisons and the products, and the sums are the same.
 
 Tied values make the kernel 0 and break the +/-1 contract; by default
 that is a hard error.  An opt-in, seeded jitter of relative size 1e-9
@@ -32,12 +32,15 @@ per column is available for data with incidental ties.  The pass finds
 a tie itself, from the diagonal of the Gram products, so only jittering
 scans the data for tied columns.
 
-A KendallSample is one dataset ranked once: tau, the leave-one-out
-rows, the input digest and the tied columns.  It is the one way to rank
-data: ``run_test`` and the covariance estimators take it in place of
-the raw array, so every test of a dataset shares one O(n^2 p) pass.
+A KendallSample is one dataset ranked once: tau, the centred
+leave-one-out rows D (row i is tau_hat^{(i)} - tau_hat), the input
+digest and the tied columns.  It is the one way to rank data:
+``run_test`` and the covariance estimators take it in place of the raw
+array, so every test of a dataset shares one O(n^2 p) pass.
 ``tau_and_leave_one_out`` is the bare kernel pass on the array a sample
-hands it.
+hands it.  The pass writes its row sums into one n x p float64 array
+and turns them into D in place, which the sample then holds read-only:
+it is the one copy of D that the estimates of the sample share.
 """
 
 import hashlib
@@ -47,7 +50,7 @@ import threading
 
 import numpy as np
 
-from .indexing import _pairs0
+from .indexing import _integer, _pairs0
 
 __all__ = [
     "KendallSample",
@@ -56,7 +59,8 @@ __all__ = [
 ]
 
 # soft cap, in bytes, on the working buffers of a pass's blocks of rows,
-# shared by the two threads when a helper runs.  Kept small: larger
+# shared by the two threads when a helper runs; ``sblock`` sizes its
+# chunks of leave-one-out rows by it too.  Kept small: larger
 # blocks are no faster, and freeing buffers of tens of MB raised the
 # later peak RSS of a run_test (glibc then serves allocations of that
 # size from its heap instead of returning them to the system)
@@ -124,7 +128,8 @@ def _second_cpu():
 
 
 def _pair_row_sums(X):
-    """Row sums sum_{s != r} h(X_r, X_s) as an (n, p) integer array.
+    """Row sums sum_{s != r} h(X_r, X_s) as an (n, p) float64 array of
+    integers, each of magnitude at most n - 1.
 
     Row r holds the upper-triangle entries of S_r' S_r, from one batched
     float32 matmul per block of rows; the block buffers are allocated
@@ -147,7 +152,7 @@ def _pair_row_sums(X):
     ii0, jj0 = _pairs0(d)
     p = len(ii0)
     flat = ii0 * d + jj0
-    out = np.empty((n, p), dtype=np.int64)
+    out = np.empty((n, p))
     # per row of a block: float32 signs and their bool half (n x d), the
     # float32 Gram matrix (d x d) and its gathered pairs (p)
     row_bytes = 5 * n * d + 4 * (d * d + p)
@@ -200,12 +205,22 @@ def _pair_row_sums(X):
 
 
 def tau_and_leave_one_out(X):
-    """(tau_hat, leave-one-out matrix) of a validated float64 array X
-    with no ties left, from one kernel pass; ``KendallSample`` hands it
-    the array it ranks."""
+    """(tau_hat, D) of a validated float64 array X with no ties left,
+    from one kernel pass: D is the n x p centred leave-one-out matrix,
+    row i tau_hat^{(i)} - tau_hat.  ``KendallSample`` hands it the array
+    it ranks.
+
+    tau_hat comes from the column sums of the integer row sums, which
+    float64 adds exactly: every partial sum is at most n (n - 1) < 2**49
+    in magnitude.  The row sums are then divided by n - 1 and centred in
+    their own buffer, so D is the only n x p array the pass makes.
+    """
     n = X.shape[0]
-    sums = _pair_row_sums(X)
-    return sums.sum(axis=0) / float(n * (n - 1)), sums / float(n - 1)
+    D = _pair_row_sums(X)
+    tau = D.sum(axis=0) / float(n * (n - 1))
+    D /= float(n - 1)
+    D -= tau
+    return tau, D
 
 
 class KendallSample:
@@ -213,10 +228,13 @@ class KendallSample:
 
     Built from ``(data, ties, tie_seed)``, everything taken when it is
     built; holds the ``shape`` (n, d) of the validated data, tau_hat
-    ``tau`` and the (n, p) leave-one-out matrix ``loo`` from one kernel
-    pass, the ``digest`` of the raw array that reports echo, the 1-based
+    ``tau`` and the read-only (n, p) centred leave-one-out matrix
+    ``rows`` (D, row i tau_hat^{(i)} - tau_hat) from one kernel pass,
+    which every estimate of the sample shares without a copy, the
+    ``digest`` of the raw array that reports echo, the 1-based
     ``tied`` columns that were jittered (none with ties="error", which
-    raises TieError here instead), and its ``ties`` and ``tie_seed``.
+    raises TieError here instead), and its ``ties`` and ``tie_seed``
+    (an integer: 3.0 is read as 3, and 0.5 raises ValueError).
     """
 
     def __init__(self, data, ties="error", tie_seed=0):
@@ -224,16 +242,17 @@ class KendallSample:
         self.shape = X.shape
         self.digest = hashlib.sha256(np.ascontiguousarray(X).tobytes()).hexdigest()[:16]
         self.ties = ties
-        self.tie_seed = tie_seed
+        self.tie_seed = _integer(tie_seed, "tie_seed")
         # with ties="error" nothing is scanned: the pass raises on a tie
         self.tied = []
         if ties == "jitter":
             self.tied = _tied_columns(X)
             if self.tied:
-                X = _jitter_columns(X, self.tied, tie_seed)
+                X = _jitter_columns(X, self.tied, self.tie_seed)
         elif ties != "error":
             raise ValueError("ties must be 'error' or 'jitter', got %r" % (ties,))
-        self.tau, self.loo = tau_and_leave_one_out(X)
+        self.tau, self.rows = tau_and_leave_one_out(X)
+        self.rows.flags.writeable = False  # every estimate of the sample shares it
 
     @classmethod
     def of(cls, data, ties=None, tie_seed=None):

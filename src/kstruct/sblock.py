@@ -48,6 +48,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import _sparsetools
 
+from . import kendall
 from .indexing import _incidence, _pair_classes, _pairs0, pair_count
 
 __all__ = [
@@ -332,18 +333,46 @@ def _partition_layout(partition):
     )
 
 
+def _row_chunk(entries):
+    """Rows of D per chunk of ``_aggregate``, ``entries`` float64
+    entries of work each: as many as ``kendall._BLOCK_BUDGET`` holds,
+    and at least one."""
+    return max(1, int(kendall._BLOCK_BUDGET // (8 * entries)))
+
+
+def _aggregate(S, D):
+    """S D^T for a CSR matrix S and rows D, an (n, S columns) array
+    read in place: each chunk of ``_row_chunk`` rows is copied
+    pair-major into one work array and aggregated by
+    ``_sparse_product``, which sums every entry on its own, so the
+    result equals SciPy's ``S @ D.T`` bit for bit without its transposed
+    copy of the whole of D."""
+    (J, p), n = S.shape, D.shape[0]
+    A = np.empty((J, n))
+    step = min(n, _row_chunk(p + J))
+    work = np.empty((p + J) * step)
+    for lo in range(0, n, step):
+        k = min(step, n - lo)
+        X, Y = work[:p * k], work[p * k:(p + J) * k]
+        np.copyto(X.reshape(p, k), D[lo:lo + k].T)
+        Y.fill(0.0)
+        _sparse_product(S, X, Y)
+        A[:, lo:lo + k] = Y.reshape(J, k)
+    return A
+
+
 def partition_quotients(D, partition, scale):
     """Quotients of scale * D^T D averaged over the partition's orbits.
 
     ``D`` is (n, p); the result is the orbit average of the dense
-    scale * D^T D without forming it, in O(n p).  Entries are
-    Q[c, c'] = scale * sum_i <J_c^T D_i, J_c'^T D_i> / dim for the
-    isometric copy embeddings J_c; each remainder is the class's energy
-    left after its trivial and standard parts.
+    scale * D^T D without forming it, in O(n p), and without copying D.
+    Entries are Q[c, c'] = scale * sum_i <J_c^T D_i, J_c'^T D_i> / dim
+    for the isometric copy embeddings J_c; each remainder is the class's
+    energy left after its trivial and standard parts.
     """
     lay = _partition_layout(partition)
     D = np.asarray(D, dtype=float)
-    A = lay.agg_t @ D.T
+    A = _aggregate(lay.agg_t, D)
     t = A[A.shape[0] - lay.L:]
     trivial = scale * (t @ t.T)
     standard, energies = [], [trivial.diagonal()]

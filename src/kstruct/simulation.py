@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._version import __version__
-from .indexing import Partition, _membership_design
+from .indexing import Partition, _integer, _membership_design
 from .kendall import KendallSample, TieError
 from .projection import RankDeficient
 from .sblock import SingularError
@@ -480,7 +480,9 @@ def run_study(
     count.  Each worker draws its Monte Carlo normals inline.  An
     ``out_dir`` whose manifest records another seed or other scenarios
     is refused with ValueError, so the rows of two studies never mix.
+    ``seed`` is read as an integer: 7.0 is 7, and 7.9 is refused.
     """
+    seed = _integer(seed, "seed")
     if isinstance(scenarios, ScenarioConfig):
         scenarios = [scenarios]
     scenarios = list(scenarios)
@@ -498,11 +500,11 @@ def run_study(
         if os.path.exists(manifest):  # rows already there would count as this study's
             with open(manifest, "r", encoding="utf-8") as fh:
                 earlier = json.load(fh)
-            if (earlier.get("seed"), earlier.get("scenarios")) != (int(seed), labels):
+            if (earlier.get("seed"), earlier.get("scenarios")) != (seed, labels):
                 raise ValueError(
                     "%s holds the study of seed %r, scenarios %r; this run has seed %r, "
                     "scenarios %r" % (out_dir, earlier.get("seed"), earlier.get("scenarios"),
-                                      int(seed), labels)
+                                      seed, labels)
                 )
         results_path = os.path.join(out_dir, _RESULTS_FILE)
         # a repetition is done when an earlier run wrote every test's row
@@ -514,7 +516,7 @@ def run_study(
             out_dir,
             {
                 "status": "running",
-                "seed": int(seed),
+                "seed": seed,
                 "shard": list(shard) if shard else None,
                 "version": __version__,
                 "scenarios": labels,
@@ -528,7 +530,7 @@ def run_study(
             lo, hi = max(0, int(shard[0])), min(sc.repetitions, int(shard[1]))
         for rep in range(lo, hi):
             if (si, rep) not in done:
-                tasks.append((si, rep, int(seed)))
+                tasks.append((si, rep, seed))
 
     started = time.time()
     rows = []
@@ -580,7 +582,7 @@ def run_study(
             out_dir,
             {
                 "status": "complete",
-                "seed": int(seed),
+                "seed": seed,
                 "shard": list(shard) if shard else None,
                 "version": __version__,
                 "scenarios": labels,

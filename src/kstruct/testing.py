@@ -68,7 +68,7 @@ from scipy import special
 
 from ._version import __version__
 from .covariance import PSDFactor, _kept, jackknife_cov, structured_jackknife_partition
-from .indexing import DesignMatrix, Partition, _membership_design
+from .indexing import DesignMatrix, Partition, _integer, _membership_design
 from .kendall import KendallSample, _second_cpu
 from .projection import ProjectionOperator, _normal_norm, gamma_projection
 from .sblock import SingularError, partition_projected, rank_mask
@@ -135,10 +135,13 @@ class TestOptions:
     seed: required; every report echoes it.
     plus_one: use the conservative (1+hits)/(1+N) Monte Carlo p-value;
         refused on euclidean/sigma, whose p-value is a chi-square tail.
-    ties: "error" or "jitter".
+    ties: "error" or "jitter"; tie_seed seeds the jitter.
     null_draws: "auto", "gaussian", or "bootstrap" -- how Monte Carlo
         null replicates are produced when more than one scheme applies;
         ``_ROUTES`` lists the combinations accepted.
+
+    replicates, seed and tie_seed are integers: a whole float such as
+    200.0 is read as one, and any other value is refused.
     """
 
     statistic: str = "euclidean"
@@ -161,10 +164,13 @@ class TestOptions:
             raise ValueError("weighting must be 'identity' or 'sigma'")
         if self.estimator not in ("jackknife", "structured"):
             raise ValueError("estimator must be 'jackknife' or 'structured'")
-        if int(self.replicates) < 100:
+        # integers are read, never truncated: 200.0 is 200, 200.7 is refused
+        if _integer(self.replicates, "replicates") < 100:
             raise ValueError("replicates must be at least 100")
         if self.seed is None:
             raise ValueError("a seed is required so reports are reproducible")
+        _integer(self.seed, "seed")
+        _integer(self.tie_seed, "tie_seed")
         if self.ties not in ("error", "jitter"):
             raise ValueError("ties must be 'error' or 'jitter'")
         if self.null_draws not in ("auto", "gaussian", "bootstrap"):
@@ -612,7 +618,7 @@ def _run_test(data, hypothesis, opts):
     A test runs in four stages: rank, fit, statistic and null law."""
     method = opts.validate()
     sampler = _ROUTES[opts.estimator, opts.statistic, opts.weighting, opts.null_draws][1]
-    rng = np.random.default_rng(opts.seed)
+    rng = np.random.default_rng(int(opts.seed))
     msgs = []
 
     sample = KendallSample.of(data, opts.ties, opts.tie_seed)

@@ -155,11 +155,10 @@ def dense_design_report(X, design, opts):
     opts.validate()
     rng = np.random.default_rng(opts.seed)
     sample = KendallSample(X)
-    tau, loo = sample.tau, sample.loo
+    tau, D = sample.tau, sample.rows
     n = X.shape[0]
     p = tau.shape[0]
     B = design.matrix
-    D = loo - tau
     sigma = (4.0 / n**2) * (D.T @ D)
     R = pseudoinverse_design(design)  # Gamma = B R
     msgs = []

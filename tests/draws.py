@@ -9,7 +9,10 @@ form (``_null_gaussian_blocks``), whitened-residual draws
 
 ``sparse_product_apply`` is ``sblock.partition_apply`` as written before
 it took buffers, with a fresh array for every intermediate: the
-reference that the buffered row path must equal bit for bit.
+reference that the buffered row path must equal bit for bit.  Likewise
+``sparse_product_aggregate`` is the aggregation of
+``sblock.partition_quotients`` as written before it read its rows in
+chunks.
 """
 
 import numpy as np
@@ -31,7 +34,7 @@ def bootstrap_draws(data, design, N, rng):
     array or a KendallSample): the centred leave-one-out rows, projected
     off col(design) unless ``design`` is None."""
     sample = KendallSample.of(data)
-    D = sample.loo - sample.tau
+    D = sample.rows
     if design is not None:
         D = D - gamma_projection(design).apply(D)
     return drawn(kt._bootstrap_blocks(D, int(N), rng))
@@ -49,3 +52,9 @@ def sparse_product_apply(q, v):
     out = q.remainder[lay.cls] * V
     out += (lay.agg @ A).T
     return out.reshape(v.shape)
+
+
+def sparse_product_aggregate(S, D):
+    """S D^T for a CSR matrix S and (n, S columns) rows D, through
+    SciPy's sparse product, which copies D^T whole."""
+    return S @ np.asarray(D, dtype=float).T

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from kstruct.covariance import (
     structured_jackknife_partition,
 )
 from kstruct.indexing import Partition, block_membership_matrix, overlap_count, pair_count
+import kstruct.sblock as ks
 from kstruct.kendall import KendallSample
 from kstruct.projection import check_design_conditions
 from kstruct.testing import TestOptions, run_test
@@ -76,8 +79,33 @@ def test_jackknife_accepts_sample():
     rng = np.random.default_rng(3)
     X = rng.standard_normal((12, 4))
     a = jackknife_cov(X).matrix
-    b = jackknife_cov(KendallSample(X)).matrix
+    sample = KendallSample(X)
+    b = jackknife_cov(sample).matrix
     np.testing.assert_array_equal(a, b)
+    # the estimate holds the sample's rows, not a copy
+    assert jackknife_cov(sample).rows is sample.rows
+
+
+@pytest.mark.parametrize("groups", [1, 3])
+def test_partition_estimate_adds_a_chunk_of_work_beyond_the_rows(groups):
+    # the quotients aggregate D a chunk of rows at a time: beyond the
+    # sample's rows an estimate needs the chunk's work array and the
+    # coordinates, not a copy of D (here 18 MB)
+    n, d = 200, 150
+    sample = KendallSample(np.random.default_rng(groups).standard_normal((n, d)))
+    part = Partition(d, [range(g * d // groups + 1, (g + 1) * d // groups + 1)
+                         for g in range(groups)])
+    J, p = ks._partition_layout(part).agg_t.shape
+    work_bytes = 8 * (p + J) * min(n, ks._row_chunk(p + J))
+    tracemalloc.start()
+    try:
+        est = structured_jackknife_partition(sample, part)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.rows is sample.rows
+    assert peak <= work_bytes + 8 * J * n + 2**16
+    assert work_bytes + 8 * J * n + 2**16 < sample.rows.nbytes / 3
 
 
 def test_exchangeable_equals_class_averaged_dense():

@@ -218,40 +218,44 @@ def test_second_cpu_needs_two_cpus_outside_a_pool_worker(monkeypatch):
 def test_kernel_memory_stays_within_budget(n, d):
     X = np.random.default_rng(n).normal(size=(n, d))
     out_bytes = n * pair_count(d) * 8
-    tracemalloc.start()
-    try:
-        kd._pair_row_sums(X)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # the block buffers fit the budget; 10 % covers the small temporaries
-    assert peak <= 1.1 * kd._BLOCK_BUDGET + out_bytes
+    # a sample makes its centred rows in the row sums' own buffer, so it
+    # holds one n x p array too
+    for rank in (kd._pair_row_sums, KendallSample):
+        tracemalloc.start()
+        try:
+            rank(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the block buffers fit the budget; 10 % covers the small temporaries
+        assert peak <= 1.1 * kd._BLOCK_BUDGET + out_bytes, rank
 
 
 def test_leave_one_out_row_mean_is_tau():
     rng = np.random.default_rng(5)
     X = rng.normal(size=(30, 4))
     sample = KendallSample(X)
-    tau, loo = sample.tau, sample.loo
-    assert loo.shape == (30, pair_count(4))
-    assert np.allclose(loo.mean(axis=0), tau, rtol=0, atol=5e-15)
+    tau, rows = sample.tau, sample.rows
+    assert rows.shape == (30, pair_count(4))
+    # the rows are the leave-one-out averages less tau, so they average to 0
+    assert np.allclose(rows.mean(axis=0), 0.0, rtol=0, atol=5e-15)
     # the bare kernel pass on the validated array gives the sample's rows
-    tau2, loo2 = tau_and_leave_one_out(X)
+    tau2, rows2 = tau_and_leave_one_out(X)
     assert np.array_equal(tau2, tau)
-    assert np.array_equal(loo2, loo)
+    assert np.array_equal(rows2, rows)
 
 
 def test_leave_one_out_matches_definition():
     rng = np.random.default_rng(8)
     X = rng.normal(size=(9, 3))
-    loo = KendallSample(X).loo
+    sample = KendallSample(X)
     n = X.shape[0]
     for i in range(n):
         acc = np.zeros(pair_count(3))
         for s in range(n):
             if s != i:
                 acc += kendall_kernel(X[i], X[s])
-        assert np.allclose(loo[i], acc / (n - 1), rtol=0, atol=1e-15)
+        assert np.allclose(sample.rows[i], acc / (n - 1) - sample.tau, rtol=0, atol=1e-15)
 
 
 @settings(max_examples=25, deadline=None)

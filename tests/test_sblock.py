@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from dense_oracle import materialize, one_group
-from draws import sparse_product_apply
+import kstruct.sblock as ks
+from draws import sparse_product_aggregate, sparse_product_apply
 from kstruct.indexing import Partition, _incidence, pair_count
 from kstruct.sblock import (
     SingularError,
@@ -222,6 +223,32 @@ def test_apply_into_buffers_is_the_sparse_product(part):
         partition_apply(q, V, work=np.empty(5))
     with pytest.raises(ValueError, match="out must be a C-contiguous array"):
         partition_apply(q, V, out=np.empty((p, 11)).T)
+
+
+@pytest.mark.parametrize("part", [
+    Partition.exchangeable(6),
+    Partition(7, ((1, 4), (2, 5, 7), (3, 6))),
+    Partition(5, ((1,), (2,), (3,), (4,), (5,))),
+], ids=["one-group", "three-group", "all-singletons"])
+def test_quotients_aggregate_in_chunks_as_the_sparse_product(part, monkeypatch):
+    # the rows are read a chunk at a time; every chunk size gives the
+    # coordinates, and so the quotients, of SciPy's product on all of D
+    rng = np.random.default_rng(137)
+    n, p = 10, pair_count(part.d)
+    D = rng.standard_normal((n, p))
+    D.flags.writeable = False  # as a sample's rows are
+    agg_t = ks._partition_layout(part).agg_t
+    want_A = sparse_product_aggregate(agg_t, D)
+    monkeypatch.setattr(ks, "_aggregate", sparse_product_aggregate)
+    want = partition_quotients(D, part, 0.1)
+    monkeypatch.undo()
+    for rows in (1, 3, n):
+        monkeypatch.setattr(ks, "_row_chunk", lambda entries: rows)
+        assert np.array_equal(ks._aggregate(agg_t, D), want_A)
+        got = partition_quotients(D, part, 0.1)
+        for a, b in zip((got.trivial, *got.standard, got.remainder),
+                        (want.trivial, *want.standard, want.remainder)):
+            assert np.array_equal(a, b)
 
 
 def test_apply_power_pseudo_on_singular():

@@ -395,6 +395,18 @@ def test_run_study_refuses_another_studys_directory(tmp_path):
     assert (out / "results.csv").read_bytes() == before
 
 
+def test_run_study_reads_its_seed_as_an_integer(tmp_path):
+    for seed in (7.9, "7", True):
+        with pytest.raises(ValueError, match=r"^seed %r is not an integer$" % (seed,)):
+            run_study(_study_config(reps=2), seed=seed, out_dir=str(tmp_path / "bad"),
+                      workers=1)
+    assert not (tmp_path / "bad").exists()
+    whole = run_study(_study_config(reps=2), seed=7.0, out_dir=str(tmp_path / "a"), workers=1)
+    assert whole == run_study(_study_config(reps=2), seed=7, workers=1)
+    with open(tmp_path / "a" / "manifest.json") as fh:
+        assert json.load(fh)["seed"] == 7
+
+
 def test_run_study_output_files(tmp_path):
     out = tmp_path / "files"
     run_study(_study_config(reps=6), seed=2, out_dir=str(out), workers=1)

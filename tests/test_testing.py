@@ -344,7 +344,7 @@ def test_bootstrap_memory_is_bounded_for_long_samples():
     # the multipliers are still the rows of one (N, n) draw
     sample = KendallSample(X)
     W = np.random.default_rng(73).standard_normal((N, n))
-    D = sample.loo - sample.tau
+    D = sample.rows
     np.testing.assert_allclose(Z, (2.0 / np.sqrt(n)) * (W @ D), rtol=0, atol=1e-12)
 
 
@@ -674,7 +674,7 @@ def test_a_sample_ranked_otherwise_is_refused():
     # the digest is of the raw array, not the jittered one
     assert jittered.digest == hashlib.sha256(X.tobytes()).hexdigest()[:16]
     # jittered data reaches an estimator as its sample
-    assert np.array_equal(jackknife_cov(jittered).rows, jittered.loo - jittered.tau)
+    assert np.array_equal(jackknife_cov(jittered).rows, jittered.rows)
 
 
 def _route_cases(part):
@@ -1069,6 +1069,29 @@ def test_run_test_validation_errors():
         if (stat, weight) != ("euclidean", "sigma"):
             TestOptions(statistic=stat, weighting=weight, null_draws=draws,
                         plus_one=True, seed=1).validate()
+
+
+def test_integer_options_are_read_not_truncated():
+    X = exchangeable_normal(np.random.default_rng(84), 20, 4)
+    part = Partition.exchangeable(4)
+    opts = dict(statistic="max", weighting="identity")
+    for field, value in (("replicates", 200.7), ("seed", 7.9), ("tie_seed", 0.5),
+                         ("replicates", True), ("seed", "7")):
+        bad = TestOptions(**{**opts, "seed": 1, field: value})
+        with pytest.raises(ValueError, match=r"^%s %r is not an integer$" % (field, value)):
+            bad.validate()
+        with pytest.raises(ValueError, match=field):
+            run_test(X, part, bad)
+    # a whole float is the integer it holds, as in a study config
+    whole = run_test(X, part, TestOptions(replicates=200.0, seed=7.0, ties="jitter",
+                                          tie_seed=3.0, **opts))
+    want = run_test(X, part, TestOptions(replicates=200, seed=7, ties="jitter",
+                                         tie_seed=3, **opts))
+    assert whole.to_dict() == want.to_dict()
+    assert (whole.N, whole.seed, whole.options["tie_seed"]) == (200, 7, 3)
+    assert KendallSample(X, "jitter", 3.0).tie_seed == 3
+    with pytest.raises(ValueError, match=r"^tie_seed 0.5 is not an integer$"):
+        KendallSample(X, "error", 0.5)
 
 
 def _readme_routes():
