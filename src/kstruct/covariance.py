@@ -260,92 +260,49 @@ def population_sigma_mc(copula_sampler, mc_reps, rng, n=None, batches=20):
     if batches < 2 or mc_reps // batches < 1:
         raise ValueError("need at least 2 batches with at least 1 draw each")
     per = mc_reps // batches
+    if n is not None:
+        nn = float(n)
+        fac = 16.0 / (nn * (nn - 1.0))
+        tail = 2.0 * (2.0 * nn - 3.0) / (nn * (nn - 1.0))
 
     sig_batches = np.empty((batches, 3))
-    sign_batches = np.empty((batches, 3)) if n is not None else None
+    sign_batches = np.empty((batches, 3))
     beta_acc = 0.0
 
     for b in range(batches):
-        U = np.asarray(copula_sampler(rng, per), dtype=float)
-        V = np.asarray(copula_sampler(rng, per), dtype=float)
-        W = np.asarray(copula_sampler(rng, per), dtype=float)
-        if U.shape != (per, 4) or V.shape != (per, 4) or W.shape != (per, 4):
+        U, V, W = (np.asarray(copula_sampler(rng, per), dtype=float) for _ in range(3))
+        if any(M.shape != (per, 4) for M in (U, V, W)):
             raise ValueError("copula_sampler must return a (size, 4) array")
 
-        # orthant indicators of the independent copies at the U draw
-        def lower(M, u_cols, m_count):
-            ind = np.ones(per, dtype=bool)
-            for c in range(m_count):
-                ind &= M[:, c] <= U[:, u_cols[c]]
-            return ind
-
-        def upper2(M, u_cols):
-            return (M[:, 0] > U[:, u_cols[0]]) & (M[:, 1] > U[:, u_cols[1]])
-
-        c12_v = lower(V, (0, 1), 2)
-        cb12_v = upper2(V, (0, 1))
-        c12_w = lower(W, (0, 1), 2)
-        cb12_w = upper2(W, (0, 1))
-        c34_w = lower(W, (2, 3), 2)
-        cb34_w = upper2(W, (2, 3))
-        c23_w = lower(W, (1, 2), 2)
-        cb23_w = upper2(W, (1, 2))
-        c3_v = lower(V, (0, 1, 2), 3)
-        c4_v = lower(V, (0, 1, 2, 3), 4)
-
-        # overlap-2: both kernel factors at the pair (U1, U2)
-        t2 = [
-            np.mean(c12_v & c12_w),
-            np.mean(cb12_v & c12_w),
-            np.mean(c12_v & cb12_w),
-            np.mean(cb12_v & cb12_w),
-            np.mean(c12_v),  # the bivariate moment, also gives beta
-            0.0,
-        ]
-        # overlap-1: pairs (U1, U2) and (U2, U3)
-        t1 = [
-            np.mean(c12_v & c23_w),
-            np.mean(cb12_v & c23_w),
-            np.mean(c12_v & cb23_w),
-            np.mean(cb12_v & cb23_w),
-            np.mean(c3_v),
-            0.0,
-        ]
-        # overlap-0: pairs (U1, U2) and (U3, U4)
-        t0 = [
-            np.mean(c12_v & c34_w),
-            np.mean(cb12_v & c34_w),
-            np.mean(c12_v & cb34_w),
-            np.mean(cb12_v & cb34_w),
-            np.mean(c4_v),
-            np.mean(c12_v.astype(float) - 2.0 * c3_v + c4_v),
-        ]
-
-        beta_b = 4.0 * t2[4] - 1.0
+        # orthant indicators of the independent copy V at the U draw:
+        # below (U1, U2), (U1, U2, U3) and (U1, ..., U4), and above (U1, U2)
+        below = V <= U
+        c12 = below[:, 0] & below[:, 1]
+        c123 = c12 & below[:, 2]
+        c1234 = c123 & below[:, 3]
+        cb12 = (V[:, 0] > U[:, 0]) & (V[:, 1] > U[:, 1])
+        beta_b = 4.0 * np.mean(c12) - 1.0  # the bivariate moment gives beta
         beta_acc += beta_b
-        shift = 4.0 * (beta_b + 1.0) ** 2
-        for c, t in enumerate((t0, t1, t2)):
-            sig_batches[b, c] = 16.0 * sum(t[:4]) - shift
-        if n is not None:
-            nn = float(n)
-            fac = 16.0 / (nn * (nn - 1.0))
-            tail = 2.0 * (2.0 * nn - 3.0) / (nn * (nn - 1.0)) * (beta_b + 1.0) ** 2
-            for c, t in enumerate((t0, t1, t2)):
+        square = (beta_b + 1.0) ** 2
+        # overlap c: the kernel factors at (U1, U2) and at W's pair (U3, U4),
+        # (U2, U3) or (U1, U2); the joint orthant of V enters the finite-n form
+        for c, (i, j), joint in ((0, (2, 3), c1234), (1, (1, 2), c123), (2, (0, 1), c12)):
+            cw = (W[:, 0] <= U[:, i]) & (W[:, 1] <= U[:, j])
+            cbw = (W[:, 0] > U[:, i]) & (W[:, 1] > U[:, j])
+            moment = sum(np.mean(v & w) for w in (cw, cbw) for v in (c12, cb12))
+            sig_batches[b, c] = 16.0 * moment - 4.0 * square
+            if n is not None:
+                extra = np.mean(c12.astype(float) - 2.0 * c123 + c1234) if c == 0 else 0.0
                 sign_batches[b, c] = (
-                    fac * ((nn - 2.0) * sum(t[:4]) + t[4] + t[5]) - tail
+                    fac * ((nn - 2.0) * moment + np.mean(joint) + extra) - tail * square
                 )
 
-    sigma = sig_batches.mean(axis=0)
-    sigma_se = sig_batches.std(axis=0, ddof=1) / np.sqrt(batches)
-    out = PopulationSigma(
-        sigma=sigma,
-        sigma_se=sigma_se,
-        beta=beta_acc / batches,
-        n=n,
-        reps=per * batches,
-    )
+    def mean_and_se(values):
+        return values.mean(axis=0), values.std(axis=0, ddof=1) / np.sqrt(batches)
+
+    out = PopulationSigma(*mean_and_se(sig_batches), beta=beta_acc / batches, n=n,
+                          reps=per * batches)
     if n is not None:
-        out.sigma_n = sign_batches.mean(axis=0)
-        out.sigma_n_se = sign_batches.std(axis=0, ddof=1) / np.sqrt(batches)
+        out.sigma_n, out.sigma_n_se = mean_and_se(sign_batches)
     return out
 

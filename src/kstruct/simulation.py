@@ -22,6 +22,7 @@ import json
 import os
 import sys
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -106,7 +107,7 @@ class ScenarioConfig:
     def scenario_label(self):
         if self.label:
             return self.label
-        bits = ["d%d" % self.d, "n%d" % self.n, self.structure]
+        bits = ["d%s" % self.d, "n%s" % self.n, self.structure]
         if self.structure == "equicorrelated":
             bits.append("tau%g" % self.tau)
         if self.departure:
@@ -119,6 +120,17 @@ class ScenarioConfig:
         return Partition(self.d, tuple(tuple(g) for g in self.hypothesis_groups))
 
     def validate(self):
+        """Check the scenario, reading n, d, repetitions and sizes as
+        integers in place (20.0 becomes 20; 20.5 is refused), and that
+        its data can be drawn: the sampler's own factorization decides
+        positive definiteness."""
+        def whole(value, field):
+            return _integer(value, "scenario %s: %s" % (self.scenario_label(), field))
+
+        self.n, self.d = whole(self.n, "n"), whole(self.d, "d")
+        self.repetitions = whole(self.repetitions, "repetitions")
+        if self.sizes is not None:
+            self.sizes = tuple(whole(s, "sizes") for s in self.sizes)
         if self.n < 3:
             raise ValueError("scenarios need n >= 3")
         if not self.tests:
@@ -127,15 +139,10 @@ class ScenarioConfig:
             raise ValueError("alpha must be in (0, 1)")
         if self.repetitions < 1:
             raise ValueError("repetitions must be positive")
-        T = build_tau_matrix(self)
-        R = tau_to_pearson(T)
-        np.fill_diagonal(R, 1.0)
-        w = np.linalg.eigvalsh(R)
-        if w.min() <= 1e-12:
-            raise NotPositiveDefinite(
-                "scenario %s: the implied correlation matrix is not positive "
-                "definite (smallest eigenvalue %.3e)" % (self.scenario_label(), w.min())
-            )
+        try:
+            _gaussian_rows(build_tau_matrix(self))
+        except NotPositiveDefinite as exc:
+            raise NotPositiveDefinite("scenario %s: %s" % (self.scenario_label(), exc)) from None
         self.partition()  # raises if the groups are malformed
         for t in self.tests:
             probe = dataclasses.replace(t, seed=0)
@@ -150,7 +157,7 @@ def build_tau_matrix(config):
     elif config.structure == "block":
         if config.sizes is None:
             raise ValueError("block structure needs group sizes")
-        sizes = tuple(int(s) for s in config.sizes)
+        sizes = tuple(_integer(s, "block size") for s in config.sizes)
         if sum(sizes) != d or any(s < 1 for s in sizes):
             raise ValueError("block sizes %r do not partition d=%d" % (sizes, d))
         g = np.repeat(np.arange(len(sizes)), sizes)
@@ -242,8 +249,7 @@ def _derived_seed(seq):
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-_DISCARDABLE = (TieError, SingularError, NotPositiveDefinite, RankDeficient,
-                np.linalg.LinAlgError)
+_DISCARDABLE = (TieError, SingularError, RankDeficient, np.linalg.LinAlgError)
 
 
 def _ranked(X, ties, tie_seed):
@@ -256,18 +262,14 @@ def _ranked(X, ties, tie_seed):
 
 def _prepare(scenarios):
     """What every repetition of each scenario shares: the scenario, the
-    sampler of its data (or the error that building it raised, which
-    discards every repetition) and the hypothesis of each estimator.
-    Each process that runs repetitions prepares them once: every pool
-    worker, or run_study itself when it runs them in-process."""
+    sampler of its data and the hypothesis of each estimator.  Each
+    process that runs repetitions prepares them once: every pool worker,
+    or run_study itself when it runs them in-process."""
     out = []
     for sc in scenarios:
-        try:
-            make_rows = _gaussian_rows(build_tau_matrix(sc))
-        except _DISCARDABLE as exc:
-            make_rows = exc
         part = sc.partition()
-        out.append((sc, make_rows, {"structured": part, "jackknife": _membership_design(part)}))
+        out.append((sc, _gaussian_rows(build_tau_matrix(sc)),
+                    {"structured": part, "jackknife": _membership_design(part)}))
     return out
 
 
@@ -279,11 +281,6 @@ def _rep_task(study, task):
     test that shares it."""
     si, rep, master_seed = task
     scenario, make_rows, hypotheses = study[si]
-    if isinstance(make_rows, Exception):
-        return [
-            (si, ti, rep, None, type(make_rows).__name__)
-            for ti in range(len(scenario.tests))
-        ]
     seqs = np.random.SeedSequence(
         master_seed, spawn_key=(si, rep)
     ).spawn(len(scenario.tests) + 1)
@@ -331,12 +328,6 @@ def _task_batches(tasks, scenarios, nworkers):
         yield from (_rep_task(study, task) for task in tasks)
 
 
-def _worker_count(workers):
-    if workers is None:
-        workers = os.cpu_count() or 1
-    return max(1, int(workers))
-
-
 def _read_results(path):
     """The (scenario, test, rep, p, reason) rows of a results file; none
     before it exists."""
@@ -348,6 +339,12 @@ def _read_results(path):
              float(row["p_value"]) if row["p_value"] != "" else None, row["discard_reason"])
             for row in csv.DictReader(fh)
         ]
+
+
+# the columns of a summary row, in the order summary.csv writes them
+_SUMMARY_COLUMNS = ("scenario_index", "scenario", "d", "n", "tau", "structure", "departure",
+                    "delta", "test_index", "test", "repetitions", "discards",
+                    "rejection_rate", "binomial_se", "alpha")
 
 
 def _summarize(rows, scenarios):
@@ -365,39 +362,19 @@ def _summarize(rows, scenarios):
         valid = cell["done"] - cell["discard"]
         rate = cell["reject"] / valid if valid else float("nan")
         se = np.sqrt(rate * (1 - rate) / valid) if valid else float("nan")
-        out.append(
-            {
-                "scenario_index": si,
-                "scenario": sc.scenario_label(),
-                "d": sc.d,
-                "n": sc.n,
-                "tau": sc.tau,
-                "structure": sc.structure,
-                "departure": sc.departure or "",
-                "delta": sc.delta,
-                "test_index": ti,
-                "test": _test_label(sc.tests[ti]),
-                "repetitions": cell["done"],
-                "discards": cell["discard"],
-                "rejection_rate": rate,
-                "binomial_se": se,
-                "alpha": sc.alpha,
-            }
-        )
+        out.append(dict(zip(_SUMMARY_COLUMNS, (
+            si, sc.scenario_label(), sc.d, sc.n, sc.tau, sc.structure, sc.departure or "",
+            sc.delta, ti, _test_label(sc.tests[ti]), cell["done"], cell["discard"], rate, se,
+            sc.alpha,
+        ))))
     return out
 
 
 def _write_summary(out_dir, summary):
-    cols = [
-        "scenario_index", "scenario", "d", "n", "tau", "structure", "departure",
-        "delta", "test_index", "test", "repetitions", "discards",
-        "rejection_rate", "binomial_se", "alpha",
-    ]
     with open(os.path.join(out_dir, _SUMMARY_FILE), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=cols)
+        writer = csv.DictWriter(fh, fieldnames=_SUMMARY_COLUMNS)
         writer.writeheader()
-        for row in summary:
-            writer.writerow(row)
+        writer.writerows(summary)
 
 
 # summary fields that tell panels apart, tried in this order
@@ -480,9 +457,16 @@ def run_study(
     count.  Each worker draws its Monte Carlo normals inline.  An
     ``out_dir`` whose manifest records another seed or other scenarios
     is refused with ValueError, so the rows of two studies never mix.
-    ``seed`` is read as an integer: 7.0 is 7, and 7.9 is refused.
+    ``seed``, the shard's bounds and ``workers`` are read as integers:
+    7.0 is 7, and 7.9 is refused.
     """
     seed = _integer(seed, "seed")
+    lo, hi = 0, float("inf")
+    if shard is not None:
+        lo, hi = shard = [_integer(s, "shard") for s in shard]
+    if workers is None:
+        workers = os.cpu_count() or 1
+    nworkers = max(1, _integer(workers, "workers"))
     if isinstance(scenarios, ScenarioConfig):
         scenarios = [scenarios]
     scenarios = list(scenarios)
@@ -491,14 +475,13 @@ def run_study(
     for sc in scenarios:
         sc.validate()
 
-    results_path = None
     done = set()
     labels = [sc.scenario_label() for sc in scenarios]
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        manifest = os.path.join(out_dir, _MANIFEST_FILE)
-        if os.path.exists(manifest):  # rows already there would count as this study's
-            with open(manifest, "r", encoding="utf-8") as fh:
+        earlier_path = os.path.join(out_dir, _MANIFEST_FILE)
+        if os.path.exists(earlier_path):  # rows already there would count as this study's
+            with open(earlier_path, "r", encoding="utf-8") as fh:
                 earlier = json.load(fh)
             if (earlier.get("seed"), earlier.get("scenarios")) != (seed, labels):
                 raise ValueError(
@@ -508,37 +491,18 @@ def run_study(
                 )
         results_path = os.path.join(out_dir, _RESULTS_FILE)
         # a repetition is done when an earlier run wrote every test's row
-        counts = {}
-        for si, _, rep, _, _ in _read_results(results_path):
-            counts[si, rep] = counts.get((si, rep), 0) + 1
+        counts = Counter((si, rep) for si, _, rep, _, _ in _read_results(results_path))
         done = {key for key, c in counts.items() if c >= len(scenarios[key[0]].tests)}
-        _write_manifest(
-            out_dir,
-            {
-                "status": "running",
-                "seed": seed,
-                "shard": list(shard) if shard else None,
-                "version": __version__,
-                "scenarios": labels,
-            },
-        )
+        manifest = {"status": "running", "seed": seed, "shard": shard,
+                    "version": __version__, "scenarios": labels}
+        _write_manifest(out_dir, manifest)
 
-    tasks = []
-    for si, sc in enumerate(scenarios):
-        lo, hi = 0, sc.repetitions
-        if shard is not None:
-            lo, hi = max(0, int(shard[0])), min(sc.repetitions, int(shard[1]))
-        for rep in range(lo, hi):
-            if (si, rep) not in done:
-                tasks.append((si, rep, seed))
-
+    tasks = [(si, rep, seed) for si, sc in enumerate(scenarios)
+             for rep in range(max(0, lo), min(sc.repetitions, hi)) if (si, rep) not in done]
     started = time.time()
     rows = []
-    nworkers = _worker_count(workers)
-
     writer = None
-    fh = None
-    if results_path is not None:
+    if out_dir is not None:
         new_file = not os.path.exists(results_path) or os.path.getsize(results_path) == 0
         fh = open(results_path, "a", encoding="utf-8", newline="")
         writer = csv.writer(fh)
@@ -561,36 +525,24 @@ def run_study(
                     file=sys.stderr,
                 )
     finally:
-        if fh is not None:
+        if writer is not None:
             fh.close()
 
+    if out_dir is None:
+        return _summarize(rows, scenarios)
     # fold in rows already on disk (earlier shards, resumed runs, and
     # shards written beside this one)
-    if results_path is not None:
-        rows = _read_results(results_path)
-
+    rows = _read_results(results_path)
     summary = _summarize(rows, scenarios)
-
-    if out_dir is not None:
-        _write_summary(out_dir, summary)
-        _write_pivots(out_dir, summary)
-        discards = {}
-        for _, _, _, p, reason in rows:
-            if p is None and reason:
-                discards[reason] = discards.get(reason, 0) + 1
-        _write_manifest(
-            out_dir,
-            {
-                "status": "complete",
-                "seed": seed,
-                "shard": list(shard) if shard else None,
-                "version": __version__,
-                "scenarios": labels,
-                "tests": [_test_label(t) for sc in scenarios for t in sc.tests],
-                "repetitions_completed": len({(r[0], r[2]) for r in rows}),
-                "discards": discards,
-                "elapsed_seconds": round(time.time() - started, 3),
-                "workers": nworkers,
-            },
-        )
+    _write_summary(out_dir, summary)
+    _write_pivots(out_dir, summary)
+    manifest.update(
+        status="complete",
+        tests=[_test_label(t) for sc in scenarios for t in sc.tests],
+        repetitions_completed=len({(r[0], r[2]) for r in rows}),
+        discards=dict(Counter(reason for _, _, _, p, reason in rows if p is None and reason)),
+        elapsed_seconds=round(time.time() - started, 3),
+        workers=nworkers,
+    )
+    _write_manifest(out_dir, manifest)
     return summary

@@ -486,7 +486,14 @@ def _identity_null(est, gamma, n):
     # n trace(Sigma) = (4/n) ||Y||_F^2
     Y = est.rows
     norm = (4.0 / n) * float(np.einsum("ij,ij->", Y, Y))
-    return _spectrum_and_law(PSDFactor.of_rows(Y - gamma.apply(Y), 4.0 / n, norm))
+    return _spectrum_and_law(PSDFactor.of_rows(_projected_rows(gamma, Y), 4.0 / n, norm))
+
+
+def _projected_rows(gamma, D):
+    """D - Gamma D for the n x p rows D, written over the buffer of
+    Gamma D, so the one n x p array it makes is the result."""
+    G = gamma.apply(D)
+    return np.subtract(D, G, out=G)
 
 
 def _spectrum_and_law(null):
@@ -661,7 +668,7 @@ def _run_test(data, hypothesis, opts):
         # every fit; projecting the n rows once projects every replicate,
         # and the same rows decide the zero-null note of a dense estimate
         D = fit.est.rows
-        R = D - fit.gamma.apply(D)
+        R = _projected_rows(fit.gamma, D)
         blocks = _bootstrap_blocks(R, N, rng)
         if fit.est.kind == "dense":
             zero_null = _rows_null_is_zero(D, R, n)

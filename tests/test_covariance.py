@@ -267,6 +267,21 @@ def test_population_sigma_comonotone_degenerates():
         assert abs(out.sigma[c]) < max(6.0 * out.sigma_se[c], 1e-2)
 
 
+def test_population_sigma_values_are_pinned():
+    # every field is pinned bit for bit: a rework of the estimator must
+    # draw U, V and W and sum its moments in the same order
+    out = population_sigma_mc(independence_sampler, 4000, np.random.default_rng(83), n=10)
+    want = {
+        "sigma": [0.036799999999999986, -0.08320000000000005, 0.2888000000000001],
+        "sigma_se": [0.15724551102286546, 0.17527098778147723, 0.2085218231668861],
+        "sigma_n": [0.0032088888888889165, -0.008168888888888861, 0.047653333333333374],
+        "sigma_n_se": [0.014272298769880704, 0.01618504773352406, 0.018577153978166977],
+    }
+    for field, values in want.items():
+        assert getattr(out, field).tolist() == values, field
+    assert (out.beta, out.n, out.reps) == (0.004000000000000009, 10, 4000)
+
+
 def test_population_sigma_validation():
     rng = np.random.default_rng(71)
     with pytest.raises(ValueError, match="at least 1000"):

@@ -307,3 +307,27 @@ def test_design_routes_memory_and_factorization_sizes():
                 tracemalloc.stop()
         assert peak < one_array / 10, (stat, weight, draws, peak)
     assert shapes and all(min(s, default=0) <= n for s in shapes), shapes
+
+
+def test_projected_rows_make_one_n_by_p_array():
+    # D - Gamma D is written over the buffer of Gamma D, so the residual
+    # rows of a dense design route cost one n x p array beyond D, not two
+    n, d = 200, 30
+    part = three_groups(d)
+    est = jackknife_cov(np.random.default_rng(7).standard_normal((n, d)))
+    D = est.rows
+    general = DesignMatrix(np.random.default_rng(8).standard_normal((pair_count(d), 4)))
+    for gamma in (
+        gamma_projection(block_membership_matrix(Partition.exchangeable(d))),
+        gamma_projection(block_membership_matrix(part)),
+        gamma_projection(general),
+        gamma_projection(block_membership_matrix(part), est.factor),
+    ):
+        tracemalloc.start()
+        try:
+            R = kt._projected_rows(gamma, D)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < D.nbytes + 2**16, (gamma.kind, peak, D.nbytes)
+        assert R.tobytes() == (D - gamma.apply(D)).tobytes(), gamma.kind

@@ -224,9 +224,37 @@ def test_scenario_validate_catches_problems():
         ScenarioConfig(n=2, d=4, tau=0.2, tests=_tiny_tests()).validate()
     with pytest.raises(ValueError):
         ScenarioConfig(n=10, d=4, tau=0.2, tests=_tiny_tests(), alpha=1.5).validate()
-    with pytest.raises(NotPositiveDefinite):
+    with pytest.raises(NotPositiveDefinite, match=(
+            r"^scenario d4-n10-equicorrelated-tau-0.5: sin-transformed correlation "
+            r"matrix is not positive definite \(smallest eigenvalue -")):
         ScenarioConfig(n=10, d=4, tau=-0.5, tests=_tiny_tests()).validate()
     ScenarioConfig(n=10, d=4, tau=0.2, tests=_tiny_tests()).validate()
+
+
+def test_scenario_integers_are_read_not_truncated(tmp_path):
+    # n, d, repetitions and block sizes are whole numbers or refused,
+    # with the scenario and the field named, before a study writes a file
+    bad = [
+        ({"n": 20.5}, r"d4-n20.5-equicorrelated-tau0.2: n 20.5"),
+        ({"d": "4"}, r"d4-n20-equicorrelated-tau0.2: d '4'"),
+        ({"repetitions": 2.5}, r"d4-n20-equicorrelated-tau0.2: repetitions 2.5"),
+        ({"n": True, "label": "flagged"}, r"flagged: n True"),
+        ({"structure": "block", "sizes": (2.0, 2.9)}, r"d4-n20-block: sizes 2.9"),
+    ]
+    for fields, message in bad:
+        scenario = ScenarioConfig(**{"n": 20, "d": 4, "tau": 0.2, "repetitions": 2,
+                                     "tests": _tiny_tests(), **fields})
+        with pytest.raises(ValueError, match=r"^scenario %s is not an integer$" % message):
+            run_study(scenario, seed=1, out_dir=str(tmp_path / "bad"), workers=1)
+    assert not (tmp_path / "bad").exists()
+    with pytest.raises(ValueError, match=r"^block size 2.9 is not an integer$"):
+        build_tau_matrix(ScenarioConfig(n=20, d=4, structure="block", sizes=(2.0, 2.9)))
+    whole = ScenarioConfig(n=20.0, d=np.int64(4), structure="block", sizes=(2.0, 2),
+                           repetitions=2.0, tests=_tiny_tests())
+    whole.validate()
+    assert (whole.n, whole.d, whole.repetitions, whole.sizes) == (20, 4, 2, (2, 2))
+    assert all(type(v) is int for v in (whole.n, whole.d, whole.repetitions, *whole.sizes))
+    assert whole.scenario_label() == "d4-n20-block"
 
 
 def test_desk_scale_preset():
@@ -405,6 +433,38 @@ def test_run_study_reads_its_seed_as_an_integer(tmp_path):
     assert whole == run_study(_study_config(reps=2), seed=7, workers=1)
     with open(tmp_path / "a" / "manifest.json") as fh:
         assert json.load(fh)["seed"] == 7
+
+
+def test_run_study_reads_shard_and_workers_as_integers(tmp_path):
+    for kwargs, message in (
+        ({"shard": (0.5, 2.7)}, r"^shard 0.5 is not an integer$"),
+        ({"shard": (0, "2")}, r"^shard '2' is not an integer$"),
+        ({"workers": 1.5}, r"^workers 1.5 is not an integer$"),
+        ({"workers": True}, r"^workers True is not an integer$"),
+    ):
+        kwargs = {"workers": 1, **kwargs}
+        with pytest.raises(ValueError, match=message):
+            run_study(_study_config(reps=4), seed=3, out_dir=str(tmp_path / "bad"), **kwargs)
+    assert not (tmp_path / "bad").exists()
+    out = tmp_path / "whole"
+    summary = run_study(_study_config(reps=4), seed=3, out_dir=str(out), shard=(0.0, 2.0),
+                        workers=1.0)
+    assert [row["repetitions"] for row in summary] == [2, 2]
+    with open(out / "manifest.json") as fh:
+        manifest = json.load(fh)
+    assert (manifest["shard"], manifest["workers"]) == ([0, 2], 1)
+    assert type(manifest["shard"][0]) is int
+
+
+def test_run_study_writes_the_pinned_files_of_study_tiny(tmp_path):
+    # both files are pinned: a rework of the harness must write them
+    # byte for byte (the results rows are also checked repetition by
+    # repetition in test_rep_task_rows_are_unchanged_on_study_tiny)
+    scenarios, seed = load_study_json(DATA / "study_tiny.json")
+    run_study(scenarios, seed=seed, out_dir=str(tmp_path), workers=1)
+    for name in ("summary", "results"):
+        written = (tmp_path / ("%s.csv" % name)).read_bytes()
+        assert written == (DATA / ("study_tiny_%s.csv" % name)).read_bytes(), name
 
 
 def test_run_study_output_files(tmp_path):
