@@ -146,15 +146,23 @@ def gamma_star_apply(v, d):
         raise ValueError("vector has length %d, expected p=%d" % (v.shape[-1], p))
     ii0, jj0 = _pairs0(d)
     if v.ndim == 1:
-        colsum = np.bincount(ii0, weights=v, minlength=d) + np.bincount(
+        colmean = np.bincount(ii0, weights=v, minlength=d) + np.bincount(
             jj0, weights=v, minlength=d
         )
     else:
-        colsum = v @ _incidence(d)
-    colmean = colsum / (d - 1.0)
+        colmean = v @ _incidence(d)
+    colmean /= d - 1.0  # the column sums, now means
     vbar = v.mean(axis=-1, keepdims=v.ndim > 1)
-    out = (d - 1.0) / (d - 2.0) * (colmean[..., ii0] + colmean[..., jj0])
-    return out - d / (d - 2.0) * vbar
+    # in the one output array: pairs run by j, each over i < j, so
+    # Vbar_{j_k} is added a slice of i at a time, with no (..., p) temporary
+    out = colmean[..., ii0]
+    lo = 0
+    for j in range(1, d):
+        out[..., lo : lo + j] += colmean[..., j : j + 1]
+        lo += j
+    out *= (d - 1.0) / (d - 2.0)
+    out -= d / (d - 2.0) * vbar
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -40,13 +40,23 @@ next one: the sampler may write over it, then ``_exceedances`` takes
 its absolute value in place, and then the buffer is filled again.
 When a test's draws span two or more blocks and the process may run on
 two or more CPUs (``kendall._second_cpu``, the rule the kernel pass
-follows too), a helper thread draws block b + 1 while the calling
-thread colours block b and counts its exceedances.  The helper only
-fills a ring of two draw buffers from the generator, in stream order,
-so every draw, p-value and the generator's final state are the same as
-with inline draws.  Otherwise, and in child processes such as
-``run_study``'s workers, which already fill every CPU, the draws are
-taken inline.
+follows too), helper threads draw the blocks ahead while the calling
+thread colours or subtracts and counts exceedances.  The standard
+normals of the max/sigma routes (``_residual_blocks``), whose per-block
+work is light, are split over two decoders taking blocks in turn, each
+with a private PCG64 generator: a decoder starts block k at a lower
+bound of its place in the stream, the exact end of its own block k - 2
+advanced by block k - 1's entries (every normal of NumPy's ziggurat
+takes at least one 64-bit output), and splices it onto the other
+decoder's exact end of block k - 1 at the offset where the generator's
+state, not just a value, matches; if none does, the block is drawn again
+from that end.  The coloured and bootstrap samplers, whose per-block work
+competes for the two CPUs, and any generator that is not a Generator
+over PCG64, keep one helper that fills a ring of two buffers from the
+caller's generator in stream order.  Either way every draw, p-value and
+the generator's final state are the same as with inline draws.
+Otherwise, and in child processes such as ``run_study``'s workers,
+which already fill every CPU, the draws are taken inline.
 
 A weighting or sampler target is a covariance form: the PSDFactor or
 PartitionQuotients that ``CovarianceEstimate.factor`` returns.  The
@@ -87,10 +97,14 @@ _MERGE_RTOL = 1e-8
 # entries of one row block of Monte Carlo null draws (2 MB of float64):
 # a block and its temporaries stay cache-sized and below the 4 MB at
 # which NumPy asks for huge pages, so a test does not fault in fresh
-# memory for its draws.  The draw thread, when it runs, fills two such
-# buffers in turn, so drawing ahead costs one block more; the stream and
-# every draw stay as inline
+# memory for its draws.  Draws taken ahead fill two such buffers in turn
+# (with 1/16 more room when split over two decoders), so drawing ahead
+# costs one block more; the stream and every draw stay as inline
 _DRAW_BLOCK_ENTRIES = 2**18
+# rows of fewer pairs than this reduce to their max-norms faster through
+# a pair-major copy: at 2000 rows, 80 against 176 us at p = 21 and 185
+# against 233 us at p = 45, but 285 against 204 us at p = 66
+_PAIR_MAJOR_BELOW = 64
 
 _ZERO_NULL_NOTE = "projected covariance estimate is zero"
 _DISTORTION_NOTE = (
@@ -343,7 +357,15 @@ def _row_blocks(N, p):
     return [(lo, min(lo + step, N)) for lo in range(0, N, step)] or [(0, 0)]
 
 
-def _normal_blocks(N, p, rng, cols=None):
+def _splice_window(entries):
+    """How many positions past the lower bound of a block's start a
+    decoder searches for the end of the block before it: the gap is the
+    extra outputs that the ziggurat's rejections took in that block,
+    about 2 % of its entries for a 2 MB block."""
+    return entries // 16 + 64
+
+
+def _normal_blocks(N, p, rng, cols=None, decoders=2):
     """Standard normal draws for the row blocks of ``_row_blocks(N, p)``,
     each a (rows, cols) array (cols defaults to p), in stream order.
 
@@ -351,12 +373,15 @@ def _normal_blocks(N, p, rng, cols=None):
     belongs to the caller from when it is yielded until the caller asks
     for the next block: the caller may write over it, and copies any
     values it keeps longer, since the buffer is then filled again.
-    With two or more blocks and ``kendall._second_cpu()``, a helper
-    thread fills a ring of two buffers one block ahead; the values and
-    the generator's state once every block is consumed are those of
-    inline draws.  The helper touches nothing but ``rng`` and the
-    buffers handed back to it, is stopped and joined when the caller
-    stops early or raises, and an exception it meets is raised here.
+    With two or more blocks and ``kendall._second_cpu()``, the blocks
+    are drawn ahead on helper threads: ``decoders`` of them, taking
+    blocks in turn, when ``rng`` is a Generator over PCG64 (see
+    ``_decode``), and otherwise one, which fills a ring of two buffers
+    from ``rng`` in stream order.  Either way every value, and the
+    generator's state after each block handed over, are those of inline
+    draws.  The helpers write nothing but their own generators and the
+    buffers handed to them, are stopped and joined when the caller stops
+    early or raises, and an exception either meets is raised here.
     """
     bounds = _row_blocks(int(N), p)
     cols = p if cols is None else cols
@@ -365,34 +390,127 @@ def _normal_blocks(N, p, rng, cols=None):
         for lo, hi in bounds:
             yield rng.standard_normal(out=buf[: hi - lo])
         return
-    bufs = [np.empty((bounds[0][1], cols)) for _ in range(2)]
-    free, ready = queue.SimpleQueue(), queue.SimpleQueue()
-    free.put(0)
-    free.put(1)
+    sizes = [(hi - lo) * cols for lo, hi in bounds]
+    if type(rng) is not np.random.Generator or type(rng.bit_generator) is not np.random.PCG64:
+        decoders = 1
+    # one pool of two buffers for one decoder or two; a third, so that
+    # both decoders draw while the caller holds a block, took max/sigma on
+    # the exch-kernel benchmark from 0.349 to 0.318 s (medians of three
+    # runs on 2 vCPUs) for 2 MB more
+    window = _splice_window(sizes[0]) if decoders > 1 else 0
+    bufs = [np.empty(sizes[0] + window) for _ in range(2)]
+    free = queue.SimpleQueue()
+    for slot in range(len(bufs)):
+        free.put(slot)
+    ready = [queue.SimpleQueue() for _ in range(decoders)]
+    ends = [queue.SimpleQueue() for _ in range(decoders)]
+    start = rng.bit_generator.state if decoders > 1 else None
 
-    def produce():
+    def produce(d):
         try:
-            for lo, hi in bounds:
-                slot = free.get()
-                if slot is None:  # the caller has stopped
-                    return
-                rng.standard_normal(out=bufs[slot][: hi - lo])
-                ready.put(slot)
+            if decoders == 1:
+                gen = rng
+            else:
+                gen = np.random.Generator(np.random.PCG64())
+                gen.bit_generator.state = start
+            _decode(d, decoders, sizes, gen, bufs, free, ready[d], ends, start)
         except BaseException as exc:  # handed to the calling thread
-            ready.put(exc)
+            ready[d].put(exc)
+            ends[d].put(exc)
 
-    helper = threading.Thread(target=produce, name="kstruct-draws", daemon=True)
-    helper.start()
+    helpers = [threading.Thread(target=produce, args=(d,), name="kstruct-draws", daemon=True)
+               for d in range(decoders)]
+    for helper in helpers:
+        helper.start()
     try:
-        for lo, hi in bounds:
-            slot = ready.get()
-            if isinstance(slot, BaseException):
-                raise slot
-            yield bufs[slot][: hi - lo]
+        for k, (lo, hi) in enumerate(bounds):
+            got = ready[k % decoders].get()
+            if isinstance(got, BaseException):
+                raise got
+            slot, at, end = got
+            if end is not None:
+                rng.bit_generator.state = dict(start, state=end)
+            yield bufs[slot][at : at + sizes[k]].reshape(hi - lo, cols)
             free.put(slot)
     finally:
-        free.put(None)
-        helper.join()
+        for q in [free] * decoders + ends:
+            q.put(None)
+        for helper in helpers:
+            helper.join()
+
+
+def _decode(d, decoders, sizes, gen, bufs, free, ready, ends, start):
+    """Draw blocks d, d + decoders, ... of a stream with ``gen`` into
+    buffers from the pool ``free``, handing (slot, offset, end) to the
+    caller by ``ready``, where the block is ``sizes[k]`` entries of the
+    buffer from the offset and ``end`` its end state in the stream (None
+    for one decoder, which draws the stream itself).
+
+    With two decoders a block k > 0 starts at a lower bound of its place
+    in the stream: the exact end of the decoder's block k - 2 (or
+    ``start``) advanced by block k - 1's entries, since every normal
+    takes at least one PCG64 output.  Its normals are drawn from there,
+    and the other decoder's exact end state and last value of block
+    k - 1 (from ``ends``) place it: ``_splice_offset`` finds how many of
+    them precede the block, and that many more draws complete it, which
+    leaves ``gen`` at block k's exact end.  If none verifies, block k is
+    drawn again from block k - 1's end.  Stops when the caller puts None
+    on a queue it waits on; an exception from the other decoder is
+    handed on to the caller."""
+    for k in range(d, len(sizes), decoders):
+        slot = free.get()
+        if slot is None:  # the caller has stopped
+            return
+        buf, size, at = bufs[slot], sizes[k], 0
+        if decoders == 1:
+            gen.standard_normal(out=buf[:size])
+            ready.put((slot, 0, None))
+            continue
+        if k:
+            gen.bit_generator.advance(sizes[k - 1])
+        bound = gen.bit_generator.state["state"]
+        gen.standard_normal(out=buf[:size])
+        if k:
+            prev = ends[(d - 1) % decoders].get()
+            if prev is None:
+                return
+            if isinstance(prev, BaseException):
+                ready.put(prev)
+                return
+            # the gap is the previous block's extra outputs
+            at = _splice_offset(buf, size, _splice_window(sizes[k - 1]), bound, *prev, start)
+            if at is None:
+                gen.bit_generator.state = dict(start, state=prev[0])
+                gen.standard_normal(out=buf[:size])
+                at = 0
+            else:
+                gen.standard_normal(out=buf[size : size + at])
+        end = gen.bit_generator.state["state"]
+        ends[d].put((end, float(buf[at + size - 1])))
+        ready.put((slot, at, end))
+
+
+def _splice_offset(buf, size, window, bound, end, last, start):
+    """How many normals lie between ``bound``, a lower bound of a block's
+    place in the stream, and ``end``, the exact end state of the block
+    before it, given the block's first ``size`` normals drawn from
+    ``bound`` into ``buf``; None if no offset below ``window`` verifies.
+    An offset o > 0 is a candidate where ``buf[o - 1]`` is ``last``, the
+    value that ends the block before, and it is taken only if drawing o
+    normals from ``bound`` again, into the buffer's room past the block,
+    ends exactly at ``end``; so the result never rests on the values
+    alone."""
+    if not window:
+        return None
+    if bound == end:
+        return 0
+    check = np.random.Generator(np.random.PCG64())
+    for o in np.flatnonzero(buf[: min(window - 1, size)] == last) + 1:
+        check.bit_generator.state = dict(start, state=bound)
+        check.standard_normal(out=buf[size : size + o])
+        if check.bit_generator.state["state"] == end:
+            return int(o)
+    return None
 
 
 def _in_place(blocks, step, work_entries):
@@ -415,7 +533,7 @@ def _null_gaussian_blocks(A, N, rng):
     the draw buffer.  The random stream is consumed as by one (N, p)
     draw; a coloured block can differ from unblocked colouring in the
     last bit."""
-    return _in_place(_normal_blocks(N, A.p, rng),
+    return _in_place(_normal_blocks(N, A.p, rng, decoders=1),
                      lambda G, work: A.apply(G, 0.5, out=G, work=work), A._work_entries)
 
 
@@ -438,8 +556,24 @@ def _exceedances(blocks, value, statistic="max"):
         if statistic == "euclidean":
             norms = (np.einsum("ij,ij->i", b, b) for b in blocks)
         else:
-            norms = (np.abs(b, out=b).max(axis=1) for b in blocks)
+            norms = _max_norms(blocks)
         return sum(int((t > value).sum()) for t in norms)
+
+
+def _max_norms(blocks):
+    """The max-norm of each row of each block, taken in place.  A block
+    of more rows than pairs, fewer than ``_PAIR_MAJOR_BELOW`` of them, is
+    reduced through a pair-major copy into one work array, allocated for
+    the first such block and reused by every later one."""
+    work = None
+    for b in blocks:
+        rows, cols = b.shape
+        if rows <= cols or cols >= _PAIR_MAJOR_BELOW:
+            yield np.abs(b, out=b).max(axis=1)
+            continue
+        if work is None:
+            work = np.empty(b.size)
+        yield np.abs(b.T, out=work[: b.size].reshape(cols, rows)).max(axis=0)
 
 
 def _bootstrap_blocks(Y, N, rng):
@@ -462,7 +596,7 @@ def _bootstrap_blocks(Y, N, rng):
         return Z
 
     # a block draws n columns and yields p, so it is sized by the wider
-    return _in_place(_normal_blocks(N, max(n, p), rng, cols=n), replicates,
+    return _in_place(_normal_blocks(N, max(n, p), rng, cols=n, decoders=1), replicates,
                      lambda rows: rows * p)
 
 

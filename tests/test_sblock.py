@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from dense_oracle import materialize, one_group
 import kstruct.sblock as ks
 from draws import sparse_product_aggregate, sparse_product_apply
-from kstruct.indexing import Partition, _incidence, pair_count
+from kstruct.indexing import Partition, _incidence, _pairs0, pair_count
 from kstruct.sblock import (
     SingularError,
     eigenvalues,
@@ -161,6 +163,42 @@ def test_gamma_star_projector_identities():
         assert np.allclose(gamma_star_apply(ones, d), ones, atol=1e-12)
         gv = gamma_apply(v)
         assert np.allclose(gamma_star_apply(gv, d), gv, atol=1e-12)
+
+
+def test_gamma_star_in_place_is_the_formula_bit_for_bit():
+    # the formula written with a fresh array for each step, on vectors and
+    # on stacks of rows at scales from 1e-5 to 1e5
+    rng = np.random.default_rng(17)
+    for d in (4, 5, 7, 20, 60):
+        ii0, jj0 = _pairs0(d)
+        p = pair_count(d)
+        for shape in ((p,), (3, p), (40, p), (2, 3, p)):
+            v = rng.standard_normal(shape) * 10.0 ** rng.uniform(-5, 5)
+            if v.ndim == 1:
+                colsum = (np.bincount(ii0, weights=v, minlength=d)
+                          + np.bincount(jj0, weights=v, minlength=d))
+            else:
+                colsum = v @ _incidence(d)
+            colmean = colsum / (d - 1.0)
+            vbar = v.mean(axis=-1, keepdims=v.ndim > 1)
+            want = (d - 1.0) / (d - 2.0) * (colmean[..., ii0] + colmean[..., jj0])
+            want = want - d / (d - 2.0) * vbar
+            assert np.array_equal(gamma_star_apply(v, d), want), (d, shape)
+
+
+def test_gamma_star_stack_allocates_one_output():
+    # an (n, p) stack costs its output and (n, d) column means, not the
+    # three n x p temporaries of the formula
+    n, d = 200, 60
+    v = np.random.default_rng(19).standard_normal((n, pair_count(d)))
+    gamma_star_apply(v[:2], d)  # the cached pair indices and incidence
+    tracemalloc.start()
+    try:
+        gamma_star_apply(v, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * v.nbytes
 
 
 def test_gamma_star_rejects_small_d():

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import sys
 import threading
 import tracemalloc
 from pathlib import Path
@@ -968,19 +969,33 @@ def test_threaded_draws_equal_inline_draws(monkeypatch):
     block_membership_matrix(Partition(6, ((1, 2, 3), (4, 5, 6)))),
 ], ids=["one-group", "three-group", "membership"])
 def test_run_test_reports_equal_with_threaded_draws(monkeypatch, hypothesis):
+    # every route of the hypothesis's estimator, with draws in 2, 3 and
+    # 101 blocks (the bootstrap's, of n = 40 columns, in 6, 9 and 301):
+    # the report and the end state of the test's generator are those of
+    # inline draws
     X = exchangeable_normal(np.random.default_rng(103), 40, 6)
     estimator = "jackknife" if isinstance(hypothesis, DesignMatrix) else "structured"
-    reports = {}
-    for on in (False, True):
-        _draw_ahead(monkeypatch, on)
-        for stat in ("euclidean", "max"):
-            for weight in ("sigma", "identity"):
-                opts = TestOptions(statistic=stat, weighting=weight, estimator=estimator,
-                                   replicates=301, seed=13)
-                reports[on, stat, weight] = run_test(X, hypothesis, opts).to_dict()
-    for stat in ("euclidean", "max"):
-        for weight in ("sigma", "identity"):
-            assert reports[False, stat, weight] == reports[True, stat, weight], (stat, weight)
+    made, default_rng = [], np.random.default_rng
+
+    def recorded(seed):
+        made.append(default_rng(seed))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", recorded)
+    routes = [key for key in kt._ROUTES if key[0] == estimator]
+    for rows in (151, 101, 3):
+        monkeypatch.setattr(kt, "_DRAW_BLOCK_ENTRIES", rows * pair_count(6))
+        results = {}
+        for on in (False, True):
+            monkeypatch.setattr(kt, "_second_cpu", lambda: on)
+            for key in routes:
+                opts = TestOptions(estimator=key[0], statistic=key[1], weighting=key[2],
+                                   null_draws=key[3], replicates=301, seed=13)
+                made.clear()
+                report = run_test(X, hypothesis, opts).to_dict()
+                results[on, key] = report, made[0].bit_generator.state
+        for key in routes:
+            assert results[False, key] == results[True, key], (rows, key)
 
 
 def test_draw_thread_stops_when_the_consumer_raises(monkeypatch):
@@ -1002,8 +1017,9 @@ def test_draw_thread_stops_when_the_consumer_raises(monkeypatch):
         run_test(X, Partition.exchangeable(6), opts)
     assert max(seen) == before + 1  # the helper was drawing ahead
     assert threading.active_count() == before
-    # a caller that stops reading early also stops the helper
-    blocks = kt._normal_blocks(301, 15, np.random.default_rng(1))
+    # a caller that stops reading early also stops the helper (a wrapper
+    # draws on one; a PCG64 generator's split draws are tested below)
+    blocks = kt._normal_blocks(301, 15, _RecordingRng(1))
     next(blocks)
     assert threading.active_count() == before + 1
     blocks.close()
@@ -1019,6 +1035,189 @@ def test_draw_thread_error_reaches_the_caller(monkeypatch):
     assert len(rng.threads) == 4
     assert not any(t is threading.main_thread() for t in rng.threads)
     assert threading.active_count() == before
+
+
+# ---------------------------------------------------------------------------
+# one stream split over two decoders and spliced back
+
+
+def _split(monkeypatch, entries):
+    """Threaded draws in blocks of ``entries`` normals, with every
+    splice's offset (None for a fallback) recorded in the list returned."""
+    monkeypatch.setattr(kt, "_second_cpu", lambda: True)
+    monkeypatch.setattr(kt, "_DRAW_BLOCK_ENTRIES", entries)
+    offsets, splice = [], kt._splice_offset
+
+    def recorded(*args):
+        offsets.append(splice(*args))
+        return offsets[-1]
+
+    monkeypatch.setattr(kt, "_splice_offset", recorded)
+    return offsets
+
+
+@pytest.mark.parametrize("rows, N, cols", [
+    (151, 301, 15),  # 2 blocks
+    (101, 301, 15),  # 3 blocks, the last short
+    (3, 301, 15),  # 101 blocks
+    (7, 300, 9),  # 43 blocks, cols apart from p
+    (40, 1000, 500),  # 25 blocks of 20000 normals
+])
+def test_split_draws_are_one_draw(monkeypatch, rows, N, cols):
+    p = 15
+    offsets = _split(monkeypatch, rows * p)
+    before = threading.active_count()
+    rng = np.random.default_rng(211)
+    Z = drawn(kt._normal_blocks(N, p, rng, cols=cols))
+    want = np.random.default_rng(211)
+    assert np.array_equal(Z, want.standard_normal((N, cols)))
+    assert rng.bit_generator.state == want.bit_generator.state
+    assert len(offsets) == -(-N // rows) - 1
+    if rows * cols >= 20000:  # a gap of ~2 % of a block: every splice lands
+        assert None not in offsets and max(offsets) > 100
+    assert threading.active_count() == before
+
+
+def test_split_draws_fall_back_exactly(monkeypatch):
+    # with no window every splice fails and each block is drawn again from
+    # the exact end of the one before
+    offsets = _split(monkeypatch, 40 * 50)
+    monkeypatch.setattr(kt, "_splice_window", lambda entries: 0)
+    rng = np.random.default_rng(223)
+    Z = drawn(kt._normal_blocks(1001, 50, rng))
+    want = np.random.default_rng(223)
+    assert np.array_equal(Z, want.standard_normal((1001, 50)))
+    assert rng.bit_generator.state == want.bit_generator.state
+    assert offsets == [None] * 25
+
+
+def test_split_leaves_the_generator_as_inline_draws_do(monkeypatch):
+    # after each block handed over, and with a 32-bit half buffered,
+    # which normals do not touch
+    _split(monkeypatch, 3 * 15)
+    rng, want = np.random.default_rng(227), np.random.default_rng(227)
+    rng.integers(0, 10, dtype=np.uint32)
+    want.integers(0, 10, dtype=np.uint32)
+    for block in kt._normal_blocks(301, 15, rng):
+        assert np.array_equal(block, want.standard_normal(block.shape))
+        assert rng.bit_generator.state == want.bit_generator.state
+    assert rng.bit_generator.state["has_uint32"] == 1
+
+
+def test_split_only_for_a_pcg64_generator(monkeypatch):
+    # a wrapper and another bit generator draw on one helper thread from
+    # the caller's generator, and so do the coloured and bootstrap
+    # samplers with any generator; the whitened-residual sampler splits
+    offsets = _split(monkeypatch, 3 * 15)
+    philox = np.random.Generator(np.random.Philox(7))
+    want = np.random.Generator(np.random.Philox(7)).standard_normal((301, 15))
+    assert np.array_equal(drawn(kt._normal_blocks(301, 15, philox)), want)
+    wrapper = _RecordingRng(7)
+    drawn(kt._normal_blocks(301, 15, wrapper))
+    assert len(wrapper.threads) == 101 and len(set(wrapper.threads)) == 1
+    assert wrapper.threads[0] is not threading.main_thread()
+    X = exchangeable_normal(np.random.default_rng(229), 30, 6)
+    bootstrap_draws(X, None, 301, np.random.default_rng(7))
+    drawn(kt._null_gaussian_blocks(one_group(np.array([0.4, 0.2, 1.0]), 6), 301,
+                                   np.random.default_rng(7)))
+    assert offsets == []
+    gamma = gamma_projection(block_membership_matrix(Partition(6, ((1, 2, 3), (4, 5, 6)))))
+    drawn(kt._residual_blocks(gamma, 301, 15, np.random.default_rng(7)))
+    assert len(offsets) == 100
+
+
+def test_split_decoders_stop_with_the_caller(monkeypatch):
+    _split(monkeypatch, 3 * 15)
+    before = threading.active_count()
+    blocks = kt._normal_blocks(301, 15, np.random.default_rng(1))
+    next(blocks)
+    assert threading.active_count() == before + 2
+    blocks.close()
+    assert threading.active_count() == before
+
+    def consume(fail_at):
+        for k, block in enumerate(kt._normal_blocks(301, 15, np.random.default_rng(1))):
+            if k == fail_at:
+                raise FloatingPointError("consumer failed at %d" % k)
+
+    for k in (0, 1, 50, 100):
+        with pytest.raises(FloatingPointError, match="consumer failed at %d" % k):
+            consume(k)
+        assert threading.active_count() == before
+
+
+def test_split_draws_under_thread_switching(monkeypatch):
+    # three callers at once, each with two decoders, on two CPUs at most,
+    # switching threads every microsecond: every stream is still one draw
+    _split(monkeypatch, 3 * 15)
+    got = {}
+
+    def consume(seed):
+        got[seed] = drawn(kt._normal_blocks(301, 15, np.random.default_rng(seed)))
+
+    callers = [threading.Thread(target=consume, args=(seed,)) for seed in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    for seed in range(3):
+        assert np.array_equal(got[seed], np.random.default_rng(seed).standard_normal((301, 15)))
+
+
+@pytest.mark.parametrize("fail_at", [1, 2, 4, 5, 100])
+def test_split_decoder_error_reaches_the_caller(monkeypatch, fail_at):
+    # the splice of block k runs on decoder k % 2, after block k - 1's:
+    # an error on either decoder stops both and is raised here
+    offsets = _split(monkeypatch, 3 * 15)
+    splice, threads = kt._splice_offset, []
+
+    def failing(*args):
+        threads.append(threading.current_thread())
+        if len(offsets) + 1 == fail_at:
+            raise FloatingPointError("splice %d failed" % fail_at)
+        return splice(*args)
+
+    monkeypatch.setattr(kt, "_splice_offset", failing)
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match="splice %d failed" % fail_at):
+        drawn(kt._normal_blocks(301, 15, np.random.default_rng(3)))
+    assert len(threads) == fail_at
+    assert threading.main_thread() not in threads
+    assert len(set(threads[-2:])) == min(fail_at, 2)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("p, rows", [(10, 64), (45, 64), (780, 64)])
+def test_exceedances_equal_the_row_reduction(monkeypatch, p, rows):
+    # short rows go through the pair-major copy, p = 780 through the row
+    # reduction; N = 301 leaves the last block short
+    monkeypatch.setattr(kt, "_DRAW_BLOCK_ENTRIES", rows * p)
+    d, n, N = {10: 5, 45: 10, 780: 40}[p], 30, 301
+    sample = KendallSample(exchangeable_normal(np.random.default_rng(233), n, d))
+    part = Partition.exchangeable(d)
+    est = kc.structured_jackknife_partition(sample, part)
+    gamma = gamma_projection(block_membership_matrix(part))
+    R = est.rows - gamma.apply(est.rows)
+    dense = factor_of_matrix(np.cov(sample.rows.T) + np.eye(p))
+    samplers = {
+        "normal": lambda rng: kt._normal_blocks(N, p, rng),
+        "partition": lambda rng: kt._null_gaussian_blocks(
+            kt._identity_null(est, gamma, n)[1], N, rng),
+        "dense": lambda rng: kt._null_gaussian_blocks(dense, N, rng),
+        "residual": lambda rng: kt._residual_blocks(gamma, N, p, rng),
+        "bootstrap": lambda rng: kt._bootstrap_blocks(R, N, rng),
+    }
+    for name, blocks in samplers.items():
+        norms = np.abs(drawn(blocks(np.random.default_rng(239)))).max(axis=1)
+        for value in np.quantile(norms, (0.1, 0.5, 0.9)):
+            want = int((norms > value).sum())
+            assert kt._exceedances(blocks(np.random.default_rng(239)), value) == want, name
 
 
 def test_run_test_validation_errors():
