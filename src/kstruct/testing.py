@@ -548,10 +548,11 @@ def _residual_blocks(gamma, N, p, rng):
 def _exceedances(blocks, value, statistic="max"):
     """Number of rows, over row blocks of draws, whose statistic exceeds
     value: the max-norm, or the squared norm for "euclidean".  The blocks
-    are closed however the count ends, which stops a draw thread.  The
-    max-norm takes the absolute value in place: a block belongs to its
-    consumer until the next one is asked for (see ``_normal_blocks``),
-    and every sampler's blocks are its draw buffers or its work array."""
+    are closed however the count ends, which stops the draw threads.
+    The max-norm takes the absolute value in place, or into a pair-major
+    copy (see ``_max_norms``): a block belongs to its consumer until the
+    next one is asked for (see ``_normal_blocks``), and every sampler's
+    blocks are its draw buffers or its work array."""
     with closing(blocks):
         if statistic == "euclidean":
             norms = (np.einsum("ij,ij->i", b, b) for b in blocks)
