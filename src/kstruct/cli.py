@@ -24,7 +24,6 @@ import numpy as np
 from ._version import __version__
 from .indexing import (
     Partition,
-    block_membership_matrix,
     diagonal_free_membership_matrix,
     load_design_csv,
     load_partition_json,
@@ -133,7 +132,7 @@ def _matrix_from_pairs(vec, d):
     return M
 
 
-def _build_hypothesis(kind, path, d, estimator):
+def _build_hypothesis(kind, path, d):
     """Translate the CLI hypothesis spec into a Partition or DesignMatrix."""
     if kind == "exchangeable":
         part = Partition.exchangeable(d)
@@ -164,9 +163,7 @@ def _build_hypothesis(kind, path, d, estimator):
 
     if kind == "diagonal-free":
         return diagonal_free_membership_matrix(part)
-    if estimator == "structured":
-        return part
-    return block_membership_matrix(part)
+    return part
 
 
 def _split_covariate(X, column):
@@ -200,9 +197,7 @@ def cmd_test(args):
         tie_seed=args.tie_seed,
         null_draws=args.null_draws,
     )
-    hypothesis = _build_hypothesis(
-        args.hypothesis, args.hypothesis_file, d, args.estimator
-    )
+    hypothesis = _build_hypothesis(args.hypothesis, args.hypothesis_file, d)
     options.validate()  # before ranking, as run_test would
     sample = KendallSample(X, options.ties, options.tie_seed)
     report, theta = _run_test(sample, hypothesis, options)

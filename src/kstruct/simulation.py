@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._version import __version__
-from .indexing import Partition, _integer, _membership_design
+from .indexing import Partition, _integer
 from .kendall import KendallSample, TieError
 from .projection import RankDeficient
 from .sblock import SingularError
@@ -83,9 +83,9 @@ class ScenarioConfig:
     sizes), or "custom" (explicit matrix).  departure: None, "single"
     (adds delta to the (1,2) entry) or "column" (adds delta to every
     entry not involving variable 1).  hypothesis_groups defaults to the
-    single full-exchangeability group; each test runs against the
-    partition (structured estimator) or its membership design matrix
-    (jackknife estimator).
+    single full-exchangeability group; each test runs against that
+    partition, which the jackknife estimator tests as its membership
+    design matrix.
     """
 
     n: int
@@ -262,14 +262,12 @@ def _ranked(X, ties, tie_seed):
 
 def _prepare(scenarios):
     """What every repetition of each scenario shares: the scenario, the
-    sampler of its data and the hypothesis of each estimator.  Each
+    sampler of its data and its hypothesis partition.  Each
     process that runs repetitions prepares them once: every pool worker,
     or run_study itself when it runs them in-process."""
     out = []
     for sc in scenarios:
-        part = sc.partition()
-        out.append((sc, _gaussian_rows(build_tau_matrix(sc)),
-                    {"structured": part, "jackknife": _membership_design(part)}))
+        out.append((sc, _gaussian_rows(build_tau_matrix(sc)), sc.partition()))
     return out
 
 
@@ -280,7 +278,7 @@ def _rep_task(study, task):
     tie_seed) among the tests, and a ranking that fails discards every
     test that shares it."""
     si, rep, master_seed = task
-    scenario, make_rows, hypotheses = study[si]
+    scenario, make_rows, hypothesis = study[si]
     seqs = np.random.SeedSequence(
         master_seed, spawn_key=(si, rep)
     ).spawn(len(scenario.tests) + 1)
@@ -295,7 +293,7 @@ def _rep_task(study, task):
                 samples[key] = _ranked(X, *key)
             if isinstance(samples[key], TieError):
                 raise samples[key]
-            report = run_test(samples[key], hypotheses[opts.estimator], opts)
+            report = run_test(samples[key], hypothesis, opts)
             rows.append((si, ti, rep, float(report.p_value), ""))
         except _DISCARDABLE as exc:
             rows.append((si, ti, rep, None, type(exc).__name__))

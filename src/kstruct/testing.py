@@ -38,25 +38,26 @@ work array, and no block allocates an array its size.  A block belongs
 to its consumer from when it is yielded until the consumer asks for the
 next one: the sampler may write over it, then ``_exceedances`` takes
 its absolute value in place, and then the buffer is filled again.
-When a test's draws span two or more blocks and the process may run on
-two or more CPUs (``kendall._second_cpu``, the rule the kernel pass
-follows too), helper threads draw the blocks ahead while the calling
-thread colours or subtracts and counts exceedances.  The standard
-normals of the max/sigma routes (``_residual_blocks``), whose per-block
-work is light, are split over two decoders taking blocks in turn, each
-with a private PCG64 generator: a decoder starts block k at a lower
-bound of its place in the stream, the exact end of its own block k - 2
-advanced by block k - 1's entries (every normal of NumPy's ziggurat
-takes at least one 64-bit output), and splices it onto the other
-decoder's exact end of block k - 1 at the offset where the generator's
-state, not just a value, matches; if none does, the block is drawn again
-from that end.  The coloured and bootstrap samplers, whose per-block work
-competes for the two CPUs, and any generator that is not a Generator
-over PCG64, keep one helper that fills a ring of two buffers from the
-caller's generator in stream order.  Either way every draw, p-value and
-the generator's final state are the same as with inline draws.
-Otherwise, and in child processes such as ``run_study``'s workers,
-which already fill every CPU, the draws are taken inline.
+When a test's draws span two or more blocks, its generator is a
+Generator over PCG64 and the process may run on two or more CPUs
+(``kendall._second_cpu``, the rule the kernel pass follows too), decoder
+threads draw the blocks ahead while the calling thread colours or
+subtracts and counts exceedances.  Each decoder has a private PCG64
+generator started at the caller's state, and the decoders take blocks
+in turn: one for the coloured and bootstrap samplers, whose per-block
+work competes for the two CPUs, and two for the standard normals of the
+max/sigma routes (``_residual_blocks``), whose per-block work is light.
+A decoder starts block k at a lower bound of its place in the stream,
+its own exact end of its previous block advanced by the entries of the
+blocks in between (every normal of NumPy's ziggurat takes at least one
+64-bit output), and splices it onto the exact end of block k - 1 at the
+offset where the generator's state, not just a value, matches; if none
+does, the block is drawn again from that end.  One decoder's bound is
+exact.  The calling thread sets its generator to each block's exact end
+state as it takes the block, and no other thread touches it, so every
+draw, p-value and the generator's final state are the same as with
+inline draws.  Any other generator, and child processes such as
+``run_study``'s workers, which already fill every CPU, draw inline.
 
 A weighting or sampler target is a covariance form: the PSDFactor or
 PartitionQuotients that ``CovarianceEstimate.factor`` returns.  The
@@ -143,8 +144,9 @@ class TestOptions:
 
     statistic: "euclidean" or "max".
     weighting: "sigma" (estimated covariance) or "identity" ((1/n) I).
-    estimator: "structured" (partition hypotheses) or "jackknife"
-        (design-matrix hypotheses).
+    estimator: "structured" (partition hypotheses only) or "jackknife"
+        (the dense jackknife, which tests a partition as its membership
+        design).
     replicates: Monte Carlo draws for simulated p-values (>= 100).
     seed: required; every report echoes it.
     plus_one: use the conservative (1+hits)/(1+N) Monte Carlo p-value;
@@ -170,8 +172,8 @@ class TestOptions:
 
     def validate(self):
         """Check the options and return the method of their entry in
-        ``_ROUTES``, the one place that picks the null law; ``estimator``
-        stands for the hypothesis kind, which ``run_test`` holds it to."""
+        ``_ROUTES``, the one place that picks the null law; ``run_test``
+        refuses the structured estimator for a design hypothesis."""
         if self.statistic not in ("euclidean", "max"):
             raise ValueError("statistic must be 'euclidean' or 'max'")
         if self.weighting not in ("identity", "sigma"):
@@ -373,26 +375,27 @@ def _normal_blocks(N, p, rng, cols=None, decoders=2):
     belongs to the caller from when it is yielded until the caller asks
     for the next block: the caller may write over it, and copies any
     values it keeps longer, since the buffer is then filled again.
-    With two or more blocks and ``kendall._second_cpu()``, the blocks
-    are drawn ahead on helper threads: ``decoders`` of them, taking
-    blocks in turn, when ``rng`` is a Generator over PCG64 (see
-    ``_decode``), and otherwise one, which fills a ring of two buffers
-    from ``rng`` in stream order.  Either way every value, and the
+    With two or more blocks, ``kendall._second_cpu()`` and ``rng`` a
+    Generator over PCG64, the blocks are drawn ahead by ``decoders``
+    helper threads taking blocks in turn, each with a private generator
+    started at ``rng``'s state (see ``_decode``); any other generator
+    draws inline.  As it hands a block over, the calling thread sets
+    ``rng`` to the block's exact end state, so every value, and the
     generator's state after each block handed over, are those of inline
-    draws.  The helpers write nothing but their own generators and the
-    buffers handed to them, are stopped and joined when the caller stops
-    early or raises, and an exception either meets is raised here.
+    draws.  No helper touches ``rng``: they write nothing but their own
+    generators and the buffers handed to them, are stopped and joined
+    when the caller stops early or raises, and an exception either meets
+    is raised here.
     """
     bounds = _row_blocks(int(N), p)
     cols = p if cols is None else cols
-    if len(bounds) < 2 or not _second_cpu():
+    if (len(bounds) < 2 or type(rng) is not np.random.Generator
+            or type(rng.bit_generator) is not np.random.PCG64 or not _second_cpu()):
         buf = np.empty((bounds[0][1], cols))
         for lo, hi in bounds:
             yield rng.standard_normal(out=buf[: hi - lo])
         return
     sizes = [(hi - lo) * cols for lo, hi in bounds]
-    if type(rng) is not np.random.Generator or type(rng.bit_generator) is not np.random.PCG64:
-        decoders = 1
     # one pool of two buffers for one decoder or two; a third, so that
     # both decoders draw while the caller holds a block, took max/sigma on
     # the exch-kernel benchmark from 0.349 to 0.318 s (medians of three
@@ -404,16 +407,11 @@ def _normal_blocks(N, p, rng, cols=None, decoders=2):
         free.put(slot)
     ready = [queue.SimpleQueue() for _ in range(decoders)]
     ends = [queue.SimpleQueue() for _ in range(decoders)]
-    start = rng.bit_generator.state if decoders > 1 else None
+    start = rng.bit_generator.state
 
     def produce(d):
         try:
-            if decoders == 1:
-                gen = rng
-            else:
-                gen = np.random.Generator(np.random.PCG64())
-                gen.bit_generator.state = start
-            _decode(d, decoders, sizes, gen, bufs, free, ready[d], ends, start)
+            _decode(d, decoders, sizes, bufs, free, ready[d], ends, start)
         except BaseException as exc:  # handed to the calling thread
             ready[d].put(exc)
             ends[d].put(exc)
@@ -428,8 +426,7 @@ def _normal_blocks(N, p, rng, cols=None, decoders=2):
             if isinstance(got, BaseException):
                 raise got
             slot, at, end = got
-            if end is not None:
-                rng.bit_generator.state = dict(start, state=end)
+            rng.bit_generator.state = dict(start, state=end)
             yield bufs[slot][at : at + sizes[k]].reshape(hi - lo, cols)
             free.put(slot)
     finally:
@@ -439,35 +436,34 @@ def _normal_blocks(N, p, rng, cols=None, decoders=2):
             helper.join()
 
 
-def _decode(d, decoders, sizes, gen, bufs, free, ready, ends, start):
-    """Draw blocks d, d + decoders, ... of a stream with ``gen`` into
-    buffers from the pool ``free``, handing (slot, offset, end) to the
-    caller by ``ready``, where the block is ``sizes[k]`` entries of the
-    buffer from the offset and ``end`` its end state in the stream (None
-    for one decoder, which draws the stream itself).
+def _decode(d, decoders, sizes, bufs, free, ready, ends, start):
+    """Draw blocks d, d + decoders, ... of the stream from the generator
+    state ``start`` into buffers from the pool ``free``, handing (slot,
+    offset, end) to the caller by ``ready``, where the block is
+    ``sizes[k]`` entries of the buffer from the offset and ``end`` its
+    exact end state in the stream.
 
-    With two decoders a block k > 0 starts at a lower bound of its place
-    in the stream: the exact end of the decoder's block k - 2 (or
-    ``start``) advanced by block k - 1's entries, since every normal
-    takes at least one PCG64 output.  Its normals are drawn from there,
-    and the other decoder's exact end state and last value of block
-    k - 1 (from ``ends``) place it: ``_splice_offset`` finds how many of
+    The decoder's private PCG64 generator starts a block k > 0 at a lower
+    bound of its place in the stream: its own exact end of block
+    k - decoders advanced by the entries of the blocks in between, since
+    every normal takes at least one PCG64 output.  With one decoder that
+    bound is exact.  Its normals are drawn from there, and the exact end
+    state and last value of block k - 1 (from ``ends``, which the decoder
+    of that block fills) place it: ``_splice_offset`` finds how many of
     them precede the block, and that many more draws complete it, which
-    leaves ``gen`` at block k's exact end.  If none verifies, block k is
-    drawn again from block k - 1's end.  Stops when the caller puts None
-    on a queue it waits on; an exception from the other decoder is
+    leaves the generator at block k's exact end.  If none verifies, block
+    k is drawn again from block k - 1's end.  Stops when the caller puts
+    None on a queue it waits on; an exception from another decoder is
     handed on to the caller."""
+    gen = np.random.Generator(np.random.PCG64())
+    gen.bit_generator.state = start
     for k in range(d, len(sizes), decoders):
         slot = free.get()
         if slot is None:  # the caller has stopped
             return
         buf, size, at = bufs[slot], sizes[k], 0
-        if decoders == 1:
-            gen.standard_normal(out=buf[:size])
-            ready.put((slot, 0, None))
-            continue
         if k:
-            gen.bit_generator.advance(sizes[k - 1])
+            gen.bit_generator.advance(sum(sizes[k - decoders + 1 : k]))
         bound = gen.bit_generator.state["state"]
         gen.standard_normal(out=buf[:size])
         if k:
@@ -500,8 +496,6 @@ def _splice_offset(buf, size, window, bound, end, last, start):
     normals from ``bound`` again, into the buffer's room past the block,
     ends exactly at ``end``; so the result never rests on the values
     alone."""
-    if not window:
-        return None
     if bound == end:
         return 0
     check = np.random.Generator(np.random.PCG64())
@@ -672,8 +666,9 @@ def _fit(sample, hypothesis, opts):
     more than L eigenvalues, zero once whitened (``exact``), the
     report's ``notes`` (the distortion note, if any) and its
     ``hypothesis`` entry ``info``.  A Partition takes the structured
-    estimate and the orthogonal projector; a design takes the dense
-    jackknife and, with sigma weighting, the GLS projector, or the
+    estimate and the orthogonal projector, or with the jackknife
+    estimator is tested as its membership design; a design takes the
+    dense jackknife and, with sigma weighting, the GLS projector, or the
     orthogonal one where GLS is singular and the orthogonal fit is
     exact."""
     tau = sample.tau
@@ -684,11 +679,9 @@ def _fit(sample, hypothesis, opts):
             raise ValueError(
                 "partition is over %d variables, data has %d" % (hypothesis.d, d)
             )
-        if opts.estimator != "structured":
-            raise ValueError(
-                "partition hypotheses use the structured estimator; to force "
-                "the dense jackknife, pass the membership design matrix instead"
-            )
+        if opts.estimator == "jackknife":
+            hypothesis = _membership_design(hypothesis)
+    if isinstance(hypothesis, Partition):
         design = _membership_design(hypothesis)
         est = structured_jackknife_partition(sample, hypothesis)
         gamma = gamma_projection(design)  # = Gamma(A) for any matching A
@@ -748,8 +741,9 @@ def run_test(data, hypothesis, options):
     which lets several tests share one kernel pass.  ``hypothesis`` is a
     Partition (the hypothesis that the Kendall matrix is invariant to
     permutations within groups, tested with structured covariance
-    machinery) or a DesignMatrix (a general linear hypothesis
-    tau = B beta with the dense jackknife).  ``options`` selects the
+    machinery, or with the jackknife estimator as its membership design)
+    or a DesignMatrix (a general linear hypothesis tau = B beta with the
+    dense jackknife).  ``options`` selects the
     statistic, weighting, and p-value scheme; see TestOptions.
     """
     return _run_test(data, hypothesis, options)[0]

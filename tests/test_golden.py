@@ -181,6 +181,18 @@ def test_run_test_reports_equal_the_golden_corpus():
                 assert encode(entry) == want, where
 
 
+def test_golden_partition_jackknife_entries_equal_their_designs():
+    # the jackknife tests a partition as its membership design
+    entries = json.loads(CORPUS.read_text(encoding="utf-8"))["entries"]
+    key = {(e["hypothesis"], e["blocks"], tuple(e["route"])): e for e in entries}
+    partitions = [e for e in entries
+                  if e["hypothesis"] in ("one-group", "three-group") and e["route"][0] == "jackknife"]
+    assert len(partitions) == 2 * 2 * 12
+    for e in partitions:
+        design = key[e["hypothesis"] + " membership", e["blocks"], tuple(e["route"])]
+        assert dict(e, hypothesis=None) == dict(design, hypothesis=None)
+
+
 def main():
     entries = encode(build(False))
     CORPUS.parent.mkdir(exist_ok=True)

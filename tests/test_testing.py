@@ -906,23 +906,7 @@ def test_samplers_write_the_old_formulas_into_their_buffers(monkeypatch, part):
 
 
 # ---------------------------------------------------------------------------
-# draws one block ahead on a helper thread
-
-
-class _RecordingRng:
-    """A generator's standard_normal that records the thread drawing it,
-    and raises on the draw numbered ``fail_at`` (from 0), if given."""
-
-    def __init__(self, seed, fail_at=None):
-        self.rng = np.random.default_rng(seed)
-        self.fail_at = fail_at
-        self.threads = []
-
-    def standard_normal(self, *args, **kwargs):
-        if len(self.threads) == self.fail_at:
-            raise FloatingPointError("draw %d failed" % self.fail_at)
-        self.threads.append(threading.current_thread())
-        return self.rng.standard_normal(*args, **kwargs)
+# draws ahead on helper threads
 
 
 def _draw_ahead(monkeypatch, on):
@@ -931,33 +915,47 @@ def _draw_ahead(monkeypatch, on):
     monkeypatch.setattr(kt, "_DRAW_BLOCK_ENTRIES", 3 * pair_count(6))
 
 
+def _decoders(monkeypatch):
+    """The names of the threads that run ``_decode``, one a decoder, in
+    the list returned."""
+    names, decode = [], kt._decode
+
+    def recorded(*args):
+        names.append(threading.current_thread().name)
+        return decode(*args)
+
+    monkeypatch.setattr(kt, "_decode", recorded)
+    return names
+
+
 def test_threaded_draws_equal_inline_draws(monkeypatch):
     p, N = pair_count(6), 301
     A = np.random.default_rng(97).standard_normal((p, p))
     X = exchangeable_normal(np.random.default_rng(101), 30, 6)
     design = block_membership_matrix(Partition(6, ((1, 2, 3), (4, 5, 6))))
     generators = {
-        "identity": lambda rng: kt._normal_blocks(N, p, rng),
-        "dense": lambda rng: kt._null_gaussian_blocks(factor_of_matrix(A @ A.T), N, rng),
-        "partition": lambda rng: kt._null_gaussian_blocks(
+        "identity": lambda rng: drawn(kt._normal_blocks(N, p, rng)),
+        "dense": lambda rng: drawn(kt._null_gaussian_blocks(factor_of_matrix(A @ A.T), N, rng)),
+        "partition": lambda rng: drawn(kt._null_gaussian_blocks(
             one_group(np.array([0.4, 0.2, 1.0]), 6), N, rng
-        ),
+        )),
+        "bootstrap": lambda rng: bootstrap_draws(X, design, N, rng),
     }
+    names = _decoders(monkeypatch)
     draws = {}
     for on in (False, True):
         _draw_ahead(monkeypatch, on)
-        for kind, blocks in generators.items():
-            rng = _RecordingRng(7)
-            draws[on, kind] = drawn(blocks(rng)), rng
-        rng = _RecordingRng(7)
-        draws[on, "bootstrap"] = bootstrap_draws(X, design, N, rng), rng
-    for kind in ("identity", "dense", "partition", "bootstrap"):
-        (inline, r0), (ahead, r1) = draws[False, kind], draws[True, kind]
+        for kind, draw in generators.items():
+            names.clear()
+            rng = np.random.default_rng(7)
+            draws[on, kind] = draw(rng), rng.bit_generator.state, list(names)
+    for kind in generators:
+        (inline, s0, h0), (ahead, s1, h1) = draws[False, kind], draws[True, kind]
         assert np.array_equal(inline, ahead), kind
-        assert r0.rng.bit_generator.state == r1.rng.bit_generator.state, kind
-        assert len(r0.threads) == len(r1.threads) > 1, kind
-        assert all(t is threading.main_thread() for t in r0.threads), kind
-        assert not any(t is threading.main_thread() for t in r1.threads), kind
+        assert s0 == s1, kind
+        # the whitened-residual draws split over two decoders, the
+        # coloured and bootstrap samplers' over one
+        assert h0 == [] and h1 == ["kstruct-draws"] * (2 if kind == "identity" else 1), kind
     # the identity draws are one (N, p) draw, however blocked
     want = np.random.default_rng(7).standard_normal((N, p))
     assert np.array_equal(draws[True, "identity"][0], want)
@@ -1017,23 +1015,37 @@ def test_draw_thread_stops_when_the_consumer_raises(monkeypatch):
         run_test(X, Partition.exchangeable(6), opts)
     assert max(seen) == before + 1  # the helper was drawing ahead
     assert threading.active_count() == before
-    # a caller that stops reading early also stops the helper (a wrapper
-    # draws on one; a PCG64 generator's split draws are tested below)
-    blocks = kt._normal_blocks(301, 15, _RecordingRng(1))
+    # a caller that stops reading early also stops the helper (two split
+    # decoders are tested below)
+    blocks = kt._normal_blocks(301, 15, np.random.default_rng(1), decoders=1)
     next(blocks)
+    assert [t.name for t in threading.enumerate()].count("kstruct-draws") == 1
     assert threading.active_count() == before + 1
     blocks.close()
     assert threading.active_count() == before
 
 
 def test_draw_thread_error_reaches_the_caller(monkeypatch):
+    # the helper hands over four blocks, then fails: the caller gets the
+    # four, then the error, and its generator is left where inline draws
+    # of the four leave it
     _draw_ahead(monkeypatch, True)
-    before = threading.active_count()
-    rng = _RecordingRng(9, fail_at=4)
+    before, names, decode = threading.active_count(), [], kt._decode
+
+    def failing(d, decoders, sizes, *args):
+        names.append(threading.current_thread().name)
+        decode(d, decoders, sizes[:4], *args)
+        raise FloatingPointError("draw 4 failed")
+
+    monkeypatch.setattr(kt, "_decode", failing)
+    rng, got = np.random.default_rng(9), []
     with pytest.raises(FloatingPointError, match="draw 4 failed"):
-        drawn(kt._normal_blocks(301, pair_count(6), rng))
-    assert len(rng.threads) == 4
-    assert not any(t is threading.main_thread() for t in rng.threads)
+        for block in kt._normal_blocks(301, pair_count(6), rng, decoders=1):
+            got.append(block.copy())
+    want = np.random.default_rng(9)
+    assert np.array_equal(np.concatenate(got), want.standard_normal((12, pair_count(6))))
+    assert rng.bit_generator.state == want.bit_generator.state
+    assert names == ["kstruct-draws"]
     assert threading.active_count() == before
 
 
@@ -1079,10 +1091,10 @@ def test_split_draws_are_one_draw(monkeypatch, rows, N, cols):
 
 
 def test_split_draws_fall_back_exactly(monkeypatch):
-    # with no window every splice fails and each block is drawn again from
-    # the exact end of the one before
+    # when every splice fails, each block is drawn again from the exact
+    # end of the one before
     offsets = _split(monkeypatch, 40 * 50)
-    monkeypatch.setattr(kt, "_splice_window", lambda entries: 0)
+    monkeypatch.setattr(kt, "_splice_offset", lambda *args: offsets.append(None))
     rng = np.random.default_rng(223)
     Z = drawn(kt._normal_blocks(1001, 50, rng))
     want = np.random.default_rng(223)
@@ -1104,26 +1116,42 @@ def test_split_leaves_the_generator_as_inline_draws_do(monkeypatch):
     assert rng.bit_generator.state["has_uint32"] == 1
 
 
+class _WrappedRng:
+    """A generator's standard_normal that records the thread drawing it."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.threads = []
+
+    def standard_normal(self, *args, **kwargs):
+        self.threads.append(threading.current_thread())
+        return self.rng.standard_normal(*args, **kwargs)
+
+
 def test_split_only_for_a_pcg64_generator(monkeypatch):
-    # a wrapper and another bit generator draw on one helper thread from
-    # the caller's generator, and so do the coloured and bootstrap
-    # samplers with any generator; the whitened-residual sampler splits
+    # a wrapper and another bit generator draw inline; with a Generator
+    # over PCG64 the coloured and bootstrap samplers draw on one decoder,
+    # whose lower bounds are exact, and the whitened-residual sampler
+    # splits over two
     offsets = _split(monkeypatch, 3 * 15)
+    names = _decoders(monkeypatch)
     philox = np.random.Generator(np.random.Philox(7))
     want = np.random.Generator(np.random.Philox(7)).standard_normal((301, 15))
     assert np.array_equal(drawn(kt._normal_blocks(301, 15, philox)), want)
-    wrapper = _RecordingRng(7)
+    wrapper = _WrappedRng(7)
     drawn(kt._normal_blocks(301, 15, wrapper))
-    assert len(wrapper.threads) == 101 and len(set(wrapper.threads)) == 1
-    assert wrapper.threads[0] is not threading.main_thread()
+    assert len(wrapper.threads) == 101 and set(wrapper.threads) == {threading.main_thread()}
+    assert names == [] and offsets == []
     X = exchangeable_normal(np.random.default_rng(229), 30, 6)
     bootstrap_draws(X, None, 301, np.random.default_rng(7))
     drawn(kt._null_gaussian_blocks(one_group(np.array([0.4, 0.2, 1.0]), 6), 301,
                                    np.random.default_rng(7)))
-    assert offsets == []
+    assert names == ["kstruct-draws"] * 2 and offsets == [0] * (300 + 100)
+    names.clear()
+    offsets.clear()
     gamma = gamma_projection(block_membership_matrix(Partition(6, ((1, 2, 3), (4, 5, 6)))))
     drawn(kt._residual_blocks(gamma, 301, 15, np.random.default_rng(7)))
-    assert len(offsets) == 100
+    assert names == ["kstruct-draws"] * 2 and len(offsets) == 100
 
 
 def test_split_decoders_stop_with_the_caller(monkeypatch):
@@ -1225,8 +1253,9 @@ def test_run_test_validation_errors():
     X = exchangeable_normal(rng, 20, 4)
     part = Partition.exchangeable(4)
     design = block_membership_matrix(part)
-    with pytest.raises(ValueError, match="structured estimator"):
-        run_test(X, part, TestOptions(estimator="jackknife", seed=1))
+    # the jackknife tests a partition as its membership design
+    jackknife = TestOptions(estimator="jackknife", seed=1)
+    assert run_test(X, part, jackknife) == run_test(X, design, jackknife)
     with pytest.raises(ValueError, match="dense jackknife"):
         run_test(X, design, TestOptions(estimator="structured", seed=1))
     with pytest.raises(ValueError, match="seed"):
