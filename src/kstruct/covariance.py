@@ -227,6 +227,11 @@ def structured_jackknife_partition(data, partition):
     return _kept(sample, partition, build)
 
 
+# batches of ``population_sigma_mc``'s draws, whose means give its
+# standard errors; every mc_reps >= 1000 fills each with 50 draws or more
+_MC_BATCHES = 20
+
+
 @dataclass
 class PopulationSigma:
     """Monte Carlo estimate of the exchangeable covariance coefficients."""
@@ -240,7 +245,7 @@ class PopulationSigma:
     reps: int = 0
 
 
-def population_sigma_mc(copula_sampler, mc_reps, rng, n=None, batches=20):
+def population_sigma_mc(copula_sampler, mc_reps, rng, n=None):
     """Estimate the population covariance coefficients of an exchangeable
     copula by Monte Carlo.
 
@@ -253,23 +258,21 @@ def population_sigma_mc(copula_sampler, mc_reps, rng, n=None, batches=20):
     Each bivariate/trivariate/quadrivariate orthant probability entering
     the moments is replaced by the indicator of an independent copy
     falling inside the orthant, so no explicit distribution function is
-    needed.  Standard errors come from ``batches`` batch means.
+    needed.  Standard errors come from ``_MC_BATCHES`` batch means.
     """
     if mc_reps < 1000:
         raise ValueError("mc_reps must be at least 1000, got %d" % mc_reps)
-    if batches < 2 or mc_reps // batches < 1:
-        raise ValueError("need at least 2 batches with at least 1 draw each")
-    per = mc_reps // batches
+    per = mc_reps // _MC_BATCHES
     if n is not None:
         nn = float(n)
         fac = 16.0 / (nn * (nn - 1.0))
         tail = 2.0 * (2.0 * nn - 3.0) / (nn * (nn - 1.0))
 
-    sig_batches = np.empty((batches, 3))
-    sign_batches = np.empty((batches, 3))
+    sig_batches = np.empty((_MC_BATCHES, 3))
+    sign_batches = np.empty((_MC_BATCHES, 3))
     beta_acc = 0.0
 
-    for b in range(batches):
+    for b in range(_MC_BATCHES):
         U, V, W = (np.asarray(copula_sampler(rng, per), dtype=float) for _ in range(3))
         if any(M.shape != (per, 4) for M in (U, V, W)):
             raise ValueError("copula_sampler must return a (size, 4) array")
@@ -298,10 +301,10 @@ def population_sigma_mc(copula_sampler, mc_reps, rng, n=None, batches=20):
                 )
 
     def mean_and_se(values):
-        return values.mean(axis=0), values.std(axis=0, ddof=1) / np.sqrt(batches)
+        return values.mean(axis=0), values.std(axis=0, ddof=1) / np.sqrt(_MC_BATCHES)
 
-    out = PopulationSigma(*mean_and_se(sig_batches), beta=beta_acc / batches, n=n,
-                          reps=per * batches)
+    out = PopulationSigma(*mean_and_se(sig_batches), beta=beta_acc / _MC_BATCHES, n=n,
+                          reps=per * _MC_BATCHES)
     if n is not None:
         out.sigma_n, out.sigma_n_se = mean_and_se(sign_batches)
     return out

@@ -41,23 +41,16 @@ its absolute value in place, and then the buffer is filled again.
 When a test's draws span two or more blocks, its generator is a
 Generator over PCG64 and the process may run on two or more CPUs
 (``kendall._second_cpu``, the rule the kernel pass follows too), decoder
-threads draw the blocks ahead while the calling thread colours or
-subtracts and counts exceedances.  Each decoder has a private PCG64
-generator started at the caller's state, and the decoders take blocks
-in turn: one for the coloured and bootstrap samplers, whose per-block
-work competes for the two CPUs, and two for the standard normals of the
-max/sigma routes (``_residual_blocks``), whose per-block work is light.
-A decoder starts block k at a lower bound of its place in the stream,
-its own exact end of its previous block advanced by the entries of the
-blocks in between (every normal of NumPy's ziggurat takes at least one
-64-bit output), and splices it onto the exact end of block k - 1 at the
-offset where the generator's state, not just a value, matches; if none
-does, the block is drawn again from that end.  One decoder's bound is
-exact.  The calling thread sets its generator to each block's exact end
-state as it takes the block, and no other thread touches it, so every
-draw, p-value and the generator's final state are the same as with
-inline draws.  Any other generator, and child processes such as
-``run_study``'s workers, which already fill every CPU, draw inline.
+threads with private PCG64 generators draw the blocks ahead, taking them
+in turn (see ``_decode``), while the calling thread colours or subtracts
+and counts exceedances: one decoder for the coloured and bootstrap
+samplers, whose per-block work competes for the two CPUs, and two for
+the light max/sigma routes (``_residual_blocks``).  The calling thread
+sets its generator to each block's exact end state as it takes the
+block, and no other thread touches it, so every draw, p-value and the
+generator's final state are those of inline draws.  Any other
+generator, and child processes such as ``run_study``'s workers, which
+already fill every CPU, draw inline.
 
 A weighting or sampler target is a covariance form: the PSDFactor or
 PartitionQuotients that ``CovarianceEstimate.factor`` returns.  The
@@ -376,16 +369,14 @@ def _normal_blocks(N, p, rng, cols=None, decoders=2):
     for the next block: the caller may write over it, and copies any
     values it keeps longer, since the buffer is then filled again.
     With two or more blocks, ``kendall._second_cpu()`` and ``rng`` a
-    Generator over PCG64, the blocks are drawn ahead by ``decoders``
-    helper threads taking blocks in turn, each with a private generator
-    started at ``rng``'s state (see ``_decode``); any other generator
-    draws inline.  As it hands a block over, the calling thread sets
-    ``rng`` to the block's exact end state, so every value, and the
-    generator's state after each block handed over, are those of inline
-    draws.  No helper touches ``rng``: they write nothing but their own
-    generators and the buffers handed to them, are stopped and joined
-    when the caller stops early or raises, and an exception either meets
-    is raised here.
+    Generator over PCG64, ``decoders`` helper threads draw the blocks
+    ahead (see ``_decode``); any other generator draws inline.  The
+    calling thread sets ``rng`` to each block's exact end state as it
+    hands the block over, so every value and every such state are those
+    of inline draws.  The helpers write nothing but their own generators
+    and the buffers handed to them, are stopped and joined when the
+    caller stops early or raises, and an exception either meets is
+    raised here.
     """
     bounds = _row_blocks(int(N), p)
     cols = p if cols is None else cols
