@@ -91,12 +91,19 @@ def overlap_count(k, l):
     return len(set(a) & set(b))
 
 
+def _check_keys(obj, allowed, where):
+    """Refuse a key of the mapping ``obj`` that is not in ``allowed``."""
+    unknown = sorted(k for k in obj if k not in allowed)
+    if unknown:
+        raise ValueError("%s: unknown key(s) %s" % (where, ", ".join(map(repr, unknown))))
+
+
 def _integer(value, what):
     """``value`` as an int, refusing a bool and any value that int()
     would change, such as 1.9 or "2": outside input is never truncated."""
     try:
         whole = not isinstance(value, (bool, np.bool_)) and int(value) == value
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         whole = False
     if not whole:
         raise ValueError("%s %r is not an integer" % (what, value))
@@ -149,14 +156,20 @@ class Partition:
         return g
 
 
+_DESIGN_KINDS = ("membership", "diagonal-free", "vertex-incidence", "general")
+
+
 @dataclass(frozen=True)
 class DesignMatrix:
     """A p x L design matrix for the hypothesis tau = B @ beta.
 
     ``kind`` records how the matrix was built ("membership",
-    "diagonal-free", "vertex-incidence" or "general").  Every kind needs
-    L < p: a design with as many columns as pairs leaves no constraint
-    to test and is refused, and so is a non-finite entry.
+    "diagonal-free", "vertex-incidence" or "general"), and a matrix that
+    is not of its kind is refused: a membership or diagonal-free design
+    is 0/1 with one 1 a row and no empty column, and a vertex-incidence
+    design is ``vertex_incidence_design(d)``.  Every kind needs L < p: a
+    design with as many columns as pairs leaves no constraint to test
+    and is refused, and so is a non-finite entry.
     """
 
     matrix: np.ndarray
@@ -176,11 +189,21 @@ class DesignMatrix:
             raise ValueError(
                 "design has %d rows, which is not a pair count d(d-1)/2" % p
             )
+        if self.kind not in _DESIGN_KINDS:
+            raise ValueError("design kind must be one of %s, got %r"
+                             % (", ".join(map(repr, _DESIGN_KINDS)), self.kind))
         if B.shape[1] >= p:
             raise ValueError(
                 "%s design with L=%d columns for p=%d pairs leaves no "
                 "constraint to test" % (self.kind, B.shape[1], p)
             )
+        if self.kind in ("membership", "diagonal-free") and not (
+                np.isin(B, (0.0, 1.0)).all() and (B.sum(axis=1) == 1).all()
+                and B.any(axis=0).all()):
+            raise ValueError("a %s design is 0/1 with one 1 a row and no empty column"
+                             % self.kind)
+        if self.kind == "vertex-incidence" and not np.array_equal(B, _incidence(d)):
+            raise ValueError("a vertex-incidence design is vertex_incidence_design(%d)" % d)
         object.__setattr__(self, "matrix", B)
 
     @property
@@ -280,7 +303,8 @@ def vertex_incidence_design(d):
 
 
 def load_partition_json(path):
-    """Read a partition from a JSON file {"d": int, "groups": [[...], ...]}."""
+    """Read a partition from a JSON file {"d": int, "groups": [[...], ...]};
+    any other key is refused."""
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
     try:
@@ -289,6 +313,7 @@ def load_partition_json(path):
         raise ValueError(
             '%s: expected an object {"d": int, "groups": [[...], ...]}' % path
         ) from exc
+    _check_keys(obj, ("d", "groups"), path)
     return Partition(d, tuple(tuple(g) for g in groups))
 
 

@@ -456,12 +456,17 @@ def run_study(
     ``out_dir`` whose manifest records another seed or other scenarios
     is refused with ValueError, so the rows of two studies never mix.
     ``seed``, the shard's bounds and ``workers`` are read as integers:
-    7.0 is 7, and 7.9 is refused.
+    7.0 is 7, and 7.9 is refused; so are a negative seed and a shard
+    other than 0 <= A < B, before any file is written.
     """
     seed = _integer(seed, "seed")
+    if seed < 0:
+        raise ValueError("seed must be non-negative, got %d" % seed)
     lo, hi = 0, float("inf")
     if shard is not None:
         lo, hi = shard = [_integer(s, "shard") for s in shard]
+        if not 0 <= lo < hi:
+            raise ValueError("shard needs 0 <= A < B, got (%d, %d)" % (lo, hi))
     if workers is None:
         workers = os.cpu_count() or 1
     nworkers = max(1, _integer(workers, "workers"))
@@ -496,7 +501,7 @@ def run_study(
         _write_manifest(out_dir, manifest)
 
     tasks = [(si, rep, seed) for si, sc in enumerate(scenarios)
-             for rep in range(max(0, lo), min(sc.repetitions, hi)) if (si, rep) not in done]
+             for rep in range(lo, min(sc.repetitions, hi)) if (si, rep) not in done]
     started = time.time()
     rows = []
     writer = None

@@ -150,7 +150,8 @@ class TestOptions:
         ``_ROUTES`` lists the combinations accepted.
 
     replicates, seed and tie_seed are integers: a whole float such as
-    200.0 is read as one, and any other value is refused.
+    200.0 is read as one, and any other value is refused, and so is a
+    negative seed or tie_seed.  plus_one is a bool.
     """
 
     statistic: str = "euclidean"
@@ -178,8 +179,11 @@ class TestOptions:
             raise ValueError("replicates must be at least 100")
         if self.seed is None:
             raise ValueError("a seed is required so reports are reproducible")
-        _integer(self.seed, "seed")
-        _integer(self.tie_seed, "tie_seed")
+        for name in ("seed", "tie_seed"):
+            if _integer(getattr(self, name), name) < 0:
+                raise ValueError("%s must be non-negative, got %r" % (name, getattr(self, name)))
+        if not isinstance(self.plus_one, (bool, np.bool_)):
+            raise ValueError("plus_one %r is not a bool" % (self.plus_one,))
         if self.ties not in ("error", "jitter"):
             raise ValueError("ties must be 'error' or 'jitter'")
         if self.null_draws not in ("auto", "gaussian", "bootstrap"):

@@ -5,6 +5,7 @@ import csv
 import json
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -95,6 +96,13 @@ def test_read_data_csv_errors(tmp_path):
     messy.write_text("a,b\n1.0,2.0\nx,y\n")
     with pytest.raises(ValueError):
         read_data_csv(str(messy))
+    # a header and no rows: no data, not a (0, 1) array
+    header = tmp_path / "header.csv"
+    header.write_text("a,b\n\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="header.csv: no data rows after the header"):
+            read_data_csv(str(header))
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +583,9 @@ def test_cmd_simulate_bad_shard(tmp_path, capsys):
         )
         == 1
     )
-    capsys.readouterr()
+    # refused by run_study, as an API call is, before any file is written
+    assert "shard needs 0 <= A < B, got (5, 2)" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 # ---------------------------------------------------------------------------

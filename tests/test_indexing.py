@@ -156,6 +156,40 @@ def test_partition_json_refuses_a_non_integer_d(tmp_path):
     assert load_partition_json(path) == Partition(4, ((1, 2), (3, 4)))
 
 
+def test_partition_json_refuses_an_infinite_d_and_an_unknown_key(tmp_path):
+    # 1e400 reads as inf, refused by the ValueError that names the field
+    path = tmp_path / "part.json"
+    path.write_text('{"d": 1e400, "groups": [[1, 2], [3, 4]]}')
+    with pytest.raises(ValueError, match="partition d inf is not an integer"):
+        load_partition_json(path)
+    path.write_text('{"d": 4, "groups": [[1, 2], [3, 4]], "group": [[1]]}')
+    with pytest.raises(ValueError, match="unknown key\\(s\\) 'group'"):
+        load_partition_json(path)
+
+
+def test_design_kind_must_match_its_matrix():
+    # a kind picks closed forms, so a matrix not of its kind is refused
+    B = np.random.default_rng(1).standard_normal((10, 2))
+    for kind in ("membership", "diagonal-free"):
+        with pytest.raises(ValueError, match="a %s design is 0/1" % kind):
+            DesignMatrix(B, kind=kind)
+    with pytest.raises(ValueError, match="design kind must be one of"):
+        DesignMatrix(B, kind="whatever")
+    part = Partition(5, ((1, 2), (3, 4, 5)))
+    M = block_membership_matrix(part).matrix
+    for bad in (2.0 * M, np.column_stack([M, np.zeros(10)]), M + np.eye(10)[:, :3]):
+        with pytest.raises(ValueError, match="a membership design is 0/1"):
+            DesignMatrix(bad, kind="membership")
+    V = vertex_incidence_design(5).matrix
+    for bad in (B, V[:, ::-1], np.eye(10)[:, :5]):
+        with pytest.raises(ValueError, match="vertex_incidence_design\\(5\\)"):
+            DesignMatrix(bad, kind="vertex-incidence")
+    # every builder's matrix is of its kind
+    for design in (block_membership_matrix(part), diagonal_free_membership_matrix(part),
+                   vertex_incidence_design(5), DesignMatrix(B)):
+        assert DesignMatrix(design.matrix, kind=design.kind).kind == design.kind
+
+
 def test_exchangeable_membership_is_ones():
     B = block_membership_matrix(Partition.exchangeable(5))
     assert B.kind == "membership"

@@ -435,6 +435,19 @@ def test_run_study_reads_its_seed_as_an_integer(tmp_path):
         assert json.load(fh)["seed"] == 7
 
 
+def test_run_study_refuses_a_negative_seed_and_an_empty_or_negative_shard(tmp_path):
+    for kwargs, message in (
+        ({"seed": -1}, r"^seed must be non-negative, got -1$"),
+        ({"shard": (3, 1)}, r"^shard needs 0 <= A < B, got \(3, 1\)$"),
+        ({"shard": (-2, 2)}, r"^shard needs 0 <= A < B, got \(-2, 2\)$"),
+        ({"shard": (2, 2)}, r"^shard needs 0 <= A < B, got \(2, 2\)$"),
+    ):
+        kwargs = {"seed": 3, "workers": 1, **kwargs}
+        with pytest.raises(ValueError, match=message):
+            run_study(_study_config(reps=4), out_dir=str(tmp_path / "bad"), **kwargs)
+    assert not (tmp_path / "bad").exists()
+
+
 def test_run_study_reads_shard_and_workers_as_integers(tmp_path):
     for kwargs, message in (
         ({"shard": (0.5, 2.7)}, r"^shard 0.5 is not an integer$"),

@@ -1248,6 +1248,20 @@ def test_exceedances_equal_the_row_reduction(monkeypatch, p, rows):
             assert kt._exceedances(blocks(np.random.default_rng(239)), value) == want, name
 
 
+def test_options_refuse_negative_seeds_and_a_plus_one_that_is_not_a_bool():
+    # seeds are non-negative integers, an infinite one named as such
+    with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+        TestOptions(seed=-1).validate()
+    with pytest.raises(ValueError, match="^tie_seed must be non-negative, got -3$"):
+        TestOptions(seed=1, tie_seed=-3).validate()
+    with pytest.raises(ValueError, match="^seed inf is not an integer$"):
+        TestOptions(seed=float("inf")).validate()
+    for flag in ("no", 1, None):
+        with pytest.raises(ValueError, match="^plus_one %r is not a bool$" % (flag,)):
+            TestOptions(statistic="max", seed=1, plus_one=flag).validate()
+    TestOptions(statistic="max", seed=1, plus_one=np.True_).validate()
+
+
 def test_run_test_validation_errors():
     rng = np.random.default_rng(83)
     X = exchangeable_normal(rng, 20, 4)
