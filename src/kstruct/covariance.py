@@ -227,8 +227,7 @@ def structured_jackknife_partition(data, partition):
     return _kept(sample, partition, build)
 
 
-# batches of ``population_sigma_mc``'s draws, whose means give its
-# standard errors; every mc_reps >= 1000 fills each with 50 draws or more
+# batch means of ``population_sigma_mc``, for its standard errors
 _MC_BATCHES = 20
 
 

@@ -265,10 +265,7 @@ def _prepare(scenarios):
     sampler of its data and its hypothesis partition.  Each
     process that runs repetitions prepares them once: every pool worker,
     or run_study itself when it runs them in-process."""
-    out = []
-    for sc in scenarios:
-        out.append((sc, _gaussian_rows(build_tau_matrix(sc)), sc.partition()))
-    return out
+    return [(sc, _gaussian_rows(build_tau_matrix(sc)), sc.partition()) for sc in scenarios]
 
 
 def _rep_task(study, task):
