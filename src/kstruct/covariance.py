@@ -26,15 +26,20 @@ consumer (weighted projection, whitening, null draws) works from that
 factor.
 
 An estimate holds D and any quotients, and derives every other form
-from them.  D is the sample's own read-only ``rows``, the one copy the
-kernel pass made, which every estimate of the sample holds and none
-copies.  An estimate is a value of its sample: the first estimate of a
-KendallSample (dense, or structured under a given Partition) is kept on
-the sample while it lives, and every later test or estimate of that
-sample shares it, with what the estimate builds on first use (the
-quotients' eigendecomposition and pseudo-powers, the thin SVD, the
-projected null law of ``testing``).  The shared arrays are read-only.
-A raw array is ranked into a fresh sample, so it shares nothing.
+from them.  D is the sample's own ``kendall.LeaveOneOut``: the exact
+integer row sums of the kernel pass, from which the quotients read D a
+chunk at a time, so a structured estimate never forms D.  A dense
+estimate's matrix and SVD, and the bootstrap's projected rows, read D
+whole, which the LeaveOneOut forms once, read-only, for every estimate
+of the sample.  An estimate holds the LeaveOneOut, never the sample, so
+no reference cycle keeps a dropped sample's arrays alive.  An estimate
+is a value of its sample: the first estimate of a KendallSample (dense,
+or structured under a given Partition) is kept on the sample while it
+lives, and every later test or estimate of that sample shares it, with
+what the estimate builds on first use (the quotients'
+eigendecomposition and pseudo-powers, the thin SVD, the projected null
+law of ``testing``).  The shared arrays are read-only.  A raw array is
+ranked into a fresh sample, so it shares nothing.
 
 Also here: the spectral factor (w, V, keep) of a PSD matrix with its
 pseudo-powers, and a Monte Carlo evaluator for the population covariance
@@ -121,11 +126,13 @@ class PSDFactor:
 
 
 class CovarianceEstimate:
-    """A covariance estimate for tau_hat, made from ``rows``, the n x p
-    centred leave-one-out matrix D: the dense jackknife (4/n^2) D'D
-    (kind "dense"), or with ``quotients`` its orbit average under a
-    partition (kind "partition").  ``n`` and ``kind`` are read from
-    these, and each other form is derived once, on first read, and
+    """A covariance estimate for tau_hat, made from ``leave_one_out``, the
+    ``kendall.LeaveOneOut`` of the n x p centred leave-one-out matrix D:
+    the dense jackknife (4/n^2) D'D (kind "dense"), or with
+    ``quotients`` its orbit average under a partition (kind
+    "partition").  ``rows`` reads D whole (formed on the first read of
+    any estimate of the sample), and ``n`` and ``kind`` are read from
+    these; each other form is derived once, on first read, and
     read-only: ``matrix``; ``factor``, the form that whitens (the
     quotients, or a PSDFactor from the thin SVD of D); and ``s``, the
     overlap-class coefficients (s0, s1, s2) of a one-group estimate
@@ -133,13 +140,17 @@ class CovarianceEstimate:
     cov(tau_hat); multiply by n for the asymptotic matrix.
     """
 
-    def __init__(self, rows, quotients=None):
-        self.rows = rows
+    def __init__(self, leave_one_out, quotients=None):
+        self.leave_one_out = leave_one_out
         self.quotients = quotients
 
     @property
+    def rows(self):
+        return self.leave_one_out.rows
+
+    @property
     def n(self):
-        return self.rows.shape[0]
+        return self.leave_one_out.shape[0]
 
     @property
     def kind(self):
@@ -148,7 +159,7 @@ class CovarianceEstimate:
     @cached_property
     def matrix(self):
         if self.quotients is not None:
-            M = partition_apply(self.quotients, np.eye(self.rows.shape[1]))
+            M = partition_apply(self.quotients, np.eye(self.leave_one_out.shape[1]))
         else:
             M = (4.0 / self.n**2) * (self.rows.T @ self.rows)
         M.flags.writeable = False
@@ -191,13 +202,14 @@ def jackknife_cov(data):
 
     ``data`` is an (n, d) array, ranked with ties="error", or a
     KendallSample, which is how jittered data comes in; a sample keeps
-    its estimate, so every call on it returns the same one.  Its rows
-    are the sample's ``rows``, not a copy of them.
+    its estimate, so every call on it returns the same one.  It holds
+    the sample's ``leave_one_out``, so its rows are the sample's
+    ``rows``, not a copy of them.
     """
     if np.shape(data)[0] < 3:
         raise ValueError("dense jackknife needs n >= 3")
     sample = KendallSample.of(data)
-    return _kept(sample, "dense", lambda: CovarianceEstimate(sample.rows))
+    return _kept(sample, "dense", lambda: CovarianceEstimate(sample.leave_one_out))
 
 
 def structured_jackknife_partition(data, partition):
@@ -221,7 +233,7 @@ def structured_jackknife_partition(data, partition):
         )
 
     def build():
-        D = sample.rows  # averaged over the orbits
+        D = sample.leave_one_out  # averaged over the orbits, a chunk at a time
         return CovarianceEstimate(D, partition_quotients(D, partition, 4.0 / n**2))
 
     return _kept(sample, partition, build)

@@ -318,6 +318,15 @@ def load_partition_json(path):
 
 
 def load_design_csv(path):
-    """Read a header-free numeric CSV as a general design matrix."""
-    B = np.loadtxt(path, delimiter=",", ndmin=2)
+    """Read a header-free numeric CSV as a general design matrix.  An
+    empty file, or one with a cell that is not a number (a header row,
+    say), raises ValueError naming the file."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        lines = fh.read().splitlines()
+    if not any(line.strip() for line in lines):
+        raise ValueError("%s: file is empty" % path)
+    try:
+        B = np.loadtxt(lines, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise ValueError("%s: could not parse as numeric CSV: %s" % (path, exc)) from None
     return DesignMatrix(B, kind="general")

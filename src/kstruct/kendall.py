@@ -19,12 +19,13 @@ float32: every partial sum a BLAS product forms, in any order and with
 or without fused multiply-adds, is an integer of magnitude at most
 n - 1, which float32 represents exactly while n - 1 <= 2**24 (a larger
 n is refused).  The row sums are therefore exact integers, written as
-float64, until the final division, and brute-force comparisons can
-demand bitwise equality.  When the pass spans two or more blocks of
-rows and the process may use a second CPU (``_second_cpu``, the rule
-the Monte Carlo draws of ``testing`` follow too), a helper thread takes
-half of the blocks; NumPy releases the interpreter lock in the
-comparisons and the products, and the sums are the same.
+int16 (int32 once n - 1 > 32767), until the final division, and
+brute-force comparisons can demand bitwise equality.  When the pass
+spans two or more blocks of rows and the process may use a second CPU
+(``_second_cpu``, the rule the Monte Carlo draws of ``testing`` follow
+too), a helper thread takes half of the blocks; NumPy releases the
+interpreter lock in the comparisons and the products, and the sums are
+the same.
 
 Tied values make the kernel 0 and break the +/-1 contract; by default
 that is a hard error.  An opt-in, seeded jitter of relative size 1e-9
@@ -38,9 +39,14 @@ digest and the tied columns.  It is the one way to rank data:
 ``run_test`` and the covariance estimators take it in place of the raw
 array, so every test of a dataset shares one O(n^2 p) pass.
 ``tau_and_leave_one_out`` is the bare kernel pass on the array a sample
-hands it.  The pass writes its row sums into one n x p float64 array
-and turns them into D in place, which the sample then holds read-only:
-it is the one copy of D that the estimates of the sample share.
+hands it.  A sample holds its row sums, a quarter of D's float64
+while they are int16, in a ``LeaveOneOut``: D is
+float64(sums) / (n - 1) - tau_hat entry by entry, so any chunk of D is
+made from them bit for bit.  The structured estimates read D a chunk at
+a time and never form it; a route that needs all of D forms it once, on
+the first read of ``rows``, and the sums are then released.  The
+estimates hold the LeaveOneOut, never the sample, so no reference cycle
+keeps the arrays alive.
 """
 
 import hashlib
@@ -127,9 +133,15 @@ def _second_cpu():
     return (os.cpu_count() or 1) >= 2
 
 
+def _sums_dtype(n):
+    """The integer type of the row sums of n observations: int16 while it
+    holds n - 1, else int32."""
+    return np.int16 if n - 1 <= np.iinfo(np.int16).max else np.int32
+
+
 def _pair_row_sums(X):
-    """Row sums sum_{s != r} h(X_r, X_s) as an (n, p) float64 array of
-    integers, each of magnitude at most n - 1.
+    """Row sums sum_{s != r} h(X_r, X_s) as an (n, p) integer array, each
+    of magnitude at most n - 1: int16 while n - 1 <= 32767, else int32.
 
     Row r holds the upper-triangle entries of S_r' S_r, from one batched
     float32 matmul per block of rows; the block buffers are allocated
@@ -138,8 +150,9 @@ def _pair_row_sums(X):
     _BLOCK_BUDGET bytes.
     With two or more blocks and ``_second_cpu()``, a helper thread works
     through the second half of the blocks, each thread in blocks of half
-    the budget; an exception on either half is raised here, once the
-    helper has stopped.  O(n^2 d^2) work overall.  The diagonal of
+    the budget, and both write into the one output array; an exception
+    on either half is raised here, once the helper has stopped.
+    O(n^2 d^2) work overall.  The diagonal of
     S_r' S_r counts the observations that differ from X_r in each
     variable, so an entry below n - 1 is a tie, raised as TieError.
     """
@@ -152,7 +165,7 @@ def _pair_row_sums(X):
     ii0, jj0 = _pairs0(d)
     p = len(ii0)
     flat = ii0 * d + jj0
-    out = np.empty((n, p))
+    out = np.empty((n, p), dtype=_sums_dtype(n))
     # per row of a block: float32 signs and their bool half (n x d), the
     # float32 Gram matrix (d x d) and its gathered pairs (p)
     row_bytes = 5 * n * d + 4 * (d * d + p)
@@ -205,22 +218,65 @@ def _pair_row_sums(X):
 
 
 def tau_and_leave_one_out(X):
-    """(tau_hat, D) of a validated float64 array X with no ties left,
-    from one kernel pass: D is the n x p centred leave-one-out matrix,
-    row i tau_hat^{(i)} - tau_hat.  ``KendallSample`` hands it the array
-    it ranks.
+    """(tau_hat, sums) of a validated float64 array X with no ties left,
+    from one kernel pass: ``sums`` is the (n, p) integer array of
+    ``_pair_row_sums``, from which ``LeaveOneOut`` makes the centred
+    leave-one-out matrix D.  ``KendallSample`` hands it the array it
+    ranks.
 
-    tau_hat comes from the column sums of the integer row sums, which
-    float64 adds exactly: every partial sum is at most n (n - 1) < 2**49
-    in magnitude.  The row sums are then divided by n - 1 and centred in
-    their own buffer, so D is the only n x p array the pass makes.
+    tau_hat comes from the column sums of the integer row sums, added in
+    float64, which holds them exactly: every partial sum is at most
+    n (n - 1) < 2**49 in magnitude.
     """
     n = X.shape[0]
-    D = _pair_row_sums(X)
-    tau = D.sum(axis=0) / float(n * (n - 1))
-    D /= float(n - 1)
-    D -= tau
-    return tau, D
+    sums = _pair_row_sums(X)
+    return sums.sum(axis=0, dtype=np.float64) / float(n * (n - 1)), sums
+
+
+class LeaveOneOut:
+    """The n x p centred leave-one-out matrix D of one sample (row i
+    tau_hat^{(i)} - tau_hat), held as the kernel pass's exact integer
+    row sums, made read-only, and tau_hat: D is
+    float64(sums) / (n - 1) - tau_hat, the division and subtraction
+    entry by entry.
+
+    ``write(lo, hi, out)`` puts rows [lo, hi) of D into ``out``, a
+    (hi - lo, p) float64 array, so a reader of D in chunks never forms
+    it.  ``rows`` is all of D, formed once, on its first read, and
+    read-only; the sums are then released and chunks copied from D.
+    Threads that race on the first read of ``rows`` each form an equal
+    D.
+    """
+
+    __slots__ = ("shape", "tau", "_sums", "_rows", "__weakref__")
+
+    def __init__(self, sums, tau):
+        sums.flags.writeable = False
+        self.shape, self.tau = sums.shape, tau
+        self._sums, self._rows = sums, None
+
+    def write(self, lo, hi, out):
+        sums = self._sums  # None only once D is formed
+        if sums is None:
+            np.copyto(out, self._rows[lo:hi])
+        else:
+            out[...] = sums[lo:hi]
+            out /= float(self.shape[0] - 1)
+            out -= self.tau
+        return out
+
+    @property
+    def rows(self):
+        D = self._rows
+        if D is None:
+            sums = self._sums
+            if sums is None:  # formed meanwhile by another thread
+                return self._rows
+            D = self.write(0, self.shape[0], np.empty(self.shape))
+            D.flags.writeable = False  # every estimate of the sample shares it
+            self._rows = D
+            self._sums = None
+        return D
 
 
 class KendallSample:
@@ -228,9 +284,10 @@ class KendallSample:
 
     Built from ``(data, ties, tie_seed)``, everything taken when it is
     built; holds the ``shape`` (n, d) of the validated data, tau_hat
-    ``tau`` and the read-only (n, p) centred leave-one-out matrix
-    ``rows`` (D, row i tau_hat^{(i)} - tau_hat) from one kernel pass,
-    which every estimate of the sample shares without a copy, the
+    ``tau`` and ``leave_one_out``, the LeaveOneOut of the centred
+    leave-one-out matrix D (row i tau_hat^{(i)} - tau_hat) from one
+    kernel pass, which every estimate of the sample shares without a
+    copy; ``rows`` reads D whole, formed on the first read.  Also the
     ``digest`` of the raw array that reports echo, the 1-based
     ``tied`` columns that were jittered (none with ties="error", which
     raises TieError here instead), and its ``ties`` and ``tie_seed``
@@ -251,8 +308,12 @@ class KendallSample:
                 X = _jitter_columns(X, self.tied, self.tie_seed)
         elif ties != "error":
             raise ValueError("ties must be 'error' or 'jitter', got %r" % (ties,))
-        self.tau, self.rows = tau_and_leave_one_out(X)
-        self.rows.flags.writeable = False  # every estimate of the sample shares it
+        self.tau, sums = tau_and_leave_one_out(X)
+        self.leave_one_out = LeaveOneOut(sums, self.tau)
+
+    @property
+    def rows(self):
+        return self.leave_one_out.rows
 
     @classmethod
     def of(cls, data, ties=None, tie_seed=None):

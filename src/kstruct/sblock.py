@@ -324,14 +324,17 @@ def _partition_layout(partition):
         groups.append(_GroupCopies(classes, inv_scale[:, None], centring, lo, hi))
         lo = hi
 
-    # pair {a, b} feeds copy (g(a), g(b)) at a and copy (g(b), g(a)) at b
-    rows = np.concatenate([row[ii0, gb], row[jj0, ga], lo + cls])
-    cols = np.concatenate([np.arange(p)] * 3)
-    vals = np.concatenate([np.ones(2 * p), 1.0 / np.sqrt(csize[cls])])
+    # pair {a, b} feeds copy (g(a), g(b)) at a and copy (g(b), g(a)) at b,
+    # and its class: column k of agg_t, built column by column; the CSR
+    # form holds each row's pairs in increasing order
+    rows = np.stack([row[ii0, gb], row[jj0, ga], lo + cls], axis=1)
     live = rows >= 0
-    agg_t = sparse.csr_matrix(
-        (vals[live], (rows[live], cols[live])), shape=(lo + L, p)
-    )
+    vals = np.ones(rows.shape)
+    vals[:, 2] = 1.0 / np.sqrt(csize[cls])
+    indptr = np.concatenate([[0], np.cumsum(live.sum(axis=1))])
+    agg_t = sparse.csc_matrix(
+        (vals[live], rows[live], indptr), shape=(lo + L, p)
+    ).tocsr()
     # class of each diagonal entry of the trivial, then standard, quotients
     energy_class = np.concatenate([np.arange(L)] + [gc.classes for gc in groups])
     for arr in (sizes, rem_dim, energy_class):
@@ -348,39 +351,49 @@ def _row_chunk(entries):
     return max(1, int(kendall._BLOCK_BUDGET // (8 * entries)))
 
 
-def _aggregate(S, D):
-    """S D^T for a CSR matrix S and rows D, an (n, S columns) array
-    read in place: each chunk of ``_row_chunk`` rows is copied
-    pair-major into one work array and aggregated by
-    ``_sparse_product``, which sums every entry on its own, so the
-    result equals SciPy's ``S @ D.T`` bit for bit without its transposed
-    copy of the whole of D."""
-    (J, p), n = S.shape, D.shape[0]
+def _aggregate(S, rows):
+    """(S D^T, the energy sum_i D_ij^2 of each column j) for a CSR
+    matrix S and the rows D of ``rows``, a ``kendall.LeaveOneOut`` with
+    S's columns, without forming D.  Each chunk of ``_row_chunk`` rows
+    is written into one work array, copied pair-major beside it and
+    aggregated by ``_sparse_product``, which sums every entry on its
+    own, so the result equals SciPy's ``S @ D.T`` bit for bit without
+    its transposed copy of the whole of D.  The chunk's squares are then
+    added to the energy a row at a time, in row order, as
+    ``np.einsum("ij,ij->j", D, D)`` adds them for p >= 2 (at p = 1 no
+    class has a remainder, so the energy is not read).  Neither result
+    depends on the chunk size."""
+    (J, p), n = S.shape, rows.shape[0]
     A = np.empty((J, n))
-    step = min(n, _row_chunk(p + J))
-    work = np.empty((p + J) * step)
+    energy = np.zeros(p)
+    step = min(n, _row_chunk(2 * p + J))
+    work = np.empty((2 * p + J) * step)
     for lo in range(0, n, step):
         k = min(step, n - lo)
-        X, Y = work[:p * k], work[p * k:(p + J) * k]
-        np.copyto(X.reshape(p, k), D[lo:lo + k].T)
+        C = rows.write(lo, lo + k, work[:p * k].reshape(k, p))
+        X, Y = work[p * k:2 * p * k], work[2 * p * k:(2 * p + J) * k]
+        np.copyto(X.reshape(p, k), C.T)
         Y.fill(0.0)
         _sparse_product(S, X, Y)
         A[:, lo:lo + k] = Y.reshape(J, k)
-    return A
+        np.multiply(C, C, out=C)
+        C[0] += energy
+        np.add.reduce(C, axis=0, out=energy)
+    return A, energy
 
 
-def partition_quotients(D, partition, scale):
+def partition_quotients(rows, partition, scale):
     """Quotients of scale * D^T D averaged over the partition's orbits.
 
-    ``D`` is (n, p); the result is the orbit average of the dense
-    scale * D^T D without forming it, in O(n p), and without copying D.
+    ``rows`` is the ``kendall.LeaveOneOut`` of the (n, p) matrix D; the
+    result is the orbit average of the dense scale * D^T D without
+    forming it, in O(n p), from chunks of D (see ``_aggregate``).
     Entries are Q[c, c'] = scale * sum_i <J_c^T D_i, J_c'^T D_i> / dim
     for the isometric copy embeddings J_c; each remainder is the class's
     energy left after its trivial and standard parts.
     """
     lay = _partition_layout(partition)
-    D = np.asarray(D, dtype=float)
-    A = _aggregate(lay.agg_t, D)
+    A, energy = _aggregate(lay.agg_t, rows)
     t = A[A.shape[0] - lay.L:]
     trivial = scale * (t @ t.T)
     standard, energies = [], [trivial.diagonal()]
@@ -398,13 +411,11 @@ def partition_quotients(D, partition, scale):
     explained = np.bincount(
         lay.energy_class, weights=np.concatenate(energies), minlength=lay.L
     )
-    energy = scale * np.bincount(
-        lay.cls, weights=np.einsum("ij,ij->j", D, D), minlength=lay.L
-    )
+    energy = scale * np.bincount(lay.cls, weights=energy, minlength=lay.L)
     remainder = np.where(
         lay.rem_dim > 0, (energy - explained) / np.maximum(lay.rem_dim, 1), 0.0
     )
-    return PartitionQuotients(partition, trivial, standard, remainder, max(D.shape))
+    return PartitionQuotients(partition, trivial, standard, remainder, max(rows.shape))
 
 
 def partition_projected(q, factor):

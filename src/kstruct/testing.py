@@ -698,7 +698,9 @@ def _fit(sample, hypothesis, opts):
         try:
             gamma = gamma_projection(design, est.factor if notes else None)
         except SingularError as exc:
-            singular, gamma = exc, gamma_projection(design)
+            # without the traceback, which would hold this frame and so,
+            # in a cycle, the sample
+            singular, gamma = exc.with_traceback(None), gamma_projection(design)
         else:
             # the whitened residual lies in the weight's range, orthogonal
             # to the L columns of the whitened design: it is zero when that

@@ -10,9 +10,10 @@ form (``_null_gaussian_blocks``), whitened-residual draws
 ``sparse_product_apply`` is ``sblock.partition_apply`` as written before
 it took buffers, with a fresh array for every intermediate: the
 reference that the buffered row path must equal bit for bit.  Likewise
-``sparse_product_aggregate`` is the aggregation of
-``sblock.partition_quotients`` as written before it read its rows in
-chunks.
+``sparse_product_aggregate`` is the aggregation and the column energies
+of ``sblock.partition_quotients`` as written before it read its rows in
+chunks, and ``GivenRows`` holds rows given as floats in place of a
+sample's leave-one-out rows.
 """
 
 import numpy as np
@@ -54,7 +55,24 @@ def sparse_product_apply(q, v):
     return out.reshape(v.shape)
 
 
-def sparse_product_aggregate(S, D):
-    """S D^T for a CSR matrix S and (n, S columns) rows D, through
-    SciPy's sparse product, which copies D^T whole."""
-    return S @ np.asarray(D, dtype=float).T
+class GivenRows:
+    """Rows D given whole as floats, read as ``sblock`` and
+    ``CovarianceEstimate`` read a ``kendall.LeaveOneOut``: ``shape``,
+    ``rows`` and ``write(lo, hi, out)``."""
+
+    def __init__(self, D):
+        self.rows = np.asarray(D, dtype=float)
+        self.shape = self.rows.shape
+
+    def write(self, lo, hi, out):
+        np.copyto(out, self.rows[lo:hi])
+        return out
+
+
+def sparse_product_aggregate(S, rows):
+    """(S D^T, the energy sum_i D_ij^2 of each column) for a CSR matrix S
+    and the rows D of a ``kendall.LeaveOneOut`` with S's columns, through
+    SciPy's sparse product, which copies D^T whole, and one einsum over
+    the whole of D."""
+    D = rows.rows
+    return S @ D.T, np.einsum("ij,ij->j", D, D)

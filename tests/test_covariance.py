@@ -88,24 +88,28 @@ def test_jackknife_accepts_sample():
 
 @pytest.mark.parametrize("groups", [1, 3])
 def test_partition_estimate_adds_a_chunk_of_work_beyond_the_rows(groups):
-    # the quotients aggregate D a chunk of rows at a time: beyond the
-    # sample's rows an estimate needs the chunk's work array and the
-    # coordinates, not a copy of D (here 18 MB)
+    # the quotients make D a chunk of rows at a time from the sample's
+    # int16 row sums: beyond them an estimate needs the chunk's work array
+    # (the rows, their pair-major copy and the coordinates), the
+    # coordinates of all rows and the energy of each pair, not D (here
+    # 18 MB), which it never forms
     n, d = 200, 150
     sample = KendallSample(np.random.default_rng(groups).standard_normal((n, d)))
     part = Partition(d, [range(g * d // groups + 1, (g + 1) * d // groups + 1)
                          for g in range(groups)])
     J, p = ks._partition_layout(part).agg_t.shape
-    work_bytes = 8 * (p + J) * min(n, ks._row_chunk(p + J))
+    work_bytes = 8 * (2 * p + J) * min(n, ks._row_chunk(2 * p + J))
     tracemalloc.start()
     try:
         est = structured_jackknife_partition(sample, part)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert est.leave_one_out is sample.leave_one_out
+    assert sample.leave_one_out._rows is None
+    assert peak <= work_bytes + 8 * J * n + 8 * p + 2**16
+    assert work_bytes + 8 * J * n + 8 * p + 2**16 < sample.rows.nbytes / 3
     assert est.rows is sample.rows
-    assert peak <= work_bytes + 8 * J * n + 2**16
-    assert work_bytes + 8 * J * n + 2**16 < sample.rows.nbytes / 3
 
 
 def test_exchangeable_equals_class_averaged_dense():

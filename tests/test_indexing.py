@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -418,6 +420,20 @@ def test_design_csv_loader(tmp_path):
     B = load_design_csv(path)
     assert B.matrix.shape == (6, 2)
     assert B.kind == "general"
+
+
+def test_design_csv_that_is_empty_or_has_a_header_is_refused_by_name(tmp_path):
+    # not NumPy's "input contained no data" warning, nor a message
+    # that leaves out the file
+    empty, headed = tmp_path / "empty.csv", tmp_path / "headed.csv"
+    empty.write_text("\n")
+    headed.write_text("a,b\n" + "1,0\n" * 6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="empty.csv: file is empty"):
+            load_design_csv(empty)
+        with pytest.raises(ValueError, match="headed.csv: could not parse as numeric CSV"):
+            load_design_csv(headed)
 
 
 def test_design_csv_with_a_non_finite_entry_is_refused(tmp_path):

@@ -1,4 +1,5 @@
 import re
+import sys
 import threading
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
@@ -217,9 +218,8 @@ def test_second_cpu_needs_two_cpus_outside_a_pool_worker(monkeypatch):
 @pytest.mark.parametrize("n, d", [(200, 100), (1000, 50)])
 def test_kernel_memory_stays_within_budget(n, d):
     X = np.random.default_rng(n).normal(size=(n, d))
-    out_bytes = n * pair_count(d) * 8
-    # a sample makes its centred rows in the row sums' own buffer, so it
-    # holds one n x p array too
+    out_bytes = n * pair_count(d) * 2
+    # a sample holds the int16 row sums and forms no n x p float array
     for rank in (kd._pair_row_sums, KendallSample):
         tracemalloc.start()
         try:
@@ -231,6 +231,13 @@ def test_kernel_memory_stays_within_budget(n, d):
         assert peak <= 1.1 * kd._BLOCK_BUDGET + out_bytes, rank
 
 
+def test_row_sums_take_the_smallest_integer_type_that_holds_them():
+    assert kd._sums_dtype(2) is np.int16
+    assert kd._sums_dtype(2**15) is np.int16  # n - 1 = 32767
+    assert kd._sums_dtype(2**15 + 1) is np.int32
+    assert kd._sums_dtype(kd._EXACT_COUNT + 1) is np.int32
+
+
 def test_leave_one_out_row_mean_is_tau():
     rng = np.random.default_rng(5)
     X = rng.normal(size=(30, 4))
@@ -239,10 +246,45 @@ def test_leave_one_out_row_mean_is_tau():
     assert rows.shape == (30, pair_count(4))
     # the rows are the leave-one-out averages less tau, so they average to 0
     assert np.allclose(rows.mean(axis=0), 0.0, rtol=0, atol=5e-15)
-    # the bare kernel pass on the validated array gives the sample's rows
-    tau2, rows2 = tau_and_leave_one_out(X)
+    # the bare kernel pass on the validated array gives the sample's tau
+    # and the exact row sums that its rows are made from
+    tau2, sums = tau_and_leave_one_out(X)
+    assert sums.dtype == np.int16
     assert np.array_equal(tau2, tau)
-    assert np.array_equal(rows2, rows)
+    assert np.array_equal(rows, sums.astype(np.float64) / 29.0 - tau)
+
+
+def test_threads_racing_on_the_first_read_of_rows_read_equal_rows():
+    # D is formed on the first read of rows and the sums are then
+    # released; a thread that reads rows or a chunk meanwhile still reads
+    # D exactly, whether from the sums or from D
+    X = np.random.default_rng(9).normal(size=(40, 6))
+    tau, sums = tau_and_leave_one_out(X)
+    want = sums.astype(np.float64) / 39.0 - tau
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            rows = kd.LeaveOneOut(sums.copy(), tau)
+            got, start = [], threading.Barrier(4)
+
+            def read(i):
+                start.wait()
+                for lo in range(i, 40, 4):
+                    got.append(np.array_equal(rows.write(lo, lo + 1, np.empty((1, 15))),
+                                              want[lo:lo + 1]))
+                got.append(np.array_equal(rows.rows, want))
+
+            threads = [threading.Thread(target=read, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+            assert got == [True] * 44
+            assert rows._sums is None and rows.rows is rows.rows
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_leave_one_out_matches_definition():

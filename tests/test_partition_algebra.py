@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dense_oracle import dense_power, dense_spectrum, dense_whiten
+from draws import GivenRows
 
 import kstruct.testing as kt
 from kstruct.covariance import (
@@ -94,7 +95,7 @@ def dense_partition_estimate(data, partition, **_):
     est = jackknife_cov(data)
     w, V = np.linalg.eigh(orbit_average(est.matrix, partition))
     rows = (est.n / 2.0) * (V * np.sqrt(np.maximum(w, 0.0))).T
-    oracle = CovarianceEstimate(rows)
+    oracle = CovarianceEstimate(GivenRows(rows))
     oracle.factor = PSDFactor.of_rows(rows, 4.0 / est.n**2)
     return oracle
 

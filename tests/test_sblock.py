@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from dense_oracle import materialize, one_group
+import kstruct.kendall as kd
 import kstruct.sblock as ks
-from draws import sparse_product_aggregate, sparse_product_apply
+from draws import GivenRows, sparse_product_aggregate, sparse_product_apply
 from kstruct.indexing import Partition, _incidence, _pairs0, pair_count
+from kstruct.kendall import KendallSample
 from kstruct.sblock import (
     SingularError,
     eigenvalues,
@@ -246,7 +248,8 @@ def test_apply_into_buffers_is_the_sparse_product(part):
     # the arithmetic of fresh sparse products, for a vector and for stacks
     rng = np.random.default_rng(131)
     p = pair_count(part.d)
-    q = partition_pseudo_power(partition_quotients(rng.standard_normal((12, p)), part, 0.1), 0.5)
+    rows = GivenRows(rng.standard_normal((12, p)))
+    q = partition_pseudo_power(partition_quotients(rows, part, 0.1), 0.5)
     v, V = rng.standard_normal(p), rng.standard_normal((11, p))
     assert np.array_equal(partition_apply(q, v), sparse_product_apply(q, v))
     want = sparse_product_apply(q, V)
@@ -270,20 +273,61 @@ def test_apply_into_buffers_is_the_sparse_product(part):
 ], ids=["one-group", "three-group", "all-singletons"])
 def test_quotients_aggregate_in_chunks_as_the_sparse_product(part, monkeypatch):
     # the rows are read a chunk at a time; every chunk size gives the
-    # coordinates, and so the quotients, of SciPy's product on all of D
+    # coordinates and energies, and so the quotients, of SciPy's product
+    # and one einsum on all of D
     rng = np.random.default_rng(137)
     n, p = 10, pair_count(part.d)
-    D = rng.standard_normal((n, p))
-    D.flags.writeable = False  # as a sample's rows are
+    D = GivenRows(rng.standard_normal((n, p)))
+    D.rows.flags.writeable = False  # as a sample's rows are
     agg_t = ks._partition_layout(part).agg_t
-    want_A = sparse_product_aggregate(agg_t, D)
+    want_A, want_energy = sparse_product_aggregate(agg_t, D)
     monkeypatch.setattr(ks, "_aggregate", sparse_product_aggregate)
     want = partition_quotients(D, part, 0.1)
     monkeypatch.undo()
     for rows in (1, 3, n):
         monkeypatch.setattr(ks, "_row_chunk", lambda entries: rows)
-        assert np.array_equal(ks._aggregate(agg_t, D), want_A)
+        A, energy = ks._aggregate(agg_t, D)
+        assert np.array_equal(A, want_A)
+        assert np.array_equal(energy, want_energy)
         got = partition_quotients(D, part, 0.1)
+        for a, b in zip((got.trivial, *got.standard, got.remainder),
+                        (want.trivial, *want.standard, want.remainder)):
+            assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("part", [
+    Partition.exchangeable(6),
+    Partition(7, ((1, 4), (2, 5, 7), (3, 6))),
+    Partition(5, ((1,), (2,), (3,), (4,), (5,))),
+], ids=["one-group", "three-group", "all-singletons"])
+def test_quotients_from_the_row_sums_in_many_chunks(part, monkeypatch):
+    # D is made a chunk at a time from the kernel pass's integer row sums;
+    # with a budget of a few rows per chunk the coordinates, the energies
+    # and the quotients equal the one-chunk result, and the energies equal
+    # one einsum over the sample's rows
+    n = 40
+    X = np.random.default_rng(139).standard_normal((n, part.d))
+    tau, sums = kd.tau_and_leave_one_out(X)
+    sample = KendallSample(X)
+    D = sample.rows
+    assert np.array_equal(D, sums.astype(np.float64) / (n - 1) - tau)
+
+    def fresh():
+        return kd.LeaveOneOut(sums.copy(), tau)
+
+    agg_t = ks._partition_layout(part).agg_t
+    J, p = agg_t.shape
+    assert ks._row_chunk(2 * p + J) >= n  # one chunk
+    want_A, want_energy = ks._aggregate(agg_t, fresh())
+    want = partition_quotients(fresh(), part, 0.1)
+    assert np.array_equal(want_energy, np.einsum("ij,ij->j", D, D))
+    monkeypatch.setattr(kd, "_BLOCK_BUDGET", 3 * 8 * (2 * p + J))
+    assert ks._row_chunk(2 * p + J) == 3  # 14 chunks, the last of one row
+    for rows in (fresh(), sample.leave_one_out):  # from the sums, then from D
+        A, energy = ks._aggregate(agg_t, rows)
+        assert np.array_equal(A, want_A)
+        assert np.array_equal(energy, want_energy)
+        got = partition_quotients(rows, part, 0.1)
         for a, b in zip((got.trivial, *got.standard, got.remainder),
                         (want.trivial, *want.standard, want.remainder)):
             assert np.array_equal(a, b)

@@ -1,10 +1,12 @@
 import dataclasses
+import gc
 import hashlib
 import itertools
 import json
 import sys
 import threading
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -1458,3 +1460,81 @@ def test_report_json_round_trip(tmp_path):
     path = tmp_path / "report.json"
     rep.save(path)
     assert json.loads(path.read_text()) == obj
+
+
+# ---------------------------------------------------------------------------
+# what a sample holds
+
+
+def test_no_reference_cycle_keeps_a_sample_alive():
+    # the estimates a sample keeps hold its LeaveOneOut, never the sample,
+    # so with the cyclic collector off the sample and its arrays go as soon
+    # as the last name is dropped, whichever routes ran on it
+    X = np.random.default_rng(151).standard_normal((30, 6))
+    part = Partition(6, ((1, 2, 3), (4, 5, 6)))
+    design = block_membership_matrix(part)
+    samplers = set()
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        sample = KendallSample(X)
+        refs = [weakref.ref(sample), weakref.ref(sample.leave_one_out)]
+        for (estimator, stat, weight, draws), (_, sampler) in kt._ROUTES.items():
+            opts = TestOptions(statistic=stat, weighting=weight, estimator=estimator,
+                               null_draws=draws, replicates=100, seed=1)
+            for hypothesis in (part, design) if estimator == "jackknife" else (part,):
+                run_test(sample, hypothesis, opts)
+            samplers.add(sampler)
+        rows = weakref.ref(sample.rows)  # formed by the dense routes
+        del sample
+        assert [ref() for ref in refs] == [None, None]
+        assert rows() is None
+        # a GLS weight of zero rank, excused by an exact fit
+        z = np.linspace(0.0, 1.0, 20)
+        sample = KendallSample(np.column_stack([z, z**3, np.exp(z), 2 * z, z + 1, z**5]))
+        ref = weakref.ref(sample)
+        for stat in ("euclidean", "max"):
+            opts = TestOptions(statistic=stat, weighting="sigma", estimator="jackknife",
+                               replicates=100, seed=1)
+            assert run_test(sample, design, opts).value == 0.0
+        del sample
+        assert ref() is None
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    assert samplers == {"chi-square tail", "chi-square mixture", "multiplier bootstrap",
+                        "whitened-residual gaussian", "coloured gaussian"}
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_of_a_test_at_200_by_300():
+    # D, the n x p float64 leave-one-out matrix, is 68.4 MiB here
+    n, d = 200, 300
+    rng = np.random.default_rng(2020)
+    X = rng.standard_normal((n, d)) + rng.standard_normal((n, 1))
+    D_bytes = 8 * n * pair_count(d)
+    # the structured estimate reads D a chunk at a time from the int16 row
+    # sums (a quarter of D), so a test holds no n x p float array; a
+    # partition's layout may be built within the test or already cached
+    opts = TestOptions(statistic="euclidean", weighting="sigma", replicates=200, seed=3)
+    peak = _traced_peak(lambda: run_test(X, Partition.exchangeable(d), opts))
+    assert peak <= 0.4 * D_bytes, peak / D_bytes
+    # a dense route forms D once and releases the sums, so it peaks where
+    # it did when the kernel pass wrote D itself: 216,332,424 bytes (3.015 D)
+    # for this very call at commit 66c3013, measured with NumPy 2.4.6 on
+    # Python 3.11.  Keeping the sums beside D would add 17.1 MiB; 4 KiB is
+    # left for the Python objects that now hold the sums in D's place
+    groups = (tuple(range(1, 151)), tuple(range(151, 301)))
+    design = block_membership_matrix(Partition(d, groups))
+    opts = TestOptions(statistic="euclidean", weighting="identity", estimator="jackknife",
+                       replicates=200, seed=3)
+    peak = _traced_peak(lambda: run_test(X, design, opts))
+    assert peak <= 216_332_424 + 4096, peak
