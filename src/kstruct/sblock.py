@@ -361,8 +361,8 @@ def _aggregate(S, rows):
     its transposed copy of the whole of D.  The chunk's squares are then
     added to the energy a row at a time, in row order, as
     ``np.einsum("ij,ij->j", D, D)`` adds them for p >= 2 (at p = 1 no
-    class has a remainder, so the energy is not read).  Neither result
-    depends on the chunk size."""
+    class has a remainder, so no quotient depends on the energy).
+    Neither result depends on the chunk size."""
     (J, p), n = S.shape, rows.shape[0]
     A = np.empty((J, n))
     energy = np.zeros(p)
