@@ -5,6 +5,13 @@ emits a JSON report (plus the estimated and fitted Kendall matrices as
 CSV when an output stem is given), ``simulate`` runs a study described by
 a JSON config, and ``detrend`` removes per-column linear trends.
 
+Every file is read by the one reader of its format in ``indexing``: the
+data CSV by ``_read_csv`` (a header line detected and skipped), the
+partition and study JSON by ``_read_json``, and each field of a study
+config by ``_field``, the rule the API's ``validate`` methods apply too.
+A refusal is a ValueError that names the file and the field, printed as
+one ``kstruct: error:`` line.
+
 Kendall correlations are invariant under strictly increasing per-column
 transforms, so monotone distortions of the margins never need correcting;
 only additive trends (which are not monotone in the pair ordering across
@@ -15,7 +22,6 @@ external portmanteau test (e.g. Ljung-Box) before trusting p-values.
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 
@@ -29,10 +35,12 @@ from .indexing import (
     load_partition_json,
     pair_count,
     _check_keys,
-    _integer,
+    _field,
     _pairs0,
+    _read_csv,
+    _read_fields,
+    _read_json,
 )
-from .kendall import KendallSample
 from .simulation import ScenarioConfig, desk_scale, run_study
 from .testing import TestOptions, _run_test
 
@@ -95,37 +103,11 @@ def detrend_linear(data, covariate=None):
 
 
 def read_data_csv(path):
-    """Load a numeric CSV (comma separator, dot decimal, UTF-8).
-
-    A first row that does not parse as numbers is treated as a header and
-    skipped.  Returns an (n, d) float array; a header with no rows after
-    it is a ValueError.
-    """
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        first = fh.readline()
-        rows_after = any(line.strip() for line in fh)
-    if not first.strip():
-        raise ValueError("%s: file is empty" % path)
-    has_header = False
-    for cell in first.strip().split(","):
-        try:
-            float(cell)
-        except ValueError:
-            has_header = True
-            break
-    if has_header and not rows_after:
-        raise ValueError("%s: no data rows after the header" % path)
-    try:
-        data = np.loadtxt(
-            path,
-            delimiter=",",
-            skiprows=1 if has_header else 0,
-            ndmin=2,
-            encoding="utf-8-sig",
-        )
-    except ValueError as exc:
-        raise ValueError("%s: could not parse as numeric CSV: %s" % (path, exc))
-    return data
+    """Load a numeric CSV of observations (comma separator, dot decimal,
+    UTF-8) as an (n, d) float array by ``indexing._read_csv``: blank
+    lines are skipped, and so is a first line that does not parse as
+    numbers, a header; a header with no rows after it is a ValueError."""
+    return _read_csv(path, header=True)
 
 
 def _matrix_from_pairs(vec, d):
@@ -203,9 +185,7 @@ def cmd_test(args):
         null_draws=args.null_draws,
     )
     hypothesis = _build_hypothesis(args.hypothesis, args.hypothesis_file, d)
-    options.validate()  # before ranking, as run_test would
-    sample = KendallSample(X, options.ties, options.tie_seed)
-    report, theta = _run_test(sample, hypothesis, options)
+    report, tau, theta = _run_test(X, hypothesis, options)
 
     for note in report.warnings:
         print("note: %s" % note, file=sys.stderr)
@@ -216,7 +196,6 @@ def cmd_test(args):
 
     report.save(args.out)
     stem, _ = os.path.splitext(args.out)
-    tau = sample.tau
     tau_path = stem + "_tau.csv"
     theta_path = stem + "_theta.csv"
     np.savetxt(tau_path, _matrix_from_pairs(tau, d), delimiter=",", fmt="%.17g")
@@ -229,68 +208,45 @@ def cmd_test(args):
     return 0
 
 
-def _field(kind, value, what):
-    """A config value as a field of type ``kind``: an int by the rule of
-    ``indexing._integer``, a bool only as a JSON boolean, a float only
-    as a JSON number.  Anything else is a ValueError naming ``what``."""
-    if value is None or kind not in (int, float, bool):
-        return value
-    if kind is int:
-        return _integer(value, what)
-    if isinstance(value, bool) == (kind is bool) and isinstance(value, (int, float)):
-        return kind(value)
-    raise ValueError("%s %r is not a %s" % (what, value, "boolean" if kind is bool else "number"))
-
-
 def _from_dict(cls, obj, where):
-    """A ``cls`` dataclass from a config dict, its int, float and bool
-    fields checked by ``_field``; an unknown key is a ValueError that
-    names it."""
-    types = {f.name: f.type for f in dataclasses.fields(cls)}
-    _check_keys(obj, types, where)
-    return cls(**{k: _field(types[k], v, "%s: %s" % (where, k)) for k, v in obj.items()})
+    """A ``cls`` dataclass from a config object, its fields read by
+    ``indexing._read_fields``; a key that no field takes, or a missing
+    key that one needs, is a ValueError that names it."""
+    fields = dataclasses.fields(cls)
+    _check_keys(obj, [f.name for f in fields], where,
+                required=[f.name for f in fields if f.default is dataclasses.MISSING])
+    return _read_fields(cls(**obj), where + ": ")
 
 
 def _scenario_from_dict(obj, where):
-    obj = dict(obj)
+    scenario = _from_dict(ScenarioConfig, obj, where)
     tests = []
-    for i, t in enumerate(obj.get("tests", [])):
-        if "seed" in t:
-            raise ValueError(
-                "%s, test %d: a test takes no \"seed\"; run_study derives "
-                "each test's seed from the study seed" % (where, i)
-            )
+    for i, t in enumerate(scenario.tests):
+        if isinstance(t, dict) and "seed" in t:
+            raise ValueError("%s, test %d: a test takes no \"seed\"; run_study derives each "
+                             "test's seed from the study seed" % (where, i))
         tests.append(_from_dict(TestOptions, t, "%s, test %d" % (where, i)))
-    obj["tests"] = tuple(tests)
-    if obj.get("hypothesis_groups") is not None:
-        obj["hypothesis_groups"] = tuple(tuple(g) for g in obj["hypothesis_groups"])
-    if obj.get("sizes") is not None:
-        obj["sizes"] = tuple(_integer(s, "%s: sizes" % where) for s in obj["sizes"])
-    return _from_dict(ScenarioConfig, obj, where)
+    scenario.tests = tuple(tests)
+    return scenario
 
 
 def load_study_json(path):
-    """Read a study config: {"scenarios": [...], "seed": int}, a list of
-    scenarios, or one scenario (which may hold the "seed").  A key that
-    no scenario or test field takes is a ValueError."""
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    seed = None
-    if isinstance(obj, dict) and "scenarios" in obj:
-        _check_keys(obj, ("scenarios", "seed"), path)
-        items, seed = obj["scenarios"], obj.get("seed")
-    elif isinstance(obj, list):
-        items = obj
-    else:
-        obj = dict(obj)
-        seed = obj.pop("seed", None)
-        items = [obj]
-    scenarios = [
-        _scenario_from_dict(s, "%s, scenario %d" % (path, i)) for i, s in enumerate(items)
-    ]
+    """Read a study config by ``indexing._read_json``: {"scenarios":
+    [...], "seed": int}, a list of scenarios, or one scenario (which may
+    hold the "seed").  A key that no scenario or test field takes is a
+    ValueError, and so is a value its field does not take."""
+    obj = _read_json(path)
+    if isinstance(obj, list):
+        obj = {"scenarios": obj}
+    elif isinstance(obj, dict) and "scenarios" not in obj:
+        obj = {"seed": obj.pop("seed", None), "scenarios": [obj]}
+    _check_keys(obj, ("scenarios", "seed"), path)
+    scenarios = [_scenario_from_dict(s, "%s, scenario %d" % (path, i))
+                 for i, s in enumerate(_field(tuple, obj["scenarios"], "%s: scenarios" % path))]
     if not scenarios:
         raise ValueError("%s: no scenarios found" % path)
-    return scenarios, None if seed is None else _integer(seed, "%s: seed" % path)
+    seed = obj.get("seed")
+    return scenarios, None if seed is None else _field(int, seed, "%s: seed" % path)
 
 
 def _parse_shard(text):

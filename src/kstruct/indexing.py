@@ -16,10 +16,21 @@ the form tau = B @ beta: block-membership matrices for partitions of the
 variables, the diagonal-free variant that leaves within-group entries
 unconstrained, and the vertex-incidence design whose columns are per-
 variable effects.
+
+Every input from outside the program is read here, each kind by one
+reader: a numeric CSV by ``_read_csv`` (blank lines skipped, a header
+line skipped for data and refused for a design), a JSON file by
+``_read_json`` (no NaN or Infinity, no key given twice), and a field of
+an options or scenario dataclass by ``_field``, which ``_read_fields``
+applies to every typed field: an integer is never truncated, a float is
+finite and never a bool, and a bool is only a bool.  A refusal is a
+ValueError that names the file or the field.
 """
 
+import dataclasses
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -91,11 +102,15 @@ def overlap_count(k, l):
     return len(set(a) & set(b))
 
 
-def _check_keys(obj, allowed, where):
-    """Refuse a key of the mapping ``obj`` that is not in ``allowed``."""
+def _check_keys(obj, allowed, where, required=()):
+    """Refuse ``obj`` unless it is a dict whose keys are all in
+    ``allowed`` and include every key of ``required``."""
+    if not isinstance(obj, dict):
+        raise ValueError("%s: %r is not an object" % (where, obj))
     unknown = sorted(k for k in obj if k not in allowed)
-    if unknown:
-        raise ValueError("%s: unknown key(s) %s" % (where, ", ".join(map(repr, unknown))))
+    for keys, what in ((unknown, "unknown"), ([k for k in required if k not in obj], "missing")):
+        if keys:
+            raise ValueError("%s: %s key(s) %s" % (where, what, ", ".join(map(repr, keys))))
 
 
 def _integer(value, what):
@@ -108,6 +123,101 @@ def _integer(value, what):
     if not whole:
         raise ValueError("%s %r is not an integer" % (what, value))
     return int(value)
+
+
+# a field of block sizes; any other tuple field is read as a tuple only
+_SIZES = tuple[int, ...]
+# the field types that ``_field`` reads, as its refusals name them
+_KINDS = {int: "an integer", bool: "a boolean", float: "a number", tuple: "a list",
+          _SIZES: "a list"}
+
+
+def _field(kind, value, what):
+    """``value`` as a field of type ``kind``, never changed in value: an
+    int by the rule of ``_integer``, a bool only from a bool, a float
+    only from a finite real number that is not a bool, and a tuple from
+    a list or tuple, each entry an int by ``_integer`` for ``_SIZES``.
+    Anything else is a ValueError naming ``what``."""
+    if kind is int:
+        return _integer(value, what)
+    if (kind in (bool, float) and isinstance(value, (bool, np.bool_)) == (kind is bool)
+            and isinstance(value, (int, float, np.integer, np.floating, np.bool_))
+            and (kind is bool or abs(value) <= np.finfo(float).max)):
+        return kind(value)
+    if kind in (tuple, _SIZES) and isinstance(value, (list, tuple)):
+        return tuple(value) if kind is tuple else tuple(_integer(v, what) for v in value)
+    raise ValueError("%s %r is not %s" % (what, value, _KINDS[kind]))
+
+
+@lru_cache(maxsize=None)
+def _typed_fields(cls):
+    """(name, type, whether None is its default) of each field of the
+    dataclass ``cls`` that ``_field`` reads, taken once per class."""
+    return tuple((f.name, f.type, f.default is None) for f in dataclasses.fields(cls)
+                 if f.type in _KINDS)
+
+
+def _read_fields(obj, where=""):
+    """``obj`` with every field of the dataclass that ``_field`` reads
+    read in place, each named as ``where`` followed by its name; a field
+    whose default is None may hold None."""
+    for name, kind, optional in _typed_fields(type(obj)):
+        value = getattr(obj, name)
+        # an int, bool or tuple of its own type is as read; a float may not be finite
+        if (value is not None or not optional) and (type(value) is not kind or kind is float):
+            setattr(obj, name, _field(kind, value, where + name))
+    return obj
+
+
+def _unique_keys(pairs):
+    """A JSON object's (key, value) pairs as a dict; a key given twice
+    is refused."""
+    twice = sorted(k for k, c in Counter(k for k, _ in pairs).items() if c > 1)
+    if twice:
+        raise ValueError("key(s) %s given twice" % ", ".join(map(repr, twice)))
+    return dict(pairs)
+
+
+def _no_constant(name):
+    raise ValueError("%s is not a number JSON allows" % name)
+
+
+def _read_json(path):
+    """The value in the UTF-8 JSON file at ``path``.  Malformed JSON
+    (an empty file too), NaN or Infinity, and a key given twice in one
+    object are ValueErrors that name the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh, object_pairs_hook=_unique_keys, parse_constant=_no_constant)
+    except ValueError as exc:  # a JSONDecodeError or UnicodeDecodeError too
+        raise ValueError("%s: %s" % (path, exc)) from None
+
+
+def _read_csv(path, header):
+    """The numeric CSV file at ``path`` (comma separator, dot decimal,
+    UTF-8) as an (n, k) float array, read once.  Blank and comment-only
+    lines are skipped.  A first line with a cell that is not a number is
+    a header: skipped when ``header`` is true, refused otherwise.  An
+    empty file, a header with no rows after it, a cell that is not a
+    finite number and rows of unequal length are ValueErrors that name
+    the file."""
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            lines = [line for line in fh.read().splitlines() if line.split("#", 1)[0].strip()]
+        head = 0
+        if header and lines:
+            try:
+                list(map(float, lines[0].split(",")))
+            except ValueError:  # a cell that is not a number: a header
+                head = 1
+        if len(lines) <= head:
+            raise ValueError("no data rows after the header" if head else "file is empty")
+        X = np.loadtxt(lines[head:], delimiter=",", ndmin=2)
+        if not np.isfinite(X).all():
+            raise ValueError("a cell holds a non-finite value")
+        return X
+    except ValueError as exc:  # a UnicodeDecodeError too
+        raise ValueError("%s: %s" % (path, exc)) from None
 
 
 @dataclass(frozen=True)
@@ -126,12 +236,16 @@ class Partition:
         if d < 2:
             raise ValueError("partition needs d >= 2, got d=%d" % d)
         object.__setattr__(self, "d", d)
-        groups = tuple(tuple(sorted(_integer(v, "partition member") for v in g))
-                       for g in self.groups)
+        try:
+            groups = tuple(tuple(sorted(_integer(v, "partition member") for v in g))
+                           for g in self.groups)
+        except TypeError:  # a group, or the groups, not a list
+            raise ValueError("partition groups %r are not lists" % (self.groups,)) from None
         if not groups or any(len(g) == 0 for g in groups):
             raise ValueError("partition groups must be non-empty")
         flat = [v for g in groups for v in g]
-        if sorted(flat) != list(range(1, self.d + 1)):
+        # the count first, so that a huge d builds no list
+        if len(flat) != d or sorted(flat) != list(range(1, d + 1)):
             raise ValueError(
                 "groups must partition 1..%d exactly, got %r" % (self.d, groups)
             )
@@ -303,30 +417,14 @@ def vertex_incidence_design(d):
 
 
 def load_partition_json(path):
-    """Read a partition from a JSON file {"d": int, "groups": [[...], ...]};
-    any other key is refused."""
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    try:
-        d, groups = obj["d"], obj["groups"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(
-            '%s: expected an object {"d": int, "groups": [[...], ...]}' % path
-        ) from exc
-    _check_keys(obj, ("d", "groups"), path)
-    return Partition(d, tuple(tuple(g) for g in groups))
+    """Read a partition from a JSON file {"d": int, "groups": [[...], ...]}
+    by ``_read_json``; any other key is refused."""
+    obj = _read_json(path)
+    _check_keys(obj, ("d", "groups"), path, required=("d", "groups"))
+    return Partition(obj["d"], obj["groups"])
 
 
 def load_design_csv(path):
-    """Read a header-free numeric CSV as a general design matrix.  An
-    empty file, or one with a cell that is not a number (a header row,
-    say), raises ValueError naming the file."""
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        lines = fh.read().splitlines()
-    if not any(line.strip() for line in lines):
-        raise ValueError("%s: file is empty" % path)
-    try:
-        B = np.loadtxt(lines, delimiter=",", ndmin=2)
-    except ValueError as exc:
-        raise ValueError("%s: could not parse as numeric CSV: %s" % (path, exc)) from None
-    return DesignMatrix(B, kind="general")
+    """Read a header-free numeric CSV by ``_read_csv`` as a general
+    design matrix; a header line is refused."""
+    return DesignMatrix(_read_csv(path, header=False), kind="general")

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._version import __version__
-from .indexing import Partition, _integer
+from .indexing import _SIZES, Partition, _field, _integer, _read_fields, _read_json
 from .kendall import KendallSample, TieError
 from .projection import RankDeficient
 from .sblock import SingularError
@@ -92,7 +92,7 @@ class ScenarioConfig:
     d: int
     structure: str = "equicorrelated"
     tau: float = 0.0
-    sizes: tuple = None
+    sizes: _SIZES = None
     base: float = 0.4
     step: float = 0.15
     matrix: object = None
@@ -117,20 +117,19 @@ class ScenarioConfig:
     def partition(self):
         if self.hypothesis_groups is None:
             return Partition.exchangeable(self.d)
-        return Partition(self.d, tuple(tuple(g) for g in self.hypothesis_groups))
+        return Partition(self.d, self.hypothesis_groups)
 
     def validate(self):
-        """Check the scenario, reading n, d, repetitions and sizes as
-        integers in place (20.0 becomes 20; 20.5 is refused), and that
-        its data can be drawn: the sampler's own factorization decides
+        """Check the scenario, reading its int, float and tuple fields in
+        place by the rule of ``indexing._field`` (n = 20.0 becomes 20, tau
+        = 0 becomes 0.0; 20.5, "0.3" and NaN are refused), and that its
+        data can be drawn: the sampler's own factorization decides
         positive definiteness."""
-        def whole(value, field):
-            return _integer(value, "scenario %s: %s" % (self.scenario_label(), field))
-
-        self.n, self.d = whole(self.n, "n"), whole(self.d, "d")
-        self.repetitions = whole(self.repetitions, "repetitions")
-        if self.sizes is not None:
-            self.sizes = tuple(whole(s, "sizes") for s in self.sizes)
+        try:
+            label = self.scenario_label()
+        except TypeError:  # a tau or delta that is not a number, refused below
+            label = self.label or "d%s-n%s-%s" % (self.d, self.n, self.structure)
+        _read_fields(self, "scenario %s: " % label)
         if self.n < 3:
             raise ValueError("scenarios need n >= 3")
         if not self.tests:
@@ -139,11 +138,11 @@ class ScenarioConfig:
             raise ValueError("alpha must be in (0, 1)")
         if self.repetitions < 1:
             raise ValueError("repetitions must be positive")
+        self.partition()  # raises if d < 2 or the groups are malformed
         try:
             _gaussian_rows(build_tau_matrix(self))
-        except NotPositiveDefinite as exc:
-            raise NotPositiveDefinite("scenario %s: %s" % (self.scenario_label(), exc)) from None
-        self.partition()  # raises if the groups are malformed
+        except ValueError as exc:  # NotPositiveDefinite too
+            raise type(exc)("scenario %s: %s" % (self.scenario_label(), exc)) from None
         for t in self.tests:
             probe = dataclasses.replace(t, seed=0)
             probe.validate()
@@ -157,7 +156,7 @@ def build_tau_matrix(config):
     elif config.structure == "block":
         if config.sizes is None:
             raise ValueError("block structure needs group sizes")
-        sizes = tuple(_integer(s, "block size") for s in config.sizes)
+        sizes = _field(_SIZES, config.sizes, "block size")
         if sum(sizes) != d or any(s < 1 for s in sizes):
             raise ValueError("block sizes %r do not partition d=%d" % (sizes, d))
         g = np.repeat(np.arange(len(sizes)), sizes)
@@ -481,8 +480,7 @@ def run_study(
         os.makedirs(out_dir, exist_ok=True)
         earlier_path = os.path.join(out_dir, _MANIFEST_FILE)
         if os.path.exists(earlier_path):  # rows already there would count as this study's
-            with open(earlier_path, "r", encoding="utf-8") as fh:
-                earlier = json.load(fh)
+            earlier = _read_json(earlier_path)
             if (earlier.get("seed"), earlier.get("scenarios")) != (seed, labels):
                 raise ValueError(
                     "%s holds the study of seed %r, scenarios %r; this run has seed %r, "

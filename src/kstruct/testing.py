@@ -72,7 +72,7 @@ from scipy import special
 
 from ._version import __version__
 from .covariance import PSDFactor, _kept, jackknife_cov, structured_jackknife_partition
-from .indexing import DesignMatrix, Partition, _integer, _membership_design
+from .indexing import DesignMatrix, Partition, _membership_design, _read_fields
 from .kendall import KendallSample, _second_cpu
 from .projection import ProjectionOperator, _normal_norm, gamma_projection
 from .sblock import SingularError, partition_projected, rank_mask
@@ -149,9 +149,10 @@ class TestOptions:
         null replicates are produced when more than one scheme applies;
         ``_ROUTES`` lists the combinations accepted.
 
-    replicates, seed and tie_seed are integers: a whole float such as
-    200.0 is read as one, and any other value is refused, and so is a
-    negative seed or tie_seed.  plus_one is a bool.
+    ``validate`` reads replicates, seed and tie_seed as integers and
+    plus_one as a bool, in place, by the rule of ``indexing._field``: a
+    whole float such as 200.0 is stored as 200, and any other value is
+    refused, and so is a negative seed or tie_seed.
     """
 
     statistic: str = "euclidean"
@@ -168,22 +169,20 @@ class TestOptions:
         """Check the options and return the method of their entry in
         ``_ROUTES``, the one place that picks the null law; ``run_test``
         refuses the structured estimator for a design hypothesis."""
+        _read_fields(self)
         if self.statistic not in ("euclidean", "max"):
             raise ValueError("statistic must be 'euclidean' or 'max'")
         if self.weighting not in ("identity", "sigma"):
             raise ValueError("weighting must be 'identity' or 'sigma'")
         if self.estimator not in ("jackknife", "structured"):
             raise ValueError("estimator must be 'jackknife' or 'structured'")
-        # integers are read, never truncated: 200.0 is 200, 200.7 is refused
-        if _integer(self.replicates, "replicates") < 100:
+        if self.replicates < 100:
             raise ValueError("replicates must be at least 100")
         if self.seed is None:
             raise ValueError("a seed is required so reports are reproducible")
         for name in ("seed", "tie_seed"):
-            if _integer(getattr(self, name), name) < 0:
+            if getattr(self, name) < 0:
                 raise ValueError("%s must be non-negative, got %r" % (name, getattr(self, name)))
-        if not isinstance(self.plus_one, (bool, np.bool_)):
-            raise ValueError("plus_one %r is not a bool" % (self.plus_one,))
         if self.ties not in ("error", "jitter"):
             raise ValueError("ties must be 'error' or 'jitter'")
         if self.null_draws not in ("auto", "gaussian", "bootstrap"):
@@ -747,11 +746,12 @@ def run_test(data, hypothesis, options):
 
 
 def _run_test(data, hypothesis, opts):
-    """(report, theta_hat) of ``run_test``: the report and the fit it used.
+    """(report, tau_hat, theta_hat) of ``run_test``: the report, the
+    estimate it tested and the fit it used.
     A test runs in four stages: rank, fit, statistic and null law."""
     method = opts.validate()
     sampler = _ROUTES[opts.estimator, opts.statistic, opts.weighting, opts.null_draws][1]
-    rng = np.random.default_rng(int(opts.seed))
+    rng = np.random.default_rng(opts.seed)
     msgs = []
 
     sample = KendallSample.of(data, opts.ties, opts.tie_seed)
@@ -783,7 +783,7 @@ def _run_test(data, hypothesis, opts):
 
     # -- null law, by the route's sampler; nothing is drawn for a statistic
     # at its minimum, which is no evidence against the null ----------------
-    N, df, spectrum, blocks, zero_null = int(opts.replicates), None, None, None, False
+    N, df, spectrum, blocks, zero_null = opts.replicates, None, None, None, False
     if sampler in ("chi-square mixture", "coloured gaussian"):
         spectrum, null_cov = _identity_null(fit.est, fit.gamma, n)
         zero_null = not spectrum
@@ -824,7 +824,7 @@ def _run_test(data, hypothesis, opts):
         p_value=float(p_value),
         method=method,
         N=N,
-        seed=int(opts.seed),
+        seed=opts.seed,
         df=df,
         eigenvalues=list(spectrum) if sampler == "chi-square mixture" else None,
         warnings=msgs,
@@ -836,4 +836,4 @@ def _run_test(data, hypothesis, opts):
         version=__version__,
         input_digest=sample.digest,
         options=opts.to_dict(),
-    ), fit.theta
+    ), tau, fit.theta

@@ -6,11 +6,14 @@ import json
 import os
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from kstruct import DesignMatrix, KendallSample, jackknife_cov
+from kstruct import cli
+from kstruct.simulation import desk_scale
 from kstruct.indexing import _pairs0
 from kstruct.projection import gamma_projection
 from kstruct.cli import (
@@ -103,6 +106,28 @@ def test_read_data_csv_errors(tmp_path):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="header.csv: no data rows after the header"):
             read_data_csv(str(header))
+
+
+def test_read_data_csv_reads_past_a_blank_first_line(tmp_path):
+    # the header rule looks at the first line that holds a cell
+    X = np.array([[1.5, 2.0], [3.0, -4.25], [0.5, 6.0]])
+    for head in ("\n", "  \n\nx,y\n", "# from the gauge log\n\n"):
+        path = tmp_path / "blank.csv"
+        with open(path, "w") as fh:
+            fh.write(head)
+            np.savetxt(fh, X, delimiter=",", fmt="%.17g")
+        assert np.array_equal(read_data_csv(str(path)), X), repr(head)
+
+
+def test_a_non_finite_cell_is_refused_by_the_file_name(tmp_path, capsys):
+    # detrend wrote NaN slopes and residuals from such a file
+    path = tmp_path / "gap.csv"
+    path.write_text("t,level\n1,2\n2,nan\n3,5\n4,4\n")
+    with pytest.raises(ValueError, match="gap.csv: a cell holds a non-finite value"):
+        read_data_csv(str(path))
+    assert main(["detrend", "--data", str(path), "--out", str(tmp_path / "r.csv")]) == 1
+    assert "gap.csv: a cell holds a non-finite value" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +420,27 @@ def test_cmd_test_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("kind, make_file, message", [
+    ("partition", lambda p: p.write_text('{"d": 5, "groups": [[1, 2], [3, 4, 5]]}'),
+     "h: partition is for 5 variables but the data has 4"),
+    ("diagonal-free", lambda p: p.write_text('{"d": 3, "groups": [[1, 2, 3]]}'),
+     "h: partition is for 3 variables but the data has 4"),
+    ("design", None, "--hypothesis design needs --hypothesis-file with a CSV"),
+    ("design", lambda p: np.savetxt(p, np.ones((10, 2)), delimiter=","),
+     "h: design has 10 rows but the data implies 6 variable pairs"),
+])
+def test_cmd_test_refuses_a_hypothesis_file_that_does_not_fit(tmp_path, capsys, kind,
+                                                              make_file, message):
+    data = _write_csv(tmp_path / "x.csv", _gaussian_data(n=20, seed=1))
+    args = ["test", "--data", data, "--hypothesis", kind, "--seed", "1"]
+    if make_file is not None:
+        make_file(tmp_path / "h")
+        args += ["--hypothesis-file", str(tmp_path / "h")]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("kstruct: error: ") and err.rstrip().endswith(message)
+
+
 def test_cmd_test_rejects_ignored_null_draws(tmp_path, capsys):
     data = _write_csv(tmp_path / "x.csv", _gaussian_data(n=20, seed=1))
     code = main(
@@ -469,7 +515,7 @@ def test_load_study_json(tmp_path):
 
 
 def _config_with(path, scenario=None, test=None, top=None):
-    cfg = json.loads(open(_study_config_file(path)).read())
+    cfg = json.loads(Path(_study_config_file(path)).read_text())
     cfg.update(top or {})
     cfg["scenarios"][0].update(scenario or {})
     cfg["scenarios"][0]["tests"][0].update(test or {})
@@ -487,7 +533,7 @@ def test_load_study_json_takes_every_option_field(tmp_path):
     assert (opts.ties, opts.tie_seed, opts.null_draws, opts.plus_one) == (
         "jitter", 9, "auto", True)
     # one scenario on its own may hold the study seed
-    single = dict(json.loads(open(cfg).read())["scenarios"][0], seed=5)
+    single = dict(json.loads(Path(cfg).read_text())["scenarios"][0], seed=5)
     (tmp_path / "one.json").write_text(json.dumps(single))
     (scenario,), seed = load_study_json(str(tmp_path / "one.json"))
     assert seed == 5 and scenario.repetitions == 7
@@ -531,6 +577,46 @@ def test_load_study_json_takes_whole_numbers_as_integers(tmp_path):
     assert (scenario.n, scenario.tau, scenario.tests[0].replicates, seed) == (30, 0.0, 200, 99)
     assert [type(v) for v in (scenario.n, scenario.tau, scenario.tests[0].replicates, seed)] == [
         int, float, int, int]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "s.json: Expecting value: line 1 column 1"),
+    ("[1, 2]", "s.json, scenario 0: 1 is not an object"),
+    ("5", "s.json: 5 is not an object"),
+    ('{"scenarios": {"n": 30}}', "s.json: scenarios {'n': 30} is not a list"),
+    ('{"n": 30, "d": 4, "tests": 5}', "s.json, scenario 0: tests 5 is not a list"),
+    ('{"n": 30, "d": 4, "tests": [3]}', "s.json, scenario 0, test 0: 3 is not an object"),
+    ('{"n": 30, "d": 4, "tau": NaN, "tests": [{}]}', "s.json: NaN is not a number JSON allows"),
+    ('{"n": 30, "d": 4, "tau": 1e400, "tests": [{}]}',
+     "s.json, scenario 0: tau inf is not a number"),
+    ('{"n": 30, "d": 4, "tests": [{"replicates": null}]}',
+     "s.json, scenario 0, test 0: replicates None is not an integer"),
+    ('{"n": 30, "d": 4, "n": 40, "tests": [{}]}', "s.json: key(s) 'n' given twice"),
+    ('{"d": 4, "tests": [{}]}', "s.json, scenario 0: missing key(s) 'n'"),
+])
+def test_load_study_json_refuses_a_malformed_config_by_name(tmp_path, text, message):
+    # each was a bare JSONDecodeError or TypeError, a value read last-wins,
+    # or a NaN that reached the sampler, with neither file nor field named
+    path = tmp_path / "s.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="^%s" % re.escape(str(path.parent / message))):
+        load_study_json(str(path))
+
+
+def test_cmd_simulate_names_a_nan_in_the_config(tmp_path, capsys):
+    # it ended in "Eigenvalues did not converge"
+    cfg = _config_with(tmp_path / "s.json")
+    Path(cfg).write_text(Path(cfg).read_text().replace('"tau": 0.3', '"tau": NaN'))
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert "s.json: NaN is not a number JSON allows" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_load_study_json_takes_a_list_of_scenarios(tmp_path):
+    cfg = json.loads(Path(_study_config_file(tmp_path / "s.json")).read_text())
+    (tmp_path / "list.json").write_text(json.dumps(cfg["scenarios"] * 2))
+    scenarios, seed = load_study_json(str(tmp_path / "list.json"))
+    assert seed is None and scenarios == load_study_json(str(tmp_path / "s.json"))[0] * 2
 
 
 def test_load_study_json_refuses_a_test_seed(tmp_path):
@@ -586,6 +672,20 @@ def test_cmd_simulate_bad_shard(tmp_path, capsys):
     # refused by run_study, as an API call is, before any file is written
     assert "shard needs 0 <= A < B, got (5, 2)" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_cmd_simulate_desk_scale_runs_every_scenario_at_desk_scale(tmp_path, monkeypatch,
+                                                                   capsys):
+    calls = []
+    monkeypatch.setattr(cli, "run_study", lambda scenarios, **kw: calls.append(scenarios) or [])
+    cfg = _study_config_file(tmp_path / "study.json")
+    for flags in ([], ["--desk-scale"]):
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")] + flags) == 0
+    capsys.readouterr()
+    (plain,), (desk,) = calls
+    assert (plain.repetitions, plain.tests[0].replicates) == (8, 200)
+    assert desk == desk_scale(plain)
+    assert (desk.repetitions, desk.tests[0].replicates) == (1000, 2000)
 
 
 # ---------------------------------------------------------------------------

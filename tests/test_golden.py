@@ -20,6 +20,14 @@ moves it by 1/301, far beyond that bound: the hit counts stay exact.
 Regenerate the corpus, as its own stated change, with
 
     PYTHONPATH=src python tests/test_golden.py
+
+``golden/cli`` pins the files that ``kstruct test --out`` writes (the
+report JSON and the ``_tau.csv`` and ``_theta.csv`` matrices) for the
+runs of ``CLI_RUNS`` on the headed ``data.csv`` there, against its
+``partition.json`` and ``design.csv``.  They are compared byte for byte
+where the platform record matches the corpus's, and elsewhere as the
+corpus is.  Each pinned file is what ``kstruct test`` wrote from
+``golden/cli`` with the run's arguments and ``--out <name>.json``.
 """
 
 import contextlib
@@ -38,9 +46,19 @@ from kstruct.indexing import (
     block_membership_matrix,
     vertex_incidence_design,
 )
+from kstruct.cli import main as cli_main
 from kstruct.testing import TestOptions, run_test
 
 CORPUS = Path(__file__).parent / "golden" / "run_test.json"
+CLI = Path(__file__).parent / "golden" / "cli"
+# the pinned `kstruct test` runs, by report name; file names are in CLI
+CLI_RUNS = {
+    "partition_test": ["--hypothesis", "partition", "--hypothesis-file", "partition.json",
+                       "--statistic", "max", "--seed", "5", "--replicates", "200"],
+    "design_test": ["--hypothesis", "design", "--hypothesis-file", "design.csv",
+                    "--estimator", "jackknife", "--weighting", "identity", "--seed", "6",
+                    "--replicates", "200"],
+}
 FLOAT_RTOL = 1e-8
 FLOAT_ATOL = 1e-12
 REPLICATES = 301
@@ -191,6 +209,28 @@ def test_golden_partition_jackknife_entries_equal_their_designs():
     for e in partitions:
         design = key[e["hypothesis"] + " membership", e["blocks"], tuple(e["route"])]
         assert dict(e, hypothesis=None) == dict(design, hypothesis=None)
+
+
+def test_cli_test_outputs_equal_the_pinned_files(tmp_path, capsys):
+    exact = json.loads(CORPUS.read_text(encoding="utf-8"))["platform"] == platform_record()
+    for name, args in CLI_RUNS.items():
+        args = [str(CLI / a) if a.endswith((".json", ".csv")) else a for a in args]
+        out = tmp_path / (name + ".json")
+        assert cli_main(["test", "--data", str(CLI / "data.csv"), *args, "--out", str(out)]) == 0
+        for suffix in (".json", "_tau.csv", "_theta.csv"):
+            got, want = tmp_path / (name + suffix), CLI / (name + suffix)
+            if exact:
+                assert got.read_bytes() == want.read_bytes(), want.name
+            else:
+                _agree(_cli_output(got), encode(_cli_output(want)), want.name)
+    capsys.readouterr()
+
+
+def _cli_output(path):
+    """A report JSON as its dict, a matrix CSV as its list of rows."""
+    if path.suffix == ".json":
+        return json.loads(path.read_text(encoding="utf-8"))
+    return np.loadtxt(path, delimiter=",").tolist()
 
 
 def main():

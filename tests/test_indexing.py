@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -414,6 +415,33 @@ def test_partition_json_round_trip(tmp_path):
         load_partition_json(bad)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("", "part.json: Expecting value: line 1 column 1 (char 0)"),
+    ('{"d": 4, "groups": [[1, 2], [3, 4]], "d": 5}', "part.json: key(s) 'd' given twice"),
+    ('{"d": NaN, "groups": [[1, 2], [3, 4]]}', "part.json: NaN is not a number JSON allows"),
+    ('{"d": 4, "groups": [[1, 2], [3, -Infinity]]}',
+     "part.json: -Infinity is not a number JSON allows"),
+    ('[4, [[1, 2], [3, 4]]]', "part.json: [4, [[1, 2], [3, 4]]] is not an object"),
+    ('{"d": 4}', "part.json: missing key(s) 'groups'"),
+    ('{"d": 4, "groups": [1, 2, 3, 4]}', "partition groups [1, 2, 3, 4] are not lists"),
+    ('{"d": 4, "groups": 4}', "partition groups 4 are not lists"),
+])
+def test_partition_json_refuses_a_malformed_file_by_name(tmp_path, text, message):
+    # each was a bare JSONDecodeError or TypeError, or a d read last-wins
+    path = tmp_path / "part.json"
+    path.write_text(text)
+    if message.startswith("part.json"):
+        message = str(tmp_path / message)
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        load_partition_json(path)
+
+
+def test_partition_with_a_huge_d_is_refused_without_listing_it():
+    # 1..d was listed before the groups were counted: 8 TB for this d
+    with pytest.raises(ValueError, match=r"groups must partition 1\.\.1000000000000 exactly"):
+        Partition(10**12, ((1, 2), (3, 4)))
+
+
 def test_design_csv_loader(tmp_path):
     path = tmp_path / "design.csv"
     np.savetxt(path, np.ones((6, 2)), delimiter=",")
@@ -432,7 +460,7 @@ def test_design_csv_that_is_empty_or_has_a_header_is_refused_by_name(tmp_path):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="empty.csv: file is empty"):
             load_design_csv(empty)
-        with pytest.raises(ValueError, match="headed.csv: could not parse as numeric CSV"):
+        with pytest.raises(ValueError, match="headed.csv: could not convert string 'a'"):
             load_design_csv(headed)
 
 

@@ -6,6 +6,7 @@ import csv
 import dataclasses
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -257,6 +258,30 @@ def test_scenario_integers_are_read_not_truncated(tmp_path):
     assert whole.scenario_label() == "d4-n20-block"
 
 
+def test_scenario_float_fields_are_read_not_coerced():
+    # a string reached the label's %g (TypeError) and True the sampler
+    # (NotPositiveDefinite); a float field now takes a finite number only
+    bad = [
+        ({"tau": "0.3"}, "d4-n20-equicorrelated: tau '0.3' is not a number"),
+        ({"alpha": "0.05"}, "d4-n20-equicorrelated-tau0.2: alpha '0.05' is not a number"),
+        ({"tau": True}, "d4-n20-equicorrelated-tau1: tau True is not a number"),
+        ({"departure": "single", "delta": float("nan")},
+         "d4-n20-equicorrelated-tau0.2-single+nan: delta nan is not a number"),
+        ({"departure": "single", "delta": None, "label": "gap"}, "gap: delta None is not a number"),
+    ]
+    for fields, message in bad:
+        scenario = ScenarioConfig(**{"n": 20, "d": 4, "tau": 0.2, "tests": _tiny_tests(),
+                                     **fields})
+        with pytest.raises(ValueError, match=r"^scenario %s$" % re.escape(message)):
+            scenario.validate()
+    # an integer is stored as the float it stands for, as a config's is
+    whole = ScenarioConfig(n=20, d=4, tau=0, alpha=np.float32(0.125), departure="single",
+                           delta=np.int64(0), tests=_tiny_tests())
+    whole.validate()
+    assert (whole.tau, whole.alpha, whole.delta, whole.base) == (0.0, 0.125, 0.0, 0.4)
+    assert all(type(v) is float for v in (whole.tau, whole.alpha, whole.delta, whole.base))
+
+
 def test_desk_scale_preset():
     cfg = ScenarioConfig(n=50, d=4, tau=0.2, tests=_tiny_tests(500))
     scaled = desk_scale(cfg)
@@ -478,6 +503,42 @@ def test_run_study_writes_the_pinned_files_of_study_tiny(tmp_path):
     for name in ("summary", "results"):
         written = (tmp_path / ("%s.csv" % name)).read_bytes()
         assert written == (DATA / ("study_tiny_%s.csv" % name)).read_bytes(), name
+
+
+def test_run_study_counts_discarded_repetitions(tmp_path, monkeypatch):
+    # data at a thousandth's resolution ties in some repetitions: the
+    # test that ranks with ties="error" discards them, the jittering one
+    # keeps every repetition
+    sampler = simulation._gaussian_rows
+    monkeypatch.setattr(simulation, "_gaussian_rows",
+                        lambda T: lambda n, rng: np.round(sampler(T)(n, rng), 3))
+    tests = (TestOptions(replicates=200), TestOptions(replicates=200, ties="jitter"))
+    scenario = ScenarioConfig(n=25, d=4, tau=0.3, repetitions=12, tests=tests, alpha=0.5)
+    summary = run_study(scenario, seed=5, out_dir=str(tmp_path), workers=1)
+    with open(tmp_path / "results.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    with open(tmp_path / "summary.csv", newline="") as fh:
+        written = list(csv.DictReader(fh))
+    for ti, row in enumerate(summary):
+        mine = [r for r in rows if r["test_index"] == str(ti)]
+        ps = [float(r["p_value"]) for r in mine if r["p_value"] != ""]
+        assert [r["discard_reason"] for r in mine if r["p_value"] == ""] == [
+            "TieError"] * (len(mine) - len(ps))
+        assert (row["repetitions"], row["discards"]) == (12, 12 - len(ps))
+        assert row["rejection_rate"] == sum(p < 0.5 for p in ps) / len(ps)
+        assert (written[ti]["discards"], float(written[ti]["rejection_rate"])) == (
+            str(row["discards"]), row["rejection_rate"])
+    assert 0 < summary[0]["discards"] < 12 and summary[1]["discards"] == 0
+    with open(tmp_path / "manifest.json") as fh:
+        manifest = json.load(fh)
+    assert manifest["discards"] == {"TieError": summary[0]["discards"]}
+    assert manifest["repetitions_completed"] == 12
+
+
+def test_run_study_reports_progress_every_twentieth_of_the_work(capsys):
+    run_study(_study_config(reps=40), seed=3, workers=1, progress=True)
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["progress: %d/40 repetitions" % i for i in range(2, 41, 2)]
 
 
 def test_run_study_output_files(tmp_path):

@@ -1259,9 +1259,19 @@ def test_options_refuse_negative_seeds_and_a_plus_one_that_is_not_a_bool():
     with pytest.raises(ValueError, match="^seed inf is not an integer$"):
         TestOptions(seed=float("inf")).validate()
     for flag in ("no", 1, None):
-        with pytest.raises(ValueError, match="^plus_one %r is not a bool$" % (flag,)):
+        with pytest.raises(ValueError, match="^plus_one %r is not a boolean$" % (flag,)):
             TestOptions(statistic="max", seed=1, plus_one=flag).validate()
     TestOptions(statistic="max", seed=1, plus_one=np.True_).validate()
+
+
+def test_options_validate_stores_the_values_it_reads():
+    # as ScenarioConfig.validate does: 200.0 is stored as 200
+    opts = TestOptions(statistic="max", replicates=200.0, seed=np.int64(3), tie_seed=2.0,
+                       plus_one=np.True_)
+    opts.validate()
+    assert (opts.replicates, opts.seed, opts.tie_seed, opts.plus_one) == (200, 3, 2, True)
+    assert [type(v) for v in (opts.replicates, opts.seed, opts.tie_seed, opts.plus_one)] == [
+        int, int, int, bool]
 
 
 def test_run_test_validation_errors():
