@@ -27,11 +27,10 @@ finite and never a bool, and a bool is only a bool.  A refusal is a
 ValueError that names the file or the field.
 """
 
-import dataclasses
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
 import numpy as np
@@ -140,10 +139,12 @@ def _field(kind, value, what):
     Anything else is a ValueError naming ``what``."""
     if kind is int:
         return _integer(value, what)
-    if (kind in (bool, float) and isinstance(value, (bool, np.bool_)) == (kind is bool)
-            and isinstance(value, (int, float, np.integer, np.floating, np.bool_))
-            and (kind is bool or abs(value) <= np.finfo(float).max)):
-        return kind(value)
+    is_bool = isinstance(value, (bool, np.bool_))
+    if kind is bool and is_bool:
+        return bool(value)
+    if (kind is float and not is_bool and isinstance(value, (int, float, np.integer, np.floating))
+            and abs(value) <= np.finfo(float).max):
+        return float(value)
     if kind in (tuple, _SIZES) and isinstance(value, (list, tuple)):
         return tuple(value) if kind is tuple else tuple(_integer(v, what) for v in value)
     raise ValueError("%s %r is not %s" % (what, value, _KINDS[kind]))
@@ -153,8 +154,7 @@ def _field(kind, value, what):
 def _typed_fields(cls):
     """(name, type, whether None is its default) of each field of the
     dataclass ``cls`` that ``_field`` reads, taken once per class."""
-    return tuple((f.name, f.type, f.default is None) for f in dataclasses.fields(cls)
-                 if f.type in _KINDS)
+    return tuple((f.name, f.type, f.default is None) for f in fields(cls) if f.type in _KINDS)
 
 
 def _read_fields(obj, where=""):

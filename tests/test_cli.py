@@ -11,11 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kstruct import DesignMatrix, KendallSample, jackknife_cov
-from kstruct import cli
-from kstruct.simulation import desk_scale
+from kstruct import DesignMatrix, KendallSample, cli, jackknife_cov
 from kstruct.indexing import _pairs0
 from kstruct.projection import gamma_projection
+from kstruct.simulation import desk_scale
 from kstruct.cli import (
     ConstantCovariate,
     detrend_linear,

@@ -36,14 +36,16 @@ VALUES = st.one_of(
     st.none(),
     st.sampled_from(["", "4", "x", [], [2, 2], {}]),
 )
-# the number a value stands for, None where the field rule refuses it
-WHOLE = {int: lambda v: int(v) if _real(v) and math.isfinite(v) and v == int(v) else None,
-         float: lambda v: float(v) if _real(v) and math.isfinite(v) else None,
-         bool: lambda v: v if isinstance(v, bool) else None}
 
 
 def _real(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# the value a field stores for a drawn value, None where its rule refuses it
+WHOLE = {int: lambda v: int(v) if _real(v) and math.isfinite(v) and v == int(v) else None,
+         float: lambda v: float(v) if _real(v) and math.isfinite(v) else None,
+         bool: lambda v: v if isinstance(v, bool) else None}
 
 
 def _names(field, message):

@@ -267,7 +267,8 @@ def test_scenario_float_fields_are_read_not_coerced():
         ({"tau": True}, "d4-n20-equicorrelated-tau1: tau True is not a number"),
         ({"departure": "single", "delta": float("nan")},
          "d4-n20-equicorrelated-tau0.2-single+nan: delta nan is not a number"),
-        ({"departure": "single", "delta": None, "label": "gap"}, "gap: delta None is not a number"),
+        ({"departure": "single", "delta": None, "label": "gap"},
+         "gap: delta None is not a number"),
     ]
     for fields, message in bad:
         scenario = ScenarioConfig(**{"n": 20, "d": 4, "tau": 0.2, "tests": _tiny_tests(),
