@@ -233,8 +233,9 @@ def _scenario_from_dict(obj, where):
 def load_study_json(path):
     """Read a study config by ``indexing._read_json``: {"scenarios":
     [...], "seed": int}, a list of scenarios, or one scenario (which may
-    hold the "seed").  A key that no scenario or test field takes is a
-    ValueError, and so is a value its field does not take."""
+    hold the "seed").  A key that no scenario or test field takes, and a
+    value its field does not take, is a ValueError that names the file
+    and the field."""
     obj = _read_json(path)
     if isinstance(obj, list):
         obj = {"scenarios": obj}
