@@ -8,9 +8,11 @@ a JSON config, and ``detrend`` removes per-column linear trends.
 Every file is read by the one reader of its format in ``indexing``: the
 data CSV by ``_read_csv`` (a header line detected and skipped), the
 partition and study JSON by ``_read_json``, and each field of a study
-config by ``_field``, the rule the API's ``validate`` methods apply too.
-A refusal is a ValueError that names the file and the field, printed as
-one ``kstruct: error:`` line.
+config by ``_field``, the rule the API's ``validate`` methods apply too,
+choice fields included.  A choice field's values are declared once, in
+its ``Literal`` type, and the ``test`` flags take their choices and
+defaults from the ``TestOptions`` fields.  A refusal is a ValueError that
+names the file and the field, printed as one ``kstruct: error:`` line.
 
 Kendall correlations are invariant under strictly increasing per-column
 transforms, so monotone distortions of the margins never need correcting;
@@ -35,6 +37,7 @@ from .indexing import (
     load_partition_json,
     pair_count,
     _check_keys,
+    _choices,
     _field,
     _pairs0,
     _read_csv,
@@ -135,7 +138,7 @@ def _build_hypothesis(kind, path, d):
                 "%s: partition is for %d variables but the data has %d"
                 % (path, part.d, d)
             )
-    elif kind == "design":
+    else:  # "design"; argparse restricts the choices
         if path is None:
             raise ValueError("--hypothesis design needs --hypothesis-file with a CSV")
         design = load_design_csv(path)
@@ -145,8 +148,6 @@ def _build_hypothesis(kind, path, d):
                 % (path, design.p, pair_count(d))
             )
         return design
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError("unknown hypothesis kind %r" % kind)
 
     if kind == "diagonal-free":
         return diagonal_free_membership_matrix(part)
@@ -173,17 +174,9 @@ def cmd_test(args):
         raise ValueError("--covariate-column only makes sense with --detrend")
 
     d = X.shape[1]
-    options = TestOptions(
-        statistic=args.statistic,
-        weighting=args.weighting,
-        estimator=args.estimator,
-        replicates=args.replicates,
-        seed=args.seed,
-        plus_one=args.plus_one,
-        ties="jitter" if args.jitter_ties else "error",
-        tie_seed=args.tie_seed,
-        null_draws=args.null_draws,
-    )
+    # each TestOptions field from the flag of its name
+    options = TestOptions(**{f.name: getattr(args, f.name)
+                             for f in dataclasses.fields(TestOptions)})
     hypothesis = _build_hypothesis(args.hypothesis, args.hypothesis_file, d)
     report, tau, theta = _run_test(X, hypothesis, options)
 
@@ -313,6 +306,7 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    option_types = {f.name: f.type for f in dataclasses.fields(TestOptions)}
     t = sub.add_parser(
         "test",
         help="run one hypothesis test on a CSV dataset",
@@ -333,19 +327,17 @@ def _build_parser():
         default=None,
         help="partition JSON or design CSV, required unless exchangeable",
     )
-    t.add_argument("--statistic", choices=["euclidean", "max"], default="euclidean")
-    t.add_argument("--weighting", choices=["sigma", "identity"], default="sigma")
-    t.add_argument(
-        "--estimator", choices=["structured", "jackknife"], default="structured"
-    )
-    t.add_argument("--replicates", type=int, default=5000)
-    t.add_argument("--seed", type=int, required=True)
-    t.add_argument(
-        "--null-draws", choices=["auto", "gaussian", "bootstrap"], default="auto"
-    )
+    # each option flag takes its TestOptions field's default and, for a
+    # choice field, the values its Literal type declares
+    for name in ("statistic", "weighting", "estimator", "replicates", "seed", "null_draws"):
+        t.add_argument("--" + name.replace("_", "-"), default=getattr(TestOptions, name),
+                       choices=_choices(option_types[name]) or None,
+                       type=int if option_types[name] is int else None,
+                       required=name == "seed")
     t.add_argument("--plus-one", action="store_true")
-    t.add_argument("--jitter-ties", action="store_true")
-    t.add_argument("--tie-seed", type=int, default=0)
+    t.add_argument("--jitter-ties", dest="ties", action="store_const", const="jitter",
+                   default=TestOptions.ties)
+    t.add_argument("--tie-seed", type=int, default=TestOptions.tie_seed)
     t.add_argument("--detrend", action="store_true")
     t.add_argument(
         "--covariate-column",

@@ -23,8 +23,11 @@ line skipped for data and refused for a design), a JSON file by
 ``_read_json`` (no NaN or Infinity, no key given twice), and a field of
 an options or scenario dataclass by ``_field``, which ``_read_fields``
 applies to every typed field: an integer is never truncated, a float is
-finite and never a bool, and a bool is only a bool.  A refusal is a
-ValueError that names the file or the field.
+finite and never a bool, a bool is only a bool, and a choice field,
+typed ``Literal[...]``, holds one of its declared strings, so that its
+values are declared once, in its type.  A refusal is a ValueError that
+names the file or the field, such as ``statistic 'sup' is not
+'euclidean' or 'max'``.
 """
 
 import json
@@ -32,6 +35,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
+from typing import Literal, get_args, get_origin
 
 import numpy as np
 
@@ -131,12 +135,19 @@ _KINDS = {int: "an integer", bool: "a boolean", float: "a number", tuple: "a lis
           _SIZES: "a list"}
 
 
+def _choices(kind):
+    """The strings of a ``Literal[...]`` field type, in declared order;
+    () for any other type."""
+    return get_args(kind) if get_origin(kind) is Literal else ()
+
+
 def _field(kind, value, what):
     """``value`` as a field of type ``kind``, never changed in value: an
     int by the rule of ``_integer``, a bool only from a bool, a float
-    only from a finite real number that is not a bool, and a tuple from
-    a list or tuple, each entry an int by ``_integer`` for ``_SIZES``.
-    Anything else is a ValueError naming ``what``."""
+    only from a finite real number that is not a bool, a tuple from a
+    list or tuple, each entry an int by ``_integer`` for ``_SIZES``, and
+    a ``Literal[...]`` field only from one of its strings.  Anything else
+    is a ValueError naming ``what``."""
     if kind is int:
         return _integer(value, what)
     is_bool = isinstance(value, (bool, np.bool_))
@@ -147,25 +158,33 @@ def _field(kind, value, what):
         return float(value)
     if kind in (tuple, _SIZES) and isinstance(value, (list, tuple)):
         return tuple(value) if kind is tuple else tuple(_integer(v, what) for v in value)
-    raise ValueError("%s %r is not %s" % (what, value, _KINDS[kind]))
+    choices = _choices(kind)
+    if isinstance(value, str) and value in choices:
+        return str(value)
+    raise ValueError("%s %r is not %s" % (what, value, _KINDS.get(kind) or "%s or %r" % (
+        ", ".join(map(repr, choices[:-1])), choices[-1])))
 
 
 @lru_cache(maxsize=None)
 def _typed_fields(cls):
-    """(name, type, whether None is its default) of each field of the
-    dataclass ``cls`` that ``_field`` reads, taken once per class."""
-    return tuple((f.name, f.type, f.default is None) for f in fields(cls) if f.type in _KINDS)
+    """(name, type, whether None is its default, the set of a Literal
+    type's strings) of each field of the dataclass ``cls`` that
+    ``_field`` reads, taken once per class."""
+    return tuple((f.name, f.type, f.default is None, frozenset(_choices(f.type)))
+                 for f in fields(cls) if f.type in _KINDS or _choices(f.type))
 
 
 def _read_fields(obj, where=""):
     """``obj`` with every field of the dataclass that ``_field`` reads
-    read in place, each named as ``where`` followed by its name; a field
-    whose default is None may hold None."""
-    for name, kind, optional in _typed_fields(type(obj)):
+    read in place (a frozen one too), each named as ``where`` followed by
+    its name; a field whose default is None may hold None."""
+    for name, kind, optional, choices in _typed_fields(type(obj)):
         value = getattr(obj, name)
-        # an int, bool or tuple of its own type is as read; a float may not be finite
-        if (value is not None or not optional) and (type(value) is not kind or kind is float):
-            setattr(obj, name, _field(kind, value, where + name))
+        # an int, bool or tuple of its own type, and a string among its
+        # Literal's, is as read; a float may not be finite
+        if not (value is None and optional or type(value) is kind is not float
+                or type(value) is str and value in choices):
+            object.__setattr__(obj, name, _field(kind, value, where + name))
     return obj
 
 
@@ -270,24 +289,21 @@ class Partition:
         return g
 
 
-_DESIGN_KINDS = ("membership", "diagonal-free", "vertex-incidence", "general")
-
-
 @dataclass(frozen=True)
 class DesignMatrix:
     """A p x L design matrix for the hypothesis tau = B @ beta.
 
-    ``kind`` records how the matrix was built ("membership",
-    "diagonal-free", "vertex-incidence" or "general"), and a matrix that
-    is not of its kind is refused: a membership or diagonal-free design
-    is 0/1 with one 1 a row and no empty column, and a vertex-incidence
-    design is ``vertex_incidence_design(d)``.  Every kind needs L < p: a
+    ``kind`` records how the matrix was built, one of the strings its
+    type declares, and a matrix that is not of its kind is refused: a
+    membership or diagonal-free design is 0/1 with one 1 a row and no
+    empty column, and a vertex-incidence design is
+    ``vertex_incidence_design(d)``.  Every kind needs L < p: a
     design with as many columns as pairs leaves no constraint to test
     and is refused, and so is a non-finite entry.
     """
 
     matrix: np.ndarray
-    kind: str = "general"
+    kind: Literal["membership", "diagonal-free", "vertex-incidence", "general"] = "general"
 
     def __post_init__(self):
         B = np.asarray(self.matrix, dtype=float)
@@ -303,9 +319,7 @@ class DesignMatrix:
             raise ValueError(
                 "design has %d rows, which is not a pair count d(d-1)/2" % p
             )
-        if self.kind not in _DESIGN_KINDS:
-            raise ValueError("design kind must be one of %s, got %r"
-                             % (", ".join(map(repr, _DESIGN_KINDS)), self.kind))
+        _read_fields(self, "design ")
         if B.shape[1] >= p:
             raise ValueError(
                 "%s design with L=%d columns for p=%d pairs leaves no "

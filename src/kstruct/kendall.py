@@ -53,10 +53,11 @@ import hashlib
 import multiprocessing
 import os
 import threading
+from typing import Literal
 
 import numpy as np
 
-from .indexing import _integer, _pairs0
+from .indexing import _field, _integer, _pairs0
 
 __all__ = [
     "KendallSample",
@@ -279,6 +280,10 @@ class LeaveOneOut:
         return D
 
 
+# how tied values are ranked: refused, or broken by a seeded jitter
+Ties = Literal["error", "jitter"]
+
+
 class KendallSample:
     """One dataset ranked once, for every test and estimate made on it.
 
@@ -290,24 +295,23 @@ class KendallSample:
     copy; ``rows`` reads D whole, formed on the first read.  Also the
     ``digest`` of the raw array that reports echo, the 1-based
     ``tied`` columns that were jittered (none with ties="error", which
-    raises TieError here instead), and its ``ties`` and ``tie_seed``
-    (an integer: 3.0 is read as 3, and 0.5 raises ValueError).
+    raises TieError here instead), and its ``ties``, read by
+    ``indexing._field``, and ``tie_seed`` (an integer: 3.0 is read as 3,
+    and 0.5 raises ValueError).
     """
 
     def __init__(self, data, ties="error", tie_seed=0):
         X = _as_data(data)
         self.shape = X.shape
         self.digest = hashlib.sha256(np.ascontiguousarray(X).tobytes()).hexdigest()[:16]
-        self.ties = ties
         self.tie_seed = _integer(tie_seed, "tie_seed")
+        self.ties = _field(Ties, ties, "ties")
         # with ties="error" nothing is scanned: the pass raises on a tie
         self.tied = []
-        if ties == "jitter":
+        if self.ties == "jitter":
             self.tied = _tied_columns(X)
             if self.tied:
                 X = _jitter_columns(X, self.tied, self.tie_seed)
-        elif ties != "error":
-            raise ValueError("ties must be 'error' or 'jitter', got %r" % (ties,))
         self.tau, sums = tau_and_leave_one_out(X)
         self.leave_one_out = LeaveOneOut(sums, self.tau)
 

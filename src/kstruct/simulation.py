@@ -25,6 +25,7 @@ import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import Literal
 
 import numpy as np
 
@@ -90,13 +91,13 @@ class ScenarioConfig:
 
     n: int
     d: int
-    structure: str = "equicorrelated"
+    structure: Literal["equicorrelated", "block", "custom"] = "equicorrelated"
     tau: float = 0.0
     sizes: _SIZES = None
     base: float = 0.4
     step: float = 0.15
     matrix: object = None
-    departure: str = None
+    departure: Literal["single", "column"] = None
     delta: float = 0.0
     hypothesis_groups: tuple = None
     repetitions: int = 2500
@@ -120,11 +121,11 @@ class ScenarioConfig:
         return Partition(self.d, self.hypothesis_groups)
 
     def validate(self):
-        """Check the scenario, reading its int, float and tuple fields in
-        place by the rule of ``indexing._field`` (n = 20.0 becomes 20, tau
-        = 0 becomes 0.0; 20.5, "0.3" and NaN are refused), and that its
-        data can be drawn: the sampler's own factorization decides
-        positive definiteness."""
+        """Check the scenario, reading its int, float, tuple and choice
+        fields in place by the rule of ``indexing._field`` (n = 20.0
+        becomes 20, tau = 0 becomes 0.0; 20.5, "0.3", NaN and a structure
+        it does not declare are refused), and that its data can be drawn:
+        the sampler's own factorization decides positive definiteness."""
         try:
             label = self.scenario_label()
         except TypeError:  # a tau or delta that is not a number, refused below

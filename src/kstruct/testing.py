@@ -66,6 +66,7 @@ import threading
 from collections import namedtuple
 from contextlib import closing
 from dataclasses import dataclass, field, fields
+from typing import Literal
 
 import numpy as np
 from scipy import special
@@ -73,7 +74,7 @@ from scipy import special
 from ._version import __version__
 from .covariance import PSDFactor, _kept, jackknife_cov, structured_jackknife_partition
 from .indexing import DesignMatrix, Partition, _membership_design, _read_fields
-from .kendall import KendallSample, _second_cpu
+from .kendall import KendallSample, Ties, _second_cpu
 from .projection import ProjectionOperator, _normal_norm, gamma_projection
 from .sblock import SingularError, partition_projected, rank_mask
 
@@ -149,33 +150,29 @@ class TestOptions:
         null replicates are produced when more than one scheme applies;
         ``_ROUTES`` lists the combinations accepted.
 
-    ``validate`` reads replicates, seed and tie_seed as integers and
-    plus_one as a bool, in place, by the rule of ``indexing._field``: a
-    whole float such as 200.0 is stored as 200, and any other value is
-    refused, and so is a negative seed or tie_seed.
+    Each choice field's values are declared once, in its ``Literal``
+    type, the default first; the CLI's flags take their choices and
+    defaults from these fields.  ``validate`` reads every field in
+    place by the rule of ``indexing._field``: a whole float such as
+    200.0 is stored as 200, and any other value is refused by name, and
+    so is a negative seed or tie_seed.
     """
 
-    statistic: str = "euclidean"
-    weighting: str = "sigma"
-    estimator: str = "structured"
+    statistic: Literal["euclidean", "max"] = "euclidean"
+    weighting: Literal["sigma", "identity"] = "sigma"
+    estimator: Literal["structured", "jackknife"] = "structured"
     replicates: int = 5000
     seed: int = None
     plus_one: bool = False
-    ties: str = "error"
+    ties: Ties = "error"
     tie_seed: int = 0
-    null_draws: str = "auto"
+    null_draws: Literal["auto", "gaussian", "bootstrap"] = "auto"
 
     def validate(self):
         """Check the options and return the method of their entry in
         ``_ROUTES``, the one place that picks the null law; ``run_test``
         refuses the structured estimator for a design hypothesis."""
         _read_fields(self)
-        if self.statistic not in ("euclidean", "max"):
-            raise ValueError("statistic must be 'euclidean' or 'max'")
-        if self.weighting not in ("identity", "sigma"):
-            raise ValueError("weighting must be 'identity' or 'sigma'")
-        if self.estimator not in ("jackknife", "structured"):
-            raise ValueError("estimator must be 'jackknife' or 'structured'")
         if self.replicates < 100:
             raise ValueError("replicates must be at least 100")
         if self.seed is None:
@@ -183,10 +180,6 @@ class TestOptions:
         for name in ("seed", "tie_seed"):
             if getattr(self, name) < 0:
                 raise ValueError("%s must be non-negative, got %r" % (name, getattr(self, name)))
-        if self.ties not in ("error", "jitter"):
-            raise ValueError("ties must be 'error' or 'jitter'")
-        if self.null_draws not in ("auto", "gaussian", "bootstrap"):
-            raise ValueError("null_draws must be 'auto', 'gaussian' or 'bootstrap'")
         route = _ROUTES.get((self.estimator, self.statistic, self.weighting, self.null_draws))
         if route is None:
             # only sigma routes have a fixed law, so only they refuse a choice

@@ -176,7 +176,8 @@ def test_design_kind_must_match_its_matrix():
     for kind in ("membership", "diagonal-free"):
         with pytest.raises(ValueError, match="a %s design is 0/1" % kind):
             DesignMatrix(B, kind=kind)
-    with pytest.raises(ValueError, match="design kind must be one of"):
+    with pytest.raises(ValueError, match="^design kind 'whatever' is not 'membership', "
+                       "'diagonal-free', 'vertex-incidence' or 'general'$"):
         DesignMatrix(B, kind="whatever")
     part = Partition(5, ((1, 2), (3, 4, 5)))
     M = block_membership_matrix(part).matrix
