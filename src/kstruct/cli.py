@@ -123,24 +123,17 @@ def _matrix_from_pairs(vec, d):
 
 
 def _build_hypothesis(kind, path, d):
-    """Translate the CLI hypothesis spec into a Partition or DesignMatrix."""
+    """Translate the CLI hypothesis spec into a Partition or DesignMatrix;
+    every kind but "exchangeable" reads --hypothesis-file, and that one
+    refuses it."""
     if kind == "exchangeable":
-        part = Partition.exchangeable(d)
-    elif kind in ("partition", "diagonal-free"):
-        if path is None:
-            raise ValueError(
-                "--hypothesis %s needs --hypothesis-file with the partition JSON"
-                % kind
-            )
-        part = load_partition_json(path)
-        if part.d != d:
-            raise ValueError(
-                "%s: partition is for %d variables but the data has %d"
-                % (path, part.d, d)
-            )
-    else:  # "design"; argparse restricts the choices
-        if path is None:
-            raise ValueError("--hypothesis design needs --hypothesis-file with a CSV")
+        if path is not None:
+            raise ValueError("--hypothesis exchangeable takes no --hypothesis-file")
+        return Partition.exchangeable(d)
+    if path is None:
+        raise ValueError("--hypothesis %s needs --hypothesis-file with %s"
+                         % (kind, "a CSV" if kind == "design" else "the partition JSON"))
+    if kind == "design":
         design = load_design_csv(path)
         if design.p != pair_count(d):
             raise ValueError(
@@ -148,10 +141,13 @@ def _build_hypothesis(kind, path, d):
                 % (path, design.p, pair_count(d))
             )
         return design
-
-    if kind == "diagonal-free":
-        return diagonal_free_membership_matrix(part)
-    return part
+    part = load_partition_json(path)
+    if part.d != d:
+        raise ValueError(
+            "%s: partition is for %d variables but the data has %d"
+            % (path, part.d, d)
+        )
+    return diagonal_free_membership_matrix(part) if kind == "diagonal-free" else part
 
 
 def _split_covariate(X, column):
@@ -306,7 +302,6 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    option_types = {f.name: f.type for f in dataclasses.fields(TestOptions)}
     t = sub.add_parser(
         "test",
         help="run one hypothesis test on a CSV dataset",
@@ -330,9 +325,9 @@ def _build_parser():
     # each option flag takes its TestOptions field's default and, for a
     # choice field, the values its Literal type declares
     for name in ("statistic", "weighting", "estimator", "replicates", "seed", "null_draws"):
+        kind = TestOptions.__annotations__[name]
         t.add_argument("--" + name.replace("_", "-"), default=getattr(TestOptions, name),
-                       choices=_choices(option_types[name]) or None,
-                       type=int if option_types[name] is int else None,
+                       choices=_choices(kind) or None, type=int if kind is int else None,
                        required=name == "seed")
     t.add_argument("--plus-one", action="store_true")
     t.add_argument("--jitter-ties", dest="ties", action="store_const", const="jitter",

@@ -32,6 +32,7 @@ names the file or the field, such as ``statistic 'sup' is not
 
 import json
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
@@ -219,21 +220,34 @@ def _read_csv(path, header):
     a header: skipped when ``header`` is true, refused otherwise.  An
     empty file, a header with no rows after it, a cell that is not a
     finite number and rows of unequal length are ValueErrors that name
-    the file."""
+    the file, and the line of the file for a cell or a row."""
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
-            lines = [line for line in fh.read().splitlines() if line.split("#", 1)[0].strip()]
+            rows = [(number, line) for number, line in enumerate(fh.read().splitlines(), 1)
+                    if line.split("#", 1)[0].strip()]
         head = 0
-        if header and lines:
+        if header and rows:
             try:
-                list(map(float, lines[0].split(",")))
+                list(map(float, rows[0][1].split(",")))
             except ValueError:  # a cell that is not a number: a header
                 head = 1
-        if len(lines) <= head:
+        rows = rows[head:]
+        if not rows:
             raise ValueError("no data rows after the header" if head else "file is empty")
-        X = np.loadtxt(lines[head:], delimiter=",", ndmin=2)
-        if not np.isfinite(X).all():
-            raise ValueError("a cell holds a non-finite value")
+        try:
+            X = np.loadtxt([line for _, line in rows], delimiter=",", ndmin=2)
+        except ValueError:
+            # NumPy counts the lines it is given: name the file's first
+            # line that it refuses beside the first row
+            for number, line in rows:
+                try:
+                    np.loadtxt([rows[0][1], line], delimiter=",")
+                except ValueError as exc:
+                    raise ValueError(re.sub(r"at row \d+", "on line %d" % number, str(exc)))
+            raise
+        bad = ~np.isfinite(X).all(axis=1)
+        if bad.any():
+            raise ValueError("a cell holds a non-finite value on line %d" % rows[bad.argmax()][0])
         return X
     except ValueError as exc:  # a UnicodeDecodeError too
         raise ValueError("%s: %s" % (path, exc)) from None

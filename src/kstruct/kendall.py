@@ -282,6 +282,8 @@ class LeaveOneOut:
 
 # how tied values are ranked: refused, or broken by a seeded jitter
 Ties = Literal["error", "jitter"]
+# the refusal of a tie seed that no jitter reads
+_UNREAD_TIE_SEED = "tie_seed does not apply to ties='error', which jitters nothing"
 
 
 class KendallSample:
@@ -297,7 +299,7 @@ class KendallSample:
     ``tied`` columns that were jittered (none with ties="error", which
     raises TieError here instead), and its ``ties``, read by
     ``indexing._field``, and ``tie_seed`` (an integer: 3.0 is read as 3,
-    and 0.5 raises ValueError).
+    and 0.5 raises ValueError; anything but 0 needs ties="jitter").
     """
 
     def __init__(self, data, ties="error", tie_seed=0):
@@ -306,6 +308,8 @@ class KendallSample:
         self.digest = hashlib.sha256(np.ascontiguousarray(X).tobytes()).hexdigest()[:16]
         self.tie_seed = _integer(tie_seed, "tie_seed")
         self.ties = _field(Ties, ties, "ties")
+        if self.tie_seed and self.ties == "error":
+            raise ValueError(_UNREAD_TIE_SEED)
         # with ties="error" nothing is scanned: the pass raises on a tie
         self.tied = []
         if self.ties == "jitter":

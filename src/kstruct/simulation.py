@@ -324,16 +324,20 @@ def _task_batches(tasks, scenarios, nworkers):
 
 
 def _read_results(path):
-    """The (scenario, test, rep, p, reason) rows of a results file; none
-    before it exists."""
+    """The (scenario, test, rep, p, reason) rows of a results file, one
+    for each (scenario, test, rep); none before it exists.  A run that
+    resumes a repetition an earlier run left partly written writes all
+    of its rows again, equal to those already there."""
     if not os.path.exists(path):
         return []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        return [
+        rows = [
             (int(row["scenario_index"]), int(row["test_index"]), int(row["rep"]),
              float(row["p_value"]) if row["p_value"] != "" else None, row["discard_reason"])
             for row in csv.DictReader(fh)
         ]
+    # one row per (scenario, test, rep), in the order of its first
+    return list({row[:3]: row for row in rows}.values())
 
 
 # the columns of a summary row, in the order summary.csv writes them
@@ -450,8 +454,10 @@ def run_study(
     single-run one.  ``workers`` sets the number of worker processes
     (default: the CPU count); the result is identical for any worker
     count.  Each worker draws its Monte Carlo normals inline.  An
-    ``out_dir`` whose manifest records another seed or other scenarios
-    is refused with ValueError, so the rows of two studies never mix.
+    ``out_dir`` whose manifest records another seed or other scenarios,
+    or is not a JSON object, is refused with ValueError, so the rows of
+    two studies never mix.  A repetition that an earlier run left partly
+    written is run again and counted once.
     ``seed``, the shard's bounds and ``workers`` are read as integers:
     7.0 is 7, and 7.9 is refused; so are a negative seed and a shard
     other than 0 <= A < B, before any file is written.
@@ -482,6 +488,8 @@ def run_study(
         earlier_path = os.path.join(out_dir, _MANIFEST_FILE)
         if os.path.exists(earlier_path):  # rows already there would count as this study's
             earlier = _read_json(earlier_path)
+            if not isinstance(earlier, dict):
+                raise ValueError("%s: %r is not an object" % (earlier_path, earlier))
             if (earlier.get("seed"), earlier.get("scenarios")) != (seed, labels):
                 raise ValueError(
                     "%s holds the study of seed %r, scenarios %r; this run has seed %r, "

@@ -74,7 +74,7 @@ from scipy import special
 from ._version import __version__
 from .covariance import PSDFactor, _kept, jackknife_cov, structured_jackknife_partition
 from .indexing import DesignMatrix, Partition, _membership_design, _read_fields
-from .kendall import KendallSample, Ties, _second_cpu
+from .kendall import _UNREAD_TIE_SEED, KendallSample, Ties, _second_cpu
 from .projection import ProjectionOperator, _normal_norm, gamma_projection
 from .sblock import SingularError, partition_projected, rank_mask
 
@@ -145,7 +145,8 @@ class TestOptions:
     seed: required; every report echoes it.
     plus_one: use the conservative (1+hits)/(1+N) Monte Carlo p-value;
         refused on euclidean/sigma, whose p-value is a chi-square tail.
-    ties: "error" or "jitter"; tie_seed seeds the jitter.
+    ties: "error" or "jitter"; tie_seed seeds the jitter, and anything
+        but 0 is refused with ties="error".
     null_draws: "auto", "gaussian", or "bootstrap" -- how Monte Carlo
         null replicates are produced when more than one scheme applies;
         ``_ROUTES`` lists the combinations accepted.
@@ -180,6 +181,8 @@ class TestOptions:
         for name in ("seed", "tie_seed"):
             if getattr(self, name) < 0:
                 raise ValueError("%s must be non-negative, got %r" % (name, getattr(self, name)))
+        if self.tie_seed and self.ties == "error":
+            raise ValueError(_UNREAD_TIE_SEED)
         route = _ROUTES.get((self.estimator, self.statistic, self.weighting, self.null_draws))
         if route is None:
             # only sigma routes have a fixed law, so only they refuse a choice

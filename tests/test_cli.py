@@ -2,6 +2,7 @@
 subcommand runs through main()."""
 
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -440,6 +441,53 @@ def test_cmd_test_refuses_a_hypothesis_file_that_does_not_fit(tmp_path, capsys, 
     assert err.startswith("kstruct: error: ") and err.rstrip().endswith(message)
 
 
+def test_cmd_test_refuses_flags_it_would_ignore(tmp_path, capsys):
+    data = _write_csv(tmp_path / "x.csv", _gaussian_data(n=20, seed=1))
+    part = tmp_path / "part.json"
+    part.write_text('{"d": 4, "groups": [[1, 2], [3, 4]]}')
+    args = ["test", "--data", data, "--hypothesis", "exchangeable", "--seed", "1"]
+    for extra, message in (
+            (["--hypothesis-file", str(part)],
+             "--hypothesis exchangeable takes no --hypothesis-file"),
+            (["--tie-seed", "4"],
+             "tie_seed does not apply to ties='error', which jitters nothing")):
+        assert main(args + extra) == 1
+        assert capsys.readouterr().err == "kstruct: error: %s\n" % message
+    assert main(args + ["--tie-seed", "4", "--jitter-ties"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["options"]["ties"], report["options"]["tie_seed"]) == ("jitter", 4)
+
+
+def test_cmd_test_refuses_an_out_of_range_covariate_column(tmp_path, capsys):
+    data = _write_csv(tmp_path / "x.csv", _gaussian_data(n=20, seed=1))
+    for column in ("4", "-1"):
+        assert main(["test", "--data", data, "--hypothesis", "exchangeable", "--seed", "1",
+                     "--detrend", "--covariate-column", column]) == 1
+        assert capsys.readouterr().err == "kstruct: error: covariate column %s out of range\n" % (
+            column)
+
+
+def test_test_flags_take_their_choices_and_defaults_from_the_options(capsys):
+    from kstruct.testing import TestOptions
+
+    parser = cli._build_parser()
+    base = ["test", "--data", "x.csv", "--hypothesis", "exchangeable", "--seed", "1"]
+    args = parser.parse_args(base)
+    names = [f.name for f in dataclasses.fields(TestOptions)]
+    assert {name: getattr(args, name) for name in names} == dataclasses.asdict(
+        TestOptions(seed=1))
+    for flag, choices in (("--statistic", ("euclidean", "max")),
+                          ("--weighting", ("sigma", "identity")),
+                          ("--estimator", ("structured", "jackknife")),
+                          ("--null-draws", ("auto", "gaussian", "bootstrap"))):
+        for value in choices:
+            args = parser.parse_args(base + [flag, value])
+            assert getattr(args, flag[2:].replace("-", "_")) == value
+        with pytest.raises(SystemExit):
+            parser.parse_args(base + [flag, choices[0].upper()])
+    capsys.readouterr()
+
+
 def test_cmd_test_rejects_ignored_null_draws(tmp_path, capsys):
     data = _write_csv(tmp_path / "x.csv", _gaussian_data(n=20, seed=1))
     code = main(
@@ -600,6 +648,45 @@ def test_load_study_json_refuses_a_malformed_config_by_name(tmp_path, text, mess
     path.write_text(text)
     with pytest.raises(ValueError, match="^%s" % re.escape(str(path.parent / message))):
         load_study_json(str(path))
+
+
+@pytest.mark.parametrize("where, key, value, message", [
+    ("test", "statistic", "sup",
+     "scenario 0, test 0: statistic 'sup' is not 'euclidean' or 'max'"),
+    ("test", "ties", "drop", "scenario 0, test 0: ties 'drop' is not 'error' or 'jitter'"),
+    ("test", "null_draws", "Auto",
+     "scenario 0, test 0: null_draws 'Auto' is not 'auto', 'gaussian' or 'bootstrap'"),
+    ("scenario", "structure", "blocks",
+     "scenario 0: structure 'blocks' is not 'equicorrelated', 'block' or 'custom'"),
+    ("scenario", "departure", "row", "scenario 0: departure 'row' is not 'single' or 'column'"),
+    ("scenario", "departure", 1, "scenario 0: departure 1 is not 'single' or 'column'"),
+])
+def test_cmd_simulate_refuses_a_bad_choice_by_file_and_field(tmp_path, capsys, where, key,
+                                                             value, message):
+    # a bad statistic or ties ended "statistic must be 'euclidean' or 'max'",
+    # naming neither the file nor the scenario nor the test
+    cfg = _config_with(tmp_path / "s.json", **{where: {key: value}})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == "kstruct: error: %s, %s\n" % (cfg, message)
+    assert not (tmp_path / "o").exists()
+
+
+def test_cmd_simulate_needs_a_seed(tmp_path, capsys):
+    cfg = _config_with(tmp_path / "s.json")
+    Path(cfg).write_text(json.dumps(json.loads(Path(cfg).read_text())["scenarios"]))
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == (
+        'kstruct: error: no seed: pass --seed or put "seed" in the config\n')
+    assert not (tmp_path / "o").exists()
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"), "--seed", "3"]) == 0
+
+
+def test_load_study_json_refuses_a_config_without_scenarios(tmp_path):
+    path = tmp_path / "s.json"
+    for text in ('{"scenarios": [], "seed": 1}', "[]"):
+        path.write_text(text)
+        with pytest.raises(ValueError, match="^%s$" % re.escape("%s: no scenarios found" % path)):
+            load_study_json(str(path))
 
 
 def test_cmd_simulate_names_a_nan_in_the_config(tmp_path, capsys):

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dense_oracle import all_pairs, index_of_pair
+from kstruct.cli import read_data_csv
 from kstruct.indexing import (
     DesignMatrix,
     Partition,
@@ -463,6 +464,38 @@ def test_design_csv_that_is_empty_or_has_a_header_is_refused_by_name(tmp_path):
             load_design_csv(empty)
         with pytest.raises(ValueError, match="headed.csv: could not convert string 'a'"):
             load_design_csv(headed)
+
+
+def test_design_matrix_refuses_a_3d_or_non_finite_matrix():
+    with pytest.raises(ValueError, match="^design matrix must be 2-d$"):
+        DesignMatrix(np.ones((6, 2, 1)))
+    for bad in (np.nan, np.inf, -np.inf):
+        B = np.ones((6, 2))
+        B[3, 1] = bad
+        with pytest.raises(ValueError, match="^design matrix holds non-finite entries$"):
+            DesignMatrix(B)
+
+
+@pytest.mark.parametrize("text, message", [
+    # a header and a blank line above: NumPy counted "3,x" as its row 1
+    ("a,b\n\n1,2\n3,x\n", "could not convert string 'x' to float64 on line 4, column 2."),
+    ("# gauge log\n1,2\n\n3,4,5\n", "the number of columns changed from 2 to 3 on line 4; "
+     "use `usecols` to select a subset and avoid this error"),
+    ("1,2\n3,4\n\n\n5\n", "the number of columns changed from 2 to 1 on line 5; "
+     "use `usecols` to select a subset and avoid this error"),
+    ("a,b\n2,x\n3,4\n", "could not convert string 'x' to float64 on line 2, column 2."),
+    ("a,b\n1,2\n# gap\n3,nan\n", "a cell holds a non-finite value on line 4"),
+    ("\n1,2,3\n4,5,6 # tail\n7,8,1e400\n", "a cell holds a non-finite value on line 4"),
+])
+def test_csv_refusals_name_the_line_of_the_file(tmp_path, text, message):
+    path = tmp_path / "x.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="^%s$" % re.escape("%s: %s" % (path, message))):
+        read_data_csv(str(path))
+    # the design reader refuses a header line; without one it names the same line
+    if not text.startswith("a,b"):
+        with pytest.raises(ValueError, match="^%s$" % re.escape("%s: %s" % (path, message))):
+            load_design_csv(path)
 
 
 def test_design_csv_with_a_non_finite_entry_is_refused(tmp_path):

@@ -4,7 +4,8 @@
 
 Each property writes a valid input, puts a drawn value in one place
 (fractional, negative, boolean, NaN or infinite, huge, empty, of the
-wrong kind, a key given twice, an unknown key, a d that does not match),
+wrong kind, a choice in another case, a key given twice, an unknown key,
+a d that does not match),
 and reads it back.  The input must either be read exactly as written, or
 be refused with a ValueError that names the file or the field.
 """
@@ -76,6 +77,62 @@ def test_options_read_a_field_exactly_or_refuse_it_by_name(field, value):
         return
     got = getattr(opts, name)
     assert type(got) is kind and got == WHOLE[kind](value)
+
+
+# the values each choice field declares, the default first
+OPTION_CHOICES = {"statistic": ("euclidean", "max"), "weighting": ("sigma", "identity"),
+                  "estimator": ("structured", "jackknife"), "ties": ("error", "jitter"),
+                  "null_draws": ("auto", "gaussian", "bootstrap")}
+SCENARIO_CHOICES = {"structure": ("equicorrelated", "block", "custom"),
+                    "departure": ("single", "column")}
+
+
+def _choice_values(choices, others=VALUES):
+    """A value for a choice field: one it declares, one in another case
+    or with a space, or one of ``others``."""
+    declared = st.sampled_from(choices)
+    return st.one_of(declared, declared.map(str.upper), declared.map(str.title),
+                     declared.map(" {}".format), others)
+
+
+def _chosen(name, value, choices):
+    """Whether a choice field takes ``value``: one of its strings, or
+    None for the one whose default is None."""
+    return isinstance(value, str) and value in choices or value is None and name == "departure"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(OPTION_CHOICES)), st.data())
+def test_options_read_a_choice_exactly_or_refuse_it_by_name(name, data):
+    # max/identity takes every null_draws, so each declared value runs
+    value = data.draw(_choice_values(OPTION_CHOICES[name]))
+    opts = TestOptions(**{"statistic": "max", "weighting": "identity", "seed": 1, name: value})
+    try:
+        opts.validate()
+    except ValueError as exc:
+        assert _names(name, str(exc)), str(exc)
+        assert not _chosen(name, value, OPTION_CHOICES[name]), str(exc)
+        return
+    assert _chosen(name, value, OPTION_CHOICES[name])
+    assert type(getattr(opts, name)) is str and getattr(opts, name) == value
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(SCENARIO_CHOICES)), st.data())
+def test_scenarios_read_a_choice_exactly_or_refuse_it_by_name(name, data):
+    # the block and custom structures get what they need
+    value = data.draw(_choice_values(SCENARIO_CHOICES[name]))
+    scenario = ScenarioConfig(**{"n": 20, "d": 4, "tau": 0.2, "sizes": (2, 2),
+                                 "matrix": np.full((4, 4), 0.2), "repetitions": 2,
+                                 "tests": (TestOptions(),), name: value})
+    try:
+        scenario.validate()
+    except ValueError as exc:
+        assert _names(name, str(exc)), str(exc)
+        assert not _chosen(name, value, SCENARIO_CHOICES[name]), str(exc)
+        return
+    assert _chosen(name, value, SCENARIO_CHOICES[name])
+    assert getattr(scenario, name) == value
 
 
 # d builds a d x d matrix, so a drawn d stays small
@@ -291,3 +348,31 @@ def test_study_json_reads_a_field_exactly_or_refuses_it_by_file(folder, field, v
             assert all(type(v) is int for v in got)
     else:
         assert type(got) is kind and got == WHOLE[kind](value)
+
+
+# a value JSON holds: the file's reader refuses NaN and infinity by the file
+JSON_VALUES = VALUES.filter(lambda v: not (isinstance(v, float) and not math.isfinite(v)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(field=st.sampled_from([("test", name, choices) for name, choices in OPTION_CHOICES.items()]
+                             + [("scenario", name, choices)
+                                for name, choices in SCENARIO_CHOICES.items()]),
+       data=st.data())
+def test_study_json_reads_a_choice_exactly_or_refuses_it_by_file_and_name(folder, field, data):
+    where, name, choices = field
+    value = data.draw(_choice_values(choices, JSON_VALUES))
+    test = {"statistic": "max", "weighting": "identity", "replicates": 200}
+    scenario = {"n": 30, "d": 4, "tau": 0.3, "repetitions": 3, "tests": [test]}
+    {"scenario": scenario, "test": test}[where][name] = value
+    path = folder / "choice.json"
+    path.write_text(json.dumps({"seed": 9, "scenarios": [scenario]}))
+    try:
+        scenarios, _ = load_study_json(str(path))
+    except ValueError as exc:
+        assert str(path) in str(exc) and _names(name, str(exc)), str(exc)
+        assert not _chosen(name, value, choices), str(exc)
+        return
+    assert _chosen(name, value, choices)
+    got = getattr(scenarios[0] if where == "scenario" else scenarios[0].tests[0], name)
+    assert got == value and type(got) is type(value)

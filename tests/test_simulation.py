@@ -449,6 +449,38 @@ def test_run_study_refuses_another_studys_directory(tmp_path):
     assert (out / "results.csv").read_bytes() == before
 
 
+def test_run_study_counts_a_partly_written_repetition_once(tmp_path):
+    # an earlier run stopped after rep 3's first test: the resumed run
+    # writes both of rep 3's rows again, and each (test, rep) counts once
+    out = tmp_path / "study"
+    first = run_study(_study_config(reps=4), seed=5, out_dir=str(out), workers=1)
+    summary_csv = (out / "summary.csv").read_bytes()
+    lines = (out / "results.csv").read_text().splitlines(keepends=True)
+    (out / "results.csv").write_text("".join(lines[:-1]))
+    again = run_study(_study_config(reps=4), seed=5, out_dir=str(out), workers=1)
+    assert [row["repetitions"] for row in again] == [4, 4]
+    assert again == first
+    assert (out / "summary.csv").read_bytes() == summary_csv
+    assert (out / "results.csv").read_text().splitlines(keepends=True)[-2:] == lines[-2:]
+    with open(out / "manifest.json") as fh:
+        assert json.load(fh)["repetitions_completed"] == 4
+
+
+def test_run_study_refuses_a_manifest_that_is_not_an_object(tmp_path):
+    out = tmp_path / "study"
+    out.mkdir()
+    for text in ("[]", "3", '"study"'):
+        (out / "manifest.json").write_text(text)
+        with pytest.raises(ValueError, match=r"manifest\.json: .* is not an object$"):
+            run_study(_study_config(reps=2), seed=5, out_dir=str(out), workers=1)
+    assert sorted(os.listdir(out)) == ["manifest.json"]
+
+
+def test_run_study_refuses_no_scenarios():
+    with pytest.raises(ValueError, match="^no scenarios given$"):
+        run_study([], seed=1)
+
+
 def test_run_study_reads_its_seed_as_an_integer(tmp_path):
     for seed in (7.9, "7", True):
         with pytest.raises(ValueError, match=r"^seed %r is not an integer$" % (seed,)):

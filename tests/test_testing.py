@@ -642,7 +642,7 @@ def test_run_test_on_a_sample_equals_run_test_on_the_array(case, rounded, tie_se
     X, hypothesis, estimator = case
     if rounded:
         X = np.round(X, 1)
-    for ties in ("error", "jitter"):
+    for ties, tie_seed in (("error", 0), ("jitter", tie_seed)):
         try:
             sample = KendallSample(X, ties, tie_seed)
         except TieError:
@@ -664,7 +664,7 @@ def test_a_sample_ranked_otherwise_is_refused():
     X = exchangeable_normal(rng, 20, 4)
     part = Partition.exchangeable(4)
     sample = KendallSample(X)
-    for other in (dict(ties="jitter"), dict(tie_seed=1)):
+    for other in (dict(ties="jitter"), dict(ties="jitter", tie_seed=1)):
         with pytest.raises(ValueError, match="ranked with"):
             run_test(sample, part, TestOptions(seed=1, **other))
     # the estimators take a sample as it is, however it was ranked
@@ -1264,10 +1264,61 @@ def test_options_refuse_negative_seeds_and_a_plus_one_that_is_not_a_bool():
     TestOptions(statistic="max", seed=1, plus_one=np.True_).validate()
 
 
+def test_a_tie_seed_is_refused_unless_ties_jitter():
+    # ties="error" jitters nothing, so a tie seed there was never read
+    X = exchangeable_normal(np.random.default_rng(85), 20, 4)
+    part = Partition.exchangeable(4)
+    message = "^tie_seed does not apply to ties='error', which jitters nothing$"
+    with pytest.raises(ValueError, match=message):
+        TestOptions(seed=1, tie_seed=4).validate()
+    with pytest.raises(ValueError, match=message):
+        run_test(X, part, TestOptions(seed=1, tie_seed=4))
+    with pytest.raises(ValueError, match=message):
+        KendallSample(X, "error", 4)
+    TestOptions(seed=1, tie_seed=0).validate()
+    TestOptions(seed=1, ties="jitter", tie_seed=4).validate()
+    # a sample jittered with another seed is refused by that seed
+    with pytest.raises(ValueError, match="^the sample was ranked with tie_seed=4, not 1$"):
+        run_test(KendallSample(X, "jitter", 4), part,
+                 TestOptions(seed=1, ties="jitter", tie_seed=1))
+
+
+def test_choice_fields_are_refused_by_name():
+    for field, value, choices in (
+            ("statistic", "sup", "'euclidean' or 'max'"),
+            ("weighting", "Sigma", "'sigma' or 'identity'"),
+            ("estimator", None, "'structured' or 'jackknife'"),
+            ("ties", "drop", "'error' or 'jitter'"),
+            ("null_draws", 1, "'auto', 'gaussian' or 'bootstrap'")):
+        with pytest.raises(ValueError, match="^%s %r is not %s$" % (field, value, choices)):
+            TestOptions(seed=1, **{field: value}).validate()
+    X = exchangeable_normal(np.random.default_rng(86), 20, 4)
+    with pytest.raises(ValueError, match="^ties 'drop' is not 'error' or 'jitter'$"):
+        KendallSample(X, "drop")
+    # a choice is refused before a replicate count below 100
+    with pytest.raises(ValueError, match="^statistic 'sup' is not"):
+        TestOptions(statistic="sup", replicates=10, seed=1).validate()
+
+
+def test_run_test_refuses_a_design_over_other_pairs():
+    X = exchangeable_normal(np.random.default_rng(87), 20, 4)
+    design = vertex_incidence_design(5)
+    with pytest.raises(ValueError, match="^design has 10 rows but the data has 6 pairs$"):
+        run_test(X, design, TestOptions(estimator="jackknife", seed=1))
+
+
+def test_a_scalar_weighting_must_be_positive():
+    tau, theta = np.array([0.3, 0.1, 0.2]), np.zeros(3)
+    for statistic in (statistic_euclidean, statistic_max):
+        for a in (0.0, -0.5):
+            with pytest.raises(ValueError, match="^scalar weighting must be positive$"):
+                statistic(tau, theta, a)
+
+
 def test_options_validate_stores_the_values_it_reads():
     # as ScenarioConfig.validate does: 200.0 is stored as 200
-    opts = TestOptions(statistic="max", replicates=200.0, seed=np.int64(3), tie_seed=2.0,
-                       plus_one=np.True_)
+    opts = TestOptions(statistic="max", replicates=200.0, seed=np.int64(3), ties="jitter",
+                       tie_seed=2.0, plus_one=np.True_)
     opts.validate()
     assert (opts.replicates, opts.seed, opts.tie_seed, opts.plus_one) == (200, 3, 2, True)
     assert [type(v) for v in (opts.replicates, opts.seed, opts.tie_seed, opts.plus_one)] == [
