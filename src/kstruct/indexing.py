@@ -162,8 +162,8 @@ def _field(kind, value, what):
     choices = _choices(kind)
     if isinstance(value, str) and value in choices:
         return str(value)
-    raise ValueError("%s %r is not %s" % (what, value, _KINDS.get(kind) or "%s or %r" % (
-        ", ".join(map(repr, choices[:-1])), choices[-1])))
+    wanted = _KINDS.get(kind) or "%s or %r" % (", ".join(map(repr, choices[:-1])), choices[-1])
+    raise ValueError("%s %r is not %s" % (what, value, wanted))
 
 
 @lru_cache(maxsize=None)
