@@ -52,7 +52,7 @@ keeps the arrays alive.
 import hashlib
 import multiprocessing
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from typing import Literal
 
 import numpy as np
@@ -149,10 +149,11 @@ def _pair_row_sums(X):
     once, on the calling thread (allocations on a helper thread can raise
     peak RSS through the C library's per-thread heaps), and kept within
     _BLOCK_BUDGET bytes.
-    With two or more blocks and ``_second_cpu()``, a helper thread works
-    through the second half of the blocks, each thread in blocks of half
-    the budget, and both write into the one output array; an exception
-    on either half is raised here, once the helper has stopped.
+    With two or more blocks and ``_second_cpu()``, the second half of the
+    blocks is one task on a pool of one helper thread, each thread works
+    in blocks of half the budget, and both write into the one output
+    array; an exception on either half is raised here, once the pool has
+    shut down.
     O(n^2 d^2) work overall.  The diagonal of
     S_r' S_r counts the observations that differ from X_r in each
     variable, so an entry below n - 1 is a tie, raised as TieError.
@@ -199,22 +200,10 @@ def _pair_row_sums(X):
         rows(bounds, *bufs[0])
         return out
     half = (len(bounds) + 1) // 2
-    failed = []
-
-    def helper():
-        try:
-            rows(bounds[half:], *bufs[1])
-        except BaseException as exc:  # raised by the calling thread
-            failed.append(exc)
-
-    worker = threading.Thread(target=helper, name="kstruct-kernel", daemon=True)
-    worker.start()
-    try:
+    with ThreadPoolExecutor(1, thread_name_prefix="kstruct-kernel") as pool:
+        second = pool.submit(rows, bounds[half:], *bufs[1])
         rows(bounds[:half], *bufs[0])
-    finally:
-        worker.join()
-    if failed:
-        raise failed[0]
+    second.result()
     return out
 
 

@@ -40,14 +40,14 @@ next one: the sampler may write over it, then ``_exceedances`` takes
 its absolute value in place, and then the buffer is filled again.
 When a test's draws span two or more blocks, its generator is a
 Generator over PCG64 and the process may run on two or more CPUs
-(``kendall._second_cpu``, the rule the kernel pass follows too), decoder
-threads with private PCG64 generators draw the blocks ahead, taking them
-in turn (see ``_decode``), while the calling thread colours or subtracts
-and counts exceedances: one decoder for the coloured and bootstrap
-samplers, whose per-block work competes for the two CPUs, and two for
-the light max/sigma routes (``_residual_blocks``).  The calling thread
-sets its generator to each block's exact end state as it takes the
-block, and no other thread touches it, so every draw, p-value and the
+(``kendall._second_cpu``, the rule the kernel pass follows too), each
+block is a task (``_draw_block``) on a thread pool, drawn ahead with the
+private PCG64 generator of its decoder, while the calling thread colours
+or subtracts and counts exceedances: one decoder for the coloured and
+bootstrap samplers, whose per-block work competes for the two CPUs, and
+two for the light max/sigma routes (``_residual_blocks``).  The calling
+thread sets its generator to each block's exact end state as it takes
+the block, and no task touches it, so every draw, p-value and the
 generator's final state are those of inline draws.  Any other
 generator, and child processes such as ``run_study``'s workers, which
 already fill every CPU, draw inline.
@@ -61,9 +61,8 @@ built once per sample rather than once per test.
 """
 
 import json
-import queue
-import threading
 from collections import namedtuple
+from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, field, fields
 from typing import Literal
@@ -352,8 +351,8 @@ def _row_blocks(N, p):
 
 
 def _splice_window(entries):
-    """How many positions past the lower bound of a block's start a
-    decoder searches for the end of the block before it: the gap is the
+    """How many positions past the lower bound of a block's start its
+    task searches for the end of the block before it: the gap is the
     extra outputs that the ziggurat's rejections took in that block,
     about 2 % of its entries for a 2 MB block."""
     return entries // 16 + 64
@@ -368,14 +367,16 @@ def _normal_blocks(N, p, rng, cols=None, decoders=2):
     for the next block: the caller may write over it, and copies any
     values it keeps longer, since the buffer is then filled again.
     With two or more blocks, ``kendall._second_cpu()`` and ``rng`` a
-    Generator over PCG64, ``decoders`` helper threads draw the blocks
-    ahead (see ``_decode``); any other generator draws inline.  The
-    calling thread sets ``rng`` to each block's exact end state as it
-    hands the block over, so every value and every such state are those
-    of inline draws.  The helpers write nothing but their own generators
-    and the buffers handed to them, are stopped and joined when the
-    caller stops early or raises, and an exception either meets is
-    raised here.
+    Generator over PCG64, each block is a task, ``_draw_block``, on a
+    pool of ``decoders`` threads, and block k + 2 is submitted when the
+    caller hands block k back, so the two buffers take turns; any other
+    generator draws inline.  The calling thread sets ``rng`` to each
+    block's exact end state as it hands the block over, so every value
+    and every such state are those of inline draws.  The tasks write
+    nothing but their own generators and buffers, the pool is shut down
+    however the caller stops, cancelling the blocks not yet begun, and
+    an exception a task meets is raised here once the blocks before it
+    are handed over.
     """
     bounds = _row_blocks(int(N), p)
     cols = p if cols is None else cols
@@ -392,88 +393,70 @@ def _normal_blocks(N, p, rng, cols=None, decoders=2):
     # runs on 2 vCPUs) for 2 MB more
     window = _splice_window(sizes[0]) if decoders > 1 else 0
     bufs = [np.empty(sizes[0] + window) for _ in range(2)]
-    free = queue.SimpleQueue()
-    for slot in range(len(bufs)):
-        free.put(slot)
-    ready = [queue.SimpleQueue() for _ in range(decoders)]
-    ends = [queue.SimpleQueue() for _ in range(decoders)]
     start = rng.bit_generator.state
+    gens = [np.random.Generator(np.random.PCG64()) for _ in range(decoders)]
+    for gen in gens:
+        gen.bit_generator.state = start
+    # a thread of the pool draws nothing before the gate opens, once
+    # blocks 0 and 1 are submitted: so block 0 is not done before block 1
+    # is submitted, and each decoder has its own thread
+    gate = Future()
+    pool = ThreadPoolExecutor(decoders, "kstruct-draws", gate.result)
+    blocks = []
 
-    def produce(d):
-        try:
-            _decode(d, decoders, sizes, bufs, free, ready[d], ends, start)
-        except BaseException as exc:  # handed to the calling thread
-            ready[d].put(exc)
-            ends[d].put(exc)
+    def submit(k):
+        if k < len(sizes):
+            blocks.append(pool.submit(_draw_block, k, gens, bufs[k % 2], sizes,
+                                      blocks[k - 1] if k else None, start))
 
-    helpers = [threading.Thread(target=produce, args=(d,), name="kstruct-draws", daemon=True)
-               for d in range(decoders)]
-    for helper in helpers:
-        helper.start()
     try:
+        submit(0)
+        submit(1)
+        gate.set_result(None)
         for k, (lo, hi) in enumerate(bounds):
-            got = ready[k % decoders].get()
-            if isinstance(got, BaseException):
-                raise got
-            slot, at, end = got
+            at, end, _ = blocks[k].result()
             rng.bit_generator.state = dict(start, state=end)
-            yield bufs[slot][at : at + sizes[k]].reshape(hi - lo, cols)
-            free.put(slot)
+            yield bufs[k % 2][at : at + sizes[k]].reshape(hi - lo, cols)
+            submit(k + 2)
     finally:
-        for q in [free] * decoders + ends:
-            q.put(None)
-        for helper in helpers:
-            helper.join()
+        if not gate.done():  # a submit failed
+            gate.set_result(None)
+        pool.shutdown(cancel_futures=True)
 
 
-def _decode(d, decoders, sizes, bufs, free, ready, ends, start):
-    """Draw blocks d, d + decoders, ... of the stream from the generator
-    state ``start`` into buffers from the pool ``free``, handing (slot,
-    offset, end) to the caller by ``ready``, where the block is
-    ``sizes[k]`` entries of the buffer from the offset and ``end`` its
-    exact end state in the stream.
+def _draw_block(k, gens, buf, sizes, before, start):
+    """Draw block k of the stream from the generator state ``start`` into
+    ``buf`` and return (offset, end, last): the block is ``sizes[k]``
+    entries of the buffer from the offset, ``end`` is its exact end state
+    in the stream and ``last`` its last value.
 
-    The decoder's private PCG64 generator starts a block k > 0 at a lower
-    bound of its place in the stream: its own exact end of block
-    k - decoders advanced by the entries of the blocks in between, since
-    every normal takes at least one PCG64 output.  With one decoder that
-    bound is exact.  Its normals are drawn from there, and the exact end
-    state and last value of block k - 1 (from ``ends``, which the decoder
-    of that block fills) place it: ``_splice_offset`` finds how many of
-    them precede the block, and that many more draws complete it, which
-    leaves the generator at block k's exact end.  If none verifies, block
-    k is drawn again from block k - 1's end.  Stops when the caller puts
-    None on a queue it waits on; an exception from another decoder is
-    handed on to the caller."""
-    gen = np.random.Generator(np.random.PCG64())
-    gen.bit_generator.state = start
-    for k in range(d, len(sizes), decoders):
-        slot = free.get()
-        if slot is None:  # the caller has stopped
-            return
-        buf, size, at = bufs[slot], sizes[k], 0
-        if k:
-            gen.bit_generator.advance(sum(sizes[k - decoders + 1 : k]))
-        bound = gen.bit_generator.state["state"]
-        gen.standard_normal(out=buf[:size])
-        if k:
-            prev = ends[(d - 1) % decoders].get()
-            if prev is None:
-                return
-            if isinstance(prev, BaseException):
-                ready.put(prev)
-                return
-            # the gap is the previous block's extra outputs
-            at = _splice_offset(buf, size, _splice_window(sizes[k - 1]), bound, *prev, start)
-            if at is None:
-                gen.bit_generator.state = dict(start, state=prev[0])
-                gen.standard_normal(out=buf[:size])
-                at = 0
-            else:
-                gen.standard_normal(out=buf[size : size + at])
-        end = gen.bit_generator.state["state"]
-        ends[d].put((end, float(buf[at + size - 1])))
-        ready.put((slot, at, end))
+    Block k draws with the private PCG64 generator k mod ``len(gens)``,
+    which stands at ``start`` or at block k - len(gens)'s exact end, and
+    starts at a lower bound of its place in the stream: that state
+    advanced by the entries of the blocks in between, since every normal
+    takes at least one PCG64 output.  With one generator that bound is exact.  Its normals are
+    drawn from there, and the exact end state and last value of block
+    k - 1, from ``before``, that block's future, place it:
+    ``_splice_offset`` finds how many of them precede the block, and that
+    many more draws complete it, which leaves the generator at block k's
+    exact end.  If none verifies, block k is drawn again from block
+    k - 1's end.  An exception of block k - 1 is raised here too."""
+    gen, size, at = gens[k % len(gens)], sizes[k], 0
+    if k:
+        gen.bit_generator.advance(sum(sizes[k - len(gens) + 1 : k]))
+    bound = gen.bit_generator.state["state"]
+    gen.standard_normal(out=buf[:size])
+    if k:
+        _, end, last = before.result()
+        # the gap is the previous block's extra outputs
+        at = _splice_offset(buf, size, _splice_window(sizes[k - 1]), bound, end, last, start)
+        if at is None:
+            gen.bit_generator.state = dict(start, state=end)
+            gen.standard_normal(out=buf[:size])
+            at = 0
+        else:
+            gen.standard_normal(out=buf[size : size + at])
+    return at, gen.bit_generator.state["state"], float(buf[at + size - 1])
 
 
 def _splice_offset(buf, size, window, bound, end, last, start):

@@ -6,6 +6,7 @@ import json
 import sys
 import threading
 import tracemalloc
+import warnings
 import weakref
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from dense_oracle import dense_spectrum, factor_of_matrix, materialize, one_grou
 from draws import bootstrap_draws, drawn, sparse_product_apply
 
 import kstruct.covariance as kc
+import kstruct.kendall as kd
 import kstruct.sblock as ks
 import kstruct.testing as kt
 from kstruct.covariance import jackknife_cov
@@ -32,6 +34,7 @@ from kstruct.indexing import (
 )
 from kstruct.kendall import KendallSample, TieError
 from kstruct.projection import RankDeficient, gamma_projection
+from kstruct.simulation import ScenarioConfig, run_study
 from kstruct.sblock import (
     PartitionQuotients,
     SingularError,
@@ -917,17 +920,34 @@ def _draw_ahead(monkeypatch, on):
     monkeypatch.setattr(kt, "_DRAW_BLOCK_ENTRIES", 3 * pair_count(6))
 
 
-def _decoders(monkeypatch):
-    """The names of the threads that run ``_decode``, one a decoder, in
-    the list returned."""
-    names, decode = [], kt._decode
+def _on_the_pool():
+    """(the current thread, how many threads of a draw pool are alive)."""
+    alive = sum(t.name.startswith("kstruct-draws") for t in threading.enumerate())
+    return threading.current_thread(), alive
+
+
+def _block_threads(monkeypatch):
+    """``_on_the_pool()`` for each block, taken in ``_draw_block``, in the
+    list returned."""
+    seen, draw = [], kt._draw_block
 
     def recorded(*args):
-        names.append(threading.current_thread().name)
-        return decode(*args)
+        seen.append(_on_the_pool())
+        return draw(*args)
 
-    monkeypatch.setattr(kt, "_decode", recorded)
-    return names
+    monkeypatch.setattr(kt, "_draw_block", recorded)
+    return seen
+
+
+def _pool_threads(seen):
+    """How many threads the draw pool of ``seen``, a list of
+    ``_on_the_pool()``, had; each block ran on one of them, never on the
+    main thread.  A pool does not pin a decoder's blocks to one thread,
+    so with tiny blocks one thread may draw them all."""
+    assert all(t.name.startswith("kstruct-draws") for t, _ in seen)
+    (alive,) = {alive for _, alive in seen}
+    assert len({t for t, _ in seen}) <= alive
+    return alive
 
 
 def test_threaded_draws_equal_inline_draws(monkeypatch):
@@ -943,21 +963,21 @@ def test_threaded_draws_equal_inline_draws(monkeypatch):
         )),
         "bootstrap": lambda rng: bootstrap_draws(X, design, N, rng),
     }
-    names = _decoders(monkeypatch)
+    threads = _block_threads(monkeypatch)
     draws = {}
     for on in (False, True):
         _draw_ahead(monkeypatch, on)
         for kind, draw in generators.items():
-            names.clear()
+            threads.clear()
             rng = np.random.default_rng(7)
-            draws[on, kind] = draw(rng), rng.bit_generator.state, list(names)
+            draws[on, kind] = draw(rng), rng.bit_generator.state, list(threads)
     for kind in generators:
         (inline, s0, h0), (ahead, s1, h1) = draws[False, kind], draws[True, kind]
         assert np.array_equal(inline, ahead), kind
         assert s0 == s1, kind
-        # the whitened-residual draws split over two decoders, the
-        # coloured and bootstrap samplers' over one
-        assert h0 == [] and h1 == ["kstruct-draws"] * (2 if kind == "identity" else 1), kind
+        # the whitened-residual draws split over two pool threads, the
+        # coloured and bootstrap samplers' run on one
+        assert h0 == [] and _pool_threads(h1) == (2 if kind == "identity" else 1), kind
     # the identity draws are one (N, p) draw, however blocked
     want = np.random.default_rng(7).standard_normal((N, p))
     assert np.array_equal(draws[True, "identity"][0], want)
@@ -1021,33 +1041,38 @@ def test_draw_thread_stops_when_the_consumer_raises(monkeypatch):
     # decoders are tested below)
     blocks = kt._normal_blocks(301, 15, np.random.default_rng(1), decoders=1)
     next(blocks)
-    assert [t.name for t in threading.enumerate()].count("kstruct-draws") == 1
+    assert sum(t.name.startswith("kstruct-draws") for t in threading.enumerate()) == 1
     assert threading.active_count() == before + 1
     blocks.close()
     assert threading.active_count() == before
 
 
-def test_draw_thread_error_reaches_the_caller(monkeypatch):
-    # the helper hands over four blocks, then fails: the caller gets the
-    # four, then the error, and its generator is left where inline draws
-    # of the four leave it
+@pytest.mark.parametrize("decoders", [1, 2])
+@pytest.mark.parametrize("fail_at", [4, 7])
+def test_draw_thread_error_reaches_the_caller(monkeypatch, decoders, fail_at):
+    # the task of block fail_at fails, on an even or an odd block: the
+    # caller gets the blocks before it, then the error, and its generator
+    # is left where inline draws of those blocks leave it
     _draw_ahead(monkeypatch, True)
-    before, names, decode = threading.active_count(), [], kt._decode
+    before, threads, draw = threading.active_count(), [], kt._draw_block
 
-    def failing(d, decoders, sizes, *args):
-        names.append(threading.current_thread().name)
-        decode(d, decoders, sizes[:4], *args)
-        raise FloatingPointError("draw 4 failed")
+    def failing(k, *args):
+        threads.append(_on_the_pool())
+        if k == fail_at:
+            raise FloatingPointError("draw %d failed" % k)
+        return draw(k, *args)
 
-    monkeypatch.setattr(kt, "_decode", failing)
+    monkeypatch.setattr(kt, "_draw_block", failing)
     rng, got = np.random.default_rng(9), []
-    with pytest.raises(FloatingPointError, match="draw 4 failed"):
-        for block in kt._normal_blocks(301, pair_count(6), rng, decoders=1):
+    with pytest.raises(FloatingPointError, match="draw %d failed" % fail_at):
+        for block in kt._normal_blocks(301, pair_count(6), rng, decoders=decoders):
             got.append(block.copy())
     want = np.random.default_rng(9)
-    assert np.array_equal(np.concatenate(got), want.standard_normal((12, pair_count(6))))
+    assert len(got) == fail_at
+    assert np.array_equal(np.concatenate(got),
+                          want.standard_normal((3 * fail_at, pair_count(6))))
     assert rng.bit_generator.state == want.bit_generator.state
-    assert names == ["kstruct-draws"]
+    assert _pool_threads(threads) == decoders
     assert threading.active_count() == before
 
 
@@ -1132,28 +1157,30 @@ class _WrappedRng:
 
 def test_split_only_for_a_pcg64_generator(monkeypatch):
     # a wrapper and another bit generator draw inline; with a Generator
-    # over PCG64 the coloured and bootstrap samplers draw on one decoder,
-    # whose lower bounds are exact, and the whitened-residual sampler
-    # splits over two
+    # over PCG64 the coloured and bootstrap samplers draw on one pool
+    # thread, whose lower bounds are exact, and the whitened-residual
+    # sampler splits over two
     offsets = _split(monkeypatch, 3 * 15)
-    names = _decoders(monkeypatch)
+    threads = _block_threads(monkeypatch)
     philox = np.random.Generator(np.random.Philox(7))
     want = np.random.Generator(np.random.Philox(7)).standard_normal((301, 15))
     assert np.array_equal(drawn(kt._normal_blocks(301, 15, philox)), want)
     wrapper = _WrappedRng(7)
     drawn(kt._normal_blocks(301, 15, wrapper))
     assert len(wrapper.threads) == 101 and set(wrapper.threads) == {threading.main_thread()}
-    assert names == [] and offsets == []
+    assert threads == [] and offsets == []
     X = exchangeable_normal(np.random.default_rng(229), 30, 6)
     bootstrap_draws(X, None, 301, np.random.default_rng(7))
+    assert _pool_threads(threads) == 1
+    threads.clear()
     drawn(kt._null_gaussian_blocks(one_group(np.array([0.4, 0.2, 1.0]), 6), 301,
                                    np.random.default_rng(7)))
-    assert names == ["kstruct-draws"] * 2 and offsets == [0] * (300 + 100)
-    names.clear()
+    assert _pool_threads(threads) == 1 and offsets == [0] * (300 + 100)
+    threads.clear()
     offsets.clear()
     gamma = gamma_projection(block_membership_matrix(Partition(6, ((1, 2, 3), (4, 5, 6)))))
     drawn(kt._residual_blocks(gamma, 301, 15, np.random.default_rng(7)))
-    assert names == ["kstruct-draws"] * 2 and len(offsets) == 100
+    assert _pool_threads(threads) == 2 and len(offsets) == 100
 
 
 def test_split_decoders_stop_with_the_caller(monkeypatch):
@@ -1202,13 +1229,14 @@ def test_split_draws_under_thread_switching(monkeypatch):
 
 @pytest.mark.parametrize("fail_at", [1, 2, 4, 5, 100])
 def test_split_decoder_error_reaches_the_caller(monkeypatch, fail_at):
-    # the splice of block k runs on decoder k % 2, after block k - 1's:
-    # an error on either decoder stops both and is raised here
+    # the splice of block k runs on a thread of a two-thread pool, after
+    # block k - 1's: an error on either thread stops both and is raised
+    # here
     offsets = _split(monkeypatch, 3 * 15)
     splice, threads = kt._splice_offset, []
 
     def failing(*args):
-        threads.append(threading.current_thread())
+        threads.append(_on_the_pool())
         if len(offsets) + 1 == fail_at:
             raise FloatingPointError("splice %d failed" % fail_at)
         return splice(*args)
@@ -1218,9 +1246,39 @@ def test_split_decoder_error_reaches_the_caller(monkeypatch, fail_at):
     with pytest.raises(FloatingPointError, match="splice %d failed" % fail_at):
         drawn(kt._normal_blocks(301, 15, np.random.default_rng(3)))
     assert len(threads) == fail_at
-    assert threading.main_thread() not in threads
-    assert len(set(threads[-2:])) == min(fail_at, 2)
+    assert threading.main_thread() not in [t for t, _ in threads]
+    assert _pool_threads(threads) == 2
     assert threading.active_count() == before
+
+
+def test_no_thread_is_left_when_a_study_forks(monkeypatch):
+    # a split kernel pass and a threaded run_test leave only the main
+    # thread, so a study's pool then forks without the warning that
+    # Python 3.12 gives when a process forks beside live threads
+    _draw_ahead(monkeypatch, True)
+    monkeypatch.setattr(kd, "_second_cpu", lambda: True)
+    monkeypatch.setattr(kd, "_BLOCK_BUDGET", 4096)  # 40 one-row blocks at (40, 6)
+    X = exchangeable_normal(np.random.default_rng(239), 40, 6)
+    kernel, matmul = [], np.matmul
+
+    def recording(a, b, out):
+        kernel.append(threading.current_thread().name)
+        return matmul(a, b, out=out)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(kd.np, "matmul", recording)
+        sample = KendallSample(X)
+    assert len(kernel) == 40 and kernel.count("MainThread") == 20
+    assert all(name.startswith("kstruct-kernel") for name in kernel if name != "MainThread")
+    threads = _block_threads(monkeypatch)
+    run_test(sample, Partition.exchangeable(6), TestOptions(statistic="max", replicates=301, seed=5))
+    assert _pool_threads(threads) == 2
+    assert threading.enumerate() == [threading.main_thread()]
+    monkeypatch.undo()
+    study = ScenarioConfig(n=20, d=4, tau=0.3, repetitions=2, tests=(TestOptions(replicates=100),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        run_study(study, seed=1, workers=2)
 
 
 @pytest.mark.parametrize("p, rows", [(10, 64), (45, 64), (780, 64)])
