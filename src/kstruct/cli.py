@@ -12,7 +12,10 @@ config by ``_field``, the rule the API's ``validate`` methods apply too,
 choice fields included.  A choice field's values are declared once, in
 its ``Literal`` type, and the ``test`` flags take their choices and
 defaults from the ``TestOptions`` fields.  A refusal is a ValueError that
-names the file and the field, printed as one ``kstruct: error:`` line.
+names the file and the field, printed as one ``kstruct: error:`` line;
+``simulate`` checks the rules across a test's fields, such as
+``replicates`` at least 100, once ``--desk-scale`` is applied, naming
+the file, the scenario and the test.
 
 Kendall correlations are invariant under strictly increasing per-column
 transforms, so monotone distortions of the margins never need correcting;
@@ -254,6 +257,14 @@ def cmd_simulate(args):
         raise ValueError("no seed: pass --seed or put \"seed\" in the config")
     if args.desk_scale:
         scenarios = [desk_scale(sc) for sc in scenarios]
+    # the rules across a test's fields, on the replicates it will run with
+    for i, sc in enumerate(scenarios):
+        for j, t in enumerate(sc.tests):
+            try:
+                dataclasses.replace(t, seed=0).validate()
+            except ValueError as exc:
+                raise ValueError("%s, scenario %d, test %d: %s"
+                                 % (args.config, i, j, exc)) from None
     shard = _parse_shard(args.shard) if args.shard else None
     summary = run_study(
         scenarios,

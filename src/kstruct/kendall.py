@@ -288,7 +288,7 @@ class KendallSample:
     ``tied`` columns that were jittered (none with ties="error", which
     raises TieError here instead), and its ``ties``, read by
     ``indexing._field``, and ``tie_seed`` (an integer: 3.0 is read as 3,
-    and 0.5 raises ValueError; anything but 0 needs ties="jitter").
+    and 0.5 and -1 raise ValueError; anything but 0 needs ties="jitter").
     """
 
     def __init__(self, data, ties="error", tie_seed=0):
@@ -297,6 +297,8 @@ class KendallSample:
         self.digest = hashlib.sha256(np.ascontiguousarray(X).tobytes()).hexdigest()[:16]
         self.tie_seed = _integer(tie_seed, "tie_seed")
         self.ties = _field(Ties, ties, "ties")
+        if self.tie_seed < 0:
+            raise ValueError("tie_seed must be non-negative, got %r" % self.tie_seed)
         if self.tie_seed and self.ties == "error":
             raise ValueError(_UNREAD_TIE_SEED)
         # with ties="error" nothing is scanned: the pass raises on a tie

@@ -459,8 +459,8 @@ def run_study(
     two studies never mix.  A repetition that an earlier run left partly
     written is run again and counted once.
     ``seed``, the shard's bounds and ``workers`` are read as integers:
-    7.0 is 7, and 7.9 is refused; so are a negative seed and a shard
-    other than 0 <= A < B, before any file is written.
+    7.0 is 7, and 7.9 is refused; so are a negative seed, a shard other
+    than 0 <= A < B and ``workers`` below 1, before any file is written.
     """
     seed = _integer(seed, "seed")
     if seed < 0:
@@ -470,9 +470,9 @@ def run_study(
         lo, hi = shard = [_integer(s, "shard") for s in shard]
         if not 0 <= lo < hi:
             raise ValueError("shard needs 0 <= A < B, got (%d, %d)" % (lo, hi))
-    if workers is None:
-        workers = os.cpu_count() or 1
-    nworkers = max(1, _integer(workers, "workers"))
+    nworkers = (os.cpu_count() or 1) if workers is None else _integer(workers, "workers")
+    if nworkers < 1:
+        raise ValueError("workers must be at least 1, got %d" % nworkers)
     if isinstance(scenarios, ScenarioConfig):
         scenarios = [scenarios]
     scenarios = list(scenarios)

@@ -397,9 +397,9 @@ def _normal_blocks(N, p, rng, cols=None, decoders=2):
     gens = [np.random.Generator(np.random.PCG64()) for _ in range(decoders)]
     for gen in gens:
         gen.bit_generator.state = start
-    # a thread of the pool draws nothing before the gate opens, once
-    # blocks 0 and 1 are submitted: so block 0 is not done before block 1
-    # is submitted, and each decoder has its own thread
+    # a pool starts a thread at a submit only while none is idle, so its
+    # threads wait for this gate, opened once blocks 0 and 1 are
+    # submitted: block 0 cannot end first, and each decoder has a thread
     gate = Future()
     pool = ThreadPoolExecutor(decoders, "kstruct-draws", gate.result)
     blocks = []
@@ -434,13 +434,14 @@ def _draw_block(k, gens, buf, sizes, before, start):
     which stands at ``start`` or at block k - len(gens)'s exact end, and
     starts at a lower bound of its place in the stream: that state
     advanced by the entries of the blocks in between, since every normal
-    takes at least one PCG64 output.  With one generator that bound is exact.  Its normals are
-    drawn from there, and the exact end state and last value of block
-    k - 1, from ``before``, that block's future, place it:
-    ``_splice_offset`` finds how many of them precede the block, and that
-    many more draws complete it, which leaves the generator at block k's
-    exact end.  If none verifies, block k is drawn again from block
-    k - 1's end.  An exception of block k - 1 is raised here too."""
+    takes at least one PCG64 output.  With one generator that bound is
+    exact.  Its normals are drawn from there, and the exact end state
+    and last value of block k - 1, from ``before``, that block's future,
+    place it: ``_splice_offset`` finds how many of them precede the
+    block, and that many more draws complete it, which leaves the
+    generator at block k's exact end.  If none verifies, block k is
+    drawn again from block k - 1's end.  An exception of block k - 1 is
+    raised here too."""
     gen, size, at = gens[k % len(gens)], sizes[k], 0
     if k:
         gen.bit_generator.advance(sum(sizes[k - len(gens) + 1 : k]))

@@ -671,6 +671,40 @@ def test_cmd_simulate_refuses_a_bad_choice_by_file_and_field(tmp_path, capsys, w
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("test, message", [
+    ({"replicates": 10}, "replicates must be at least 100"),
+    ({"tie_seed": 3}, "tie_seed does not apply to ties='error', which jitters nothing"),
+    ({"null_draws": "bootstrap"},
+     "null_draws='bootstrap' does not apply to statistic='euclidean', weighting='sigma', "
+     "whose null law is always chi-square"),
+    ({"plus_one": True},
+     "plus_one does not apply to statistic='euclidean', weighting='sigma', whose p-value "
+     "is a chi-square tail"),
+])
+def test_cmd_simulate_names_a_cross_field_refusal(tmp_path, capsys, monkeypatch, test, message):
+    # each was printed bare, as "kstruct: error: replicates must be at
+    # least 100", with neither file nor scenario nor test named
+    cfg = _config_with(tmp_path / "s.json", test=test)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == "kstruct: error: %s, scenario 0, test 0: %s\n" % (
+        cfg, message)
+    assert not (tmp_path / "o").exists()
+    # checked on the replicates that desk scale sets
+    calls = []
+    monkeypatch.setattr(cli, "run_study", lambda scenarios, **kw: calls.append(scenarios) or [])
+    flags = ["simulate", "--config", cfg, "--out", str(tmp_path / "o"), "--desk-scale"]
+    assert main(flags) == (0 if "replicates" in test else 1)
+    assert len(calls) == (1 if "replicates" in test else 0)
+
+
+def test_cmd_simulate_refuses_workers_below_one(tmp_path, capsys):
+    cfg = _study_config_file(tmp_path / "study.json")
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--workers", "-3"]) == 1
+    assert capsys.readouterr().err == "kstruct: error: workers must be at least 1, got -3\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_cmd_simulate_needs_a_seed(tmp_path, capsys):
     cfg = _config_with(tmp_path / "s.json")
     Path(cfg).write_text(json.dumps(json.loads(Path(cfg).read_text())["scenarios"]))

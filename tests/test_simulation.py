@@ -527,6 +527,15 @@ def test_run_study_reads_shard_and_workers_as_integers(tmp_path):
     assert type(manifest["shard"][0]) is int
 
 
+def test_run_study_refuses_workers_below_one(tmp_path):
+    # it ran one worker and recorded "workers": 1
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match=r"^workers must be at least 1, got %d$" % workers):
+            run_study(_study_config(reps=2), seed=3, out_dir=str(tmp_path / "bad"),
+                      workers=workers)
+    assert not (tmp_path / "bad").exists()
+
+
 def test_run_study_writes_the_pinned_files_of_study_tiny(tmp_path):
     # both files are pinned: a rework of the harness must write them
     # byte for byte (the results rows are also checked repetition by

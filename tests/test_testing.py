@@ -1271,7 +1271,8 @@ def test_no_thread_is_left_when_a_study_forks(monkeypatch):
     assert len(kernel) == 40 and kernel.count("MainThread") == 20
     assert all(name.startswith("kstruct-kernel") for name in kernel if name != "MainThread")
     threads = _block_threads(monkeypatch)
-    run_test(sample, Partition.exchangeable(6), TestOptions(statistic="max", replicates=301, seed=5))
+    opts = TestOptions(statistic="max", replicates=301, seed=5)  # max/sigma: split draws
+    run_test(sample, Partition.exchangeable(6), opts)
     assert _pool_threads(threads) == 2
     assert threading.enumerate() == [threading.main_thread()]
     monkeypatch.undo()
@@ -1455,6 +1456,20 @@ def test_integer_options_are_read_not_truncated():
     assert KendallSample(X, "jitter", 3.0).tie_seed == 3
     with pytest.raises(ValueError, match=r"^tie_seed 0.5 is not an integer$"):
         KendallSample(X, "error", 0.5)
+
+
+def test_a_sample_refuses_a_negative_tie_seed_as_validate_does():
+    # untied data kept -1; tied data raised NumPy's bare "expected
+    # non-negative integer"
+    X = exchangeable_normal(np.random.default_rng(241), 20, 4)
+    tied = X.copy()
+    tied[1, 2] = tied[0, 2]
+    message = r"^tie_seed must be non-negative, got -1$"
+    for data in (X, tied):
+        with pytest.raises(ValueError, match=message):
+            KendallSample(data, "jitter", -1)
+    with pytest.raises(ValueError, match=message):
+        TestOptions(ties="jitter", tie_seed=-1, seed=1).validate()
 
 
 def _readme_routes():
