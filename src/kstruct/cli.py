@@ -12,10 +12,11 @@ config by ``_field``, the rule the API's ``validate`` methods apply too,
 choice fields included.  A choice field's values are declared once, in
 its ``Literal`` type, and the ``test`` flags take their choices and
 defaults from the ``TestOptions`` fields.  A refusal is a ValueError that
-names the file and the field, printed as one ``kstruct: error:`` line;
-``simulate`` checks the rules across a test's fields, such as
-``replicates`` at least 100, once ``--desk-scale`` is applied, naming
-the file, the scenario and the test.
+names the file and the field, printed as one ``kstruct: error:`` line.
+``load_study_json`` reads the fields; ``simulate`` then checks every
+other rule of each scenario and its tests by ``ScenarioConfig.validate``,
+once ``--desk-scale`` is applied, naming the file, the scenario and, for
+a test's rule (``replicates`` at least 100, no test ``seed``), the test.
 
 Kendall correlations are invariant under strictly increasing per-column
 transforms, so monotone distortions of the margins never need correcting;
@@ -212,13 +213,8 @@ def _from_dict(cls, obj, where):
 
 def _scenario_from_dict(obj, where):
     scenario = _from_dict(ScenarioConfig, obj, where)
-    tests = []
-    for i, t in enumerate(scenario.tests):
-        if isinstance(t, dict) and "seed" in t:
-            raise ValueError("%s, test %d: a test takes no \"seed\"; run_study derives each "
-                             "test's seed from the study seed" % (where, i))
-        tests.append(_from_dict(TestOptions, t, "%s, test %d" % (where, i)))
-    scenario.tests = tuple(tests)
+    scenario.tests = tuple(_from_dict(TestOptions, t, "%s, test %d" % (where, i))
+                           for i, t in enumerate(scenario.tests))
     return scenario
 
 
@@ -257,14 +253,9 @@ def cmd_simulate(args):
         raise ValueError("no seed: pass --seed or put \"seed\" in the config")
     if args.desk_scale:
         scenarios = [desk_scale(sc) for sc in scenarios]
-    # the rules across a test's fields, on the replicates it will run with
+    # every rule of a scenario and its tests, on the replicates they will run with
     for i, sc in enumerate(scenarios):
-        for j, t in enumerate(sc.tests):
-            try:
-                dataclasses.replace(t, seed=0).validate()
-            except ValueError as exc:
-                raise ValueError("%s, scenario %d, test %d: %s"
-                                 % (args.config, i, j, exc)) from None
+        sc.validate("%s, scenario %d" % (args.config, i))
     shard = _parse_shard(args.shard) if args.shard else None
     summary = run_study(
         scenarios,

@@ -120,33 +120,47 @@ class ScenarioConfig:
             return Partition.exchangeable(self.d)
         return Partition(self.d, self.hypothesis_groups)
 
-    def validate(self):
-        """Check the scenario, reading its int, float, tuple and choice
-        fields in place by the rule of ``indexing._field`` (n = 20.0
-        becomes 20, tau = 0 becomes 0.0; 20.5, "0.3", NaN and a structure
-        it does not declare are refused), and that its data can be drawn:
-        the sampler's own factorization decides positive definiteness."""
+    def validate(self, where=None):
+        """Check the scenario and each of its tests, the one place a
+        study's rules are checked.  Its int, float, tuple and choice
+        fields are read in place by the rule of ``indexing._field`` (n =
+        20.0 becomes 20, tau = 0 becomes 0.0; 20.5, "0.3", NaN and a
+        structure it does not declare are refused); n, alpha,
+        repetitions, tests and the hypothesis partition are checked, and
+        that its data can be drawn: the sampler's own factorization
+        decides positive definiteness.  Each test must carry no seed
+        (run_study derives it) and pass ``TestOptions.validate``.
+
+        A refusal is a ValueError (``NotPositiveDefinite`` for the
+        sampler's) whose text starts with ``where``, by default
+        ``scenario <label>``; a test's starts with ``<where>, test <j>``.
+        """
         try:
             label = self.scenario_label()
         except TypeError:  # a tau or delta that is not a number, refused below
             label = self.label or "d%s-n%s-%s" % (self.d, self.n, self.structure)
-        _read_fields(self, "scenario %s: " % label)
-        if self.n < 3:
-            raise ValueError("scenarios need n >= 3")
-        if not self.tests:
-            raise ValueError("scenario has no tests configured")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must be in (0, 1)")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be positive")
-        self.partition()  # raises if d < 2 or the groups are malformed
+        _read_fields(self, "%s: " % (where or "scenario " + label))
+        where = where or "scenario " + self.scenario_label()
+        named = where  # the scenario, or the test being checked
         try:
+            if self.n < 3:
+                raise ValueError("scenarios need n >= 3")
+            if not self.tests:
+                raise ValueError("scenario has no tests configured")
+            if not 0.0 < self.alpha < 1.0:
+                raise ValueError("alpha must be in (0, 1)")
+            if self.repetitions < 1:
+                raise ValueError("repetitions must be positive")
+            self.partition()  # raises if d < 2 or the groups are malformed
             _gaussian_rows(build_tau_matrix(self))
+            for j, t in enumerate(self.tests):
+                named = "%s, test %d" % (where, j)
+                if t.seed is not None:
+                    raise ValueError("a test takes no \"seed\"; run_study derives each "
+                                     "test's seed from the study seed")
+                dataclasses.replace(t, seed=0).validate()
         except ValueError as exc:  # NotPositiveDefinite too
-            raise type(exc)("scenario %s: %s" % (self.scenario_label(), exc)) from None
-        for t in self.tests:
-            probe = dataclasses.replace(t, seed=0)
-            probe.validate()
+            raise type(exc)("%s: %s" % (named, exc)) from None
 
 
 def build_tau_matrix(config):
@@ -432,6 +446,26 @@ def _write_pivots(out_dir, summary):
                 writer.writerow([])
 
 
+def _drop_partial_row(path):
+    """Cut the file at ``path``, when there is one, back to its last line
+    terminator: a row or header that a stopped run left half-written is
+    dropped, and its repetition runs again.  One writer at a time."""
+    if os.path.exists(path):
+        with open(path, "r+b") as fh:
+            fh.truncate(fh.read().rfind(b"\n") + 1)
+
+
+def _scenario_fields(scenarios):
+    """Each scenario's fields that decide its rows, as a manifest records
+    them: every field but repetitions and alpha, each test as its
+    ``to_dict()`` without the seed, in the form JSON reads back."""
+    return json.loads(json.dumps([
+        dict({f.name: getattr(sc, f.name) for f in dataclasses.fields(sc)
+              if f.name not in ("repetitions", "alpha")},
+             tests=[{k: v for k, v in t.to_dict().items() if k != "seed"} for t in sc.tests])
+        for sc in scenarios], default=lambda v: np.asarray(v).tolist()))
+
+
 def _write_manifest(out_dir, payload):
     with open(os.path.join(out_dir, _MANIFEST_FILE), "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, default=str)
@@ -453,11 +487,16 @@ def run_study(
     ``out_dir`` accumulates one results file whose summary equals the
     single-run one.  ``workers`` sets the number of worker processes
     (default: the CPU count); the result is identical for any worker
-    count.  Each worker draws its Monte Carlo normals inline.  An
-    ``out_dir`` whose manifest records another seed or other scenarios,
-    or is not a JSON object, is refused with ValueError, so the rows of
-    two studies never mix.  A repetition that an earlier run left partly
-    written is run again and counted once.
+    count.  Each worker draws its Monte Carlo normals inline.  Each
+    scenario is checked by ``ScenarioConfig.validate``, so a test that
+    carries a seed is refused: each test's seed is derived from ``seed``.
+    An ``out_dir`` whose manifest records another seed, other scenario
+    labels or other ``scenario_fields`` (every field but repetitions and
+    alpha, which a resumed run may change), holds no such record, or is
+    not a JSON object, is refused with ValueError, so the rows of two
+    studies never mix.  A repetition that an earlier run left partly
+    written, down to a row cut in half, is run again and counted once;
+    one run at a time may write to an ``out_dir``.
     ``seed``, the shard's bounds and ``workers`` are read as integers:
     7.0 is 7, and 7.9 is refused; so are a negative seed, a shard other
     than 0 <= A < B and ``workers`` below 1, before any file is written.
@@ -485,6 +524,7 @@ def run_study(
     labels = [sc.scenario_label() for sc in scenarios]
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
+        fields = _scenario_fields(scenarios)
         earlier_path = os.path.join(out_dir, _MANIFEST_FILE)
         if os.path.exists(earlier_path):  # rows already there would count as this study's
             earlier = _read_json(earlier_path)
@@ -496,12 +536,21 @@ def run_study(
                     "scenarios %r" % (out_dir, earlier.get("seed"), earlier.get("scenarios"),
                                       seed, labels)
                 )
+            kept = earlier.get("scenario_fields")
+            if not isinstance(kept, list):
+                raise ValueError("%s records no scenario fields (it predates them), so its "
+                                 "rows cannot be told from this run's" % earlier_path)
+            if kept != fields:
+                changed = [label for label, a, b in zip(labels, kept, fields) if a != b]
+                raise ValueError("%s holds the rows of scenarios %r with other fields than "
+                                 "this run's" % (out_dir, changed or labels))
         results_path = os.path.join(out_dir, _RESULTS_FILE)
+        _drop_partial_row(results_path)
         # a repetition is done when an earlier run wrote every test's row
         counts = Counter((si, rep) for si, _, rep, _, _ in _read_results(results_path))
         done = {key for key, c in counts.items() if c >= len(scenarios[key[0]].tests)}
-        manifest = {"status": "running", "seed": seed, "shard": shard,
-                    "version": __version__, "scenarios": labels}
+        manifest = {"status": "running", "seed": seed, "shard": shard, "version": __version__,
+                    "scenarios": labels, "scenario_fields": fields}
         _write_manifest(out_dir, manifest)
 
     tasks = [(si, rep, seed) for si, sc in enumerate(scenarios)

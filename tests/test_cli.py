@@ -697,6 +697,28 @@ def test_cmd_simulate_names_a_cross_field_refusal(tmp_path, capsys, monkeypatch,
     assert len(calls) == (1 if "replicates" in test else 0)
 
 
+@pytest.mark.parametrize("scenario, message", [
+    ({"n": 2}, "scenarios need n >= 3"),
+    ({"alpha": 1.5}, "alpha must be in (0, 1)"),
+    ({"repetitions": 0}, "repetitions must be positive"),
+    ({"tests": []}, "scenario has no tests configured"),
+    ({"tau": -0.5}, "sin-transformed correlation matrix is not positive definite (smallest "
+                    "eigenvalue -1.121e+00)"),
+    ({"hypothesis_groups": [[1, 2], [3]]},
+     "groups must partition 1..4 exactly, got ((1, 2), (3,))"),
+])
+def test_cmd_simulate_names_a_scenario_refusal(tmp_path, capsys, scenario, message):
+    # each was printed bare, as "kstruct: error: scenarios need n >= 3",
+    # or (the sampler's) named by the scenario's label, not the file
+    path = tmp_path / "s.json"
+    cfg = json.loads(Path(_study_config_file(path)).read_text())
+    cfg["scenarios"][0].update(scenario)
+    path.write_text(json.dumps(cfg))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == "kstruct: error: %s, scenario 0: %s\n" % (path, message)
+    assert not (tmp_path / "o").exists()
+
+
 def test_cmd_simulate_refuses_workers_below_one(tmp_path, capsys):
     cfg = _study_config_file(tmp_path / "study.json")
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"),
@@ -739,10 +761,13 @@ def test_load_study_json_takes_a_list_of_scenarios(tmp_path):
     assert seed is None and scenarios == load_study_json(str(tmp_path / "s.json"))[0] * 2
 
 
-def test_load_study_json_refuses_a_test_seed(tmp_path):
+def test_cmd_simulate_refuses_a_test_seed(tmp_path, capsys):
     cfg = _config_with(tmp_path / "s.json", test={"seed": 4})
-    with pytest.raises(ValueError, match="takes no \"seed\""):
-        load_study_json(cfg)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == (
+        "kstruct: error: %s, scenario 0, test 0: a test takes no \"seed\"; run_study derives "
+        "each test's seed from the study seed\n" % cfg)
+    assert not (tmp_path / "o").exists()
 
 
 def test_cmd_simulate_shards_match_whole(tmp_path, capsys):

@@ -232,6 +232,31 @@ def test_scenario_validate_catches_problems():
     ScenarioConfig(n=10, d=4, tau=0.2, tests=_tiny_tests()).validate()
 
 
+def test_scenario_validate_names_the_scenario_and_the_test():
+    # a test's cross-field refusal was bare, "replicates must be at least 100"
+    scenario = ScenarioConfig(n=10, d=4, tau=0.2, tests=(TestOptions(replicates=10),))
+    with pytest.raises(ValueError, match=r"^scenario d4-n10-equicorrelated-tau0.2, test 0: "
+                                         r"replicates must be at least 100$"):
+        scenario.validate()
+    tests = _tiny_tests() + (TestOptions(tie_seed=3),)
+    with pytest.raises(ValueError, match=r"^s\.json, scenario 2, test 2: tie_seed does not "
+                                         r"apply to ties='error', which jitters nothing$"):
+        ScenarioConfig(n=10, d=4, tau=0.2, tests=tests).validate("s.json, scenario 2")
+    with pytest.raises(ValueError, match=r"^here: scenarios need n >= 3$"):
+        ScenarioConfig(n=2, d=4, tau=0.2, tests=_tiny_tests()).validate("here")
+
+
+def test_run_study_refuses_a_seeded_test(tmp_path):
+    # run_study ran it, replacing the seed by one derived from the study seed
+    tests = (_tiny_tests()[0], dataclasses.replace(_tiny_tests()[1], seed=4))
+    scenario = ScenarioConfig(n=20, d=4, tau=0.2, repetitions=2, tests=tests, label="seeded")
+    with pytest.raises(ValueError, match=r"^scenario seeded, test 1: a test takes no \"seed\"; "
+                                         r"run_study derives each test's seed from the study "
+                                         r"seed$"):
+        run_study(scenario, seed=1, out_dir=str(tmp_path / "bad"), workers=1)
+    assert not (tmp_path / "bad").exists()
+
+
 def test_scenario_integers_are_read_not_truncated(tmp_path):
     # n, d, repetitions and block sizes are whole numbers or refused,
     # with the scenario and the field named, before a study writes a file
@@ -464,6 +489,55 @@ def test_run_study_counts_a_partly_written_repetition_once(tmp_path):
     assert (out / "results.csv").read_text().splitlines(keepends=True)[-2:] == lines[-2:]
     with open(out / "manifest.json") as fh:
         assert json.load(fh)["repetitions_completed"] == 4
+
+
+@pytest.mark.parametrize("kept", [8, 3, 10])
+def test_run_study_resumes_after_a_row_cut_in_half(tmp_path, kept):
+    # the last row cut inside its p-value ("1,5,5,0."), inside its indices
+    # ("1,5") or the header cut: a cut row was read as a row, "1,5,5,0."
+    # kept as p = 0 and "1,5" failing in int(None)
+    scenarios, seed = load_study_json(DATA / "study_tiny.json")
+    run_study(scenarios, seed=seed, out_dir=str(tmp_path), workers=1)
+    path = tmp_path / "results.csv"
+    data = path.read_bytes()
+    start = 0 if kept == 10 else data.rstrip(b"\r\n").rfind(b"\n") + 1
+    path.write_bytes(data[:start + kept])
+    run_study(scenarios, seed=seed, out_dir=str(tmp_path), workers=1)
+    with open(path, newline="") as fh:
+        assert {len(row) for row in csv.reader(fh)} == {5}
+    assert (tmp_path / "summary.csv").read_bytes() == (DATA / "study_tiny_summary.csv").read_bytes()
+    if kept == 10:  # a cut header leaves an empty file, and the study runs whole
+        assert path.read_bytes() == data
+
+
+def test_run_study_refuses_the_rows_of_other_scenario_fields(tmp_path):
+    # only the seed and the labels were compared: a changed test, or a
+    # changed n under the same label, added its rows to the other study's
+    out = tmp_path / "study"
+    run_study(_study_config(reps=4), seed=5, out_dir=str(out), workers=1)
+    before = (out / "results.csv").read_bytes()
+    other_test = _study_config(reps=4)
+    other_test.tests = (TestOptions(replicates=500),) + other_test.tests[1:]
+    for changed in (other_test, dataclasses.replace(desk_scale(_study_config()), repetitions=4)):
+        with pytest.raises(ValueError, match=r"^%s holds the rows of scenarios "
+                                             r"\['d4-n30-equicorrelated-tau0.3'\] with other "
+                                             r"fields than this run's$" % re.escape(str(out))):
+            run_study(changed, seed=5, out_dir=str(out), workers=1)
+    assert (out / "results.csv").read_bytes() == before
+    # more repetitions and another alpha resume the same study
+    more = dataclasses.replace(_study_config(reps=6), alpha=0.1)
+    assert [row["repetitions"] for row in run_study(more, seed=5, out_dir=str(out),
+                                                      workers=1)] == [6, 6]
+    labelled = [dataclasses.replace(_study_config(reps=4, n=n), label="same") for n in (30, 40)]
+    run_study(labelled[0], seed=5, out_dir=str(tmp_path / "same"), workers=1)
+    with pytest.raises(ValueError, match=r"holds the rows of scenarios \['same'\]"):
+        run_study(labelled[1], seed=5, out_dir=str(tmp_path / "same"), workers=1)
+    # a manifest written before the record is refused too
+    manifest = json.loads((out / "manifest.json").read_text())
+    del manifest["scenario_fields"]
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=r"manifest\.json records no scenario fields"):
+        run_study(more, seed=5, out_dir=str(out), workers=1)
 
 
 def test_run_study_refuses_a_manifest_that_is_not_an_object(tmp_path):
