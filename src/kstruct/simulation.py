@@ -52,6 +52,10 @@ __all__ = [
 DESK_REPETITIONS = 1000
 DESK_REPLICATES = 2000
 
+# the fields that only one structure reads
+_READ_BY = (("tau", "equicorrelated"), ("sizes", "block"), ("base", "block"),
+            ("step", "block"), ("matrix", "custom"))
+
 _RESULTS_FILE = "results.csv"
 _SUMMARY_FILE = "summary.csv"
 _MANIFEST_FILE = "manifest.json"
@@ -128,7 +132,11 @@ class ScenarioConfig:
         structure it does not declare are refused); n, alpha,
         repetitions, tests and the hypothesis partition are checked, and
         that its data can be drawn: the sampler's own factorization
-        decides positive definiteness.  Each test must carry no seed
+        decides positive definiteness.  A field that the scenario's
+        structure or departure does not read (``tau`` but for
+        "equicorrelated"; ``sizes``, ``base`` and ``step`` but for
+        "block"; ``matrix`` but for "custom"; ``delta`` with no
+        departure) must keep its default.  Each test must carry no seed
         (run_study derives it) and pass ``TestOptions.validate``.
 
         A refusal is a ValueError (``NotPositiveDefinite`` for the
@@ -143,6 +151,16 @@ class ScenarioConfig:
         where = where or "scenario " + self.scenario_label()
         named = where  # the scenario, or the test being checked
         try:
+            defaults = {f.name: f.default for f in dataclasses.fields(self)}
+            for name, structure in _READ_BY:
+                value = getattr(self, name)
+                if self.structure != structure and (
+                        value is not None if defaults[name] is None else value != defaults[name]):
+                    raise ValueError("%s is not read by structure=%r and must keep its "
+                                     "default %r" % (name, self.structure, defaults[name]))
+            if self.departure is None and self.delta != defaults["delta"]:
+                raise ValueError("delta is not read without a departure and must keep "
+                                 "its default %r" % defaults["delta"])
             if self.n < 3:
                 raise ValueError("scenarios need n >= 3")
             if not self.tests:
@@ -180,6 +198,11 @@ def build_tau_matrix(config):
         T = np.array(config.matrix, dtype=float)
         if T.shape != (d, d):
             raise ValueError("custom matrix must be %d x %d" % (d, d))
+        bad = np.argwhere(~np.isfinite(T))
+        if bad.size:
+            i, j = bad[0]
+            raise ValueError("custom Kendall matrix entry (%d, %d) is %r, not a finite number"
+                             % (i + 1, j + 1, float(T[i, j])))
         if not np.allclose(T, T.T, atol=1e-12):
             raise ValueError("custom Kendall matrix must be symmetric")
     else:

@@ -120,11 +120,14 @@ def test_options_read_a_choice_exactly_or_refuse_it_by_name(name, data):
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(sorted(SCENARIO_CHOICES)), st.data())
 def test_scenarios_read_a_choice_exactly_or_refuse_it_by_name(name, data):
-    # the block and custom structures get what they need
+    # each structure gets what it needs, and only that, since a field
+    # that a structure does not read is refused
     value = data.draw(_choice_values(SCENARIO_CHOICES[name]))
-    scenario = ScenarioConfig(**{"n": 20, "d": 4, "tau": 0.2, "sizes": (2, 2),
-                                 "matrix": np.full((4, 4), 0.2), "repetitions": 2,
-                                 "tests": (TestOptions(),), name: value})
+    structure = value if name == "structure" and isinstance(value, str) else "equicorrelated"
+    needs = {"equicorrelated": {"tau": 0.2}, "block": {"sizes": (2, 2)},
+             "custom": {"matrix": np.full((4, 4), 0.2)}}.get(structure, {})
+    scenario = ScenarioConfig(**{"n": 20, "d": 4, "repetitions": 2,
+                                 "tests": (TestOptions(),), **needs, name: value})
     try:
         scenario.validate()
     except ValueError as exc:
@@ -145,7 +148,8 @@ SMALL_D = st.sampled_from([-1, 0, 1, 2, 3, 4, 5, 4.0, 4.5, True, None, "4", math
 def test_scenarios_read_a_field_exactly_or_refuse_it_by_name(field, value, d):
     name, kind = field
     base = {"n": 20, "d": 4, "tau": 0.2, "repetitions": 2, "tests": (TestOptions(),)}
-    if name == "sizes":
+    if name == "sizes":  # a block structure, which does not read tau
+        del base["tau"]
         base.update(structure="block", sizes=value)
     else:
         base[name] = d if name == "d" else value

@@ -246,6 +246,47 @@ def test_scenario_validate_names_the_scenario_and_the_test():
         ScenarioConfig(n=2, d=4, tau=0.2, tests=_tiny_tests()).validate("here")
 
 
+def test_scenario_validate_refuses_fields_that_nothing_reads():
+    # each was accepted and ignored, and an ignored tau still reached
+    # summary.csv; its default, or a field its structure reads, is kept
+    eye = np.eye(4)
+    cases = [
+        (dict(structure="block", sizes=(2, 2), tau=0.9), "d4-n20-block", "tau", "0.0"),
+        (dict(structure="custom", matrix=eye, tau=0.3), "d4-n20-custom", "tau", "0.0"),
+        (dict(tau=0.3, sizes=(2, 2)), "d4-n20-equicorrelated-tau0.3", "sizes", "None"),
+        (dict(tau=0.3, base=0.5), "d4-n20-equicorrelated-tau0.3", "base", "0.4"),
+        (dict(structure="custom", matrix=eye, step=0.1), "d4-n20-custom", "step", "0.15"),
+        (dict(structure="block", sizes=(2, 2), matrix=eye), "d4-n20-block", "matrix", "None"),
+    ]
+    for fields, label, name, default in cases:
+        structure = fields.get("structure", "equicorrelated")
+        with pytest.raises(ValueError, match=r"^scenario %s: %s is not read by structure=%r "
+                                             r"and must keep its default %s$"
+                                             % (label, name, structure, default)):
+            ScenarioConfig(n=20, d=4, tests=_tiny_tests(), **fields).validate()
+    with pytest.raises(ValueError, match=r"^scenario d4-n20-equicorrelated-tau0.2: delta is "
+                                         r"not read without a departure and must keep its "
+                                         r"default 0.0$"):
+        ScenarioConfig(n=20, d=4, tau=0.2, delta=0.1, tests=_tiny_tests()).validate()
+    for fields in (dict(structure="block", sizes=(2, 2), base=0.3, step=0.1, tau=0.0),
+                   dict(structure="custom", matrix=eye, base=0.4),
+                   dict(tau=0.2, departure="single", delta=0.1)):
+        ScenarioConfig(n=20, d=4, tests=_tiny_tests(), **fields).validate()
+
+
+def test_custom_matrix_refuses_a_non_finite_entry_by_name():
+    # NaN is unequal to itself, so it was refused as an asymmetric matrix
+    M = np.eye(4)
+    M[1, 2] = M[2, 1] = np.nan
+    with pytest.raises(ValueError, match=r"^scenario d4-n20-custom: custom Kendall matrix "
+                                         r"entry \(2, 3\) is nan, not a finite number$"):
+        ScenarioConfig(n=20, d=4, structure="custom", matrix=M,
+                       tests=_tiny_tests()).validate()
+    M[1, 2] = M[2, 1] = np.inf
+    with pytest.raises(ValueError, match=r"entry \(2, 3\) is inf, not a finite number$"):
+        build_tau_matrix(ScenarioConfig(n=20, d=4, structure="custom", matrix=M))
+
+
 def test_run_study_refuses_a_seeded_test(tmp_path):
     # run_study ran it, replacing the seed by one derived from the study seed
     tests = (_tiny_tests()[0], dataclasses.replace(_tiny_tests()[1], seed=4))

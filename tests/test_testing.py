@@ -975,9 +975,8 @@ def test_threaded_draws_equal_inline_draws(monkeypatch):
         (inline, s0, h0), (ahead, s1, h1) = draws[False, kind], draws[True, kind]
         assert np.array_equal(inline, ahead), kind
         assert s0 == s1, kind
-        # the whitened-residual draws split over two pool threads, the
-        # coloured and bootstrap samplers' run on one
-        assert h0 == [] and _pool_threads(h1) == (2 if kind == "identity" else 1), kind
+        # every sampler's draws split over two pool threads
+        assert h0 == [] and _pool_threads(h1) == 2, kind
     # the identity draws are one (N, p) draw, however blocked
     want = np.random.default_rng(7).standard_normal((N, p))
     assert np.array_equal(draws[True, "identity"][0], want)
@@ -1035,44 +1034,44 @@ def test_draw_thread_stops_when_the_consumer_raises(monkeypatch):
     opts = TestOptions(statistic="max", weighting="identity", replicates=301, seed=5)
     with pytest.raises(FloatingPointError, match="colouring"):
         run_test(X, Partition.exchangeable(6), opts)
-    assert max(seen) == before + 1  # the helper was drawing ahead
+    assert max(seen) == before + 2  # the decoders colour the blocks
     assert threading.active_count() == before
-    # a caller that stops reading early also stops the helper (two split
-    # decoders are tested below)
-    blocks = kt._normal_blocks(301, 15, np.random.default_rng(1), decoders=1)
+    # a caller that stops reading early also stops the decoders
+    blocks = iter(kt._normal_blocks(301, 15, np.random.default_rng(1)))
     next(blocks)
-    assert sum(t.name.startswith("kstruct-draws") for t in threading.enumerate()) == 1
-    assert threading.active_count() == before + 1
+    assert sum(t.name.startswith("kstruct-draws") for t in threading.enumerate()) == 2
+    assert threading.active_count() == before + 2
     blocks.close()
     assert threading.active_count() == before
 
 
-@pytest.mark.parametrize("decoders", [1, 2])
+@pytest.mark.parametrize("failures", [1, 2])
 @pytest.mark.parametrize("fail_at", [4, 7])
-def test_draw_thread_error_reaches_the_caller(monkeypatch, decoders, fail_at):
-    # the task of block fail_at fails, on an even or an odd block: the
-    # caller gets the blocks before it, then the error, and its generator
-    # is left where inline draws of those blocks leave it
+def test_draw_thread_error_reaches_the_caller(monkeypatch, failures, fail_at):
+    # the draw of block fail_at fails, on an even or an odd block, and
+    # with two failures so does the other decoder's next block: the
+    # caller gets the blocks before fail_at, then its error, and its
+    # generator is left where inline draws of those blocks leave it
     _draw_ahead(monkeypatch, True)
     before, threads, draw = threading.active_count(), [], kt._draw_block
 
     def failing(k, *args):
         threads.append(_on_the_pool())
-        if k == fail_at:
+        if fail_at <= k < fail_at + failures:
             raise FloatingPointError("draw %d failed" % k)
         return draw(k, *args)
 
     monkeypatch.setattr(kt, "_draw_block", failing)
     rng, got = np.random.default_rng(9), []
     with pytest.raises(FloatingPointError, match="draw %d failed" % fail_at):
-        for block in kt._normal_blocks(301, pair_count(6), rng, decoders=decoders):
+        for block in kt._normal_blocks(301, pair_count(6), rng):
             got.append(block.copy())
     want = np.random.default_rng(9)
     assert len(got) == fail_at
     assert np.array_equal(np.concatenate(got),
                           want.standard_normal((3 * fail_at, pair_count(6))))
     assert rng.bit_generator.state == want.bit_generator.state
-    assert _pool_threads(threads) == decoders
+    assert _pool_threads(threads) == 2
     assert threading.active_count() == before
 
 
@@ -1157,9 +1156,8 @@ class _WrappedRng:
 
 def test_split_only_for_a_pcg64_generator(monkeypatch):
     # a wrapper and another bit generator draw inline; with a Generator
-    # over PCG64 the coloured and bootstrap samplers draw on one pool
-    # thread, whose lower bounds are exact, and the whitened-residual
-    # sampler splits over two
+    # over PCG64 every sampler splits over two pool threads, with one
+    # splice for each block after the first
     offsets = _split(monkeypatch, 3 * 15)
     threads = _block_threads(monkeypatch)
     philox = np.random.Generator(np.random.Philox(7))
@@ -1171,11 +1169,11 @@ def test_split_only_for_a_pcg64_generator(monkeypatch):
     assert threads == [] and offsets == []
     X = exchangeable_normal(np.random.default_rng(229), 30, 6)
     bootstrap_draws(X, None, 301, np.random.default_rng(7))
-    assert _pool_threads(threads) == 1
+    assert _pool_threads(threads) == 2
     threads.clear()
     drawn(kt._null_gaussian_blocks(one_group(np.array([0.4, 0.2, 1.0]), 6), 301,
                                    np.random.default_rng(7)))
-    assert _pool_threads(threads) == 1 and offsets == [0] * (300 + 100)
+    assert _pool_threads(threads) == 2 and len(offsets) == 300 + 100 and None not in offsets
     threads.clear()
     offsets.clear()
     gamma = gamma_projection(block_membership_matrix(Partition(6, ((1, 2, 3), (4, 5, 6)))))
@@ -1186,7 +1184,7 @@ def test_split_only_for_a_pcg64_generator(monkeypatch):
 def test_split_decoders_stop_with_the_caller(monkeypatch):
     _split(monkeypatch, 3 * 15)
     before = threading.active_count()
-    blocks = kt._normal_blocks(301, 15, np.random.default_rng(1))
+    blocks = iter(kt._normal_blocks(301, 15, np.random.default_rng(1)))
     next(blocks)
     assert threading.active_count() == before + 2
     blocks.close()
@@ -1249,6 +1247,125 @@ def test_split_decoder_error_reaches_the_caller(monkeypatch, fail_at):
     assert threading.main_thread() not in [t for t, _ in threads]
     assert _pool_threads(threads) == 2
     assert threading.active_count() == before
+
+
+def _decoded_samplers(d=6, n=30):
+    """name -> (draws of a seed's generator, statistic), one for each
+    sampler that ``_exceedances`` counts on the decoders: colouring of a
+    partition (pair-major) and a dense form, subtraction of the grand
+    mean (no work array, so no lock) and of class means, and the
+    multiplier bootstrap, for both statistics."""
+    p = pair_count(d)
+    sample = KendallSample(exchangeable_normal(np.random.default_rng(241), n, d))
+    part = Partition(d, ((1, 2, 3), tuple(range(4, d + 1))))
+    est = kc.structured_jackknife_partition(sample, part)
+    gamma = gamma_projection(block_membership_matrix(part))
+    R = est.rows - gamma.apply(est.rows)
+    dense = factor_of_matrix(np.cov(sample.rows.T) + np.eye(p))
+    means = gamma_projection(block_membership_matrix(Partition.exchangeable(d)))
+    rng = np.random.default_rng
+    return {
+        "partition": (lambda s: kt._null_gaussian_blocks(kt._identity_null(est, gamma, n)[1],
+                                                         301, rng(s)), "max"),
+        "dense": (lambda s: kt._null_gaussian_blocks(dense, 301, rng(s)), "max"),
+        "grand mean": (lambda s: kt._residual_blocks(means, 301, p, rng(s)), "max"),
+        "class means": (lambda s: kt._residual_blocks(gamma, 301, p, rng(s)), "max"),
+        "bootstrap": (lambda s: kt._bootstrap_blocks(R, 301, rng(s)), "max"),
+        "bootstrap euclidean": (lambda s: kt._bootstrap_blocks(R, 301, rng(s)), "euclidean"),
+    }
+
+
+@pytest.mark.parametrize("rows", [3, 40])
+def test_threaded_counts_equal_inline_counts(monkeypatch, rows):
+    # N = 301 in blocks of 3 rows (the bootstrap's of n = 30 columns too)
+    # or of 40, each reduced 7 rows at a time through the pair-major
+    # copy, so the last block and the last copy are short: every
+    # sampler's count at each threshold, and its generator's end state,
+    # are those of inline draws, and the decoders leave no thread
+    monkeypatch.setattr(kt, "_PAIR_MAJOR_ENTRIES", 7 * pair_count(6) + 2)
+    threads = _block_threads(monkeypatch)
+    for name, (draws, statistic) in _decoded_samplers().items():
+        monkeypatch.setattr(kt, "_DRAW_BLOCK_ENTRIES", rows * draws(0).p)
+        Z = drawn(draws(251))
+        norms = np.abs(Z).max(axis=1) if statistic == "max" else np.einsum("ij,ij->i", Z, Z)
+        for value in (0.0, *np.quantile(norms, (0.1, 0.5, 0.9)), np.inf):
+            got = {}
+            for on in (False, True):
+                monkeypatch.setattr(kt, "_second_cpu", lambda: on)
+                threads.clear()
+                blocks = draws(251)
+                count = kt._exceedances(blocks, value, statistic)
+                got[on] = count, blocks.rng.bit_generator.state, list(threads)
+            (inline, s0, h0), (ahead, s1, h1) = got[False], got[True]
+            assert inline == ahead == int((norms > value).sum()), (name, value)
+            assert s0 == s1, (name, value)
+            assert h0 == [] and _pool_threads(h1) == 2, (name, value)
+            assert threading.enumerate() == [threading.main_thread()], (name, value)
+
+
+def test_threaded_counts_under_thread_switching(monkeypatch):
+    # three callers at once, each with two decoders that share a work
+    # array under the lock (or, for the bootstrap, hold one each), on
+    # two CPUs at most, switching threads every microsecond: every count
+    # is still the inline count
+    monkeypatch.setattr(kt, "_DRAW_BLOCK_ENTRIES", 3 * pair_count(6))
+    samplers = _decoded_samplers()
+    names = ("partition", "class means", "bootstrap")
+    monkeypatch.setattr(kt, "_second_cpu", lambda: False)
+    want = {name: kt._exceedances(samplers[name][0](263), 1.5) for name in names}
+    monkeypatch.setattr(kt, "_second_cpu", lambda: True)
+    got = {}
+
+    def count(name):
+        got[name] = kt._exceedances(samplers[name][0](263), 1.5)
+
+    callers = [threading.Thread(target=count, args=(name,)) for name in names]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert got == want
+
+
+@pytest.mark.parametrize("fail_at", [4, 7])
+def test_a_failing_step_stops_both_threaded_decoders(monkeypatch, fail_at):
+    # the step of block fail_at, an even or an odd one of 3-row blocks
+    # with a short last one, fails on a decoder: the count stops with
+    # that error, both decoders stop within a block of it, no thread is
+    # left, and the generator stands where the inline count leaves it
+    p = pair_count(6)
+    monkeypatch.setattr(kt, "_DRAW_BLOCK_ENTRIES", 3 * p)
+    gamma = gamma_projection(block_membership_matrix(Partition(6, ((1, 2, 3), (4, 5, 6)))))
+    want = np.random.default_rng(257).standard_normal((301, p))
+    subtract, steps = type(gamma)._subtract, []
+
+    def failing(self, V, work):
+        steps.append(threading.current_thread())
+        if np.array_equal(V, want[3 * fail_at : 3 * fail_at + 3]):
+            raise FloatingPointError("step %d failed" % fail_at)
+        return subtract(self, V, work)
+
+    monkeypatch.setattr(type(gamma), "_subtract", failing)
+    states = {}
+    for on in (False, True):
+        monkeypatch.setattr(kt, "_second_cpu", lambda: on)
+        steps.clear()
+        rng = np.random.default_rng(257)
+        with pytest.raises(FloatingPointError, match="step %d failed" % fail_at):
+            kt._exceedances(kt._residual_blocks(gamma, 301, p, rng), 1.0)
+        states[on] = rng.bit_generator.state
+        assert threading.enumerate() == [threading.main_thread()]
+    assert len(steps) <= fail_at + 2
+    assert threading.main_thread() not in steps
+    after = np.random.default_rng(257)
+    after.standard_normal((3 * fail_at + 3, p))
+    assert states[False] == states[True] == after.bit_generator.state
 
 
 def test_no_thread_is_left_when_a_study_forks(monkeypatch):
