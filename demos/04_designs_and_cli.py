@@ -62,34 +62,34 @@ print()
 
 # --- the same test through the CLI ------------------------------------------
 
-# the directory and its files are removed when the demo ends
+# the directory and its files are removed when the demo ends; the CLI
+# runs inside it on relative names, so what it prints is the same on
+# every run
+home = os.getcwd()
 with tempfile.TemporaryDirectory(prefix="kstruct-demo-") as workdir:
-    data_file = os.path.join(workdir, "data.csv")
-    part_file = os.path.join(workdir, "partition.json")
-    report_file = os.path.join(workdir, "report.json")
+    os.chdir(workdir)
+    try:
+        np.savetxt("data.csv", X, delimiter=",", fmt="%.17g")
+        with open("partition.json", "w") as fh:
+            json.dump({"d": 6, "groups": [list(g) for g in part.groups]}, fh)
 
-    np.savetxt(data_file, X, delimiter=",", fmt="%.17g")
-    with open(part_file, "w") as fh:
-        json.dump({"d": 6, "groups": [list(g) for g in part.groups]}, fh)
-
-    code = main(
-        [
-            "test",
-            "--data", data_file,
-            "--hypothesis", "partition",
-            "--hypothesis-file", part_file,
-            "--statistic", "euclidean",
-            "--weighting", "sigma",
-            "--estimator", "structured",
-            "--seed", "99",
-            "--out", report_file,
-        ]
-    )
-    print("CLI exit code:", code)
-    with open(report_file) as fh:
-        report = json.load(fh)
+        code = main(
+            [
+                "test",
+                "--data", "data.csv",
+                "--hypothesis", "partition",
+                "--hypothesis-file", "partition.json",
+                "--statistic", "euclidean",
+                "--weighting", "sigma",
+                "--estimator", "structured",
+                "--seed", "99",
+                "--out", "report.json",
+            ]
+        )
+        print("CLI exit code:", code)
+        with open("report.json") as fh:
+            report = json.load(fh)
+    finally:
+        os.chdir(home)
     print("p-value from the JSON report: %.3f" % report["p_value"])
-    print("fitted matrix written next to it:", os.path.basename(report_file).replace(
-        ".json", "_theta.csv"))
-    print()
-    print("files for this demo live in", workdir)
+    print("fitted matrix written next to it: report_theta.csv")

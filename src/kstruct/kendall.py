@@ -14,17 +14,20 @@ leave-one-out averages
 drive the jackknife covariance estimators.  For observation r the kernel
 sums over s are the off-diagonal entries of the Gram matrix S_r' S_r,
 where S_r = sign(X_r - X) is n x d, so the pass is one batched BLAS
-product per block of rows.  The signs and their products are held in
-float32: every partial sum a BLAS product forms, in any order and with
-or without fused multiply-adds, is an integer of magnitude at most
-n - 1, which float32 represents exactly while n - 1 <= 2**24 (a larger
-n is refused).  The row sums are therefore exact integers, written as
+product per block of rows.  Each column is ranked once into dense
+integer ranks R, equal values sharing a rank, and S_r holds the signs
+of the dense-rank differences R_r - R, which equal those of X_r - X
+entry by entry.  The signs and their products are held in float32:
+every partial sum a BLAS product forms, in any order and with or
+without fused multiply-adds, is an integer of magnitude at most n - 1,
+which float32 represents exactly while n - 1 <= 2**24 (a larger n is
+refused).  The row sums are therefore exact integers, written as
 int16 (int32 once n - 1 > 32767), until the final division, and
 brute-force comparisons can demand bitwise equality.  When the pass
 spans two or more blocks of rows and the process may use a second CPU
 (``_second_cpu``, the rule the Monte Carlo draws of ``testing`` follow
 too), a helper thread takes half of the blocks; NumPy releases the
-interpreter lock in the comparisons and the products, and the sums are
+interpreter lock in the sign blocks and the products, and the sums are
 the same.
 
 Tied values make the kernel 0 and break the +/-1 contract; by default
@@ -140,12 +143,30 @@ def _sums_dtype(n):
     return np.int16 if n - 1 <= np.iinfo(np.int16).max else np.int32
 
 
+def _dense_ranks(X, dtype):
+    """Each column of X as dense 0-based ranks of type ``dtype``: equal
+    values (-0.0 and +0.0 too) share a rank, so sign(R_r - R_s) is
+    sign(X_r - X_s) entry by entry.  The ranks of n rows, and their
+    differences, are at most n - 1 in magnitude, which ``dtype`` must
+    hold.  A function of its own, so that the sort's temporaries are
+    freed before the pass allocates its blocks."""
+    order = np.argsort(X, axis=0)
+    ranked = np.take_along_axis(X, order, axis=0)
+    step = np.zeros(X.shape, dtype=dtype)
+    np.not_equal(ranked[1:], ranked[:-1], out=step[1:])
+    R = np.empty_like(step)
+    np.put_along_axis(R, order, np.cumsum(step, axis=0, dtype=dtype), axis=0)
+    return R
+
+
 def _pair_row_sums(X):
     """Row sums sum_{s != r} h(X_r, X_s) as an (n, p) integer array, each
     of magnitude at most n - 1: int16 while n - 1 <= 32767, else int32.
 
     Row r holds the upper-triangle entries of S_r' S_r, from one batched
-    float32 matmul per block of rows; the block buffers are allocated
+    float32 matmul per block of rows; S_r is sign(R_r - R) of the
+    columns' dense ranks R (``_dense_ranks``), made in the integer type
+    of the sums and copied to float32.  The block buffers are allocated
     once, on the calling thread (allocations on a helper thread can raise
     peak RSS through the C library's per-thread heaps), and kept within
     _BLOCK_BUDGET bytes.
@@ -167,26 +188,28 @@ def _pair_row_sums(X):
     ii0, jj0 = _pairs0(d)
     p = len(ii0)
     flat = ii0 * d + jj0
-    out = np.empty((n, p), dtype=_sums_dtype(n))
-    # per row of a block: float32 signs and their bool half (n x d), the
-    # float32 Gram matrix (d x d) and its gathered pairs (p)
-    row_bytes = 5 * n * d + 4 * (d * d + p)
+    R = _dense_ranks(X, _sums_dtype(n))
+    out = np.empty((n, p), dtype=R.dtype)
+    # per row of a block: integer and float32 signs (n x d), the float32
+    # Gram matrix (d x d) and its gathered pairs (p)
+    row_bytes = (4 + R.itemsize) * n * d + 4 * (d * d + p)
     threads = 2 if _BLOCK_BUDGET // row_bytes < n and _second_cpu() else 1
     blk = int(max(1, min(n, _BLOCK_BUDGET // (threads * row_bytes))))
     bufs = [
-        (np.empty((blk, n, d), dtype=np.float32), np.empty((blk, n, d), dtype=bool),
+        (np.empty((blk, n, d), dtype=np.float32), np.empty((blk, n, d), dtype=R.dtype),
          np.empty((blk, d, d), dtype=np.float32), np.empty((blk, p), dtype=np.float32))
         for _ in range(threads)
     ]
     bounds = [(lo, min(lo + blk, n)) for lo in range(0, n, blk)]
 
-    def rows(blocks, S, below, G, pairs):
+    def rows(blocks, S, signs, G, pairs):
         for start, stop in blocks:
             b = stop - start
-            Xr = X[start:stop, None, :]
-            # sign(X_r - X_s) as (X_r > X_s) - (X_r < X_s); the s = r term is 0
-            Sb = np.greater(Xr, X, out=S[:b])
-            np.subtract(Sb, np.less(Xr, X, out=below[:b]), out=Sb)
+            # sign(R_r - R_s), exact in the integer type; the s = r term is 0
+            Ib = np.subtract(R[start:stop, None, :], R, out=signs[:b])
+            np.sign(Ib, out=Ib)
+            Sb = S[:b]
+            np.copyto(Sb, Ib)
             Gb = np.matmul(Sb.transpose(0, 2, 1), Sb, out=G[:b])
             if Gb.diagonal(0, 1, 2).min() < n - 1:
                 raise TieError(

@@ -84,8 +84,10 @@ def brute_force_row_sums(X):
 
 
 def _block_row_bytes(n, d):
-    # bytes one row of a block claims against _BLOCK_BUDGET in _pair_row_sums
-    return 5 * n * d + 4 * (d * d + pair_count(d))
+    # bytes one row of a block claims against _BLOCK_BUDGET in _pair_row_sums:
+    # float32 and integer signs, Gram matrix and gathered pairs
+    itemsize = np.dtype(kd._sums_dtype(n)).itemsize
+    return (4 + itemsize) * n * d + 4 * (d * d + pair_count(d))
 
 
 _huge = st.floats(min_value=-1e300, max_value=1e300)
@@ -213,6 +215,60 @@ def test_second_cpu_needs_two_cpus_outside_a_pool_worker(monkeypatch):
     monkeypatch.setattr(kd.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     with ProcessPoolExecutor(max_workers=1) as pool:
         assert pool.submit(kd._second_cpu).result() is False
+
+
+@st.composite
+def sign_edge_data(draw):
+    """(n, d) data whose signs of differences are easy to get wrong: each
+    column either repeats a few values, often tied, or holds distinct
+    ones, drawn from -0.0, +0.0 and +/- magnitudes from 1e-300 to 1e300
+    with their neighbours one ulp up."""
+    n, d = draw(st.integers(2, 9)), draw(st.integers(2, 4))
+    exponents = st.lists(st.integers(-300, 300), min_size=3, max_size=4, unique=True)
+    pool = [-0.0, 0.0]
+    for m in (10.0**e for e in draw(exponents)):
+        up = float(np.nextafter(m, np.inf))
+        pool += [m, up, -m, -up]
+    cols = []
+    for _ in range(d):
+        if draw(st.booleans()):
+            levels = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+            cols.append(draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n)))
+        else:
+            cols.append(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n,
+                                      unique=True)))
+    return np.array(cols, dtype=float).T
+
+
+@settings(max_examples=150, deadline=None)
+@given(sign_edge_data())
+@example(np.array([[-0.0, 1.0], [0.0, 2.0], [1.0, 3.0]]))  # -0.0 == +0.0
+@example(np.array([[1.0, 5e-324], [float(np.nextafter(1.0, 2.0)), -5e-324]]))
+@example(np.array([[1e300, -1e-300], [-1e300, 1e-300], [0.0, -0.0]]))
+def test_kernel_signs_equal_brute_force_on_edge_values(X):
+    tied = _tied_columns_oracle(X)
+    if not tied:
+        assert np.array_equal(kd._pair_row_sums(X), brute_force_row_sums(X))
+        return
+    with pytest.raises(TieError) as info:
+        kd._pair_row_sums(X)
+    assert str(info.value) == (
+        "tied values in column(s) %s; pass ties='jitter' (seeded) or "
+        "pre-process the data" % tied
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(sign_edge_data(), st.sampled_from([np.int16, np.int32]))
+@example(np.array([[-0.0, 1.0], [0.0, -1.0], [1e-300, 1e300]]), np.int32)
+def test_dense_ranks_keep_the_signs_of_differences(X, dtype):
+    # int32 is the type past 32768 rows; checked here without such a pass
+    R = kd._dense_ranks(X, dtype)
+    assert R.dtype == dtype
+    for j in range(X.shape[1]):
+        assert np.array_equal(R[:, j], np.unique(X[:, j], return_inverse=True)[1])
+    above = np.greater(X[:, None, :], X).astype(int) - np.less(X[:, None, :], X)
+    assert np.array_equal(np.sign(R[:, None, :] - R), above)
 
 
 @pytest.mark.parametrize("n, d", [(200, 100), (1000, 50)])

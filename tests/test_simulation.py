@@ -1,6 +1,15 @@
 """Data generators and the study harness: frozen values, distributional
 checks against the target Kendall/Pearson structure, and shard/resume
-bookkeeping of run_study."""
+bookkeeping of run_study.
+
+The 17-digit p-values pinned in ``tests/data/study_tiny_*`` are compared
+byte for byte on any platform, with no platform record to relax them as
+``test_golden`` has, by
+``test_run_study_writes_the_pinned_files_of_study_tiny``, by
+``test_rep_task_rows_are_unchanged_on_study_tiny`` and by CI's two
+``cmp`` steps of a CLI study against ``tests/data``.  CI prints the
+platform record before its tests, so a failing comparison names the
+platform it ran on."""
 
 import csv
 import dataclasses
