@@ -13,15 +13,16 @@ fit, with statistic 0 and p-value 1, and so is a GLS fit whose weight
 keeps no more than L eigenvalues, where the whitened residual is zero by
 construction.
 
-P-values come from the sampler that a route's entry in ``_ROUTES``
-names: a chi-square tail for E with covariance weighting (p - L degrees
-of freedom); Monte Carlo from a chi-square mixture for E with identity
-weighting, weighted by the eigenvalues of the projected covariance that
-``sblock.rank_mask`` keeps; Monte Carlo over Gaussian draws for M,
-coloured by that covariance or whitened; and a Gaussian multiplier
-bootstrap that replays the jackknife residuals, targeting the same law
-without sampling from an estimated matrix.  A statistic of 0 gets
-p-value 1 without a draw.
+Each route's entry in ``_ROUTES`` names its null-law function, which
+a test calls once, after its statistic: a chi-square tail for E with
+covariance weighting (p - L degrees of freedom); Monte Carlo from a
+chi-square mixture for E with identity weighting, weighted by the
+eigenvalues of the projected covariance that ``sblock.rank_mask``
+keeps; Monte Carlo over Gaussian draws for M, coloured by that
+covariance or whitened; and a Gaussian multiplier bootstrap that
+replays the jackknife residuals, targeting the same law without
+sampling from an estimated matrix.  A statistic of 0 gets p-value 1
+without a draw.
 
 Monte Carlo p-values use the plain exceedance proportion with a strict
 inequality; a plus-one correction is available as an option but off by
@@ -109,30 +110,6 @@ _DISTORTION_NOTE = (
     "exceed the nominal level even under the null"
 )
 
-# (estimator, statistic, weighting, null_draws) -> (method, sampler of the
-# null law) for every accepted route; ``TestOptions.validate`` refuses the rest
-_ROUTES = {
-    ("structured", "euclidean", "sigma", "auto"): ("chi-square", "chi-square tail"),
-    ("structured", "euclidean", "identity", "auto"): ("mixture-mc", "chi-square mixture"),
-    ("structured", "euclidean", "identity", "gaussian"): ("mixture-mc", "chi-square mixture"),
-    ("structured", "euclidean", "identity", "bootstrap"): ("bootstrap-mc", "multiplier bootstrap"),
-    ("structured", "max", "sigma", "auto"): ("max-mc", "whitened-residual gaussian"),
-    ("structured", "max", "sigma", "gaussian"): ("max-mc", "whitened-residual gaussian"),
-    ("structured", "max", "identity", "auto"): ("max-mc", "coloured gaussian"),
-    ("structured", "max", "identity", "gaussian"): ("max-mc", "coloured gaussian"),
-    ("structured", "max", "identity", "bootstrap"): ("bootstrap-mc", "multiplier bootstrap"),
-    ("jackknife", "euclidean", "sigma", "auto"): ("chi-square", "chi-square tail"),
-    ("jackknife", "euclidean", "identity", "auto"): ("mixture-mc", "chi-square mixture"),
-    ("jackknife", "euclidean", "identity", "gaussian"): ("mixture-mc", "chi-square mixture"),
-    ("jackknife", "euclidean", "identity", "bootstrap"): ("bootstrap-mc", "multiplier bootstrap"),
-    ("jackknife", "max", "sigma", "auto"): ("max-mc", "whitened-residual gaussian"),
-    ("jackknife", "max", "sigma", "gaussian"): ("max-mc", "whitened-residual gaussian"),
-    ("jackknife", "max", "identity", "auto"): ("bootstrap-mc", "multiplier bootstrap"),
-    ("jackknife", "max", "identity", "gaussian"): ("max-mc", "coloured gaussian"),
-    ("jackknife", "max", "identity", "bootstrap"): ("bootstrap-mc", "multiplier bootstrap"),
-}
-
-
 @dataclass
 class TestOptions:
     """User choices for one test run.
@@ -150,7 +127,8 @@ class TestOptions:
         but 0 is refused with ties="error".
     null_draws: "auto", "gaussian", or "bootstrap" -- how Monte Carlo
         null replicates are produced when more than one scheme applies;
-        ``_ROUTES`` lists the combinations accepted.
+        ``_ROUTES`` lists the combinations accepted and names each one's
+        null-law function.
 
     Each choice field's values are declared once, in its ``Literal``
     type, the default first; the CLI's flags take their choices and
@@ -172,8 +150,10 @@ class TestOptions:
 
     def validate(self):
         """Check the options and return the method of their entry in
-        ``_ROUTES``, the one place that picks the null law; ``run_test``
-        refuses the structured estimator for a design hypothesis."""
+        ``_ROUTES``, which names the null-law function of each accepted
+        route and so is the one place that picks the null law;
+        ``run_test`` refuses the structured estimator for a design
+        hypothesis."""
         _read_fields(self)
         if self.replicates < 100:
             raise ValueError("replicates must be at least 100")
@@ -193,7 +173,7 @@ class TestOptions:
                 % (self.null_draws, self.statistic, self.weighting,
                    "chi-square" if self.statistic == "euclidean" else "gaussian")
             )
-        if self.plus_one and route[1] == "chi-square tail":
+        if self.plus_one and route[1] is _chi_square_tail:
             raise ValueError(
                 "plus_one does not apply to statistic='euclidean', "
                 "weighting='sigma', whose p-value is a chi-square tail"
@@ -571,12 +551,9 @@ def _exceedances(draws, value, statistic="max"):
     "euclidean".  Each block is counted where it is drawn (see
     ``_blocks``), so the caller only sums the counts; the blocks are
     closed however the count ends, which stops the decoders."""
-    if statistic == "euclidean":
-        def count(Z, spare):
-            return int((np.einsum("ij,ij->i", Z, Z) > value).sum())
-    else:
-        def count(Z, spare):
-            return int((_max_norms(Z, spare) > value).sum())
+    def count(Z, spare):
+        norms = np.einsum("ij,ij->i", Z, Z) if statistic == "euclidean" else _max_norms(Z, spare)
+        return int((norms > value).sum())
     short = statistic == "max" and draws.pairs < _PAIR_MAJOR_BELOW
     with closing(_blocks(draws, count, _PAIR_MAJOR_ENTRIES if short else 0)) as counts:
         return sum(counts)
@@ -631,23 +608,28 @@ def _bootstrap_blocks(Y, N, rng):
 # orchestration
 
 
-def _identity_null(est, gamma, n):
+def _identity_null(est, gamma, msgs):
     """Null law of sqrt(n) (I - Gamma)(tau_hat - tau) under the estimate:
-    the merged spectrum of its covariance n (I - Gamma) Sigma (I - Gamma),
-    as a tuple, and that covariance, a PartitionQuotients or PSDFactor.
-    Gamma is B B^+; the eigenvalues are ranked against n trace(Sigma),
-    from the unprojected estimate.  A partition estimate keeps its law,
-    which depends on nothing else, for every test of its sample."""
+    its covariance n (I - Gamma) Sigma (I - Gamma), a PartitionQuotients
+    or PSDFactor, with ``_ZERO_NULL_NOTE`` added to ``msgs`` where it
+    keeps no eigenvalue.  Gamma is B B^+; the eigenvalues are ranked
+    against n trace(Sigma), from the unprojected estimate.  A partition
+    estimate keeps its law, which depends on nothing else, for every
+    test of its sample."""
+    n = est.n
     if est.kind == "partition":
         # Gamma removes the trivial component
-        return _kept(est, "identity null",
-                     lambda: _spectrum_and_law(partition_projected(est.quotients, n)))
-    # with Y the estimate's rows (D for the jackknife), the covariance
-    # is (4/n) (Y (I - Gamma))' (Y (I - Gamma)): one thin SVD, and
-    # n trace(Sigma) = (4/n) ||Y||_F^2
-    Y = est.rows
-    norm = (4.0 / n) * float(np.einsum("ij,ij->", Y, Y))
-    return _spectrum_and_law(PSDFactor.of_rows(_projected_rows(gamma, Y), 4.0 / n, norm))
+        null = _kept(est, "identity null", lambda: partition_projected(est.quotients, n))
+    else:
+        # with Y the estimate's rows (D for the jackknife), the covariance
+        # is (4/n) (Y (I - Gamma))' (Y (I - Gamma)): one thin SVD, and
+        # n trace(Sigma) = (4/n) ||Y||_F^2
+        Y = est.rows
+        norm = (4.0 / n) * float(np.einsum("ij,ij->", Y, Y))
+        null = PSDFactor.of_rows(_projected_rows(gamma, Y), 4.0 / n, norm)
+    if not null.keep.any():
+        msgs.append(_ZERO_NULL_NOTE)
+    return null
 
 
 def _projected_rows(gamma, D):
@@ -655,12 +637,6 @@ def _projected_rows(gamma, D):
     Gamma D, so the one n x p array it makes is the result."""
     G = gamma.apply(D)
     return np.subtract(D, G, out=G)
-
-
-def _spectrum_and_law(null):
-    """(merged kept spectrum as a tuple, the form) of a null covariance form."""
-    values, multiplicities = null.spectrum
-    return tuple(_merged_spectrum(values[null.keep], multiplicities[null.keep])), null
 
 
 def _rows_null_is_zero(D, R, n):
@@ -691,7 +667,9 @@ _Fit = namedtuple("_Fit", "design est gamma theta weight exact notes info")
 
 def _fit(sample, hypothesis, opts):
     """The _Fit of a test on a KendallSample, the one place that branches
-    on the hypothesis type and the weighting: the design, the covariance
+    on the weighting and, with the null law of the max/sigma routes
+    (``_whitened_residual_gaussian``), one of the two that branch on the
+    hypothesis type: the design, the covariance
     estimate ``est``, the projection ``gamma``, theta_hat = gamma tau_hat,
     the statistic's ``weight`` (1/n or ``est.factor``), whether the
     residual is rounding noise or, on a GLS route whose weight keeps no
@@ -753,18 +731,102 @@ def _fit(sample, hypothesis, opts):
     return _Fit(design, est, gamma, theta, weight, exact, notes, dict(info, L=design.L))
 
 
-def _whitened_residual(fit):
-    """The projector Gamma' with I - Gamma' the null covariance of the
-    whitened residual on max/sigma routes, by the hypothesis type, not the
-    estimate's form: for a Partition, the fit's own projector B B^+."""
-    if fit.info["type"] == "partition":
-        return fit.gamma
-    # I - U U', U the eigenvectors of C C', C = Sigma^{-1/2} B, whose
-    # eigenvalues (of C'C = B' Sigma^+ B) the GLS rule keeps
-    B, factor = fit.design.matrix, fit.est.factor
-    CC = PSDFactor.of_rows(factor.apply(B.T, -0.5), 1.0, _normal_norm(B, factor))
-    U = CC.V[:, CC.keep]
-    return ProjectionOperator("orthogonal", B.shape[0], factors=(U, U.T))
+# ---------------------------------------------------------------------------
+# null laws: each is (fit, value, opts, rng, msgs) -> (p-value, N, df,
+# eigenvalues), named by its routes' entries in ``_ROUTES``
+
+
+def _simulated(blocks, value, opts):
+    """The Monte Carlo p-value of a statistic against the rows of
+    ``blocks`` (see ``_normal_blocks``), which are drawn only for a
+    positive statistic, as a null law's result."""
+    N = opts.replicates
+    if not value:
+        return 1.0, N, None, None
+    return _mc_pvalue(_exceedances(blocks, value, opts.statistic), N, opts.plus_one), N, None, None
+
+
+def _chi_square_tail(fit, value, opts, rng, msgs):
+    """E with covariance weighting: the chi-square tail with p - L degrees
+    of freedom, which reads no replicates."""
+    p, L = fit.design.p, fit.design.L
+    return pvalue_chisq(value, p, L) if value else 1.0, None, p - L, None
+
+
+def _chi_square_mixture(fit, value, opts, rng, msgs):
+    """E with identity weighting: Monte Carlo from the chi-square mixture
+    weighted by the merged kept spectrum of ``_identity_null``, which the
+    report gives; a positive statistic exceeds a zero null law, with
+    p-value 0."""
+    null = _identity_null(fit.est, fit.gamma, msgs)
+    values, multiplicities = null.spectrum
+    spectrum = _merged_spectrum(values[null.keep], multiplicities[null.keep])
+    N = opts.replicates
+    if value and spectrum:
+        return pvalue_mixture_mc(value, spectrum, N, rng, opts.plus_one), N, None, spectrum
+    return 0.0 if value else 1.0, N, None, spectrum
+
+
+def _coloured_gaussian(fit, value, opts, rng, msgs):
+    """M with identity weighting: Gaussian draws coloured by the
+    covariance of ``_identity_null``."""
+    null = _identity_null(fit.est, fit.gamma, msgs)
+    return _simulated(_null_gaussian_blocks(null, opts.replicates, rng), value, opts)
+
+
+def _whitened_residual_gaussian(fit, value, opts, rng, msgs):
+    """M with covariance weighting: draws of (I - Gamma') G, G standard
+    normal, with I - Gamma' the null covariance of the whitened residual.
+    Gamma' goes by the hypothesis type, not the estimate's form, so this
+    is the one place besides ``_fit`` that branches on it: for a
+    Partition, the fit's own projector B B^+; for a design, built only
+    for a positive statistic, U U' with U the eigenvectors of C C',
+    C = Sigma^{-1/2} B, whose eigenvalues (of C'C = B' Sigma^+ B) the GLS
+    rule keeps."""
+    gamma = fit.gamma
+    if value and fit.info["type"] == "design":
+        B, factor = fit.design.matrix, fit.est.factor
+        CC = PSDFactor.of_rows(factor.apply(B.T, -0.5), 1.0, _normal_norm(B, factor))
+        U = CC.V[:, CC.keep]
+        gamma = ProjectionOperator("orthogonal", B.shape[0], factors=(U, U.T))
+    return _simulated(_residual_blocks(gamma, opts.replicates, fit.design.p, rng), value, opts)
+
+
+def _multiplier_bootstrap(fit, value, opts, rng, msgs):
+    """The multiplier bootstrap of ``_bootstrap_blocks`` for either
+    statistic.  Projecting the n rows once projects every replicate, and
+    the same rows decide the zero-null note of a dense estimate without
+    its SVD."""
+    R = _projected_rows(fit.gamma, fit.est.rows)
+    if fit.est.kind == "partition":
+        _identity_null(fit.est, fit.gamma, msgs)
+    elif _rows_null_is_zero(fit.est.rows, R, fit.est.n):
+        msgs.append(_ZERO_NULL_NOTE)
+    return _simulated(_bootstrap_blocks(R, opts.replicates, rng), value, opts)
+
+
+# (estimator, statistic, weighting, null_draws) -> (method, null law) for
+# every accepted route; ``TestOptions.validate`` refuses the rest
+_ROUTES = {
+    ("structured", "euclidean", "sigma", "auto"): ("chi-square", _chi_square_tail),
+    ("structured", "euclidean", "identity", "auto"): ("mixture-mc", _chi_square_mixture),
+    ("structured", "euclidean", "identity", "gaussian"): ("mixture-mc", _chi_square_mixture),
+    ("structured", "euclidean", "identity", "bootstrap"): ("bootstrap-mc", _multiplier_bootstrap),
+    ("structured", "max", "sigma", "auto"): ("max-mc", _whitened_residual_gaussian),
+    ("structured", "max", "sigma", "gaussian"): ("max-mc", _whitened_residual_gaussian),
+    ("structured", "max", "identity", "auto"): ("max-mc", _coloured_gaussian),
+    ("structured", "max", "identity", "gaussian"): ("max-mc", _coloured_gaussian),
+    ("structured", "max", "identity", "bootstrap"): ("bootstrap-mc", _multiplier_bootstrap),
+    ("jackknife", "euclidean", "sigma", "auto"): ("chi-square", _chi_square_tail),
+    ("jackknife", "euclidean", "identity", "auto"): ("mixture-mc", _chi_square_mixture),
+    ("jackknife", "euclidean", "identity", "gaussian"): ("mixture-mc", _chi_square_mixture),
+    ("jackknife", "euclidean", "identity", "bootstrap"): ("bootstrap-mc", _multiplier_bootstrap),
+    ("jackknife", "max", "sigma", "auto"): ("max-mc", _whitened_residual_gaussian),
+    ("jackknife", "max", "sigma", "gaussian"): ("max-mc", _whitened_residual_gaussian),
+    ("jackknife", "max", "identity", "auto"): ("bootstrap-mc", _multiplier_bootstrap),
+    ("jackknife", "max", "identity", "gaussian"): ("max-mc", _coloured_gaussian),
+    ("jackknife", "max", "identity", "bootstrap"): ("bootstrap-mc", _multiplier_bootstrap),
+}
 
 
 def run_test(data, hypothesis, options):
@@ -788,14 +850,12 @@ def _run_test(data, hypothesis, opts):
     estimate it tested and the fit it used.
     A test runs in four stages: rank, fit, statistic and null law."""
     method = opts.validate()
-    sampler = _ROUTES[opts.estimator, opts.statistic, opts.weighting, opts.null_draws][1]
     rng = np.random.default_rng(opts.seed)
     msgs = []
 
     sample = KendallSample.of(data, opts.ties, opts.tie_seed)
     tau = sample.tau
     n, d = sample.shape
-    p = tau.shape[0]
     if sample.tied:
         msgs.append(
             "tied values in column(s) %s were jittered before ranking" % sample.tied
@@ -819,40 +879,8 @@ def _run_test(data, hypothesis, opts):
     if fit.exact:
         value = 0.0
 
-    # -- null law, by the route's sampler; nothing is drawn for a statistic
-    # at its minimum, which is no evidence against the null ----------------
-    N, df, spectrum, blocks, zero_null = opts.replicates, None, None, None, False
-    if sampler in ("chi-square mixture", "coloured gaussian"):
-        spectrum, null_cov = _identity_null(fit.est, fit.gamma, n)
-        zero_null = not spectrum
-    if sampler == "chi-square tail":
-        df, N = p - fit.design.L, None
-    elif sampler == "multiplier bootstrap":
-        # set up ahead of the shortcut below, so that n < 3 is refused on
-        # every fit; projecting the n rows once projects every replicate,
-        # and the same rows decide the zero-null note of a dense estimate
-        D = fit.est.rows
-        R = _projected_rows(fit.gamma, D)
-        blocks = _bootstrap_blocks(R, N, rng)
-        if fit.est.kind == "dense":
-            zero_null = _rows_null_is_zero(D, R, n)
-        else:
-            zero_null = not _identity_null(fit.est, fit.gamma, n)[0]
-    if zero_null:
-        msgs.append(_ZERO_NULL_NOTE)
-    if value == 0.0:
-        p_value = 1.0
-    elif sampler == "chi-square tail":
-        p_value = pvalue_chisq(value, p, fit.design.L)
-    elif sampler == "chi-square mixture":
-        # a positive statistic exceeds a zero null law
-        p_value = pvalue_mixture_mc(value, spectrum, N, rng, opts.plus_one) if spectrum else 0.0
-    else:
-        if sampler == "coloured gaussian":
-            blocks = _null_gaussian_blocks(null_cov, N, rng)
-        elif sampler == "whitened-residual gaussian":
-            blocks = _residual_blocks(_whitened_residual(fit), N, p, rng)
-        p_value = _mc_pvalue(_exceedances(blocks, value, opts.statistic), N, opts.plus_one)
+    null_law = _ROUTES[opts.estimator, opts.statistic, opts.weighting, opts.null_draws][1]
+    p_value, N, df, eigenvalues = null_law(fit, value, opts, rng, msgs)
 
     return TestReport(
         statistic=opts.statistic,
@@ -864,14 +892,13 @@ def _run_test(data, hypothesis, opts):
         N=N,
         seed=opts.seed,
         df=df,
-        eigenvalues=list(spectrum) if sampler == "chi-square mixture" else None,
+        eigenvalues=eigenvalues,
         warnings=msgs,
         hypothesis=fit.info,
         n=n,
         d=d,
-        p=p,
+        p=tau.size,
         L=fit.design.L,
-        version=__version__,
         input_digest=sample.digest,
         options=opts.to_dict(),
     ), tau, fit.theta

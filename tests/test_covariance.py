@@ -191,6 +191,10 @@ def test_partition_rejects_small_n_and_mismatched_d():
     X = np.random.default_rng(0).standard_normal((2, 4))
     with pytest.raises(ValueError, match="n >= 3"):
         structured_jackknife_partition(X, Partition.exchangeable(4))
+    for stat in ("euclidean", "max"):
+        opts = TestOptions(statistic=stat, weighting="identity", null_draws="bootstrap", seed=0)
+        with pytest.raises(ValueError, match="partition-structured jackknife needs n >= 3"):
+            run_test(X, Partition.exchangeable(4), opts)
     X = np.random.default_rng(0).standard_normal((10, 4))
     with pytest.raises(ValueError, match="partition"):
         structured_jackknife_partition(X, Partition.exchangeable(5))
@@ -203,9 +207,14 @@ def test_dense_jackknife_rejects_small_n():
         with pytest.raises(ValueError, match="dense jackknife needs n >= 3"):
             jackknife_cov(data)
     design = block_membership_matrix(Partition.exchangeable(5))
-    for stat, weight in (("euclidean", "identity"), ("euclidean", "sigma"), ("max", "sigma")):
-        opts = TestOptions(statistic=stat, weighting=weight, estimator="jackknife", seed=0)
-        with pytest.raises(ValueError, match="n >= 3"):
+    # every design route, the bootstrap ones too: the estimate refuses
+    # n = 2 before a null law is set up
+    for stat, weight, draws in (("euclidean", "identity", "auto"), ("euclidean", "sigma", "auto"),
+                                ("max", "sigma", "auto"), ("max", "identity", "auto"),
+                                ("euclidean", "identity", "bootstrap")):
+        opts = TestOptions(statistic=stat, weighting=weight, estimator="jackknife",
+                           null_draws=draws, seed=0)
+        with pytest.raises(ValueError, match="dense jackknife needs n >= 3"):
             run_test(X, design, opts)
     assert jackknife_cov(np.random.default_rng(1).standard_normal((3, 5))).rows.shape == (3, 10)
 

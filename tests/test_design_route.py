@@ -215,7 +215,7 @@ def test_zero_null_note_from_frobenius_bounds_equals_the_svd(case):
     gamma = gamma_projection(design)
     D = est.rows
     R = D - gamma.apply(D)
-    assert kt._rows_null_is_zero(D, R, n) == (not kt._identity_null(est, gamma, n)[0])
+    assert kt._rows_null_is_zero(D, R, n) == (not kt._identity_null(est, gamma, []).keep.any())
     top = (4.0 / n) * np.linalg.norm(R, 2) ** 2
     if top == 0.0:
         return

@@ -21,7 +21,6 @@ from draws import GivenRows
 import kstruct.testing as kt
 from kstruct.covariance import (
     CovarianceEstimate,
-    PSDFactor,
     jackknife_cov,
     structured_jackknife_partition,
 )
@@ -91,13 +90,13 @@ def class_indicators(partition):
 def dense_partition_estimate(data, partition, **_):
     """The dense route's estimate: the orbit-averaged jackknife, given as
     p x p rows R with (4/n^2) R'R equal to it.  R has p rows, not n, so
-    its factor, the thin SVD of R at that scale, is given here."""
+    the estimate is given the sample's n, which scales its factor, the
+    thin SVD of R, and its identity null law."""
     est = jackknife_cov(data)
     w, V = np.linalg.eigh(orbit_average(est.matrix, partition))
-    rows = (est.n / 2.0) * (V * np.sqrt(np.maximum(w, 0.0))).T
-    oracle = CovarianceEstimate(GivenRows(rows))
-    oracle.factor = PSDFactor.of_rows(rows, 4.0 / est.n**2)
-    return oracle
+    given = GivenRows((est.n / 2.0) * (V * np.sqrt(np.maximum(w, 0.0))).T)
+    given.shape = (est.n, given.shape[1])
+    return CovarianceEstimate(given)
 
 
 def test_orbit_key_counts_at_extremes():
@@ -185,7 +184,8 @@ def test_partition_algebra_matches_dense_oracle(part, n, seed):
     B = class_indicators(part)
     P = np.eye(p) - B @ np.linalg.pinv(B)
     want = dense_spectrum(n * (P @ avg @ P), max(n, p), n * np.trace(avg))
-    got, _ = kt._identity_null(est, None, n)
+    null = kt._identity_null(est, None, [])
+    got = kt._merged_spectrum(null.spectrum[0][null.keep], null.spectrum[1][null.keep])
     assert [m for _, m in got] == [m for _, m in want]
     _close(np.array([v for v, _ in got]), np.array([v for v, _ in want]), 1e-10)
 

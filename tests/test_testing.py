@@ -875,8 +875,8 @@ def test_samplers_write_the_old_formulas_into_their_buffers(monkeypatch, part):
     est = kc.structured_jackknife_partition(sample, part)
     design = block_membership_matrix(part)
     gamma = gamma_projection(design)
-    coloured = kt._identity_null(est, gamma, n)[1]
-    dense = kt._identity_null(jackknife_cov(sample), gamma, n)[1]
+    coloured = kt._identity_null(est, gamma, [])
+    dense = kt._identity_null(jackknife_cov(sample), gamma, [])
     R = est.rows - gamma.apply(est.rows)
     G = drawn(kt._normal_blocks(N, p, np.random.default_rng(5)))
     W = drawn(kt._normal_blocks(N, n, np.random.default_rng(5)))
@@ -1265,7 +1265,7 @@ def _decoded_samplers(d=6, n=30):
     means = gamma_projection(block_membership_matrix(Partition.exchangeable(d)))
     rng = np.random.default_rng
     return {
-        "partition": (lambda s: kt._null_gaussian_blocks(kt._identity_null(est, gamma, n)[1],
+        "partition": (lambda s: kt._null_gaussian_blocks(kt._identity_null(est, gamma, []),
                                                          301, rng(s)), "max"),
         "dense": (lambda s: kt._null_gaussian_blocks(dense, 301, rng(s)), "max"),
         "grand mean": (lambda s: kt._residual_blocks(means, 301, p, rng(s)), "max"),
@@ -1414,7 +1414,7 @@ def test_exceedances_equal_the_row_reduction(monkeypatch, p, rows):
     samplers = {
         "normal": lambda rng: kt._normal_blocks(N, p, rng),
         "partition": lambda rng: kt._null_gaussian_blocks(
-            kt._identity_null(est, gamma, n)[1], N, rng),
+            kt._identity_null(est, gamma, []), N, rng),
         "dense": lambda rng: kt._null_gaussian_blocks(dense, N, rng),
         "residual": lambda rng: kt._residual_blocks(gamma, N, p, rng),
         "bootstrap": lambda rng: kt._bootstrap_blocks(R, N, rng),
@@ -1604,7 +1604,8 @@ def _readme_routes():
 
 def test_readme_route_table_matches_validate():
     # the README's table is the route table, row for row ...
-    assert _readme_routes() == [key + route for key, route in kt._ROUTES.items()]
+    assert _readme_routes() == [key + (method, null_law.__name__)
+                                for key, (method, null_law) in kt._ROUTES.items()]
     assert len(kt._ROUTES) == 18
     # ... and validate() accepts exactly its keys, returning their methods
     for key in itertools.product(("structured", "jackknife"), ("euclidean", "max"),
@@ -1753,8 +1754,8 @@ def test_no_reference_cycle_keeps_a_sample_alive():
     finally:
         if gc_was_enabled:
             gc.enable()
-    assert samplers == {"chi-square tail", "chi-square mixture", "multiplier bootstrap",
-                        "whitened-residual gaussian", "coloured gaussian"}
+    assert samplers == {kt._chi_square_tail, kt._chi_square_mixture, kt._multiplier_bootstrap,
+                        kt._whitened_residual_gaussian, kt._coloured_gaussian}
 
 
 def _traced_peak(fn):
