@@ -592,8 +592,9 @@ def run_study(
 
     try:
         for i, batch in enumerate(_task_batches(tasks, scenarios, nworkers)):
-            rows.extend(batch)
-            if writer is not None:
+            if writer is None:
+                rows.extend(batch)
+            else:
                 writer.writerows(
                     [si, ti, rep, "" if p is None else "%.17g" % p, reason]
                     for si, ti, rep, p, reason in batch

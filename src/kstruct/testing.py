@@ -29,21 +29,22 @@ inequality; a plus-one correction is available as an option but off by
 default.
 
 The Gaussian draws of the simulated p-values are taken in row blocks
-from the one random stream of the test's seed (``_normal_blocks``).
-Colouring by a covariance form (``_null_gaussian_blocks``) and
-subtracting the whitened residual's projection (``_residual_blocks``)
-write over the draw buffer, and a multiplier-bootstrap replicate
-(``_bootstrap_blocks``) is a product written into a work array, so a
-test allocates its draw buffers and work arrays once (see ``_blocks``),
-and no block allocates an array its size.  ``_exceedances`` counts each block as it
-is made, taking its absolute value in place.  When a test's draws span
-two or more blocks, its generator is a Generator over PCG64 and the
-process may run on two or more CPUs (``kendall._second_cpu``, the rule
-the kernel pass follows too), two decoder tasks on a thread pool do all
-of the per-block work: each draws every other block with a private
-PCG64 generator, splices it onto the exact end of the block before,
-colours, subtracts or multiplies it and counts its exceedances
-(``_blocks``).  The calling thread allocates their buffers, sums the
+from the one random stream of the test's seed (``_normal_blocks``),
+and every block is reduced where it is drawn; the reducer owns its
+scratch (``_blocks``).  Colouring by a covariance form
+(``_null_gaussian_blocks``) and subtracting the whitened residual's
+projection (``_residual_blocks``) write over the draw buffer, and a
+multiplier-bootstrap replicate (``_bootstrap_blocks``) is a product
+written into a work array, so a test allocates its draw buffers and
+work arrays once, and no block allocates an array its size.
+``_exceedances`` reduces each block to its count of exceedances.  When
+a test's draws span two or more blocks, its generator is a Generator
+over PCG64 and the process may run on two or more CPUs
+(``kendall._second_cpu``, the rule the kernel pass follows too), two
+decoder tasks on a thread pool do all of the per-block work: each draws
+every other block with a private PCG64 generator, splices it onto the
+exact end of the block before, colours, subtracts or multiplies it and
+reduces it.  The calling thread allocates their buffers, sums the
 counts and sets its generator to each block's exact end state, and no
 task touches that generator, so every draw, p-value and the
 generator's final state are those of inline draws.  Any other
@@ -98,7 +99,7 @@ _DRAW_BLOCK_ENTRIES = 2**18
 # a pair-major copy: at 2000 rows, 80 against 176 us at p = 21 and 185
 # against 233 us at p = 45, but 285 against 204 us at p = 66
 _PAIR_MAJOR_BELOW = 64
-# entries of each reducing thread's pair-major copy, taken a few rows at
+# entries of the pair-major copy that ``_max_norms`` takes a few rows at
 # a time: for a 2 MB block, 0.36 against 0.62 ms at p = 10 and 0.31
 # against 0.46 ms at p = 45 for a copy of the whole block (2 vCPUs)
 _PAIR_MAJOR_ENTRIES = 2**15
@@ -340,68 +341,54 @@ def _splice_window(entries):
     return entries // 16 + 64
 
 
-class _Draws:
-    """The draws of one Monte Carlo null stage, as ``_normal_blocks``
-    describes them; iterating gives their row blocks (see ``_blocks``)."""
-
-    def __init__(self, N, p, rng, cols, step, work_entries, pairs):
-        self.N, self.p, self.rng, self.cols = N, p, rng, cols
-        self.step, self.work_entries, self.pairs = step, work_entries, pairs
-
-    def __iter__(self):
-        return _blocks(self)
+_Draws = namedtuple("_Draws", "N p rng cols step work_entries")
 
 
-def _normal_blocks(N, p, rng, cols=None, step=None, work_entries=None, pairs=None):
+def _normal_blocks(N, p, rng, cols=None, step=None, work_entries=None):
     """The N rows of a Monte Carlo null stage, in the row blocks of
     ``_row_blocks(N, p)``: ``cols`` standard normals a row (cols defaults
     to p) from the one stream of ``rng``, each block then turned by
-    ``step(block, work)``, if given, into a block of ``pairs`` columns
-    (cols by default).  ``work`` is one flat array of
-    ``work_entries(rows)`` entries for the first (largest) block's rows,
-    allocated once for all blocks; a step writes into the block or into
-    ``work``.  Iterating the result gives the blocks in stream order, and
-    ``_exceedances`` counts them."""
-    cols = p if cols is None else cols
-    return _Draws(int(N), p, rng, cols, step, work_entries, cols if pairs is None else pairs)
+    ``step(block, work)``, if given, into the block that is reduced.
+    ``work`` is one flat array of ``work_entries(rows)`` entries for the
+    first (largest) block's rows, allocated once for all blocks; a step
+    writes into the block or into ``work``.  ``_blocks`` draws and
+    reduces them."""
+    return _Draws(int(N), p, rng, p if cols is None else cols, step, work_entries)
 
 
-def _blocks(draws, reduce=None, spare=0):
-    """``reduce(block, spare)`` of each row block of ``draws`` after its
-    step, or the block itself with no ``reduce``, in stream order.  As
-    each is yielded, ``draws.rng`` stands at that block's exact end
-    state, so every value and every such state are those of inline
-    draws.  ``spare`` is the entries of a flat array that ``reduce``
-    may write, one for each thread that reduces.
+def _blocks(draws, reduce):
+    """``reduce(block)`` of each row block of ``draws`` after its step,
+    in stream order: every block is reduced where it is drawn, and the
+    reducer owns its scratch.  As each result is yielded, ``draws.rng``
+    stands at that block's exact end state, so every value and every
+    such state are those of inline draws.
 
-    Everything is allocated here, on the calling thread: inline, one
-    draw buffer, the step's work array and the spare array, and a block
-    yielded is a view of the buffer or the work array that the next
-    block writes over.  With two or more blocks, ``kendall._second_cpu()``
-    and ``rng`` a Generator over PCG64, two decoder tasks (``_decode``)
-    on a pool of two threads each take every other block, draw it into
-    a buffer of their own, place it in the stream, step it and reduce
-    it; a block yielded without ``reduce`` is then a copy that its
-    decoder made.  The decoders share one work array under a lock, held
-    for a step that writes into it and for the reduction of a block that
-    the step left there, unless a work array each keeps the two buffers
-    and the work within four blocks.  An exception that a decoder meets
-    is raised here once the blocks before it are yielded, with
-    ``draws.rng`` where the inline loop would leave it: at the end of
-    the block before, if the block's draw failed, or at the block's own
-    end if its step or reduction did.  However the caller stops, the
-    decoders stop before their next block and the pool is shut down.
-    Any other generator draws inline."""
+    The draw buffers and the step's work arrays are allocated here, on
+    the calling thread, once for all blocks, and the block that
+    ``reduce`` gets is a view of one of them that a later block writes
+    over.  Inline there is one of each.  With two or more blocks,
+    ``kendall._second_cpu()`` and ``rng`` a Generator over PCG64, two
+    decoder tasks (``_decode``) on a pool of two threads each take every
+    other block, draw it into a buffer of their own, place it in the
+    stream, step it and reduce it.  The decoders share one work array
+    under a lock, held for a step that writes into it and for the
+    reduction of a block that the step left there, unless a work array
+    each keeps the two buffers and the work within four blocks.  An
+    exception that a decoder meets is raised here once the results
+    before it are yielded, with ``draws.rng`` where the inline loop would
+    leave it: at the end of the block before, if the block's draw
+    failed, or at the block's own end if its step or reduction did.
+    However the caller stops, the decoders stop before their next block
+    and the pool is shut down.  Any other generator draws inline."""
     bounds = _row_blocks(draws.N, draws.p)
     rng, rows = draws.rng, bounds[0][1]
     entries = draws.work_entries(rows) if draws.step else 0
     if (len(bounds) < 2 or type(rng) is not np.random.Generator
             or type(rng.bit_generator) is not np.random.PCG64 or not _second_cpu()):
-        buf, work, spare = np.empty((rows, draws.cols)), np.empty(entries), np.empty(spare)
+        buf, work = np.empty((rows, draws.cols)), np.empty(entries)
         for lo, hi in bounds:
             Z = rng.standard_normal(out=buf[: hi - lo])
-            Z = draws.step(Z, work) if draws.step else Z
-            yield Z if reduce is None else reduce(Z, spare)
+            yield reduce(draws.step(Z, work) if draws.step else Z)
         return
     sizes = [(hi - lo) * draws.cols for lo, hi in bounds]
     bufs = [np.empty(sizes[0] + _splice_window(sizes[0])) for _ in range(2)]
@@ -409,16 +396,14 @@ def _blocks(draws, reduce=None, spare=0):
     # than four blocks: the bootstrap's, which draws n of max(n, p) columns
     own = 2 * (bufs[0].size + entries) <= 4 * _DRAW_BLOCK_ENTRIES
     works = [np.empty(entries) for _ in range(2)] if own else [np.empty(entries)] * 2
-    spares = [np.empty(spare) for _ in range(2)]
     lock = threading.Lock() if entries and not own else nullcontext()
-    reduce = reduce or (lambda Z, _: Z.copy())
 
     def finish(G, d):
         with lock:
             Z = draws.step(G, works[d]) if draws.step else G
             if np.may_share_memory(Z, works[d]):
-                return reduce(Z, spares[d])
-        return reduce(Z, spares[d])
+                return reduce(Z)
+        return reduce(Z)
 
     # block k's placement, the exact end state and last value that block
     # k + 1 splices onto, and its result; the caller cancels those not
@@ -537,45 +522,45 @@ def _null_gaussian_blocks(A, N, rng):
                           work_entries=A._work_entries)
 
 
-def _residual_blocks(gamma, N, p, rng):
+def _residual_blocks(gamma, N, rng):
     """Row blocks of N draws of (I - Gamma) G, G a standard normal row:
     the null law of the whitened residual on max/sigma routes.  Gamma G
     is subtracted in the draw buffer, with the arithmetic of
     ``G - gamma.apply(G)``."""
-    return _normal_blocks(N, p, rng, step=gamma._subtract, work_entries=gamma._work_entries)
+    return _normal_blocks(N, gamma.p, rng, step=gamma._subtract, work_entries=gamma._work_entries)
 
 
 def _exceedances(draws, value, statistic="max"):
     """Number of rows of ``draws`` (see ``_normal_blocks``) whose
     statistic exceeds value: the max-norm, or the squared norm for
-    "euclidean".  Each block is counted where it is drawn (see
-    ``_blocks``), so the caller only sums the counts; the blocks are
+    "euclidean".  Each block is reduced to its count where it is drawn
+    (see ``_blocks``), so the caller only sums the counts; the blocks are
     closed however the count ends, which stops the decoders."""
-    def count(Z, spare):
-        norms = np.einsum("ij,ij->i", Z, Z) if statistic == "euclidean" else _max_norms(Z, spare)
+    def count(Z):
+        norms = np.einsum("ij,ij->i", Z, Z) if statistic == "euclidean" else _max_norms(Z)
         return int((norms > value).sum())
-    short = statistic == "max" and draws.pairs < _PAIR_MAJOR_BELOW
-    with closing(_blocks(draws, count, _PAIR_MAJOR_ENTRIES if short else 0)) as counts:
+    with closing(_blocks(draws, count)) as counts:
         return sum(counts)
 
 
-def _max_norms(b, spare):
+def _max_norms(b):
     """The max-norm of each row of a block, taken in place: along the
     pairs of a pair-major block (one whose transpose is C-contiguous, as
     partition colouring writes it), and along the rows of any other.  A
     row-major block of more rows than pairs, fewer than
     ``_PAIR_MAJOR_BELOW`` of them, is reduced through pair-major copies
-    of its rows into ``spare``, a flat array, as many rows at a time
-    as it holds."""
+    of a few rows at a time into a chunk of at most
+    ``_PAIR_MAJOR_ENTRIES`` that this call allocates."""
     rows, cols = b.shape
     if b.T.flags.c_contiguous:
         return np.abs(b.T, out=b.T).max(axis=0)
     if rows <= cols or cols >= _PAIR_MAJOR_BELOW:
         return np.abs(b, out=b).max(axis=1)
-    norms, step = np.empty(rows), spare.size // cols
+    step = _PAIR_MAJOR_ENTRIES // cols
+    norms, chunk = np.empty(rows), np.empty(min(step, rows) * cols)
     for lo in range(0, rows, step):
         hi = min(lo + step, rows)
-        pair_major = spare[: (hi - lo) * cols].reshape(cols, hi - lo)
+        pair_major = chunk[: (hi - lo) * cols].reshape(cols, hi - lo)
         np.abs(b[lo:hi].T, out=pair_major).max(axis=0, out=norms[lo:hi])
     return norms
 
@@ -601,7 +586,7 @@ def _bootstrap_blocks(Y, N, rng):
 
     # a block draws n columns and yields p, so it is sized by the wider
     return _normal_blocks(N, max(n, p), rng, cols=n, step=replicates,
-                          work_entries=lambda rows: rows * p, pairs=p)
+                          work_entries=lambda rows: rows * p)
 
 
 # ---------------------------------------------------------------------------
@@ -667,15 +652,13 @@ _Fit = namedtuple("_Fit", "design est gamma theta weight exact notes info")
 
 def _fit(sample, hypothesis, opts):
     """The _Fit of a test on a KendallSample, the one place that branches
-    on the weighting and, with the null law of the max/sigma routes
-    (``_whitened_residual_gaussian``), one of the two that branch on the
-    hypothesis type: the design, the covariance
-    estimate ``est``, the projection ``gamma``, theta_hat = gamma tau_hat,
-    the statistic's ``weight`` (1/n or ``est.factor``), whether the
-    residual is rounding noise or, on a GLS route whose weight keeps no
-    more than L eigenvalues, zero once whitened (``exact``), the
-    report's ``notes`` (the distortion note, if any) and its
-    ``hypothesis`` entry ``info``.  A Partition takes the structured
+    on the weighting and on the hypothesis type: the design, the
+    covariance estimate ``est``, the projection ``gamma``, theta_hat =
+    gamma tau_hat, the statistic's ``weight`` (1/n or ``est.factor``),
+    whether the residual is rounding noise or, on a GLS route whose
+    weight keeps no more than L eigenvalues, zero once whitened
+    (``exact``), the report's ``notes`` (the distortion note, if any) and
+    its ``hypothesis`` entry ``info``.  A Partition takes the structured
     estimate and the orthogonal projector, or with the jackknife
     estimator is tested as its membership design; a design takes the
     dense jackknife and, with sigma weighting, the GLS projector, or the
@@ -777,19 +760,20 @@ def _coloured_gaussian(fit, value, opts, rng, msgs):
 def _whitened_residual_gaussian(fit, value, opts, rng, msgs):
     """M with covariance weighting: draws of (I - Gamma') G, G standard
     normal, with I - Gamma' the null covariance of the whitened residual.
-    Gamma' goes by the hypothesis type, not the estimate's form, so this
-    is the one place besides ``_fit`` that branches on it: for a
-    Partition, the fit's own projector B B^+; for a design, built only
-    for a positive statistic, U U' with U the eigenvectors of C C',
-    C = Sigma^{-1/2} B, whose eigenvalues (of C'C = B' Sigma^+ B) the GLS
-    rule keeps."""
+    Gamma' goes by the projector that ``_fit`` chose by the hypothesis
+    type: an orthogonal one (a Partition's B B^+) is Gamma' itself; for a
+    GLS one (a design), Gamma' is built only for a positive statistic, as
+    U U' with U the eigenvectors of C C', C = Sigma^{-1/2} B, whose
+    eigenvalues (of C'C = B' Sigma^+ B) the GLS rule keeps.  A positive
+    statistic on a design has the GLS projector: the orthogonal fallback
+    is taken only for an exact fit."""
     gamma = fit.gamma
-    if value and fit.info["type"] == "design":
+    if value and gamma.kind == "gls":
         B, factor = fit.design.matrix, fit.est.factor
         CC = PSDFactor.of_rows(factor.apply(B.T, -0.5), 1.0, _normal_norm(B, factor))
         U = CC.V[:, CC.keep]
         gamma = ProjectionOperator("orthogonal", B.shape[0], factors=(U, U.T))
-    return _simulated(_residual_blocks(gamma, opts.replicates, fit.design.p, rng), value, opts)
+    return _simulated(_residual_blocks(gamma, opts.replicates, rng), value, opts)
 
 
 def _multiplier_bootstrap(fit, value, opts, rng, msgs):

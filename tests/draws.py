@@ -1,11 +1,13 @@
 """Whole arrays of the Monte Carlo draws that ``run_test`` takes block by
 block, for tests of their laws, memory and random stream.
 
-``run_test`` draws through the generators in ``kstruct.testing``:
-standard normals (``_normal_blocks``), draws coloured by a covariance
-form (``_null_gaussian_blocks``), whitened-residual draws
+``run_test`` draws through the samplers in ``kstruct.testing``: standard
+normals (``_normal_blocks``), draws coloured by a covariance form
+(``_null_gaussian_blocks``), whitened-residual draws
 (``_residual_blocks``) and multiplier-bootstrap replicates
-(``_bootstrap_blocks``).  ``drawn`` joins the row blocks of any of them.
+(``_bootstrap_blocks``).  Every block is reduced where it is drawn (see
+``kstruct.testing._blocks``), and ``drawn`` joins the blocks of any
+sampler by reducing each to a copy of itself.
 
 ``sparse_product_apply`` is ``sblock.partition_apply`` as written before
 it took buffers, with a fresh array for every intermediate: the
@@ -24,10 +26,9 @@ from kstruct.projection import gamma_projection
 from kstruct.sblock import _partition_layout
 
 
-def drawn(blocks):
-    """The row blocks as one array; each block is copied before the next
-    is drawn over its buffer."""
-    return np.concatenate([np.array(b) for b in blocks])
+def drawn(draws):
+    """The row blocks of ``draws`` as one array."""
+    return np.concatenate(list(kt._blocks(draws, np.copy)))
 
 
 def bootstrap_draws(data, design, N, rng):

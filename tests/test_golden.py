@@ -9,6 +9,14 @@ multipliers).  An entry holds the report's ``to_dict()`` with every
 float as its ``repr``, the end state of the test's generator, or the
 type and text of the error that refused the combination.
 
+Entries added after that first cut carry their ``replicates`` and pin
+draws of many default-size blocks: every accepted route on a 40 x 60
+dataset against three 20-variable groups at 301 replicates (p = 1770,
+so a 2 MB block is 148 rows and every Monte Carlo sampler spans three
+blocks), and every accepted max route on the 40 x 6 dataset at 20001
+replicates (two default blocks of normals at p = 15, four of bootstrap
+multipliers), each hypothesis taking the routes of its estimators.
+
 The test rebuilds every entry with draws inline and on helper threads.
 Where the platform record (Python, NumPy, SciPy, their BLAS builds,
 machine and CPU) matches the committed one, every entry must be equal;
@@ -62,6 +70,8 @@ CLI_RUNS = {
 FLOAT_RTOL = 1e-8
 FLOAT_ATOL = 1e-12
 REPLICATES = 301
+# replicates of the max-route entries that span many default blocks
+MANY_REPLICATES = 20001
 # entries of a draw block for each block setting: None is the default;
 # 3 rows of p = 15 pairs give 101 blocks of normals for 301 replicates
 BLOCKS = {"default": None, "3-row": 3 * 15}
@@ -72,6 +82,14 @@ def dataset():
     rng = np.random.default_rng(4201)
     X = rng.standard_normal((40, 6)) + 0.6 * rng.standard_normal((40, 1))
     X[:, :3] += 0.5 * rng.standard_normal((40, 1))
+    return X
+
+
+def wide_dataset():
+    """40 x 60: a common factor, and a second one on variables 1-20."""
+    rng = np.random.default_rng(4601)
+    X = rng.standard_normal((40, 60)) + 0.6 * rng.standard_normal((40, 1))
+    X[:, :20] += 0.5 * rng.standard_normal((40, 1))
     return X
 
 
@@ -134,23 +152,42 @@ def _patched(second_cpu, entries, made):
         kt._second_cpu, kt._DRAW_BLOCK_ENTRIES, np.random.default_rng = saved
 
 
+def _entry(second_cpu, X, name, hypothesis, route, blocks, entries, replicates=None):
+    """One corpus entry; ``replicates`` is recorded where given, and is
+    ``REPLICATES`` otherwise."""
+    made = []
+    opts = TestOptions(estimator=route[0], statistic=route[1], weighting=route[2],
+                       null_draws=route[3], replicates=replicates or REPLICATES, seed=13)
+    entry = {"hypothesis": name, "blocks": blocks, "route": list(route)}
+    if replicates:
+        entry["replicates"] = replicates
+    with _patched(second_cpu, entries, made):
+        try:
+            entry["report"] = run_test(X, hypothesis, opts).to_dict()
+        except (ValueError, TypeError, ArithmeticError) as exc:
+            entry["error"] = {"type": type(exc).__name__, "text": str(exc)}
+    entry["rng_state"] = made[0].bit_generator.state if made else None
+    return entry
+
+
 def build(second_cpu):
     """Every entry of the corpus, unencoded, in corpus order."""
     X, out = dataset(), []
     for blocks, entries in BLOCKS.items():
         for name, hypothesis in hypotheses().items():
             for route in routes():
-                made = []
-                opts = TestOptions(estimator=route[0], statistic=route[1], weighting=route[2],
-                                   null_draws=route[3], replicates=REPLICATES, seed=13)
-                entry = {"hypothesis": name, "blocks": blocks, "route": list(route)}
-                with _patched(second_cpu, entries, made):
-                    try:
-                        entry["report"] = run_test(X, hypothesis, opts).to_dict()
-                    except (ValueError, TypeError, ArithmeticError) as exc:
-                        entry["error"] = {"type": type(exc).__name__, "text": str(exc)}
-                entry["rng_state"] = made[0].bit_generator.state if made else None
-                out.append(entry)
+                out.append(_entry(second_cpu, X, name, hypothesis, route, blocks, entries))
+    accepted = [route for route in routes() if route in kt._ROUTES]
+    W = wide_dataset()
+    groups = Partition(60, tuple(tuple(range(g + 1, g + 21)) for g in (0, 20, 40)))
+    for route in accepted:
+        out.append(_entry(second_cpu, W, "three 20-variable groups", groups, route, "default",
+                          None, REPLICATES))
+    for name, hypothesis in hypotheses().items():
+        for route in accepted:
+            if route[1] == "max" and (route[0] == "jackknife" or isinstance(hypothesis, Partition)):
+                out.append(_entry(second_cpu, X, name, hypothesis, route, "default", None,
+                                  MANY_REPLICATES))
     return out
 
 
@@ -202,12 +239,16 @@ def test_run_test_reports_equal_the_golden_corpus():
 def test_golden_partition_jackknife_entries_equal_their_designs():
     # the jackknife tests a partition as its membership design
     entries = json.loads(CORPUS.read_text(encoding="utf-8"))["entries"]
-    key = {(e["hypothesis"], e["blocks"], tuple(e["route"])): e for e in entries}
+    key = {(e["hypothesis"], e["blocks"], e.get("replicates"), tuple(e["route"])): e
+           for e in entries}
     partitions = [e for e in entries
                   if e["hypothesis"] in ("one-group", "three-group") and e["route"][0] == "jackknife"]
-    assert len(partitions) == 2 * 2 * 12
+    # 12 routes at 301 replicates for each block setting, and 5 max routes
+    # at MANY_REPLICATES
+    assert len(partitions) == 2 * (2 * 12 + 5)
     for e in partitions:
-        design = key[e["hypothesis"] + " membership", e["blocks"], tuple(e["route"])]
+        design = key[e["hypothesis"] + " membership", e["blocks"], e.get("replicates"),
+                     tuple(e["route"])]
         assert dict(e, hypothesis=None) == dict(design, hypothesis=None)
 
 

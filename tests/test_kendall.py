@@ -67,6 +67,7 @@ def test_tau_matches_brute_force_exactly():
         assert np.array_equal(KendallSample(X).tau, brute_force_tau(X))
 
 
+@pytest.mark.threads
 def test_blocked_path_equals_single_block(monkeypatch):
     rng = np.random.default_rng(11)
     X = rng.normal(size=(23, 4))
@@ -118,6 +119,7 @@ def tie_free_columns(draw):
     return np.array(cols, dtype=float).T
 
 
+@pytest.mark.threads
 @settings(max_examples=60, deadline=None)
 @given(X=tie_free_columns(), rows=st.integers(1, 3), second_cpu=st.booleans())
 @example(X=np.array([[0.0, 1.0], [1.0, 0.0]]), rows=1, second_cpu=True)
@@ -148,6 +150,7 @@ def _thread_of_each_block(monkeypatch):
     return seen
 
 
+@pytest.mark.threads
 def test_kernel_splits_blocks_over_a_helper_thread(monkeypatch):
     X = np.random.default_rng(21).normal(size=(40, 6))
     expect = brute_force_row_sums(X)
@@ -170,6 +173,7 @@ def test_kernel_splits_blocks_over_a_helper_thread(monkeypatch):
     assert seen == [threading.main_thread()]
 
 
+@pytest.mark.threads
 def test_tie_in_the_helper_half_is_raised_by_the_caller(monkeypatch):
     X = np.random.default_rng(22).normal(size=(40, 6))
     X[39, 4] = X[38, 4]  # only the last two rows see the tie

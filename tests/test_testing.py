@@ -280,6 +280,7 @@ def test_sample_dense_and_projector_paths():
     np.testing.assert_allclose(empirical_cov(Z), P, atol=0.06)
 
 
+@pytest.mark.threads
 def test_sample_zero_draws_has_p_columns():
     rng = np.random.default_rng(0)
     forms = (factor_of_matrix(np.eye(3) + 0.5), one_group(np.array([0.1, 0.3, 0.9]), 5))
@@ -288,6 +289,7 @@ def test_sample_zero_draws_has_p_columns():
         assert drawn(kt._null_gaussian_blocks(A, 0, rng)).shape == (0, p)
 
 
+@pytest.mark.threads
 def test_row_blocked_draws_follow_one_random_stream(monkeypatch):
     # 3-row blocks, N not a multiple of 3: identity draws are the rows of
     # one (N, p) draw, and coloured S-block draws match one block up to
@@ -307,6 +309,7 @@ def test_row_blocked_draws_follow_one_random_stream(monkeypatch):
 # multiplier bootstrap
 
 
+@pytest.mark.threads
 def test_bootstrap_comonotone_draws_vanish():
     x = np.linspace(0.0, 1.0, 12)
     X = np.column_stack([x, np.exp(x), x**3])
@@ -792,6 +795,7 @@ def test_run_test_seed_reproducibility():
     assert a.input_digest == b.input_digest
 
 
+@pytest.mark.threads
 def test_run_test_max_routes_independent_of_draw_blocks(monkeypatch):
     X = exchangeable_normal(np.random.default_rng(83), 40, 6)
     reports = []
@@ -804,6 +808,7 @@ def test_run_test_max_routes_independent_of_draw_blocks(monkeypatch):
     assert reports[:2] == reports[2:]
 
 
+@pytest.mark.threads
 def test_run_test_design_routes_independent_of_draw_blocks(monkeypatch):
     # 2-row blocks against one block: the multiplier bootstrap (both
     # statistics), max/sigma's projector draws and Gaussian max/identity
@@ -893,16 +898,16 @@ def test_samplers_write_the_old_formulas_into_their_buffers(monkeypatch, part):
                                 old(lambda g: sparse_product_apply(root, g), G, 4)),
         "dense colouring": (kt._null_gaussian_blocks(dense, N, rng(5)),
                             old(lambda g: ((g @ Vk) * dense.w[dense.keep] ** 0.5) @ Vk.T, G, 4)),
-        "means": (kt._residual_blocks(gamma, N, p, rng(5)),
+        "means": (kt._residual_blocks(gamma, N, rng(5)),
                   old(lambda g: g - gamma.apply(g), G, 4)),
-        "orthogonal": (kt._residual_blocks(orthogonal, N, p, rng(5)),
+        "orthogonal": (kt._residual_blocks(orthogonal, N, rng(5)),
                        old(lambda g: g - orthogonal.apply(g), G, 4)),
         "bootstrap": (kt._bootstrap_blocks(R, N, rng(5)),
                       old(lambda w: (2.0 / np.sqrt(n)) * (w @ R), W, 2)),
     }
-    for name, (blocks, want) in samplers.items():
+    for name, (draws, want) in samplers.items():
         got, buffers = [], set()
-        for b in blocks:
+        for b in kt._blocks(draws, lambda b: b):
             got.append(b.copy())
             buffers.add(b.__array_interface__["data"][0])
         assert [len(b) for b in got][-1] < len(got[0]), name
@@ -950,6 +955,7 @@ def _pool_threads(seen):
     return alive
 
 
+@pytest.mark.threads
 def test_threaded_draws_equal_inline_draws(monkeypatch):
     p, N = pair_count(6), 301
     A = np.random.default_rng(97).standard_normal((p, p))
@@ -982,6 +988,7 @@ def test_threaded_draws_equal_inline_draws(monkeypatch):
     assert np.array_equal(draws[True, "identity"][0], want)
 
 
+@pytest.mark.threads
 @pytest.mark.parametrize("hypothesis", [
     Partition.exchangeable(6),
     Partition(6, ((1, 2), (3, 4), (5, 6))),
@@ -1017,6 +1024,7 @@ def test_run_test_reports_equal_with_threaded_draws(monkeypatch, hypothesis):
             assert results[False, key] == results[True, key], (rows, key)
 
 
+@pytest.mark.threads
 def test_draw_thread_stops_when_the_consumer_raises(monkeypatch):
     _draw_ahead(monkeypatch, True)
     before = threading.active_count()
@@ -1037,7 +1045,7 @@ def test_draw_thread_stops_when_the_consumer_raises(monkeypatch):
     assert max(seen) == before + 2  # the decoders colour the blocks
     assert threading.active_count() == before
     # a caller that stops reading early also stops the decoders
-    blocks = iter(kt._normal_blocks(301, 15, np.random.default_rng(1)))
+    blocks = kt._blocks(kt._normal_blocks(301, 15, np.random.default_rng(1)), np.copy)
     next(blocks)
     assert sum(t.name.startswith("kstruct-draws") for t in threading.enumerate()) == 2
     assert threading.active_count() == before + 2
@@ -1045,6 +1053,7 @@ def test_draw_thread_stops_when_the_consumer_raises(monkeypatch):
     assert threading.active_count() == before
 
 
+@pytest.mark.threads
 @pytest.mark.parametrize("failures", [1, 2])
 @pytest.mark.parametrize("fail_at", [4, 7])
 def test_draw_thread_error_reaches_the_caller(monkeypatch, failures, fail_at):
@@ -1064,8 +1073,8 @@ def test_draw_thread_error_reaches_the_caller(monkeypatch, failures, fail_at):
     monkeypatch.setattr(kt, "_draw_block", failing)
     rng, got = np.random.default_rng(9), []
     with pytest.raises(FloatingPointError, match="draw %d failed" % fail_at):
-        for block in kt._normal_blocks(301, pair_count(6), rng):
-            got.append(block.copy())
+        for block in kt._blocks(kt._normal_blocks(301, pair_count(6), rng), np.copy):
+            got.append(block)
     want = np.random.default_rng(9)
     assert len(got) == fail_at
     assert np.array_equal(np.concatenate(got),
@@ -1094,6 +1103,7 @@ def _split(monkeypatch, entries):
     return offsets
 
 
+@pytest.mark.threads
 @pytest.mark.parametrize("rows, N, cols", [
     (151, 301, 15),  # 2 blocks
     (101, 301, 15),  # 3 blocks, the last short
@@ -1116,6 +1126,7 @@ def test_split_draws_are_one_draw(monkeypatch, rows, N, cols):
     assert threading.active_count() == before
 
 
+@pytest.mark.threads
 def test_split_draws_fall_back_exactly(monkeypatch):
     # when every splice fails, each block is drawn again from the exact
     # end of the one before
@@ -1129,6 +1140,7 @@ def test_split_draws_fall_back_exactly(monkeypatch):
     assert offsets == [None] * 25
 
 
+@pytest.mark.threads
 def test_split_leaves_the_generator_as_inline_draws_do(monkeypatch):
     # after each block handed over, and with a 32-bit half buffered,
     # which normals do not touch
@@ -1136,7 +1148,7 @@ def test_split_leaves_the_generator_as_inline_draws_do(monkeypatch):
     rng, want = np.random.default_rng(227), np.random.default_rng(227)
     rng.integers(0, 10, dtype=np.uint32)
     want.integers(0, 10, dtype=np.uint32)
-    for block in kt._normal_blocks(301, 15, rng):
+    for block in kt._blocks(kt._normal_blocks(301, 15, rng), np.copy):
         assert np.array_equal(block, want.standard_normal(block.shape))
         assert rng.bit_generator.state == want.bit_generator.state
     assert rng.bit_generator.state["has_uint32"] == 1
@@ -1154,6 +1166,7 @@ class _WrappedRng:
         return self.rng.standard_normal(*args, **kwargs)
 
 
+@pytest.mark.threads
 def test_split_only_for_a_pcg64_generator(monkeypatch):
     # a wrapper and another bit generator draw inline; with a Generator
     # over PCG64 every sampler splits over two pool threads, with one
@@ -1177,21 +1190,23 @@ def test_split_only_for_a_pcg64_generator(monkeypatch):
     threads.clear()
     offsets.clear()
     gamma = gamma_projection(block_membership_matrix(Partition(6, ((1, 2, 3), (4, 5, 6)))))
-    drawn(kt._residual_blocks(gamma, 301, 15, np.random.default_rng(7)))
+    drawn(kt._residual_blocks(gamma, 301, np.random.default_rng(7)))
     assert _pool_threads(threads) == 2 and len(offsets) == 100
 
 
+@pytest.mark.threads
 def test_split_decoders_stop_with_the_caller(monkeypatch):
     _split(monkeypatch, 3 * 15)
     before = threading.active_count()
-    blocks = iter(kt._normal_blocks(301, 15, np.random.default_rng(1)))
+    blocks = kt._blocks(kt._normal_blocks(301, 15, np.random.default_rng(1)), np.copy)
     next(blocks)
     assert threading.active_count() == before + 2
     blocks.close()
     assert threading.active_count() == before
 
     def consume(fail_at):
-        for k, block in enumerate(kt._normal_blocks(301, 15, np.random.default_rng(1))):
+        for k, _ in enumerate(kt._blocks(kt._normal_blocks(301, 15, np.random.default_rng(1)),
+                                         np.copy)):
             if k == fail_at:
                 raise FloatingPointError("consumer failed at %d" % k)
 
@@ -1201,6 +1216,7 @@ def test_split_decoders_stop_with_the_caller(monkeypatch):
         assert threading.active_count() == before
 
 
+@pytest.mark.threads
 def test_split_draws_under_thread_switching(monkeypatch):
     # three callers at once, each with two decoders, on two CPUs at most,
     # switching threads every microsecond: every stream is still one draw
@@ -1225,6 +1241,7 @@ def test_split_draws_under_thread_switching(monkeypatch):
         assert np.array_equal(got[seed], np.random.default_rng(seed).standard_normal((301, 15)))
 
 
+@pytest.mark.threads
 @pytest.mark.parametrize("fail_at", [1, 2, 4, 5, 100])
 def test_split_decoder_error_reaches_the_caller(monkeypatch, fail_at):
     # the splice of block k runs on a thread of a two-thread pool, after
@@ -1268,13 +1285,14 @@ def _decoded_samplers(d=6, n=30):
         "partition": (lambda s: kt._null_gaussian_blocks(kt._identity_null(est, gamma, []),
                                                          301, rng(s)), "max"),
         "dense": (lambda s: kt._null_gaussian_blocks(dense, 301, rng(s)), "max"),
-        "grand mean": (lambda s: kt._residual_blocks(means, 301, p, rng(s)), "max"),
-        "class means": (lambda s: kt._residual_blocks(gamma, 301, p, rng(s)), "max"),
+        "grand mean": (lambda s: kt._residual_blocks(means, 301, rng(s)), "max"),
+        "class means": (lambda s: kt._residual_blocks(gamma, 301, rng(s)), "max"),
         "bootstrap": (lambda s: kt._bootstrap_blocks(R, 301, rng(s)), "max"),
         "bootstrap euclidean": (lambda s: kt._bootstrap_blocks(R, 301, rng(s)), "euclidean"),
     }
 
 
+@pytest.mark.threads
 @pytest.mark.parametrize("rows", [3, 40])
 def test_threaded_counts_equal_inline_counts(monkeypatch, rows):
     # N = 301 in blocks of 3 rows (the bootstrap's of n = 30 columns too)
@@ -1303,6 +1321,7 @@ def test_threaded_counts_equal_inline_counts(monkeypatch, rows):
             assert threading.enumerate() == [threading.main_thread()], (name, value)
 
 
+@pytest.mark.threads
 def test_threaded_counts_under_thread_switching(monkeypatch):
     # three callers at once, each with two decoders that share a work
     # array under the lock (or, for the bootstrap, hold one each), on
@@ -1333,6 +1352,7 @@ def test_threaded_counts_under_thread_switching(monkeypatch):
     assert got == want
 
 
+@pytest.mark.threads
 @pytest.mark.parametrize("fail_at", [4, 7])
 def test_a_failing_step_stops_both_threaded_decoders(monkeypatch, fail_at):
     # the step of block fail_at, an even or an odd one of 3-row blocks
@@ -1358,7 +1378,7 @@ def test_a_failing_step_stops_both_threaded_decoders(monkeypatch, fail_at):
         steps.clear()
         rng = np.random.default_rng(257)
         with pytest.raises(FloatingPointError, match="step %d failed" % fail_at):
-            kt._exceedances(kt._residual_blocks(gamma, 301, p, rng), 1.0)
+            kt._exceedances(kt._residual_blocks(gamma, 301, rng), 1.0)
         states[on] = rng.bit_generator.state
         assert threading.enumerate() == [threading.main_thread()]
     assert len(steps) <= fail_at + 2
@@ -1368,6 +1388,7 @@ def test_a_failing_step_stops_both_threaded_decoders(monkeypatch, fail_at):
     assert states[False] == states[True] == after.bit_generator.state
 
 
+@pytest.mark.threads
 def test_no_thread_is_left_when_a_study_forks(monkeypatch):
     # a split kernel pass and a threaded run_test leave only the main
     # thread, so a study's pool then forks without the warning that
@@ -1399,6 +1420,7 @@ def test_no_thread_is_left_when_a_study_forks(monkeypatch):
         run_study(study, seed=1, workers=2)
 
 
+@pytest.mark.threads
 @pytest.mark.parametrize("p, rows", [(10, 64), (45, 64), (780, 64)])
 def test_exceedances_equal_the_row_reduction(monkeypatch, p, rows):
     # short rows go through the pair-major copy, p = 780 through the row
@@ -1416,7 +1438,7 @@ def test_exceedances_equal_the_row_reduction(monkeypatch, p, rows):
         "partition": lambda rng: kt._null_gaussian_blocks(
             kt._identity_null(est, gamma, []), N, rng),
         "dense": lambda rng: kt._null_gaussian_blocks(dense, N, rng),
-        "residual": lambda rng: kt._residual_blocks(gamma, N, p, rng),
+        "residual": lambda rng: kt._residual_blocks(gamma, N, rng),
         "bootstrap": lambda rng: kt._bootstrap_blocks(R, N, rng),
     }
     for name, blocks in samplers.items():
